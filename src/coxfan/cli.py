@@ -13,7 +13,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import corpus, cox, gradmod, grading, polyfan, schemeprops, sheaf
+from . import corpus, cox, gradmod, grading, groeb, polyfan, schemeprops, sheaf
 from .cox import BASE_RING_FLAG_NAMES, BaseRingFlags
 from .intlat import INFINITE
 
@@ -38,6 +38,7 @@ DOMAIN_ERRORS = (
     cox.NotBig,
     cox.ConeNotInFan,
     grading.UnboundedFiber,
+    groeb.SaturationCapExceeded,
     sheaf.Unstabilized,
     ValidationError,
 )
@@ -452,6 +453,8 @@ def cmd_module_sections(args):
 
 
 def cmd_module_torsion(args):
+    if args.power_cap < 1:
+        raise ValidationError("--power-cap must be >= 1")
     _, warnings, g, c = _pipeline(args)
     if args.module:
         f = load_module_json(_read(args.module), c)

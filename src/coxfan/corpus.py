@@ -6,39 +6,20 @@ can be overridden with the ``COXFAN_CORPUS_DIR`` environment variable.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
 from .polyfan import Fan, build_fan
 
 CORPUS_ENV_VAR = "COXFAN_CORPUS_DIR"
+_PACKAGE_CORPUS = Path(__file__).parent / "corpus"
 
+# The shipped fixtures are the single source of the specs;
+# ``COXFAN_CORPUS_DIR`` only moves ``fixture_path``.
 _SPECS = {
-    "p2": {
-        "rank": 2,
-        "rays": [[1, 0], [0, 1], [-1, -1]],
-        "max_cones": [[0, 1], [1, 2], [2, 0]],
-    },
-    "p1xp1": {
-        "rank": 2,
-        "rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],
-        "max_cones": [[0, 2], [2, 1], [1, 3], [3, 0]],
-    },
-    "p112": {
-        "rank": 2,
-        "rays": [[1, 0], [0, 1], [-1, -2]],
-        "max_cones": [[0, 1], [1, 2], [2, 0]],
-    },
-    "quadric_cone": {
-        "rank": 3,
-        "rays": [[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]],
-        "max_cones": [[0, 1, 2, 3]],
-    },
-    "three_rays": {
-        "rank": 2,
-        "rays": [[1, 0], [0, 1], [1, 1]],
-        "max_cones": [[0], [1], [2]],
-    },
+    path.stem: json.loads(path.read_text())
+    for path in sorted(_PACKAGE_CORPUS.glob("*.json"))
 }
 
 CORPUS_NAMES = tuple(sorted(_SPECS))
@@ -48,7 +29,7 @@ def corpus_dir() -> Path:
     override = os.environ.get(CORPUS_ENV_VAR)
     if override:
         return Path(override)
-    return Path(__file__).parent / "corpus"
+    return _PACKAGE_CORPUS
 
 
 def fan_spec(name: str) -> dict:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import count
 
 from . import groeb, ratlin
 from .cox import CoxRingData
@@ -174,34 +176,39 @@ def _is_monomial_context(sub: GradedSubmodule):
     )
 
 
-def _monomial_pairs(gens):
-    out = []
-    for x in gens:
+def _monomial_saturation(sub: GradedSubmodule, zhats):
+    """Generators of the intersection over ``zhats`` of the saturations
+    (sub : z^inf), for a monomial submodule of a free module.  Each
+    generator index carries its own monomial ideal; the output is sorted
+    by generator index, then by exponent."""
+    rank = sub.ambient.rank
+    exps = {}
+    for x in sub.element_generators:
         for i, p in enumerate(x):
-            for e, c in p.items():
-                out.append((i, e))
-    return out
-
-
-def _pairs_to_elems(pairs, rank):
-    elems = []
-    for i, e in pairs:
-        row = [{} for _ in range(rank)]
-        row[i] = {tuple(e): Fraction(1)}
-        elems.append(tuple(row))
-    return elems
-
-
-def _minimalize_monomial_pairs(pairs):
+            exps.setdefault(i, []).extend(p)
     out = []
-    pairs = sorted(set(pairs))
-    for i, e in pairs:
-        if not any(
-            j == i and f != e and all(a <= b for a, b in zip(f, e))
-            for j, f in pairs
-        ):
-            out.append((i, e))
-    return out
+    for i in sorted(exps):
+        sat = reduce(
+            groeb.monomial_ideal_intersection,
+            (groeb.monomial_ideal_saturate(exps[i], z) for z in zhats),
+        )
+        for e in sat:
+            row = [{} for _ in range(rank)]
+            row[i] = {e: Fraction(1)}
+            out.append(tuple(row))
+    return tuple(out)
+
+
+def _kill_power(rel_gb, i, zexp, rank, cap=None):
+    """The least k with z^k times generator i in the relation module, or
+    None when no k <= cap works.  Without a cap the caller must know that
+    some power kills the generator."""
+    for k in count(1) if cap is None else range(1, cap + 1):
+        e = tuple(k * x for x in zexp)
+        elem = tuple({} if j != i else {e: Fraction(1)} for j in range(rank))
+        if module_contains(rel_gb, elem):
+            return k
+    return None
 
 
 def minimalize_submodule_generators(sub: GradedSubmodule) -> GradedSubmodule:
@@ -232,24 +239,7 @@ def saturate_submodule(g: GradedSubmodule, use_iterated_fallback=False) -> Grade
     maximal = [c.ray_generators for c in cox.grading.fan.maximal_cones()]
     zhats = [cox.zhat[k] for k in maximal]
     if _is_monomial_context(g):
-        pairs = _monomial_pairs(g.element_generators)
-        per_sigma = []
-        for z in zhats:
-            supp = {i for i, x in enumerate(z) if x}
-            sat = [
-                (i, tuple(0 if k in supp else x for k, x in enumerate(e)))
-                for i, e in pairs
-            ]
-            per_sigma.append(_minimalize_monomial_pairs(sat))
-        current = per_sigma[0]
-        for other in per_sigma[1:]:
-            inter = []
-            for (i, e) in current:
-                for (j, fexp) in other:
-                    if i == j:
-                        inter.append((i, tuple(max(a, b) for a, b in zip(e, fexp))))
-            current = _minimalize_monomial_pairs(inter)
-        return GradedSubmodule(f, tuple(_pairs_to_elems(current, rank)))
+        return GradedSubmodule(f, _monomial_saturation(g, zhats))
     gens = g.with_relations()
     if use_iterated_fallback:
         ib = [
@@ -300,16 +290,7 @@ def is_torsion(f: GradedModulePresentation, power_cap: int = DEFAULT_POWER_CAP):
     table = {}
     for i in range(f.rank):
         for key in maximal:
-            z = cox.zhat[key]
-            found = None
-            for k in range(1, power_cap + 1):
-                e = tuple(k * x for x in z)
-                elem = [
-                    {} if j != i else {e: Fraction(1)} for j in range(f.rank)
-                ]
-                if module_contains(rel_gb, tuple(elem)):
-                    found = k
-                    break
+            found = _kill_power(rel_gb, i, cox.zhat[key], f.rank, power_cap)
             if found is None:
                 return TorsionCertificate(False, table, (i, key), True)
             table[(i, key)] = found

@@ -1,9 +1,12 @@
 """Quasicoherent sheaves on the toric cover, presented chart by chart.
 
 A graded module is turned into a family of localized chart modules (one
-per maximal cone), glued along overlaps.  All computations are windowed:
+per maximal cone), glued along overlaps.  Global sections are windowed:
 degrees come from explicit finite lists and denominator exponents are
-raised until the answer stabilizes; outputs carry a stabilization flag.
+raised until two consecutive levels agree.  Both section modes (via_shift
+and via_twist) go through one window/equalizer builder, so they are not
+independent checks of each other; the lattice-point count of the
+divisor polytope is.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from .gradmod import (
     GradedModulePresentation,
     GradedSubmodule,
     _is_monomial_context,
-    _minimalize_monomial_pairs,
-    _monomial_pairs,
+    _kill_power,
+    _monomial_saturation,
     _monomials_of_degree,
-    _pairs_to_elems,
     component_span_rows,
     minimalize_submodule_generators,
 )
@@ -35,7 +37,6 @@ from .groeb import (
 
 DEFAULT_MAX_LEVEL = 8
 DEFAULT_ENUM_BOX = 6
-KILL_POWER_CAP = 16
 
 
 class Unstabilized(RuntimeError):
@@ -50,7 +51,6 @@ class LocalModuleWindow:
     denominator_step: int  # least power of the cone monomial inside S_B
     generators: tuple  # (generator index, fractional exponent vector)
     killed: dict  # generator index -> least annihilating power
-    stabilized: bool
 
     @property
     def is_zero(self):
@@ -146,15 +146,6 @@ def _localization_kernel(f: GradedModulePresentation, zexp):
     return tuple(x for x in sat if not m_is_zero(x))
 
 
-def _kill_power(rel_gb, i, zexp, rank, cap=KILL_POWER_CAP):
-    for k in range(1, cap + 1):
-        e = tuple(k * x for x in zexp)
-        elem = tuple({} if j != i else {e: Fraction(1)} for j in range(rank))
-        if module_contains(rel_gb, elem):
-            return k
-    return None
-
-
 def sheafify(f: GradedModulePresentation, box=DEFAULT_ENUM_BOX) -> SheafCoverPresentation:
     """The cover presentation of the associated sheaf: one localized
     module per maximal cone, with killed generators certified."""
@@ -177,8 +168,8 @@ def sheafify(f: GradedModulePresentation, box=DEFAULT_ENUM_BOX) -> SheafCoverPre
                 for j in range(f.rank)
             )
             if kern and module_contains(kern_gb, unit):
-                k = _kill_power(rel_gb, i, z, f.rank)
-                killed[i] = k if k is not None else KILL_POWER_CAP
+                # the unit lies in (relations : z^inf), so a power kills it
+                killed[i] = _kill_power(rel_gb, i, z, f.rank)
                 continue
             alpha = A.neg(f.generator_degrees[i])
             for v in _laurent_component_generators(cox, alpha, key, box):
@@ -188,18 +179,12 @@ def sheafify(f: GradedModulePresentation, box=DEFAULT_ENUM_BOX) -> SheafCoverPre
             denominator_step=cox.m_exponents[key],
             generators=tuple(gens),
             killed=killed,
-            stabilized=True,
         )
     return SheafCoverPresentation(origin=f, charts=charts, kernels=kernels)
 
 
 def is_zero_sheaf(s: SheafCoverPresentation) -> bool:
-    for chart in s.charts.values():
-        if not chart.stabilized:
-            raise Unstabilized(f"chart {chart.cone_key} is not stabilized")
-        if not chart.is_zero:
-            return False
-    return True
+    return all(chart.is_zero for chart in s.charts.values())
 
 
 def _kernel_for(s: SheafCoverPresentation, key, zexp):
@@ -218,14 +203,47 @@ def _reduce_mod(vec, rrows, pivots):
 
 
 class _Window:
-    """Monomial coordinates of one chart at one denominator level,
-    together with the subspace to quotient by (relations + localization
-    kernel, and for twisted windows the tensor identifications)."""
+    """Monomial coordinates (twist index, generator, exponent) of one
+    chart at one denominator level, together with the subspace to
+    quotient by: relations and localization kernel in every twist block,
+    plus the tensor identifications between the twist blocks."""
 
-    def __init__(self, coords, sub_rows):
-        self.coords = list(coords)
+    def __init__(self, s, key, degree, twists, level, enum_bound):
+        f = s.origin
+        g = f.cox.grading
+        z = f.cox.zhat[key]
+        self.level = level
+        self.twists = twists
+        target = g.class_group.add(degree, g.a_map(tuple(level * x for x in z)))
+        base = _monomials_of_degree(f, target, enum_bound)
+        base_index = {c: k for k, c in enumerate(base)}
+        base_rows = component_span_rows(
+            f,
+            list(_kernel_for(s, key, z)) + list(f.relations),
+            target,
+            base,
+            base_index,
+            enum_bound,
+        )
+        self.coords = [(j, i, e) for j in range(len(twists)) for (i, e) in base]
         self.index = {c: k for k, c in enumerate(self.coords)}
-        self.w_rref, self.w_pivots = ratlin.rref(sub_rows)
+        rows = []
+        width = len(base)
+        for j in range(len(twists)):
+            for r in base_rows:
+                row = [Fraction(0)] * self.size
+                row[j * width : (j + 1) * width] = r
+                rows.append(row)
+        for j, j2 in combinations(range(len(twists)), 2):
+            diff = tuple(a - b for a, b in zip(twists[j], twists[j2]))
+            for (i, e) in base:
+                e2 = tuple(a + b for a, b in zip(e, diff))
+                if (i, e2) in base_index:
+                    row = [Fraction(0)] * self.size
+                    row[self.index[(j, i, e)]] = Fraction(1)
+                    row[self.index[(j2, i, e2)]] = Fraction(-1)
+                    rows.append(row)
+        self.w_rref, self.w_pivots = ratlin.rref(rows)
         self.w_rref = self.w_rref[: len(self.w_pivots)]
 
     @property
@@ -240,71 +258,47 @@ class _Window:
         return _reduce_mod(vec, self.w_rref, self.w_pivots)
 
 
-def _shift_window(s, key, alpha, level_k, enum_bound):
-    f = s.origin
-    g = f.cox.grading
-    A = g.class_group
-    z = f.cox.zhat[key]
-    ksigma = level_k * f.cox.m_exponents[key]
-    target = A.add(alpha, g.a_map(tuple(ksigma * x for x in z)))
-    coords = _monomials_of_degree(f, target, enum_bound)
-    index = {c: k for k, c in enumerate(coords)}
-    kern = _kernel_for(s, key, z)
-    rows = component_span_rows(
-        f, list(kern) + list(f.relations), target, coords, index, enum_bound
-    )
-    w = _Window(coords, rows)
-    w.level = ksigma
-    return w
-
-
-def _twist_window(s, key, alpha, level_k, enum_bound, box):
-    f = s.origin
-    cox = f.cox
-    g = cox.grading
-    z = cox.zhat[key]
-    ksigma = level_k * cox.m_exponents[key]
-    twists = _laurent_component_generators(cox, alpha, key, box)
-    target = g.a_map(tuple(ksigma * x for x in z))
-    base = _monomials_of_degree(f, target, enum_bound)
-    base_index = {c: k for k, c in enumerate(base)}
-    kern = _kernel_for(s, key, z)
-    base_rows = component_span_rows(
-        f, list(kern) + list(f.relations), target, base, base_index, enum_bound
-    )
-    coords = [(j, i, e) for j in range(len(twists)) for (i, e) in base]
-    index = {c: k for k, c in enumerate(coords)}
-    rows = []
-    width = len(base)
-    for j in range(len(twists)):
-        for r in base_rows:
-            row = [Fraction(0)] * len(coords)
-            row[j * width : (j + 1) * width] = r
-            rows.append(row)
-    for j, j2 in combinations(range(len(twists)), 2):
-        diff = tuple(a - b for a, b in zip(twists[j], twists[j2]))
-        for (i, e) in base:
-            e2 = tuple(a + b for a, b in zip(e, diff))
-            if (i, e2) in base_index:
-                row = [Fraction(0)] * len(coords)
-                row[index[(j, i, e)]] = Fraction(1)
-                row[index[(j2, i, e2)]] = Fraction(-1)
-                rows.append(row)
-    w = _Window(coords, rows)
-    w.level = ksigma
-    w.twists = twists
-    return w
-
-
 def _overlap_level(cox, tau_key, needed):
     m = cox.m_exponents[tau_key]
     return m * (-(-needed // m))
 
 
-def _shift_constraints(s, alpha, level_k, windows, keys, cones, enum_bound):
-    """Equalizer rows for the plain (via_shift) cover at one level."""
-    f = s.origin
-    cox = f.cox
+def _cover_twist(v, tw_tau, tau_pos):
+    """A twist generator of the overlap chart dividing v there, with the
+    exponent difference."""
+    for l, vt in enumerate(tw_tau):
+        d = tuple(a - b for a, b in zip(v, vt))
+        if all(d[p] >= 0 for p in tau_pos):
+            return l, d
+    raise Unstabilized("twist generator not covered on the overlap chart")
+
+
+def _sections_at_level(s, alpha, mode, level_k, enum_bound, box):
+    """The equalizer of the chart windows at one level.  via_shift reads
+    the degree-alpha slice with the single trivial twist; via_twist reads
+    the degree-0 slice tensored with the Laurent generators of alpha."""
+    cox = s.cox
+    cones = list(cox.grading.fan.maximal_cones())
+    keys = [c.ray_generators for c in cones]
+    if mode == "via_shift":
+        degree = alpha
+        trivial_twist = ((0,) * cox.num_vars,)
+
+        def twists(key):
+            return trivial_twist
+
+    else:
+        degree = cox.grading.class_group.zero()
+
+        def twists(key):
+            return _laurent_component_generators(cox, alpha, key, box)
+
+    windows = {
+        key: _Window(
+            s, key, degree, twists(key), level_k * cox.m_exponents[key], enum_bound
+        )
+        for key in keys
+    }
     offsets = {}
     total = 0
     for key in keys:
@@ -312,114 +306,21 @@ def _shift_constraints(s, alpha, level_k, windows, keys, cones, enum_bound):
         total += windows[key].size
     rows = []
     for (k1, c1), (k2, c2) in combinations(list(zip(keys, cones)), 2):
-        tau = c1.intersect(c2)
-        tau_key = tau.ray_generators
+        tau_key = c1.intersect(c2).ray_generators
         ztau = cox.zhat[tau_key]
-        ktau = _overlap_level(
-            cox, tau_key, max(windows[k1].level, windows[k2].level)
-        )
-        g = cox.grading
-        A = g.class_group
-        target = A.add(alpha, g.a_map(tuple(ktau * x for x in ztau)))
-        coords_t = _monomials_of_degree(f, target, enum_bound)
-        index_t = {c: k for k, c in enumerate(coords_t)}
-        kern = _kernel_for(s, tau_key, ztau)
-        sub = component_span_rows(
-            f, list(kern) + list(f.relations), target, coords_t, index_t, enum_bound
-        )
-        wt = _Window(coords_t, sub)
-        images = {}
-        for key in (k1, k2):
-            w = windows[key]
-            zs = cox.zhat[key]
-            shift = tuple(
-                ktau * a - w.level * b for a, b in zip(ztau, zs)
-            )
-            cols = []
-            for (i, e) in w.coords:
-                e2 = tuple(a + b for a, b in zip(e, shift))
-                vec = [Fraction(0)] * wt.size
-                vec[wt.index[(i, e2)]] = Fraction(1)
-                cols.append(wt.reduce(vec))
-            images[key] = cols
-        for t in range(wt.size):
-            row = [Fraction(0)] * total
-            for key, sign in ((k1, 1), (k2, -1)):
-                off = offsets[key]
-                for jcol, col in enumerate(images[key]):
-                    if col[t]:
-                        row[off + jcol] += sign * col[t]
-            if any(row):
-                rows.append(row)
-    return rows, offsets, total
-
-
-def _twist_constraints(s, alpha, level_k, windows, keys, cones, enum_bound, box):
-    f = s.origin
-    cox = f.cox
-    g = cox.grading
-    offsets = {}
-    total = 0
-    for key in keys:
-        offsets[key] = total
-        total += windows[key].size
-    rows = []
-    for (k1, c1), (k2, c2) in combinations(list(zip(keys, cones)), 2):
-        tau = c1.intersect(c2)
-        tau_key = tau.ray_generators
-        ztau = cox.zhat[tau_key]
+        tw_tau = twists(tau_key)
         tau_pos = _sigma_positions(cox, tau_key)
-        tw_tau = _laurent_component_generators(cox, alpha, tau_key, box)
-        # express every source twist generator over a target twist generator
-        plans = {}
-        slack = 0
-        for key in (k1, k2):
-            w = windows[key]
-            per = []
-            for v in w.twists:
-                choice = None
-                for l, vt in enumerate(tw_tau):
-                    d = tuple(a - b for a, b in zip(v, vt))
-                    if all(d[p] >= 0 for p in tau_pos):
-                        choice = (l, d)
-                        break
-                if choice is None:
-                    raise Unstabilized(
-                        "twist generator not covered on the overlap chart"
-                    )
-                per.append(choice)
-                slack = max(slack, max(0, -min(choice[1])))
-            plans[key] = per
+        plans = {
+            key: [_cover_twist(v, tw_tau, tau_pos) for v in windows[key].twists]
+            for key in (k1, k2)
+        }
+        slack = max(
+            (max(0, -min(d)) for plan in plans.values() for _, d in plan),
+            default=0,
+        )
         needed = max(windows[k1].level, windows[k2].level) + slack
         ktau = _overlap_level(cox, tau_key, needed)
-        target = g.a_map(tuple(ktau * x for x in ztau))
-        base_t = _monomials_of_degree(f, target, enum_bound)
-        base_index = {c: k for k, c in enumerate(base_t)}
-        kern = _kernel_for(s, tau_key, ztau)
-        base_rows = component_span_rows(
-            f, list(kern) + list(f.relations), target, base_t, base_index, enum_bound
-        )
-        coords_t = [
-            (l, i, e) for l in range(len(tw_tau)) for (i, e) in base_t
-        ]
-        index_t = {c: k for k, c in enumerate(coords_t)}
-        sub = []
-        width = len(base_t)
-        for l in range(len(tw_tau)):
-            for r in base_rows:
-                row = [Fraction(0)] * len(coords_t)
-                row[l * width : (l + 1) * width] = r
-                sub.append(row)
-        for l, l2 in combinations(range(len(tw_tau)), 2):
-            diff = tuple(a - b for a, b in zip(tw_tau[l], tw_tau[l2]))
-            for (i, e) in base_t:
-                e2 = tuple(a + b for a, b in zip(e, diff))
-                if (i, e2) in base_index:
-                    row = [Fraction(0)] * len(coords_t)
-                    row[index_t[(l, i, e)]] = Fraction(1)
-                    row[index_t[(l2, i, e2)]] = Fraction(-1)
-                    sub.append(row)
-        wt = _Window(coords_t, sub)
+        wt = _Window(s, tau_key, degree, tw_tau, ktau, enum_bound)
         images = {}
         for key in (k1, k2):
             w = windows[key]
@@ -444,26 +345,6 @@ def _twist_constraints(s, alpha, level_k, windows, keys, cones, enum_bound, box)
                         row[off + jcol] += sign * col[t]
             if any(row):
                 rows.append(row)
-    return rows, offsets, total
-
-
-def _sections_at_level(s, alpha, mode, level_k, enum_bound, box):
-    cones = list(s.cox.grading.fan.maximal_cones())
-    keys = [c.ray_generators for c in cones]
-    windows = {}
-    for key in keys:
-        if mode == "via_shift":
-            windows[key] = _shift_window(s, key, alpha, level_k, enum_bound)
-        else:
-            windows[key] = _twist_window(s, key, alpha, level_k, enum_bound, box)
-    if mode == "via_shift":
-        rows, offsets, total = _shift_constraints(
-            s, alpha, level_k, windows, keys, cones, enum_bound
-        )
-    else:
-        rows, offsets, total = _twist_constraints(
-            s, alpha, level_k, windows, keys, cones, enum_bound, box
-        )
     null = ratlin.nullspace(rows, ncols=total)
     trivial = sum(windows[k].sub_rank for k in keys)
     dim = len(null) - trivial
@@ -528,7 +409,7 @@ def eta_component_is_bijective(
             z = cox.zhat[key]
             e2 = tuple(a + w.level * b for a, b in zip(e, z))
             vec = [Fraction(0)] * w.size
-            vec[w.index[(i, e2)]] = Fraction(1)
+            vec[w.index[(0, i, e2)]] = Fraction(1)
             red = w.reduce(vec)
             off = offsets[key]
             for t, x in enumerate(red):
@@ -554,13 +435,7 @@ def xi_forward(g: GradedSubmodule) -> ChartSubmoduleFamily:
         key = cone.ray_generators
         z = cox.zhat[key]
         if monomial:
-            supp = {i for i, x in enumerate(z) if x}
-            pairs = [
-                (i, tuple(0 if k in supp else x for k, x in enumerate(e)))
-                for i, e in _monomial_pairs(g.element_generators)
-            ]
-            pairs = _minimalize_monomial_pairs(pairs)
-            charts[key] = tuple(_pairs_to_elems(pairs, f.rank))
+            charts[key] = _monomial_saturation(g, [z])
         else:
             zp = {tuple(z): Fraction(1)}
             sat = module_saturate_element(

@@ -99,6 +99,14 @@ def test_domain_error_exit_code(tmp_path):
     assert payload["error"]["type"] == "NonPointed"
 
 
+def test_power_cap_below_one_is_domain_error(p2):
+    code, out = _run(["module", "torsion", p2, "--ideal", "Z1", "--power-cap", "0"])
+    assert code == cli.EXIT_DOMAIN
+    payload = json.loads(out)
+    _validate(payload, "error")
+    assert payload["error"]["type"] == "ValidationError"
+
+
 def test_primitivity_warning(tmp_path):
     scaled = tmp_path / "scaled.json"
     scaled.write_text(

@@ -173,3 +173,11 @@ def test_torsion_iff_zero_cover_small_subgroup(p2_cox):
         q = quotient_by_monomial_ideal(p2_cox, exps)
         assert is_torsion(q).is_torsion == torsion
         assert is_zero_sheaf(sheafify(q)) == torsion
+
+
+def test_kill_power_is_exact_beyond_sixteen(p2_cox):
+    # Z3^17 kills the generator on the chart where Z3 is inverted, and no
+    # smaller power does
+    q = quotient_by_monomial_ideal(p2_cox, [(0, 0, 17)])
+    killed = [w.killed for w in sheafify(q).charts.values() if w.killed]
+    assert killed == [{0: 17}]
