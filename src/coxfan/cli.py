@@ -166,20 +166,25 @@ def _parse_coords(s):
         raise ParseError(f"bad coordinate list {s!r}")
 
 
+def _class_element(coords, group, what):
+    """The class-group element with these coordinates; a ParseError names
+    ``what`` when their count is wrong."""
+    if len(coords) != group.ngens:
+        raise ParseError(f"{what} needs {group.ngens} coordinates")
+    return group.from_coords(coords)
+
+
+def _element_list(spec, group, what):
+    """Class-group elements from ';'-separated coordinate lists."""
+    return [
+        _class_element(_parse_coords(part), group, f"{what} {part!r}")
+        for part in (p.strip() for p in spec.split(";"))
+        if part
+    ]
+
+
 def parse_subgroup(spec, group):
-    gens = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        coords = _parse_coords(part)
-        if len(coords) != len(group.torsion_orders) + group.free_rank:
-            raise ParseError(
-                f"subgroup generator {part!r} needs "
-                f"{len(group.torsion_orders) + group.free_rank} coordinates"
-            )
-        gens.append(group.from_coords(coords))
-    return gens
+    return _element_list(spec, group, "subgroup generator")
 
 
 def parse_flags(spec):
@@ -205,7 +210,10 @@ def load_module_json(text, cox_data):
         raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno)
     A = cox_data.grading.class_group
     try:
-        degrees = tuple(A.from_coords(d) for d in data["generator_degrees"])
+        degrees = tuple(
+            _class_element(d, A, f"generator degree {d!r}")
+            for d in data["generator_degrees"]
+        )
     except (KeyError, TypeError, IndexError):
         raise ParseError("generator_degrees must be lists of class-group coordinates")
     rank = len(degrees)
@@ -368,10 +376,10 @@ def cmd_cox_build(args):
 
 def _find_cone(fan, index_spec):
     rays = list(fan.ray_index)
-    try:
-        wanted = tuple(sorted(tuple(rays[i]) for i in _parse_coords(index_spec)))
-    except IndexError:
+    idxs = _parse_coords(index_spec)
+    if not all(0 <= i < len(rays) for i in idxs):
         raise ParseError(f"cone ray index out of range in {index_spec!r}")
+    wanted = tuple(sorted(tuple(rays[i]) for i in idxs))
     for c in fan.cones:
         if c.ray_generators == wanted:
             return c
@@ -417,15 +425,6 @@ def cmd_ideal_saturate(args):
     return EXIT_OK
 
 
-def _degree_list(spec, group):
-    degrees = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if part:
-            degrees.append(group.from_coords(_parse_coords(part)))
-    return degrees
-
-
 def cmd_module_sections(args):
     _, warnings, g, c = _pipeline(args)
     A = g.class_group
@@ -435,7 +434,7 @@ def cmd_module_sections(args):
         f = gradmod.free_module(c)
     s = sheaf.sheafify(f)
     dims = {}
-    for alpha in _degree_list(args.degrees, A):
+    for alpha in _element_list(args.degrees, A, "degree"):
         w = sheaf.global_sections_degree(
             s, alpha, mode=args.mode, max_level=args.max_level
         )
@@ -493,7 +492,7 @@ def cmd_sheaf_xi_check(args):
     sub = gradmod.GradedSubmodule(s, tuple(({e: Fraction(1)},) for e in exps))
     sat = gradmod.saturate_submodule(sub)
     t = sheaf.xi_forward(sub)
-    window = _degree_list(args.window, A)
+    window = _element_list(args.window, A, "degree")
     pre = sheaf.xi_preimage(t, s, window)
     agrees = gradmod.submodules_equal(pre, sat)
     _emit(

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import intlat
-from .grading import GradingData, SubgroupB, degree_monomials
+from .grading import GradingData, SubgroupB, degree_fiber
+from .grading import _cone_points, _degree_zero_lattice, _nonnegative_rows
 from .groeb import minimalize_monomials
 from .intlat import (
     INFINITE,
@@ -103,7 +104,7 @@ def build_cox(g: GradingData, b: SubgroupB, flags: BaseRingFlags = BaseRingFlags
         m_exponents[cone.ray_generators] = order
     maximal = [c.ray_generators for c in g.fan.maximal_cones()]
     irrelevant = tuple(minimalize_monomials(zhat[k] for k in maximal))
-    restricted = _restricted_irrelevant(g, b, zhat, m_exponents, maximal)
+    restricted = _restricted_irrelevant(g, b, zhat, m_exponents, maximal, irrelevant)
     return CoxRingData(
         grading=g,
         subgroup=b,
@@ -115,34 +116,29 @@ def build_cox(g: GradingData, b: SubgroupB, flags: BaseRingFlags = BaseRingFlags
     )
 
 
-def _restricted_irrelevant(g, b, zhat, m_exponents, maximal):
+def _restricted_irrelevant(g, b, zhat, m_exponents, maximal, irrelevant):
     """Minimal monomial generators of I ∩ S_B.
 
-    Monomials of I with degree in B are enumerated up to the total-degree
-    cap |Sigma_1| * max m_sigma + max |Zhat|; the powers Zhat^m landing in
-    S_B guarantee every minimal generator appears below the cap.
+    With B = A this is I.  Otherwise the monomials of I in the lattice of
+    exponents with degree in B are enumerated up to the total-degree cap
+    |Sigma_1| * max m_sigma + max |Zhat|; the powers Zhat^m landing in S_B
+    guarantee every minimal generator appears below the cap.
     """
     if not maximal:
         return []
+    if b.index_in_A == 1:
+        return list(irrelevant)
     nr = g.num_rays
     m_max = max(m_exponents[k] for k in maximal)
     cap = nr * m_max + max(sum(zhat[k]) for k in maximal)
-    bgens = list(b.generators)
-    found = []
-
-    def rec(i, acc, total):
-        if i == nr:
-            v = tuple(acc)
-            if any(all(x >= y for x, y in zip(v, zhat[k])) for k in maximal):
-                if subgroup_contains(bgens, g.a_map(v), g.class_group):
-                    found.append(v)
-            return
-        for x in range(0, cap - total + 1):
-            acc.append(x)
-            rec(i + 1, acc, total + x)
-            acc.pop()
-
-    rec(0, [], 0)
+    lat = hermite_row_basis(
+        _degree_zero_lattice(g) + [g.a_map.lift(x) for x in b.generators], nr
+    )
+    found = [
+        v
+        for v in _cone_points(lat, (0,) * nr, cap)
+        if any(all(x >= y for x, y in zip(v, zhat[k])) for k in maximal)
+    ]
     return minimalize_monomials(found)
 
 
@@ -152,20 +148,13 @@ def degree_zero_monoid_generators(c: CoxRingData, cone: Cone):
     nr = g.num_rays
     if cone.ray_generators not in c.zhat:
         raise ConeNotInFan(f"cone {cone.ray_generators} is not in the fan")
-    # Lattice of degree-0 exponent vectors = image lattice of the ray matrix.
-    cols = [
-        tuple(g.c_matrix.at(i, j) for i in range(nr))
-        for j in range(g.fan.ambient_rank)
-    ]
-    lat = hermite_row_basis(cols, nr)
+    lat = _degree_zero_lattice(g)
     if not lat:
         return ()
     r = len(lat)
-    cone_idx = [g.delta_basis.index(ray) for ray in cone.ray_generators]
     # Cone in lattice coordinates: rows of lat give v = x . lat.
-    gens_cone_ineqs = []
-    for i in cone_idx:
-        gens_cone_ineqs.append(tuple(lat[k][i] for k in range(r)))
+    rows = _nonnegative_rows(lat, nr)
+    gens_cone_ineqs = [rows[g.delta_basis.index(ray)] for ray in cone.ray_generators]
     from .polyfan import cone_generators_from_inequalities
 
     rays, lin = cone_generators_from_inequalities(gens_cone_ineqs, [], r)
@@ -276,8 +265,8 @@ def is_positively_graded(c: CoxRingData, degree_bound: int = 3):
     alpha = bad[0]
     witness = None
     for b in range(1, degree_bound + 1):
-        plus = degree_monomials(g, alpha, set(), b)
-        minus = degree_monomials(g, g.class_group.neg(alpha), set(), b)
+        plus = degree_fiber(g, alpha, cap=b)
+        minus = degree_fiber(g, g.class_group.neg(alpha), cap=b)
         if plus and minus:
             witness = (alpha, plus[0], minus[0])
             break

@@ -6,9 +6,9 @@ classification (big / small).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
-from . import intlat
 from .intlat import (
     INFINITE,
     AbelianGroup,
@@ -147,109 +147,105 @@ def subgroup_of_whole_group(g: GradingData) -> SubgroupB:
     return classify_subgroup(g, g.class_group.generators())
 
 
-def degree_monomials(g: GradingData, alpha: GroupElement, allow_negative, bound):
-    """All exponent vectors v with degree alpha, v >= 0 outside the
-    allow_negative ray-index set, and sum |v| <= bound."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    nr = g.num_rays
-    allow_negative = set(allow_negative)
+def _degree_zero_lattice(g: GradingData):
+    """Hermite basis of the degree-0 exponent vectors: the image of the ray
+    matrix."""
+    return hermite_row_basis(g.c_matrix.transpose().to_rows(), g.num_rays)
+
+
+@lru_cache(maxsize=256)
+def _projections(m):
+    """Fourier-Motzkin projections of {u : b + M u >= 0}, valid for every b.
+
+    Level j + 1 holds the rows, on u_0..u_j, that bound u_j once the earlier
+    coordinates are fixed; level 0 holds the constant rows.  A row is
+    (coefficients, nonnegative multipliers on the rows of M), so its
+    constant term for an offset b is multipliers . b.  None when a level
+    lacks rows of both signs: the polyhedron then has a recession direction.
+    """
+    k = len(m[0]) if m else 0
+    rows = {(r, tuple(int(i == t) for t in range(len(m)))) for i, r in enumerate(m)}
+    levels = []
+    for j in reversed(range(k)):
+        pos = [r for r in rows if r[0][j] > 0]
+        neg = [r for r in rows if r[0][j] < 0]
+        if not pos or not neg:
+            return None
+        levels.append(tuple(pos + neg))
+        rows = {r for r in rows if r[0][j] == 0}
+        for a, la in pos:
+            for c, lc in neg:
+                row = [-c[j] * x + a[j] * y for x, y in zip(a + la, c + lc)]
+                d = gcd(*row)
+                rows.add((tuple(x // d for x in row[:k]), tuple(x // d for x in row[k:])))
+    levels.append(tuple(rows))
+    return tuple(reversed(levels))
+
+
+def _lattice_points(m, b):
+    """The integer points u of {u : b + M u >= 0}, with M a tuple of rows.
+
+    Raises UnboundedFiber unless the polyhedron is bounded for every b."""
+    levels = _projections(m)
+    if levels is None:
+        raise UnboundedFiber("degree fibers are infinite; supply an enumeration bound")
+    rows = [[(a, sum(x * y for x, y in zip(la, b))) for a, la in lv] for lv in levels]
+    if any(c < 0 for _, c in rows[0]):
+        return []
     out = []
 
-    def rec(i, budget, acc):
-        if i == nr:
-            if g.a_map(acc) == alpha:
-                out.append(tuple(acc))
+    def rec(u):
+        j = len(u)
+        if j == len(rows) - 1:
+            out.append(u)
             return
-        lo = -budget if i in allow_negative else 0
-        for x in range(lo, budget + 1):
-            acc.append(x)
-            rec(i + 1, budget - abs(x), acc)
-            acc.pop()
+        lo, hi = [], []
+        for a, c in rows[j + 1]:
+            s = c + sum(x * y for x, y in zip(a, u))
+            if a[j] > 0:
+                lo.append(-(s // a[j]))
+            else:
+                hi.append(s // -a[j])
+        for x in range(max(lo), min(hi) + 1):
+            rec(u + (x,))
 
-    rec(0, bound, [])
-    return sorted(out)
+    rec(())
+    return out
 
 
-def _free_degree_rows(g: GradingData):
-    """Free parts of the ray degrees, as rows (one per ray)."""
-    return [list(d.free_part) for d in g.ray_degrees]
+def _nonnegative_rows(basis, n):
+    """Rows of v >= 0 for v = b + x . basis, one per coordinate of v."""
+    return tuple(tuple(r[i] for r in basis) for i in range(n))
+
+
+def _cone_points(basis, v0, cap=None):
+    """The sorted vectors v = v0 + x . basis (x integral) with v >= 0 and,
+    given a cap, sum(v) <= cap."""
+    n = len(v0)
+    m = _nonnegative_rows(basis, n)
+    b = tuple(v0)
+    if cap is not None:
+        m += (tuple(-sum(r) for r in basis),)
+        b += (cap - sum(v0),)
+    return sorted(
+        tuple(v0[i] + sum(x * r[i] for x, r in zip(u, basis)) for i in range(n))
+        for u in _lattice_points(m, b)
+    )
 
 
 def finite_fibers(g: GradingData):
     """True iff every degree has finitely many monomials: no nonzero
     nonnegative exponent vector maps to a torsion degree."""
-    from .polyfan import cone_generators_from_inequalities
-
-    nr = g.num_rays
-    if nr == 0:
-        return True
-    fr = g.class_group.free_rank
-    ineqs = []
-    for i in range(nr):
-        e = [0] * nr
-        e[i] = 1
-        ineqs.append(tuple(e))
-    eqs = []
-    rows = _free_degree_rows(g)
-    for j in range(fr):
-        eqs.append(tuple(rows[i][j] for i in range(nr)))
-    rays, lin = cone_generators_from_inequalities(ineqs, eqs, nr)
-    return not rays and not lin
+    return _projections(_nonnegative_rows(_degree_zero_lattice(g), g.num_rays)) is not None
 
 
-def positive_weight_vector(g: GradingData):
-    """A rational row w with w . free_degree(ray) > 0 for every ray.
+def degree_fiber(g: GradingData, alpha: GroupElement, cap=None):
+    """The exact set of exponent vectors v >= 0 with degree alpha (and
+    sum(v) <= cap when a cap is given), sorted.
 
-    Exists precisely when fibers are finite; raises UnboundedFiber otherwise.
+    Without a cap the fiber must be finite; raises UnboundedFiber otherwise.
     """
-    from .polyfan import cone_inequalities
-
-    if not finite_fibers(g):
-        raise UnboundedFiber("grading admits infinite degree fibers")
-    rows = _free_degree_rows(g)
-    fr = g.class_group.free_rank
-    ineqs, eqs = cone_inequalities([tuple(r) for r in rows], fr)
-    # Sum of the dual generators is strictly positive on every degree vector.
-    cand = [Fraction(0)] * fr
-    for f in ineqs:
-        cand = [a + b for a, b in zip(cand, f)]
-    for r in rows:
-        if sum(c * x for c, x in zip(cand, r)) <= 0:
-            raise UnboundedFiber("no strictly positive weight vector found")
-    return cand
-
-
-def degree_fiber(g: GradingData, alpha: GroupElement):
-    """The exact finite set of exponent vectors v >= 0 with degree alpha.
-
-    Requires finite fibers; raises UnboundedFiber otherwise.
-    """
-    w = positive_weight_vector(g)
-    rows = _free_degree_rows(g)
-    nr = g.num_rays
-    weights = [sum(c * x for c, x in zip(w, rows[i])) for i in range(nr)]
-    target = sum(c * x for c, x in zip(w, alpha.free_part))
-    out = []
-
-    def rec(i, remaining, acc):
-        if i == nr:
-            if remaining == 0 and g.a_map(acc) == alpha:
-                out.append(tuple(acc))
-            return
-        x = 0
-        while True:
-            rem = remaining - x * weights[i]
-            if rem < 0:
-                break
-            acc.append(x)
-            rec(i + 1, rem, acc)
-            acc.pop()
-            x += 1
-
-    if target >= 0:
-        rec(0, target, [])
-    return sorted(out)
+    return _cone_points(_degree_zero_lattice(g), g.a_map.lift(alpha), cap)
 
 
 def subgroup_membership(g: GradingData, generators, x) -> bool:

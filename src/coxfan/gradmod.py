@@ -15,9 +15,8 @@ from itertools import count
 
 from . import groeb, ratlin
 from .cox import CoxRingData
-from .grading import UnboundedFiber, degree_fiber, degree_monomials, finite_fibers
+from .grading import degree_fiber
 from .groeb import (
-    SaturationCapExceeded,
     m_is_zero,
     module_contains,
     module_groebner_basis,
@@ -99,26 +98,17 @@ class DegreeComponent:
         return len(self.quotient_basis)
 
 
-def _monomials_of_degree(f: GradedModulePresentation, alpha, enum_bound):
-    """(generator, exponent) pairs of degree alpha, exact or bounded."""
-    g = f.cox.grading
-    A = g.class_group
+def _monomials_of_degree(f: GradedModulePresentation, alpha):
+    """(generator, exponent) pairs of degree alpha."""
+    A = f.cox.grading.class_group
     out = []
     for i, d in enumerate(f.generator_degrees):
-        target = A.add(alpha, A.neg(d))
-        if enum_bound is None:
-            if not finite_fibers(g):
-                raise UnboundedFiber(
-                    "degree fibers are infinite; supply an enumeration bound"
-                )
-            fiber = degree_fiber(g, target)
-        else:
-            fiber = degree_monomials(g, target, set(), enum_bound)
+        fiber = degree_fiber(f.cox.grading, A.add(alpha, A.neg(d)))
         out.extend((i, e) for e in fiber)
     return out
 
 
-def component_span_rows(f, elements, alpha, coords, index, enum_bound=None):
+def component_span_rows(f, elements, alpha, coords, index):
     """Rows spanning the degree-alpha slice of the module generated by
     the given homogeneous elements, in the monomial coordinates supplied."""
     g = f.cox.grading
@@ -128,12 +118,7 @@ def component_span_rows(f, elements, alpha, coords, index, enum_bound=None):
         d_rel = f.element_degree(rel)
         if d_rel is None:
             continue
-        target = A.add(alpha, A.neg(d_rel))
-        if enum_bound is None:
-            mults = degree_fiber(g, target)
-        else:
-            mults = degree_monomials(g, target, set(), enum_bound)
-        for m in mults:
+        for m in degree_fiber(g, A.add(alpha, A.neg(d_rel))):
             row = [Fraction(0)] * len(coords)
             for i, p in enumerate(rel):
                 for e, c in p.items():
@@ -145,13 +130,11 @@ def component_span_rows(f, elements, alpha, coords, index, enum_bound=None):
     return rows
 
 
-def degree_component(f: GradedModulePresentation, alpha, enum_bound=None) -> DegreeComponent:
+def degree_component(f: GradedModulePresentation, alpha) -> DegreeComponent:
     """Exact basis of the degree-alpha component as a rational vector space."""
-    coords = _monomials_of_degree(f, alpha, enum_bound)
+    coords = _monomials_of_degree(f, alpha)
     index = {c: k for k, c in enumerate(coords)}
-    rel_rows = component_span_rows(
-        f, f.relations, alpha, coords, index, enum_bound
-    )
+    rel_rows = component_span_rows(f, f.relations, alpha, coords, index)
     red, pivots = ratlin.rref(rel_rows)
     free = tuple(k for k in range(len(coords)) if k not in pivots)
     return DegreeComponent(

@@ -250,13 +250,13 @@ def eliminate_first_variable(gens):
 # --- monomial ideal combinatorics ----------------------------------------
 
 def minimalize_monomials(exponents):
-    """Minimal elements under divisibility, deduplicated, sorted."""
-    exps = sorted(set(tuple(e) for e in exponents))
+    """Minimal elements under divisibility, deduplicated, sorted.  A proper
+    divisor has a smaller total degree, so only kept elements are tested."""
     out = []
-    for e in exps:
-        if not any(f != e and _divides(f, e) for f in exps):
+    for e in sorted(set(tuple(e) for e in exponents), key=sum):
+        if not any(_divides(f, e) for f in out):
             out.append(e)
-    return out
+    return sorted(out)
 
 
 def monomial_ideal_saturate(exponents, f_exp):

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from . import ratlin
 from .cox import CoxRingData
+from .grading import _lattice_points
 from .gradmod import (
     GradedModulePresentation,
     GradedSubmodule,
@@ -91,25 +92,24 @@ def _sigma_positions(cox: CoxRingData, cone_key):
     return [p for p, r in enumerate(cox.grading.delta_basis) if r in rays]
 
 
-def _laurent_component_generators(cox: CoxRingData, alpha, cone_key, box):
+def _laurent_component_generators(cox: CoxRingData, alpha, cone_key):
     """Minimal fractional-monomial generators of the degree-alpha part of
-    the chart localization, as a module over its degree-0 ring."""
+    the chart localization, as a module over its degree-0 ring.
+
+    Searches v = lift(alpha) + C u, v >= 0 on the cone, over |u_j| <= k; a
+    heuristic accepts the answer once k = DEFAULT_ENUM_BOX and k + 2 agree."""
     g = cox.grading
-    n = g.num_rays
     rnk = g.c_matrix.cols
     v0 = g.a_map.lift(alpha)
     pos = _sigma_positions(cox, cone_key)
     rows = g.c_matrix.to_rows()
+    box = [tuple(s * (i == j) for i in range(rnk)) for s in (1, -1) for j in range(rnk)]
+    m = tuple(tuple(rows[p]) for p in pos) + tuple(box)
 
     def collect(k):
         best = {}
-        for u in product(range(-k, k + 1), repeat=rnk):
-            v = tuple(
-                v0[i] + sum(rows[i][j] * u[j] for j in range(rnk))
-                for i in range(n)
-            )
-            if any(v[p] < 0 for p in pos):
-                continue
+        for u in _lattice_points(m, tuple(v0[p] for p in pos) + (k,) * (2 * rnk)):
+            v = tuple(x + sum(a * b for a, b in zip(r, u)) for x, r in zip(v0, rows))
             key = tuple(v[p] for p in pos)
             if key not in best or v < best[key]:
                 best[key] = v
@@ -123,19 +123,19 @@ def _laurent_component_generators(cox: CoxRingData, alpha, cone_key, box):
         ]
         return {p: best[p] for p in minimal}
 
-    small, large = collect(box), collect(box + 2)
+    small, large = collect(DEFAULT_ENUM_BOX), collect(DEFAULT_ENUM_BOX + 2)
     if set(small) != set(large):
         raise Unstabilized(
-            "fractional generator search did not settle; raise the box"
+            f"fractional generator search did not settle within |u_j| <= {DEFAULT_ENUM_BOX + 2}"
         )
     return tuple(small[p] for p in sorted(small))
 
 
-def twist_generators(cox: CoxRingData, alpha, sigma, box=DEFAULT_ENUM_BOX):
+def twist_generators(cox: CoxRingData, alpha, sigma):
     """Minimal monomial generators (fractional exponents) of the
     degree-alpha component of the chart localization of the ring."""
     key = sigma.ray_generators if hasattr(sigma, "ray_generators") else tuple(sigma)
-    return _laurent_component_generators(cox, alpha, key, box)
+    return _laurent_component_generators(cox, alpha, key)
 
 
 def _localization_kernel(f: GradedModulePresentation, zexp):
@@ -146,7 +146,7 @@ def _localization_kernel(f: GradedModulePresentation, zexp):
     return tuple(x for x in sat if not m_is_zero(x))
 
 
-def sheafify(f: GradedModulePresentation, box=DEFAULT_ENUM_BOX) -> SheafCoverPresentation:
+def sheafify(f: GradedModulePresentation) -> SheafCoverPresentation:
     """The cover presentation of the associated sheaf: one localized
     module per maximal cone, with killed generators certified."""
     cox = f.cox
@@ -172,7 +172,7 @@ def sheafify(f: GradedModulePresentation, box=DEFAULT_ENUM_BOX) -> SheafCoverPre
                 killed[i] = _kill_power(rel_gb, i, z, f.rank)
                 continue
             alpha = A.neg(f.generator_degrees[i])
-            for v in _laurent_component_generators(cox, alpha, key, box):
+            for v in _laurent_component_generators(cox, alpha, key):
                 gens.append((i, v))
         charts[key] = LocalModuleWindow(
             cone_key=key,
@@ -208,14 +208,14 @@ class _Window:
     quotient by: relations and localization kernel in every twist block,
     plus the tensor identifications between the twist blocks."""
 
-    def __init__(self, s, key, degree, twists, level, enum_bound):
+    def __init__(self, s, key, degree, twists, level):
         f = s.origin
         g = f.cox.grading
         z = f.cox.zhat[key]
         self.level = level
         self.twists = twists
         target = g.class_group.add(degree, g.a_map(tuple(level * x for x in z)))
-        base = _monomials_of_degree(f, target, enum_bound)
+        base = _monomials_of_degree(f, target)
         base_index = {c: k for k, c in enumerate(base)}
         base_rows = component_span_rows(
             f,
@@ -223,7 +223,6 @@ class _Window:
             target,
             base,
             base_index,
-            enum_bound,
         )
         self.coords = [(j, i, e) for j in range(len(twists)) for (i, e) in base]
         self.index = {c: k for k, c in enumerate(self.coords)}
@@ -273,7 +272,7 @@ def _cover_twist(v, tw_tau, tau_pos):
     raise Unstabilized("twist generator not covered on the overlap chart")
 
 
-def _sections_at_level(s, alpha, mode, level_k, enum_bound, box):
+def _sections_at_level(s, alpha, mode, level_k):
     """The equalizer of the chart windows at one level.  via_shift reads
     the degree-alpha slice with the single trivial twist; via_twist reads
     the degree-0 slice tensored with the Laurent generators of alpha."""
@@ -291,12 +290,10 @@ def _sections_at_level(s, alpha, mode, level_k, enum_bound, box):
         degree = cox.grading.class_group.zero()
 
         def twists(key):
-            return _laurent_component_generators(cox, alpha, key, box)
+            return _laurent_component_generators(cox, alpha, key)
 
     windows = {
-        key: _Window(
-            s, key, degree, twists(key), level_k * cox.m_exponents[key], enum_bound
-        )
+        key: _Window(s, key, degree, twists(key), level_k * cox.m_exponents[key])
         for key in keys
     }
     offsets = {}
@@ -320,7 +317,7 @@ def _sections_at_level(s, alpha, mode, level_k, enum_bound, box):
         )
         needed = max(windows[k1].level, windows[k2].level) + slack
         ktau = _overlap_level(cox, tau_key, needed)
-        wt = _Window(s, tau_key, degree, tw_tau, ktau, enum_bound)
+        wt = _Window(s, tau_key, degree, tw_tau, ktau)
         images = {}
         for key in (k1, k2):
             w = windows[key]
@@ -356,8 +353,6 @@ def global_sections_degree(
     alpha,
     mode="via_shift",
     max_level=DEFAULT_MAX_LEVEL,
-    enum_bound=None,
-    box=DEFAULT_ENUM_BOX,
 ) -> GlobalSectionsWindow:
     """Global sections of the sheaf (via_shift: of the shifted module's
     sheaf; via_twist: of the sheaf tensored with the twisting sheaf) as
@@ -367,7 +362,7 @@ def global_sections_degree(
         raise ValueError(f"unknown mode {mode!r}")
     prev = None
     for level in range(1, max_level + 1):
-        dim, internals = _sections_at_level(s, alpha, mode, level, enum_bound, box)
+        dim, internals = _sections_at_level(s, alpha, mode, level)
         if prev is not None and dim == prev:
             return GlobalSectionsWindow(
                 degree=alpha,
@@ -384,7 +379,7 @@ def global_sections_degree(
 
 
 def eta_component_is_bijective(
-    s: SheafCoverPresentation, alpha, max_level=DEFAULT_MAX_LEVEL, enum_bound=None
+    s: SheafCoverPresentation, alpha, max_level=DEFAULT_MAX_LEVEL
 ) -> bool:
     """Whether the canonical map from the degree-alpha component of the
     module to the sections of the shifted sheaf is an isomorphism."""
@@ -392,11 +387,9 @@ def eta_component_is_bijective(
 
     f = s.origin
     cox = f.cox
-    sec = global_sections_degree(
-        s, alpha, mode="via_shift", max_level=max_level, enum_bound=enum_bound
-    )
+    sec = global_sections_degree(s, alpha, mode="via_shift", max_level=max_level)
     windows, offsets, total, _null, keys = sec.internals
-    comp = degree_component(f, alpha, enum_bound)
+    comp = degree_component(f, alpha)
     if comp.dimension != sec.dimension:
         return False
     # injectivity: a degree component element mapping into every chart's
@@ -464,14 +457,13 @@ def xi_preimage(
     t: ChartSubmoduleFamily,
     f: GradedModulePresentation,
     window_degrees,
-    enum_bound=None,
 ) -> GradedSubmodule:
     """The saturated graded submodule whose image is t, reconstructed
     degree by degree over the window: the intersection over charts of
     the chart modules' graded components."""
     gens = []
     for alpha in window_degrees:
-        coords = _monomials_of_degree(f, alpha, enum_bound)
+        coords = _monomials_of_degree(f, alpha)
         if not coords:
             continue
         index = {c: k for k, c in enumerate(coords)}
@@ -483,7 +475,6 @@ def xi_preimage(
                 alpha,
                 coords,
                 index,
-                enum_bound,
             )
             red, piv = ratlin.rref(rows)
             basis = red[: len(piv)]

@@ -126,10 +126,13 @@ def cone_halfspaces(generators, rank):
 
 def in_cone(v, generators, rank=None):
     rank = rank if rank is not None else len(v)
-    for u in cone_halfspaces(generators, rank):
-        if sum(a * b for a, b in zip(u, v)) < 0:
-            return False
-    return True
+    return in_halfspaces(v, cone_halfspaces(generators, rank))
+
+
+def in_halfspaces(v, halfspaces):
+    """True iff v lies on the nonnegative side of every half-space normal,
+    e.g. of ``cone_halfspaces`` computed once for many points."""
+    return all(sum(a * b for a, b in zip(u, v)) >= 0 for u in halfspaces)
 
 
 def cone_lattice_points(generators, rank, bound):

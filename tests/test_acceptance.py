@@ -260,9 +260,10 @@ def test_criterion_09_kernel_invariants():
             continue
         checked += 1
         dual_gens = dual_cone(Cone.make(rank, gens)).generators
+        halfspaces = oracles.cone_halfspaces(gens, rank)
         box = itertools.product(range(-3, 4), repeat=rank)
         for v in box:
-            ok &= oracles.in_cone(v, gens, rank) == all(
+            ok &= oracles.in_halfspaces(v, halfspaces) == all(
                 sum(a * b for a, b in zip(u, v)) >= 0 for u in dual_gens
             )
         hb = hilbert_basis(gens, rank)

@@ -77,12 +77,22 @@ def test_output_is_byte_identical_across_runs(p2, schema_name, mk):
     assert a == b
 
 
-def test_parse_error_exit_code(tmp_path):
+def test_parse_error_exit_code(tmp_path, p2):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
-    code, out = _run(["fan", "validate", str(bad)])
-    assert code == cli.EXIT_PARSE
-    _validate(json.loads(out), "error")
+    # class-group coordinate lists of the wrong length
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps({"generator_degrees": [[0, 1]]}))
+    p1xp1 = str(corpus.fixture_path("p1xp1"))
+    for args in (
+        ["fan", "validate", str(bad)],
+        ["module", "sections", p2, "--degrees", "1,2"],
+        ["sheaf", "xi-check", p1xp1, "--ideal", "Z1"],
+        ["module", "sections", p2, "--module", str(mod), "--degrees", "1"],
+    ):
+        code, out = _run(args)
+        assert code == cli.EXIT_PARSE, args
+        _validate(json.loads(out), "error")
 
 
 def test_domain_error_exit_code(tmp_path):
@@ -145,6 +155,14 @@ def test_chart_on_affine_quadric(quadric):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["degree_zero_generators"]) == 4
+
+
+def test_negative_cone_index_is_parse_error(p2):
+    code, out = _run(["chart", p2, "--cone", "0,-1"])
+    assert code == cli.EXIT_PARSE
+    payload = json.loads(out)
+    _validate(payload, "error")
+    assert "out of range" in payload["error"]["reason"]
 
 
 def test_unknown_cone_is_domain_error(p2):

@@ -1,5 +1,7 @@
 """Multigraded coordinate rings, local charts, grading quality checks."""
 
+import itertools
+
 import pytest
 
 from coxfan import corpus, cox, grading
@@ -12,6 +14,8 @@ from coxfan.cox import (
     strongly_graded_at,
 )
 from coxfan.grading import classify_subgroup, subgroup_of_whole_group
+
+import oracles
 
 
 FIELD_FLAGS = BaseRingFlags(field=True, noetherian=True, reduced=True)
@@ -151,3 +155,24 @@ def test_degree_zero_independent_of_subgroup():
         a = sorted(local_chart(c_whole, m).degree_zero_generators)
         b = sorted(local_chart(c_half, m).degree_zero_generators)
         assert a == b
+
+
+def test_restricted_irrelevant_against_brute_force():
+    def sub(g):
+        A = g.class_group
+        return classify_subgroup(g, [A.from_coords([1, 0]), A.from_coords([0, 2])])
+
+    c = _cox("p1xp1", sub)
+    g = c.grading
+    zhats = [c.zhat[m.ray_generators] for m in g.fan.maximal_cones()]
+    # degrees in B = <(1,0), (0,2)> are those with an even second coordinate
+    members = [
+        v
+        for v in itertools.product(range(5), repeat=g.num_rays)
+        if any(all(x >= y for x, y in zip(v, z)) for z in zhats)
+        and g.a_map(v).coords()[1] % 2 == 0
+    ]
+    assert sorted(c.restricted_irrelevant_generators) == sorted(
+        oracles.minimalize(members)
+    )
+    assert c.restricted_irrelevant_generators != c.irrelevant_generators

@@ -1,5 +1,7 @@
 """Class groups, ray degrees, Picard subgroups, degree fibers."""
 
+import itertools
+
 import pytest
 
 from coxfan import corpus, grading
@@ -151,3 +153,71 @@ def test_infinite_fibers_on_affine_fan():
     g = grading.build_grading(build_fan(2, [(1, 0), (0, 1)], [[0, 1]]))
     # class group is trivial here; the zero degree has an infinite fiber
     assert not finite_fibers(g)
+
+
+# Fans outside the corpus: the Hirzebruch surface F2, projective 3-space,
+# and P2 / mu_3, whose class group Z + Z/3 has torsion.
+EXTRA_FANS = {
+    "f2": (2, [(1, 0), (0, 1), (-1, 2), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]]),
+    "p3": (
+        3,
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+        [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+    ),
+    "p2_mod_3": (2, [(2, -1), (-1, 2), (-1, -1)], [[0, 1], [1, 2], [2, 0]]),
+}
+
+
+def _extra_grading(name):
+    from coxfan.polyfan import build_fan
+
+    rank, rays, cones = EXTRA_FANS[name]
+    return grading.build_grading(build_fan(rank, rays, cones))
+
+
+def _brute_fiber(g, alpha, total):
+    """Exponent vectors v >= 0 with sum(v) <= total and degree alpha."""
+    return sorted(
+        v
+        for v in itertools.product(range(total + 1), repeat=g.num_rays)
+        if sum(v) <= total and g.a_map(v) == alpha
+    )
+
+
+def _degree_box(g, lo, hi):
+    A = g.class_group
+    tors = [range(t) for t in A.torsion_orders]
+    free = [range(lo, hi)] * A.free_rank
+    return [A.from_coords(list(c)) for c in itertools.product(*tors, *free)]
+
+
+def _sum_bound(g, alpha):
+    """An integer weight w with w . deg(ray) >= 1 for every ray bounds
+    sum(v) by w . alpha on the fiber of alpha."""
+    for w in itertools.product(range(-3, 4), repeat=g.class_group.free_rank):
+        if all(sum(a * b for a, b in zip(w, d.free_part)) >= 1 for d in g.ray_degrees):
+            return max(0, sum(a * b for a, b in zip(w, alpha.free_part)))
+    raise AssertionError("no positive weight")
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA_FANS))
+def test_degree_fiber_matches_brute_force_beyond_corpus(name):
+    g = _extra_grading(name)
+    assert finite_fibers(g)
+    for alpha in _degree_box(g, -1, 4):
+        assert degree_fiber(g, alpha) == _brute_fiber(g, alpha, _sum_bound(g, alpha))
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA_FANS) + ["quadric_cone"])
+def test_capped_degree_fiber_matches_brute_force(name, corpus_gradings):
+    g = corpus_gradings[name] if name in corpus_gradings else _extra_grading(name)
+    for cap in range(5):
+        for alpha in _degree_box(g, -2, 3):
+            assert degree_fiber(g, alpha, cap=cap) == _brute_fiber(g, alpha, cap)
+
+
+def test_uncapped_fiber_refused_on_quadric_cone(corpus_gradings):
+    g = corpus_gradings["quadric_cone"]
+    assert not finite_fibers(g)
+    with pytest.raises(grading.UnboundedFiber):
+        degree_fiber(g, g.class_group.zero())
