@@ -201,6 +201,12 @@ def parse_flags(spec):
     return BaseRingFlags(**values)
 
 
+def _json_ints(values):
+    """Whether a JSON value is a list of integers (``bool`` is an ``int``
+    subclass in Python, so ``true`` is checked out by type)."""
+    return isinstance(values, list) and all(type(x) is int for x in values)
+
+
 def load_module_json(text, cox_data):
     """Module presentation from JSON: generator degrees as class-group
     coordinates, relations as lists of {gen, exponent, coefficient}."""
@@ -210,26 +216,36 @@ def load_module_json(text, cox_data):
         raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno)
     A = cox_data.grading.class_group
     try:
-        degrees = tuple(
-            _class_element(d, A, f"generator degree {d!r}")
-            for d in data["generator_degrees"]
-        )
-    except (KeyError, TypeError, IndexError):
+        raw_degrees = list(data["generator_degrees"])
+        rows = data.get("relations", [])
+    except (KeyError, TypeError):
         raise ParseError("generator_degrees must be lists of class-group coordinates")
+    for d in raw_degrees:
+        if not _json_ints(d):
+            raise ParseError(f"generator degree {d!r} must be a list of integers")
+    degrees = tuple(
+        _class_element(d, A, f"generator degree {d!r}") for d in raw_degrees
+    )
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ParseError("relations must be lists of terms")
     rank = len(degrees)
     nvars = cox_data.num_vars
     relations = []
-    for row in data.get("relations", []):
+    for row in rows:
         elem = [dict() for _ in range(rank)]
         for term in row:
             try:
-                i = term["gen"]
-                e = tuple(term["exponent"])
+                i, e = term["gen"], term["exponent"]
                 c = _parse_frac(term["coefficient"])
             except (KeyError, TypeError):
                 raise ParseError(f"bad relation term {term!r}")
+            if type(i) is not int or not _json_ints(e) or any(x < 0 for x in e):
+                raise ParseError(
+                    f"relation term needs integer gen and exponents >= 0: {term!r}"
+                )
             if not 0 <= i < rank or len(e) != nvars:
                 raise ParseError(f"relation term out of range: {term!r}")
+            e = tuple(e)
             elem[i][e] = elem[i].get(e, Fraction(0)) + c
         relations.append(tuple({k: v for k, v in p.items() if v} for p in elem))
     return gradmod.GradedModulePresentation(cox_data, degrees, tuple(relations))

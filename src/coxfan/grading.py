@@ -17,7 +17,6 @@ from .intlat import (
     cokernel_presentation,
     hermite_row_basis,
     lattice_intersection,
-    subgroup_canonical_basis,
     subgroup_contains,
     subgroup_index,
     subgroup_leq,
@@ -246,11 +245,3 @@ def degree_fiber(g: GradingData, alpha: GroupElement, cap=None):
     Without a cap the fiber must be finite; raises UnboundedFiber otherwise.
     """
     return _cone_points(_degree_zero_lattice(g), g.a_map.lift(alpha), cap)
-
-
-def subgroup_membership(g: GradingData, generators, x) -> bool:
-    return subgroup_contains(list(generators), x, g.class_group)
-
-
-def subgroup_canonical(g: GradingData, generators):
-    return subgroup_canonical_basis(list(generators), g.class_group)

@@ -3,8 +3,9 @@
 Cones are given by primitive integer ray generators; conversion between
 generator and inequality descriptions goes through Fourier-Motzkin
 elimination with exact rational arithmetic.  Hilbert bases are computed by
-bounded lattice enumeration.  Everything is capped at ambient rank 6; the
-algorithms here are enumeration-based and meant for desk-scale inputs.
+bounded lattice enumeration in exact integer arithmetic.  Everything is
+capped at ambient rank 6; the algorithms here are enumeration-based and
+meant for desk-scale inputs.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd
-
-import numpy as np
 
 from . import ratlin
 from .intlat import IntMatrix, integer_kernel, smith_normal_form, _unimodular_inverse
@@ -318,49 +318,34 @@ def dual_cone(c: Cone) -> DualCone:
 
 # --- Hilbert bases --------------------------------------------------------
 
-def _np_rows(rows):
-    return np.array([list(r) for r in rows], dtype=np.int64)
-
-
 def _hilbert_basis_pointed(generators, rank):
     gens = minimal_generators(generators, rank)
     if not gens:
         return []
     ineqs, eqs = cone_inequalities(gens, rank)
-    s = tuple(sum(g[c] for g in gens) for c in range(rank))
-    lo = [sum(min(0, g[c]) for g in gens) for c in range(rank)]
-    hi = [sum(max(0, g[c]) for g in gens) for c in range(rank)]
-    grids = np.meshgrid(
-        *[np.arange(lo[c], hi[c] + 1, dtype=np.int64) for c in range(rank)],
-        indexing="ij",
-    )
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    if ineqs:
-        F = _np_rows(ineqs)
-        vals = pts @ F.T
-        mask = (vals >= 0).all(axis=1)
-        bound = F @ np.array(s, dtype=np.int64)
-        mask &= (vals <= bound).all(axis=1)
-        pts = pts[mask]
-    if eqs:
-        E = _np_rows(eqs)
-        pts = pts[(pts @ E.T == 0).all(axis=1)]
-    nz = pts[(pts != 0).any(axis=1)]
-    if len(nz) == 0:
-        return []
-    # Irreducibility: x stays iff no nonzero candidate y != x has x - y in the cone.
-    diffs = nz[:, None, :] - nz[None, :, :]
-    ok = np.ones((len(nz), len(nz)), dtype=bool)
-    if ineqs:
-        F = _np_rows(ineqs)
-        ok &= (np.einsum("ijk,lk->ijl", diffs, F) >= 0).all(axis=2)
-    if eqs:
-        E = _np_rows(eqs)
-        ok &= (np.einsum("ijk,lk->ijl", diffs, E) == 0).all(axis=2)
-    nonzero_diff = (diffs != 0).any(axis=2)
-    reducible = (ok & nonzero_diff & ~np.eye(len(nz), dtype=bool)).any(axis=1)
-    basis = [tuple(int(x) for x in row) for row in nz[~reducible]]
-    return sorted(basis)
+    s = [sum(g[c] for g in gens) for c in range(rank)]
+    bound = [_dot(f, s) for f in ineqs]
+    box = [
+        range(sum(min(0, g[c]) for g in gens), sum(max(0, g[c]) for g in gens) + 1)
+        for c in range(rank)
+    ]
+    # Candidates: nonzero box points with 0 <= F.x <= F.s and E.x = 0.
+    candidates = []
+    for x in product(*box):
+        vals = tuple(_dot(f, x) for f in ineqs)
+        if (
+            any(x)
+            and all(0 <= v <= b for v, b in zip(vals, bound))
+            and not any(_dot(e, x) for e in eqs)
+        ):
+            candidates.append((sum(vals), vals, x))
+    # sum(F.x) > 0 off the origin of a pointed cone, so a reducible x has an
+    # irreducible summand y kept before it, and x - y in the cone is F.y <= F.x.
+    basis = []
+    for _, vals, x in sorted(candidates):
+        if not any(all(a <= b for a, b in zip(kept, vals)) for kept, _ in basis):
+            basis.append((vals, x))
+    return sorted(x for _, x in basis)
 
 
 def _lineality_lattice(generators, rank):

@@ -136,16 +136,59 @@ def in_halfspaces(v, halfspaces):
 
 
 def cone_lattice_points(generators, rank, bound):
-    """All integer points of the cone with coordinate |sum| ≤ bound."""
+    """All integer points of the cone with coordinate |sum| ≤ bound, in
+    lexicographic order.  The L1 ball is walked coordinate by coordinate on
+    the remaining budget, carrying every half-space's partial dot product;
+    on the last coordinate each half-space u·v ≥ 0 is an interval."""
     halfspaces = cone_halfspaces(generators, rank)
     pts = []
-    rng = range(-bound, bound + 1)
-    for v in product(rng, repeat=rank):
-        if sum(abs(x) for x in v) > bound:
-            continue
-        if all(sum(a * b for a, b in zip(u, v)) >= 0 for u in halfspaces):
-            pts.append(v)
+
+    def walk(prefix, budget, partial):
+        k = len(prefix)
+        if k < rank - 1:
+            for x in range(-budget, budget + 1):
+                walk(
+                    prefix + (x,),
+                    budget - abs(x),
+                    [p + u[k] * x for p, u in zip(partial, halfspaces)],
+                )
+            return
+        lo, hi = -budget, budget
+        for p, u in zip(partial, halfspaces):
+            if u[k] > 0:
+                lo = max(lo, -(p // u[k]))  # x ≥ ceil(-p / u_k)
+            elif u[k] < 0:
+                hi = min(hi, p // -u[k])  # x ≤ floor(p / -u_k)
+            elif p < 0:
+                return
+        pts.extend(prefix + (x,) for x in range(lo, hi + 1))
+
+    walk((), bound, [0] * len(halfspaces))
     return pts
+
+
+def hilbert_basis_by_reduction(generators, rank):
+    """Hilbert basis of a pointed cone: the nonzero cone points x such that
+    x − y is not a cone point for any other nonzero cone point y.
+
+    By Carathéodory every irreducible point other than a generator is a
+    combination Σ λ_i g_i of at most ``rank`` independent generators with
+    0 ≤ λ_i < 1, so the cone points with |sum| at most the ``rank`` largest
+    generator norms |g|₁ added up are enough candidates.  A reducible point
+    has an irreducible summand, which is a candidate too.
+    """
+    bound = sum(sorted(sum(map(abs, g)) for g in generators)[-rank:])
+    halfspaces = cone_halfspaces(generators, rank)
+    pts = [p for p in cone_lattice_points(generators, rank, bound) if any(p)]
+    # x − y lies in the cone iff u·y ≤ u·x for every half-space normal u
+    values = {x: [sum(a * b for a, b in zip(u, x)) for u in halfspaces] for x in pts}
+    return sorted(
+        x
+        for x in pts
+        if not any(
+            y != x and all(a <= b for a, b in zip(values[y], values[x])) for y in pts
+        )
+    )
 
 
 def monoid_generates(points, generators, workspace=None):

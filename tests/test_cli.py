@@ -95,6 +95,39 @@ def test_parse_error_exit_code(tmp_path, p2):
         _validate(json.loads(out), "error")
 
 
+def _term(gen=0, exponent=(1, 0, 0)):
+    return {"gen": gen, "exponent": list(exponent), "coefficient": "1"}
+
+
+BAD_MODULES = {
+    "string_degree": {"generator_degrees": [["a"]]},
+    "float_degree": {"generator_degrees": [[1.5]]},
+    "bool_degree": {"generator_degrees": [[True]]},
+    "string_gen": {"generator_degrees": [[0]], "relations": [[_term(gen="0")]]},
+    "bool_gen": {"generator_degrees": [[0]], "relations": [[_term(gen=True)]]},
+    "string_exponent": {
+        "generator_degrees": [[0]],
+        "relations": [[_term(exponent=(1, 0, "x"))]],
+    },
+    "negative_exponent": {
+        "generator_degrees": [[0]],
+        "relations": [[_term(exponent=(1, 0, -1))]],
+    },
+    "relations_not_a_list": {"generator_degrees": [[0]], "relations": 5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MODULES))
+def test_bad_module_json_is_parse_error(tmp_path, p2, name):
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps(BAD_MODULES[name]))
+    code, out = _run(["module", "sections", p2, "--module", str(mod), "--degrees", "1"])
+    assert code == cli.EXIT_PARSE, out
+    payload = json.loads(out)
+    _validate(payload, "error")
+    assert payload["error"]["type"] == "ParseError"
+
+
 def test_domain_error_exit_code(tmp_path):
     nonpointed = tmp_path / "np.json"
     nonpointed.write_text(

@@ -1,9 +1,17 @@
 """Cones, dual cones, Hilbert bases, fan validation and properties."""
 
+import os
+import random
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coxfan
 from coxfan import corpus
 from coxfan.polyfan import (
     Cone,
@@ -71,6 +79,67 @@ def test_hilbert_basis_generates(gens):
     # every basis element is itself a cone point
     for h in hb:
         assert oracles.in_cone(h, gens, rank)
+
+
+def _random_pointed_cones(seed, rank, ngens, entry, count):
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        gens = [
+            tuple(rng.randint(-entry, entry) for _ in range(rank))
+            for _ in range(ngens)
+        ]
+        # pointed iff no generator's negative lies in the cone
+        if all(any(g) for g in gens) and not any(
+            oracles.in_cone([-x for x in g], gens, rank) for g in gens
+        ):
+            cones.append(gens)
+    return cones
+
+
+# (rank, generators, entry range): one or two generators in rank 3 and
+# one in rank 2 span lower-dimensional cones.
+HB_CASES = [(2, 1, 4), (2, 2, 4), (2, 3, 4), (3, 1, 2), (3, 2, 2), (3, 3, 2), (3, 4, 2)]
+
+
+@pytest.mark.parametrize(
+    "rank,ngens,entry", HB_CASES, ids=[f"r{r}g{k}" for r, k, _ in HB_CASES]
+)
+def test_hilbert_basis_is_exactly_the_irreducible_points(rank, ngens, entry):
+    for gens in _random_pointed_cones(10 * rank + ngens, rank, ngens, entry, 6):
+        expected = oracles.hilbert_basis_by_reduction(gens, rank)
+        assert hilbert_basis(gens, rank) == expected, gens
+
+
+def test_cone_lattice_points_matches_box_scan():
+    rng = random.Random(4)
+    for _ in range(40):
+        rank = rng.randint(1, 3)
+        gens = [
+            tuple(rng.randint(-4, 4) for _ in range(rank))
+            for _ in range(rng.randint(1, rank + 1))
+        ]
+        bound = rng.randint(0, 7)
+        halfspaces = oracles.cone_halfspaces(gens, rank)
+        box = [
+            v
+            for v in product(range(-bound, bound + 1), repeat=rank)
+            if sum(map(abs, v)) <= bound and oracles.in_halfspaces(v, halfspaces)
+        ]
+        assert oracles.cone_lattice_points(gens, rank, bound) == box
+
+
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, coxfan.cli; print('numpy' in sys.modules)"
+    src = str(Path(coxfan.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_fan_p2_has_seven_cones():
