@@ -2,8 +2,9 @@
 """Randomized invariant checks for the exact-arithmetic kernels.
 
 Verifies the double-dual identity and Hilbert-basis generation on random
-pointed cones, and the Buchberger S-pair criterion on random ideals,
-against the brute-force oracles used by the test suite.
+pointed cones against the brute-force oracles used by the test suite, and
+the Buchberger S-pair criterion on random ideals, taken as rank-1
+submodules (elements ``(p,)``).
 
 Usage:
     python3 scripts/random_invariants.py --cones 50 --ideals 25 --seed 7
@@ -21,11 +22,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import oracles  # noqa: E402
 
 from coxfan.groeb import (  # noqa: E402
-    GREVLEX,
-    groebner_basis,
-    normal_form,
+    POT,
+    _s_vector,
+    m_is_zero,
+    m_normal_form,
+    module_groebner_basis,
     poly,
-    s_polynomial,
 )
 from coxfan.polyfan import Cone, dual_cone, hilbert_basis  # noqa: E402
 
@@ -82,14 +84,14 @@ def random_ideal(rng):
                 terms[e] = Fraction(rng.randint(-3, 3))
         terms = {k: v for k, v in terms.items() if v}
         if terms:
-            gens.append(poly(terms))
-    return gens or [poly({(0,) * nvars: Fraction(1)})]
+            gens.append((poly(terms),))
+    return gens or [(poly({(0,) * nvars: Fraction(1)}),)]
 
 
 def check_ideal(rng):
-    gb = groebner_basis(random_ideal(rng), GREVLEX)
+    gb = module_groebner_basis(random_ideal(rng), POT)
     return all(
-        not normal_form(s_polynomial(gb[i], gb[j], GREVLEX), gb, GREVLEX)
+        m_is_zero(m_normal_form(_s_vector(gb[i], gb[j], POT), gb, POT))
         for i in range(len(gb))
         for j in range(i + 1, len(gb))
     )

@@ -13,7 +13,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import corpus, cox, gradmod, grading, groeb, polyfan, schemeprops, sheaf
+from . import cox, gradmod, grading, groeb, polyfan, schemeprops, sheaf
 from .cox import BASE_RING_FLAG_NAMES, BaseRingFlags
 from .intlat import INFINITE
 
@@ -105,11 +105,6 @@ def serialize_fan(fan):
             for c in fan.maximal_cones()
         ],
     }
-
-
-def _frac_str(x):
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
 def _parse_frac(s):

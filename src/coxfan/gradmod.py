@@ -195,19 +195,17 @@ def _kill_power(rel_gb, i, zexp, rank, cap=None):
 
 
 def minimalize_submodule_generators(sub: GradedSubmodule) -> GradedSubmodule:
-    """Drop generators already in the submodule spanned by the others."""
+    """Drop generators already in the submodule spanned by the others.
+    One pass suffices: dropping a generator only shrinks the span of the
+    rest, so every generator kept before it stays irredundant."""
     gens = [x for x in sub.element_generators if not m_is_zero(x)]
-    changed = True
-    while changed:
-        changed = False
-        for k, x in enumerate(gens):
-            rest = gens[:k] + gens[k + 1 :]
-            if submodule_membership(
-                x, GradedSubmodule(sub.ambient, tuple(rest))
-            ):
-                gens = rest
-                changed = True
-                break
+    k = 0
+    while k < len(gens):
+        rest = gens[:k] + gens[k + 1 :]
+        if submodule_membership(gens[k], GradedSubmodule(sub.ambient, tuple(rest))):
+            gens = rest
+        else:
+            k += 1
     return GradedSubmodule(sub.ambient, tuple(gens))
 
 
@@ -234,9 +232,7 @@ def saturate_submodule(g: GradedSubmodule, use_iterated_fallback=False) -> Grade
         for z in zhats:
             zp = {tuple(z): Fraction(1)}
             part = module_saturate_element(gens, zp, rank, nvars)
-            sat = part if sat is None else module_intersection(
-                sat, part, rank, nvars
-            )
+            sat = part if sat is None else module_intersection(sat, part, nvars)
         if sat is None:
             sat = gens
     out = GradedSubmodule(f, tuple(x for x in sat if not m_is_zero(x)))
@@ -244,10 +240,7 @@ def saturate_submodule(g: GradedSubmodule, use_iterated_fallback=False) -> Grade
 
 
 def submodules_equal(a: GradedSubmodule, b: GradedSubmodule) -> bool:
-    f = a.ambient
-    return submodule_equal(
-        a.with_relations(), b.with_relations(), f.rank, f.nvars
-    )
+    return submodule_equal(a.with_relations(), b.with_relations())
 
 
 @dataclass(frozen=True)

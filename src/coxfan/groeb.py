@@ -1,10 +1,10 @@
-"""Groebner bases over the rationals, for polynomial rings and free modules.
+"""Groebner bases over the rationals, for submodules of free modules.
 
 Polynomials are dicts mapping exponent tuples to nonzero Fractions.  Module
 elements are tuples of polynomials against a free basis; module orders are
-position-over-term.  Elimination uses a block order on a leading group of
-variables.  Buchberger with the coprime-pair shortcut is plenty at the
-scales this library targets.
+position-over-term.  An ideal is the rank-1 case, elements ``(p,)``.
+Elimination uses a block order on a leading group of variables.  Plain
+Buchberger is plenty at the scales this library targets.
 """
 
 from __future__ import annotations
@@ -33,15 +33,6 @@ def poly(terms):
     return out
 
 
-def p_zero():
-    return {}
-
-
-def p_const(c, nvars):
-    c = Fraction(c)
-    return {(0,) * nvars: c} if c else {}
-
-
 def p_add(p, q):
     out = dict(p)
     for e, c in q.items():
@@ -61,13 +52,6 @@ def p_sub(p, q):
     return p_add(p, p_neg(q))
 
 
-def p_scale(p, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {e: c * x for e, x in p.items()}
-
-
 def p_term_mul(p, e, c):
     """Multiply by the term c * X^e."""
     c = Fraction(c)
@@ -77,29 +61,19 @@ def p_term_mul(p, e, c):
     return {tuple(a + b for a, b in zip(e, m)): c * x for m, x in p.items()}
 
 
-def p_mul(p, q):
-    out = {}
-    for e, c in q.items():
-        for m, x in p.items():
-            key = tuple(a + b for a, b in zip(e, m))
-            s = out.get(key, Fraction(0)) + c * x
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-def p_is_monomial(p):
-    return len(p) == 1
-
-
-def p_divexact(p, f, order):
+def p_divexact(p, f):
     """Exact quotient p / f; raises if the division leaves a remainder."""
-    q, r = _divmod_poly(p, [f], order)
-    if r:
-        raise ValueError("division is not exact")
-    return q[0]
+    le, lc = leading_term(f, GREVLEX)
+    quot = {}
+    work = dict(p)
+    while work:
+        e, c = leading_term(work, GREVLEX)
+        if not _divides(le, e):
+            raise ValueError("division is not exact")
+        q_e = tuple(a - b for a, b in zip(e, le))
+        quot[q_e] = c / lc
+        work = p_sub(work, p_term_mul(f, q_e, c / lc))
+    return quot
 
 
 # --- monomial orders ------------------------------------------------------
@@ -133,120 +107,6 @@ def _divides(e, m):
     return all(a <= b for a, b in zip(e, m))
 
 
-def _divmod_poly(p, divisors, order):
-    quots = [{} for _ in divisors]
-    rem = {}
-    work = dict(p)
-    lts = [leading_term(d, order) for d in divisors]
-    while work:
-        e = max(work, key=order.key)
-        c = work[e]
-        for i, (le, lc) in enumerate(lts):
-            if _divides(le, e):
-                q_e = tuple(a - b for a, b in zip(e, le))
-                q_c = c / lc
-                quots[i] = p_add(quots[i], {q_e: q_c})
-                work = p_sub(work, p_term_mul(divisors[i], q_e, q_c))
-                break
-        else:
-            rem[e] = c
-            del work[e]
-    return quots, rem
-
-
-def normal_form(p, gb, order):
-    """Remainder of p on division by gb; zero iff p lies in the ideal when
-    gb is a Groebner basis."""
-    if not gb:
-        return dict(p)
-    return _divmod_poly(p, list(gb), order)[1]
-
-
-def s_polynomial(f, g, order):
-    ef, cf = leading_term(f, order)
-    eg, cg = leading_term(g, order)
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    return p_sub(
-        p_term_mul(f, tuple(a - b for a, b in zip(lcm, ef)), Fraction(1) / cf),
-        p_term_mul(g, tuple(a - b for a, b in zip(lcm, eg)), Fraction(1) / cg),
-    )
-
-
-def groebner_basis(gens, order):
-    basis = [dict(g) for g in gens if g]
-    pairs = list(combinations(range(len(basis)), 2))
-    while pairs:
-        i, j = pairs.pop()
-        ei, _ = leading_term(basis[i], order)
-        ej, _ = leading_term(basis[j], order)
-        if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
-            continue  # coprime leading monomials
-        s = s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
-        if r:
-            basis.append(r)
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return basis
-
-
-def reduced_groebner_basis(gens, order=GREVLEX):
-    """The unique reduced Groebner basis with monic leading coefficients."""
-    basis = groebner_basis(gens, order)
-    # Minimalize: drop elements whose leading monomial is divisible by another's.
-    lead = [leading_term(g, order)[0] for g in basis]
-    keep = []
-    for i, g in enumerate(basis):
-        if not any(
-            j != i
-            and _divides(lead[j], lead[i])
-            and (lead[j] != lead[i] or j < i)
-            for j in range(len(basis))
-        ):
-            keep.append(g)
-    # Interreduce tails.
-    out = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = normal_form(g, others, order) if others else dict(g)
-        if r:
-            _, lc = leading_term(r, order)
-            out.append(p_scale(r, Fraction(1) / lc))
-    return sorted(out, key=lambda p: order.key(leading_term(p, order)[0]))
-
-
-def ideal_contains(gb, p, order=GREVLEX):
-    return not normal_form(p, gb, order)
-
-
-def ideal_equal(gens_a, gens_b, order=GREVLEX):
-    ga = reduced_groebner_basis(gens_a, order)
-    gb = reduced_groebner_basis(gens_b, order)
-    return ga == gb
-
-
-# --- elimination helpers --------------------------------------------------
-
-def _embed(p, extra=1):
-    """Prepend `extra` zero exponents (new leading variables)."""
-    return {(0,) * extra + e: c for e, c in p.items()}
-
-
-def _drop_first_var(p):
-    return {e[1:]: c for e, c in p.items()}
-
-
-def _involves_first_var(p):
-    return any(e[0] for e in p)
-
-
-def eliminate_first_variable(gens):
-    """Generators of the ideal's contraction to the subring without the
-    first variable."""
-    order = MonomialOrder(block=1)
-    gb = reduced_groebner_basis(gens, order)
-    return [_drop_first_var(g) for g in gb if not _involves_first_var(g)]
-
-
 # --- monomial ideal combinatorics ----------------------------------------
 
 def minimalize_monomials(exponents):
@@ -273,57 +133,10 @@ def monomial_ideal_intersection(exps_a, exps_b):
     )
 
 
-def _all_monomial(gens):
-    return all(p_is_monomial(g) for g in gens if g)
-
-
-def saturate_by_element(ideal_gens, f):
-    """Generators of (ideal : f^infinity)."""
-    gens = [dict(g) for g in ideal_gens if g]
-    if not gens:
-        return []
-    if _all_monomial(gens) and p_is_monomial(f):
-        f_exp = next(iter(f))
-        exps = monomial_ideal_saturate([next(iter(g)) for g in gens], f_exp)
-        return [{e: Fraction(1)} for e in exps]
-    # Rabinowitsch trick: adjoin t, add 1 - t*f, eliminate t.
-    nvars = len(next(iter(gens[0])))
-    ext = [_embed(g) for g in gens]
-    tf = {(1,) + e: c for e, c in f.items()}
-    ext.append(p_sub(p_const(1, nvars + 1), tf))
-    return eliminate_first_variable(ext)
-
-
-def ideal_intersection(gens_a, gens_b):
-    """Generators of the intersection of two ideals."""
-    a = [dict(g) for g in gens_a if g]
-    b = [dict(g) for g in gens_b if g]
-    if not a or not b:
-        return []
-    if _all_monomial(a) and _all_monomial(b):
-        exps = monomial_ideal_intersection(
-            [next(iter(g)) for g in a], [next(iter(g)) for g in b]
-        )
-        return [{e: Fraction(1)} for e in exps]
-    nvars = len(next(iter(a[0])))
-    ext = []
-    t = {(1,) + (0,) * nvars: Fraction(1)}
-    one_minus_t = p_sub(p_const(1, nvars + 1), t)
-    for g in a:
-        ext.append(p_mul(t, _embed(g)))
-    for g in b:
-        ext.append(p_mul(one_minus_t, _embed(g)))
-    return eliminate_first_variable(ext)
-
-
 # --- free modules ---------------------------------------------------------
 #
 # A module element over S^r is a tuple of r polynomials.  A module term is
 # (position, exponent); position-over-term means lower position wins.
-
-def m_zero(rank, nvars):
-    return tuple({} for _ in range(rank))
-
 
 def m_add(x, y):
     return tuple(p_add(a, b) for a, b in zip(x, y))
@@ -331,10 +144,6 @@ def m_add(x, y):
 
 def m_sub(x, y):
     return tuple(p_sub(a, b) for a, b in zip(x, y))
-
-
-def m_scale(x, c):
-    return tuple(p_scale(a, c) for a in x)
 
 
 def m_term_mul(x, e, c):
@@ -400,7 +209,20 @@ def m_normal_form(x, basis, order):
     return rem
 
 
+def _s_vector(f, g, order):
+    """S-vector of two elements whose leading terms share a position."""
+    (_, ef), cf = m_leading_term(f, order)
+    (_, eg), cg = m_leading_term(g, order)
+    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
+    return m_sub(
+        m_term_mul(f, tuple(a - b for a, b in zip(lcm, ef)), Fraction(1) / cf),
+        m_term_mul(g, tuple(a - b for a, b in zip(lcm, eg)), Fraction(1) / cg),
+    )
+
+
 def module_groebner_basis(gens, order=POT):
+    """Buchberger over every same-position pair.  The coprime criterion is
+    not used: it does not hold for modules of rank > 1."""
     basis = [g for g in gens if not m_is_zero(g)]
     pairs = [
         (i, j)
@@ -410,18 +232,7 @@ def module_groebner_basis(gens, order=POT):
     ]
     while pairs:
         i, j = pairs.pop()
-        (pos, ei), ci = m_leading_term(basis[i], order)
-        (_, ej), cj = m_leading_term(basis[j], order)
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        s = m_sub(
-            m_term_mul(
-                basis[i], tuple(a - b for a, b in zip(lcm, ei)), Fraction(1) / ci
-            ),
-            m_term_mul(
-                basis[j], tuple(a - b for a, b in zip(lcm, ej)), Fraction(1) / cj
-            ),
-        )
-        r = m_normal_form(s, basis, order)
+        r = m_normal_form(_s_vector(basis[i], basis[j], order), basis, order)
         if not m_is_zero(r):
             basis.append(r)
             rpos = m_leading_term(r, order)[0][0]
@@ -431,55 +242,47 @@ def module_groebner_basis(gens, order=POT):
     return basis
 
 
-def module_contains(gb, x, order=POT):
+def module_contains(gb, x):
     if m_is_zero(x):
         return True
     if not gb:
         return False
-    return m_is_zero(m_normal_form(x, gb, order))
+    return m_is_zero(m_normal_form(x, gb, POT))
 
 
-def submodule_equal(gens_a, gens_b, rank, nvars, order=POT):
-    ga = module_groebner_basis([g for g in gens_a if not m_is_zero(g)], order)
-    gb = module_groebner_basis([g for g in gens_b if not m_is_zero(g)], order)
-    return all(module_contains(gb, x, order) for x in gens_a) and all(
-        module_contains(ga, y, order) for y in gens_b
+def submodule_equal(gens_a, gens_b):
+    ga = module_groebner_basis([g for g in gens_a if not m_is_zero(g)])
+    gb = module_groebner_basis([g for g in gens_b if not m_is_zero(g)])
+    return all(module_contains(gb, x) for x in gens_a) and all(
+        module_contains(ga, y) for y in gens_b
     )
 
 
-def _m_embed(x, extra=1):
-    return tuple(_embed(p, extra) for p in x)
+def _m_embed(x):
+    """Prepend a zero exponent for the new leading (tag) variable."""
+    return tuple({(0,) + e: c for e, c in p.items()} for p in x)
 
 
-def _m_drop_first_var(x):
-    return tuple(_drop_first_var(p) for p in x)
-
-
-def _m_involves_first_var(x):
-    return any(_involves_first_var(p) for p in x)
-
-
-def module_intersection(gens_a, gens_b, rank, nvars):
-    """Intersection of two submodules of a free module, by tag elimination."""
+def module_intersection(gens_a, gens_b, nvars):
+    """Intersection of two submodules of a free module, by tag elimination:
+    the elements of t*A + (1-t)*B free of t."""
     a = [g for g in gens_a if not m_is_zero(g)]
     b = [g for g in gens_b if not m_is_zero(g)]
     if not a or not b:
         return []
     t = (1,) + (0,) * nvars
-    ext = []
-    for g in a:
-        ext.append(m_term_mul(_m_embed(g), t, 1))
-    one_minus_t = [((0,) * (nvars + 1), Fraction(1)), (t, Fraction(-1))]
+    ext = [m_term_mul(_m_embed(g), t, 1) for g in a]
     for g in b:
         emb = _m_embed(g)
-        val = m_add(
-            m_term_mul(emb, one_minus_t[0][0], one_minus_t[0][1]),
-            m_term_mul(emb, one_minus_t[1][0], one_minus_t[1][1]),
+        ext.append(
+            m_add(m_term_mul(emb, (0,) * (nvars + 1), 1), m_term_mul(emb, t, -1))
         )
-        ext.append(val)
-    order = ModuleOrder(MonomialOrder(block=1))
-    gb = module_groebner_basis(ext, order)
-    return [_m_drop_first_var(g) for g in gb if not _m_involves_first_var(g)]
+    gb = module_groebner_basis(ext, ModuleOrder(MonomialOrder(block=1)))
+    return [
+        tuple({e[1:]: c for e, c in p.items()} for p in g)
+        for g in gb
+        if not any(e[0] for p in g for e in p)
+    ]
 
 
 def module_colon_element(gens, f, rank, nvars):
@@ -490,10 +293,10 @@ def module_colon_element(gens, f, rank, nvars):
         row = [dict() for _ in range(rank)]
         row[i] = dict(f)
         fF.append(tuple(row))
-    inter = module_intersection(gens, fF, rank, nvars)
+    inter = module_intersection(gens, fF, nvars)
     out = []
     for x in inter:
-        out.append(tuple(p_divexact(p, f, GREVLEX) if p else {} for p in x))
+        out.append(tuple(p_divexact(p, f) if p else {} for p in x))
     return out
 
 
@@ -502,7 +305,7 @@ def module_saturate_element(gens, f, rank, nvars):
     current = [g for g in gens if not m_is_zero(g)]
     for _ in range(ITERATION_CAP):
         nxt = module_colon_element(current, f, rank, nvars)
-        if submodule_equal(current, nxt, rank, nvars):
+        if submodule_equal(current, nxt):
             return current
         current = nxt
     raise SaturationCapExceeded(
@@ -516,7 +319,7 @@ def module_colon_ideal(gens, ideal_gens, rank, nvars):
     for f in ideal_gens:
         part = module_colon_element(gens, f, rank, nvars)
         result = part if result is None else module_intersection(
-            result, part, rank, nvars
+            result, part, nvars
         )
     return result if result is not None else []
 
@@ -526,7 +329,7 @@ def module_saturate_ideal_iterated(gens, ideal_gens, rank, nvars):
     current = [g for g in gens if not m_is_zero(g)]
     for _ in range(ITERATION_CAP):
         nxt = module_colon_ideal(current, ideal_gens, rank, nvars)
-        if submodule_equal(current, nxt, rank, nvars):
+        if submodule_equal(current, nxt):
             return current
         current = nxt
     raise SaturationCapExceeded(

@@ -255,12 +255,6 @@ def integer_kernel(m: IntMatrix):
     ]
 
 
-def column_lattice_basis(m: IntMatrix):
-    """Hermite basis of the lattice generated by the columns of m."""
-    cols = [tuple(m.at(i, j) for i in range(m.rows)) for j in range(m.cols)]
-    return hermite_row_basis(cols, m.rows)
-
-
 def lattice_intersection(basis_a, basis_b, ncols):
     """Hermite basis of the intersection of two integer lattices."""
     if not basis_a or not basis_b:
@@ -282,13 +276,6 @@ def lattice_intersection(basis_a, basis_b, ncols):
             )
         )
     return hermite_row_basis(vecs, ncols)
-
-
-def lattice_contains(basis, v, ncols):
-    """True iff v lies in the integer row lattice spanned by basis."""
-    before = hermite_row_basis(basis, ncols)
-    after = hermite_row_basis(list(basis) + [tuple(v)], ncols)
-    return before == after
 
 
 @dataclass(frozen=True)

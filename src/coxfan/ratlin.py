@@ -77,33 +77,6 @@ def in_row_span(rows, v):
     return rank(list(rows) + [v]) == base
 
 
-def coords_in_span(rows, v):
-    """Coefficients c with sum(c_i * rows[i]) = v, or None.
-
-    Solves the (possibly underdetermined) system by elimination on the
-    transpose; any one solution is returned.
-    """
-    rows = _frac_rows(rows)
-    v = [Fraction(x) for x in v]
-    if not rows:
-        return [] if all(x == 0 for x in v) else None
-    ncols = len(rows[0])
-    # Augmented transpose system: rows^T * c = v.
-    aug = [[rows[i][j] for i in range(len(rows))] + [v[j]] for j in range(ncols)]
-    red, pivots = rref(aug)
-    nvar = len(rows)
-    if nvar in pivots:
-        return None
-    sol = [Fraction(0)] * nvar
-    for i, p in enumerate(pivots):
-        sol[p] = red[i][nvar]
-    return sol
-
-
-def row_space_contains_all(rows, others):
-    return all(in_row_span(rows, v) for v in others)
-
-
 def subspace_intersection(rows_a, rows_b):
     """Basis of (row span of A) ∩ (row span of B)."""
     if not rows_a or not rows_b:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cox import BaseRingFlags
-from .grading import PicardGroup, SubgroupB
 from .polyfan import FanProperties
 
 HOLDS = "holds"
@@ -58,12 +57,7 @@ def _base_or_empty(empty, has_property, flag_name):
     return Verdict(CONDITIONAL, "base-or-empty", condition=flag_name)
 
 
-def scheme_property_report(
-    props: FanProperties,
-    flags: BaseRingFlags,
-    pic_info: PicardGroup = None,
-    b: SubgroupB = None,
-) -> PropertyReport:
+def scheme_property_report(props: FanProperties, flags: BaseRingFlags) -> PropertyReport:
     """Verdict table for the toric scheme of a fan over a flagged base ring."""
     empty = props.is_empty
     zero = flags.zero

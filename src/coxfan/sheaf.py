@@ -30,6 +30,7 @@ from .gradmod import (
 )
 from .groeb import (
     m_is_zero,
+    m_term_mul,
     module_contains,
     module_groebner_basis,
     module_saturate_element,
@@ -378,16 +379,14 @@ def global_sections_degree(
     )
 
 
-def eta_component_is_bijective(
-    s: SheafCoverPresentation, alpha, max_level=DEFAULT_MAX_LEVEL
-) -> bool:
+def eta_component_is_bijective(s: SheafCoverPresentation, alpha) -> bool:
     """Whether the canonical map from the degree-alpha component of the
     module to the sections of the shifted sheaf is an isomorphism."""
     from .gradmod import degree_component
 
     f = s.origin
     cox = f.cox
-    sec = global_sections_degree(s, alpha, mode="via_shift", max_level=max_level)
+    sec = global_sections_degree(s, alpha, mode="via_shift")
     windows, offsets, total, _null, keys = sec.internals
     comp = degree_component(f, alpha)
     if comp.dimension != sec.dimension:
@@ -446,8 +445,6 @@ def family_equal(a: ChartSubmoduleFamily, b: ChartSubmoduleFamily) -> bool:
         submodule_equal(
             list(a.charts[k]) + list(f.relations),
             list(b.charts[k]) + list(f.relations),
-            f.rank,
-            f.nvars,
         )
         for k in a.charts
     )
@@ -498,13 +495,10 @@ def xi_preimage(
 def lift_finite_type(
     t: ChartSubmoduleFamily,
     f: GradedModulePresentation,
-    clear_cap=DEFAULT_MAX_LEVEL,
 ) -> GradedSubmodule:
     """A finite-type graded submodule with the given chart family: every
     chart generator is cleared by a power of its cone monomial until the
     result lies in the family on all the other charts as well."""
-    from .groeb import m_term_mul
-
     cox = f.cox
     keys = sorted(t.charts)
     sat_gbs = {}
@@ -519,7 +513,7 @@ def lift_finite_type(
             if m_is_zero(x):
                 continue
             lifted = None
-            for j in range(clear_cap + 1):
+            for j in range(DEFAULT_MAX_LEVEL + 1):
                 e = tuple(j * step * zi for zi in z)
                 cand = m_term_mul(x, e, Fraction(1))
                 if all(

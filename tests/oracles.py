@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +85,17 @@ def _fm_step(ineqs, col):
             neg.append(row)
         else:
             keep.append(row)
-    out = list(keep)
+    # Each combination is divided by the gcd of its entries and duplicates
+    # are dropped after every step; otherwise the rows multiply with each
+    # elimination.  The dict keeps the order deterministic.
+    out = dict.fromkeys(tuple(row) for row in keep)
     for p in pos:
         for n in neg:
             combo = [p[col] * n[k] - n[col] * p[k] for k in range(len(p))]
-            if any(combo):
-                out.append(combo)
-    return out
+            g = gcd(*combo)
+            if g:
+                out[tuple(x // g for x in combo)] = None
+    return [list(row) for row in out]
 
 
 def cone_halfspaces(generators, rank):
@@ -114,14 +119,26 @@ def cone_halfspaces(generators, rank):
         rows.append(row)
     for col in range(rank, rank + k):
         rows = _fm_step(rows, col)
-    out = []
-    seen = set()
+    # Most rows are positive combinations of facet normals.  Keep a row
+    # only if the generators it vanishes on are all of them (an equality)
+    # or a set not strictly inside another row's proper zero set (a facet).
+    zeros = {}
     for row in rows:
         u = tuple(row[:rank])
-        if any(u) and u not in seen:
-            seen.add(u)
-            out.append(list(u))
-    return out
+        if any(u):
+            zeros.setdefault(
+                u, frozenset(i for i, g in enumerate(gens) if _dot(u, g) == 0)
+            )
+    proper = {z for z in zeros.values() if len(z) < k}
+    return [
+        list(u)
+        for u, z in zeros.items()
+        if len(z) == k or not any(z < w for w in proper)
+    ]
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def in_cone(v, generators, rank=None):

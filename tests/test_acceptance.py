@@ -32,7 +32,14 @@ from coxfan.gradmod import (
     saturate_submodule,
     submodules_equal,
 )
-from coxfan.groeb import GREVLEX, groebner_basis, normal_form, poly, s_polynomial
+from coxfan.groeb import (
+    POT,
+    _s_vector,
+    m_is_zero,
+    m_normal_form,
+    module_groebner_basis,
+    poly,
+)
 from coxfan.polyfan import Cone, build_fan, dual_cone, fan_properties, hilbert_basis
 from coxfan.sheaf import (
     eta_component_is_bijective,
@@ -287,14 +294,15 @@ def test_criterion_09_kernel_invariants():
                     terms[e] = Fraction(rng2.randint(-3, 3))
             terms = {k: v for k, v in terms.items() if v}
             if terms:
-                gens.append(poly(terms))
+                gens.append((poly(terms),))
         if not gens:
             continue
-        gb = groebner_basis(gens, GREVLEX)
+        # ideals as rank-1 submodules: every S-vector shares position 0
+        gb = module_groebner_basis(gens, POT)
         for i in range(len(gb)):
             for j in range(i + 1, len(gb)):
-                s = s_polynomial(gb[i], gb[j], GREVLEX)
-                ok &= not normal_form(s, gb, GREVLEX)
+                s = _s_vector(gb[i], gb[j], POT)
+                ok &= m_is_zero(m_normal_form(s, gb, POT))
     _report("09 kernel-invariants", ok)
 
 

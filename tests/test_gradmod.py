@@ -12,6 +12,7 @@ from coxfan.gradmod import (
     degree_component,
     free_module,
     is_torsion,
+    minimalize_submodule_generators,
     quotient_by_monomial_ideal,
     saturate_submodule,
     submodule_membership,
@@ -89,6 +90,15 @@ def test_membership(p2_ring):
     sub = GradedSubmodule(ambient=p2_ring, element_generators=(z1, z2))
     assert submodule_membership(z1, sub)
     assert not submodule_membership(z3, sub)
+
+
+def test_minimalize_keeps_first_irredundant_generators(p2_ring):
+    # consecutive redundant generators: a scan that moves past a removal
+    # without testing the generator that slid into its place keeps Z1^3
+    z1, z2 = _elem((1, 0, 0)), _elem((0, 1, 0))
+    gens = (_elem((2, 0, 0)), _elem((3, 0, 0)), z1, _elem((1, 1, 0)), z2)
+    out = minimalize_submodule_generators(GradedSubmodule(p2_ring, gens))
+    assert out.element_generators == (z1, z2)
 
 
 @pytest.mark.parametrize("exps,var", [

@@ -1,29 +1,29 @@
-"""Groebner machinery: Buchberger criterion, colon and saturation, modules."""
+"""Groebner machinery: Buchberger criterion, colon and saturation, modules.
+Ideals are rank-1 submodules, with elements ``(p,)``."""
 
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
-from coxfan import groeb
 from coxfan.groeb import (
-    GREVLEX,
-    groebner_basis,
-    ideal_equal,
-    ideal_intersection,
+    POT,
+    ModuleOrder,
+    MonomialOrder,
+    _s_vector,
     m_is_zero,
-    monomial_ideal_intersection,
-    monomial_ideal_saturate,
+    m_leading_term,
+    m_normal_form,
+    m_term_mul,
+    minimalize_monomials,
     module_contains,
     module_groebner_basis,
-    normal_form,
-    p_mul,
-    p_sub,
+    module_intersection,
+    module_saturate_element,
+    monomial_ideal_intersection,
+    monomial_ideal_saturate,
     poly,
-    reduced_groebner_basis,
-    s_polynomial,
-    saturate_by_element,
+    submodule_equal,
 )
 
 import oracles
@@ -42,37 +42,68 @@ def _random_poly(rng, nvars, max_deg, max_terms):
     return poly(terms)
 
 
+def _same_position_s_vectors(gb, order):
+    for i in range(len(gb)):
+        for j in range(i + 1, len(gb)):
+            if m_leading_term(gb[i], order)[0][0] == m_leading_term(gb[j], order)[0][0]:
+                yield _s_vector(gb[i], gb[j], order)
+
+
 def test_buchberger_criterion_random_ideals():
     # every S-polynomial of a computed basis must reduce to zero
     rng = random.Random(20260826)
     for _ in range(100):
         nvars = rng.randint(1, 3)
         gens = [
-            _random_poly(rng, nvars, 3, 3) for _ in range(rng.randint(1, 4))
+            (_random_poly(rng, nvars, 3, 3),) for _ in range(rng.randint(1, 4))
         ]
-        gb = groebner_basis(gens, GREVLEX)
-        for i in range(len(gb)):
-            for j in range(i + 1, len(gb)):
-                s = s_polynomial(gb[i], gb[j], GREVLEX)
-                assert not normal_form(s, gb, GREVLEX)
+        gb = module_groebner_basis(gens, POT)
+        for s in _same_position_s_vectors(gb, POT):
+            assert m_is_zero(m_normal_form(s, gb, POT))
+
+
+def test_buchberger_criterion_random_modules():
+    # rank 2 and 3, in position-over-term and in the elimination order
+    # that module_intersection uses
+    rng = random.Random(20261018)
+    orders = [POT, ModuleOrder(MonomialOrder(block=1))]
+    for _ in range(60):
+        rank = rng.randint(2, 3)
+        nvars = rng.randint(1, 3)
+        gens = [
+            tuple(
+                _random_poly(rng, nvars, 2, 2) if rng.random() < 0.7 else {}
+                for _ in range(rank)
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        for order in orders:
+            gb = module_groebner_basis(gens, order)
+            for s in _same_position_s_vectors(gb, order):
+                assert m_is_zero(m_normal_form(s, gb, order))
+            for g in gens:
+                assert m_is_zero(m_normal_form(g, gb, order))
 
 
 def test_generators_reduce_to_zero():
     rng = random.Random(7)
     for _ in range(25):
-        gens = [_random_poly(rng, 3, 3, 3) for _ in range(3)]
-        gb = groebner_basis(gens, GREVLEX)
+        gens = [(_random_poly(rng, 3, 3, 3),) for _ in range(3)]
+        gb = module_groebner_basis(gens)
         for g in gens:
-            assert not normal_form(g, gb, GREVLEX)
+            assert module_contains(gb, g)
 
 
 def test_reduced_basis_pinned():
     # x^2 - y, x y - 1 in grevlex: classic reduced basis
     x2y = poly({(2, 0): Fraction(1), (0, 1): Fraction(-1)})
     xy1 = poly({(1, 1): Fraction(1), (0, 0): Fraction(-1)})
-    gb = reduced_groebner_basis([x2y, xy1], GREVLEX)
+    gb = module_groebner_basis([(x2y,), (xy1,)])
     y2x = poly({(0, 2): Fraction(1), (1, 0): Fraction(-1)})
-    assert ideal_equal(gb, [x2y, xy1, y2x])
+    assert submodule_equal(gb, [(x2y,), (xy1,), (y2x,)])
+    # its leading monomials: x^2, x y, y^2
+    leads = [m_leading_term(g, POT)[0][1] for g in gb]
+    assert minimalize_monomials(leads) == [(0, 2), (1, 1), (2, 0)]
 
 
 def test_ideal_intersection_principal():
@@ -80,7 +111,7 @@ def test_ideal_intersection_principal():
     x = poly({(1, 0): Fraction(1)})
     y = poly({(0, 1): Fraction(1)})
     xy = poly({(1, 1): Fraction(1)})
-    assert ideal_equal(ideal_intersection([x], [y]), [xy])
+    assert submodule_equal(module_intersection([(x,)], [(y,)], 2), [(xy,)])
 
 
 small_exps = st.lists(
@@ -125,14 +156,14 @@ def test_general_saturation_agrees_on_monomial_input():
         ]
         var = rng.randint(0, 2)
         f_exp = tuple(1 if i == var else 0 for i in range(3))
-        gens = [poly({e: Fraction(1)}) for e in exps]
+        gens = [(poly({e: Fraction(1)}),) for e in exps]
         f = poly({f_exp: Fraction(1)})
-        sat = saturate_by_element(gens, f)
+        sat = module_saturate_element(gens, f, 1, 3)
         want = [
-            poly({e: Fraction(1)})
+            (poly({e: Fraction(1)}),)
             for e in monomial_ideal_saturate(exps, f_exp)
         ]
-        assert ideal_equal(sat, want)
+        assert submodule_equal(sat, want)
 
 
 def test_module_membership_basic():
@@ -153,6 +184,6 @@ def test_module_syzygy_reduction():
     # relation column (y, -x): x*(col) lies in the module it generates
     rel = (poly({(0, 1): Fraction(1)}), poly({(1, 0): Fraction(-1)}))
     gb = module_groebner_basis([rel])
-    scaled = tuple(p_mul(poly({(1, 0): Fraction(1)}), c) for c in rel)
+    scaled = m_term_mul(rel, (1, 0), 1)
     assert module_contains(gb, scaled)
     assert not m_is_zero(rel)

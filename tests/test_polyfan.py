@@ -129,6 +129,15 @@ def test_cone_lattice_points_matches_box_scan():
         assert oracles.cone_lattice_points(gens, rank, bound) == box
 
 
+def test_oracle_halfspaces_agree_with_in_cone_in_rank_4():
+    # Without gcd division and per-step deduplication the oracle's
+    # Fourier-Motzkin rows outgrew memory on this cone.
+    gens = [(1, 4, 1, -2), (0, -2, 0, -4), (-4, -2, 0, -2), (-3, -2, -4, -4), (-4, 3, -1, 2)]
+    halfspaces = oracles.cone_halfspaces(gens, 4)
+    for v in product(range(-4, 5), repeat=4):
+        assert oracles.in_halfspaces(v, halfspaces) == in_cone(v, gens, 4), v
+
+
 def test_cli_import_does_not_load_numpy():
     code = "import sys, coxfan.cli; print('numpy' in sys.modules)"
     src = str(Path(coxfan.__file__).resolve().parents[1])

@@ -1,0 +1,45 @@
+"""Smoke runs of the scripts: each imports coxfan names that no other test
+reaches through the script, so a renamed or deleted name shows here."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import coxfan
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(coxfan.__file__).resolve().parents[1])
+
+
+def _run(script, *args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [
+        ("corpus_report.py", []),
+        ("sections_scan.py", ["--fan", "p2", "--min", "0", "--max", "1"]),
+    ],
+    ids=["corpus_report", "sections_scan"],
+)
+def test_json_script_runs(script, args):
+    out = _run(script, *args)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)
+
+
+def test_random_invariants_passes():
+    out = _run("random_invariants.py", "--cones", "3", "--ideals", "5", "--seed", "1")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["cones: 3/3 passed", "ideals: 5/5 passed"]
