@@ -552,8 +552,16 @@ def cmd_sheaf_lift(args):
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as ParseError JSON (exit 2) instead of
+    usage text; the subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="coxfan",
         description="Exact toric-fan, Cox-ring and sheaf computations with JSON output",
     )
@@ -644,9 +652,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as e:
         _emit(

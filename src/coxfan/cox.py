@@ -65,12 +65,6 @@ class CoxRingData:
     def num_vars(self):
         return self.grading.num_rays
 
-    def zhat_of(self, cone: Cone):
-        try:
-            return self.zhat[cone.ray_generators]
-        except KeyError:
-            raise ConeNotInFan(f"cone {cone.ray_generators} is not in the fan")
-
     def variable_degrees(self):
         return self.grading.ray_degrees
 

@@ -41,10 +41,6 @@ class GradingData:
     def num_rays(self):
         return len(self.delta_basis)
 
-    def degree_of_exponent(self, v):
-        """Degree in the class group of the monomial with exponent vector v."""
-        return self.a_map(v)
-
 
 @dataclass(frozen=True)
 class SubgroupB:

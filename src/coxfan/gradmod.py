@@ -109,8 +109,9 @@ def _monomials_of_degree(f: GradedModulePresentation, alpha):
 
 
 def component_span_rows(f, elements, alpha, coords, index):
-    """Rows spanning the degree-alpha slice of the module generated by
-    the given homogeneous elements, in the monomial coordinates supplied."""
+    """Sparse rows {coordinate: coefficient} spanning the degree-alpha
+    slice of the module generated by the given homogeneous elements, in
+    the monomial coordinates supplied."""
     g = f.cox.grading
     A = g.class_group
     rows = []
@@ -119,13 +120,14 @@ def component_span_rows(f, elements, alpha, coords, index):
         if d_rel is None:
             continue
         for m in degree_fiber(g, A.add(alpha, A.neg(d_rel))):
-            row = [Fraction(0)] * len(coords)
+            row = {}
             for i, p in enumerate(rel):
                 for e, c in p.items():
-                    key = (i, tuple(a + b for a, b in zip(e, m)))
-                    if key in index:
-                        row[index[key]] += c
-            if any(row):
+                    k = index.get((i, tuple(a + b for a, b in zip(e, m))))
+                    if k is not None:
+                        row[k] = row.get(k, 0) + c
+            row = {k: c for k, c in row.items() if c}
+            if row:
                 rows.append(row)
     return rows
 
@@ -135,12 +137,12 @@ def degree_component(f: GradedModulePresentation, alpha) -> DegreeComponent:
     coords = _monomials_of_degree(f, alpha)
     index = {c: k for k, c in enumerate(coords)}
     rel_rows = component_span_rows(f, f.relations, alpha, coords, index)
-    red, pivots = ratlin.rref(rel_rows)
-    free = tuple(k for k in range(len(coords)) if k not in pivots)
+    ech = ratlin.echelon(rel_rows)
+    free = tuple(k for k in range(len(coords)) if k not in ech)
     return DegreeComponent(
         degree=alpha,
         monomial_basis=tuple(coords),
-        relation_rows=tuple(tuple(r) for r in red[: len(pivots)]),
+        relation_rows=tuple(map(tuple, ratlin.dense(ech.values(), len(coords)))),
         quotient_basis=free,
     )
 

@@ -82,14 +82,6 @@ class IntMatrix:
             for i in range(self.rows)
         )
 
-    def is_diagonal(self):
-        return all(
-            self.at(i, j) == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
-
 
 def det(m: IntMatrix):
     """Determinant by fraction-free expansion; only used on small matrices."""
@@ -333,11 +325,6 @@ class AbelianGroup:
     def neg(self, x):
         return self.element(
             [-a for a in x.torsion_part], [-a for a in x.free_part]
-        )
-
-    def smul(self, k, x):
-        return self.element(
-            [k * a for a in x.torsion_part], [k * a for a in x.free_part]
         )
 
     def generators(self):

@@ -421,9 +421,6 @@ class Fan:
     def cone_ray_indices(self, cone):
         return tuple(self.ray_index.index(g) for g in cone.ray_generators)
 
-    def has_cone(self, cone):
-        return any(c.ray_generators == cone.ray_generators for c in self.cones)
-
 
 @dataclass(frozen=True)
 class FanProperties:

@@ -39,6 +39,7 @@ from .groeb import (
 
 DEFAULT_MAX_LEVEL = 8
 DEFAULT_ENUM_BOX = 6
+_ONE = Fraction(1)
 
 
 class Unstabilized(RuntimeError):
@@ -194,15 +195,6 @@ def _kernel_for(s: SheafCoverPresentation, key, zexp):
     return s.kernels[key]
 
 
-def _reduce_mod(vec, rrows, pivots):
-    v = list(vec)
-    for r, p in zip(rrows, pivots):
-        if v[p]:
-            c = v[p]
-            v = [a - c * b for a, b in zip(v, r)]
-    return v
-
-
 class _Window:
     """Monomial coordinates (twist index, generator, exponent) of one
     chart at one denominator level, together with the subspace to
@@ -214,7 +206,6 @@ class _Window:
         g = f.cox.grading
         z = f.cox.zhat[key]
         self.level = level
-        self.twists = twists
         target = g.class_group.add(degree, g.a_map(tuple(level * x for x in z)))
         base = _monomials_of_degree(f, target)
         base_index = {c: k for k, c in enumerate(base)}
@@ -227,24 +218,21 @@ class _Window:
         )
         self.coords = [(j, i, e) for j in range(len(twists)) for (i, e) in base]
         self.index = {c: k for k, c in enumerate(self.coords)}
-        rows = []
         width = len(base)
-        for j in range(len(twists)):
-            for r in base_rows:
-                row = [Fraction(0)] * self.size
-                row[j * width : (j + 1) * width] = r
-                rows.append(row)
+        rows = [
+            {j * width + c: x for c, x in r.items()}
+            for j in range(len(twists))
+            for r in base_rows
+        ]
         for j, j2 in combinations(range(len(twists)), 2):
             diff = tuple(a - b for a, b in zip(twists[j], twists[j2]))
             for (i, e) in base:
                 e2 = tuple(a + b for a, b in zip(e, diff))
                 if (i, e2) in base_index:
-                    row = [Fraction(0)] * self.size
-                    row[self.index[(j, i, e)]] = Fraction(1)
-                    row[self.index[(j2, i, e2)]] = Fraction(-1)
-                    rows.append(row)
-        self.w_rref, self.w_pivots = ratlin.rref(rows)
-        self.w_rref = self.w_rref[: len(self.w_pivots)]
+                    rows.append(
+                        {self.index[(j, i, e)]: _ONE, self.index[(j2, i, e2)]: -_ONE}
+                    )
+        self.echelon = ratlin.echelon(rows)
 
     @property
     def size(self):
@@ -252,10 +240,16 @@ class _Window:
 
     @property
     def sub_rank(self):
-        return len(self.w_pivots)
+        return len(self.echelon)
 
-    def reduce(self, vec):
-        return _reduce_mod(vec, self.w_rref, self.w_pivots)
+    def image(self, coord):
+        """The class of a coordinate vector in the quotient, as the sparse
+        representative that is 0 at every pivot of the subspace."""
+        t = self.index[coord]
+        row = self.echelon.get(t)
+        if row is None:
+            return {t: _ONE}
+        return {k: -x for k, x in row.items() if k != t}
 
 
 def _overlap_level(cox, tau_key, needed):
@@ -273,28 +267,55 @@ def _cover_twist(v, tw_tau, tau_pos):
     raise Unstabilized("twist generator not covered on the overlap chart")
 
 
-def _sections_at_level(s, alpha, mode, level_k):
-    """The equalizer of the chart windows at one level.  via_shift reads
-    the degree-alpha slice with the single trivial twist; via_twist reads
-    the degree-0 slice tensored with the Laurent generators of alpha."""
+def _level_invariants(s, alpha, mode):
+    """What the equalizer needs at every level, computed once: the degree
+    read (via_shift: alpha with the single trivial twist; via_twist: 0
+    tensored with the Laurent generators of alpha), the twists of every
+    maximal cone, and per pair of maximal cones the overlap key, its
+    twists, each side's cover plan and the level slack the plans need."""
     cox = s.cox
     cones = list(cox.grading.fan.maximal_cones())
-    keys = [c.ray_generators for c in cones]
     if mode == "via_shift":
         degree = alpha
-        trivial_twist = ((0,) * cox.num_vars,)
+        trivial = ((0,) * cox.num_vars,)
 
-        def twists(key):
-            return trivial_twist
+        def twist(key):
+            return trivial
 
     else:
         degree = cox.grading.class_group.zero()
 
-        def twists(key):
+        def twist(key):
             return _laurent_component_generators(cox, alpha, key)
 
+    twists = {c.ray_generators: twist(c.ray_generators) for c in cones}
+    pairs = []
+    for c1, c2 in combinations(cones, 2):
+        tau_key = c1.intersect(c2).ray_generators
+        if tau_key not in twists:
+            twists[tau_key] = twist(tau_key)
+        tau_pos = _sigma_positions(cox, tau_key)
+        plans = {
+            key: [_cover_twist(v, twists[tau_key], tau_pos) for v in twists[key]]
+            for key in (c1.ray_generators, c2.ray_generators)
+        }
+        slack = max(
+            (max(0, -min(d)) for plan in plans.values() for _, d in plan),
+            default=0,
+        )
+        pairs.append((tau_key, plans, slack))
+    keys = [c.ray_generators for c in cones]
+    return degree, keys, twists, pairs
+
+
+def _sections_at_level(s, invariants, level_k):
+    """The equalizer of the chart windows at one level, as the rank of
+    its sparse rows: one row per overlap coordinate, read off the images
+    of both sides' coordinates."""
+    cox = s.cox
+    degree, keys, twists, pairs = invariants
     windows = {
-        key: _Window(s, key, degree, twists(key), level_k * cox.m_exponents[key])
+        key: _Window(s, key, degree, twists[key], level_k * cox.m_exponents[key])
         for key in keys
     }
     offsets = {}
@@ -303,50 +324,31 @@ def _sections_at_level(s, alpha, mode, level_k):
         offsets[key] = total
         total += windows[key].size
     rows = []
-    for (k1, c1), (k2, c2) in combinations(list(zip(keys, cones)), 2):
-        tau_key = c1.intersect(c2).ray_generators
+    overlaps = {}
+    for tau_key, plans, slack in pairs:
         ztau = cox.zhat[tau_key]
-        tw_tau = twists(tau_key)
-        tau_pos = _sigma_positions(cox, tau_key)
-        plans = {
-            key: [_cover_twist(v, tw_tau, tau_pos) for v in windows[key].twists]
-            for key in (k1, k2)
-        }
-        slack = max(
-            (max(0, -min(d)) for plan in plans.values() for _, d in plan),
-            default=0,
-        )
-        needed = max(windows[k1].level, windows[k2].level) + slack
+        needed = max(windows[k].level for k in plans) + slack
         ktau = _overlap_level(cox, tau_key, needed)
-        wt = _Window(s, tau_key, degree, tw_tau, ktau)
-        images = {}
-        for key in (k1, k2):
+        if (tau_key, ktau) not in overlaps:
+            overlaps[tau_key, ktau] = _Window(s, tau_key, degree, twists[tau_key], ktau)
+        wt = overlaps[tau_key, ktau]
+        eq = {}
+        for key, sign in zip(plans, (_ONE, -_ONE)):
             w = windows[key]
             zs = cox.zhat[key]
-            cols = []
-            for (j, i, e) in w.coords:
+            off = offsets[key]
+            for jcol, (j, i, e) in enumerate(w.coords):
                 l, d = plans[key][j]
                 e2 = tuple(
                     a + b + ktau * zt - w.level * z
                     for a, b, zt, z in zip(e, d, ztau, zs)
                 )
-                vec = [Fraction(0)] * wt.size
-                vec[wt.index[(l, i, e2)]] = Fraction(1)
-                cols.append(wt.reduce(vec))
-            images[key] = cols
-        for t in range(wt.size):
-            row = [Fraction(0)] * total
-            for key, sign in ((k1, 1), (k2, -1)):
-                off = offsets[key]
-                for jcol, col in enumerate(images[key]):
-                    if col[t]:
-                        row[off + jcol] += sign * col[t]
-            if any(row):
-                rows.append(row)
-    null = ratlin.nullspace(rows, ncols=total)
+                for t, x in wt.image((l, i, e2)).items():
+                    eq.setdefault(t, {})[off + jcol] = sign * x
+        rows.extend(eq[t] for t in sorted(eq))
     trivial = sum(windows[k].sub_rank for k in keys)
-    dim = len(null) - trivial
-    return dim, (windows, offsets, total, null, keys)
+    dim = total - ratlin.rank(rows) - trivial
+    return dim, (windows, offsets, keys)
 
 
 def global_sections_degree(
@@ -361,9 +363,10 @@ def global_sections_degree(
     levels."""
     if mode not in ("via_shift", "via_twist"):
         raise ValueError(f"unknown mode {mode!r}")
+    invariants = _level_invariants(s, alpha, mode)
     prev = None
     for level in range(1, max_level + 1):
-        dim, internals = _sections_at_level(s, alpha, mode, level)
+        dim, internals = _sections_at_level(s, invariants, level)
         if prev is not None and dim == prev:
             return GlobalSectionsWindow(
                 degree=alpha,
@@ -387,33 +390,23 @@ def eta_component_is_bijective(s: SheafCoverPresentation, alpha) -> bool:
     f = s.origin
     cox = f.cox
     sec = global_sections_degree(s, alpha, mode="via_shift")
-    windows, offsets, total, _null, keys = sec.internals
+    windows, offsets, keys = sec.internals
     comp = degree_component(f, alpha)
     if comp.dimension != sec.dimension:
         return False
     # injectivity: a degree component element mapping into every chart's
     # quotient-by-zero subspace must already lie in the relation span
-    reduced_images = []
-    for (i, e) in comp.monomial_basis:
-        img = [Fraction(0)] * total
+    system = {}
+    for col, (i, e) in enumerate(comp.monomial_basis):
         for key in keys:
             w = windows[key]
             z = cox.zhat[key]
             e2 = tuple(a + w.level * b for a, b in zip(e, z))
-            vec = [Fraction(0)] * w.size
-            vec[w.index[(0, i, e2)]] = Fraction(1)
-            red = w.reduce(vec)
-            off = offsets[key]
-            for t, x in enumerate(red):
-                img[off + t] = x
-        reduced_images.append(img)
-    system = [
-        [reduced_images[j][t] for j in range(len(reduced_images))]
-        for t in range(total)
-    ]
-    kernel = ratlin.nullspace(system, ncols=len(reduced_images))
-    rel_rows = list(comp.relation_rows)
-    return all(ratlin.in_row_span(rel_rows, v) for v in kernel)
+            for t, x in w.image((0, i, e2)).items():
+                system.setdefault(offsets[key] + t, {})[col] = x
+    kernel = ratlin.nullspace(list(system.values()), ncols=len(comp.monomial_basis))
+    rel_rows = list(comp.relation_rows)  # independent: the pivot rows of an echelon
+    return ratlin.rank(rel_rows + kernel) == len(rel_rows)
 
 
 def xi_forward(g: GradedSubmodule) -> ChartSubmoduleFamily:
@@ -473,8 +466,7 @@ def xi_preimage(
                 coords,
                 index,
             )
-            red, piv = ratlin.rref(rows)
-            basis = red[: len(piv)]
+            basis = ratlin.dense(ratlin.echelon(rows).values(), len(coords))
             inter = basis if inter is None else ratlin.subspace_intersection(
                 inter, basis
             )

@@ -184,6 +184,22 @@ def cone_lattice_points(generators, rank, bound):
     return pts
 
 
+def polytope_lattice_count(rays, a, bound):
+    """Number of m in Z^n with <m, u_rho> >= -a_rho for every ray: the
+    dimension of H^0(O(D)) for D = sum a_rho D_rho on a complete toric
+    variety (Cox-Little-Schenck, Toric Varieties, section 4.3).  Scans
+    the box |m_j| <= bound and refuses when a point lies on its boundary,
+    since the box may then cut the polytope."""
+    pts = [
+        m
+        for m in product(range(-bound, bound + 1), repeat=len(rays[0]))
+        if all(_dot(m, u) >= -b for u, b in zip(rays, a))
+    ]
+    if any(abs(x) == bound for m in pts for x in m):
+        raise ValueError(f"polytope reaches the box |m_j| <= {bound}")
+    return len(pts)
+
+
 def hilbert_basis_by_reduction(generators, rank):
     """Hilbert basis of a pointed cone: the nonzero cone points x such that
     x − y is not a cone point for any other nonzero cone point y.
@@ -226,6 +242,70 @@ def monoid_generates(points, generators, workspace=None):
                 have.add(q)
                 frontier.append(q)
     return all(tuple(p) in have for p in points)
+
+
+# ---------------------------------------------------------------------------
+# Dense reduced row echelon form, one column at a time (the reference for
+# the package's sparse elimination)
+
+
+def _frac_rows(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
+    m = _frac_rows(rows)
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def subspace_intersection(rows_a, rows_b):
+    """Reduced echelon basis of (row span of A) ∩ (row span of B), from
+    the solutions (y, z) of y·A = z·B."""
+    if not rows_a or not rows_b:
+        return []
+    na, ncols = len(rows_a), len(rows_a[0])
+    system = [
+        [Fraction(r[c]) for r in rows_a] + [-Fraction(r[c]) for r in rows_b]
+        for c in range(ncols)
+    ]
+    red, piv = rref(system)
+    width = na + len(rows_b)
+    out = []
+    for f in (c for c in range(width) if c not in piv):
+        s = [Fraction(0)] * width
+        s[f] = Fraction(1)
+        for i, p in enumerate(piv):
+            s[p] = -red[i][f]
+        vec = [sum(s[i] * Fraction(rows_a[i][c]) for i in range(na)) for c in range(ncols)]
+        if any(vec):
+            out.append(vec)
+    red, piv = rref(out)
+    return red[: len(piv)]
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,32 @@ def test_parse_error_exit_code(tmp_path, p2):
         _validate(json.loads(out), "error")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["module", "sections", "{p2}", "--degrees", "1", "--mode", "foo"],
+        ["module", "sections", "{p2}"],
+        [],
+    ],
+    ids=["bad_choice", "missing_required", "no_command"],
+)
+def test_usage_error_is_parse_error_json(p2, capsys, args):
+    code = cli.main([a.format(p2=p2) for a in args])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_PARSE
+    assert err == ""
+    payload = json.loads(out)
+    _validate(payload, "error")
+    assert payload["error"]["type"] == "ParseError"
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["module", "sections", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: coxfan module sections")
+
+
 def _term(gen=0, exponent=(1, 0, 0)):
     return {"gen": gen, "exponent": list(exponent), "coefficient": "1"}
 
@@ -181,6 +207,31 @@ def test_sections_pinned_dimensions(p2):
     payload = json.loads(out)
     dims = [payload["dimensions"][str(d)]["dimension"] for d in range(4)]
     assert dims == [1, 3, 6, 10]
+
+
+@pytest.mark.parametrize("mode", ["via_shift", "via_twist"])
+def test_sections_of_a_conic(tmp_path, p2, mode):
+    # S / (Z1*Z2 - Z3^2) on P2 is the structure sheaf of a smooth conic,
+    # a P1 embedded by O(2): its degree-d sections number 2d + 1.
+    mod = tmp_path / "conic.json"
+    mod.write_text(
+        json.dumps(
+            {
+                "generator_degrees": [[0]],
+                "relations": [
+                    [
+                        {"gen": 0, "exponent": [1, 1, 0], "coefficient": "1"},
+                        {"gen": 0, "exponent": [0, 0, 2], "coefficient": "-1"},
+                    ]
+                ],
+            }
+        )
+    )
+    args = ["module", "sections", p2, "--module", str(mod), "--degrees", "0;1;2;3"]
+    code, out = _run(args + ["--mode", mode])
+    assert code == 0, out
+    payload = json.loads(out)
+    assert [payload["dimensions"][str(d)]["dimension"] for d in range(4)] == [1, 3, 5, 7]
 
 
 def test_chart_on_affine_quadric(quadric):

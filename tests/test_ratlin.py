@@ -1,0 +1,120 @@
+"""Sparse exact elimination against the dense column-by-column reference."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from coxfan import ratlin
+
+import oracles
+
+
+def _entry(rng):
+    x = rng.random()
+    if x < 0.5:
+        return rng.choice((1, -1))
+    if x < 0.8:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-3, 3), rng.randint(2, 3))
+
+
+def _matrix(rng, nrows, ncols, density):
+    return [
+        [_entry(rng) if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def _matrices():
+    """Seeded random rational matrices, with the edge shapes first."""
+    rng = random.Random(20261018)
+    out = [
+        [],
+        [[]],
+        [[0, 0, 0], [0, 0, 0]],
+        [[0] * 5],
+        [[3, 0, -1, 2]],
+        [[2], [0], [-1]],
+        [[1, 2], [1, 2], [2, 4]],
+    ]
+    for k in range(320):
+        shape = k % 5
+        if shape == 0:  # 1 x n and n x 1
+            nrows, ncols = (1, rng.randint(1, 9)) if k % 2 else (rng.randint(1, 9), 1)
+        elif shape == 1:  # wide
+            nrows, ncols = rng.randint(1, 4), rng.randint(8, 12)
+        elif shape == 2:  # tall
+            nrows, ncols = rng.randint(8, 12), rng.randint(1, 4)
+        else:
+            nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        m = _matrix(rng, nrows, ncols, rng.uniform(0.05, 1.0))
+        if k % 7 == 0:  # duplicate rows and a combination of two rows
+            m += [list(rng.choice(m))]
+            a, b = rng.choice(m), rng.choice(m)
+            m.append([x - 2 * y for x, y in zip(a, b)])
+        out.append(m)
+    return out
+
+
+def _times(rows, x):
+    return [sum(Fraction(a) * b for a, b in zip(r, x)) for r in rows]
+
+
+@pytest.fixture(scope="module")
+def cases():
+    """Each matrix with its reference rref."""
+    matrices = _matrices()
+    assert len(matrices) >= 300
+    return [(m, oracles.rref(m)) for m in matrices]
+
+
+def test_rref_matches_dense_reference(cases):
+    for m, reference in cases:
+        before = [list(r) for r in m]
+        red, piv = ratlin.rref(m)
+        assert (red, piv) == reference, m
+        assert all(type(x) is Fraction for r in red for x in r)
+        assert m == before
+        assert ratlin.rank(m) == len(piv)
+        sparse = [{c: x for c, x in enumerate(r) if x} for r in m]
+        assert ratlin.rank(sparse) == len(piv)
+
+
+def test_nullspace_vectors_are_solutions(cases):
+    for m, (_, piv) in cases:
+        ncols = len(m[0]) if m else 4
+        basis = ratlin.nullspace(m, ncols=ncols)
+        assert len(basis) == ncols - len(piv), m
+        assert all(not any(_times(m, x)) for x in basis)
+        assert len(oracles.rref(basis)[1]) == len(basis)
+
+
+def test_in_row_span_matches_reference(cases):
+    rng = random.Random(7)
+    for m, (_, piv) in cases:
+        ncols = len(m[0]) if m else 3
+        combo = [0] * ncols
+        for r in m:
+            c = rng.randint(-2, 2)
+            combo = [a + c * b for a, b in zip(combo, r)]
+        assert ratlin.in_row_span(m, combo), m
+        assert ratlin.in_row_span(m, [0] * ncols), m
+        v = _matrix(rng, 1, ncols, 0.6)[0]
+        want = len(oracles.rref(m + [v])[1]) == len(piv)
+        assert ratlin.in_row_span(m, v) is want, (m, v)
+
+
+def test_subspace_intersection_matches_reference(cases):
+    rng = random.Random(11)
+    for m, _ in cases:
+        if not m or not m[0]:
+            continue
+        ncols = len(m[0])
+        other = _matrix(rng, rng.randint(1, 4), ncols, rng.uniform(0.2, 1.0))
+        if rng.random() < 0.5:  # share a combination of the rows of m
+            coef = [rng.randint(-1, 1) for _ in m]
+            other.append([sum(k * r[c] for k, r in zip(coef, m)) for c in range(ncols)])
+        want = oracles.subspace_intersection(m, other)
+        assert ratlin.subspace_intersection(m, other) == want, (m, other)
+    assert ratlin.subspace_intersection([], [[1, 0]]) == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxfan import corpus, grading, sheaf
+from coxfan import corpus, grading, polyfan, sheaf
 from coxfan.cox import BaseRingFlags, build_cox
 from coxfan.gradmod import (
     GradedSubmodule,
@@ -181,3 +181,38 @@ def test_kill_power_is_exact_beyond_sixteen(p2_cox):
     q = quotient_by_monomial_ideal(p2_cox, [(0, 0, 17)])
     killed = [w.killed for w in sheafify(q).charts.values() if w.killed]
     assert killed == [{0: 17}]
+
+
+P1_CUBED = (
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)],
+)
+DP6 = (
+    [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+    [[i, (i + 1) % 6] for i in range(6)],
+)
+
+
+def _line_bundle_cover(rays, max_cones):
+    fan = polyfan.build_fan(len(rays[0]), rays, max_cones)
+    g = grading.build_grading(fan)
+    return g, sheafify(free_module(build_cox(g, subgroup_of_whole_group(g))))
+
+
+def test_sections_on_p1_cubed_match_lattice_points():
+    rays, max_cones = P1_CUBED
+    g, cover = _line_bundle_cover(rays, max_cones)
+    a = (1, 0, 1, 0, 1, 0)
+    win = global_sections_degree(cover, g.a_map(a), mode="via_shift")
+    assert win.dimension == oracles.polytope_lattice_count(rays, a, 3) == 8
+
+
+def test_dp6_twist_agrees_with_shift_and_lattice_points():
+    rays, max_cones = DP6
+    g, cover = _line_bundle_cover(rays, max_cones)
+    a = (1, 0, 0, 0, 0, 0)
+    dims = {
+        mode: global_sections_degree(cover, g.a_map(a), mode=mode).dimension
+        for mode in ("via_shift", "via_twist")
+    }
+    assert dims == dict.fromkeys(dims, oracles.polytope_lattice_count(rays, a, 3))
