@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -554,7 +555,13 @@ def cmd_sheaf_lift(args):
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as ParseError JSON (exit 2) instead of
-    usage text; the subcommand parsers inherit the class."""
+    usage text; the subcommand parsers inherit the class.  A coordinate
+    list that starts with a negative number, such as '-1;0;1' or
+    '-1,0;0,2', is read as a value, not as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d*\.\d+$|^-\d[\d,;\s-]*$")
 
     def error(self, message):
         raise ParseError(message)

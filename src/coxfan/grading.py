@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 from .intlat import (
     INFINITE,
@@ -21,7 +20,7 @@ from .intlat import (
     subgroup_index,
     subgroup_leq,
 )
-from .polyfan import Fan
+from .polyfan import Fan, fm_combine
 
 
 class UnboundedFiber(ValueError):
@@ -170,9 +169,8 @@ def _projections(m):
         rows = {r for r in rows if r[0][j] == 0}
         for a, la in pos:
             for c, lc in neg:
-                row = [-c[j] * x + a[j] * y for x, y in zip(a + la, c + lc)]
-                d = gcd(*row)
-                rows.add((tuple(x // d for x in row[:k]), tuple(x // d for x in row[k:])))
+                row = fm_combine(a + la, c + lc, j)
+                rows.add((row[:k], row[k:]))
     levels.append(tuple(rows))
     return tuple(reversed(levels))
 

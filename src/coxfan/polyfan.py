@@ -2,7 +2,7 @@
 
 Cones are given by primitive integer ray generators; conversion between
 generator and inequality descriptions goes through Fourier-Motzkin
-elimination with exact rational arithmetic.  Hilbert bases are computed by
+elimination on primitive integer rows.  Hilbert bases are computed by
 bounded lattice enumeration in exact integer arithmetic.  Everything is
 capped at ambient rank 6; the algorithms here are enumeration-based and
 meant for desk-scale inputs.
@@ -11,9 +11,8 @@ meant for desk-scale inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 from . import ratlin
@@ -46,47 +45,43 @@ def _check_rank(n):
 def primitive(v):
     """Primitive integer vector on the same ray."""
     v = tuple(int(x) for x in v)
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return v
-    return tuple(x // g for x in v)
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g else v
 
 
 # --- Fourier-Motzkin machinery -------------------------------------------
 
-def _fm_eliminate(eqs, ineqs, idx):
-    """Eliminate coordinate idx from a system of equations and inequalities.
+def fm_combine(fp, fn, idx):
+    """The primitive combination of a row with fp[idx] > 0 and a row with
+    fn[idx] < 0 that cancels coordinate idx; both enter with a positive
+    multiplier, so the result is implied by the two inequalities."""
+    return primitive([fp[idx] * b - fn[idx] * a for a, b in zip(fp, fn)])
 
-    Each constraint is a rational vector; eqs mean v.x = 0, ineqs v.x >= 0.
+
+def _fm_eliminate(eqs, ineqs, idx):
+    """Eliminate coordinate idx from integer equations e.x = 0 and
+    inequalities f.x >= 0.
+
+    Rows come out primitive and deduplicated in order.  Each is a positive
+    multiple of the row that rational elimination (dividing by the pivot)
+    would give, so the primitive rows do not depend on the arithmetic.
     """
-    pivot = None
-    for e in eqs:
-        if e[idx] != 0:
-            pivot = e
-            break
-    out_eqs, out_ineqs = [], []
+    pivot = next((e for e in eqs if e[idx]), None)
     if pivot is not None:
         p = pivot[idx]
-        for e in eqs:
-            if e is pivot:
-                continue
-            out_eqs.append([x - e[idx] * y / p for x, y in zip(e, pivot)])
-        for f in ineqs:
-            out_ineqs.append([x - f[idx] * y / p for x, y in zip(f, pivot)])
+        s = 1 if p > 0 else -1
+
+        def cancel(e):
+            return primitive([(x * p - e[idx] * y) * s for x, y in zip(e, pivot)])
+
+        eqs = [cancel(e) for e in eqs if e is not pivot]
+        ineqs = [cancel(f) for f in ineqs]
     else:
         pos = [f for f in ineqs if f[idx] > 0]
         neg = [f for f in ineqs if f[idx] < 0]
-        zer = [f for f in ineqs if f[idx] == 0]
-        out_eqs = list(eqs)
-        out_ineqs = list(zer)
-        for fp in pos:
-            for fn in neg:
-                out_ineqs.append(
-                    [fp[idx] * b - fn[idx] * a for a, b in zip(fp, fn)]
-                )
-    return out_eqs, out_ineqs
+        ineqs = [f for f in ineqs if f[idx] == 0]
+        ineqs += [fm_combine(fp, fn, idx) for fp in pos for fn in neg]
+    return _prune(eqs), _prune(ineqs)
 
 
 def _normalize_int(vec):
@@ -115,48 +110,25 @@ def cone_inequalities(generators, rank):
 
     The cone is {x : f.x >= 0 for f in ineqs, e.x = 0 for e in eqs}.
     Obtained by eliminating the multiplier variables lambda from
-    {x = sum lambda_i g_i, lambda >= 0} with Fourier-Motzkin.
+    {x = sum lambda_i g_i, lambda >= 0} with Fourier-Motzkin, in integers.
     """
     _check_rank(rank)
     gens = [tuple(g) for g in generators]
     k = len(gens)
-    width = rank + k
-    eqs = []
-    for c in range(rank):
-        row = [Fraction(0)] * width
-        row[c] = Fraction(1)
-        for i, g in enumerate(gens):
-            row[rank + i] = Fraction(-g[c])
-        eqs.append(row)
-    ineqs = []
-    for i in range(k):
-        row = [Fraction(0)] * width
-        row[rank + i] = Fraction(1)
-        ineqs.append(row)
-    for i in range(k):
-        eqs, ineqs = _fm_eliminate(eqs, ineqs, rank + k - 1 - i)
-        ineqs = [f for f in _dedup_frac(ineqs)]
-    out_ineq = _prune([_normalize_int(f[:rank]) for f in ineqs])
-    out_eq_rows = [f[:rank] for f in eqs]
+    eqs = [
+        tuple(int(c == j) for j in range(rank)) + tuple(-g[c] for g in gens)
+        for c in range(rank)
+    ]
+    ineqs = [tuple(int(j == rank + i) for j in range(rank + k)) for i in range(k)]
+    for idx in reversed(range(rank, rank + k)):
+        eqs, ineqs = _fm_eliminate(eqs, ineqs, idx)
+    out_ineq = _prune([primitive(f[:rank]) for f in ineqs])
     # Canonical independent set of equality normals.
-    red, piv = ratlin.rref(out_eq_rows)
+    red, piv = ratlin.rref([f[:rank] for f in eqs])
     out_eq = [_normalize_int(red[i]) for i in range(len(piv))]
     # Inequalities implied by the equalities are redundant.
     out_ineq = [f for f in out_ineq if not ratlin.in_row_span(out_eq, f)]
     return out_ineq, out_eq
-
-
-def _dedup_frac(rows):
-    seen = set()
-    out = []
-    for r in rows:
-        if all(x == 0 for x in r):
-            continue
-        key = _normalize_int(list(r))
-        if key not in seen:
-            seen.add(key)
-            out.append([Fraction(x) for x in key])
-    return out
 
 
 def cone_generators_from_inequalities(ineqs, eqs, rank):
@@ -433,7 +405,15 @@ class FanProperties:
 
 
 def validate_fan(max_cones, ray_order=None) -> Fan:
-    """Close under faces, deduplicate, and verify the fan axioms."""
+    """Close under faces, deduplicate, and verify the fan axioms.
+
+    Only pairs of the given cones are intersected, and that is a full
+    check.  Let F = σ∩σ′ be a face of both σ and σ′, and let τ ≤ σ and
+    τ′ ≤ σ′.  Then τ∩F and τ′∩F are faces of F, so their intersection
+    τ∩τ′ is a face of F, hence of σ.  It lies in τ, so it is a face of τ
+    (Cox-Little-Schenck, Toric Varieties, §1.2); the same holds for τ′.
+    Two faces of one given cone always meet in a common face.
+    """
     if not max_cones:
         return Fan(0 if ray_order is None else 0, (), ())
     rank = max_cones[0].ambient_rank
@@ -443,35 +423,21 @@ def validate_fan(max_cones, ray_order=None) -> Fan:
             raise FanInvalid("mixed ambient ranks")
         if not c.is_pointed():
             raise NonPointed(f"cone {c.ray_generators} contains a line")
-    all_cones = {}
-    for c in max_cones:
-        for f in c.faces():
-            all_cones[f.ray_generators] = f
+    faces = [c.faces() for c in max_cones]
+    all_cones = {f.ray_generators: f for fs in faces for f in fs}
     cones = sorted(
         all_cones.values(), key=lambda c: (len(c.ray_generators), c.ray_generators)
     )
-    for i, a in enumerate(cones):
-        for b in cones[i + 1 :]:
-            inter = a.intersect(b)
-            if inter.ray_generators not in all_cones:
-                raise FanInvalid(
-                    f"cones {a.ray_generators} and {b.ray_generators} "
-                    f"intersect in a non-face {inter.ray_generators}"
-                )
-            if not (
-                set(inter.ray_generators) <= set(a.ray_generators)
-                and set(inter.ray_generators) <= set(b.ray_generators)
-            ):
-                raise FanInvalid("intersection is not a common face")
-            # A common face must arise by cutting with a supporting hyperplane;
-            # for pointed cones subset-of-rays + membership in the face list of
-            # both suffices.
-            if not any(
-                f.ray_generators == inter.ray_generators for f in a.faces()
-            ) or not any(
-                f.ray_generators == inter.ray_generators for f in b.faces()
-            ):
-                raise FanInvalid("intersection is not a common face")
+    face_keys = [{f.ray_generators for f in fs} for fs in faces]
+    for (a, keys_a), (b, keys_b) in combinations(zip(max_cones, face_keys), 2):
+        inter = a.intersect(b).ray_generators
+        if inter not in all_cones:
+            raise FanInvalid(
+                f"cones {a.ray_generators} and {b.ray_generators} "
+                f"intersect in a non-face {inter}"
+            )
+        if inter not in keys_a or inter not in keys_b:
+            raise FanInvalid("intersection is not a common face")
     if ray_order is None:
         seen = []
         for c in max_cones:
@@ -538,16 +504,13 @@ def fan_properties(f: Fan) -> FanProperties:
         is_complete = bool(maximal) and all(c.dim() == n for c in maximal)
         if is_complete:
             walls = [c for c in f.cones if c.dim() == n - 1]
-            tops = [c for c in f.cones if c.dim() == n]
+            top_faces = [
+                {fc.ray_generators for fc in t.faces()}
+                for t in f.cones
+                if t.dim() == n
+            ]
             for w in walls:
-                count = sum(
-                    1
-                    for t in tops
-                    if set(w.ray_generators) <= set(t.ray_generators)
-                    and any(
-                        fc.ray_generators == w.ray_generators for fc in t.faces()
-                    )
-                )
+                count = sum(w.ray_generators in keys for keys in top_faces)
                 if count != 2:
                     is_complete = False
                     break

@@ -291,7 +291,8 @@ def _level_invariants(s, alpha, mode):
     twists = {c.ray_generators: twist(c.ray_generators) for c in cones}
     pairs = []
     for c1, c2 in combinations(cones, 2):
-        tau_key = c1.intersect(c2).ray_generators
+        # In a fan σ∩τ is a common face: the cone on the shared rays.
+        tau_key = tuple(g for g in c1.ray_generators if g in c2.ray_generators)
         if tau_key not in twists:
             twists[tau_key] = twist(tau_key)
         tau_pos = _sigma_positions(cox, tau_key)

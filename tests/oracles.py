@@ -309,6 +309,185 @@ def subspace_intersection(rows_a, rows_b):
 
 
 # ---------------------------------------------------------------------------
+# Fourier–Motzkin on Fraction rows, dividing by each equation pivot (the
+# reference for the package's integer elimination, whose rows are positive
+# multiples of these and so normalise to the same primitive rows)
+
+
+def _primitive(v):
+    v = tuple(int(x) for x in v)
+    g = 0
+    for x in v:
+        g = gcd(g, abs(x))
+    if g == 0:
+        return v
+    return tuple(x // g for x in v)
+
+
+def _fm_eliminate(eqs, ineqs, idx):
+    """Eliminate coordinate idx from a system of equations and inequalities.
+
+    Each constraint is a rational vector; eqs mean v.x = 0, ineqs v.x >= 0.
+    """
+    pivot = None
+    for e in eqs:
+        if e[idx] != 0:
+            pivot = e
+            break
+    out_eqs, out_ineqs = [], []
+    if pivot is not None:
+        p = pivot[idx]
+        for e in eqs:
+            if e is pivot:
+                continue
+            out_eqs.append([x - e[idx] * y / p for x, y in zip(e, pivot)])
+        for f in ineqs:
+            out_ineqs.append([x - f[idx] * y / p for x, y in zip(f, pivot)])
+    else:
+        pos = [f for f in ineqs if f[idx] > 0]
+        neg = [f for f in ineqs if f[idx] < 0]
+        zer = [f for f in ineqs if f[idx] == 0]
+        out_eqs = list(eqs)
+        out_ineqs = list(zer)
+        for fp in pos:
+            for fn in neg:
+                out_ineqs.append(
+                    [fp[idx] * b - fn[idx] * a for a, b in zip(fp, fn)]
+                )
+    return out_eqs, out_ineqs
+
+
+def _normalize_int(vec):
+    """Clear denominators and make primitive, keeping orientation."""
+    den = 1
+    for x in vec:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in vec]
+    return _primitive(ints)
+
+
+def _prune(vectors):
+    seen = set()
+    out = []
+    for v in vectors:
+        if all(x == 0 for x in v):
+            continue
+        if v not in seen:
+            seen.add(v)
+            out.append(v)
+    return out
+
+
+def _in_row_span(rows, v):
+    return len(rref(list(rows) + [v])[1]) == len(rref(rows)[1])
+
+
+def cone_inequalities(generators, rank):
+    """H-representation of cone(generators): (inequality normals, equality normals).
+
+    The cone is {x : f.x >= 0 for f in ineqs, e.x = 0 for e in eqs}.
+    Obtained by eliminating the multiplier variables lambda from
+    {x = sum lambda_i g_i, lambda >= 0} with Fourier-Motzkin.
+    """
+    gens = [tuple(g) for g in generators]
+    k = len(gens)
+    width = rank + k
+    eqs = []
+    for c in range(rank):
+        row = [Fraction(0)] * width
+        row[c] = Fraction(1)
+        for i, g in enumerate(gens):
+            row[rank + i] = Fraction(-g[c])
+        eqs.append(row)
+    ineqs = []
+    for i in range(k):
+        row = [Fraction(0)] * width
+        row[rank + i] = Fraction(1)
+        ineqs.append(row)
+    for i in range(k):
+        eqs, ineqs = _fm_eliminate(eqs, ineqs, rank + k - 1 - i)
+        ineqs = [f for f in _dedup_frac(ineqs)]
+    out_ineq = _prune([_normalize_int(f[:rank]) for f in ineqs])
+    out_eq_rows = [f[:rank] for f in eqs]
+    # Canonical independent set of equality normals.
+    red, piv = rref(out_eq_rows)
+    out_eq = [_normalize_int(red[i]) for i in range(len(piv))]
+    # Inequalities implied by the equalities are redundant.
+    out_ineq = [f for f in out_ineq if not _in_row_span(out_eq, f)]
+    return out_ineq, out_eq
+
+
+def _dedup_frac(rows):
+    seen = set()
+    out = []
+    for r in rows:
+        if all(x == 0 for x in r):
+            continue
+        key = _normalize_int(list(r))
+        if key not in seen:
+            seen.add(key)
+            out.append([Fraction(x) for x in key])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Fans in the plane by angular intervals
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _arc(cone):
+    """A pointed cone in Z^2 as (kind, rays): the zero cone, a ray (u,),
+    or a 2-dimensional cone (u, v) turning counterclockwise from u to v
+    through less than a half turn.  Generators on one ray collapse."""
+    gens = [_primitive(g) for g in cone if any(g)]
+    rays = sorted(set(gens))
+    if not rays:
+        return ()
+    for u in rays:
+        for v in rays:
+            # u and v bound the cone iff every generator lies in the
+            # closed angle from u counterclockwise to v
+            if _cross(u, v) > 0 and all(
+                _cross(u, w) >= 0 and _cross(w, v) >= 0 for w in rays
+            ):
+                return (u, v)
+    if len(rays) == 1:
+        return (rays[0],)
+    raise ValueError(f"not a pointed cone: {cone}")
+
+
+def _strictly_inside(w, arc):
+    u, v = arc
+    return _cross(u, w) > 0 and _cross(w, v) > 0
+
+
+def plane_fan_is_valid(cones):
+    """Whether pointed cones in Z^2 (lists of generators) form a fan: any
+    two meet in a common face.  Two angles of less than a half turn meet
+    in more than a shared bounding ray iff they are equal or a bounding
+    ray of one lies strictly inside the other; a ray breaks a fan iff it
+    lies strictly inside a 2-dimensional cone."""
+    arcs = [_arc(c) for c in cones]
+    for i, a in enumerate(arcs):
+        for b in arcs[i + 1 :]:
+            if len(a) == 2 and len(b) == 2:
+                if a == b:
+                    continue
+                if any(_strictly_inside(w, a) for w in b) or any(
+                    _strictly_inside(w, b) for w in a
+                ):
+                    return False
+            elif len(a) == 2 and len(b) == 1 and _strictly_inside(b[0], a):
+                return False
+            elif len(b) == 2 and len(a) == 1 and _strictly_inside(a[0], b):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Exact dense linear solve (for small Cartier-data systems)
 
 

@@ -234,6 +234,33 @@ def test_sections_of_a_conic(tmp_path, p2, mode):
     assert [payload["dimensions"][str(d)]["dimension"] for d in range(4)] == [1, 3, 5, 7]
 
 
+@pytest.mark.parametrize("form", ["separate", "equals"])
+def test_degrees_may_start_with_a_negative_degree(p2, form):
+    # The help text's own example: '-1;0;1' is a value, not an option.
+    flag = ["--degrees", "-1;0;1"] if form == "separate" else ["--degrees=-1;0;1"]
+    code, out = _run(["module", "sections", p2, *flag])
+    assert code == 0, out
+    payload = json.loads(out)
+    _validate(payload, "module_sections")
+    assert [payload["dimensions"][d]["dimension"] for d in ("-1", "0", "1")] == [0, 1, 3]
+
+
+@pytest.mark.parametrize("form", ["separate", "equals"])
+def test_window_may_start_with_a_negative_degree(p2, form):
+    flag = ["--window", "-1;0;1;2"] if form == "separate" else ["--window=-1;0;1;2"]
+    code, out = _run(["sheaf", "xi-check", p2, "--ideal", "Z1", *flag])
+    assert code == 0, out
+    _validate(json.loads(out), "sheaf_xi_check")
+
+
+def test_negative_rank_two_degree_list():
+    p1xp1 = str(corpus.fixture_path("p1xp1"))
+    code, out = _run(["module", "sections", p1xp1, "--degrees", "-1,0;0,1"])
+    assert code == 0, out
+    dims = json.loads(out)["dimensions"]
+    assert {d: v["dimension"] for d, v in dims.items()} == {"-1,0": 0, "0,1": 2}
+
+
 def test_chart_on_affine_quadric(quadric):
     code, out = _run(["chart", quadric, "--cone", "0,1,2,3"])
     assert code == 0

@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -17,6 +17,8 @@ from coxfan.polyfan import (
     Cone,
     FanInvalid,
     build_fan,
+    cone_generators_from_inequalities,
+    cone_inequalities,
     dual_cone,
     fan_properties,
     hilbert_basis,
@@ -193,3 +195,192 @@ def test_properties_three_rays():
 def test_validate_preserves_ray_order():
     fan = build_fan(2, [(0, 1), (1, 0), (-1, -1)], [[0, 1], [1, 2], [2, 0]])
     assert list(fan.ray_index) == [(0, 1), (1, 0), (-1, -1)]
+
+
+# --- Integer Fourier-Motzkin against the Fraction reference ---------------
+
+
+def _generator_sets():
+    """Seeded generator lists in ranks 1-4, with zero and duplicate
+    generators, opposite pairs (non-pointed cones) and fewer generators
+    than the rank (lower-dimensional cones)."""
+    rng = random.Random(20261018)
+    out = [[], [(0,)], [(0, 0), (0, 0)], [(1, 0), (-1, 0)], [(2, 0, 0), (1, 0, 0)]]
+    for k in range(240):
+        rank = 1 + k % 4
+        entry = 3 if rank < 4 else 2
+        gens = [
+            tuple(rng.randint(-entry, entry) for _ in range(rank))
+            for _ in range(rng.randint(1, rank + 2))
+        ]
+        shape = k % 6
+        if shape == 1:
+            gens.append((0,) * rank)
+        elif shape == 2:
+            gens.append(rng.choice(gens))
+        elif shape == 3:
+            gens.append(tuple(-x for x in rng.choice(gens)))
+        elif shape == 4:
+            gens.append(tuple(2 * x for x in rng.choice(gens)))
+        rng.shuffle(gens)
+        out.append(gens)
+    return out
+
+
+def test_cone_inequalities_rows_and_order_match_fraction_reference():
+    for gens in _generator_sets():
+        rank = len(gens[0]) if gens else 2
+        assert cone_inequalities(gens, rank) == oracles.cone_inequalities(gens, rank), gens
+
+
+def _box(rank, r):
+    return list(product(range(-r, r + 1), repeat=rank))
+
+
+def test_cone_generators_from_inequalities_against_oracle():
+    rng = random.Random(7)
+    for k in range(80):
+        rank = 2 + k % 2
+        ineqs = [
+            tuple(rng.randint(-2, 2) for _ in range(rank))
+            for _ in range(rng.randint(0, rank + 1))
+        ]
+        eqs = [tuple(rng.randint(-2, 2) for _ in range(rank))] if k % 3 == 0 else []
+        rays, lin = cone_generators_from_inequalities(ineqs, eqs, rank)
+        gens = list(rays) + list(lin) + [tuple(-x for x in v) for v in lin]
+        halfspaces = oracles.cone_halfspaces(gens, rank) if gens else None
+        for v in _box(rank, 3):
+            inside = oracles.in_halfspaces(v, ineqs) and not any(
+                sum(a * b for a, b in zip(e, v)) for e in eqs
+            )
+            got = oracles.in_halfspaces(v, halfspaces) if gens else not any(v)
+            assert got == inside, (ineqs, eqs, v)
+
+
+def test_cone_intersect_against_oracle():
+    for rank, seed in ((2, 1), (3, 2)):
+        entry = 4 if rank == 2 else 2
+        cones = _random_pointed_cones(seed, rank, rank, entry, 12)
+        for a, b in zip(cones[::2], cones[1::2]):
+            inter = Cone.make(rank, a).intersect(Cone.make(rank, b))
+            ha, hb = oracles.cone_halfspaces(a, rank), oracles.cone_halfspaces(b, rank)
+            hi = oracles.cone_halfspaces(list(inter.ray_generators), rank)
+            for v in _box(rank, 3 if rank == 3 else 5):
+                expect = oracles.in_halfspaces(v, ha) and oracles.in_halfspaces(v, hb)
+                got = oracles.in_halfspaces(v, hi) if inter.ray_generators else not any(v)
+                assert got == expect, (a, b, v)
+
+
+# --- Fan validation against the angular-interval oracle --------------------
+
+
+def _plane_fan(rng):
+    """P2 or F_a (a <= 3) after up to four random star subdivisions, as a
+    counterclockwise list of two-dimensional cones (u, v)."""
+    if rng.random() < 0.3:
+        rays = [(1, 0), (0, 1), (-1, -1)]
+    else:
+        rays = [(1, 0), (0, 1), (-1, rng.randint(0, 3)), (0, -1)]
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randrange(len(rays))
+        u, v = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+    return [(rays[i], rays[(i + 1) % len(rays)]) for i in range(len(rays))]
+
+
+def _plane_collections():
+    """(cones, valid by construction or None): half are subdivided fans,
+    some with a face of a cone also given; half add a crossing cone, a ray
+    strictly inside a cone, a smaller cone inside a cone, or a random one."""
+    rng = random.Random(11)
+    out = []
+    for k in range(120):
+        cones = [list(c) for c in _plane_fan(rng)]
+        u, v = rng.choice(cones)
+        w = (u[0] + v[0], u[1] + v[1])
+        kind = k % 8
+        expect = True
+        if kind == 1:
+            cones.append([u])
+        elif kind == 2:
+            cones.append([u, v])
+        elif kind == 4:
+            j = next(i for i, c in enumerate(cones) if c[0] == v)
+            x = cones[j][1]
+            a, b = w, (v[0] + x[0], v[1] + x[1])
+            if a[0] * b[1] - a[1] * b[0] > 0:
+                cones.append([a, b])  # v lies strictly inside
+            else:
+                cones.append([w])
+            expect = False
+        elif kind == 5:
+            cones.append([w])
+            expect = False
+        elif kind == 6:
+            cones.append([u, w])
+            expect = False
+        elif kind == 7:
+            a, b = [tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2)]
+            if a[0] * b[1] - a[1] * b[0] == 0:
+                continue
+            cones.append([a, b])
+            expect = None
+        rng.shuffle(cones)
+        out.append((cones, expect))
+    return out
+
+
+def test_plane_fan_validation_agrees_with_angular_oracle():
+    verdicts = []
+    for cones, expect in _plane_collections():
+        valid = oracles.plane_fan_is_valid(cones)
+        if expect is not None:
+            assert valid == expect, cones
+        try:
+            validate_fan([Cone.make(2, c) for c in cones])
+            raised = False
+        except FanInvalid:
+            raised = True
+        assert raised == (not valid), cones
+        verdicts.append(valid)
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
+
+
+E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+P3_CONES = [list(c) for c in combinations([E1, E2, E3, (-1, -1, -1)], 3)]
+CUBE_CONES = [[a, b, c] for a in (E1, (-1, 0, 0)) for b in (E2, (0, -1, 0)) for c in (E3, (0, 0, -1))]
+RANK3_CASES = {
+    "p3_face_given": (P3_CONES + [[E1, E2]], True),
+    "p3_ray_inside_a_cone": (P3_CONES + [[(1, 1, 1)]], False),
+    "p3_ray_inside_a_face": (P3_CONES + [[(1, 1, 0)]], False),
+    "p3_smaller_cone_inside_a_cone": (P3_CONES + [[E1, (1, 1, 1)]], False),
+    "p3_shrunk_cone": ([[(1, 1, 0), E2, E3]] + [c for c in P3_CONES if c != [E1, E2, E3]], False),
+    "cube_ray_given": (CUBE_CONES + [[E1]], True),
+    "cube_cone_inside_an_orthant": (CUBE_CONES + [[(1, 1, 0), E3]], False),
+    "cube_cone_across_orthants": (CUBE_CONES + [[(1, 1, 1), (-1, 1, 1), E2]], False),
+}
+
+
+@pytest.mark.parametrize("name", list(RANK3_CASES))
+def test_rank_three_fan_variants(name):
+    cones, valid = RANK3_CASES[name]
+    if valid:
+        validate_fan([Cone.make(3, c) for c in cones])
+    else:
+        with pytest.raises(FanInvalid):
+            validate_fan([Cone.make(3, c) for c in cones])
+
+
+@pytest.mark.parametrize("cones", [CUBE_CONES, P3_CONES + [[E1]]], ids=["p1cubed", "p3_and_a_ray"])
+def test_validation_intersects_only_pairs_of_given_cones(monkeypatch, cones):
+    calls = []
+    intersect = Cone.intersect
+
+    def counting(self, other):
+        calls.append(1)
+        return intersect(self, other)
+
+    monkeypatch.setattr(Cone, "intersect", counting)
+    validate_fan([Cone.make(3, c) for c in cones])
+    k = len(cones)
+    assert 0 < len(calls) <= k * (k - 1) // 2
