@@ -25,6 +25,7 @@ from coxfan.groeb import (  # noqa: E402
     POT,
     _s_vector,
     m_is_zero,
+    m_leading_term,
     m_normal_form,
     module_groebner_basis,
     poly,
@@ -90,8 +91,9 @@ def random_ideal(rng):
 
 def check_ideal(rng):
     gb = module_groebner_basis(random_ideal(rng), POT)
+    lts = [m_leading_term(g, POT) for g in gb]
     return all(
-        m_is_zero(m_normal_form(_s_vector(gb[i], gb[j], POT), gb, POT))
+        m_is_zero(m_normal_form(_s_vector(gb[i], gb[j], lts[i], lts[j]), gb, POT))
         for i in range(len(gb))
         for j in range(i + 1, len(gb))
     )

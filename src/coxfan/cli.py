@@ -14,7 +14,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import cox, gradmod, grading, groeb, polyfan, schemeprops, sheaf
+from . import cox, gradmod, grading, polyfan, schemeprops, sheaf
 from .cox import BASE_RING_FLAG_NAMES, BaseRingFlags
 from .intlat import INFINITE
 
@@ -39,7 +39,6 @@ DOMAIN_ERRORS = (
     cox.NotBig,
     cox.ConeNotInFan,
     grading.UnboundedFiber,
-    groeb.SaturationCapExceeded,
     sheaf.Unstabilized,
     ValidationError,
 )

@@ -22,7 +22,6 @@ from .groeb import (
     module_groebner_basis,
     module_intersection,
     module_saturate_element,
-    module_saturate_ideal_iterated,
     submodule_equal,
 )
 
@@ -211,11 +210,10 @@ def minimalize_submodule_generators(sub: GradedSubmodule) -> GradedSubmodule:
     return GradedSubmodule(sub.ambient, tuple(gens))
 
 
-def saturate_submodule(g: GradedSubmodule, use_iterated_fallback=False) -> GradedSubmodule:
+def saturate_submodule(g: GradedSubmodule) -> GradedSubmodule:
     """The smallest enlargement stable under colon by the restricted
     irrelevant ideal.  Computed as the intersection of the saturations by
-    the single cone monomials of the maximal cones; the iterated-colon
-    route is available as a cross-check."""
+    the single cone monomials of the maximal cones."""
     f = g.ambient
     cox = f.cox
     rank, nvars = f.rank, f.nvars
@@ -224,19 +222,13 @@ def saturate_submodule(g: GradedSubmodule, use_iterated_fallback=False) -> Grade
     if _is_monomial_context(g):
         return GradedSubmodule(f, _monomial_saturation(g, zhats))
     gens = g.with_relations()
-    if use_iterated_fallback:
-        ib = [
-            {tuple(e): Fraction(1)} for e in cox.restricted_irrelevant_generators
-        ]
-        sat = module_saturate_ideal_iterated(gens, ib, rank, nvars)
-    else:
-        sat = None
-        for z in zhats:
-            zp = {tuple(z): Fraction(1)}
-            part = module_saturate_element(gens, zp, rank, nvars)
-            sat = part if sat is None else module_intersection(sat, part, nvars)
-        if sat is None:
-            sat = gens
+    sat = None
+    for z in zhats:
+        zp = {tuple(z): Fraction(1)}
+        part = module_saturate_element(gens, zp, rank, nvars)
+        sat = part if sat is None else module_intersection(sat, part, nvars)
+    if sat is None:
+        sat = gens
     out = GradedSubmodule(f, tuple(x for x in sat if not m_is_zero(x)))
     return minimalize_submodule_generators(out)
 

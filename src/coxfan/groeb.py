@@ -3,8 +3,10 @@
 Polynomials are dicts mapping exponent tuples to nonzero Fractions.  Module
 elements are tuples of polynomials against a free basis; module orders are
 position-over-term.  An ideal is the rank-1 case, elements ``(p,)``.
-Elimination uses a block order on a leading group of variables.  Plain
-Buchberger is plenty at the scales this library targets.
+Elimination uses a block order on a leading tag variable t.  Buchberger
+keeps each basis element's leading term and skips pairs of two single
+terms, whose S-vector is zero.  Saturation by one element f is a single
+basis: the t-free part of N + (1 - t*f)*F (Cox-Little-O'Shea, Ch. 4 §4).
 """
 
 from __future__ import annotations
@@ -12,13 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-
-
-class SaturationCapExceeded(RuntimeError):
-    pass
-
-
-ITERATION_CAP = 64
 
 
 # --- polynomial arithmetic ------------------------------------------------
@@ -61,21 +56,6 @@ def p_term_mul(p, e, c):
     return {tuple(a + b for a, b in zip(e, m)): c * x for m, x in p.items()}
 
 
-def p_divexact(p, f):
-    """Exact quotient p / f; raises if the division leaves a remainder."""
-    le, lc = leading_term(f, GREVLEX)
-    quot = {}
-    work = dict(p)
-    while work:
-        e, c = leading_term(work, GREVLEX)
-        if not _divides(le, e):
-            raise ValueError("division is not exact")
-        q_e = tuple(a - b for a, b in zip(e, le))
-        quot[q_e] = c / lc
-        work = p_sub(work, p_term_mul(f, q_e, c / lc))
-    return quot
-
-
 # --- monomial orders ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -96,11 +76,6 @@ def _grevlex_key(e):
 
 
 GREVLEX = MonomialOrder(0)
-
-
-def leading_term(p, order):
-    e = max(p, key=order.key)
-    return e, p[e]
 
 
 def _divides(e, m):
@@ -185,10 +160,13 @@ def m_leading_term(x, order):
     return best  # ((pos, exp), coeff) or None
 
 
-def m_normal_form(x, basis, order):
+def m_normal_form(x, basis, order, lts=None):
+    """Remainder of x on division by basis.  `lts`, when given, holds the
+    leading term of each basis element."""
     work = tuple(dict(p) for p in x)
     rem = tuple({} for _ in x)
-    lts = [m_leading_term(b, order) for b in basis]
+    if lts is None:
+        lts = [m_leading_term(b, order) for b in basis]
     while not m_is_zero(work):
         (pos, e), c = m_leading_term(work, order)
         hit = False
@@ -209,10 +187,11 @@ def m_normal_form(x, basis, order):
     return rem
 
 
-def _s_vector(f, g, order):
-    """S-vector of two elements whose leading terms share a position."""
-    (_, ef), cf = m_leading_term(f, order)
-    (_, eg), cg = m_leading_term(g, order)
+def _s_vector(f, g, lt_f, lt_g):
+    """S-vector of two elements whose leading terms, lt_f and lt_g, share a
+    position."""
+    (_, ef), cf = lt_f
+    (_, eg), cg = lt_g
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     return m_sub(
         m_term_mul(f, tuple(a - b for a, b in zip(lcm, ef)), Fraction(1) / cf),
@@ -222,23 +201,27 @@ def _s_vector(f, g, order):
 
 def module_groebner_basis(gens, order=POT):
     """Buchberger over every same-position pair.  The coprime criterion is
-    not used: it does not hold for modules of rank > 1."""
+    not used: it does not hold for modules of rank > 1.  A pair of two
+    single-term elements is skipped, as its S-vector is zero.  Leading
+    terms are computed once, when an element joins the basis."""
     basis = [g for g in gens if not m_is_zero(g)]
-    pairs = [
-        (i, j)
-        for i, j in combinations(range(len(basis)), 2)
-        if m_leading_term(basis[i], order)[0][0]
-        == m_leading_term(basis[j], order)[0][0]
-    ]
+    lts = [m_leading_term(g, order) for g in basis]
+    single = [m_is_monomial(g) for g in basis]
+
+    def wanted(i, j):
+        return lts[i][0][0] == lts[j][0][0] and not (single[i] and single[j])
+
+    pairs = [(i, j) for i, j in combinations(range(len(basis)), 2) if wanted(i, j)]
     while pairs:
         i, j = pairs.pop()
-        r = m_normal_form(_s_vector(basis[i], basis[j], order), basis, order)
+        s = _s_vector(basis[i], basis[j], lts[i], lts[j])
+        r = m_normal_form(s, basis, order, lts)
         if not m_is_zero(r):
             basis.append(r)
-            rpos = m_leading_term(r, order)[0][0]
-            for k in range(len(basis) - 1):
-                if m_leading_term(basis[k], order)[0][0] == rpos:
-                    pairs.append((k, len(basis) - 1))
+            lts.append(m_leading_term(r, order))
+            single.append(m_is_monomial(r))
+            n = len(basis) - 1
+            pairs.extend((k, n) for k in range(n) if wanted(k, n))
     return basis
 
 
@@ -263,6 +246,18 @@ def _m_embed(x):
     return tuple({(0,) + e: c for e, c in p.items()} for p in x)
 
 
+ELIM = ModuleOrder(MonomialOrder(block=1))  # eliminates a leading tag t
+
+
+def _t_free(gb):
+    """The elements of an ELIM basis free of the tag, with it dropped."""
+    return [
+        tuple({e[1:]: c for e, c in p.items()} for p in g)
+        for g in gb
+        if not any(e[0] for p in g for e in p)
+    ]
+
+
 def module_intersection(gens_a, gens_b, nvars):
     """Intersection of two submodules of a free module, by tag elimination:
     the elements of t*A + (1-t)*B free of t."""
@@ -277,61 +272,13 @@ def module_intersection(gens_a, gens_b, nvars):
         ext.append(
             m_add(m_term_mul(emb, (0,) * (nvars + 1), 1), m_term_mul(emb, t, -1))
         )
-    gb = module_groebner_basis(ext, ModuleOrder(MonomialOrder(block=1)))
-    return [
-        tuple({e[1:]: c for e, c in p.items()} for p in g)
-        for g in gb
-        if not any(e[0] for p in g for e in p)
-    ]
-
-
-def module_colon_element(gens, f, rank, nvars):
-    """(N : f) = {x : f*x in N}, for a submodule N of the free module."""
-    # f * F is generated by f * e_i.
-    fF = []
-    for i in range(rank):
-        row = [dict() for _ in range(rank)]
-        row[i] = dict(f)
-        fF.append(tuple(row))
-    inter = module_intersection(gens, fF, nvars)
-    out = []
-    for x in inter:
-        out.append(tuple(p_divexact(p, f) if p else {} for p in x))
-    return out
+    return _t_free(module_groebner_basis(ext, ELIM))
 
 
 def module_saturate_element(gens, f, rank, nvars):
-    """(N : f^infinity) by iterating the colon until it stabilizes."""
-    current = [g for g in gens if not m_is_zero(g)]
-    for _ in range(ITERATION_CAP):
-        nxt = module_colon_element(current, f, rank, nvars)
-        if submodule_equal(current, nxt):
-            return current
-        current = nxt
-    raise SaturationCapExceeded(
-        f"module saturation did not stabilize within {ITERATION_CAP} steps"
-    )
-
-
-def module_colon_ideal(gens, ideal_gens, rank, nvars):
-    """(N : I) = intersection of (N : f) over the ideal generators."""
-    result = None
-    for f in ideal_gens:
-        part = module_colon_element(gens, f, rank, nvars)
-        result = part if result is None else module_intersection(
-            result, part, nvars
-        )
-    return result if result is not None else []
-
-
-def module_saturate_ideal_iterated(gens, ideal_gens, rank, nvars):
-    """Union of (N : I^m) by iterated colon, with a hard cap."""
-    current = [g for g in gens if not m_is_zero(g)]
-    for _ in range(ITERATION_CAP):
-        nxt = module_colon_ideal(current, ideal_gens, rank, nvars)
-        if submodule_equal(current, nxt):
-            return current
-        current = nxt
-    raise SaturationCapExceeded(
-        f"iterated colon did not stabilize within {ITERATION_CAP} steps"
-    )
+    """(N : f^infinity) in one Groebner basis (Rabinowitsch): the t-free
+    part of N + (1 - t*f)*F, where F is the ambient free module."""
+    one_tf = {(0,) * (nvars + 1): Fraction(1), **{(1,) + e: -c for e, c in f.items()}}
+    ext = [_m_embed(g) for g in gens if not m_is_zero(g)]
+    ext += [tuple(one_tf if j == i else {} for j in range(rank)) for i in range(rank)]
+    return _t_free(module_groebner_basis(ext, ELIM))

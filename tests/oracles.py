@@ -10,7 +10,7 @@ compare the fast implementations against these.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 
@@ -596,3 +596,167 @@ def monomials_of_weighted_degree(weights, degree, cap=None):
         if sum(w * x for w, x in zip(weights, e)) == degree:
             out.append(e)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Buchberger over every same-position pair, recomputing leading terms at
+# each step, and saturation by the iterated colon (the reference for the
+# package's Groebner engine, whose bases must equal these element for
+# element).  Module elements are tuples of {exponent: Fraction} dicts;
+# `order` is any object whose `key` ranks (position, exponent) terms.
+
+
+def _p_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        s = out.get(e, Fraction(0)) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _p_term_mul(p, e, c):
+    c = Fraction(c)
+    if not c:
+        return {}
+    return {tuple(a + b for a, b in zip(e, m)): c * x for m, x in p.items()}
+
+
+def _m_sub(x, y):
+    return tuple(_p_add(a, {e: -c for e, c in b.items()}) for a, b in zip(x, y))
+
+
+def _m_term_mul(x, e, c):
+    return tuple(_p_term_mul(a, e, c) for a in x)
+
+
+def _m_is_zero(x):
+    return all(not a for a in x)
+
+
+def _divides(e, m):
+    return all(a <= b for a, b in zip(e, m))
+
+
+def _m_leading_term(x, order):
+    best = None
+    for i, p in enumerate(x):
+        for e, c in p.items():
+            if best is None or order.key((i, e)) > order.key(best[0]):
+                best = ((i, e), c)
+    return best
+
+
+def m_normal_form(x, basis, order):
+    work = tuple(dict(p) for p in x)
+    rem = tuple({} for _ in x)
+    lts = [_m_leading_term(b, order) for b in basis]
+    while not _m_is_zero(work):
+        (pos, e), c = _m_leading_term(work, order)
+        for b, ((bpos, be), bc) in zip(basis, lts):
+            if bpos == pos and _divides(be, e):
+                q_e = tuple(a - b2 for a, b2 in zip(e, be))
+                work = _m_sub(work, _m_term_mul(b, q_e, c / bc))
+                break
+        else:
+            rem = list(rem)
+            rem[pos] = _p_add(rem[pos], {e: c})
+            rem = tuple(rem)
+            w = list(work)
+            w[pos] = {k: v for k, v in w[pos].items() if k != e}
+            work = tuple(w)
+    return rem
+
+
+def _s_vector(f, g, order):
+    (_, ef), cf = _m_leading_term(f, order)
+    (_, eg), cg = _m_leading_term(g, order)
+    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
+    return _m_sub(
+        _m_term_mul(f, tuple(a - b for a, b in zip(lcm, ef)), Fraction(1) / cf),
+        _m_term_mul(g, tuple(a - b for a, b in zip(lcm, eg)), Fraction(1) / cg),
+    )
+
+
+def module_groebner_basis(gens, order):
+    basis = [g for g in gens if not _m_is_zero(g)]
+    pairs = [
+        (i, j)
+        for i, j in combinations(range(len(basis)), 2)
+        if _m_leading_term(basis[i], order)[0][0]
+        == _m_leading_term(basis[j], order)[0][0]
+    ]
+    while pairs:
+        i, j = pairs.pop()
+        r = m_normal_form(_s_vector(basis[i], basis[j], order), basis, order)
+        if not _m_is_zero(r):
+            basis.append(r)
+            rpos = _m_leading_term(r, order)[0][0]
+            for k in range(len(basis) - 1):
+                if _m_leading_term(basis[k], order)[0][0] == rpos:
+                    pairs.append((k, len(basis) - 1))
+    return basis
+
+
+def _submodule_equal(gens_a, gens_b, pot):
+    ga = module_groebner_basis(gens_a, pot)
+    gb = module_groebner_basis(gens_b, pot)
+    return all(_m_is_zero(m_normal_form(x, gb, pot)) for x in gens_a) and all(
+        _m_is_zero(m_normal_form(y, ga, pot)) for y in gens_b
+    )
+
+
+def _grevlex_leading(p):
+    return max(p, key=lambda e: (sum(e), tuple(-x for x in reversed(e))))
+
+
+def _p_divexact(p, f):
+    le = _grevlex_leading(f)
+    quot, work = {}, dict(p)
+    while work:
+        e = _grevlex_leading(work)
+        if not _divides(le, e):
+            raise ValueError("division is not exact")
+        q_e = tuple(a - b for a, b in zip(e, le))
+        quot[q_e] = work[e] / f[le]
+        work = _m_sub((work,), (_p_term_mul(f, q_e, quot[q_e]),))[0]
+    return quot
+
+
+def module_intersection(gens_a, gens_b, nvars, elim):
+    """A ∩ B as the t-free part of t*A + (1 - t)*B under `elim`."""
+    a = [g for g in gens_a if not _m_is_zero(g)]
+    b = [g for g in gens_b if not _m_is_zero(g)]
+    if not a or not b:
+        return []
+    t = (1,) + (0,) * nvars
+
+    def embed(x):
+        return tuple({(0,) + e: c for e, c in p.items()} for p in x)
+
+    ext = [_m_term_mul(embed(g), t, 1) for g in a]
+    ext += [_m_sub(embed(g), _m_term_mul(embed(g), t, 1)) for g in b]
+    return [
+        tuple({e[1:]: c for e, c in p.items()} for p in g)
+        for g in module_groebner_basis(ext, elim)
+        if not any(e[0] for p in g for e in p)
+    ]
+
+
+def module_saturate_element(gens, f, rank, nvars, pot, elim, max_steps=64):
+    """(N : f^infinity) as the union of (N : f^k), stopping at the first
+    k where (N : f^k) = (N : f^(k+1)).  `pot` is position-over-term and
+    `elim` an order that eliminates a prepended tag variable."""
+    current = [g for g in gens if not _m_is_zero(g)]
+    fF = [tuple(dict(f) if j == i else {} for j in range(rank)) for i in range(rank)]
+    for _ in range(max_steps):
+        nxt = [
+            tuple(_p_divexact(p, f) if p else {} for p in x)
+            for x in module_intersection(current, fF, nvars, elim)
+        ]
+        if _submodule_equal(current, nxt, pot):
+            return current
+        current = nxt
+    raise RuntimeError("saturation did not stabilize")

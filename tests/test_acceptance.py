@@ -36,6 +36,7 @@ from coxfan.groeb import (
     POT,
     _s_vector,
     m_is_zero,
+    m_leading_term,
     m_normal_form,
     module_groebner_basis,
     poly,
@@ -299,9 +300,10 @@ def test_criterion_09_kernel_invariants():
             continue
         # ideals as rank-1 submodules: every S-vector shares position 0
         gb = module_groebner_basis(gens, POT)
+        lts = [m_leading_term(g, POT) for g in gb]
         for i in range(len(gb)):
             for j in range(i + 1, len(gb)):
-                s = _s_vector(gb[i], gb[j], POT)
+                s = _s_vector(gb[i], gb[j], lts[i], lts[j])
                 ok &= m_is_zero(m_normal_form(s, gb, POT))
     _report("09 kernel-invariants", ok)
 

@@ -234,6 +234,39 @@ def test_sections_of_a_conic(tmp_path, p2, mode):
     assert [payload["dimensions"][str(d)]["dimension"] for d in range(4)] == [1, 3, 5, 7]
 
 
+# S/(Z1) + S(-1)/(Z2) on P2: its sheaf is O_L + O_L'(-1) for two lines,
+# with (d + 1) + d sections in degree d.
+RANK_TWO = {
+    "generator_degrees": [[0], [1]],
+    "relations": [
+        [{"gen": 0, "exponent": [1, 0, 0], "coefficient": "1"}],
+        [{"gen": 1, "exponent": [0, 1, 0], "coefficient": "1"}],
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", ["via_shift", "via_twist"])
+def test_sections_of_a_rank_two_module(tmp_path, p2, mode):
+    mod = tmp_path / "rank2.json"
+    mod.write_text(json.dumps(RANK_TWO))
+    args = ["module", "sections", p2, "--module", str(mod), "--degrees", "0;1;2;3"]
+    code, out = _run(args + ["--mode", mode])
+    assert code == 0, out
+    payload = json.loads(out)
+    assert [payload["dimensions"][str(d)]["dimension"] for d in range(4)] == [1, 3, 5, 7]
+
+
+def test_torsion_of_a_rank_two_module(tmp_path, p2):
+    mod = tmp_path / "rank2.json"
+    mod.write_text(json.dumps(RANK_TWO))
+    code, out = _run(["module", "torsion", p2, "--module", str(mod)])
+    assert code == 0, out
+    payload = json.loads(out)
+    _validate(payload, "module_torsion")
+    assert payload["is_torsion"] is False and payload["capped"] is True
+    assert [(c["generator"], c["power"]) for c in payload["certificate"]] == [(0, 1)]
+
+
 @pytest.mark.parametrize("form", ["separate", "equals"])
 def test_degrees_may_start_with_a_negative_degree(p2, form):
     # The help text's own example: '-1;0;1' is a value, not an option.

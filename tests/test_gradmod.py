@@ -19,6 +19,7 @@ from coxfan.gradmod import (
     submodules_equal,
 )
 from coxfan.grading import classify_subgroup, subgroup_of_whole_group
+from coxfan.groeb import ELIM, POT, m_term_mul
 
 import oracles
 
@@ -138,12 +139,28 @@ def test_saturation_idempotent_and_extensive(p2_ring):
         assert submodules_equal(saturate_submodule(sat), sat)
 
 
-def test_saturation_fallback_route_agrees(p2_ring):
-    exps = [(1, 1, 0), (1, 0, 1)]
-    sub = _submodule(p2_ring, exps)
-    a = saturate_submodule(sub)
-    b = saturate_submodule(sub, use_iterated_fallback=True)
-    assert submodules_equal(a, b)
+def test_saturation_fallback_route_agrees(p2_cox):
+    # A binomial submodule, so the Groebner route runs, not the monomial
+    # one: B*<x, y> in the free module S + S(-1) on P2.  The reference is
+    # the intersection over the maximal cones of the iterated-colon
+    # saturations by each cone monomial.
+    A = p2_cox.grading.class_group
+    ring = free_module(p2_cox, [A.from_coords([0]), A.from_coords([1])])
+    one = Fraction(1)
+    x = ({(1, 1, 0): one, (1, 0, 1): -one}, {(1, 0, 0): one})
+    y = ({(0, 0, 2): one}, {(0, 1, 0): one, (0, 0, 1): -one})
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    gens = [m_term_mul(v, e, 1) for v in (x, y) for e in units]
+    sat = saturate_submodule(GradedSubmodule(ring, tuple(gens)))
+    want = None
+    for cone in p2_cox.grading.fan.maximal_cones():
+        z = {tuple(p2_cox.zhat[cone.ray_generators]): one}
+        part = oracles.module_saturate_element(gens, z, 2, 3, POT, ELIM)
+        want = part if want is None else oracles.module_intersection(
+            want, part, 3, ELIM
+        )
+    assert submodules_equal(sat, GradedSubmodule(ring, tuple(want)))
+    assert submodules_equal(sat, GradedSubmodule(ring, (x, y)))
 
 
 def test_family_of_35_ideals(p2_ring):

@@ -7,10 +7,11 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from coxfan.groeb import (
+    ELIM,
     POT,
-    ModuleOrder,
-    MonomialOrder,
+    _m_embed,
     _s_vector,
+    m_is_monomial,
     m_is_zero,
     m_leading_term,
     m_normal_form,
@@ -42,11 +43,47 @@ def _random_poly(rng, nvars, max_deg, max_terms):
     return poly(terms)
 
 
+def _random_term(rng, nvars, max_deg):
+    e = [0] * nvars
+    for _ in range(rng.randint(0, max_deg)):
+        e[rng.randrange(nvars)] += 1
+    return {tuple(e): Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))}
+
+
+def _random_element(rng, rank, nvars, single):
+    """A single term, or up to two terms (degree <= 2) in each position."""
+    if single:
+        pos = rng.randrange(rank)
+        term = _random_term(rng, nvars, 2)
+        return tuple(term if i == pos else {} for i in range(rank))
+    x = tuple(
+        _random_poly(rng, nvars, 2, 2) if rng.random() < 0.7 else {}
+        for _ in range(rank)
+    )
+    return x if not m_is_zero(x) else _random_element(rng, rank, nvars, True)
+
+
+def _random_gens(rng, rank, nvars, count, single_ratio):
+    return [
+        _random_element(rng, rank, nvars, rng.random() < single_ratio)
+        for _ in range(count)
+    ]
+
+
+def _saturation_input(gens, f, rank, nvars):
+    """The generators module_saturate_element eliminates t from: the
+    embedded generators plus (1 - t*f)*e_i for each i."""
+    one_tf = poly({(0,) * (nvars + 1): 1, **{(1,) + e: -c for e, c in f.items()}})
+    unit = [tuple(one_tf if j == i else {} for j in range(rank)) for i in range(rank)]
+    return [_m_embed(g) for g in gens] + unit
+
+
 def _same_position_s_vectors(gb, order):
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
-            if m_leading_term(gb[i], order)[0][0] == m_leading_term(gb[j], order)[0][0]:
-                yield _s_vector(gb[i], gb[j], order)
+            lt_i, lt_j = m_leading_term(gb[i], order), m_leading_term(gb[j], order)
+            if lt_i[0][0] == lt_j[0][0]:
+                yield _s_vector(gb[i], gb[j], lt_i, lt_j)
 
 
 def test_buchberger_criterion_random_ideals():
@@ -64,9 +101,10 @@ def test_buchberger_criterion_random_ideals():
 
 def test_buchberger_criterion_random_modules():
     # rank 2 and 3, in position-over-term and in the elimination order
-    # that module_intersection uses
+    # that module_intersection uses; then single terms next to binomials,
+    # and the input shape of the one-basis saturation
     rng = random.Random(20261018)
-    orders = [POT, ModuleOrder(MonomialOrder(block=1))]
+    cases = []
     for _ in range(60):
         rank = rng.randint(2, 3)
         nvars = rng.randint(1, 3)
@@ -77,12 +115,20 @@ def test_buchberger_criterion_random_modules():
             )
             for _ in range(rng.randint(1, 3))
         ]
-        for order in orders:
-            gb = module_groebner_basis(gens, order)
-            for s in _same_position_s_vectors(gb, order):
-                assert m_is_zero(m_normal_form(s, gb, order))
-            for g in gens:
-                assert m_is_zero(m_normal_form(g, gb, order))
+        cases += [(gens, POT), (gens, ELIM)]
+    rng = random.Random(20261021)
+    for _ in range(80):
+        rank, nvars = rng.randint(1, 3), rng.randint(1, 3)
+        gens = _random_gens(rng, rank, nvars, rng.randint(2, 4), 0.5)
+        f = _random_term(rng, nvars, 2)
+        cases += [(gens, POT), (gens, ELIM)]
+        cases.append((_saturation_input(gens, f, rank, nvars), ELIM))
+    for gens, order in cases:
+        gb = module_groebner_basis(gens, order)
+        for s in _same_position_s_vectors(gb, order):
+            assert m_is_zero(m_normal_form(s, gb, order))
+        for g in gens:
+            assert m_is_zero(m_normal_form(g, gb, order))
 
 
 def test_generators_reduce_to_zero():
@@ -187,3 +233,34 @@ def test_module_syzygy_reduction():
     scaled = m_term_mul(rel, (1, 0), 1)
     assert module_contains(gb, scaled)
     assert not m_is_zero(rel)
+
+
+def test_groebner_basis_equals_reference():
+    # Caching leading terms and skipping pairs of two single terms must
+    # not change the basis: the same elements, in the same order.
+    rng = random.Random(20261019)
+    singles = elements = 0
+    for _ in range(320):
+        rank, nvars = rng.randint(1, 3), rng.randint(1, 3)
+        gens = _random_gens(rng, rank, nvars, rng.randint(1, 4), 0.6)
+        singles += sum(m_is_monomial(g) for g in gens)
+        elements += len(gens)
+        for order in (POT, ELIM):
+            assert module_groebner_basis(gens, order) == oracles.module_groebner_basis(
+                gens, order
+            )
+    assert 2 * singles >= elements
+
+
+def test_saturation_equals_iterated_colon():
+    rng = random.Random(20261020)
+    for _ in range(160):
+        rank, nvars = rng.randint(1, 3), 3
+        gens = _random_gens(rng, rank, nvars, rng.randint(1, 3), 0.5)
+        support = rng.sample(range(nvars), rng.randint(1, 3))
+        e = tuple(rng.randint(1, 2) if i in support else 0 for i in range(nvars))
+        f = {e: Fraction(1)}
+        got = module_saturate_element(gens, f, rank, nvars)
+        want = oracles.module_saturate_element(gens, f, rank, nvars, POT, ELIM)
+        assert submodule_equal(got, want)
+

@@ -7,6 +7,7 @@ import pytest
 from coxfan import corpus, grading, polyfan, sheaf
 from coxfan.cox import BaseRingFlags, build_cox
 from coxfan.gradmod import (
+    GradedModulePresentation,
     GradedSubmodule,
     free_module,
     is_torsion,
@@ -181,6 +182,17 @@ def test_kill_power_is_exact_beyond_sixteen(p2_cox):
     q = quotient_by_monomial_ideal(p2_cox, [(0, 0, 17)])
     killed = [w.killed for w in sheafify(q).charts.values() if w.killed]
     assert killed == [{0: 17}]
+
+
+def test_rank_two_localization_kernel(p2_cox):
+    # S/(Z1) + S(-1)/(Z2): generator 0 dies where Z1 is inverted, generator
+    # 1 where Z2 is, and both live on the third chart
+    A = p2_cox.grading.class_group
+    rels = (({(1, 0, 0): Fraction(1)}, {}), ({}, {(0, 1, 0): Fraction(1)}))
+    m = GradedModulePresentation(p2_cox, (A.from_coords([0]), A.from_coords([1])), rels)
+    cover = sheafify(m)
+    by_zhat = {p2_cox.zhat[k]: w.killed for k, w in cover.charts.items()}
+    assert by_zhat == {(1, 0, 0): {0: 1}, (0, 1, 0): {1: 1}, (0, 0, 1): {}}
 
 
 P1_CUBED = (
