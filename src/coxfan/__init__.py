@@ -60,7 +60,6 @@ from .sheaf import (
     is_zero_sheaf,
     lift_finite_type,
     sheafify,
-    twist_generators,
     xi_forward,
     xi_preimage,
 )

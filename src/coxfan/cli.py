@@ -39,6 +39,7 @@ DOMAIN_ERRORS = (
     cox.NotBig,
     cox.ConeNotInFan,
     grading.UnboundedFiber,
+    grading.FiberTooLarge,
     sheaf.Unstabilized,
     ValidationError,
 )

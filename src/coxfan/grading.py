@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from operator import add, mul
 
 from .intlat import (
     INFINITE,
@@ -23,8 +25,15 @@ from .intlat import (
 from .polyfan import Fan, fm_combine
 
 
+FIBER_POINT_CAP = 200_000
+
+
 class UnboundedFiber(ValueError):
     pass
+
+
+class FiberTooLarge(ValueError):
+    """A degree fiber has more than FIBER_POINT_CAP points."""
 
 
 @dataclass(frozen=True)
@@ -175,35 +184,43 @@ def _projections(m):
     return tuple(reversed(levels))
 
 
-def _lattice_points(m, b):
-    """The integer points u of {u : b + M u >= 0}, with M a tuple of rows.
+def _lattice_points(m, b, v0, basis):
+    """The vectors v0 + u . basis for the integer points u of
+    {u : b + M u >= 0}, with M a tuple of rows, in lexicographic order of u.
 
-    Raises UnboundedFiber unless the polyhedron is bounded for every b."""
+    Returns a lazy iterable, which carries the partial vector and each
+    bounding row's partial sum down the recursion.  Raises UnboundedFiber
+    unless the polyhedron is bounded for every b."""
     levels = _projections(m)
     if levels is None:
         raise UnboundedFiber("degree fibers are infinite; supply an enumeration bound")
-    rows = [[(a, sum(x * y for x, y in zip(la, b))) for a, la in lv] for lv in levels]
-    if any(c < 0 for _, c in rows[0]):
+    sums = [[sum(map(mul, la, b)) for _, la in lv] for lv in levels]
+    if any(s < 0 for s in sums[0]):
         return []
-    out = []
+    k = len(levels) - 1
+    if k == 0:
+        return [tuple(v0)]
+    # coefs[j][l]: the coefficients on u_j of the rows of level j + 1 + l
+    coefs = [[tuple(a[j] for a, _ in lv) for lv in levels[j + 1 :]] for j in range(k)]
 
-    def rec(u):
-        j = len(u)
-        if j == len(rows) - 1:
-            out.append(u)
+    def rec(j, v, sums):
+        lo = max(-(s // a) for a, s in zip(coefs[j][0], sums[0]) if a > 0)
+        hi = min(s // -a for a, s in zip(coefs[j][0], sums[0]) if a < 0)
+        step = basis[j]
+        v = tuple(map(add, v, (lo * y for y in step)))
+        if j == k - 1:
+            for _ in range(lo, hi + 1):
+                yield v
+                v = tuple(map(add, v, step))
             return
-        lo, hi = [], []
-        for a, c in rows[j + 1]:
-            s = c + sum(x * y for x, y in zip(a, u))
-            if a[j] > 0:
-                lo.append(-(s // a[j]))
-            else:
-                hi.append(s // -a[j])
-        for x in range(max(lo), min(hi) + 1):
-            rec(u + (x,))
+        rest = coefs[j][1:]
+        sums = [[s + lo * a for a, s in zip(c, ss)] for c, ss in zip(rest, sums[1:])]
+        for _ in range(lo, hi + 1):
+            yield from rec(j + 1, v, sums)
+            v = tuple(map(add, v, step))
+            sums = [list(map(add, ss, c)) for c, ss in zip(rest, sums)]
 
-    rec(())
-    return out
+    return rec(0, tuple(v0), sums[1:])
 
 
 def _nonnegative_rows(basis, n):
@@ -213,17 +230,17 @@ def _nonnegative_rows(basis, n):
 
 def _cone_points(basis, v0, cap=None):
     """The sorted vectors v = v0 + x . basis (x integral) with v >= 0 and,
-    given a cap, sum(v) <= cap."""
-    n = len(v0)
-    m = _nonnegative_rows(basis, n)
+    given a cap, sum(v) <= cap.  Raises FiberTooLarge past FIBER_POINT_CAP
+    vectors."""
+    m = _nonnegative_rows(basis, len(v0))
     b = tuple(v0)
     if cap is not None:
         m += (tuple(-sum(r) for r in basis),)
         b += (cap - sum(v0),)
-    return sorted(
-        tuple(v0[i] + sum(x * r[i] for x, r in zip(u, basis)) for i in range(n))
-        for u in _lattice_points(m, b)
-    )
+    out = list(islice(_lattice_points(m, b, v0, basis), FIBER_POINT_CAP + 1))
+    if len(out) > FIBER_POINT_CAP:
+        raise FiberTooLarge(f"more than {FIBER_POINT_CAP} points (the enumeration cap)")
+    return sorted(out)
 
 
 def finite_fibers(g: GradingData):

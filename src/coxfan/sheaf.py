@@ -98,46 +98,49 @@ def _laurent_component_generators(cox: CoxRingData, alpha, cone_key):
     """Minimal fractional-monomial generators of the degree-alpha part of
     the chart localization, as a module over its degree-0 ring.
 
-    Searches v = lift(alpha) + C u, v >= 0 on the cone, over |u_j| <= k; a
-    heuristic accepts the answer once k = DEFAULT_ENUM_BOX and k + 2 agree."""
+    Searches v = lift(alpha) + C u, v >= 0 on the cone, once over
+    |u_j| <= k + 2 (k = DEFAULT_ENUM_BOX); a heuristic accepts the minimal
+    cone parts of v once the points with |u_j| <= k give the same ones.
+    Each part keeps its v of least (max |v_i|, v).  On a face v is unique
+    only up to a unit of the chart; this choice does not depend on the box
+    and keeps v small off the face, so the overlap windows stay low."""
     g = cox.grading
     rnk = g.c_matrix.cols
+    nr = g.num_rays
     v0 = g.a_map.lift(alpha)
     pos = _sigma_positions(cox, cone_key)
     rows = g.c_matrix.to_rows()
+    k = DEFAULT_ENUM_BOX + 2
     box = [tuple(s * (i == j) for i in range(rnk)) for s in (1, -1) for j in range(rnk)]
     m = tuple(tuple(rows[p]) for p in pos) + tuple(box)
+    # The image carries u after v, for the |u_j| <= DEFAULT_ENUM_BOX filter.
+    basis = [tuple(r[j] for r in rows) + box[j] for j in range(rnk)]
+    b = tuple(v0[p] for p in pos) + (k,) * (2 * rnk)
+    small, large = {}, set()
+    for w in _lattice_points(m, b, tuple(v0) + (0,) * rnk, basis):
+        v = w[:nr]
+        key = tuple(map(v.__getitem__, pos))
+        large.add(key)
+        if max(map(abs, w[nr:])) <= DEFAULT_ENUM_BOX:
+            score = (max(map(abs, v)), v)
+            if key not in small or score < small[key]:
+                small[key] = score
 
-    def collect(k):
-        best = {}
-        for u in _lattice_points(m, tuple(v0[p] for p in pos) + (k,) * (2 * rnk)):
-            v = tuple(x + sum(a * b for a, b in zip(r, u)) for x, r in zip(v0, rows))
-            key = tuple(v[p] for p in pos)
-            if key not in best or v < best[key]:
-                best[key] = v
-        keys = sorted(best)
-        minimal = [
-            p
-            for p in keys
-            if not any(
-                q != p and all(a - b >= 0 for a, b in zip(p, q)) for q in keys
-            )
-        ]
-        return {p: best[p] for p in minimal}
+    def minimal(parts):
+        # q <= p with q != p forces sum(q) < sum(p), so each part needs
+        # checking only against the minimal parts of lower total degree.
+        kept = []
+        for p in sorted(parts, key=sum):
+            if not any(all(a >= b for a, b in zip(p, q)) for q in kept):
+                kept.append(p)
+        return set(kept)
 
-    small, large = collect(DEFAULT_ENUM_BOX), collect(DEFAULT_ENUM_BOX + 2)
-    if set(small) != set(large):
+    keys = minimal(small)
+    if keys != minimal(large):
         raise Unstabilized(
-            f"fractional generator search did not settle within |u_j| <= {DEFAULT_ENUM_BOX + 2}"
+            f"fractional generator search did not settle within |u_j| <= {k}"
         )
-    return tuple(small[p] for p in sorted(small))
-
-
-def twist_generators(cox: CoxRingData, alpha, sigma):
-    """Minimal monomial generators (fractional exponents) of the
-    degree-alpha component of the chart localization of the ring."""
-    key = sigma.ray_generators if hasattr(sigma, "ray_generators") else tuple(sigma)
-    return _laurent_component_generators(cox, alpha, key)
+    return tuple(small[p][1] for p in sorted(keys))
 
 
 def _localization_kernel(f: GradedModulePresentation, zexp):

@@ -200,6 +200,52 @@ def polytope_lattice_count(rays, a, bound):
     return len(pts)
 
 
+def laurent_generators(rays, v0, positions, box):
+    """The two-box search for the minimal fractional-monomial generators
+    of a chart localization in one degree: every v = v0 + C u with u in
+    the box |u_j| <= k (C the matrix whose rows are the rays) and v >= 0
+    at the cone's positions, grouped by the cone part of v.  Each part
+    keeps its lexicographically least v; a part is minimal when no other
+    part is below it.  Returns {part: v} for k = box, or None when
+    k = box + 2 gives a different set of minimal parts.  The box is walked
+    like ``cone_lattice_points``: all coordinates of u but the last, then
+    the last one's interval."""
+    rank = len(rays[0])
+    big = box + 2
+    last = [r[-1] for r in rays]
+    small, large = {}, {}
+    for head in product(range(-big, big + 1), repeat=rank - 1):
+        partial = [x + _dot(r[:-1], head) for x, r in zip(v0, rays)]
+        lo, hi = -big, big
+        for p in positions:
+            if last[p] > 0:
+                lo = max(lo, -(partial[p] // last[p]))
+            elif last[p] < 0:
+                hi = min(hi, partial[p] // -last[p])
+            elif partial[p] < 0:
+                hi = lo - 1
+        inner = max(map(abs, head), default=0) <= box
+        v = tuple(a + lo * c for a, c in zip(partial, last))
+        for x in range(lo, hi + 1):
+            key = tuple(v[p] for p in positions)
+            for best in (small, large) if inner and abs(x) <= box else (large,):
+                if key not in best or v < best[key]:
+                    best[key] = v
+            v = tuple(a + c for a, c in zip(v, last))
+
+    def minimal(best):
+        # Scanning q in order of total degree finds a dominating part early.
+        order = sorted(best, key=sum)
+        return {
+            p: best[p]
+            for p in best
+            if not any(q != p and all(a >= b for a, b in zip(p, q)) for q in order)
+        }
+
+    small = minimal(small)
+    return small if set(small) == set(minimal(large)) else None
+
+
 def hilbert_basis_by_reduction(generators, rank):
     """Hilbert basis of a pointed cone: the nonzero cone points x such that
     x − y is not a cone point for any other nonzero cone point y.

@@ -3,13 +3,14 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from coxfan import cli, corpus
+from coxfan import cli, corpus, grading
 
 SCHEMA_DIR = Path(corpus.corpus_dir()).parent / "schemas"
 
@@ -284,6 +285,27 @@ def test_window_may_start_with_a_negative_degree(p2, form):
     code, out = _run(["sheaf", "xi-check", p2, "--ideal", "Z1", *flag])
     assert code == 0, out
     _validate(json.loads(out), "sheaf_xi_check")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sheaf", "xi-check", "{p2}", "--ideal", "Z1", "--window", "99999999"],
+        ["module", "sections", "{p2}", "--degrees", "99999999"],
+    ],
+    ids=["xi_check_window", "sections_degrees"],
+)
+def test_huge_degree_is_refused_quickly(p2, args):
+    # The fiber of degree 10^8 on P2 has about 5 * 10^15 points; the one
+    # lattice-point enumerator stops at its cap instead of listing them.
+    start = time.perf_counter()
+    code, out = _run([a.format(p2=p2) for a in args])
+    assert time.perf_counter() - start < 5
+    assert code == cli.EXIT_DOMAIN
+    payload = json.loads(out)
+    _validate(payload, "error")
+    assert payload["error"]["type"] == "FiberTooLarge"
+    assert str(grading.FIBER_POINT_CAP) in payload["error"]["reason"]
 
 
 def test_negative_rank_two_degree_list():

@@ -1,6 +1,7 @@
 """Class groups, ray degrees, Picard subgroups, degree fibers."""
 
 import itertools
+import random
 
 import pytest
 
@@ -221,3 +222,42 @@ def test_uncapped_fiber_refused_on_quadric_cone(corpus_gradings):
     assert not finite_fibers(g)
     with pytest.raises(grading.UnboundedFiber):
         degree_fiber(g, g.class_group.zero())
+
+
+def _random_polyhedron(rng, k):
+    """Rows and offsets of a polyhedron in Z^k: a random box, so that it
+    is bounded, plus a few random half-spaces."""
+    m, b = [], []
+    for j in range(k):
+        e = tuple(int(i == j) for i in range(k))
+        m += [e, tuple(-x for x in e)]
+        b += [rng.randint(-1, 2), rng.randint(-1, 2)]
+    for _ in range(rng.randint(0, 3)):
+        m.append(tuple(rng.randint(-3, 3) for _ in range(k)))
+        b.append(rng.randint(-2, 6))
+    return tuple(m), tuple(b)
+
+
+def test_lattice_points_match_brute_force():
+    rng = random.Random(9)
+    for _ in range(300):
+        k, n = rng.randint(0, 4), rng.randint(1, 5)
+        m, b = _random_polyhedron(rng, k)
+        v0 = tuple(rng.randint(-5, 5) for _ in range(n))
+        basis = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+        want = [
+            tuple(x + sum(c * r[i] for c, r in zip(u, basis)) for i, x in enumerate(v0))
+            for u in itertools.product(range(-2, 3), repeat=k)
+            if all(y + sum(a * c for a, c in zip(row, u)) >= 0 for row, y in zip(m, b))
+        ]
+        assert list(grading._lattice_points(m, b, v0, basis)) == want, (m, b, v0, basis)
+
+
+def test_unbounded_and_oversized_fibers_are_refused():
+    with pytest.raises(grading.UnboundedFiber):
+        grading._lattice_points(((1,),), (0,), (0,), [(1,)])
+    cap = grading.FIBER_POINT_CAP
+    # v = x >= 0 with sum(v) <= total: total + 1 points
+    assert len(grading._cone_points([(1,)], (0,), cap - 1)) == cap
+    with pytest.raises(grading.FiberTooLarge, match=str(cap)):
+        grading._cone_points([(1,)], (0,), cap)

@@ -228,3 +228,86 @@ def test_dp6_twist_agrees_with_shift_and_lattice_points():
         for mode in ("via_shift", "via_twist")
     }
     assert dims == dict.fromkeys(dims, oracles.polytope_lattice_count(rays, a, 3))
+
+
+P3 = (
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+    [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+)
+F2 = ([(1, 0), (0, 1), (-1, 2), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]])
+SCALE_FANS = {"p3": P3, "f2": F2, "dp6": DP6, "p1cubed": P1_CUBED}
+
+
+def _cox(name):
+    if name in SCALE_FANS:
+        rays, max_cones = SCALE_FANS[name]
+        fan = polyfan.build_fan(len(rays[0]), rays, max_cones)
+    else:
+        fan = corpus.build(name)
+    g = grading.build_grading(fan)
+    return build_cox(g, subgroup_of_whole_group(g))
+
+
+def _ray_multiple(g, d, ray=0):
+    """The class of d times the divisor of one ray."""
+    return g.a_map(tuple(d * (i == ray) for i in range(g.num_rays)))
+
+
+@pytest.mark.parametrize("name", list(corpus.CORPUS_NAMES) + list(SCALE_FANS))
+def test_chart_twists_match_two_box_reference(name, monkeypatch):
+    # On every cone (maximal cones and faces): the same minimal cone parts
+    # as the two-box reference search.  Where the cone is full-dimensional
+    # v is unique, so the vectors are the reference's too; on the other
+    # faces the representative must not move when the box grows.
+    c = _cox(name)
+    g = c.grading
+    rays = g.c_matrix.to_rows()
+    faces = {}
+    for d in range(4):
+        alpha = _ray_multiple(g, d)
+        v0 = g.a_map.lift(alpha)
+        for key in c.zhat:
+            pos = sheaf._sigma_positions(c, key)
+            ref = oracles.laurent_generators(rays, v0, pos, sheaf.DEFAULT_ENUM_BOX)
+            got = sheaf._laurent_component_generators(c, alpha, key)
+            assert ref is not None
+            assert [tuple(v[p] for p in pos) for v in got] == sorted(ref), (key, d)
+            if len(oracles.rref(key)[1]) == len(rays[0]):
+                assert got == tuple(ref[p] for p in sorted(ref)), (key, d)
+            else:
+                faces[d, key] = got
+    monkeypatch.setattr(sheaf, "DEFAULT_ENUM_BOX", sheaf.DEFAULT_ENUM_BOX + 2)
+    for (d, key), got in faces.items():
+        assert sheaf._laurent_component_generators(c, _ray_multiple(g, d), key) == got
+
+
+@pytest.mark.parametrize("name", ["p2", "p3", "f2", "dp6"])
+def test_twist_overlaps_need_no_more_level_than_the_degree(name):
+    # A face twist on the edge of the search box (the lexicographically
+    # least one, say) needs a slack of 6 to 12 here.
+    c = _cox(name)
+    s = sheafify(free_module(c))
+    for d in range(4):
+        *_, pairs = sheaf._level_invariants(s, _ray_multiple(c.grading, d), "via_twist")
+        assert max(slack for *_, slack in pairs) <= d, d
+
+
+@pytest.mark.parametrize(
+    "name,a",
+    [
+        ("p2", (2, 0, 0)),
+        ("p3", (2, 0, 0, 0)),
+        ("f2", (0, 0, 0, 1)),
+        ("dp6", (1, 1, 1, 1, 0, 0)),
+        ("dp6", (0, 0, 0, 1, 1, 0)),
+        ("p1cubed", (1, 0, 1, 0, 1, 0)),
+    ],
+)
+def test_both_modes_count_lattice_points(name, a):
+    rays = corpus.fan_spec(name)["rays"] if name == "p2" else SCALE_FANS[name][0]
+    c = _cox(name)
+    s = sheafify(free_module(c))
+    want = oracles.polytope_lattice_count(rays, a, 4)
+    for mode in ("via_shift", "via_twist"):
+        assert global_sections_degree(s, c.grading.a_map(a), mode=mode).dimension == want, mode
+
