@@ -17,7 +17,11 @@ from . import groeb, ratlin
 from .cox import CoxRingData
 from .grading import degree_fiber
 from .groeb import (
+    POT,
+    _divides,
     m_is_zero,
+    m_leading_term,
+    m_normal_form,
     module_contains,
     module_groebner_basis,
     module_intersection,
@@ -183,10 +187,25 @@ def _monomial_saturation(sub: GradedSubmodule, zhats):
     return tuple(out)
 
 
-def _kill_power(rel_gb, i, zexp, rank, cap=None):
+def _localization_kernel(f: GradedModulePresentation, zexp):
+    """(relations : z^inf), the elements a power of z kills: the t-free
+    part of an elimination basis, so already a POT Groebner basis."""
+    if not f.relations:
+        return ()
+    zp = {tuple(zexp): Fraction(1)}
+    sat = module_saturate_element(list(f.relations), zp, f.rank, f.nvars)
+    return tuple(x for x in sat if not m_is_zero(x))
+
+
+def _kill_power(rel_gb, kern_gb, i, zexp, rank, cap=None):
     """The least k with z^k times generator i in the relation module, or
-    None when no k <= cap works.  Without a cap the caller must know that
-    some power kills the generator."""
+    None when no k <= cap works.  kern_gb is the localization kernel:
+    some power kills generator i exactly when the generator lies in it,
+    so no power is tried otherwise, and without a cap the search ends."""
+    one = {(0,) * len(zexp): Fraction(1)}
+    unit = tuple(one if j == i else {} for j in range(rank))
+    if not module_contains(kern_gb, unit):
+        return None
     for k in count(1) if cap is None else range(1, cap + 1):
         e = tuple(k * x for x in zexp)
         elem = tuple({} if j != i else {e: Fraction(1)} for j in range(rank))
@@ -198,22 +217,47 @@ def _kill_power(rel_gb, i, zexp, rank, cap=None):
 def minimalize_submodule_generators(sub: GradedSubmodule) -> GradedSubmodule:
     """Drop generators already in the submodule spanned by the others.
     One pass suffices: dropping a generator only shrinks the span of the
-    rest, so every generator kept before it stays irredundant."""
+    rest, so every generator kept before it stays irredundant.  A zero
+    remainder on division by the others and the relations, which need not
+    form a Groebner basis, writes a candidate as a combination of them, so
+    it is dropped with no basis built; a nonzero one proves nothing."""
+    f = sub.ambient
     gens = [x for x in sub.element_generators if not m_is_zero(x)]
+    rels = [x for x in f.relations if not m_is_zero(x)]
     k = 0
     while k < len(gens):
         rest = gens[:k] + gens[k + 1 :]
-        if submodule_membership(gens[k], GradedSubmodule(sub.ambient, tuple(rest))):
+        r = m_normal_form(gens[k], rest + rels, POT)
+        if m_is_zero(r) or submodule_membership(r, GradedSubmodule(f, tuple(rest))):
             gens = rest
         else:
             k += 1
-    return GradedSubmodule(sub.ambient, tuple(gens))
+    return GradedSubmodule(f, tuple(gens))
+
+
+def _minimal_basis(gb):
+    """Drop from the POT basis gb each element whose leading term another's
+    divides; of equal leading terms keep the first.  Each dropped leading
+    term is divisible by a kept one, so the rest is still a Groebner basis
+    of the same submodule (Cox-Little-O'Shea, Ch. 2 §7, Lemma 3)."""
+    lts = [m_leading_term(x, POT)[0] for x in gb]
+    return [
+        gb[i]
+        for i, (pos, e) in enumerate(lts)
+        if not any(
+            q == pos and _divides(d, e) and (d != e or j < i)
+            for j, (q, d) in enumerate(lts)
+        )
+    ]
 
 
 def saturate_submodule(g: GradedSubmodule) -> GradedSubmodule:
     """The smallest enlargement stable under colon by the restricted
     irrelevant ideal.  Computed as the intersection of the saturations by
-    the single cone monomials of the maximal cones."""
+    the single cone monomials of the maximal cones.  Each saturation and
+    each running intersection is the t-free part of an elimination basis,
+    hence a POT Groebner basis, and is cut to a minimal one before it
+    enters the next intersection."""
     f = g.ambient
     cox = f.cox
     rank, nvars = f.rank, f.nvars
@@ -225,8 +269,10 @@ def saturate_submodule(g: GradedSubmodule) -> GradedSubmodule:
     sat = None
     for z in zhats:
         zp = {tuple(z): Fraction(1)}
-        part = module_saturate_element(gens, zp, rank, nvars)
-        sat = part if sat is None else module_intersection(sat, part, nvars)
+        part = _minimal_basis(module_saturate_element(gens, zp, rank, nvars))
+        sat = part if sat is None else _minimal_basis(
+            module_intersection(sat, part, nvars)
+        )
     if sat is None:
         sat = gens
     out = GradedSubmodule(f, tuple(x for x in sat if not m_is_zero(x)))
@@ -257,10 +303,11 @@ def is_torsion(f: GradedModulePresentation, power_cap: int = DEFAULT_POWER_CAP):
     rel_gb = (
         module_groebner_basis(list(f.relations)) if f.relations else []
     )
+    kern = {key: _localization_kernel(f, cox.zhat[key]) for key in maximal}
     table = {}
     for i in range(f.rank):
         for key in maximal:
-            found = _kill_power(rel_gb, i, cox.zhat[key], f.rank, power_cap)
+            found = _kill_power(rel_gb, kern[key], i, cox.zhat[key], f.rank, power_cap)
             if found is None:
                 return TorsionCertificate(False, table, (i, key), True)
             table[(i, key)] = found

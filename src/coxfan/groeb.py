@@ -5,8 +5,12 @@ elements are tuples of polynomials against a free basis; module orders are
 position-over-term.  An ideal is the rank-1 case, elements ``(p,)``.
 Elimination uses a block order on a leading tag variable t.  Buchberger
 keeps each basis element's leading term and skips pairs of two single
-terms, whose S-vector is zero.  Saturation by one element f is a single
-basis: the t-free part of N + (1 - t*f)*F (Cox-Little-O'Shea, Ch. 4 §4).
+terms, whose S-vector is zero.  Reduction works in place on the dicts of
+the remainder, with the same reducer (the first basis element whose
+leading term divides) and the same exact Fraction arithmetic as a copying
+reduction, so bases come out the same, element for element.  Saturation
+by one element f is a single basis: the t-free part of N + (1 - t*f)*F
+(Cox-Little-O'Shea, Ch. 4 §4).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import neg
 
 
 # --- polynomial arithmetic ------------------------------------------------
@@ -26,25 +31,6 @@ def poly(terms):
         if c:
             out[tuple(int(x) for x in e)] = c
     return out
-
-
-def p_add(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def p_neg(p):
-    return {e: -c for e, c in p.items()}
-
-
-def p_sub(p, q):
-    return p_add(p, p_neg(q))
 
 
 def p_term_mul(p, e, c):
@@ -72,7 +58,7 @@ class MonomialOrder:
 
 
 def _grevlex_key(e):
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (sum(e), tuple(map(neg, reversed(e))))
 
 
 GREVLEX = MonomialOrder(0)
@@ -113,14 +99,6 @@ def monomial_ideal_intersection(exps_a, exps_b):
 # A module element over S^r is a tuple of r polynomials.  A module term is
 # (position, exponent); position-over-term means lower position wins.
 
-def m_add(x, y):
-    return tuple(p_add(a, b) for a, b in zip(x, y))
-
-
-def m_sub(x, y):
-    return tuple(p_sub(a, b) for a, b in zip(x, y))
-
-
 def m_term_mul(x, e, c):
     return tuple(p_term_mul(a, e, c) for a in x)
 
@@ -151,39 +129,49 @@ POT = ModuleOrder()
 
 
 def m_leading_term(x, order):
+    """((pos, exp), coeff) of the largest term, or None for zero.  Under a
+    non-block order a lower position always wins, so the first nonzero
+    position holds the leading term."""
     best = None
     for i, p in enumerate(x):
         for e, c in p.items():
-            t = (i, e)
-            if best is None or order.key(t) > order.key(best[0]):
-                best = (t, c)
-    return best  # ((pos, exp), coeff) or None
+            k = order.key((i, e))
+            if best is None or k > bkey:
+                best, bkey = ((i, e), c), k
+        if best is not None and not order.ring_order.block:
+            break
+    return best
+
+
+def _sub_term_mul(w, b, q_e, q):
+    """w -= q * X^q_e * b, position by position, in place."""
+    for wp, bp in zip(w, b):
+        for m, y in bp.items():
+            k = tuple(a + d for a, d in zip(q_e, m))
+            v = wp.get(k, 0) - q * y
+            if v:
+                wp[k] = v
+            else:
+                del wp[k]
 
 
 def m_normal_form(x, basis, order, lts=None):
     """Remainder of x on division by basis.  `lts`, when given, holds the
-    leading term of each basis element."""
-    work = tuple(dict(p) for p in x)
+    leading term of each basis element.  The reducer of a term is the
+    first basis element whose leading term divides it."""
+    work = [dict(p) for p in x]
     rem = tuple({} for _ in x)
     if lts is None:
         lts = [m_leading_term(b, order) for b in basis]
-    while not m_is_zero(work):
-        (pos, e), c = m_leading_term(work, order)
-        hit = False
-        for b, lt in zip(basis, lts):
-            (bpos, be), bc = lt
+    while (lt := m_leading_term(work, order)) is not None:
+        (pos, e), c = lt
+        for b, ((bpos, be), bc) in zip(basis, lts):
             if bpos == pos and _divides(be, e):
-                q_e = tuple(a - b2 for a, b2 in zip(e, be))
-                work = m_sub(work, m_term_mul(b, q_e, c / bc))
-                hit = True
+                _sub_term_mul(work, b, tuple(a - d for a, d in zip(e, be)), c / bc)
                 break
-        if not hit:
-            rem = list(rem)
-            rem[pos] = p_add(rem[pos], {e: c})
-            rem = tuple(rem)
-            w = list(work)
-            w[pos] = {k: v for k, v in w[pos].items() if k != e}
-            work = tuple(w)
+        else:
+            rem[pos][e] = c
+            del work[pos][e]
     return rem
 
 
@@ -193,10 +181,9 @@ def _s_vector(f, g, lt_f, lt_g):
     (_, ef), cf = lt_f
     (_, eg), cg = lt_g
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    return m_sub(
-        m_term_mul(f, tuple(a - b for a, b in zip(lcm, ef)), Fraction(1) / cf),
-        m_term_mul(g, tuple(a - b for a, b in zip(lcm, eg)), Fraction(1) / cg),
-    )
+    s = list(m_term_mul(f, tuple(a - b for a, b in zip(lcm, ef)), Fraction(1) / cf))
+    _sub_term_mul(s, g, tuple(a - b for a, b in zip(lcm, eg)), Fraction(1) / cg)
+    return tuple(s)
 
 
 def module_groebner_basis(gens, order=POT):
@@ -269,9 +256,8 @@ def module_intersection(gens_a, gens_b, nvars):
     ext = [m_term_mul(_m_embed(g), t, 1) for g in a]
     for g in b:
         emb = _m_embed(g)
-        ext.append(
-            m_add(m_term_mul(emb, (0,) * (nvars + 1), 1), m_term_mul(emb, t, -1))
-        )
+        ext.append(m_term_mul(emb, (0,) * (nvars + 1), 1))
+        _sub_term_mul(ext[-1], emb, t, Fraction(1))
     return _t_free(module_groebner_basis(ext, ELIM))
 
 

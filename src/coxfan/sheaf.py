@@ -23,6 +23,7 @@ from .gradmod import (
     GradedSubmodule,
     _is_monomial_context,
     _kill_power,
+    _localization_kernel,
     _monomial_saturation,
     _monomials_of_degree,
     component_span_rows,
@@ -143,14 +144,6 @@ def _laurent_component_generators(cox: CoxRingData, alpha, cone_key):
     return tuple(small[p][1] for p in sorted(keys))
 
 
-def _localization_kernel(f: GradedModulePresentation, zexp):
-    if not f.relations:
-        return ()
-    zp = {tuple(zexp): Fraction(1)}
-    sat = module_saturate_element(list(f.relations), zp, f.rank, f.nvars)
-    return tuple(x for x in sat if not m_is_zero(x))
-
-
 def sheafify(f: GradedModulePresentation) -> SheafCoverPresentation:
     """The cover presentation of the associated sheaf: one localized
     module per maximal cone, with killed generators certified."""
@@ -162,19 +155,13 @@ def sheafify(f: GradedModulePresentation) -> SheafCoverPresentation:
     for cone in cox.grading.fan.maximal_cones():
         key = cone.ray_generators
         z = cox.zhat[key]
-        kern = _localization_kernel(f, z)
-        kernels[key] = kern
-        kern_gb = module_groebner_basis(list(kern)) if kern else []
+        kernels[key] = _localization_kernel(f, z)
         killed = {}
         gens = []
         for i in range(f.rank):
-            unit = tuple(
-                {} if j != i else {(0,) * f.nvars: Fraction(1)}
-                for j in range(f.rank)
-            )
-            if kern and module_contains(kern_gb, unit):
-                # the unit lies in (relations : z^inf), so a power kills it
-                killed[i] = _kill_power(rel_gb, i, z, f.rank)
+            k = _kill_power(rel_gb, kernels[key], i, z, f.rank)
+            if k is not None:
+                killed[i] = k
                 continue
             alpha = A.neg(f.generator_degrees[i])
             for v in _laurent_component_generators(cox, alpha, key):

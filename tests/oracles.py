@@ -646,10 +646,12 @@ def monomials_of_weighted_degree(weights, degree, cap=None):
 
 # ---------------------------------------------------------------------------
 # Buchberger over every same-position pair, recomputing leading terms at
-# each step, and saturation by the iterated colon (the reference for the
-# package's Groebner engine, whose bases must equal these element for
-# element).  Module elements are tuples of {exponent: Fraction} dicts;
-# `order` is any object whose `key` ranks (position, exponent) terms.
+# each step, one basis per candidate in generator minimalization, and
+# saturation by the iterated colon (the reference for the package's
+# Groebner engine, whose bases, remainders, S-vectors and minimal
+# generator lists must equal these element for element).  Module elements
+# are tuples of {exponent: Fraction} dicts; `order` is any object whose
+# `key` ranks (position, exponent) terms.
 
 
 def _p_add(p, q):
@@ -752,6 +754,21 @@ def _submodule_equal(gens_a, gens_b, pot):
     return all(_m_is_zero(m_normal_form(x, gb, pot)) for x in gens_a) and all(
         _m_is_zero(m_normal_form(y, ga, pot)) for y in gens_b
     )
+
+
+def minimalize_generators(gens, relations, pot):
+    """One pass that drops each generator lying in the span of the others
+    and the relations, each test on a Groebner basis of that span."""
+    gens = [x for x in gens if not _m_is_zero(x)]
+    k = 0
+    while k < len(gens):
+        rest = gens[:k] + gens[k + 1 :]
+        gb = module_groebner_basis(rest + list(relations), pot)
+        if gb and _m_is_zero(m_normal_form(gens[k], gb, pot)):
+            gens = rest
+        else:
+            k += 1
+    return gens
 
 
 def _grevlex_leading(p):

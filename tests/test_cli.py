@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -306,6 +309,22 @@ def test_huge_degree_is_refused_quickly(p2, args):
     _validate(payload, "error")
     assert payload["error"]["type"] == "FiberTooLarge"
     assert str(grading.FIBER_POINT_CAP) in payload["error"]["reason"]
+
+
+def test_torsion_with_a_huge_power_cap_returns_quickly(p2):
+    # No power of Z2 or Z3 lies in (Z1), so the kill-power search must not
+    # walk up to the cap; a child process, so a hang fails at the timeout.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    args = ["module", "torsion", p2, "--ideal", "Z1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxfan.cli", *args, "--power-cap", "99999999"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout == _run(args)[1]
 
 
 def test_negative_rank_two_degree_list():

@@ -1,11 +1,12 @@
 """Graded modules: degree components, shifts, saturation, torsion."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from coxfan import corpus, cox, gradmod, grading
+from coxfan import corpus, cox, gradmod, grading, polyfan, sheaf
 from coxfan.cox import BaseRingFlags, build_cox
 from coxfan.gradmod import (
     GradedSubmodule,
@@ -19,7 +20,16 @@ from coxfan.gradmod import (
     submodules_equal,
 )
 from coxfan.grading import classify_subgroup, subgroup_of_whole_group
-from coxfan.groeb import ELIM, POT, m_term_mul
+from coxfan.groeb import (
+    ELIM,
+    POT,
+    _s_vector,
+    m_is_zero,
+    m_leading_term,
+    m_normal_form,
+    m_term_mul,
+    module_saturate_element,
+)
 
 import oracles
 
@@ -45,6 +55,10 @@ def _deg2_monomial_ideals():
 
 def _elem(e):
     return ({tuple(e): Fraction(1)},)
+
+
+def _alpha(ring, d):
+    return ring.cox.grading.class_group.from_coords([d])
 
 
 def _submodule(ring, exps):
@@ -189,3 +203,100 @@ def test_free_modules_are_not_torsion(p2_ring, p2_cox):
     assert not is_torsion(p2_ring).is_torsion
     A = p2_cox.grading.class_group
     assert not is_torsion(p2_ring.shifted(A.from_coords([1]))).is_torsion
+
+
+def _random_homogeneous(rng, c, degrees, alpha):
+    """Two terms of degree alpha in the free module on the given
+    generator degrees, with random nonzero coefficients."""
+    g, A = c.grading, c.grading.class_group
+    coords = [
+        (i, e) for i, d in enumerate(degrees) for e in grading.degree_fiber(g, A.add(alpha, A.neg(d)))
+    ]
+    x = [{} for _ in degrees]
+    for i, e in rng.sample(coords, min(2, len(coords))):
+        x[i][e] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return tuple(x)
+
+
+def test_minimalize_equals_reference(p2_cox):
+    # Division first must not change a keep/drop decision: the same list
+    # as one basis per candidate, with duplicates, scalar multiples and
+    # term multiples among the candidates, with and without relations.
+    rng = random.Random(20261103)
+    A = p2_cox.grading.class_group
+    dropped = kept = 0
+    for rank in (1, 2):
+        degrees = [A.from_coords([d]) for d in range(rank)]
+        for _ in range(20):
+            alpha = A.from_coords([rng.randint(1, 2)])
+            gens = [_random_homogeneous(rng, p2_cox, degrees, alpha) for _ in range(rng.randint(2, 4))]
+            gens.append(rng.choice(gens))
+            gens.append(m_term_mul(rng.choice(gens), (0, 0, 0), rng.choice([-2, 3])))
+            gens.append(m_term_mul(rng.choice(gens), rng.choice([(1, 0, 0), (0, 0, 1)]), 1))
+            rng.shuffle(gens)
+            rels = [_random_homogeneous(rng, p2_cox, degrees, alpha) for _ in range(rng.randint(0, 2))]
+            ring = gradmod.GradedModulePresentation(p2_cox, tuple(degrees), tuple(rels))
+            got = minimalize_submodule_generators(GradedSubmodule(ring, tuple(gens)))
+            want = oracles.minimalize_generators(gens, rels, POT)
+            assert list(got.element_generators) == want
+            kept += len(want)
+            dropped += len(gens) - len(want)
+    assert kept >= 80 and dropped >= 100
+
+
+def test_minimalize_divides_before_building_a_basis(p2_ring, monkeypatch):
+    # The preimage of a binomial ideal on P2 over degrees 0..3 has more
+    # candidates than minimalization may build bases for: most are
+    # dropped by division alone.
+    one = Fraction(1)
+    ideal = [{(1, 1, 0): one, (0, 0, 2): -one}, {(1, 0, 1): one, (0, 2, 0): -2 * one}]
+    family = sheaf.xi_forward(GradedSubmodule(p2_ring, tuple((p,) for p in ideal)))
+    candidates = []
+    monkeypatch.setattr(sheaf, "minimalize_submodule_generators", candidates.append)
+    sheaf.xi_preimage(family, p2_ring, [_alpha(p2_ring, d) for d in range(4)])
+    (sub,) = candidates
+    bases = []
+    real = gradmod.module_groebner_basis
+    monkeypatch.setattr(gradmod, "module_groebner_basis", lambda *a: bases.append(1) or real(*a))
+    out = minimalize_submodule_generators(sub)
+    assert len(out.element_generators) < len(sub.element_generators)
+    assert len(bases) < len(sub.element_generators)
+
+
+SATURATION_FANS = {
+    "p2": lambda: corpus.build("p2"),
+    "p1xp1": lambda: corpus.build("p1xp1"),
+    "f2": lambda: polyfan.build_fan(2, [(1, 0), (0, 1), (-1, 2), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_FANS))
+def test_pruned_saturation_is_the_intersection(name, monkeypatch):
+    # Ideals of two binomials take the Groebner route.  The answer spans
+    # the submodule that oracles.module_intersection gives from the
+    # per-cone saturations (those are checked against the iterated colon
+    # in test_groeb), and every pruned intermediate is a Groebner basis.
+    g = grading.build_grading(SATURATION_FANS[name]())
+    c = build_cox(g, subgroup_of_whole_group(g))
+    ring = free_module(c)
+    pruned = []
+    real = gradmod._minimal_basis
+    monkeypatch.setattr(gradmod, "_minimal_basis", lambda gb: pruned.append(real(gb)) or pruned[-1])
+    rng = random.Random(20261104)
+    A = g.class_group
+    units = [A.from_coords([int(j == k) for j in range(A.free_rank)]) for k in range(A.free_rank)]
+    for _ in range(5):
+        gens = [_random_homogeneous(rng, c, [A.zero()], rng.choice(units)) for _ in range(2)]
+        sat = saturate_submodule(GradedSubmodule(ring, tuple(gens)))
+        want = None
+        for cone in g.fan.maximal_cones():
+            z = {tuple(c.zhat[cone.ray_generators]): Fraction(1)}
+            part = module_saturate_element(gens, z, 1, c.num_vars)
+            want = part if want is None else oracles.module_intersection(want, part, c.num_vars, ELIM)
+        assert submodules_equal(sat, GradedSubmodule(ring, tuple(want)))
+    assert pruned
+    for gb in pruned:
+        lts = [m_leading_term(x, POT) for x in gb]
+        for (i, f), (j, h) in itertools.combinations(enumerate(gb), 2):
+            if lts[i][0][0] == lts[j][0][0]:
+                assert m_is_zero(m_normal_form(_s_vector(f, h, lts[i], lts[j]), gb, POT))

@@ -3,6 +3,7 @@ Ideals are rank-1 submodules, with elements ``(p,)``."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, strategies as st
 
@@ -264,3 +265,38 @@ def test_saturation_equals_iterated_colon():
         want = oracles.module_saturate_element(gens, f, rank, nvars, POT, ELIM)
         assert submodule_equal(got, want)
 
+
+
+def _items(x):
+    """An element as nested term lists: equal also in dict order."""
+    return [list(p.items()) for p in x]
+
+
+def test_reduction_kernel_equals_reference():
+    # In-place reduction keeps the reducer (the first basis element whose
+    # leading term divides) and the exact arithmetic, so remainders and
+    # S-vectors are the reference's, term for term and in the same order,
+    # and the inputs are left as they were.
+    rng = random.Random(20261102)
+    reduced = s_vectors = 0
+    for _ in range(150):
+        rank, nvars = rng.randint(1, 3), rng.randint(1, 3)
+        basis = _random_gens(rng, rank, nvars, rng.randint(1, 4), 0.4)
+        x = _random_element(rng, rank, nvars, False)
+        for b in rng.sample(basis, rng.randint(1, len(basis))):
+            (e,) = _random_term(rng, nvars, 2)
+            x = oracles._m_sub(x, m_term_mul(b, e, rng.randint(1, 3)))
+        before = (_items(x), [_items(b) for b in basis])
+        for order in (POT, ELIM):
+            lts = [m_leading_term(b, order) for b in basis]
+            want = oracles.m_normal_form(x, basis, order)
+            reduced += want != x
+            assert _items(m_normal_form(x, basis, order)) == _items(want)
+            assert _items(m_normal_form(x, basis, order, lts)) == _items(want)
+            for (i, f), (j, g) in combinations(enumerate(basis), 2):
+                if lts[i][0][0] == lts[j][0][0]:
+                    want = oracles._s_vector(f, g, order)
+                    assert _items(_s_vector(f, g, lts[i], lts[j])) == _items(want)
+                    s_vectors += 1
+        assert (_items(x), [_items(b) for b in basis]) == before
+    assert reduced >= 200 and s_vectors >= 200
