@@ -3,7 +3,8 @@
 
 Runs the Čech-style equalizer over the chart cover of a complete fixture
 fan and prints dim Γ(𝒪(d)) for a window of twists, in both evaluation
-modes as a cross-check.
+modes as a cross-check, with the certificate of each mode's level
+("bound" for a proven level).
 
 Usage:
     python3 scripts/sections_scan.py --fan p2 --min -2 --max 4
@@ -45,7 +46,7 @@ def main():
                 "twist": coords,
                 "dim_via_shift": shift.dimension,
                 "dim_via_twist": twist.dimension,
-                "stabilized": shift.stabilized and twist.stabilized,
+                "certificates": [shift.certificate, twist.certificate],
             }
         )
     print(json.dumps({"fan": args.fan, "sections": rows}, indent=2))

@@ -447,11 +447,9 @@ def cmd_module_sections(args):
     s = sheaf.sheafify(f)
     dims = {}
     for alpha in _element_list(args.degrees, A, "degree"):
-        w = sheaf.global_sections_degree(
-            s, alpha, mode=args.mode, max_level=args.max_level
-        )
+        w = sheaf.global_sections_degree(s, alpha, mode=args.mode)
         key = ",".join(str(x) for x in _coords(alpha))
-        dims[key] = {"dimension": w.dimension, "stabilized": w.stabilized}
+        dims[key] = {"dimension": w.dimension, "certificate": w.certificate}
     _emit(
         {
             "command": "module sections",
@@ -630,7 +628,6 @@ def build_parser():
     ms.add_argument("--module", default=None)
     ms.add_argument("--degrees", required=True, help="e.g. '-1;0;1'")
     ms.add_argument("--mode", choices=["via_shift", "via_twist"], default="via_shift")
-    ms.add_argument("--max-level", type=int, default=sheaf.DEFAULT_MAX_LEVEL)
     ms.add_argument("--subgroup", default=None)
     ms.set_defaults(func=cmd_module_sections)
     mt = mod_sub.add_parser("torsion")

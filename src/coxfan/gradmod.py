@@ -198,10 +198,10 @@ def _localization_kernel(f: GradedModulePresentation, zexp):
 
 
 def _kill_power(rel_gb, kern_gb, i, zexp, rank, cap=None):
-    """The least k with z^k times generator i in the relation module, or
-    None when no k <= cap works.  kern_gb is the localization kernel:
-    some power kills generator i exactly when the generator lies in it,
-    so no power is tried otherwise, and without a cap the search ends."""
+    """The least k with z^k times generator i in the relation module, None
+    when no k works, or cap + 1 when no k <= cap does.  kern_gb is the
+    localization kernel: some power kills generator i exactly when the
+    generator lies in it, so no power is tried otherwise."""
     one = {(0,) * len(zexp): Fraction(1)}
     unit = tuple(one if j == i else {} for j in range(rank))
     if not module_contains(kern_gb, unit):
@@ -211,7 +211,7 @@ def _kill_power(rel_gb, kern_gb, i, zexp, rank, cap=None):
         elem = tuple({} if j != i else {e: Fraction(1)} for j in range(rank))
         if module_contains(rel_gb, elem):
             return k
-    return None
+    return cap + 1
 
 
 def minimalize_submodule_generators(sub: GradedSubmodule) -> GradedSubmodule:
@@ -287,8 +287,8 @@ def submodules_equal(a: GradedSubmodule, b: GradedSubmodule) -> bool:
 class TorsionCertificate:
     is_torsion: bool
     exponent_table: dict  # (generator index, cone rays) -> least killing power
-    failure: object  # (generator index, cone rays) at the cap, when not torsion
-    capped: bool  # True when a negative verdict is only cap-limited
+    failure: object  # (generator index, cone rays) not killed, when not torsion
+    capped: bool  # True when the power cap, not the kernel, gave the verdict
 
 
 def is_torsion(f: GradedModulePresentation, power_cap: int = DEFAULT_POWER_CAP):
@@ -308,7 +308,7 @@ def is_torsion(f: GradedModulePresentation, power_cap: int = DEFAULT_POWER_CAP):
     for i in range(f.rank):
         for key in maximal:
             found = _kill_power(rel_gb, kern[key], i, cox.zhat[key], f.rank, power_cap)
-            if found is None:
-                return TorsionCertificate(False, table, (i, key), True)
+            if found is None or found > power_cap:
+                return TorsionCertificate(False, table, (i, key), found is not None)
             table[(i, key)] = found
     return TorsionCertificate(True, table, None, False)

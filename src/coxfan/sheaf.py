@@ -2,10 +2,10 @@
 
 A graded module is turned into a family of localized chart modules (one
 per maximal cone), glued along overlaps.  Global sections are windowed:
-degrees come from explicit finite lists and denominator exponents are
-raised until two consecutive levels agree.  Both section modes (via_shift
-and via_twist) go through one window/equalizer builder, so they are not
-independent checks of each other; the lattice-point count of the
+degrees come from explicit finite lists, and denominators from one level:
+a proven bound for a free module, else a heuristic.  Both section modes
+(via_shift and via_twist) go through one window/equalizer builder, so they
+are not independent checks of each other; the lattice-point count of the
 divisor polytope is.
 """
 
@@ -86,7 +86,7 @@ class GlobalSectionsWindow:
     mode: str
     dimension: int
     level: int
-    stabilized: bool
+    certificate: str  # "bound": a proven level; "heuristic": two equal levels
     internals: object = field(compare=False, repr=False, default=None)
 
 
@@ -261,8 +261,9 @@ def _level_invariants(s, alpha, mode):
     """What the equalizer needs at every level, computed once: the degree
     read (via_shift: alpha with the single trivial twist; via_twist: 0
     tensored with the Laurent generators of alpha), the twists of every
-    maximal cone, and per pair of maximal cones the overlap key, its
-    twists, each side's cover plan and the level slack the plans need."""
+    maximal cone, the level bound L, and per pair of maximal cones the
+    overlap key, its twists, each side's cover plan and the level slack
+    the plans need."""
     cox = s.cox
     cones = list(cox.grading.fan.maximal_cones())
     if mode == "via_shift":
@@ -278,7 +279,13 @@ def _level_invariants(s, alpha, mode):
         def twist(key):
             return _laurent_component_generators(cox, alpha, key)
 
-    twists = {c.ray_generators: twist(c.ray_generators) for c in cones}
+    keys = [c.ray_generators for c in cones]
+    twists = {key: twist(key) for key in keys}
+    # The level bound L, proven in global_sections_degree.
+    bound = max([1] + [
+        -(-v[p] // (cox.m_exponents[k] * z))
+        for k in keys for v in twists[k] for p, z in enumerate(cox.zhat[k]) if z > 0
+    ])
     pairs = []
     for c1, c2 in combinations(cones, 2):
         # In a fan σ∩τ is a common face: the cone on the shared rays.
@@ -295,8 +302,7 @@ def _level_invariants(s, alpha, mode):
             default=0,
         )
         pairs.append((tau_key, plans, slack))
-    keys = [c.ray_generators for c in cones]
-    return degree, keys, twists, pairs
+    return degree, keys, twists, bound, pairs
 
 
 def _sections_at_level(s, invariants, level_k):
@@ -304,7 +310,7 @@ def _sections_at_level(s, invariants, level_k):
     its sparse rows: one row per overlap coordinate, read off the images
     of both sides' coordinates."""
     cox = s.cox
-    degree, keys, twists, pairs = invariants
+    degree, keys, twists, _, pairs = invariants
     windows = {
         key: _Window(s, key, degree, twists[key], level_k * cox.m_exponents[key])
         for key in keys
@@ -343,34 +349,56 @@ def _sections_at_level(s, invariants, level_k):
 
 
 def global_sections_degree(
-    s: SheafCoverPresentation,
-    alpha,
-    mode="via_shift",
-    max_level=DEFAULT_MAX_LEVEL,
+    s: SheafCoverPresentation, alpha, mode="via_shift"
 ) -> GlobalSectionsWindow:
     """Global sections of the sheaf (via_shift: of the shifted module's
     sheaf; via_twist: of the sheaf tensored with the twisting sheaf) as
-    the equalizer of the restriction maps, stabilized over denominator
-    levels."""
+    the equalizer of the restriction maps at one denominator level.
+
+    At level k the window of a maximal cone σ holds the classes of
+    x^v ⊗ x^e·e_i / ẑ_σ^(k·m_σ), for the twists v of σ (v ≥ 0 on σ's rays)
+    and the monomials e of the window's degree; dim(k) is the dimension
+    of the equalizer.  For a free module the level bound L of
+    ``_level_invariants`` is proven, so that level alone is evaluated:
+
+    1. The windows embed in the localization.  The localization kernel is
+       quotiented out, and for a free module it is 0.  The rows between
+       twist blocks identify two coordinates exactly when their products
+       x^(v + e − k·m_σ·ẑ_σ)·e_i agree, so the window is the span of those
+       Laurent monomials, and each overlap window likewise.  Agreement on
+       every overlap is then equality of Laurent polynomials.
+    2. dim(k) never decreases and is at most H0.  Multiplying e by
+       ẑ_σ^m_σ embeds the level-k window in the level-(k+1) one, and the
+       windows of all levels make up the chart module, so H0 is the union
+       of these nested equalizers.
+    3. From k = L on, dim(k) equals H0.  By 1, H0 is spanned by monomials
+       x^u·e_i that lie, on every σ, in some window: u = v + e − k'·m_σ·ẑ_σ
+       with e ≥ 0.  Since ẑ_σ is 0 on σ's rays, u ≥ v ≥ 0 there, and every
+       ray lies on a maximal cone, so u ≥ 0.  Then e' = u − v + L·m_σ·ẑ_σ
+       puts x^u·e_i in the level-L window: e' = e on σ's rays, and off
+       them e' ≥ L·m_σ·ẑ_σ,ρ − v_ρ ≥ 0, because L·m_σ·ẑ_σ,ρ ≥ max(v_ρ, 0).
+
+    With relations steps 1 and 3 fail, and a heuristic takes over: the
+    levels from L on are evaluated until two consecutive ones agree, for
+    at most DEFAULT_MAX_LEVEL levels, else ``Unstabilized`` is raised."""
     if mode not in ("via_shift", "via_twist"):
         raise ValueError(f"unknown mode {mode!r}")
     invariants = _level_invariants(s, alpha, mode)
-    prev = None
-    for level in range(1, max_level + 1):
-        dim, internals = _sections_at_level(s, invariants, level)
-        if prev is not None and dim == prev:
-            return GlobalSectionsWindow(
-                degree=alpha,
-                mode=mode,
-                dimension=dim,
-                level=level,
-                stabilized=True,
-                internals=internals,
+    level = invariants[3]
+    dim, internals = _sections_at_level(s, invariants, level)
+    certificate = "bound"
+    if s.origin.relations:
+        certificate = "heuristic"
+        for level in range(level + 1, level + DEFAULT_MAX_LEVEL):
+            prev = dim
+            dim, internals = _sections_at_level(s, invariants, level)
+            if dim == prev:
+                break
+        else:
+            raise Unstabilized(
+                f"section dimension did not settle within {DEFAULT_MAX_LEVEL} levels"
             )
-        prev = dim
-    raise Unstabilized(
-        f"section dimension did not settle within {max_level} levels"
-    )
+    return GlobalSectionsWindow(alpha, mode, dim, level, certificate, internals)
 
 
 def eta_component_is_bijective(s: SheafCoverPresentation, alpha) -> bool:

@@ -147,7 +147,7 @@ def test_criterion_03_section_dimensions(p2):
             sheafify(ring.shifted(A.from_coords([d]))), A.zero()
         )
         want = oracles.count_monomials_total_degree(3, d)
-        ok &= win.stabilized and win.dimension == want
+        ok &= win.certificate == "bound" and win.dimension == want
     _report("03 section-dimensions", ok)
 
 

@@ -235,7 +235,20 @@ def test_sections_of_a_conic(tmp_path, p2, mode):
     code, out = _run(args + ["--mode", mode])
     assert code == 0, out
     payload = json.loads(out)
+    _validate(payload, "module_sections")
     assert [payload["dimensions"][str(d)]["dimension"] for d in range(4)] == [1, 3, 5, 7]
+    # With relations the level is not proven.
+    assert {v["certificate"] for v in payload["dimensions"].values()} == {"heuristic"}
+
+
+def test_twisted_sections_at_the_level_bound(p2):
+    # Levels 1 and 2 both give 0 here; the proven level is 4.
+    args = ["module", "sections", p2, "--degrees", "4", "--mode", "via_twist"]
+    code, out = _run(args)
+    assert code == 0, out
+    payload = json.loads(out)
+    _validate(payload, "module_sections")
+    assert payload["dimensions"] == {"4": {"certificate": "bound", "dimension": 15}}
 
 
 # S/(Z1) + S(-1)/(Z2) on P2: its sheaf is O_L + O_L'(-1) for two lines,
@@ -267,7 +280,9 @@ def test_torsion_of_a_rank_two_module(tmp_path, p2):
     assert code == 0, out
     payload = json.loads(out)
     _validate(payload, "module_torsion")
-    assert payload["is_torsion"] is False and payload["capped"] is True
+    # No power of the cone monomial kills generator 0 there: the
+    # localization kernel certifies that, whatever the power cap.
+    assert payload["is_torsion"] is False and payload["capped"] is False
     assert [(c["generator"], c["power"]) for c in payload["certificate"]] == [(0, 1)]
 
 

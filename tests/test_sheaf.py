@@ -72,12 +72,12 @@ def test_sections_of_twists_match_counting_oracle(p2_ring):
     for d in range(5):
         twisted = p2_ring.shifted(_alpha(p2_ring, d))
         win = global_sections_degree(sheafify(twisted), _alpha(p2_ring, 0))
-        assert win.stabilized
+        assert win.certificate == "bound"
         assert win.dimension == oracles.count_monomials_total_degree(3, d)
     for d in (-1, -2):
         twisted = p2_ring.shifted(_alpha(p2_ring, d))
         win = global_sections_degree(sheafify(twisted), _alpha(p2_ring, 0))
-        assert win.stabilized and win.dimension == 0
+        assert win.certificate == "bound" and win.dimension == 0
 
 
 def test_shift_and_twist_modes_agree(p2_ring):
@@ -102,7 +102,7 @@ def test_sections_on_product_fan():
         twisted = ring.shifted(A.from_coords([a, b]))
         win = global_sections_degree(sheafify(twisted), A.zero())
         want = 0 if (a < 0 or b < 0) else (a + 1) * (b + 1)
-        assert win.stabilized and win.dimension == want, (a, b)
+        assert win.certificate == "bound" and win.dimension == want, (a, b)
 
 
 def test_comparison_map_bijective_in_positive_degrees(p2_ring):
@@ -292,6 +292,10 @@ def test_twist_overlaps_need_no_more_level_than_the_degree(name):
         assert max(slack for *_, slack in pairs) <= d, d
 
 
+def _rays(name):
+    return SCALE_FANS[name][0] if name in SCALE_FANS else corpus.fan_spec(name)["rays"]
+
+
 @pytest.mark.parametrize(
     "name,a",
     [
@@ -304,10 +308,59 @@ def test_twist_overlaps_need_no_more_level_than_the_degree(name):
     ],
 )
 def test_both_modes_count_lattice_points(name, a):
-    rays = corpus.fan_spec(name)["rays"] if name == "p2" else SCALE_FANS[name][0]
     c = _cox(name)
     s = sheafify(free_module(c))
-    want = oracles.polytope_lattice_count(rays, a, 4)
+    want = oracles.polytope_lattice_count(_rays(name), a, 4)
     for mode in ("via_shift", "via_twist"):
         assert global_sections_degree(s, c.grading.a_map(a), mode=mode).dimension == want, mode
 
+
+
+# The cases where levels 1 and 2 of via_twist both give 0, with the level
+# bound L: the first level whose windows hold every section.
+@pytest.mark.parametrize(
+    "name,a,bound",
+    [
+        ("p2", (4, 0, 0), 4),
+        ("p2", (5, 0, 0), 5),
+        ("p3", (3, 0, 0, 0), 3),
+        ("p112", (6, 0, 0), 6),
+        ("f2", (0, 0, 0, 3), 6),
+        ("dp6", (3, 0, 0, 0, 0, 0), 3),
+    ],
+)
+def test_free_sections_at_the_level_bound(name, a, bound):
+    c = _cox(name)
+    s = sheafify(free_module(c))
+    alpha = c.grading.a_map(a)
+    want = oracles.polytope_lattice_count(_rays(name), a, 12)
+    for mode, level in (("via_shift", 1), ("via_twist", bound)):
+        win = global_sections_degree(s, alpha, mode=mode)
+        assert (win.dimension, win.level, win.certificate) == (want, level, "bound"), mode
+    # One level lower some section is still missing.
+    inv = sheaf._level_invariants(s, alpha, "via_twist")
+    assert sheaf._sections_at_level(s, inv, bound - 1)[0] < want
+
+
+def test_free_module_is_evaluated_at_one_level(monkeypatch):
+    c = _cox("p2")
+    calls = []
+    real = sheaf._sections_at_level
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(sheaf, "_sections_at_level", counted)
+    s = sheafify(free_module(c))
+    for mode in ("via_shift", "via_twist"):
+        for d in (-1, 0, 3):
+            calls.clear()
+            global_sections_degree(s, _ray_multiple(c.grading, d), mode=mode)
+            assert len(calls) == 1, (mode, d)
+    # With relations the level is a heuristic: two equal levels, from L on.
+    q = sheafify(quotient_by_monomial_ideal(c, [(1, 0, 0)]))
+    calls.clear()
+    win = global_sections_degree(q, _ray_multiple(c.grading, 3), mode="via_twist")
+    assert win.certificate == "heuristic" and calls[0] == 3 and len(calls) >= 2
+    assert win.dimension == 4
