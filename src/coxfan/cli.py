@@ -262,6 +262,7 @@ def _read(path):
 def _emit(payload):
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
+    return EXIT_OK
 
 
 def _pipeline(args, need_cox=True):
@@ -280,7 +281,7 @@ def _pipeline(args, need_cox=True):
 
 def cmd_fan_validate(args):
     fan, warnings = parse_fan_json(_read(args.fan))
-    _emit(
+    return _emit(
         {
             "command": "fan validate",
             "valid": True,
@@ -289,7 +290,6 @@ def cmd_fan_validate(args):
             "warnings": warnings,
         }
     )
-    return EXIT_OK
 
 
 def cmd_fan_report(args):
@@ -297,7 +297,7 @@ def cmd_fan_report(args):
     props = polyfan.fan_properties(fan)
     flags = parse_flags(args.flags)
     report = schemeprops.scheme_property_report(props, flags)
-    _emit(
+    return _emit(
         {
             "command": "fan report",
             "properties": {
@@ -312,13 +312,12 @@ def cmd_fan_report(args):
             "warnings": warnings,
         }
     )
-    return EXIT_OK
 
 
 def cmd_grading_build(args):
     _, warnings, g, _ = _pipeline(args, need_cox=False)
     A = g.class_group
-    _emit(
+    return _emit(
         {
             "command": "grading build",
             "class_group": {
@@ -329,26 +328,24 @@ def cmd_grading_build(args):
             "warnings": warnings,
         }
     )
-    return EXIT_OK
 
 
 def cmd_pic(args):
     _, warnings, g, _ = _pipeline(args, need_cox=False)
     pic = grading.picard_group(g)
-    _emit(
+    return _emit(
         {
             "command": "pic",
             "generators": [_coords(x) for x in pic.generators],
             "warnings": warnings,
         }
     )
-    return EXIT_OK
 
 
 def cmd_subgroup_classify(args):
     _, warnings, g, _ = _pipeline(args, need_cox=False)
     b = grading.classify_subgroup(g, parse_subgroup(args.subgroup, g.class_group))
-    _emit(
+    return _emit(
         {
             "command": "subgroup classify",
             "generators": [_coords(x) for x in b.generators],
@@ -358,7 +355,6 @@ def cmd_subgroup_classify(args):
             "warnings": warnings,
         }
     )
-    return EXIT_OK
 
 
 def cmd_cox_build(args):
@@ -368,7 +364,7 @@ def cmd_cox_build(args):
     for cone in fan.maximal_cones():
         label = ",".join(str(rays.index(r)) for r in cone.ray_generators)
         m_exps[label] = c.m_exponents[cone.ray_generators]
-    _emit(
+    return _emit(
         {
             "command": "cox build",
             "num_vars": c.num_vars,
@@ -383,7 +379,6 @@ def cmd_cox_build(args):
             "warnings": warnings,
         }
     )
-    return EXIT_OK
 
 
 def _find_cone(fan, index_spec):
@@ -402,7 +397,7 @@ def cmd_chart(args):
     fan, warnings, g, c = _pipeline(args)
     cone = _find_cone(fan, args.cone)
     chart = cox.local_chart(c, cone)
-    _emit(
+    return _emit(
         {
             "command": "chart",
             "cone": args.cone,
@@ -412,7 +407,6 @@ def cmd_chart(args):
             "warnings": warnings,
         }
     )
-    return EXIT_OK
 
 
 def cmd_ideal_saturate(args):
@@ -426,7 +420,7 @@ def cmd_ideal_saturate(args):
     gens = sorted(
         format_monomial(e) for x in sat.element_generators for p in x for e in p
     )
-    _emit(
+    return _emit(
         {
             "command": "ideal saturate",
             "input": sorted(format_monomial(e) for e in exps),
@@ -434,7 +428,6 @@ def cmd_ideal_saturate(args):
             "warnings": warnings,
         }
     )
-    return EXIT_OK
 
 
 def cmd_module_sections(args):
@@ -450,7 +443,7 @@ def cmd_module_sections(args):
         w = sheaf.global_sections_degree(s, alpha, mode=args.mode)
         key = ",".join(str(x) for x in _coords(alpha))
         dims[key] = {"dimension": w.dimension, "certificate": w.certificate}
-    _emit(
+    return _emit(
         {
             "command": "module sections",
             "mode": args.mode,
@@ -458,7 +451,6 @@ def cmd_module_sections(args):
             "warnings": warnings,
         }
     )
-    return EXIT_OK
 
 
 def cmd_module_torsion(args):
@@ -482,7 +474,7 @@ def cmd_module_torsion(args):
         }
         for (i, key), k in sorted(cert.exponent_table.items())
     ]
-    _emit(
+    return _emit(
         {
             "command": "module torsion",
             "is_torsion": cert.is_torsion,
@@ -491,7 +483,6 @@ def cmd_module_torsion(args):
             "warnings": warnings,
         }
     )
-    return EXIT_OK
 
 
 def cmd_sheaf_xi_check(args):
@@ -505,7 +496,7 @@ def cmd_sheaf_xi_check(args):
     window = _element_list(args.window, A, "degree")
     pre = sheaf.xi_preimage(t, s, window)
     agrees = gradmod.submodules_equal(pre, sat)
-    _emit(
+    return _emit(
         {
             "command": "sheaf xi-check",
             "saturation_generators": sorted(
@@ -524,7 +515,6 @@ def cmd_sheaf_xi_check(args):
             "warnings": warnings,
         }
     )
-    return EXIT_OK
 
 
 def cmd_sheaf_lift(args):
@@ -535,7 +525,7 @@ def cmd_sheaf_lift(args):
     t = sheaf.xi_forward(sub)
     lift = sheaf.lift_finite_type(t, s)
     ok = sheaf.family_equal(sheaf.xi_forward(lift), t)
-    _emit(
+    return _emit(
         {
             "command": "sheaf lift",
             "lift_generators": sorted(
@@ -548,7 +538,6 @@ def cmd_sheaf_lift(args):
             "warnings": warnings,
         }
     )
-    return EXIT_OK
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -243,12 +243,6 @@ def _cone_points(basis, v0, cap=None):
     return sorted(out)
 
 
-def finite_fibers(g: GradingData):
-    """True iff every degree has finitely many monomials: no nonzero
-    nonnegative exponent vector maps to a torsion degree."""
-    return _projections(_nonnegative_rows(_degree_zero_lattice(g), g.num_rays)) is not None
-
-
 def degree_fiber(g: GradingData, alpha: GroupElement, cap=None):
     """The exact set of exponent vectors v >= 0 with degree alpha (and
     sum(v) <= cap when a cap is given), sorted.

@@ -83,30 +83,6 @@ class IntMatrix:
         )
 
 
-def det(m: IntMatrix):
-    """Determinant by fraction-free expansion; only used on small matrices."""
-    if m.rows != m.cols:
-        raise ValueError("not square")
-    n = m.rows
-    if n == 0:
-        return 1
-    rows = m.to_rows()
-
-    def _det(rs):
-        k = len(rs)
-        if k == 1:
-            return rs[0][0]
-        total = 0
-        for j in range(k):
-            if rs[0][j] == 0:
-                continue
-            minor = [r[:j] + r[j + 1 :] for r in rs[1:]]
-            total += (-1) ** j * rs[0][j] * _det(minor)
-        return total
-
-    return _det(rows)
-
-
 def smith_normal_form(m: IntMatrix):
     """Return (d, u, v) with d = u*m*v, u and v unimodular, d diagonal with
     nonnegative entries forming a divisibility chain.
@@ -491,12 +467,6 @@ def subgroup_canonical_basis(gens, g: AbelianGroup):
 def subgroup_leq(gens_a, gens_b, g: AbelianGroup):
     """<gens_a> contained in <gens_b>."""
     return all(subgroup_contains(gens_b, x, g) for x in gens_a)
-
-
-def subgroup_equal(gens_a, gens_b, g: AbelianGroup):
-    return subgroup_canonical_basis(gens_a, g) == subgroup_canonical_basis(
-        gens_b, g
-    )
 
 
 def subgroup_intersection(gens_a, gens_b, g: AbelianGroup):

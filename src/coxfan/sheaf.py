@@ -1,19 +1,21 @@
 """Quasicoherent sheaves on the toric cover, presented chart by chart.
 
 A graded module is turned into a family of localized chart modules (one
-per maximal cone), glued along overlaps.  Global sections are windowed:
-degrees come from explicit finite lists, and denominators from one level:
-a proven bound for a free module, else a heuristic.  Both section modes
-(via_shift and via_twist) go through one window/equalizer builder, so they
-are not independent checks of each other; the lattice-point count of the
-divisor polytope is.
+per maximal cone), glued along overlaps.  A chart's twists (its minimal
+Laurent generators of one degree) are exact: their cone parts lie in a
+box proven from the Smith form of the cone's rays.  Global sections take
+degrees from finite lists and denominators from one level: a proven bound
+for a free module, else a heuristic.  Both section modes share one
+window/equalizer builder; the lattice-point count of P_D checks them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from . import ratlin
 from .cox import CoxRingData
@@ -37,9 +39,10 @@ from .groeb import (
     module_saturate_element,
     submodule_equal,
 )
+from .intlat import IntMatrix, hermite_row_basis, smith_normal_form
+from .polyfan import cone_generators_from_inequalities
 
 DEFAULT_MAX_LEVEL = 8
-DEFAULT_ENUM_BOX = 6
 _ONE = Fraction(1)
 
 
@@ -97,51 +100,102 @@ def _sigma_positions(cox: CoxRingData, cone_key):
 
 def _laurent_component_generators(cox: CoxRingData, alpha, cone_key):
     """Minimal fractional-monomial generators of the degree-alpha part of
-    the chart localization, as a module over its degree-0 ring.
+    the chart localization at the cone τ, as a module over its degree-0
+    ring: the minimal parts p = v_τ ≥ 0 (the entries on τ's k rays) of the
+    exponents v = v0 + x·H, v0 = lift(alpha), H the Hermite basis of the
+    degree-0 lattice.  The parts fill the coset v0_τ + L, L = R·Z^m, R the
+    columns of H on τ's rays.  With the Smith form D = U·R·W of rank r,
+    x = W·(y, t) gives v = v0 + y·steps + t·kernel: y moves the part along
+    the basis d_i·U⁻¹e_i of L, and t moves only the entries off τ.
 
-    Searches v = lift(alpha) + C u, v >= 0 on the cone, once over
-    |u_j| <= k + 2 (k = DEFAULT_ENUM_BOX); a heuristic accepts the minimal
-    cone parts of v once the points with |u_j| <= k give the same ones.
-    Each part keeps its v of least (max |v_i|, v).  On a face v is unique
-    only up to a unit of the chart; this choice does not depend on the box
-    and keeps v small off the face, so the overlap windows stay low."""
+    Bound on a minimal part p:
+    - τ simplicial (r = k): the exponent e = d_(r−1) of Z^k/L puts e·e_j in
+      L, so p_j ≥ e would make p − e·e_j a smaller part; p lies in [0, e)^k.
+    - Otherwise the parts are v0_τ + B·y (B = steps on τ's rays, injective)
+      for the integer points y of the pointed polyhedron
+      P = {v0_τ + B·y ≥ 0} = conv(V) + cone(G), V its vertices and G the
+      primitive extreme rays of {B·y ≥ 0} (Minkowski–Weyl).  For
+      y = q + Σ μ_g·g, the point y − Σ ⌊μ_g⌋·g lies in P with a part below
+      y's (B·g ≥ 0), so a minimal y has every μ_g < 1, and
+      p_i < max over V of (v0_τ + B·q)_i + Σ_g (B·g)_i; strictly, since τ
+      is pointed and so some (B·g)_i > 0.
+
+    Each part keeps its v of least (max |v_i|, v).  On a full-dimensional τ
+    there is no kernel and v is unique.  On a face the v of one part are
+    v + t·kernel, and {t : |v + t·kernel| ≤ T} is bounded (the kernel
+    directions are independent, as H's rows are), so ``_least_in_part``
+    bisects on T and enumerates.  Dimensions do not depend on the choice:
+    two v of one part differ by a unit of the chart."""
     g = cox.grading
-    rnk = g.c_matrix.cols
-    nr = g.num_rays
     v0 = g.a_map.lift(alpha)
     pos = _sigma_positions(cox, cone_key)
-    rows = g.c_matrix.to_rows()
-    k = DEFAULT_ENUM_BOX + 2
-    box = [tuple(s * (i == j) for i in range(rnk)) for s in (1, -1) for j in range(rnk)]
-    m = tuple(tuple(rows[p]) for p in pos) + tuple(box)
-    # The image carries u after v, for the |u_j| <= DEFAULT_ENUM_BOX filter.
-    basis = [tuple(r[j] for r in rows) + box[j] for j in range(rnk)]
-    b = tuple(v0[p] for p in pos) + (k,) * (2 * rnk)
-    small, large = {}, set()
-    for w in _lattice_points(m, b, tuple(v0) + (0,) * rnk, basis):
-        v = w[:nr]
-        key = tuple(map(v.__getitem__, pos))
-        large.add(key)
-        if max(map(abs, w[nr:])) <= DEFAULT_ENUM_BOX:
-            score = (max(map(abs, v)), v)
-            if key not in small or score < small[key]:
-                small[key] = score
+    steps, kernel, top = _part_lattice(g.c_matrix, tuple(pos))
+    b = [tuple(s[p] for s in steps) for p in pos]
+    v0_tau = [v0[p] for p in pos]
+    if top is None:
+        top = _nonsimplicial_part_bounds(b, v0_tau)
+    m = tuple(b) + tuple(tuple(-x for x in row) for row in b)
+    bounds = tuple(v0_tau) + tuple(t - x for t, x in zip(top, v0_tau))
+    points = _lattice_points(m, bounds, v0, steps)
+    parts = {tuple(v[p] for p in pos): v for v in points}
+    # q <= p with q != p forces sum(q) < sum(p), so each part needs
+    # checking only against the minimal parts of lower total degree.
+    kept = []
+    for p in sorted(parts, key=sum):
+        if not any(all(a >= c for a, c in zip(p, q)) for q in kept):
+            kept.append(p)
+    return tuple(_least_in_part(parts[p], kernel) for p in sorted(kept))
 
-    def minimal(parts):
-        # q <= p with q != p forces sum(q) < sum(p), so each part needs
-        # checking only against the minimal parts of lower total degree.
-        kept = []
-        for p in sorted(parts, key=sum):
-            if not any(all(a >= b for a, b in zip(p, q)) for q in kept):
-                kept.append(p)
-        return set(kept)
 
-    keys = minimal(small)
-    if keys != minimal(large):
-        raise Unstabilized(
-            f"fractional generator search did not settle within |u_j| <= {k}"
-        )
-    return tuple(small[p][1] for p in sorted(keys))
+@lru_cache(maxsize=256)
+def _part_lattice(c_matrix, pos):
+    """Steps, kernel directions and, for a simplicial cone, the bounds e − 1
+    of ``_laurent_component_generators`` for the rays at pos."""
+    nr = c_matrix.rows
+    h = IntMatrix.from_rows(hermite_row_basis(c_matrix.transpose().to_rows(), nr), nr)
+    ht = h.transpose()
+    d, _, w = smith_normal_form(IntMatrix.from_rows([ht.row(p) for p in pos], h.rows))
+    r = sum(1 for x in d.entries if x)
+    dirs = [tuple(x) for x in w.transpose().mul(h).to_rows()]
+    top = (max(d.entries, default=1) - 1,) * r if r == len(pos) else None
+    return dirs[:r], dirs[r:], top
+
+
+def _nonsimplicial_part_bounds(b, v0_tau):
+    """⌈max over the vertices of P⌉ + Σ_g (B·g) − 1 per entry of the part."""
+    r = len(b[0])
+    vertices = []
+    for rows in combinations(range(len(b)), r):
+        ech = ratlin.echelon([list(b[i]) + [-v0_tau[i]] for i in rows])
+        if list(ech) == list(range(r)):
+            y = [ech[i].get(r, 0) for i in range(r)]
+            vertex = [x + sum(map(mul, row, y)) for row, x in zip(b, v0_tau)]
+            if min(vertex) >= 0:
+                vertices.append(vertex)
+    rays, _ = cone_generators_from_inequalities(b, [], r)
+    return [
+        -(-max(col) // 1) + sum(sum(map(mul, row, g)) for g in rays) - 1
+        for col, row in zip(zip(*vertices), b)
+    ]
+
+
+def _least_in_part(v, kernel):
+    """The least (max |v_i|, v) among the vectors v + t·kernel: the least
+    vector of the region |v + t·kernel| <= T, for the least T at which the
+    region has a point (found by bisection)."""
+    if not kernel:
+        return v
+    m = tuple(tuple(s * k[i] for k in kernel) for i in range(len(v)) for s in (1, -1))
+
+    def region(t):
+        bounds = tuple(t + s * x for x in v for s in (1, -1))
+        return _lattice_points(m, bounds, v, kernel)
+
+    lo, hi = 0, max(map(abs, v))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if next(iter(region(mid)), None) else (mid + 1, hi)
+    return min(region(hi))
 
 
 def sheafify(f: GradedModulePresentation) -> SheafCoverPresentation:
@@ -242,11 +296,6 @@ class _Window:
         return {k: -x for k, x in row.items() if k != t}
 
 
-def _overlap_level(cox, tau_key, needed):
-    m = cox.m_exponents[tau_key]
-    return m * (-(-needed // m))
-
-
 def _cover_twist(v, tw_tau, tau_pos):
     """A twist generator of the overlap chart dividing v there, with the
     exponent difference."""
@@ -266,18 +315,13 @@ def _level_invariants(s, alpha, mode):
     the plans need."""
     cox = s.cox
     cones = list(cox.grading.fan.maximal_cones())
-    if mode == "via_shift":
-        degree = alpha
-        trivial = ((0,) * cox.num_vars,)
+    shift = mode == "via_shift"
+    degree = alpha if shift else cox.grading.class_group.zero()
 
-        def twist(key):
-            return trivial
-
-    else:
-        degree = cox.grading.class_group.zero()
-
-        def twist(key):
-            return _laurent_component_generators(cox, alpha, key)
+    def twist(key):
+        if shift:
+            return ((0,) * cox.num_vars,)
+        return _laurent_component_generators(cox, alpha, key)
 
     keys = [c.ray_generators for c in cones]
     twists = {key: twist(key) for key in keys}
@@ -325,7 +369,8 @@ def _sections_at_level(s, invariants, level_k):
     for tau_key, plans, slack in pairs:
         ztau = cox.zhat[tau_key]
         needed = max(windows[k].level for k in plans) + slack
-        ktau = _overlap_level(cox, tau_key, needed)
+        m = cox.m_exponents[tau_key]
+        ktau = m * -(-needed // m)
         if (tau_key, ktau) not in overlaps:
             overlaps[tau_key, ktau] = _Window(s, tau_key, degree, twists[tau_key], ktau)
         wt = overlaps[tau_key, ktau]

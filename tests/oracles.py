@@ -72,6 +72,45 @@ def snf_diagonal(rows):
     return diag
 
 
+def det(m):
+    """Determinant of a square integer matrix (anything with ``to_rows``)
+    by cofactor expansion along the first row; small matrices only."""
+    rows = m.to_rows()
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("not square")
+
+    def _det(rs):
+        if not rs:
+            return 1
+        total = 0
+        for j, x in enumerate(rs[0]):
+            if x:
+                total += (-1) ** j * x * _det([r[:j] + r[j + 1 :] for r in rs[1:]])
+        return total
+
+    return _det(rows)
+
+
+def subgroup_equal(gens_a, gens_b, group):
+    """Whether two lists of elements generate the same subgroup of an
+    abelian group.  Each subgroup is a lattice in Z^ngens: the element
+    coordinates plus the torsion relations.  A lattice is equal to a larger
+    one iff both have the same rank and the same product of nonzero
+    invariant factors, so both lattices must match their sum."""
+    n = len(group.torsion_orders) + group.free_rank
+    rel = [[t * (i == j) for j in range(n)] for i, t in enumerate(group.torsion_orders)]
+
+    def signature(elems):
+        diag = [x for x in snf_diagonal(rel + [list(e.coords()) for e in elems]) if x]
+        product = 1
+        for x in diag:
+            product *= x
+        return len(diag), product
+
+    both = signature(list(gens_a) + list(gens_b))
+    return signature(gens_a) == both == signature(gens_b)
+
+
 # ---------------------------------------------------------------------------
 # Cone geometry by direct Fourier–Motzkin elimination
 
@@ -184,6 +223,18 @@ def cone_lattice_points(generators, rank, bound):
     return pts
 
 
+def finite_fibers(g):
+    """True iff every degree of the grading has finitely many monomials.
+    That fails iff some nonzero v = C·u >= 0 exists (C the ray matrix), so
+    iff cone(rays) is not a linear space.  That in turn holds iff minus the
+    sum of the rays lies outside cone(rays): if -sum = sum of l_i·r_i with
+    l_i >= 0, then 0 = sum of (1 + l_i)·r_i with positive coefficients, and
+    every -r_j lies in the cone."""
+    rays = g.delta_basis
+    rank = len(rays[0])
+    return in_cone(tuple(-sum(r[j] for r in rays) for j in range(rank)), rays, rank)
+
+
 def polytope_lattice_count(rays, a, bound):
     """Number of m in Z^n with <m, u_rho> >= -a_rho for every ray: the
     dimension of H^0(O(D)) for D = sum a_rho D_rho on a complete toric
@@ -244,6 +295,32 @@ def laurent_generators(rays, v0, positions, box):
 
     small = minimal(small)
     return small if set(small) == set(minimal(large)) else None
+
+
+def least_in_part(rays, v0, positions, part, bound):
+    """The least (max |v_i|, v), or None, over the vectors v = v0 + C·u
+    (C the matrix whose rows are the rays, which must span) that equal
+    part at the positions and have every |v_i| <= bound.  Walks the values
+    of v on the first linearly independent rays and solves for u there."""
+    rank = len(rays[0])
+    basis = []
+    for i, r in enumerate(rays):
+        if len(rref([rays[j] for j in basis] + [r])[1]) > len(basis):
+            basis.append(i)
+    assert len(basis) == rank, "the rays do not span"
+    best = None
+    for w in product(range(-bound, bound + 1), repeat=rank):
+        rhs = [x - v0[i] for x, i in zip(w, basis)]
+        u = solve_rational([rays[i] for i in basis], rhs)
+        if any(x.denominator != 1 for x in u):
+            continue
+        v = tuple(a + int(_dot(r, u)) for a, r in zip(v0, rays))
+        on_part = all(v[p] == x for p, x in zip(positions, part))
+        if on_part and max(map(abs, v)) <= bound:
+            score = (max(map(abs, v)), v)
+            if best is None or score < best:
+                best = score
+    return None if best is None else best[1]
 
 
 def hilbert_basis_by_reduction(generators, rank):

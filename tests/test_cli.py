@@ -251,6 +251,17 @@ def test_twisted_sections_at_the_level_bound(p2):
     assert payload["dimensions"] == {"4": {"certificate": "bound", "dimension": 15}}
 
 
+def test_twisted_sections_past_the_former_generator_box(p2):
+    # The Laurent generators of degree 7 reach past |u_j| <= 8; a box search
+    # refused this degree with Unstabilized.
+    args = ["module", "sections", p2, "--degrees", "7", "--mode", "via_twist"]
+    code, out = _run(args)
+    assert code == 0, out
+    payload = json.loads(out)
+    _validate(payload, "module_sections")
+    assert payload["dimensions"] == {"7": {"certificate": "bound", "dimension": 36}}
+
+
 # S/(Z1) + S(-1)/(Z2) on P2: its sheaf is O_L + O_L'(-1) for two lines,
 # with (d + 1) + d sections in degree d.
 RANK_TWO = {

@@ -9,13 +9,13 @@ from coxfan import corpus, grading
 from coxfan.grading import (
     classify_subgroup,
     degree_fiber,
-    finite_fibers,
     picard_group,
     subgroup_of_whole_group,
 )
 from coxfan.intlat import INFINITE
 
 import oracles
+from oracles import finite_fibers
 
 
 def _degrees(g):

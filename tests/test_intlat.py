@@ -10,7 +10,6 @@ from coxfan.intlat import (
     AbelianGroup,
     IntMatrix,
     cokernel_presentation,
-    det,
     hermite_row_basis,
     integer_kernel,
     smith_normal_form,
@@ -18,6 +17,7 @@ from coxfan.intlat import (
 )
 
 import oracles
+from oracles import det
 
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -128,6 +128,6 @@ def test_subgroup_canonical_idempotent(gens):
     basis = intlat.subgroup_canonical_basis(elems, z2)
     regen = [z2.from_coords(list(r)) for r in basis]
     assert intlat.subgroup_canonical_basis(regen, z2) == basis
-    assert intlat.subgroup_equal(elems, regen, z2)
+    assert oracles.subgroup_equal(elems, regen, z2)
     for e in elems:
         assert intlat.subgroup_contains(regen, e, z2)

@@ -1,5 +1,6 @@
 """Chart covers, global sections, and the module/submodule correspondences."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -253,32 +254,59 @@ def _ray_multiple(g, d, ray=0):
     return g.a_map(tuple(d * (i == ray) for i in range(g.num_rays)))
 
 
-@pytest.mark.parametrize("name", list(corpus.CORPUS_NAMES) + list(SCALE_FANS))
-def test_chart_twists_match_two_box_reference(name, monkeypatch):
-    # On every cone (maximal cones and faces): the same minimal cone parts
-    # as the two-box reference search.  Where the cone is full-dimensional
-    # v is unique, so the vectors are the reference's too; on the other
-    # faces the representative must not move when the box grows.
-    c = _cox(name)
+def _check_twists(c, alpha, label):
+    """The chart twists of one degree on every cone (maximal cones and
+    faces): the same minimal cone parts as the two-box reference search;
+    on a full-dimensional cone v is unique, so the vectors are the
+    reference's too, and on the other faces each is the least
+    (max |v_i|, v) of its part, by brute force up to its own max |v_i|."""
     g = c.grading
     rays = g.c_matrix.to_rows()
-    faces = {}
-    for d in range(4):
-        alpha = _ray_multiple(g, d)
-        v0 = g.a_map.lift(alpha)
-        for key in c.zhat:
-            pos = sheaf._sigma_positions(c, key)
-            ref = oracles.laurent_generators(rays, v0, pos, sheaf.DEFAULT_ENUM_BOX)
-            got = sheaf._laurent_component_generators(c, alpha, key)
-            assert ref is not None
-            assert [tuple(v[p] for p in pos) for v in got] == sorted(ref), (key, d)
-            if len(oracles.rref(key)[1]) == len(rays[0]):
-                assert got == tuple(ref[p] for p in sorted(ref)), (key, d)
-            else:
-                faces[d, key] = got
-    monkeypatch.setattr(sheaf, "DEFAULT_ENUM_BOX", sheaf.DEFAULT_ENUM_BOX + 2)
-    for (d, key), got in faces.items():
-        assert sheaf._laurent_component_generators(c, _ray_multiple(g, d), key) == got
+    v0 = g.a_map.lift(alpha)
+    for key in c.zhat:
+        pos = sheaf._sigma_positions(c, key)
+        ref = oracles.laurent_generators(rays, v0, pos, 6)
+        got = sheaf._laurent_component_generators(c, alpha, key)
+        assert ref is not None
+        assert [tuple(v[p] for p in pos) for v in got] == sorted(ref), (key, label)
+        if len(oracles.rref(key)[1]) == len(rays[0]):
+            assert got == tuple(ref[p] for p in sorted(ref)), (key, label)
+        else:
+            for v in got:
+                part = [v[p] for p in pos]
+                least = oracles.least_in_part(rays, v, pos, part, max(map(abs, v)))
+                assert least == v, (key, label)
+
+
+@pytest.mark.parametrize("name", list(corpus.CORPUS_NAMES) + list(SCALE_FANS))
+def test_chart_twists_match_two_box_reference(name):
+    c = _cox(name)
+    for d in range(6 if name == "quadric_cone" else 4):
+        _check_twists(c, _ray_multiple(c.grading, d), d)
+
+
+def test_face_twist_is_the_least_in_its_part():
+    # The search box |u_j| <= 6 of the two-box search missed this one: it
+    # kept (4, -2, -3, 0, 2, 3), whose max |v_i| is also 4.
+    c = _cox("dp6")
+    alpha = c.grading.a_map((2, -1, 0, 2, 1, 0))
+    got = sheaf._laurent_component_generators(c, alpha, ((-1, 0),))
+    assert got == ((4, -3, -4, 0, 3, 4),)
+    _check_twists(c, alpha, (2, -1, 0, 2, 1, 0))
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_simplicial_part_bound_is_reached(d):
+    # The cone of P(1,1,2) on the rays (1, 0) and (-1, -2) has index 2: its
+    # rays span a sublattice L of exponent e = 2 in Z^2.  At odd degree the
+    # parts are the coset of (1, 0) mod L, and both minimal ones have an
+    # entry e - 1, so a bound below [0, e) loses them.
+    c = _cox("p112")
+    key = ((1, 0), (-1, -2))
+    assert sorted(oracles.snf_diagonal([list(r) for r in key])) == [1, 2]
+    pos = sheaf._sigma_positions(c, key)
+    got = sheaf._laurent_component_generators(c, _ray_multiple(c.grading, d), key)
+    assert sorted(tuple(v[p] for p in pos) for v in got) == [(0, 1), (1, 0)]
 
 
 @pytest.mark.parametrize("name", ["p2", "p3", "f2", "dp6"])
@@ -340,6 +368,39 @@ def test_free_sections_at_the_level_bound(name, a, bound):
     # One level lower some section is still missing.
     inv = sheaf._level_invariants(s, alpha, "via_twist")
     assert sheaf._sections_at_level(s, inv, bound - 1)[0] < want
+
+
+# Degrees whose Laurent generators lie outside the box |u_j| <= 8 that a
+# box search walked; it refused them with Unstabilized.
+@pytest.mark.parametrize("name,a", [("p3", (8, 0, 0, 0)), ("p112", (9, 0, 0))])
+def test_sections_past_the_former_generator_box(name, a):
+    c = _cox(name)
+    s = sheafify(free_module(c))
+    want = oracles.polytope_lattice_count(_rays(name), a, 12)
+    for mode in ("via_shift", "via_twist"):
+        win = global_sections_degree(s, c.grading.a_map(a), mode=mode)
+        assert (win.dimension, win.certificate) == (want, "bound"), mode
+
+
+P6 = (
+    [tuple(int(i == j) for j in range(6)) for i in range(6)] + [(-1,) * 6],
+    [[j for j in range(7) if j != i] for i in range(7)],
+)
+
+
+@pytest.mark.parametrize(
+    "rays,max_cones,a,want",
+    [(*P6, (1,) + (0,) * 6, 7), (*P1_CUBED, (1, 0, 1, 0, 1, 0), 8)],
+    ids=["p6", "p1cubed"],
+)
+def test_twist_sections_take_no_box_walk(rays, max_cones, a, want):
+    # A walk over the box |u_j| <= 8 visits 9^6 = 531,441 points on each
+    # maximal cone of P^6.
+    start = time.perf_counter()
+    g, cover = _line_bundle_cover(rays, max_cones)
+    win = global_sections_degree(cover, g.a_map(a), mode="via_twist")
+    assert (win.dimension, win.certificate) == (want, "bound")
+    assert time.perf_counter() - start < 5
 
 
 def test_free_module_is_evaluated_at_one_level(monkeypatch):
