@@ -4,10 +4,13 @@
 Verifies the double-dual identity and Hilbert-basis generation on random
 pointed cones against the brute-force oracles used by the test suite, and
 the Buchberger S-pair criterion on random ideals, taken as rank-1
-submodules (elements ``(p,)``).
+submodules (elements ``(p,)``).  With ``--round-trips N`` it also checks,
+on N random monomial ideals I of P2, P1xP1 and F2, that
+xi_preimage(xi_forward(I)) gives the monomial saturation of I.
 
 Usage:
     python3 scripts/random_invariants.py --cones 50 --ideals 25 --seed 7
+    python3 scripts/random_invariants.py --cones 0 --ideals 0 --round-trips 200
 """
 
 import argparse
@@ -21,6 +24,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import oracles  # noqa: E402
 
+from coxfan import corpus, grading, polyfan  # noqa: E402
+from coxfan.cox import build_cox  # noqa: E402
+from coxfan.gradmod import GradedSubmodule, free_module  # noqa: E402
 from coxfan.groeb import (  # noqa: E402
     POT,
     _s_vector,
@@ -31,12 +37,14 @@ from coxfan.groeb import (  # noqa: E402
     poly,
 )
 from coxfan.polyfan import Cone, dual_cone, hilbert_basis  # noqa: E402
+from coxfan.sheaf import xi_forward, xi_preimage  # noqa: E402
 
 
 @dataclass(frozen=True)
 class RunConfig:
     cones: int = 50
     ideals: int = 25
+    round_trips: int = 0
     seed: int = 7
     entry_bound: int = 4
     box: int = 3
@@ -99,20 +107,54 @@ def check_ideal(rng):
     )
 
 
+def round_trip_rings():
+    rays, max_cones = oracles.F2
+    fans = {"p2": corpus.build("p2"), "p1xp1": corpus.build("p1xp1")}
+    fans["f2"] = polyfan.build_fan(2, rays, max_cones)
+    out = {}
+    for name, fan in fans.items():
+        g = grading.build_grading(fan)
+        out[name] = free_module(build_cox(g, grading.subgroup_of_whole_group(g)))
+    return out
+
+
+def check_round_trip(rng, rings):
+    """xi_preimage(xi_forward(I)) over the saturation's generator degrees,
+    each also one variable degree further, against the iterated colon."""
+    f = rings[rng.choice(sorted(rings))]
+    g = f.cox.grading
+    A = g.class_group
+    exps = oracles.random_monomial_ideal(rng, f.nvars)
+    family = xi_forward(GradedSubmodule(f, tuple(({e: Fraction(1)},) for e in exps)))
+    want = oracles.minimalize(oracles.saturate_monomial(exps, [f.cox.zhat[k] for k in family.charts]))
+    window = {A.add(g.a_map(e), d) for e in want for d in (A.zero(), *g.ray_degrees)}
+    pre = xi_preimage(family, f, sorted(window, key=lambda a: a.coords()))
+    return sorted(e for x in pre.element_generators for p in x for e in p) == want
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--cones", type=int, default=RunConfig.cones)
     ap.add_argument("--ideals", type=int, default=RunConfig.ideals)
+    ap.add_argument("--round-trips", type=int, default=RunConfig.round_trips)
     ap.add_argument("--seed", type=int, default=RunConfig.seed)
     args = ap.parse_args()
-    cfg = RunConfig(cones=args.cones, ideals=args.ideals, seed=args.seed)
+    cfg = RunConfig(
+        cones=args.cones, ideals=args.ideals, round_trips=args.round_trips, seed=args.seed
+    )
 
     rng = random.Random(cfg.seed)
     cone_ok = sum(check_cone(rng, cfg) for _ in range(cfg.cones))
     ideal_ok = sum(check_ideal(rng) for _ in range(cfg.ideals))
     print(f"cones: {cone_ok}/{cfg.cones} passed")
     print(f"ideals: {ideal_ok}/{cfg.ideals} passed")
-    if cone_ok != cfg.cones or ideal_ok != cfg.ideals:
+    failed = cone_ok != cfg.cones or ideal_ok != cfg.ideals
+    if cfg.round_trips:
+        rings = round_trip_rings()
+        trip_ok = sum(check_round_trip(rng, rings) for _ in range(cfg.round_trips))
+        print(f"round trips: {trip_ok}/{cfg.round_trips} passed")
+        failed = failed or trip_ok != cfg.round_trips
+    if failed:
         raise SystemExit(1)
 
 

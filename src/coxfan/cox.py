@@ -126,7 +126,7 @@ def _restricted_irrelevant(g, b, zhat, m_exponents, maximal, irrelevant):
     m_max = max(m_exponents[k] for k in maximal)
     cap = nr * m_max + max(sum(zhat[k]) for k in maximal)
     lat = hermite_row_basis(
-        _degree_zero_lattice(g) + [g.a_map.lift(x) for x in b.generators], nr
+        [*_degree_zero_lattice(g.c_matrix), *map(g.a_map.lift, b.generators)], nr
     )
     found = [
         v
@@ -142,7 +142,7 @@ def degree_zero_monoid_generators(c: CoxRingData, cone: Cone):
     nr = g.num_rays
     if cone.ray_generators not in c.zhat:
         raise ConeNotInFan(f"cone {cone.ray_generators} is not in the fan")
-    lat = _degree_zero_lattice(g)
+    lat = _degree_zero_lattice(g.c_matrix)
     if not lat:
         return ()
     r = len(lat)

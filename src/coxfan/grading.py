@@ -1,10 +1,12 @@
 """Degree bookkeeping for a fan: the ray-evaluation map, its cokernel (the
-grading group), ray degrees, the Picard subgroup, and subgroup
-classification (big / small).
+grading group), ray degrees, the Picard subgroup, subgroup classification
+(big / small), and the degree fibers.  Each fiber is enumerated once per
+process; the cache keeps at most FIBER_POINT_CAP points in all.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -150,10 +152,11 @@ def subgroup_of_whole_group(g: GradingData) -> SubgroupB:
     return classify_subgroup(g, g.class_group.generators())
 
 
-def _degree_zero_lattice(g: GradingData):
+@lru_cache(maxsize=256)
+def _degree_zero_lattice(c_matrix):
     """Hermite basis of the degree-0 exponent vectors: the image of the ray
-    matrix."""
-    return hermite_row_basis(g.c_matrix.transpose().to_rows(), g.num_rays)
+    matrix, whose rows are the rays."""
+    return tuple(hermite_row_basis(c_matrix.transpose().to_rows(), c_matrix.rows))
 
 
 @lru_cache(maxsize=256)
@@ -243,10 +246,25 @@ def _cone_points(basis, v0, cap=None):
     return sorted(out)
 
 
+_FIBERS = OrderedDict()  # (c_matrix, lift, cap) -> fiber, least recent first
+_fiber_points = 0  # the points held in _FIBERS
+
+
 def degree_fiber(g: GradingData, alpha: GroupElement, cap=None):
     """The exact set of exponent vectors v >= 0 with degree alpha (and
-    sum(v) <= cap when a cap is given), sorted.
+    sum(v) <= cap when a cap is given), as a new sorted list.
 
     Without a cap the fiber must be finite; raises UnboundedFiber otherwise.
+    Fibers are kept as tuples, least recently used dropped first once more
+    than FIBER_POINT_CAP points are held; a refusal is not kept.
     """
-    return _cone_points(_degree_zero_lattice(g), g.a_map.lift(alpha), cap)
+    global _fiber_points
+    key = (g.c_matrix, g.a_map.lift(alpha), cap)
+    fiber = _FIBERS.pop(key, None)
+    if fiber is None:
+        fiber = tuple(_cone_points(_degree_zero_lattice(g.c_matrix), key[1], cap))
+        _fiber_points += len(fiber)
+        while _fiber_points > FIBER_POINT_CAP:
+            _fiber_points -= len(_FIBERS.popitem(last=False)[1])
+    _FIBERS[key] = fiber
+    return list(fiber)

@@ -19,7 +19,7 @@ from operator import mul
 
 from . import ratlin
 from .cox import CoxRingData
-from .grading import _lattice_points
+from .grading import _degree_zero_lattice, _lattice_points
 from .gradmod import (
     GradedModulePresentation,
     GradedSubmodule,
@@ -39,7 +39,7 @@ from .groeb import (
     module_saturate_element,
     submodule_equal,
 )
-from .intlat import IntMatrix, hermite_row_basis, smith_normal_form
+from .intlat import IntMatrix, smith_normal_form
 from .polyfan import cone_generators_from_inequalities
 
 DEFAULT_MAX_LEVEL = 8
@@ -152,7 +152,7 @@ def _part_lattice(c_matrix, pos):
     """Steps, kernel directions and, for a simplicial cone, the bounds e − 1
     of ``_laurent_component_generators`` for the rays at pos."""
     nr = c_matrix.rows
-    h = IntMatrix.from_rows(hermite_row_basis(c_matrix.transpose().to_rows(), nr), nr)
+    h = IntMatrix.from_rows(_degree_zero_lattice(c_matrix), nr)
     ht = h.transpose()
     d, _, w = smith_normal_form(IntMatrix.from_rows([ht.row(p) for p in pos], h.rows))
     r = sum(1 for x in d.entries if x)
@@ -514,8 +514,12 @@ def xi_preimage(
 ) -> GradedSubmodule:
     """The saturated graded submodule whose image is t, reconstructed
     degree by degree over the window: the intersection over charts of
-    the chart modules' graded components."""
-    gens = []
+    the chart modules' graded components.  A basis vector of it is kept
+    only when it is new to the degree-alpha span of the relations and the
+    vectors kept so far, which is the submodule's own component there.  The
+    final minimalization stays: in a window not in increasing order, a
+    later, lower degree can make an earlier generator redundant."""
+    gens, rels = [], list(f.relations)
     for alpha in window_degrees:
         coords = _monomials_of_degree(f, alpha)
         if not coords:
@@ -523,13 +527,7 @@ def xi_preimage(
         index = {c: k for k, c in enumerate(coords)}
         inter = None
         for key, chart_gens in sorted(t.charts.items()):
-            rows = component_span_rows(
-                f,
-                list(chart_gens) + list(f.relations),
-                alpha,
-                coords,
-                index,
-            )
+            rows = component_span_rows(f, list(chart_gens) + rels, alpha, coords, index)
             basis = ratlin.dense(ratlin.echelon(rows).values(), len(coords))
             inter = basis if inter is None else ratlin.subspace_intersection(
                 inter, basis
@@ -538,14 +536,15 @@ def xi_preimage(
                 break
         if not inter:
             continue
+        own = component_span_rows(f, gens + rels, alpha, coords, index)
+        span = ratlin._pivot_rows(own)
         for vec in inter:
-            elem = [dict() for _ in range(f.rank)]
-            for (i, e), c in zip(coords, vec):
-                if c:
-                    elem[i][e] = Fraction(c)
-            gens.append(tuple(elem))
-    out = GradedSubmodule(f, tuple(gens))
-    return minimalize_submodule_generators(out)
+            if ratlin._insert(span, vec):
+                gens.append(tuple(
+                    {e: c for (j, e), c in zip(coords, vec) if j == i and c}
+                    for i in range(f.rank)
+                ))
+    return minimalize_submodule_generators(GradedSubmodule(f, tuple(gens)))
 
 
 def lift_finite_type(

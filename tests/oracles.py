@@ -15,6 +15,26 @@ from math import gcd
 
 
 # ---------------------------------------------------------------------------
+# Fans beyond the corpus, as (rays, maximal cones by ray index): the scale
+# tier of the sections checks.
+
+P1_CUBED = (
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)],
+)
+DP6 = (
+    [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+    [[i, (i + 1) % 6] for i in range(6)],
+)
+P3 = (
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+    [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+)
+F2 = ([(1, 0), (0, 1), (-1, 2), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]])
+SCALE_FANS = {"p3": P3, "f2": F2, "dp6": DP6, "p1cubed": P1_CUBED}
+
+
+# ---------------------------------------------------------------------------
 # Smith normal form by repeated elementary reduction (diagonal only)
 
 
@@ -671,6 +691,17 @@ def minimalize(exponents):
             f != e and all(a <= b for a, b in zip(f, e)) for f in out
         )
     ]
+
+
+def random_monomial_ideal(rng, nvars):
+    """One to three distinct nonconstant monomials, exponents at most 2."""
+    k = rng.randint(1, 3)
+    gens = []
+    while len(gens) < k:
+        e = tuple(rng.randint(0, 2) for _ in range(nvars))
+        if any(e) and e not in gens:
+            gens.append(e)
+    return gens
 
 
 def colon_monomial(ideal, f):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -13,6 +14,7 @@ from coxfan.grading import (
     subgroup_of_whole_group,
 )
 from coxfan.intlat import INFINITE
+from coxfan.polyfan import build_fan
 
 import oracles
 from oracles import finite_fibers
@@ -261,3 +263,64 @@ def test_unbounded_and_oversized_fibers_are_refused():
     assert len(grading._cone_points([(1,)], (0,), cap - 1)) == cap
     with pytest.raises(grading.FiberTooLarge, match=str(cap)):
         grading._cone_points([(1,)], (0,), cap)
+
+
+@pytest.fixture
+def fresh_fiber_cache(monkeypatch):
+    monkeypatch.setattr(grading, "_FIBERS", OrderedDict())
+    monkeypatch.setattr(grading, "_fiber_points", 0)
+
+
+def _scale_grading(name):
+    rays, max_cones = oracles.SCALE_FANS[name]
+    return grading.build_grading(build_fan(len(rays[0]), rays, max_cones))
+
+
+@pytest.mark.parametrize("name", list(corpus.CORPUS_NAMES) + sorted(oracles.SCALE_FANS))
+def test_cached_fibers_equal_the_enumeration(name, corpus_gradings, fresh_fiber_cache):
+    g = corpus_gradings[name] if name in corpus_gradings else _scale_grading(name)
+    lattice = grading._degree_zero_lattice(g.c_matrix)
+    caps = (None, 3) if finite_fibers(g) else (3,)
+    for _ in range(2):  # enumerated, then read from the cache
+        for cap in caps:
+            for alpha in _degree_box(g, -1, 3):
+                want = grading._cone_points(lattice, g.a_map.lift(alpha), cap)
+                assert degree_fiber(g, alpha, cap) == want, (alpha, cap)
+    assert grading._FIBERS
+
+
+def test_fiber_lists_are_copies(corpus_gradings):
+    g = corpus_gradings["p2"]
+    alpha = g.class_group.from_coords([2])
+    got = degree_fiber(g, alpha)
+    want = list(got)
+    got[0] = (9, 9, 9)
+    got.append((0, 0, 0))
+    assert degree_fiber(g, alpha) == want
+
+
+def test_fiber_cache_holds_at_most_the_point_cap(corpus_gradings, fresh_fiber_cache, monkeypatch):
+    # On P2 the fiber of degree d has (d + 1)(d + 2)/2 points: 1, 3, 6, 10,
+    # 15, 21.  With the cap at 12, degrees 4 and 5 are refused every time.
+    monkeypatch.setattr(grading, "FIBER_POINT_CAP", 12)
+    g = corpus_gradings["p2"]
+    for d in (0, 1, 2, 3, 4, 1, 0, 5, 2, 3, 4, 3, 0):
+        alpha = g.class_group.from_coords([d])
+        size = oracles.count_monomials_total_degree(3, d)
+        if size > 12:
+            with pytest.raises(grading.FiberTooLarge):
+                degree_fiber(g, alpha)
+        else:
+            assert len(degree_fiber(g, alpha)) == size
+            assert next(reversed(grading._FIBERS))[1] == g.a_map.lift(alpha)
+        held = sum(map(len, grading._FIBERS.values()))
+        assert held == grading._fiber_points <= 12, d
+
+
+def test_fiber_cache_drops_the_least_recently_used(corpus_gradings, fresh_fiber_cache, monkeypatch):
+    monkeypatch.setattr(grading, "FIBER_POINT_CAP", 9)
+    g = corpus_gradings["p2"]
+    alpha = {d: g.class_group.from_coords([d]) for d in range(3)}
+    for d in (1, 2, 1, 0):  # 3 + 6 points, then degree 1 is used again
+        degree_fiber(g, alpha[d])
+    assert [k[1] for k in grading._FIBERS] == [g.a_map.lift(alpha[d]) for d in (1, 0)]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxfan import corpus, cox, gradmod, grading, polyfan, sheaf
+from coxfan import corpus, cox, gradmod, grading, polyfan, ratlin, sheaf
 from coxfan.cox import BaseRingFlags, build_cox
 from coxfan.gradmod import (
     GradedSubmodule,
@@ -244,17 +244,31 @@ def test_minimalize_equals_reference(p2_cox):
     assert kept >= 80 and dropped >= 100
 
 
+def _chart_intersection_candidates(family, f, window):
+    """Every echelon basis vector of the chart intersections over the
+    window, none filtered out: a redundant generator list of the preimage."""
+    gens = []
+    for alpha in window:
+        coords = gradmod._monomials_of_degree(f, alpha)
+        index = {c: k for k, c in enumerate(coords)}
+        inter = None
+        for chart_gens in family.charts.values():
+            rows = gradmod.component_span_rows(f, list(chart_gens) + list(f.relations), alpha, coords, index)
+            basis = ratlin.dense(ratlin.echelon(rows).values(), len(coords))
+            inter = basis if inter is None else ratlin.subspace_intersection(inter, basis)
+        for vec in inter or ():
+            gens.append(tuple({e: c for (j, e), c in zip(coords, vec) if j == i and c} for i in range(f.rank)))
+    return GradedSubmodule(f, tuple(gens))
+
+
 def test_minimalize_divides_before_building_a_basis(p2_ring, monkeypatch):
-    # The preimage of a binomial ideal on P2 over degrees 0..3 has more
-    # candidates than minimalization may build bases for: most are
-    # dropped by division alone.
+    # The chart intersections of a binomial ideal on P2 over degrees 0..3
+    # give more candidates than minimalization may build bases for: most
+    # are dropped by division alone.
     one = Fraction(1)
     ideal = [{(1, 1, 0): one, (0, 0, 2): -one}, {(1, 0, 1): one, (0, 2, 0): -2 * one}]
     family = sheaf.xi_forward(GradedSubmodule(p2_ring, tuple((p,) for p in ideal)))
-    candidates = []
-    monkeypatch.setattr(sheaf, "minimalize_submodule_generators", candidates.append)
-    sheaf.xi_preimage(family, p2_ring, [_alpha(p2_ring, d) for d in range(4)])
-    (sub,) = candidates
+    sub = _chart_intersection_candidates(family, p2_ring, [_alpha(p2_ring, d) for d in range(4)])
     bases = []
     real = gradmod.module_groebner_basis
     monkeypatch.setattr(gradmod, "module_groebner_basis", lambda *a: bases.append(1) or real(*a))

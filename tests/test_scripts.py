@@ -43,3 +43,9 @@ def test_random_invariants_passes():
     out = _run("random_invariants.py", "--cones", "3", "--ideals", "5", "--seed", "1")
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["cones: 3/3 passed", "ideals: 5/5 passed"]
+
+
+def test_random_invariants_round_trips():
+    out = _run("random_invariants.py", "--cones", "0", "--ideals", "0", "--round-trips", "6")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "round trips: 6/6 passed"

@@ -1,5 +1,7 @@
 """Chart covers, global sections, and the module/submodule correspondences."""
 
+import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from coxfan.sheaf import (
 )
 
 import oracles
+from oracles import DP6, P1_CUBED, SCALE_FANS
 
 
 def _elem(e):
@@ -196,16 +199,6 @@ def test_rank_two_localization_kernel(p2_cox):
     assert by_zhat == {(1, 0, 0): {0: 1}, (0, 1, 0): {1: 1}, (0, 0, 1): {}}
 
 
-P1_CUBED = (
-    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
-    [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)],
-)
-DP6 = (
-    [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
-    [[i, (i + 1) % 6] for i in range(6)],
-)
-
-
 def _line_bundle_cover(rays, max_cones):
     fan = polyfan.build_fan(len(rays[0]), rays, max_cones)
     g = grading.build_grading(fan)
@@ -229,14 +222,6 @@ def test_dp6_twist_agrees_with_shift_and_lattice_points():
         for mode in ("via_shift", "via_twist")
     }
     assert dims == dict.fromkeys(dims, oracles.polytope_lattice_count(rays, a, 3))
-
-
-P3 = (
-    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
-    [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
-)
-F2 = ([(1, 0), (0, 1), (-1, 2), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]])
-SCALE_FANS = {"p3": P3, "f2": F2, "dp6": DP6, "p1cubed": P1_CUBED}
 
 
 def _cox(name):
@@ -425,3 +410,71 @@ def test_free_module_is_evaluated_at_one_level(monkeypatch):
     win = global_sections_degree(q, _ray_multiple(c.grading, 3), mode="via_twist")
     assert win.certificate == "heuristic" and calls[0] == 3 and len(calls) >= 2
     assert win.dimension == 4
+
+
+def _lex_window(c, top):
+    """Every degree from 0 up to top, coordinatewise, in increasing
+    lexicographic order: each degree after all the degrees below it."""
+    A = c.grading.class_group
+    return [A.from_coords(list(d)) for d in itertools.product(*(range(t + 1) for t in top))]
+
+
+def _monomials(sub):
+    return sorted(e for x in sub.element_generators for p in x for e in p)
+
+
+PREIMAGE_CASES = {
+    "p2 binomial": ("p2", [{(1, 1, 0): 1, (0, 0, 2): -1}, {(1, 0, 1): 1, (0, 2, 0): -2}], (3,)),
+    "p1xp1 monomial": ("p1xp1", [{(1, 0, 2, 0): 1}, {(0, 1, 0, 1): 1}], (2, 3)),
+}
+
+
+def _preimage_case(label):
+    name, ideal, top = PREIMAGE_CASES[label]
+    c = _cox(name)
+    f = free_module(c)
+    sub = GradedSubmodule(f, tuple(({e: Fraction(x) for e, x in p.items()},) for p in ideal))
+    return f, sub, xi_forward(sub), _lex_window(c, top)
+
+
+@pytest.mark.parametrize("label", sorted(PREIMAGE_CASES))
+def test_preimage_hands_minimalization_no_redundant_candidate(label, monkeypatch):
+    f, sub, family, window = _preimage_case(label)
+    candidates = []
+    real = sheaf.minimalize_submodule_generators
+    monkeypatch.setattr(sheaf, "minimalize_submodule_generators", lambda s: candidates.append(s) or real(s))
+    out = xi_preimage(family, f, window)
+    (cand,) = candidates
+    assert cand.element_generators == out.element_generators
+    assert submodules_equal(out, saturate_submodule(sub))
+
+
+@pytest.mark.parametrize("label", sorted(PREIMAGE_CASES))
+def test_preimage_does_not_depend_on_window_order(label):
+    f, _, family, window = _preimage_case(label)
+    want = xi_preimage(family, f, window)
+    shuffled = list(window)
+    random.Random(5).shuffle(shuffled)
+    for order in (window[::-1], shuffled):
+        got = xi_preimage(family, f, order)
+        assert submodules_equal(got, want)
+        assert _monomials(got) == _monomials(want)
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "f2"])
+def test_generated_round_trips_equal_monomial_saturation(name):
+    # Random monomial ideals: xi_preimage(xi_forward(I)), over a window one
+    # variable degree past the saturation's generator degrees, gives the
+    # saturation's minimal monomials.
+    c = _cox(name)
+    f = free_module(c)
+    A = c.grading.class_group
+    rng = random.Random(20261018)
+    for _ in range(20):
+        exps = oracles.random_monomial_ideal(rng, c.num_vars)
+        family = xi_forward(_submodule(f, exps))
+        want = oracles.minimalize(oracles.saturate_monomial(exps, [c.zhat[k] for k in family.charts]))
+        steps = (A.zero(), *c.grading.ray_degrees)
+        window = {A.add(c.grading.a_map(e), d) for e in want for d in steps}
+        got = xi_preimage(family, f, sorted(window, key=lambda a: a.coords()))
+        assert _monomials(got) == want, exps
