@@ -5,8 +5,10 @@ Verifies the double-dual identity and Hilbert-basis generation on random
 pointed cones against the brute-force oracles used by the test suite, and
 the Buchberger S-pair criterion on random ideals, taken as rank-1
 submodules (elements ``(p,)``).  With ``--round-trips N`` it also checks,
-on N random monomial ideals I of P2, P1xP1 and F2, that
-xi_preimage(xi_forward(I)) gives the monomial saturation of I.
+on N random monomial ideals I of P2, P1xP1 and F2 and N random binomial
+ideals of P2 and P1xP1, that xi_preimage(xi_forward(I)) is the saturation
+of I (the iterated colon for monomial ideals) and that
+xi_forward(lift_finite_type(T)) equals T for the family T of I.
 
 Usage:
     python3 scripts/random_invariants.py --cones 50 --ideals 25 --seed 7
@@ -26,7 +28,12 @@ import oracles  # noqa: E402
 
 from coxfan import corpus, grading, polyfan  # noqa: E402
 from coxfan.cox import build_cox  # noqa: E402
-from coxfan.gradmod import GradedSubmodule, free_module  # noqa: E402
+from coxfan.gradmod import (  # noqa: E402
+    GradedSubmodule,
+    free_module,
+    saturate_submodule,
+    submodules_equal,
+)
 from coxfan.groeb import (  # noqa: E402
     POT,
     _s_vector,
@@ -37,7 +44,7 @@ from coxfan.groeb import (  # noqa: E402
     poly,
 )
 from coxfan.polyfan import Cone, dual_cone, hilbert_basis  # noqa: E402
-from coxfan.sheaf import xi_forward, xi_preimage  # noqa: E402
+from coxfan.sheaf import family_equal, lift_finite_type, xi_forward, xi_preimage  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -118,18 +125,39 @@ def round_trip_rings():
     return out
 
 
+def _round_trip(f, sub, degrees):
+    """xi_preimage(xi_forward(N)) over the given degrees, each also one
+    variable degree further, and whether the finite-type lift of the
+    family has the same family."""
+    A = f.cox.grading.class_group
+    family = xi_forward(sub)
+    window = {A.add(a, d) for a in degrees for d in (A.zero(), *f.cox.grading.ray_degrees)}
+    pre = xi_preimage(family, f, sorted(window, key=lambda a: a.coords()))
+    return pre, family_equal(xi_forward(lift_finite_type(family, f)), family)
+
+
 def check_round_trip(rng, rings):
-    """xi_preimage(xi_forward(I)) over the saturation's generator degrees,
-    each also one variable degree further, against the iterated colon."""
+    """One monomial ideal, whose preimage must give the minimal monomials
+    of the iterated colon, and one binomial ideal of P2 or P1xP1, whose
+    preimage must equal saturate_submodule."""
     f = rings[rng.choice(sorted(rings))]
     g = f.cox.grading
-    A = g.class_group
     exps = oracles.random_monomial_ideal(rng, f.nvars)
-    family = xi_forward(GradedSubmodule(f, tuple(({e: Fraction(1)},) for e in exps)))
-    want = oracles.minimalize(oracles.saturate_monomial(exps, [f.cox.zhat[k] for k in family.charts]))
-    window = {A.add(g.a_map(e), d) for e in want for d in (A.zero(), *g.ray_degrees)}
-    pre = xi_preimage(family, f, sorted(window, key=lambda a: a.coords()))
-    return sorted(e for x in pre.element_generators for p in x for e in p) == want
+    zhats = [f.cox.zhat[c.ray_generators] for c in g.fan.maximal_cones()]
+    want = oracles.minimalize(oracles.saturate_monomial(exps, zhats))
+    sub = _ideal(f, ({e: Fraction(1)} for e in exps))
+    pre, monomial_ok = _round_trip(f, sub, [g.a_map(e) for e in want])
+    monomial_ok = monomial_ok and sorted(e for x in pre.element_generators for p in x for e in p) == want
+    f = rings[rng.choice(["p1xp1", "p2"])]
+    g = f.cox.grading
+    sub = _ideal(f, oracles.random_binomial_ideal(rng, f.nvars, lambda e: g.a_map(e).coords()))
+    sat = saturate_submodule(sub)
+    pre, binomial_ok = _round_trip(f, sub, [f.element_degree(x) for x in sat.element_generators])
+    return monomial_ok and binomial_ok and submodules_equal(pre, sat)
+
+
+def _ideal(f, polys):
+    return GradedSubmodule(f, tuple((p,) for p in polys))
 
 
 def main():

@@ -227,23 +227,31 @@ def load_module_json(text, cox_data):
     rank = len(degrees)
     nvars = cox_data.num_vars
     relations = []
-    for row in rows:
+    for n, row in enumerate(rows):
         elem = [dict() for _ in range(rank)]
         for term in row:
             try:
-                i, e = term["gen"], term["exponent"]
-                c = _parse_frac(term["coefficient"])
+                i, e, c = term["gen"], term["exponent"], term["coefficient"]
             except (KeyError, TypeError):
                 raise ParseError(f"bad relation term {term!r}")
             if type(i) is not int or not _json_ints(e) or any(x < 0 for x in e):
                 raise ParseError(
                     f"relation term needs integer gen and exponents >= 0: {term!r}"
                 )
+            if type(c) not in (int, str):
+                raise ParseError(
+                    f"relation term needs a 'p/q' string or integer coefficient: {term!r}"
+                )
             if not 0 <= i < rank or len(e) != nvars:
                 raise ParseError(f"relation term out of range: {term!r}")
             e = tuple(e)
-            elem[i][e] = elem[i].get(e, Fraction(0)) + c
-        relations.append(tuple({k: v for k, v in p.items() if v} for p in elem))
+            elem[i][e] = elem[i].get(e, Fraction(0)) + _parse_frac(c)
+        rel = tuple({k: v for k, v in p.items() if v} for p in elem)
+        degs = {A.add(degrees[i], cox_data.grading.a_map(e)) for i, p in enumerate(rel) for e in p}
+        if len(degs) > 1:
+            shown = ";".join(",".join(map(str, c)) for c in sorted(d.coords() for d in degs))
+            raise ValidationError(f"relation {n} is not homogeneous: its terms have degrees {shown}")
+        relations.append(rel)
     return gradmod.GradedModulePresentation(cox_data, degrees, tuple(relations))
 
 

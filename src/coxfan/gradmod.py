@@ -93,7 +93,7 @@ class GradedSubmodule:
 class DegreeComponent:
     degree: object
     monomial_basis: tuple  # (generator index, exponent) coordinates
-    relation_rows: tuple  # rational rows spanning the relation subspace
+    relation_rows: tuple  # echelon rows {coordinate: Fraction} of the relation subspace
     quotient_basis: tuple  # coordinate indices forming a basis of the quotient
 
     @property
@@ -145,7 +145,7 @@ def degree_component(f: GradedModulePresentation, alpha) -> DegreeComponent:
     return DegreeComponent(
         degree=alpha,
         monomial_basis=tuple(coords),
-        relation_rows=tuple(map(tuple, ratlin.dense(ech.values(), len(coords)))),
+        relation_rows=tuple(ech.values()),
         quotient_basis=free,
     )
 

@@ -124,10 +124,10 @@ def cone_inequalities(generators, rank):
         eqs, ineqs = _fm_eliminate(eqs, ineqs, idx)
     out_ineq = _prune([primitive(f[:rank]) for f in ineqs])
     # Canonical independent set of equality normals.
-    red, piv = ratlin.rref([f[:rank] for f in eqs])
-    out_eq = [_normalize_int(red[i]) for i in range(len(piv))]
+    ech = ratlin.echelon(f[:rank] for f in eqs)
+    out_eq = [_normalize_int([r.get(c, 0) for c in range(rank)]) for r in ech.values()]
     # Inequalities implied by the equalities are redundant.
-    out_ineq = [f for f in out_ineq if not ratlin.in_row_span(out_eq, f)]
+    out_ineq = [f for f in out_ineq if ratlin.new_to_span(out_eq, [f])]
     return out_ineq, out_eq
 
 

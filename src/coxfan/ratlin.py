@@ -2,21 +2,19 @@
 
 A row is stored as a dict {column: Fraction} of its nonzero entries: the
 chart windows and Čech equalizers of `sheaf` have thousands of rows with
-a handful of entries each, mostly ±1.  One echelon core serves every
-function.  It inserts the rows one at a time, cancelling each row's
-leading entry against the pivot rows found so far until the row vanishes
-or opens a new pivot, and back-substitutes once at the end.  The result
-is the reduced row echelon form, which is unique.
-
-`echelon`, `rank` and `in_row_span` take dense (list) or sparse (dict)
-rows.  `rref` and `subspace_intersection` take dense rows, since they
-read the width off the first row; `nullspace` needs `ncols` for sparse
-rows.  `rref`, `nullspace` and `subspace_intersection` return dense rows.
+a handful of entries each, mostly ±1.  Rows may be given as lists too;
+every row returned is a dict.  One echelon core serves every function.
+It inserts the rows one at a time, cancelling each row's leading entry
+against the pivot rows found so far until the row vanishes or opens a
+new pivot, and back-substitutes once at the end.  The result is the
+reduced row echelon form, which is unique.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+_ONE = Fraction(1)
 
 
 def _sparse(row):
@@ -68,59 +66,39 @@ def echelon(rows):
     return {c: piv[c] for c in order}
 
 
-def dense(rows, ncols):
-    """Dense copies, ncols wide, of sparse rows."""
-    zero = Fraction(0)
-    return [[row.get(c, zero) for c in range(ncols)] for row in rows]
-
-
-def rref(rows):
-    """Reduced row echelon form of dense rows.  Returns (rows, pivot
-    columns): the pivot rows in pivot order, then one zero row for each
-    dependent input row."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    ech = echelon(rows)
-    out = dense(ech.values(), ncols)
-    out += [[Fraction(0)] * ncols for _ in range(len(rows) - len(ech))]
-    return out, list(ech)
-
-
 def rank(rows):
     return len(_pivot_rows(rows))
 
 
-def nullspace(rows, ncols=None):
-    """Basis of {x : A x = 0} for the matrix with the given rows.  Sparse
-    rows need ncols; dense rows default to their length."""
-    if ncols is None:
-        if not rows:
-            return []
-        ncols = len(rows[0])
+def nullspace(rows, ncols):
+    """Basis of {x : A x = 0} for the ncols-wide matrix with the given
+    rows: one vector per free column f, 1 at f and 0 at the others."""
     ech = echelon(rows)
-    basis = []
-    for f in (c for c in range(ncols) if c not in ech):
-        basis.append({f: Fraction(1), **{p: -r[f] for p, r in ech.items() if f in r}})
-    return dense(basis, ncols)
+    basis = {f: {f: _ONE} for f in range(ncols) if f not in ech}
+    for p, r in ech.items():
+        for f, x in r.items():
+            if f != p:
+                basis[f][p] = -x
+    return list(basis.values())
 
 
-def in_row_span(rows, v):
-    """True iff v is a rational combination of the given rows."""
-    return not _insert(_pivot_rows(rows), v)
+def new_to_span(rows, vectors):
+    """The vectors, in order, that are not in the row span of the rows
+    and of the vectors kept before them."""
+    piv = _pivot_rows(rows)
+    return [v for v in vectors if _insert(piv, v)]
 
 
-def subspace_intersection(rows_a, rows_b):
-    """Reduced echelon basis of (row span of A) ∩ (row span of B), dense.
-
-    Zassenhaus: in the echelon form of the rows (a | a) and (b | 0), the
-    rows that vanish on the first half carry a basis of the intersection
-    on the second."""
-    if not rows_a or not rows_b:
-        return []
-    n = len(rows_a[0])
-    stacked = [
-        {**r, **{n + c: x for c, x in r.items()}} for r in map(_sparse, rows_a)
-    ] + list(map(_sparse, rows_b))
-    ech = echelon(stacked)
-    return dense(({c - n: x for c, x in ech[p].items()} for p in ech if p >= n), n)
+def intersection(spans, ncols):
+    """Reduced echelon rows of the intersection of the row spans of the
+    given row lists, all ncols wide, by V_1 ∩ … ∩ V_k = (V_1^⊥ + … +
+    V_k^⊥)^⊥: each annihilator V^⊥ is the nullspace of V's rows.  The
+    spans are read lazily, and no further once the annihilators fill
+    all ncols columns."""
+    ann = {}
+    for rows in spans:
+        for v in nullspace(rows, ncols):
+            _insert(ann, v)
+        if len(ann) == ncols:
+            return []
+    return list(echelon(nullspace(ann.values(), ncols)).values())

@@ -514,36 +514,33 @@ def xi_preimage(
 ) -> GradedSubmodule:
     """The saturated graded submodule whose image is t, reconstructed
     degree by degree over the window: the intersection over charts of
-    the chart modules' graded components.  A basis vector of it is kept
-    only when it is new to the degree-alpha span of the relations and the
-    vectors kept so far, which is the submodule's own component there.  The
-    final minimalization stays: in a window not in increasing order, a
-    later, lower degree can make an earlier generator redundant."""
+    the chart modules' graded components, as the annihilator of the sum
+    of their annihilators.  A basis vector of it is kept only when it is
+    new to the degree-alpha span of the relations and the vectors kept so
+    far, which is the submodule's own component there.  The final
+    minimalization stays: in a window not in increasing order, a later,
+    lower degree can make an earlier generator redundant."""
     gens, rels = [], list(f.relations)
     for alpha in window_degrees:
         coords = _monomials_of_degree(f, alpha)
         if not coords:
             continue
         index = {c: k for k, c in enumerate(coords)}
-        inter = None
-        for key, chart_gens in sorted(t.charts.items()):
-            rows = component_span_rows(f, list(chart_gens) + rels, alpha, coords, index)
-            basis = ratlin.dense(ratlin.echelon(rows).values(), len(coords))
-            inter = basis if inter is None else ratlin.subspace_intersection(
-                inter, basis
-            )
-            if not inter:
-                break
+        inter = ratlin.intersection(
+            (
+                component_span_rows(f, list(chart_gens) + rels, alpha, coords, index)
+                for chart_gens in t.charts.values()
+            ),
+            len(coords),
+        )
         if not inter:
             continue
         own = component_span_rows(f, gens + rels, alpha, coords, index)
-        span = ratlin._pivot_rows(own)
-        for vec in inter:
-            if ratlin._insert(span, vec):
-                gens.append(tuple(
-                    {e: c for (j, e), c in zip(coords, vec) if j == i and c}
-                    for i in range(f.rank)
-                ))
+        for vec in ratlin.new_to_span(own, inter):
+            gens.append(tuple(
+                {coords[k][1]: c for k, c in sorted(vec.items()) if coords[k][0] == i}
+                for i in range(f.rank)
+            ))
     return minimalize_submodule_generators(GradedSubmodule(f, tuple(gens)))
 
 

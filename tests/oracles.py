@@ -704,6 +704,27 @@ def random_monomial_ideal(rng, nvars):
     return gens
 
 
+def random_binomial_ideal(rng, nvars, degree):
+    """One or two binomials a·Z^e + b·Z^f, e ≠ f of equal degree(e), and
+    half the time one monomial, as {exponent: Fraction} dicts.  Exponents
+    are at most 1: with two binomials of exponents up to 2, some
+    saturations on P2 and P1xP1 run for more than 5 s in the Groebner
+    engine."""
+    classes = {}
+    for e in product(range(2), repeat=nvars):
+        if any(e):
+            classes.setdefault(degree(e), []).append(e)
+    pool = [v for _, v in sorted(classes.items()) if len(v) > 1]
+    coef = (1, -1, 2, -3)
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        e, f = rng.sample(rng.choice(pool), 2)
+        gens.append({e: Fraction(rng.choice(coef)), f: Fraction(rng.choice(coef))})
+    if rng.random() < 0.5:
+        gens.append({rng.choice([e for v in pool for e in v]): Fraction(1)})
+    return gens
+
+
 def colon_monomial(ideal, f):
     return minimalize(
         [tuple(max(a - b, 0) for a, b in zip(e, f)) for e in ideal]

@@ -144,6 +144,14 @@ BAD_MODULES = {
         "relations": [[_term(exponent=(1, 0, -1))]],
     },
     "relations_not_a_list": {"generator_degrees": [[0]], "relations": 5},
+    "float_coefficient": {
+        "generator_degrees": [[0]],
+        "relations": [[dict(_term(), coefficient=0.1)]],
+    },
+    "bool_coefficient": {
+        "generator_degrees": [[0]],
+        "relations": [[dict(_term(), coefficient=True)]],
+    },
 }
 
 
@@ -156,6 +164,32 @@ def test_bad_module_json_is_parse_error(tmp_path, p2, name):
     payload = json.loads(out)
     _validate(payload, "error")
     assert payload["error"]["type"] == "ParseError"
+    if name.endswith("_coefficient"):
+        assert "coefficient" in payload["error"]["reason"]
+
+
+@pytest.mark.parametrize(
+    "command", [["module", "sections", "--degrees", "0;1;2"], ["module", "torsion"]]
+)
+def test_non_homogeneous_relation_is_validation_error(tmp_path, p2, command):
+    # Z1 + Z2^2 mixes degrees 1 and 2 on P2: the module is not graded.
+    mod = tmp_path / "mod.json"
+    mod.write_text(
+        json.dumps(
+            {
+                "generator_degrees": [[0]],
+                "relations": [[_term(), _term(exponent=(0, 2, 0))]],
+            }
+        )
+    )
+    code, out = _run([*command[:2], p2, *command[2:], "--module", str(mod)])
+    assert code == cli.EXIT_DOMAIN, out
+    payload = json.loads(out)
+    _validate(payload, "error")
+    assert payload["error"] == {
+        "type": "ValidationError",
+        "reason": "relation 0 is not homogeneous: its terms have degrees 1;2",
+    }
 
 
 def test_domain_error_exit_code(tmp_path):

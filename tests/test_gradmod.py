@@ -251,13 +251,12 @@ def _chart_intersection_candidates(family, f, window):
     for alpha in window:
         coords = gradmod._monomials_of_degree(f, alpha)
         index = {c: k for k, c in enumerate(coords)}
-        inter = None
-        for chart_gens in family.charts.values():
-            rows = gradmod.component_span_rows(f, list(chart_gens) + list(f.relations), alpha, coords, index)
-            basis = ratlin.dense(ratlin.echelon(rows).values(), len(coords))
-            inter = basis if inter is None else ratlin.subspace_intersection(inter, basis)
-        for vec in inter or ():
-            gens.append(tuple({e: c for (j, e), c in zip(coords, vec) if j == i and c} for i in range(f.rank)))
+        spans = [
+            gradmod.component_span_rows(f, list(chart_gens) + list(f.relations), alpha, coords, index)
+            for chart_gens in family.charts.values()
+        ]
+        for vec in ratlin.intersection(spans, len(coords)):
+            gens.append(tuple({coords[k][1]: c for k, c in sorted(vec.items()) if coords[k][0] == i} for i in range(f.rank)))
     return GradedSubmodule(f, tuple(gens))
 
 

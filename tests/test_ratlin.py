@@ -58,7 +58,15 @@ def _matrices():
 
 
 def _times(rows, x):
-    return [sum(Fraction(a) * b for a, b in zip(r, x)) for r in rows]
+    return [sum(Fraction(r[c]) * v for c, v in x.items()) for r in rows]
+
+
+def _dense(rows, ncols):
+    return [[r.get(c, Fraction(0)) for c in range(ncols)] for r in rows]
+
+
+def _sparse(rows):
+    return [{c: x for c, x in enumerate(r) if x} for r in rows]
 
 
 @pytest.fixture(scope="module")
@@ -72,13 +80,15 @@ def cases():
 def test_rref_matches_dense_reference(cases):
     for m, reference in cases:
         before = [list(r) for r in m]
-        red, piv = ratlin.rref(m)
-        assert (red, piv) == reference, m
-        assert all(type(x) is Fraction for r in red for x in r)
+        ncols = len(m[0]) if m else 0
+        ech = ratlin.echelon(m)
+        zeros = [[Fraction(0)] * ncols for _ in range(len(m) - len(ech))]
+        assert (_dense(ech.values(), ncols) + zeros, list(ech)) == reference, m
+        assert all(type(x) is Fraction and x for r in ech.values() for x in r.values())
+        assert ratlin.echelon(_sparse(m)) == ech
         assert m == before
-        assert ratlin.rank(m) == len(piv)
-        sparse = [{c: x for c, x in enumerate(r) if x} for r in m]
-        assert ratlin.rank(sparse) == len(piv)
+        assert ratlin.rank(m) == len(ech)
+        assert ratlin.rank(_sparse(m)) == len(ech)
 
 
 def test_nullspace_vectors_are_solutions(cases):
@@ -86,8 +96,10 @@ def test_nullspace_vectors_are_solutions(cases):
         ncols = len(m[0]) if m else 4
         basis = ratlin.nullspace(m, ncols=ncols)
         assert len(basis) == ncols - len(piv), m
+        assert all(isinstance(x, dict) and all(x.values()) for x in basis)
         assert all(not any(_times(m, x)) for x in basis)
-        assert len(oracles.rref(basis)[1]) == len(basis)
+        assert len(oracles.rref(_dense(basis, ncols))[1]) == len(basis)
+        assert ratlin.nullspace(_sparse(m), ncols) == basis
 
 
 def test_in_row_span_matches_reference(cases):
@@ -98,11 +110,12 @@ def test_in_row_span_matches_reference(cases):
         for r in m:
             c = rng.randint(-2, 2)
             combo = [a + c * b for a, b in zip(combo, r)]
-        assert ratlin.in_row_span(m, combo), m
-        assert ratlin.in_row_span(m, [0] * ncols), m
+        assert ratlin.new_to_span(m, [combo]) == [], m
+        assert ratlin.new_to_span(m, [[0] * ncols]) == [], m
         v = _matrix(rng, 1, ncols, 0.6)[0]
         want = len(oracles.rref(m + [v])[1]) == len(piv)
-        assert ratlin.in_row_span(m, v) is want, (m, v)
+        assert ratlin.new_to_span(m, [v]) == ([] if want else [v]), (m, v)
+        assert ratlin.new_to_span(m, [combo, v, v]) == ([] if want else [v])
 
 
 def test_subspace_intersection_matches_reference(cases):
@@ -111,10 +124,19 @@ def test_subspace_intersection_matches_reference(cases):
         if not m or not m[0]:
             continue
         ncols = len(m[0])
-        other = _matrix(rng, rng.randint(1, 4), ncols, rng.uniform(0.2, 1.0))
-        if rng.random() < 0.5:  # share a combination of the rows of m
-            coef = [rng.randint(-1, 1) for _ in m]
-            other.append([sum(k * r[c] for k, r in zip(coef, m)) for c in range(ncols)])
-        want = oracles.subspace_intersection(m, other)
-        assert ratlin.subspace_intersection(m, other) == want, (m, other)
-    assert ratlin.subspace_intersection([], [[1, 0]]) == []
+        spans = [m]
+        for _ in range(rng.randint(1, 2)):  # two and three spans
+            other = _matrix(rng, rng.randint(1, 4), ncols, rng.uniform(0.2, 1.0))
+            if rng.random() < 0.5:  # share a combination of the rows of m
+                coef = [rng.randint(-1, 1) for _ in m]
+                other.append([sum(k * r[c] for k, r in zip(coef, m)) for c in range(ncols)])
+            spans.append(other)
+        want = spans[0]
+        for other in spans[1:]:
+            want = oracles.subspace_intersection(want, other)
+        got = ratlin.intersection(spans, ncols)
+        assert _dense(got, ncols) == want, spans
+        assert ratlin.intersection(map(_sparse, spans), ncols) == got
+    assert ratlin.intersection([[], [[1, 0]]], 2) == []
+    assert ratlin.intersection([[[1, 0]], []], 2) == []
+    assert ratlin.intersection([[[0, 0]], [[1, 1]]], 2) == []

@@ -478,3 +478,27 @@ def test_generated_round_trips_equal_monomial_saturation(name):
         window = {A.add(c.grading.a_map(e), d) for e in want for d in steps}
         got = xi_preimage(family, f, sorted(window, key=lambda a: a.coords()))
         assert _monomials(got) == want, exps
+        assert family_equal(xi_forward(lift_finite_type(family, f)), family), exps
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1"])
+def test_generated_binomial_round_trips(name):
+    # Random binomial ideals, whose chart components are not spanned by
+    # monomials: xi_preimage(xi_forward(I)), over a window one variable
+    # degree past the saturation's generator degrees, is the saturation,
+    # and the finite-type lift of the family has the same family.
+    c = _cox(name)
+    f = free_module(c)
+    g = c.grading
+    A = g.class_group
+    rng = random.Random(20261018)
+    for _ in range(8):
+        ideal = oracles.random_binomial_ideal(rng, c.num_vars, lambda e: g.a_map(e).coords())
+        sub = GradedSubmodule(f, tuple((p,) for p in ideal))
+        sat = saturate_submodule(sub)
+        family = xi_forward(sub)
+        steps = (A.zero(), *g.ray_degrees)
+        window = {A.add(f.element_degree(x), d) for x in sat.element_generators for d in steps}
+        got = xi_preimage(family, f, sorted(window, key=lambda a: a.coords()))
+        assert submodules_equal(got, sat), ideal
+        assert family_equal(xi_forward(lift_finite_type(family, f)), family), ideal
