@@ -4,21 +4,22 @@ Polynomials are dicts mapping exponent tuples to nonzero Fractions.  Module
 elements are tuples of polynomials against a free basis; module orders are
 position-over-term.  An ideal is the rank-1 case, elements ``(p,)``.
 Elimination uses a block order on a leading tag variable t.  Buchberger
-keeps each basis element's leading term and skips pairs of two single
+takes its pairs by the normal strategy (least lcm of the leading terms
+first) and skips those that the chain criterion settles; it keeps each
+basis element's leading term and never queues a pair of two single
 terms, whose S-vector is zero.  Reduction works in place on the dicts of
 the remainder, with the same reducer (the first basis element whose
 leading term divides) and the same exact Fraction arithmetic as a copying
-reduction, so bases come out the same, element for element.  Saturation
-by one element f is a single basis: the t-free part of N + (1 - t*f)*F
-(Cox-Little-O'Shea, Ch. 4 §4).
+reduction.  Saturation by one element f is a single basis: the t-free
+part of N + (1 - t*f)*F (Cox-Little-O'Shea, Ch. 4 §4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import neg
+from heapq import heappop, heappush
+from operator import le, neg
 
 
 # --- polynomial arithmetic ------------------------------------------------
@@ -65,7 +66,7 @@ GREVLEX = MonomialOrder(0)
 
 
 def _divides(e, m):
-    return all(a <= b for a, b in zip(e, m))
+    return all(map(le, e, m))
 
 
 # --- monomial ideal combinatorics ----------------------------------------
@@ -187,28 +188,56 @@ def _s_vector(f, g, lt_f, lt_g):
 
 
 def module_groebner_basis(gens, order=POT):
-    """Buchberger over every same-position pair.  The coprime criterion is
-    not used: it does not hold for modules of rank > 1.  A pair of two
-    single-term elements is skipped, as its S-vector is zero.  Leading
-    terms are computed once, when an element joins the basis."""
+    """Buchberger with the normal selection strategy and the chain
+    criterion.  Pending pairs sit in a heap keyed by the order key of
+    (position, lcm of the two leading terms), ties broken by (i, j).  A
+    popped pair (i, j) is skipped when some k has a leading term in the
+    same position that divides the lcm and neither (i, k) nor (j, k) is
+    still pending: Buchberger's second criterion, which holds for modules
+    (Cox-Little-O'Shea, Ch. 2 §10; Gebauer-Moller 1988).  The coprime
+    criterion is not used: it does not hold for modules of rank > 1.  A
+    pair of two single-term elements is never queued, as its S-vector is
+    zero.  Leading terms are computed once, when an element joins the
+    basis."""
     basis = [g for g in gens if not m_is_zero(g)]
     lts = [m_leading_term(g, order) for g in basis]
     single = [m_is_monomial(g) for g in basis]
+    heap, pending = [], set()
 
-    def wanted(i, j):
-        return lts[i][0][0] == lts[j][0][0] and not (single[i] and single[j])
+    def queue_pairs(j):
+        (pos, ej), _ = lts[j]
+        for i in range(j):
+            (q, ei), _ = lts[i]
+            if q == pos and not (single[i] and single[j]):
+                lcm = tuple(map(max, ei, ej))
+                heappush(heap, (order.key((pos, lcm)), i, j, lcm))
+                pending.add((i, j))
 
-    pairs = [(i, j) for i, j in combinations(range(len(basis)), 2) if wanted(i, j)]
-    while pairs:
-        i, j = pairs.pop()
+    def chain(i, j, pos, lcm):
+        return any(
+            q == pos
+            and k != i
+            and k != j
+            and _divides(e, lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, ((q, e), _) in enumerate(lts)
+        )
+
+    for j in range(len(basis)):
+        queue_pairs(j)
+    while heap:
+        _, i, j, lcm = heappop(heap)
+        pending.discard((i, j))
+        if chain(i, j, lts[i][0][0], lcm):
+            continue
         s = _s_vector(basis[i], basis[j], lts[i], lts[j])
         r = m_normal_form(s, basis, order, lts)
         if not m_is_zero(r):
             basis.append(r)
             lts.append(m_leading_term(r, order))
             single.append(m_is_monomial(r))
-            n = len(basis) - 1
-            pairs.extend((k, n) for k in range(n) if wanted(k, n))
+            queue_pairs(len(basis) - 1)
     return basis
 
 

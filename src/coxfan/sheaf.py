@@ -473,25 +473,24 @@ def eta_component_is_bijective(s: SheafCoverPresentation, alpha) -> bool:
     return ratlin.rank(rel_rows + kernel) == len(rel_rows)
 
 
+def _saturate(g: GradedSubmodule, z):
+    """Generators of (g : z^inf), a POT Groebner basis."""
+    f = g.ambient
+    if _is_monomial_context(g):
+        return _monomial_saturation(g, [z])
+    sat = module_saturate_element(g.with_relations(), {tuple(z): _ONE}, f.rank, f.nvars)
+    return tuple(x for x in sat if not m_is_zero(x))
+
+
 def xi_forward(g: GradedSubmodule) -> ChartSubmoduleFamily:
     """The chart family of the subsheaf generated by a graded submodule:
     per maximal cone, the saturation by the cone monomial."""
-    f = g.ambient
-    cox = f.cox
-    charts = {}
-    monomial = _is_monomial_context(g)
-    for cone in cox.grading.fan.maximal_cones():
-        key = cone.ray_generators
-        z = cox.zhat[key]
-        if monomial:
-            charts[key] = _monomial_saturation(g, [z])
-        else:
-            zp = {tuple(z): Fraction(1)}
-            sat = module_saturate_element(
-                g.with_relations(), zp, f.rank, f.nvars
-            )
-            charts[key] = tuple(x for x in sat if not m_is_zero(x))
-    return ChartSubmoduleFamily(ambient=f, charts=charts)
+    cox = g.ambient.cox
+    charts = {
+        cone.ray_generators: _saturate(g, cox.zhat[cone.ray_generators])
+        for cone in cox.grading.fan.maximal_cones()
+    }
+    return ChartSubmoduleFamily(ambient=g.ambient, charts=charts)
 
 
 def family_equal(a: ChartSubmoduleFamily, b: ChartSubmoduleFamily) -> bool:
@@ -544,41 +543,67 @@ def xi_preimage(
     return minimalize_submodule_generators(GradedSubmodule(f, tuple(gens)))
 
 
+def _least_true(holds, certify):
+    """The least j >= 0 with holds(j), for a predicate monotone in j: test
+    j = 0 and 1, then call certify(), which raises unless holds(j) for
+    some j, then gallop through j = 2, 4, 8, ... and bisect."""
+    for j in (0, 1):
+        if holds(j):
+            return j
+    certify()
+    lo, hi = 1, 2  # holds(lo) is false
+    while not holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
+
+
 def lift_finite_type(
     t: ChartSubmoduleFamily,
     f: GradedModulePresentation,
 ) -> GradedSubmodule:
     """A finite-type graded submodule with the given chart family: every
-    chart generator is cleared by a power of its cone monomial until the
-    result lies in the family on all the other charts as well."""
+    chart generator x of a cone σ is cleared by the least power
+    z_σ^(j·m_σ) that puts it in the chart module T_τ of every other cone
+    τ.  Some power does exactly when x lies in (T_τ : z_σ^∞) for every τ.
+    That is tested before any j > 1 is tried, so a refusal is certified;
+    membership is monotone in j, so galloping and bisection find the
+    least j."""
     cox = f.cox
     keys = sorted(t.charts)
+    rels = list(f.relations)
     sat_gbs = {}
     for key in keys:
-        gens = list(t.charts[key]) + list(f.relations)
+        gens = list(t.charts[key]) + rels
         sat_gbs[key] = module_groebner_basis(gens) if gens else []
     gens = []
     for key in keys:
         z = cox.zhat[key]
         step = cox.m_exponents[key]
-        for x in t.charts[key]:
-            if m_is_zero(x):
-                continue
-            lifted = None
-            for j in range(DEFAULT_MAX_LEVEL + 1):
-                e = tuple(j * step * zi for zi in z)
-                cand = m_term_mul(x, e, Fraction(1))
-                if all(
-                    module_contains(sat_gbs[other], cand)
-                    for other in keys
-                    if other != key
-                ):
-                    lifted = cand
-                    break
-            if lifted is None:
-                raise Unstabilized(
-                    "chart generator could not be cleared into the family"
+        others = [other for other in keys if other != key]
+        colons = []
+
+        def cleared(x, j):
+            return m_term_mul(x, tuple(j * step * zi for zi in z), _ONE)
+
+        def inside(x, j):
+            cand = cleared(x, j)
+            return all(module_contains(sat_gbs[other], cand) for other in others)
+
+        def certify(x):
+            if not colons:
+                colons.extend(_saturate(GradedSubmodule(f, t.charts[other]), z) for other in others)
+            if not all(module_contains(gb, x) for gb in colons):
+                raise ValueError(
+                    "chart generator lies in no chart module after clearing "
+                    "by any power of its cone monomial"
                 )
-            gens.append(lifted)
+
+        for x in t.charts[key]:
+            if not m_is_zero(x):
+                j = _least_true(lambda j: inside(x, j), lambda: certify(x))
+                gens.append(cleared(x, j))
     out = GradedSubmodule(f, tuple(gens))
     return minimalize_submodule_generators(out)

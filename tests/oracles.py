@@ -706,12 +706,10 @@ def random_monomial_ideal(rng, nvars):
 
 def random_binomial_ideal(rng, nvars, degree):
     """One or two binomials a·Z^e + b·Z^f, e ≠ f of equal degree(e), and
-    half the time one monomial, as {exponent: Fraction} dicts.  Exponents
-    are at most 1: with two binomials of exponents up to 2, some
-    saturations on P2 and P1xP1 run for more than 5 s in the Groebner
-    engine."""
+    half the time one monomial, as {exponent: Fraction} dicts, with
+    exponents at most 2."""
     classes = {}
-    for e in product(range(2), repeat=nvars):
+    for e in product(range(3), repeat=nvars):
         if any(e):
             classes.setdefault(degree(e), []).append(e)
     pool = [v for _, v in sorted(classes.items()) if len(v) > 1]
@@ -774,11 +772,12 @@ def monomials_of_weighted_degree(weights, degree, cap=None):
 
 
 # ---------------------------------------------------------------------------
-# Buchberger over every same-position pair, recomputing leading terms at
-# each step, one basis per candidate in generator minimalization, and
-# saturation by the iterated colon (the reference for the package's
-# Groebner engine, whose bases, remainders, S-vectors and minimal
-# generator lists must equal these element for element).  Module elements
+# Buchberger over every same-position pair, last in first out, recomputing
+# leading terms at each step, one basis per candidate in generator
+# minimalization, and saturation by the iterated colon (the reference for
+# the package's Groebner engine: its remainders, S-vectors and minimal
+# generator lists must equal these element for element, and its bases
+# must have the same reduced basis).  Module elements
 # are tuples of {exponent: Fraction} dicts; `order` is any object whose
 # `key` ranks (position, exponent) terms.
 
@@ -875,6 +874,30 @@ def module_groebner_basis(gens, order):
                 if _m_leading_term(basis[k], order)[0][0] == rpos:
                     pairs.append((k, len(basis) - 1))
     return basis
+
+
+def reduced_basis(basis, order):
+    """The reduced Groebner basis of the submodule that the Groebner basis
+    `basis` generates, which depends on the submodule and the order only:
+    the elements whose leading term no other's divides (the first of equal
+    ones), each reduced by the others and made monic, sorted by leading
+    term."""
+    gb = [g for g in basis if not _m_is_zero(g)]
+    lts = [_m_leading_term(g, order)[0] for g in gb]
+    minimal = [
+        gb[i]
+        for i, (pos, e) in enumerate(lts)
+        if not any(
+            q == pos and _divides(d, e) and (d != e or j < i)
+            for j, (q, d) in enumerate(lts)
+        )
+    ]
+    out = []
+    for i, g in enumerate(minimal):
+        r = m_normal_form(g, minimal[:i] + minimal[i + 1 :], order)
+        term, c = _m_leading_term(r, order)
+        out.append((order.key(term), _m_term_mul(r, (0,) * len(term[1]), 1 / c)))
+    return [g for _, g in sorted(out, key=lambda kg: kg[0])]
 
 
 def _submodule_equal(gens_a, gens_b, pot):

@@ -296,6 +296,17 @@ def test_twisted_sections_past_the_former_generator_box(p2):
     assert payload["dimensions"] == {"7": {"certificate": "bound", "dimension": 36}}
 
 
+@pytest.mark.parametrize("power", [9, 20])
+def test_sheaf_lift_at_high_powers(p2, power):
+    # Z1^k is its own lift; a search over at most eight levels refused
+    # these with Unstabilized.
+    code, out = _run(["sheaf", "lift", p2, "--ideal", f"Z1^{power}"])
+    assert code == 0, out
+    payload = json.loads(out)
+    assert payload["lift_generators"] == [f"Z1^{power}"]
+    assert payload["family_round_trip"] is True
+
+
 # S/(Z1) + S(-1)/(Z2) on P2: its sheaf is O_L + O_L'(-1) for two lines,
 # with (d + 1) + d sections in degree d.
 RANK_TWO = {

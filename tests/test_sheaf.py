@@ -16,6 +16,7 @@ from coxfan.gradmod import (
     is_torsion,
     quotient_by_monomial_ideal,
     saturate_submodule,
+    submodule_membership,
     submodules_equal,
 )
 from coxfan.grading import classify_subgroup, subgroup_of_whole_group
@@ -166,6 +167,43 @@ def test_lift_finite_type_round_trips(p2_ring):
         t = xi_forward(_submodule(p2_ring, exps))
         lifted = lift_finite_type(t, p2_ring)
         assert family_equal(xi_forward(lifted), t), exps
+
+
+@pytest.mark.parametrize("power", [9, 20])
+def test_lift_of_a_high_power_is_itself(p2_ring, power):
+    # The family of <Z1^k> is <Z1^k> on the charts of Z2 and Z3, and the
+    # unit on the chart of Z1 needs Z1^k to enter them; a search over at
+    # most eight levels refused k = 9.
+    t = xi_forward(_submodule(p2_ring, [(power, 0, 0)]))
+    lifted = lift_finite_type(t, p2_ring)
+    assert lifted.element_generators == _submodule(p2_ring, [(power, 0, 0)]).element_generators
+    assert family_equal(xi_forward(lifted), t)
+
+
+def test_least_true_finds_the_threshold():
+    # Gallop and bisect: the least j with j >= n, in O(log n) tests, and
+    # certified before any j > 1 is tried.
+    for n in range(70):
+        log = []
+        j = sheaf._least_true(lambda j: log.append(j) or j >= n, lambda: log.append("certified"))
+        assert j == n
+        assert log.count("certified") == (n > 1)
+        tried = [k for k in log if k != "certified"]
+        assert len(tried) <= 2 * n.bit_length() + 2
+        assert n <= 1 or log[: log.index("certified")] == [0, 1]
+
+
+def test_lift_refusal_is_certified(p2_ring):
+    # A unit on the chart of Z1 and <Z2> on another: no power of Z1 puts
+    # 1 in <Z2>, since (Z2 : Z1^inf) = <Z2>, so the lift refuses at once.
+    charts = dict(xi_forward(_submodule(p2_ring, [(0, 0, 0)])).charts)
+    zhat = p2_ring.cox.zhat
+    assert sorted(zhat[k] for k in charts) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    other = next(k for k in charts if zhat[k] == (0, 0, 1))
+    charts[other] = (_elem((0, 1, 0)),)
+    family = sheaf.ChartSubmoduleFamily(ambient=p2_ring, charts=charts)
+    with pytest.raises(ValueError, match="no chart module"):
+        lift_finite_type(family, p2_ring)
 
 
 def test_torsion_iff_zero_cover_small_subgroup(p2_cox):
@@ -502,3 +540,31 @@ def test_generated_binomial_round_trips(name):
         got = xi_preimage(family, f, sorted(window, key=lambda a: a.coords()))
         assert submodules_equal(got, sat), ideal
         assert family_equal(xi_forward(lift_finite_type(family, f)), family), ideal
+
+
+# Two-binomial saturations that took 127 s, 5.2 s and more than 460 s
+# (on a 2-CPU Xeon) when Buchberger popped its pairs last in, first out.
+TAIL_SATURATIONS = [
+    ("p1xp1", [{(2, 0, 2, 0): -1, (2, 0, 1, 1): -2}, {(1, 1, 0, 2): 2, (0, 2, 2, 0): -2}]),
+    ("p2", [{(2, 0, 2): 2, (1, 2, 1): -3}, {(2, 1, 0): 1, (0, 2, 1): -1}]),
+    ("p1xp1", [{(2, 0, 1, 2): -1, (2, 0, 2, 1): -3}, {(2, 1, 0, 2): 1, (1, 2, 2, 0): 2}]),
+]
+
+
+@pytest.mark.parametrize("name, ideal", TAIL_SATURATIONS)
+def test_two_binomial_saturation_is_fast_and_round_trips(name, ideal):
+    c = _cox(name)
+    f = free_module(c)
+    g = c.grading
+    A = g.class_group
+    sub = GradedSubmodule(f, tuple(({e: Fraction(x) for e, x in p.items()},) for p in ideal))
+    start = time.perf_counter()
+    sat = saturate_submodule(sub)
+    assert time.perf_counter() - start < 1.0
+    family = xi_forward(sub)
+    steps = (A.zero(), *g.ray_degrees)
+    window = {A.add(f.element_degree(x), d) for x in sat.element_generators for d in steps}
+    got = xi_preimage(family, f, sorted(window, key=lambda a: a.coords()))
+    assert submodules_equal(got, sat)
+    assert family_equal(xi_forward(lift_finite_type(family, f)), family)
+    assert all(submodule_membership(x, sat) for x in sub.element_generators)
