@@ -47,7 +47,8 @@ _ONE = Fraction(1)
 
 
 class Unstabilized(RuntimeError):
-    """A windowed computation did not settle within its bound."""
+    """A windowed computation did not settle within its bound, or no
+    level can settle it."""
 
 
 @dataclass(frozen=True)
@@ -543,23 +544,6 @@ def xi_preimage(
     return minimalize_submodule_generators(GradedSubmodule(f, tuple(gens)))
 
 
-def _least_true(holds, certify):
-    """The least j >= 0 with holds(j), for a predicate monotone in j: test
-    j = 0 and 1, then call certify(), which raises unless holds(j) for
-    some j, then gallop through j = 2, 4, 8, ... and bisect."""
-    for j in (0, 1):
-        if holds(j):
-            return j
-    certify()
-    lo, hi = 1, 2  # holds(lo) is false
-    while not holds(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
-    return hi
-
-
 def lift_finite_type(
     t: ChartSubmoduleFamily,
     f: GradedModulePresentation,
@@ -569,7 +553,7 @@ def lift_finite_type(
     z_σ^(j·m_σ) that puts it in the chart module T_τ of every other cone
     τ.  Some power does exactly when x lies in (T_τ : z_σ^∞) for every τ.
     That is tested before any j > 1 is tried, so a refusal is certified;
-    membership is monotone in j, so galloping and bisection find the
+    membership is monotone in j, so counting up from j = 0 finds the
     least j."""
     cox = f.cox
     keys = sorted(t.charts)
@@ -596,14 +580,18 @@ def lift_finite_type(
             if not colons:
                 colons.extend(_saturate(GradedSubmodule(f, t.charts[other]), z) for other in others)
             if not all(module_contains(gb, x) for gb in colons):
-                raise ValueError(
+                raise Unstabilized(
                     "chart generator lies in no chart module after clearing "
                     "by any power of its cone monomial"
                 )
 
         for x in t.charts[key]:
             if not m_is_zero(x):
-                j = _least_true(lambda j: inside(x, j), lambda: certify(x))
+                j = 0
+                while not inside(x, j):
+                    if j == 1:
+                        certify(x)
+                    j += 1
                 gens.append(cleared(x, j))
     out = GradedSubmodule(f, tuple(gens))
     return minimalize_submodule_generators(out)

@@ -180,19 +180,6 @@ def test_lift_of_a_high_power_is_itself(p2_ring, power):
     assert family_equal(xi_forward(lifted), t)
 
 
-def test_least_true_finds_the_threshold():
-    # Gallop and bisect: the least j with j >= n, in O(log n) tests, and
-    # certified before any j > 1 is tried.
-    for n in range(70):
-        log = []
-        j = sheaf._least_true(lambda j: log.append(j) or j >= n, lambda: log.append("certified"))
-        assert j == n
-        assert log.count("certified") == (n > 1)
-        tried = [k for k in log if k != "certified"]
-        assert len(tried) <= 2 * n.bit_length() + 2
-        assert n <= 1 or log[: log.index("certified")] == [0, 1]
-
-
 def test_lift_refusal_is_certified(p2_ring):
     # A unit on the chart of Z1 and <Z2> on another: no power of Z1 puts
     # 1 in <Z2>, since (Z2 : Z1^inf) = <Z2>, so the lift refuses at once.
@@ -202,7 +189,7 @@ def test_lift_refusal_is_certified(p2_ring):
     other = next(k for k in charts if zhat[k] == (0, 0, 1))
     charts[other] = (_elem((0, 1, 0)),)
     family = sheaf.ChartSubmoduleFamily(ambient=p2_ring, charts=charts)
-    with pytest.raises(ValueError, match="no chart module"):
+    with pytest.raises(sheaf.Unstabilized, match="no chart module"):
         lift_finite_type(family, p2_ring)
 
 
