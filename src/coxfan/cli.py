@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 domain error (invalid fan, bad subgroup, cap
 exceeded), 2 I/O or parse error.  All numbers in the JSON output are
 exact; rationals are rendered as "p/q" strings.
+
+A command imports only the layers it uses, since a process spends most of
+its time loading them: only ``ideal``, ``module`` and ``sheaf`` load gradmod.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import cox, gradmod, grading, polyfan, schemeprops, sheaf
-from .cox import BASE_RING_FLAG_NAMES, BaseRingFlags
-from .intlat import INFINITE
+from . import polyfan
 
 
 class ParseError(ValueError):
@@ -34,15 +35,24 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 
-DOMAIN_ERRORS = (
-    polyfan.PolyfanError,
-    cox.NotBig,
-    cox.ConeNotInFan,
-    grading.UnboundedFiber,
-    grading.FiberTooLarge,
-    sheaf.Unstabilized,
-    ValidationError,
-)
+# The domain errors by layer.  Only layers already loaded are searched:
+# a layer never loaded raised nothing.
+_DOMAIN_ERRORS = {
+    "polyfan": ("PolyfanError",),
+    "cox": ("NotBig", "ConeNotInFan"),
+    "grading": ("UnboundedFiber", "FiberTooLarge"),
+    "sheaf": ("Unstabilized",),
+}
+
+
+def domain_errors():
+    """The exception classes that exit with EXIT_DOMAIN."""
+    found = [ValidationError]
+    for layer, names in _DOMAIN_ERRORS.items():
+        module = sys.modules.get(f"coxfan.{layer}")
+        if module is not None:
+            found += [getattr(module, name) for name in names]
+    return tuple(found)
 
 
 def _primitive(v):
@@ -184,6 +194,7 @@ def parse_subgroup(spec, group):
 
 
 def parse_flags(spec):
+    from .cox import BASE_RING_FLAG_NAMES, BaseRingFlags
     values = {}
     for part in (spec or "").split(","):
         part = part.strip()
@@ -252,6 +263,7 @@ def load_module_json(text, cox_data):
             shown = ";".join(",".join(map(str, c)) for c in sorted(d.coords() for d in degs))
             raise ValidationError(f"relation {n} is not homogeneous: its terms have degrees {shown}")
         relations.append(rel)
+    from . import gradmod
     return gradmod.GradedModulePresentation(cox_data, degrees, tuple(relations))
 
 
@@ -274,10 +286,12 @@ def _emit(payload):
 
 
 def _pipeline(args, need_cox=True):
+    from . import grading
     fan, warnings = parse_fan_json(_read(args.fan))
     g = grading.build_grading(fan)
     if not need_cox:
         return fan, warnings, g, None
+    from . import cox
     if getattr(args, "subgroup", None):
         b = grading.classify_subgroup(g, parse_subgroup(args.subgroup, g.class_group))
     else:
@@ -301,6 +315,7 @@ def cmd_fan_validate(args):
 
 
 def cmd_fan_report(args):
+    from . import schemeprops
     fan, warnings = parse_fan_json(_read(args.fan))
     props = polyfan.fan_properties(fan)
     flags = parse_flags(args.flags)
@@ -339,6 +354,7 @@ def cmd_grading_build(args):
 
 
 def cmd_pic(args):
+    from . import grading
     _, warnings, g, _ = _pipeline(args, need_cox=False)
     pic = grading.picard_group(g)
     return _emit(
@@ -351,6 +367,8 @@ def cmd_pic(args):
 
 
 def cmd_subgroup_classify(args):
+    from . import grading
+    from .intlat import INFINITE
     _, warnings, g, _ = _pipeline(args, need_cox=False)
     b = grading.classify_subgroup(g, parse_subgroup(args.subgroup, g.class_group))
     return _emit(
@@ -398,10 +416,12 @@ def _find_cone(fan, index_spec):
     for c in fan.cones:
         if c.ray_generators == wanted:
             return c
+    from . import cox
     raise cox.ConeNotInFan(f"no fan cone with ray indices {index_spec}")
 
 
 def cmd_chart(args):
+    from . import cox
     fan, warnings, g, c = _pipeline(args)
     cone = _find_cone(fan, args.cone)
     chart = cox.local_chart(c, cone)
@@ -418,6 +438,7 @@ def cmd_chart(args):
 
 
 def cmd_ideal_saturate(args):
+    from . import gradmod
     _, warnings, g, c = _pipeline(args)
     exps = parse_ideal(args.ideal, c.num_vars)
     s = gradmod.free_module(c)
@@ -438,16 +459,24 @@ def cmd_ideal_saturate(args):
     )
 
 
+def _window(spec, group, option):
+    """The degrees of a window option; an empty window is refused."""
+    degrees = _element_list(spec, group, "degree")
+    if not degrees:
+        raise ValidationError(f"{option} needs at least one degree")
+    return degrees
+
+
 def cmd_module_sections(args):
+    from . import gradmod, sheaf
     _, warnings, g, c = _pipeline(args)
-    A = g.class_group
     if args.module:
         f = load_module_json(_read(args.module), c)
     else:
         f = gradmod.free_module(c)
     s = sheaf.sheafify(f)
     dims = {}
-    for alpha in _element_list(args.degrees, A, "degree"):
+    for alpha in _window(args.degrees, g.class_group, "--degrees"):
         w = sheaf.global_sections_degree(s, alpha, mode=args.mode)
         key = ",".join(str(x) for x in _coords(alpha))
         dims[key] = {"dimension": w.dimension, "certificate": w.certificate}
@@ -462,7 +491,9 @@ def cmd_module_sections(args):
 
 
 def cmd_module_torsion(args):
-    if args.power_cap < 1:
+    from . import gradmod
+    cap = gradmod.DEFAULT_POWER_CAP if args.power_cap is None else args.power_cap
+    if cap < 1:
         raise ValidationError("--power-cap must be >= 1")
     _, warnings, g, c = _pipeline(args)
     if args.module:
@@ -473,7 +504,7 @@ def cmd_module_torsion(args):
         )
     else:
         f = gradmod.free_module(c)
-    cert = gradmod.is_torsion(f, power_cap=args.power_cap)
+    cert = gradmod.is_torsion(f, power_cap=cap)
     table = [
         {
             "generator": i,
@@ -494,14 +525,14 @@ def cmd_module_torsion(args):
 
 
 def cmd_sheaf_xi_check(args):
+    from . import gradmod, sheaf
     _, warnings, g, c = _pipeline(args)
-    A = g.class_group
     exps = parse_ideal(args.ideal, c.num_vars)
     s = gradmod.free_module(c)
     sub = gradmod.GradedSubmodule(s, tuple(({e: Fraction(1)},) for e in exps))
     sat = gradmod.saturate_submodule(sub)
     t = sheaf.xi_forward(sub)
-    window = _element_list(args.window, A, "degree")
+    window = _window(args.window, g.class_group, "--window")
     pre = sheaf.xi_preimage(t, s, window)
     agrees = gradmod.submodules_equal(pre, sat)
     return _emit(
@@ -526,6 +557,7 @@ def cmd_sheaf_xi_check(args):
 
 
 def cmd_sheaf_lift(args):
+    from . import gradmod, sheaf
     _, warnings, g, c = _pipeline(args)
     exps = parse_ideal(args.ideal, c.num_vars)
     s = gradmod.free_module(c)
@@ -631,7 +663,7 @@ def build_parser():
     mt.add_argument("fan")
     mt.add_argument("--module", default=None)
     mt.add_argument("--ideal", default=None, help="quotient by this monomial ideal")
-    mt.add_argument("--power-cap", type=int, default=gradmod.DEFAULT_POWER_CAP)
+    mt.add_argument("--power-cap", type=int, default=None)
     mt.add_argument("--subgroup", default=None)
     mt.set_defaults(func=cmd_module_torsion)
 
@@ -668,7 +700,7 @@ def main(argv=None):
             }
         )
         return EXIT_PARSE
-    except DOMAIN_ERRORS as e:
+    except domain_errors() as e:
         _emit(
             {
                 "ok": False,

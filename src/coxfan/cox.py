@@ -9,9 +9,8 @@ dual cones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import intlat
+from ._record import Record
 from .grading import GradingData, SubgroupB, degree_fiber
 from .grading import _cone_points, _degree_zero_lattice, _nonnegative_rows
 from .groeb import minimalize_monomials
@@ -37,29 +36,26 @@ class ConeNotInFan(ValueError):
 BASE_RING_FLAG_NAMES = ("field", "noetherian", "reduced", "stably_coherent", "zero")
 
 
-@dataclass(frozen=True)
-class BaseRingFlags:
+class BaseRingFlags(Record):
     """Declared properties of the coefficient ring; never verified."""
 
-    field: bool = False
-    noetherian: bool = False
-    reduced: bool = False
-    stably_coherent: bool = False
-    zero: bool = False
+    __slots__ = BASE_RING_FLAG_NAMES
+    _defaults = dict.fromkeys(BASE_RING_FLAG_NAMES, False)
 
     def as_dict(self):
         return {name: getattr(self, name) for name in BASE_RING_FLAG_NAMES}
 
 
-@dataclass(frozen=True)
-class CoxRingData:
-    grading: GradingData
-    subgroup: SubgroupB
-    base_ring_flags: BaseRingFlags
-    zhat: dict  # cone ray-generator tuple -> exponent vector
-    m_exponents: dict  # same keys -> least m >= 1 with m*deg(Zhat) in B
-    irrelevant_generators: tuple  # minimal monomial generators of I
-    restricted_irrelevant_generators: tuple  # minimal monomial gens of I ∩ S_B
+class CoxRingData(Record):
+    __slots__ = (
+        "grading",
+        "subgroup",
+        "base_ring_flags",
+        "zhat",  # cone ray-generator tuple -> exponent vector
+        "m_exponents",  # same keys -> least m >= 1 with m*deg(Zhat) in B
+        "irrelevant_generators",  # minimal monomial generators of I
+        "restricted_irrelevant_generators",  # minimal monomial gens of I ∩ S_B
+    )
 
     @property
     def num_vars(self):
@@ -69,12 +65,13 @@ class CoxRingData:
         return self.grading.ray_degrees
 
 
-@dataclass(frozen=True)
-class LocalChart:
-    cone: Cone
-    degree_zero_generators: tuple  # exponent vectors, negatives allowed off the cone
-    toric_relations: tuple  # integer kernel basis among the generators
-    monoid_chart: tuple  # (hilbert basis of the dual monoid, images under c)
+class LocalChart(Record):
+    __slots__ = (
+        "cone",
+        "degree_zero_generators",  # exponent vectors, negatives allowed off the cone
+        "toric_relations",  # integer kernel basis among the generators
+        "monoid_chart",  # (hilbert basis of the dual monoid, images under c)
+    )
 
 
 def _zhat_exponent(grading: GradingData, cone: Cone):

@@ -7,11 +7,11 @@ process; the cache keeps at most FIBER_POINT_CAP points in all.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from operator import add, mul
 
+from ._record import Record
 from .intlat import (
     INFINITE,
     AbelianGroup,
@@ -38,31 +38,31 @@ class FiberTooLarge(ValueError):
     """A degree fiber has more than FIBER_POINT_CAP points."""
 
 
-@dataclass(frozen=True)
-class GradingData:
-    fan: Fan
-    c_matrix: IntMatrix  # rows indexed by Sigma_1, row = ray generator
-    class_group: AbelianGroup
-    a_map: object  # QuotientMap Z^Sigma_1 -> class_group
-    ray_degrees: tuple  # GroupElement per ray, in Sigma_1 order
-    delta_basis: tuple  # the rays, tagging the canonical basis of Z^Sigma_1
+class GradingData(Record):
+    __slots__ = (
+        "fan",
+        "c_matrix",  # IntMatrix, rows indexed by Sigma_1, row = ray generator
+        "class_group",
+        "a_map",  # QuotientMap Z^Sigma_1 -> class_group
+        "ray_degrees",  # GroupElement per ray, in Sigma_1 order
+        "delta_basis",  # the rays, tagging the canonical basis of Z^Sigma_1
+    )
 
     @property
     def num_rays(self):
         return len(self.delta_basis)
 
 
-@dataclass(frozen=True)
-class SubgroupB:
-    generators: tuple  # GroupElements of the class group
-    index_in_A: object  # int or INFINITE
-    is_big: bool
-    is_small: bool
+class SubgroupB(Record):
+    __slots__ = (
+        "generators",  # GroupElements of the class group
+        "index_in_A",  # int or INFINITE
+        "is_big", "is_small",
+    )
 
 
-@dataclass(frozen=True)
-class PicardGroup:
-    generators: tuple  # GroupElements presenting pic as a subgroup of A
+class PicardGroup(Record):
+    __slots__ = ("generators",)  # GroupElements presenting pic as a subgroup of A
 
 
 def build_grading(f: Fan) -> GradingData:

@@ -8,12 +8,12 @@ saturation against the restricted irrelevant ideal, and torsion detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import count
 
 from . import groeb, ratlin
+from ._record import Record
 from .cox import CoxRingData
 from .grading import degree_fiber
 from .groeb import (
@@ -32,11 +32,12 @@ from .groeb import (
 DEFAULT_POWER_CAP = 16
 
 
-@dataclass(frozen=True)
-class GradedModulePresentation:
-    cox: CoxRingData
-    generator_degrees: tuple  # GroupElements, generator i spans a shifted copy
-    relations: tuple  # ModElems (tuples of polynomial dicts), homogeneous
+class GradedModulePresentation(Record):
+    __slots__ = (
+        "cox",
+        "generator_degrees",  # GroupElements, generator i spans a shifted copy
+        "relations",  # ModElems (tuples of polynomial dicts), homogeneous
+    )
 
     @property
     def rank(self):
@@ -80,21 +81,20 @@ def quotient_by_monomial_ideal(cox: CoxRingData, exponents) -> GradedModulePrese
     )
 
 
-@dataclass(frozen=True)
-class GradedSubmodule:
-    ambient: GradedModulePresentation
-    element_generators: tuple  # homogeneous ModElems
+class GradedSubmodule(Record):
+    __slots__ = ("ambient", "element_generators")  # homogeneous ModElems
 
     def with_relations(self):
         return list(self.element_generators) + list(self.ambient.relations)
 
 
-@dataclass(frozen=True)
-class DegreeComponent:
-    degree: object
-    monomial_basis: tuple  # (generator index, exponent) coordinates
-    relation_rows: tuple  # echelon rows {coordinate: Fraction} of the relation subspace
-    quotient_basis: tuple  # coordinate indices forming a basis of the quotient
+class DegreeComponent(Record):
+    __slots__ = (
+        "degree",
+        "monomial_basis",  # (generator index, exponent) coordinates
+        "relation_rows",  # echelon rows {coordinate: Fraction} of the relation subspace
+        "quotient_basis",  # coordinate indices forming a basis of the quotient
+    )
 
     @property
     def dimension(self):
@@ -111,17 +111,21 @@ def _monomials_of_degree(f: GradedModulePresentation, alpha):
     return out
 
 
-def component_span_rows(f, elements, alpha, coords, index):
+def graded_elements(f, elements):
+    """(degree, element) pairs of the nonzero homogeneous elements, for
+    ``component_span_rows``: a caller that needs many degree slices of the
+    same elements takes their degrees once."""
+    return [(d, x) for x in elements if (d := f.element_degree(x)) is not None]
+
+
+def component_span_rows(f, graded, alpha, index):
     """Sparse rows {coordinate: coefficient} spanning the degree-alpha
-    slice of the module generated by the given homogeneous elements, in
-    the monomial coordinates supplied."""
+    slice of the module generated by the given (degree, homogeneous
+    element) pairs, in the monomial coordinates of ``index``."""
     g = f.cox.grading
     A = g.class_group
     rows = []
-    for rel in elements:
-        d_rel = f.element_degree(rel)
-        if d_rel is None:
-            continue
+    for d_rel, rel in graded:
         for m in degree_fiber(g, A.add(alpha, A.neg(d_rel))):
             row = {}
             for i, p in enumerate(rel):
@@ -139,7 +143,7 @@ def degree_component(f: GradedModulePresentation, alpha) -> DegreeComponent:
     """Exact basis of the degree-alpha component as a rational vector space."""
     coords = _monomials_of_degree(f, alpha)
     index = {c: k for k, c in enumerate(coords)}
-    rel_rows = component_span_rows(f, f.relations, alpha, coords, index)
+    rel_rows = component_span_rows(f, graded_elements(f, f.relations), alpha, index)
     ech = ratlin.echelon(rel_rows)
     free = tuple(k for k in range(len(coords)) if k not in ech)
     return DegreeComponent(
@@ -283,12 +287,13 @@ def submodules_equal(a: GradedSubmodule, b: GradedSubmodule) -> bool:
     return submodule_equal(a.with_relations(), b.with_relations())
 
 
-@dataclass(frozen=True)
-class TorsionCertificate:
-    is_torsion: bool
-    exponent_table: dict  # (generator index, cone rays) -> least killing power
-    failure: object  # (generator index, cone rays) not killed, when not torsion
-    capped: bool  # True when the power cap, not the kernel, gave the verdict
+class TorsionCertificate(Record):
+    __slots__ = (
+        "is_torsion",
+        "exponent_table",  # (generator index, cone rays) -> least killing power
+        "failure",  # (generator index, cone rays) not killed, when not torsion
+        "capped",  # True when the power cap, not the kernel, gave the verdict
+    )
 
 
 def is_torsion(f: GradedModulePresentation, power_cap: int = DEFAULT_POWER_CAP):

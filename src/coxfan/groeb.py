@@ -16,10 +16,11 @@ part of N + (1 - t*f)*F (Cox-Little-O'Shea, Ch. 4 §4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import le, neg
+
+from ._record import Record
 
 
 # --- polynomial arithmetic ------------------------------------------------
@@ -45,12 +46,12 @@ def p_term_mul(p, e, c):
 
 # --- monomial orders ------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(Record):
     """Graded reverse lexicographic order, optionally with a leading
     elimination block of the first `block` variables."""
 
-    block: int = 0  # number of leading variables to eliminate first
+    __slots__ = ("block",)  # number of leading variables to eliminate first
+    _defaults = {"block": 0}
 
     def key(self, e):
         if self.block:
@@ -113,9 +114,9 @@ def m_is_monomial(x):
     return len(terms) == 1
 
 
-@dataclass(frozen=True)
-class ModuleOrder:
-    ring_order: MonomialOrder = GREVLEX
+class ModuleOrder(Record):
+    __slots__ = ("ring_order",)  # a MonomialOrder
+    _defaults = {"ring_order": GREVLEX}
 
     def key(self, term):
         pos, e = term

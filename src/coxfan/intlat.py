@@ -12,18 +12,17 @@ first and the free part last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from operator import mod
+
+from ._record import Record
 
 
 INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple  # row-major
+class IntMatrix(Record):
+    __slots__ = ("rows", "cols", "entries")  # entries row-major
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
@@ -246,10 +245,8 @@ def lattice_intersection(basis_a, basis_b, ncols):
     return hermite_row_basis(vecs, ncols)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    free_rank: int
-    torsion_orders: tuple
+class AbelianGroup(Record):
+    __slots__ = ("free_rank", "torsion_orders")
 
     def __post_init__(self):
         for t in self.torsion_orders:
@@ -281,12 +278,10 @@ class AbelianGroup:
         )
 
     def element(self, torsion_part, free_part):
-        tp = tuple(
-            int(x) % t for x, t in zip(torsion_part, self.torsion_orders)
-        )
         if len(torsion_part) != len(self.torsion_orders) or len(free_part) != self.free_rank:
             raise ValueError("coordinate length mismatch")
-        return GroupElement(tp, tuple(int(x) for x in free_part))
+        tp = tuple(map(mod, map(int, torsion_part), self.torsion_orders))
+        return GroupElement(tp, tuple(map(int, free_part)))
 
     def from_coords(self, coords):
         k = len(self.torsion_orders)
@@ -312,10 +307,8 @@ class AbelianGroup:
         return out
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    torsion_part: tuple
-    free_part: tuple
+class GroupElement(Record):
+    __slots__ = ("torsion_part", "free_part")
 
     def is_zero(self):
         return all(x == 0 for x in self.torsion_part) and all(
@@ -456,12 +449,6 @@ def element_order_in_quotient(x, sub, g: AbelianGroup):
 
 def subgroup_contains(sub, x, g: AbelianGroup):
     return element_order_in_quotient(x, sub, g) == 1
-
-
-def subgroup_canonical_basis(gens, g: AbelianGroup):
-    """Canonical (Hermite) rows for <gens> + torsion relations in Z^ngens."""
-    rows, n = _presentation_rows(g, gens)
-    return hermite_row_basis(rows, n)
 
 
 def subgroup_leq(gens_a, gens_b, g: AbelianGroup):

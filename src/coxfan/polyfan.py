@@ -10,12 +10,12 @@ meant for desk-scale inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
 from . import ratlin
+from ._record import Record
 from .intlat import IntMatrix, integer_kernel, smith_normal_form, _unimodular_inverse
 
 RANK_CAP = 6
@@ -190,10 +190,8 @@ def minimal_generators(generators, rank):
     return gens
 
 
-@dataclass(frozen=True)
-class Cone:
-    ambient_rank: int
-    ray_generators: tuple  # sorted tuple of primitive integer vectors
+class Cone(Record):
+    __slots__ = ("ambient_rank", "ray_generators")  # sorted primitive integer vectors
 
     @staticmethod
     def make(rank, generators):
@@ -258,11 +256,12 @@ class Cone:
         return Cone.make(self.ambient_rank, rays)
 
 
-@dataclass(frozen=True)
-class DualCone:
-    ambient_rank: int
-    generators: tuple  # rays; for non-pointed duals includes +/- pairs
-    inequalities: tuple  # H-rep normals of the dual cone (= primal rays)
+class DualCone(Record):
+    __slots__ = (
+        "ambient_rank",
+        "generators",  # rays; for non-pointed duals includes +/- pairs
+        "inequalities",  # H-rep normals of the dual cone (= primal rays)
+    )
 
 
 def dual_cone(c: Cone) -> DualCone:
@@ -371,11 +370,12 @@ def hilbert_basis(generators, rank):
 
 # --- Fans -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fan:
-    ambient_rank: int
-    cones: tuple  # all cones, face-closed, deduplicated, sorted
-    ray_index: tuple  # ordered primitive ray generators (Sigma_1 order)
+class Fan(Record):
+    __slots__ = (
+        "ambient_rank",
+        "cones",  # all cones, face-closed, deduplicated, sorted
+        "ray_index",  # ordered primitive ray generators (Sigma_1 order)
+    )
 
     def rays(self):
         return self.ray_index
@@ -394,14 +394,9 @@ class Fan:
         return tuple(self.ray_index.index(g) for g in cone.ray_generators)
 
 
-@dataclass(frozen=True)
-class FanProperties:
-    is_full: bool
-    is_complete: bool
-    is_simplicial: bool
-    is_regular: bool
-    cone_equals_span: bool
-    is_empty: bool
+class FanProperties(Record):
+    __slots__ = ("is_full", "is_complete", "is_simplicial", "is_regular", "cone_equals_span",
+                 "is_empty")
 
 
 def validate_fan(max_cones, ray_order=None) -> Fan:

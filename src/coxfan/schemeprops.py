@@ -8,8 +8,7 @@ came from, and conditional verdicts name the missing hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .cox import BaseRingFlags
 from .polyfan import FanProperties
 
@@ -28,11 +27,13 @@ RULES = {
 }
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str  # HOLDS / FAILS / CONDITIONAL
-    rule: str  # key into RULES
-    condition: str = ""  # missing hypothesis, for conditional verdicts
+class Verdict(Record):
+    __slots__ = (
+        "status",  # HOLDS / FAILS / CONDITIONAL
+        "rule",  # key into RULES
+        "condition",  # missing hypothesis, for conditional verdicts
+    )
+    _defaults = {"condition": ""}
 
     def as_dict(self):
         out = {"verdict": self.status, "provenance": RULES[self.rule]}
@@ -41,9 +42,8 @@ class Verdict:
         return out
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    verdicts: dict  # property name -> Verdict
+class PropertyReport(Record):
+    __slots__ = ("verdicts",)  # property name -> Verdict
 
     def as_dict(self):
         return {

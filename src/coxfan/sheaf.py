@@ -11,13 +11,13 @@ window/equalizer builder; the lattice-point count of P_D checks them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
 from . import ratlin
+from ._record import Record
 from .cox import CoxRingData
 from .grading import _degree_zero_lattice, _lattice_points
 from .gradmod import (
@@ -29,6 +29,7 @@ from .gradmod import (
     _monomial_saturation,
     _monomials_of_degree,
     component_span_rows,
+    graded_elements,
     minimalize_submodule_generators,
 )
 from .groeb import (
@@ -51,47 +52,52 @@ class Unstabilized(RuntimeError):
     level can settle it."""
 
 
-@dataclass(frozen=True)
-class LocalModuleWindow:
+class LocalModuleWindow(Record):
     """The localized chart module at one maximal cone."""
 
-    cone_key: tuple  # ray generators of the cone
-    denominator_step: int  # least power of the cone monomial inside S_B
-    generators: tuple  # (generator index, fractional exponent vector)
-    killed: dict  # generator index -> least annihilating power
+    __slots__ = (
+        "cone_key",  # ray generators of the cone
+        "denominator_step",  # least power of the cone monomial inside S_B
+        "generators",  # (generator index, fractional exponent vector)
+        "killed",  # generator index -> least annihilating power
+    )
 
     @property
     def is_zero(self):
         return not self.generators
 
 
-@dataclass(frozen=True)
-class SheafCoverPresentation:
-    origin: GradedModulePresentation
-    charts: dict  # cone key -> LocalModuleWindow
-    kernels: dict = field(default_factory=dict)  # cone key -> localization kernel gens
+class SheafCoverPresentation(Record):
+    __slots__ = (
+        "origin",  # a GradedModulePresentation
+        "charts",  # cone key -> LocalModuleWindow
+        "kernels",  # cone key -> localization kernel gens, filled on demand
+    )
+    _defaults = {"kernels": None}
+
+    def __post_init__(self):
+        if self.kernels is None:
+            object.__setattr__(self, "kernels", {})
 
     @property
     def cox(self):
         return self.origin.cox
 
 
-@dataclass(frozen=True)
-class ChartSubmoduleFamily:
+class ChartSubmoduleFamily(Record):
     """A subsheaf given by its (saturated) chart submodule generators."""
 
-    ambient: GradedModulePresentation
-    charts: dict  # cone key -> tuple of homogeneous elements
+    __slots__ = ("ambient", "charts")  # charts: cone key -> tuple of homogeneous elements
 
 
-@dataclass(frozen=True)
-class GlobalSectionsWindow:
-    degree: object
-    mode: str
-    dimension: int
-    level: int
-    certificate: str  # "bound": a proven level; "heuristic": two equal levels
-    internals: object = field(compare=False, repr=False, default=None)
+class GlobalSectionsWindow(Record):
+    __slots__ = (
+        "degree", "mode", "dimension", "level",
+        "certificate",  # "bound": a proven level; "heuristic": two equal levels
+        "internals",  # left out of == and repr
+    )
+    _defaults = {"internals": None}
+    _hidden = ("internals",)
 
 
 def _sigma_positions(cox: CoxRingData, cone_key):
@@ -256,9 +262,8 @@ class _Window:
         base_index = {c: k for k, c in enumerate(base)}
         base_rows = component_span_rows(
             f,
-            list(_kernel_for(s, key, z)) + list(f.relations),
+            graded_elements(f, list(_kernel_for(s, key, z)) + list(f.relations)),
             target,
-            base,
             base_index,
         )
         self.coords = [(j, i, e) for j in range(len(twists)) for (i, e) in base]
@@ -520,28 +525,27 @@ def xi_preimage(
     far, which is the submodule's own component there.  The final
     minimalization stays: in a window not in increasing order, a later,
     lower degree can make an earlier generator redundant."""
-    gens, rels = [], list(f.relations)
+    rels = graded_elements(f, f.relations)
+    charts = [graded_elements(f, chart_gens) + rels for chart_gens in t.charts.values()]
+    gens = []  # (degree, element) pairs kept so far
     for alpha in window_degrees:
         coords = _monomials_of_degree(f, alpha)
         if not coords:
             continue
         index = {c: k for k, c in enumerate(coords)}
         inter = ratlin.intersection(
-            (
-                component_span_rows(f, list(chart_gens) + rels, alpha, coords, index)
-                for chart_gens in t.charts.values()
-            ),
+            (component_span_rows(f, chart, alpha, index) for chart in charts),
             len(coords),
         )
         if not inter:
             continue
-        own = component_span_rows(f, gens + rels, alpha, coords, index)
+        own = component_span_rows(f, gens + rels, alpha, index)
         for vec in ratlin.new_to_span(own, inter):
-            gens.append(tuple(
+            gens.append((alpha, tuple(
                 {coords[k][1]: c for k, c in sorted(vec.items()) if coords[k][0] == i}
                 for i in range(f.rank)
-            ))
-    return minimalize_submodule_generators(GradedSubmodule(f, tuple(gens)))
+            )))
+    return minimalize_submodule_generators(GradedSubmodule(f, tuple(x for _, x in gens)))
 
 
 def lift_finite_type(

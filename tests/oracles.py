@@ -131,6 +131,34 @@ def subgroup_equal(gens_a, gens_b, group):
     return signature(gens_a) == both == signature(gens_b)
 
 
+def subgroup_canonical_basis(gens, group):
+    """Row-style Hermite normal form of the lattice in Z^ngens spanned by
+    the element coordinates and the torsion relations: positive pivots,
+    entries above a pivot reduced into [0, pivot), zero rows dropped."""
+    n = len(group.torsion_orders) + group.free_rank
+    rows = [[t * (i == j) for j in range(n)] for i, t in enumerate(group.torsion_orders)]
+    rows += [list(e.coords()) for e in gens]
+    basis = []
+    for col in range(n):
+        live = [r for r in rows if r[col]]
+        while len(live) > 1:  # Euclid on the column
+            p = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not p:
+                    q = r[col] // p[col]
+                    r[:] = [a - q * b for a, b in zip(r, p)]
+            live = [r for r in rows if r[col]]
+        if live:
+            rows = [r for r in rows if r is not live[0]]
+            basis.append([-x for x in live[0]] if live[0][col] < 0 else live[0])
+    for i, p in enumerate(basis):
+        c = next(j for j, x in enumerate(p) if x)
+        for k in range(i):
+            q = basis[k][c] // p[c]
+            basis[k] = [a - q * b for a, b in zip(basis[k], p)]
+    return [tuple(r) for r in basis]
+
+
 # ---------------------------------------------------------------------------
 # Cone geometry by direct Fourier–Motzkin elimination
 

@@ -398,6 +398,89 @@ def test_torsion_with_a_huge_power_cap_returns_quickly(p2):
     assert proc.stdout == _run(args)[1]
 
 
+@pytest.mark.parametrize(
+    "args,option",
+    [
+        (["module", "sections", "{p2}", "--degrees", ""], "--degrees"),
+        (["sheaf", "xi-check", "{p2}", "--ideal", "Z1", "--window", ";"], "--window"),
+    ],
+    ids=["sections_degrees", "xi_check_window"],
+)
+def test_empty_degree_window_is_validation_error(p2, args, option):
+    code, out = _run([a.format(p2=p2) for a in args])
+    assert code == cli.EXIT_DOMAIN
+    payload = json.loads(out)
+    _validate(payload, "error")
+    assert payload["error"] == {
+        "type": "ValidationError",
+        "reason": f"{option} needs at least one degree",
+    }
+
+
+def _fresh_modules(code, *args):
+    """The modules a fresh interpreter holds after running code."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code += "\nprint(' '.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+_MAIN = "import contextlib, io, sys\nfrom coxfan import cli\n" + (
+    "with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main(sys.argv[1:]) == 0"
+)
+
+
+def test_fan_validate_loads_only_its_layers(p2):
+    loaded = _fresh_modules(_MAIN, "fan", "validate", p2)
+    assert "coxfan.polyfan" in loaded
+    assert not loaded & {"coxfan.sheaf", "coxfan.gradmod", "coxfan.groeb", "dataclasses"}
+
+
+def test_cox_build_loads_neither_gradmod_nor_sheaf(p2):
+    loaded = _fresh_modules(_MAIN, "cox", "build", p2, "--subgroup", "2")
+    assert "coxfan.cox" in loaded
+    assert not loaded & {"coxfan.sheaf", "coxfan.gradmod"}
+
+
+# Every name the package exported when it imported all of its layers.
+PACKAGE_EXPORTS = """
+INFINITE AbelianGroup GroupElement IntMatrix cokernel_presentation
+hermite_row_basis smith_normal_form Cone Fan FanInvalid FanProperties
+build_fan dual_cone fan_properties hilbert_basis validate_fan GradingData
+PicardGroup SubgroupB build_grading classify_subgroup degree_fiber
+picard_group subgroup_of_whole_group BaseRingFlags CoxRingData LocalChart
+build_cox gamma_is_iso is_positively_graded local_chart strongly_graded_at
+GradedModulePresentation GradedSubmodule degree_component free_module
+is_torsion quotient_by_monomial_ideal saturate_submodule
+submodule_membership ChartSubmoduleFamily LocalModuleWindow
+SheafCoverPresentation Unstabilized global_sections_degree is_zero_sheaf
+lift_finite_type sheafify xi_forward xi_preimage PropertyReport
+scheme_property_report __version__
+""".split()
+
+
+def test_package_names_resolve_on_first_use():
+    code = (
+        "import sys, coxfan\n"
+        "assert not [m for m in sys.modules if m.startswith('coxfan.')]\n"
+        "names = sys.argv[1:]\n"
+        "assert set(names) <= set(dir(coxfan)), set(names) - set(dir(coxfan))\n"
+        "for name in names:\n"
+        "    exec(f'from coxfan import {name}')\n"
+        "from coxfan import corpus, sheaf\n"
+        "assert coxfan.build_fan is coxfan.polyfan.build_fan\n"
+        "assert sheaf.sheafify is coxfan.sheafify and corpus.CORPUS_NAMES"
+    )
+    loaded = _fresh_modules(code, *PACKAGE_EXPORTS)
+    assert {"coxfan.sheaf", "coxfan.schemeprops", "coxfan.corpus"} <= loaded
+
+
 def test_negative_rank_two_degree_list():
     p1xp1 = str(corpus.fixture_path("p1xp1"))
     code, out = _run(["module", "sections", p1xp1, "--degrees", "-1,0;0,1"])

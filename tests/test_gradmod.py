@@ -252,7 +252,9 @@ def _chart_intersection_candidates(family, f, window):
         coords = gradmod._monomials_of_degree(f, alpha)
         index = {c: k for k, c in enumerate(coords)}
         spans = [
-            gradmod.component_span_rows(f, list(chart_gens) + list(f.relations), alpha, coords, index)
+            gradmod.component_span_rows(
+                f, gradmod.graded_elements(f, list(chart_gens) + list(f.relations)), alpha, index
+            )
             for chart_gens in family.charts.values()
         ]
         for vec in ratlin.intersection(spans, len(coords)):

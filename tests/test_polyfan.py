@@ -1,17 +1,12 @@
 """Cones, dual cones, Hilbert bases, fan validation and properties."""
 
-import os
 import random
-import subprocess
-import sys
 from itertools import combinations, product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import coxfan
 from coxfan import corpus
 from coxfan.polyfan import (
     Cone,
@@ -138,19 +133,6 @@ def test_oracle_halfspaces_agree_with_in_cone_in_rank_4():
     halfspaces = oracles.cone_halfspaces(gens, 4)
     for v in product(range(-4, 5), repeat=4):
         assert oracles.in_halfspaces(v, halfspaces) == in_cone(v, gens, 4), v
-
-
-def test_cli_import_does_not_load_numpy():
-    code = "import sys, coxfan.cli; print('numpy' in sys.modules)"
-    src = str(Path(coxfan.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
 
 
 def test_fan_p2_has_seven_cones():

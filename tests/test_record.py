@@ -1,0 +1,91 @@
+"""The record base behind every value type: construction, equality,
+hashing, immutability and repr."""
+
+import pytest
+
+from coxfan.cox import BaseRingFlags
+from coxfan.groeb import GREVLEX, ModuleOrder, MonomialOrder
+from coxfan.intlat import AbelianGroup, GroupElement, IntMatrix
+from coxfan.polyfan import Cone
+from coxfan.schemeprops import Verdict
+from coxfan.sheaf import GlobalSectionsWindow, SheafCoverPresentation
+
+
+def test_equal_values_hash_equal_and_share_a_dict_slot():
+    a = GroupElement((1,), (2, 3))
+    b = AbelianGroup(2, (2,)).element((3,), (2, 3))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert {a: "x"}[b] == "x"
+    assert hash(a) == hash(((1,), (2, 3)))  # the frozen-dataclass hash
+    c, d = Cone(2, ((0, 1), (1, 0))), Cone(2, ((0, 1), (1, 0)))
+    assert c == d and {c: 1}[d] == 1
+    assert c != Cone(2, ((1, 0),))
+    # Value equality holds within a class only.
+    assert GroupElement((), ()) != AbelianGroup(0, ()) != ((), ())
+
+
+def test_a_single_field_record_hashes_as_a_one_tuple():
+    assert hash(MonomialOrder(2)) == hash((2,))
+    assert MonomialOrder() == MonomialOrder(0) == MonomialOrder(block=0)
+
+
+def test_assigning_or_deleting_an_attribute_raises():
+    x = GroupElement((), (1,))
+    with pytest.raises(AttributeError):
+        x.free_part = (2,)
+    with pytest.raises(AttributeError):
+        x.other = 1
+    with pytest.raises(AttributeError):
+        del x.free_part
+    assert x.free_part == (1,)
+    assert not hasattr(x, "__dict__")
+
+
+def test_repr_is_the_dataclass_repr():
+    assert repr(GroupElement((), (1,))) == "GroupElement(torsion_part=(), free_part=(1,))"
+    assert repr(Verdict("HOLDS", "r")) == "Verdict(status='HOLDS', rule='r', condition='')"
+    assert repr(ModuleOrder()) == "ModuleOrder(ring_order=MonomialOrder(block=0))"
+
+
+def test_construction_by_keyword_with_defaults():
+    assert ModuleOrder().ring_order is GREVLEX
+    flags = BaseRingFlags(field=True)
+    assert flags.field and not flags.zero
+    assert flags == BaseRingFlags(True, False, False, False, False)
+    assert Verdict("FAILS", "r", condition="c") == Verdict(rule="r", status="FAILS", condition="c")
+    with pytest.raises(TypeError):
+        Verdict("HOLDS")
+    with pytest.raises(TypeError):
+        Verdict("HOLDS", "r", "", "extra")
+    with pytest.raises(TypeError):
+        Verdict("HOLDS", "r", status="FAILS")
+    with pytest.raises(TypeError):
+        BaseRingFlags(fields=True)
+
+
+def test_hidden_internals_stay_out_of_equality_and_repr():
+    a = GlobalSectionsWindow(None, "via_shift", 3, 1, "bound", internals=[1])
+    b = GlobalSectionsWindow(None, "via_shift", 3, 1, "bound", internals=[2])
+    assert a == b and hash(a) == hash(b)
+    assert "internals" not in repr(a)
+    assert a != GlobalSectionsWindow(None, "via_shift", 4, 1, "bound")
+
+
+def test_each_sheaf_cover_presentation_has_its_own_kernels(p2_ring):
+    a, b = SheafCoverPresentation(p2_ring, {}), SheafCoverPresentation(p2_ring, {})
+    a.kernels["k"] = 1
+    assert b.kernels == {} and a.kernels is not b.kernels
+    shared = {}
+    assert SheafCoverPresentation(p2_ring, {}, shared).kernels is shared
+
+
+def test_post_init_rejects_bad_shapes_and_torsion_chains():
+    with pytest.raises(ValueError, match="entry count"):
+        IntMatrix(2, 2, (1, 2, 3))
+    with pytest.raises(ValueError, match="entry count"):
+        IntMatrix(rows=1, cols=2, entries=())
+    with pytest.raises(ValueError, match=">= 2"):
+        AbelianGroup(0, (1,))
+    with pytest.raises(ValueError, match="divisibility chain"):
+        AbelianGroup(1, (2, 3))
+    assert AbelianGroup(1, (2, 4)).order() == "infinite"
