@@ -528,11 +528,11 @@ def cmd_sheaf_xi_check(args):
     from . import gradmod, sheaf
     _, warnings, g, c = _pipeline(args)
     exps = parse_ideal(args.ideal, c.num_vars)
+    window = _window(args.window, g.class_group, "--window")
     s = gradmod.free_module(c)
     sub = gradmod.GradedSubmodule(s, tuple(({e: Fraction(1)},) for e in exps))
     sat = gradmod.saturate_submodule(sub)
     t = sheaf.xi_forward(sub)
-    window = _window(args.window, g.class_group, "--window")
     pre = sheaf.xi_preimage(t, s, window)
     agrees = gradmod.submodules_equal(pre, sat)
     return _emit(

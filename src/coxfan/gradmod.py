@@ -18,14 +18,13 @@ from .cox import CoxRingData
 from .grading import degree_fiber
 from .groeb import (
     POT,
-    _divides,
     m_is_zero,
-    m_leading_term,
     m_normal_form,
     module_contains,
     module_groebner_basis,
     module_intersection,
     module_saturate_element,
+    reduced_basis,
     submodule_equal,
 )
 
@@ -191,14 +190,17 @@ def _monomial_saturation(sub: GradedSubmodule, zhats):
     return tuple(out)
 
 
-def _localization_kernel(f: GradedModulePresentation, zexp):
-    """(relations : z^inf), the elements a power of z kills: the t-free
-    part of an elimination basis, so already a POT Groebner basis."""
-    if not f.relations:
-        return ()
-    zp = {tuple(zexp): Fraction(1)}
-    sat = module_saturate_element(list(f.relations), zp, f.rank, f.nvars)
-    return tuple(x for x in sat if not m_is_zero(x))
+def saturate_at(g: GradedSubmodule, z):
+    """The reduced basis of (g + relations : z^inf), for one cone monomial
+    z.  Of the empty submodule it is the localization kernel, the elements
+    a power of z kills."""
+    f = g.ambient
+    if _is_monomial_context(g):
+        return _monomial_saturation(g, [z])
+    sat = module_saturate_element(
+        g.with_relations(), {tuple(z): Fraction(1)}, f.rank, f.nvars
+    )
+    return reduced_basis(sat)
 
 
 def _kill_power(rel_gb, kern_gb, i, zexp, rank, cap=None):
@@ -239,48 +241,28 @@ def minimalize_submodule_generators(sub: GradedSubmodule) -> GradedSubmodule:
     return GradedSubmodule(f, tuple(gens))
 
 
-def _minimal_basis(gb):
-    """Drop from the POT basis gb each element whose leading term another's
-    divides; of equal leading terms keep the first.  Each dropped leading
-    term is divisible by a kept one, so the rest is still a Groebner basis
-    of the same submodule (Cox-Little-O'Shea, Ch. 2 §7, Lemma 3)."""
-    lts = [m_leading_term(x, POT)[0] for x in gb]
-    return [
-        gb[i]
-        for i, (pos, e) in enumerate(lts)
-        if not any(
-            q == pos and _divides(d, e) and (d != e or j < i)
-            for j, (q, d) in enumerate(lts)
-        )
-    ]
-
-
 def saturate_submodule(g: GradedSubmodule) -> GradedSubmodule:
     """The smallest enlargement stable under colon by the restricted
     irrelevant ideal.  Computed as the intersection of the saturations by
     the single cone monomials of the maximal cones.  Each saturation and
     each running intersection is the t-free part of an elimination basis,
-    hence a POT Groebner basis, and is cut to a minimal one before it
+    hence a POT Groebner basis, and is cut to its reduced basis before it
     enters the next intersection."""
     f = g.ambient
     cox = f.cox
-    rank, nvars = f.rank, f.nvars
     maximal = [c.ray_generators for c in cox.grading.fan.maximal_cones()]
     zhats = [cox.zhat[k] for k in maximal]
     if _is_monomial_context(g):
         return GradedSubmodule(f, _monomial_saturation(g, zhats))
-    gens = g.with_relations()
     sat = None
     for z in zhats:
-        zp = {tuple(z): Fraction(1)}
-        part = _minimal_basis(module_saturate_element(gens, zp, rank, nvars))
-        sat = part if sat is None else _minimal_basis(
-            module_intersection(sat, part, nvars)
+        part = saturate_at(g, z)
+        sat = part if sat is None else reduced_basis(
+            module_intersection(sat, part, f.nvars)
         )
     if sat is None:
-        sat = gens
-    out = GradedSubmodule(f, tuple(x for x in sat if not m_is_zero(x)))
-    return minimalize_submodule_generators(out)
+        sat = g.with_relations()
+    return minimalize_submodule_generators(GradedSubmodule(f, tuple(sat)))
 
 
 def submodules_equal(a: GradedSubmodule, b: GradedSubmodule) -> bool:
@@ -308,7 +290,7 @@ def is_torsion(f: GradedModulePresentation, power_cap: int = DEFAULT_POWER_CAP):
     rel_gb = (
         module_groebner_basis(list(f.relations)) if f.relations else []
     )
-    kern = {key: _localization_kernel(f, cox.zhat[key]) for key in maximal}
+    kern = {key: saturate_at(GradedSubmodule(f, ()), cox.zhat[key]) for key in maximal}
     table = {}
     for i in range(f.rank):
         for key in maximal:

@@ -11,7 +11,9 @@ terms, whose S-vector is zero.  Reduction works in place on the dicts of
 the remainder, with the same reducer (the first basis element whose
 leading term divides) and the same exact Fraction arithmetic as a copying
 reduction.  Saturation by one element f is a single basis: the t-free
-part of N + (1 - t*f)*F (Cox-Little-O'Shea, Ch. 4 §4).
+part of N + (1 - t*f)*F (Cox-Little-O'Shea, Ch. 4 §4).  The reduced POT
+basis is the one canonical form of a submodule: two submodules are equal
+exactly when their reduced bases are.
 """
 
 from __future__ import annotations
@@ -250,11 +252,36 @@ def module_contains(gb, x):
     return m_is_zero(m_normal_form(x, gb, POT))
 
 
+def reduced_basis(gb):
+    """The reduced POT Groebner basis of the submodule that the POT
+    Groebner basis gb generates, as a tuple.  It keeps the elements whose
+    leading term no other's divides (the first of equal ones), reduces
+    each by the rest, makes it monic, and sorts by leading term
+    (position, exponent).  It depends on the submodule only
+    (Cox-Little-O'Shea, Ch. 2 §7, Prop. 6)."""
+    gb = [x for x in gb if not m_is_zero(x)]
+    lts = [m_leading_term(x, POT) for x in gb]
+    keep = [
+        i
+        for i, ((pos, e), _) in enumerate(lts)
+        if not any(
+            q == pos and _divides(d, e) and (d != e or j < i)
+            for j, ((q, d), _) in enumerate(lts)
+        )
+    ]
+    out = []
+    for i in keep:
+        rest = [k for k in keep if k != i]
+        r = m_normal_form(gb[i], [gb[k] for k in rest], POT, [lts[k] for k in rest])
+        c = lts[i][1]
+        out.append((lts[i][0], tuple({e: x / c for e, x in p.items()} for p in r)))
+    return tuple(x for _, x in sorted(out, key=lambda tx: tx[0]))
+
+
 def submodule_equal(gens_a, gens_b):
-    ga = module_groebner_basis([g for g in gens_a if not m_is_zero(g)])
-    gb = module_groebner_basis([g for g in gens_b if not m_is_zero(g)])
-    return all(module_contains(gb, x) for x in gens_a) and all(
-        module_contains(ga, y) for y in gens_b
+    """Equality of two submodules: their reduced bases are the same."""
+    return reduced_basis(module_groebner_basis(gens_a)) == reduced_basis(
+        module_groebner_basis(gens_b)
     )
 
 

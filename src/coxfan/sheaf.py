@@ -23,23 +23,14 @@ from .grading import _degree_zero_lattice, _lattice_points
 from .gradmod import (
     GradedModulePresentation,
     GradedSubmodule,
-    _is_monomial_context,
     _kill_power,
-    _localization_kernel,
-    _monomial_saturation,
     _monomials_of_degree,
     component_span_rows,
     graded_elements,
     minimalize_submodule_generators,
+    saturate_at,
 )
-from .groeb import (
-    m_is_zero,
-    m_term_mul,
-    module_contains,
-    module_groebner_basis,
-    module_saturate_element,
-    submodule_equal,
-)
+from .groeb import m_is_zero, m_term_mul, module_contains, module_groebner_basis
 from .intlat import IntMatrix, smith_normal_form
 from .polyfan import cone_generators_from_inequalities
 
@@ -85,9 +76,12 @@ class SheafCoverPresentation(Record):
 
 
 class ChartSubmoduleFamily(Record):
-    """A subsheaf given by its (saturated) chart submodule generators."""
+    """A subsheaf given by its (saturated) chart submodules."""
 
-    __slots__ = ("ambient", "charts")  # charts: cone key -> tuple of homogeneous elements
+    __slots__ = (
+        "ambient",
+        "charts",  # cone key -> reduced basis of the chart module, relations included
+    )
 
 
 class GlobalSectionsWindow(Record):
@@ -216,7 +210,7 @@ def sheafify(f: GradedModulePresentation) -> SheafCoverPresentation:
     for cone in cox.grading.fan.maximal_cones():
         key = cone.ray_generators
         z = cox.zhat[key]
-        kernels[key] = _localization_kernel(f, z)
+        kernels[key] = saturate_at(GradedSubmodule(f, ()), z)
         killed = {}
         gens = []
         for i in range(f.rank):
@@ -242,15 +236,16 @@ def is_zero_sheaf(s: SheafCoverPresentation) -> bool:
 
 def _kernel_for(s: SheafCoverPresentation, key, zexp):
     if key not in s.kernels:
-        s.kernels[key] = _localization_kernel(s.origin, zexp)
+        s.kernels[key] = saturate_at(GradedSubmodule(s.origin, ()), zexp)
     return s.kernels[key]
 
 
 class _Window:
     """Monomial coordinates (twist index, generator, exponent) of one
     chart at one denominator level, together with the subspace to
-    quotient by: relations and localization kernel in every twist block,
-    plus the tensor identifications between the twist blocks."""
+    quotient by: the localization kernel, which contains the relations,
+    in every twist block, plus the tensor identifications between the
+    twist blocks."""
 
     def __init__(self, s, key, degree, twists, level):
         f = s.origin
@@ -261,10 +256,7 @@ class _Window:
         base = _monomials_of_degree(f, target)
         base_index = {c: k for k, c in enumerate(base)}
         base_rows = component_span_rows(
-            f,
-            graded_elements(f, list(_kernel_for(s, key, z)) + list(f.relations)),
-            target,
-            base_index,
+            f, graded_elements(f, _kernel_for(s, key, z)), target, base_index
         )
         self.coords = [(j, i, e) for j in range(len(twists)) for (i, e) in base]
         self.index = {c: k for k, c in enumerate(self.coords)}
@@ -479,37 +471,21 @@ def eta_component_is_bijective(s: SheafCoverPresentation, alpha) -> bool:
     return ratlin.rank(rel_rows + kernel) == len(rel_rows)
 
 
-def _saturate(g: GradedSubmodule, z):
-    """Generators of (g : z^inf), a POT Groebner basis."""
-    f = g.ambient
-    if _is_monomial_context(g):
-        return _monomial_saturation(g, [z])
-    sat = module_saturate_element(g.with_relations(), {tuple(z): _ONE}, f.rank, f.nvars)
-    return tuple(x for x in sat if not m_is_zero(x))
-
-
 def xi_forward(g: GradedSubmodule) -> ChartSubmoduleFamily:
     """The chart family of the subsheaf generated by a graded submodule:
-    per maximal cone, the saturation by the cone monomial."""
+    per maximal cone, the reduced basis of the saturation by the cone
+    monomial."""
     cox = g.ambient.cox
     charts = {
-        cone.ray_generators: _saturate(g, cox.zhat[cone.ray_generators])
+        cone.ray_generators: saturate_at(g, cox.zhat[cone.ray_generators])
         for cone in cox.grading.fan.maximal_cones()
     }
     return ChartSubmoduleFamily(ambient=g.ambient, charts=charts)
 
 
 def family_equal(a: ChartSubmoduleFamily, b: ChartSubmoduleFamily) -> bool:
-    f = a.ambient
-    if set(a.charts) != set(b.charts):
-        return False
-    return all(
-        submodule_equal(
-            list(a.charts[k]) + list(f.relations),
-            list(b.charts[k]) + list(f.relations),
-        )
-        for k in a.charts
-    )
+    """Equal chart modules have equal reduced bases."""
+    return a.charts == b.charts
 
 
 def xi_preimage(
@@ -520,13 +496,15 @@ def xi_preimage(
     """The saturated graded submodule whose image is t, reconstructed
     degree by degree over the window: the intersection over charts of
     the chart modules' graded components, as the annihilator of the sum
-    of their annihilators.  A basis vector of it is kept only when it is
-    new to the degree-alpha span of the relations and the vectors kept so
-    far, which is the submodule's own component there.  The final
+    of their annihilators.  Each chart basis spans a module that contains
+    the relations, so no relation rows join it.  A basis vector of the
+    intersection is kept only when it is new to the degree-alpha span of
+    the relations and the vectors kept so far, which is the submodule's
+    own component there.  The final
     minimalization stays: in a window not in increasing order, a later,
     lower degree can make an earlier generator redundant."""
     rels = graded_elements(f, f.relations)
-    charts = [graded_elements(f, chart_gens) + rels for chart_gens in t.charts.values()]
+    charts = [graded_elements(f, chart_gens) for chart_gens in t.charts.values()]
     gens = []  # (degree, element) pairs kept so far
     for alpha in window_degrees:
         coords = _monomials_of_degree(f, alpha)
@@ -558,14 +536,10 @@ def lift_finite_type(
     τ.  Some power does exactly when x lies in (T_τ : z_σ^∞) for every τ.
     That is tested before any j > 1 is tried, so a refusal is certified;
     membership is monotone in j, so counting up from j = 0 finds the
-    least j."""
+    least j.  Each chart holds a reduced basis of T_τ, relations
+    included, so it is the membership basis."""
     cox = f.cox
     keys = sorted(t.charts)
-    rels = list(f.relations)
-    sat_gbs = {}
-    for key in keys:
-        gens = list(t.charts[key]) + rels
-        sat_gbs[key] = module_groebner_basis(gens) if gens else []
     gens = []
     for key in keys:
         z = cox.zhat[key]
@@ -578,11 +552,11 @@ def lift_finite_type(
 
         def inside(x, j):
             cand = cleared(x, j)
-            return all(module_contains(sat_gbs[other], cand) for other in others)
+            return all(module_contains(t.charts[other], cand) for other in others)
 
         def certify(x):
             if not colons:
-                colons.extend(_saturate(GradedSubmodule(f, t.charts[other]), z) for other in others)
+                colons.extend(saturate_at(GradedSubmodule(f, t.charts[other]), z) for other in others)
             if not all(module_contains(gb, x) for gb in colons):
                 raise Unstabilized(
                     "chart generator lies in no chart module after clearing "

@@ -909,7 +909,7 @@ def reduced_basis(basis, order):
     `basis` generates, which depends on the submodule and the order only:
     the elements whose leading term no other's divides (the first of equal
     ones), each reduced by the others and made monic, sorted by leading
-    term."""
+    term (position, exponent)."""
     gb = [g for g in basis if not _m_is_zero(g)]
     lts = [_m_leading_term(g, order)[0] for g in gb]
     minimal = [
@@ -924,7 +924,7 @@ def reduced_basis(basis, order):
     for i, g in enumerate(minimal):
         r = m_normal_form(g, minimal[:i] + minimal[i + 1 :], order)
         term, c = _m_leading_term(r, order)
-        out.append((order.key(term), _m_term_mul(r, (0,) * len(term[1]), 1 / c)))
+        out.append((term, _m_term_mul(r, (0,) * len(term[1]), 1 / c)))
     return [g for _, g in sorted(out, key=lambda kg: kg[0])]
 
 

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from coxfan import cli, corpus, grading
+from coxfan import cli, corpus, gradmod, grading
 
 SCHEMA_DIR = Path(corpus.corpus_dir()).parent / "schemas"
 
@@ -406,7 +406,12 @@ def test_torsion_with_a_huge_power_cap_returns_quickly(p2):
     ],
     ids=["sections_degrees", "xi_check_window"],
 )
-def test_empty_degree_window_is_validation_error(p2, args, option):
+def test_empty_degree_window_is_validation_error(p2, args, option, monkeypatch):
+    # The window is checked before any saturation runs.
+    def refuse(sub):
+        raise AssertionError("saturated before the window was checked")
+
+    monkeypatch.setattr(gradmod, "saturate_submodule", refuse)
     code, out = _run([a.format(p2=p2) for a in args])
     assert code == cli.EXIT_DOMAIN
     payload = json.loads(out)

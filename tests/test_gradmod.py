@@ -23,6 +23,7 @@ from coxfan.grading import classify_subgroup, subgroup_of_whole_group
 from coxfan.groeb import (
     ELIM,
     POT,
+    _divides,
     _s_vector,
     m_is_zero,
     m_leading_term,
@@ -290,13 +291,15 @@ def test_pruned_saturation_is_the_intersection(name, monkeypatch):
     # Ideals of two binomials take the Groebner route.  The answer spans
     # the submodule that oracles.module_intersection gives from the
     # per-cone saturations (those are checked against the iterated colon
-    # in test_groeb), and every pruned intermediate is a Groebner basis.
+    # in test_groeb), and every pruned intermediate is a reduced Groebner
+    # basis: monic, and no term of an element divisible by the leading
+    # term of another.
     g = grading.build_grading(SATURATION_FANS[name]())
     c = build_cox(g, subgroup_of_whole_group(g))
     ring = free_module(c)
     pruned = []
-    real = gradmod._minimal_basis
-    monkeypatch.setattr(gradmod, "_minimal_basis", lambda gb: pruned.append(real(gb)) or pruned[-1])
+    real = gradmod.reduced_basis
+    monkeypatch.setattr(gradmod, "reduced_basis", lambda gb: pruned.append(real(gb)) or pruned[-1])
     rng = random.Random(20261104)
     A = g.class_group
     units = [A.from_coords([int(j == k) for j in range(A.free_rank)]) for k in range(A.free_rank)]
@@ -315,3 +318,8 @@ def test_pruned_saturation_is_the_intersection(name, monkeypatch):
         for (i, f), (j, h) in itertools.combinations(enumerate(gb), 2):
             if lts[i][0][0] == lts[j][0][0]:
                 assert m_is_zero(m_normal_form(_s_vector(f, h, lts[i], lts[j]), gb, POT))
+        for i, x in enumerate(gb):
+            assert lts[i][1] == 1
+            for j, ((q, d), _) in enumerate(lts):
+                if j != i:
+                    assert not any(_divides(d, e) for e in x[q]), (x, gb[j])

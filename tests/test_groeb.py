@@ -25,6 +25,7 @@ from coxfan.groeb import (
     monomial_ideal_intersection,
     monomial_ideal_saturate,
     poly,
+    reduced_basis,
     submodule_equal,
 )
 
@@ -151,6 +152,8 @@ def test_reduced_basis_pinned():
     # its leading monomials: x^2, x y, y^2
     leads = [m_leading_term(g, POT)[0][1] for g in gb]
     assert minimalize_monomials(leads) == [(0, 2), (1, 1), (2, 0)]
+    # monic and sorted by leading term
+    assert reduced_basis(gb) == ((y2x,), (xy1,), (x2y,))
 
 
 def test_ideal_intersection_principal():
@@ -239,7 +242,8 @@ def test_module_syzygy_reduction():
 def test_groebner_basis_equals_reference():
     # The pair order and the chain criterion change which elements the
     # basis holds, not the submodule: its reduced basis, which is unique,
-    # is the reference engine's.
+    # is the reference engine's.  The engine's own reduced basis under POT
+    # is the reference's.
     rng = random.Random(20261019)
     singles = elements = 0
     for _ in range(320):
@@ -248,9 +252,12 @@ def test_groebner_basis_equals_reference():
         singles += sum(m_is_monomial(g) for g in gens)
         elements += len(gens)
         for order in (POT, ELIM):
-            got = oracles.reduced_basis(module_groebner_basis(gens, order), order)
+            gb = module_groebner_basis(gens, order)
+            got = oracles.reduced_basis(gb, order)
             want = oracles.reduced_basis(oracles.module_groebner_basis(gens, order), order)
             assert got == want
+            if order == POT:
+                assert reduced_basis(gb) == tuple(want)
     assert 2 * singles >= elements
 
 

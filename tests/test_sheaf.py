@@ -20,6 +20,7 @@ from coxfan.gradmod import (
     submodules_equal,
 )
 from coxfan.grading import classify_subgroup, subgroup_of_whole_group
+from coxfan.groeb import module_saturate_element, reduced_basis
 from coxfan.sheaf import (
     eta_component_is_bijective,
     family_equal,
@@ -490,14 +491,21 @@ def test_preimage_does_not_depend_on_window_order(label):
 def test_generated_round_trips_equal_monomial_saturation(name):
     # Random monomial ideals: xi_preimage(xi_forward(I)), over a window one
     # variable degree past the saturation's generator degrees, gives the
-    # saturation's minimal monomials.
+    # saturation's minimal monomials.  Each chart, from the monomial fast
+    # path, is the reduced basis the Groebner path gives, as family_equal
+    # compares charts as they are.
     c = _cox(name)
     f = free_module(c)
     A = c.grading.class_group
     rng = random.Random(20261018)
     for _ in range(20):
         exps = oracles.random_monomial_ideal(rng, c.num_vars)
-        family = xi_forward(_submodule(f, exps))
+        sub = _submodule(f, exps)
+        family = xi_forward(sub)
+        for key, chart in family.charts.items():
+            z = {c.zhat[key]: Fraction(1)}
+            sat = module_saturate_element(sub.element_generators, z, 1, c.num_vars)
+            assert chart == reduced_basis(sat), exps
         want = oracles.minimalize(oracles.saturate_monomial(exps, [c.zhat[k] for k in family.charts]))
         steps = (A.zero(), *c.grading.ray_degrees)
         window = {A.add(c.grading.a_map(e), d) for e in want for d in steps}
