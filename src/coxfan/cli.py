@@ -534,7 +534,7 @@ def cmd_sheaf_xi_check(args):
     sat = gradmod.saturate_submodule(sub)
     t = sheaf.xi_forward(sub)
     pre = sheaf.xi_preimage(t, s, window)
-    agrees = gradmod.submodules_equal(pre, sat)
+    agrees = pre.element_generators == sat.element_generators
     return _emit(
         {
             "command": "sheaf xi-check",

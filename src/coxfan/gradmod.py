@@ -17,9 +17,7 @@ from ._record import Record
 from .cox import CoxRingData
 from .grading import degree_fiber
 from .groeb import (
-    POT,
     m_is_zero,
-    m_normal_form,
     module_contains,
     module_groebner_basis,
     module_intersection,
@@ -220,34 +218,14 @@ def _kill_power(rel_gb, kern_gb, i, zexp, rank, cap=None):
     return cap + 1
 
 
-def minimalize_submodule_generators(sub: GradedSubmodule) -> GradedSubmodule:
-    """Drop generators already in the submodule spanned by the others.
-    One pass suffices: dropping a generator only shrinks the span of the
-    rest, so every generator kept before it stays irredundant.  A zero
-    remainder on division by the others and the relations, which need not
-    form a Groebner basis, writes a candidate as a combination of them, so
-    it is dropped with no basis built; a nonzero one proves nothing."""
-    f = sub.ambient
-    gens = [x for x in sub.element_generators if not m_is_zero(x)]
-    rels = [x for x in f.relations if not m_is_zero(x)]
-    k = 0
-    while k < len(gens):
-        rest = gens[:k] + gens[k + 1 :]
-        r = m_normal_form(gens[k], rest + rels, POT)
-        if m_is_zero(r) or submodule_membership(r, GradedSubmodule(f, tuple(rest))):
-            gens = rest
-        else:
-            k += 1
-    return GradedSubmodule(f, tuple(gens))
-
-
 def saturate_submodule(g: GradedSubmodule) -> GradedSubmodule:
     """The smallest enlargement stable under colon by the restricted
     irrelevant ideal.  Computed as the intersection of the saturations by
     the single cone monomials of the maximal cones.  Each saturation and
     each running intersection is the t-free part of an elimination basis,
     hence a POT Groebner basis, and is cut to its reduced basis before it
-    enters the next intersection."""
+    enters the next intersection.  The result is the reduced basis of the
+    saturation, relations included."""
     f = g.ambient
     cox = f.cox
     maximal = [c.ray_generators for c in cox.grading.fan.maximal_cones()]
@@ -261,8 +239,8 @@ def saturate_submodule(g: GradedSubmodule) -> GradedSubmodule:
             module_intersection(sat, part, f.nvars)
         )
     if sat is None:
-        sat = g.with_relations()
-    return minimalize_submodule_generators(GradedSubmodule(f, tuple(sat)))
+        sat = reduced_basis(module_groebner_basis(g.with_relations()))
+    return GradedSubmodule(f, sat)
 
 
 def submodules_equal(a: GradedSubmodule, b: GradedSubmodule) -> bool:

@@ -7,6 +7,9 @@ box proven from the Smith form of the cone's rays.  Global sections take
 degrees from finite lists and denominators from one level: a proven bound
 for a free module, else a heuristic.  Both section modes share one
 window/equalizer builder; the lattice-point count of P_D checks them.
+Chart modules and the submodules the correspondences return are held as
+reduced POT Groebner bases, relations included, so equal modules are
+equal tuples.
 """
 
 from __future__ import annotations
@@ -27,10 +30,16 @@ from .gradmod import (
     _monomials_of_degree,
     component_span_rows,
     graded_elements,
-    minimalize_submodule_generators,
     saturate_at,
 )
-from .groeb import m_is_zero, m_term_mul, module_contains, module_groebner_basis
+from .groeb import (
+    m_is_zero,
+    m_term_mul,
+    minimalize_monomials,
+    module_contains,
+    module_groebner_basis,
+    reduced_basis,
+)
 from .intlat import IntMatrix, smith_normal_form
 from .polyfan import cone_generators_from_inequalities
 
@@ -139,13 +148,7 @@ def _laurent_component_generators(cox: CoxRingData, alpha, cone_key):
     bounds = tuple(v0_tau) + tuple(t - x for t, x in zip(top, v0_tau))
     points = _lattice_points(m, bounds, v0, steps)
     parts = {tuple(v[p] for p in pos): v for v in points}
-    # q <= p with q != p forces sum(q) < sum(p), so each part needs
-    # checking only against the minimal parts of lower total degree.
-    kept = []
-    for p in sorted(parts, key=sum):
-        if not any(all(a >= c for a, c in zip(p, q)) for q in kept):
-            kept.append(p)
-    return tuple(_least_in_part(parts[p], kernel) for p in sorted(kept))
+    return tuple(_least_in_part(parts[p], kernel) for p in minimalize_monomials(parts))
 
 
 @lru_cache(maxsize=256)
@@ -500,9 +503,10 @@ def xi_preimage(
     the relations, so no relation rows join it.  A basis vector of the
     intersection is kept only when it is new to the degree-alpha span of
     the relations and the vectors kept so far, which is the submodule's
-    own component there.  The final
-    minimalization stays: in a window not in increasing order, a later,
-    lower degree can make an earlier generator redundant."""
+    own component there.  The result is the reduced basis of the kept
+    vectors and the relations: in a window not in increasing order, a
+    later, lower degree can make an earlier vector redundant, and the
+    reduced basis drops it."""
     rels = graded_elements(f, f.relations)
     charts = [graded_elements(f, chart_gens) for chart_gens in t.charts.values()]
     gens = []  # (degree, element) pairs kept so far
@@ -523,7 +527,8 @@ def xi_preimage(
                 {coords[k][1]: c for k, c in sorted(vec.items()) if coords[k][0] == i}
                 for i in range(f.rank)
             )))
-    return minimalize_submodule_generators(GradedSubmodule(f, tuple(x for _, x in gens)))
+    kept = [x for _, x in gens] + list(f.relations)
+    return GradedSubmodule(f, reduced_basis(module_groebner_basis(kept)))
 
 
 def lift_finite_type(
@@ -537,7 +542,8 @@ def lift_finite_type(
     That is tested before any j > 1 is tried, so a refusal is certified;
     membership is monotone in j, so counting up from j = 0 finds the
     least j.  Each chart holds a reduced basis of T_τ, relations
-    included, so it is the membership basis."""
+    included, so it is the membership basis.  The result is the reduced
+    basis of the cleared generators and the relations."""
     cox = f.cox
     keys = sorted(t.charts)
     gens = []
@@ -571,5 +577,4 @@ def lift_finite_type(
                         certify(x)
                     j += 1
                 gens.append(cleared(x, j))
-    out = GradedSubmodule(f, tuple(gens))
-    return minimalize_submodule_generators(out)
+    return GradedSubmodule(f, reduced_basis(module_groebner_basis(gens + list(f.relations))))

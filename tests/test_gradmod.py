@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from coxfan import corpus, cox, gradmod, grading, polyfan, ratlin, sheaf
+from coxfan import corpus, gradmod, grading, polyfan
 from coxfan.cox import BaseRingFlags, build_cox
 from coxfan.gradmod import (
     GradedSubmodule,
     degree_component,
     free_module,
     is_torsion,
-    minimalize_submodule_generators,
     quotient_by_monomial_ideal,
     saturate_submodule,
     submodule_membership,
@@ -56,10 +55,6 @@ def _deg2_monomial_ideals():
 
 def _elem(e):
     return ({tuple(e): Fraction(1)},)
-
-
-def _alpha(ring, d):
-    return ring.cox.grading.class_group.from_coords([d])
 
 
 def _submodule(ring, exps):
@@ -106,15 +101,6 @@ def test_membership(p2_ring):
     sub = GradedSubmodule(ambient=p2_ring, element_generators=(z1, z2))
     assert submodule_membership(z1, sub)
     assert not submodule_membership(z3, sub)
-
-
-def test_minimalize_keeps_first_irredundant_generators(p2_ring):
-    # consecutive redundant generators: a scan that moves past a removal
-    # without testing the generator that slid into its place keeps Z1^3
-    z1, z2 = _elem((1, 0, 0)), _elem((0, 1, 0))
-    gens = (_elem((2, 0, 0)), _elem((3, 0, 0)), z1, _elem((1, 1, 0)), z2)
-    out = minimalize_submodule_generators(GradedSubmodule(p2_ring, gens))
-    assert out.element_generators == (z1, z2)
 
 
 @pytest.mark.parametrize("exps,var", [
@@ -217,66 +203,6 @@ def _random_homogeneous(rng, c, degrees, alpha):
     for i, e in rng.sample(coords, min(2, len(coords))):
         x[i][e] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
     return tuple(x)
-
-
-def test_minimalize_equals_reference(p2_cox):
-    # Division first must not change a keep/drop decision: the same list
-    # as one basis per candidate, with duplicates, scalar multiples and
-    # term multiples among the candidates, with and without relations.
-    rng = random.Random(20261103)
-    A = p2_cox.grading.class_group
-    dropped = kept = 0
-    for rank in (1, 2):
-        degrees = [A.from_coords([d]) for d in range(rank)]
-        for _ in range(20):
-            alpha = A.from_coords([rng.randint(1, 2)])
-            gens = [_random_homogeneous(rng, p2_cox, degrees, alpha) for _ in range(rng.randint(2, 4))]
-            gens.append(rng.choice(gens))
-            gens.append(m_term_mul(rng.choice(gens), (0, 0, 0), rng.choice([-2, 3])))
-            gens.append(m_term_mul(rng.choice(gens), rng.choice([(1, 0, 0), (0, 0, 1)]), 1))
-            rng.shuffle(gens)
-            rels = [_random_homogeneous(rng, p2_cox, degrees, alpha) for _ in range(rng.randint(0, 2))]
-            ring = gradmod.GradedModulePresentation(p2_cox, tuple(degrees), tuple(rels))
-            got = minimalize_submodule_generators(GradedSubmodule(ring, tuple(gens)))
-            want = oracles.minimalize_generators(gens, rels, POT)
-            assert list(got.element_generators) == want
-            kept += len(want)
-            dropped += len(gens) - len(want)
-    assert kept >= 80 and dropped >= 100
-
-
-def _chart_intersection_candidates(family, f, window):
-    """Every echelon basis vector of the chart intersections over the
-    window, none filtered out: a redundant generator list of the preimage."""
-    gens = []
-    for alpha in window:
-        coords = gradmod._monomials_of_degree(f, alpha)
-        index = {c: k for k, c in enumerate(coords)}
-        spans = [
-            gradmod.component_span_rows(
-                f, gradmod.graded_elements(f, list(chart_gens) + list(f.relations)), alpha, index
-            )
-            for chart_gens in family.charts.values()
-        ]
-        for vec in ratlin.intersection(spans, len(coords)):
-            gens.append(tuple({coords[k][1]: c for k, c in sorted(vec.items()) if coords[k][0] == i} for i in range(f.rank)))
-    return GradedSubmodule(f, tuple(gens))
-
-
-def test_minimalize_divides_before_building_a_basis(p2_ring, monkeypatch):
-    # The chart intersections of a binomial ideal on P2 over degrees 0..3
-    # give more candidates than minimalization may build bases for: most
-    # are dropped by division alone.
-    one = Fraction(1)
-    ideal = [{(1, 1, 0): one, (0, 0, 2): -one}, {(1, 0, 1): one, (0, 2, 0): -2 * one}]
-    family = sheaf.xi_forward(GradedSubmodule(p2_ring, tuple((p,) for p in ideal)))
-    sub = _chart_intersection_candidates(family, p2_ring, [_alpha(p2_ring, d) for d in range(4)])
-    bases = []
-    real = gradmod.module_groebner_basis
-    monkeypatch.setattr(gradmod, "module_groebner_basis", lambda *a: bases.append(1) or real(*a))
-    out = minimalize_submodule_generators(sub)
-    assert len(out.element_generators) < len(sub.element_generators)
-    assert len(bases) < len(sub.element_generators)
 
 
 SATURATION_FANS = {

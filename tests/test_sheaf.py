@@ -20,7 +20,7 @@ from coxfan.gradmod import (
     submodules_equal,
 )
 from coxfan.grading import classify_subgroup, subgroup_of_whole_group
-from coxfan.groeb import module_saturate_element, reduced_basis
+from coxfan.groeb import POT, module_groebner_basis, module_saturate_element, reduced_basis
 from coxfan.sheaf import (
     eta_component_is_bijective,
     family_equal,
@@ -465,14 +465,17 @@ def _preimage_case(label):
 
 @pytest.mark.parametrize("label", sorted(PREIMAGE_CASES))
 def test_preimage_hands_minimalization_no_redundant_candidate(label, monkeypatch):
+    # Over a window in increasing order the span filter keeps only vectors
+    # new to the submodule's own component, so the vectors the reduced
+    # basis is built from are already minimal generators.
     f, sub, family, window = _preimage_case(label)
-    candidates = []
-    real = sheaf.minimalize_submodule_generators
-    monkeypatch.setattr(sheaf, "minimalize_submodule_generators", lambda s: candidates.append(s) or real(s))
+    calls = []
+    real = sheaf.module_groebner_basis
+    monkeypatch.setattr(sheaf, "module_groebner_basis", lambda gens: calls.append(list(gens)) or real(gens))
     out = xi_preimage(family, f, window)
-    (cand,) = candidates
-    assert cand.element_generators == out.element_generators
-    assert submodules_equal(out, saturate_submodule(sub))
+    (kept,) = calls
+    assert oracles.minimalize_generators(kept, (), POT) == kept
+    assert out.element_generators == saturate_submodule(sub).element_generators
 
 
 @pytest.mark.parametrize("label", sorted(PREIMAGE_CASES))
@@ -534,6 +537,7 @@ def test_generated_binomial_round_trips(name):
         window = {A.add(f.element_degree(x), d) for x in sat.element_generators for d in steps}
         got = xi_preimage(family, f, sorted(window, key=lambda a: a.coords()))
         assert submodules_equal(got, sat), ideal
+        assert got.element_generators == sat.element_generators, ideal
         assert family_equal(xi_forward(lift_finite_type(family, f)), family), ideal
 
 
@@ -561,5 +565,31 @@ def test_two_binomial_saturation_is_fast_and_round_trips(name, ideal):
     window = {A.add(f.element_degree(x), d) for x in sat.element_generators for d in steps}
     got = xi_preimage(family, f, sorted(window, key=lambda a: a.coords()))
     assert submodules_equal(got, sat)
+    assert got.element_generators == sat.element_generators
     assert family_equal(xi_forward(lift_finite_type(family, f)), family)
     assert all(submodule_membership(x, sat) for x in sub.element_generators)
+
+
+def test_correspondences_return_the_reduced_basis():
+    # <Z1^2 - Z2 Z3, Z1 Z2> on P2 is a complete intersection, so saturated.
+    # It has two minimal generators, but its reduced basis also holds
+    # Z2^2 Z3, a leading term neither generator's divides.  The
+    # saturation, the preimage and the finite-type lift each return the
+    # reduced basis of their submodule, element for element.
+    c = _cox("p2")
+    f = free_module(c)
+    A = c.grading.class_group
+    one = Fraction(1)
+    gens = [({(2, 0, 0): one, (0, 1, 1): -one},), ({(1, 1, 0): one},)]
+    sub = GradedSubmodule(f, tuple(gens))
+    family = xi_forward(sub)
+    sat = saturate_submodule(sub)
+    pre = xi_preimage(family, f, [A.from_coords([d]) for d in range(5)])
+    lift = lift_finite_type(family, f)
+    assert sat.element_generators == reduced_basis(module_groebner_basis(gens))
+    assert len(sat.element_generators) == 3
+    assert len(oracles.minimalize_generators(list(sat.element_generators), (), POT)) == 2
+    for out in (sat, pre, lift):
+        assert out.element_generators == reduced_basis(module_groebner_basis(list(out.element_generators)))
+    assert pre.element_generators == sat.element_generators
+    assert family_equal(xi_forward(lift), family)
