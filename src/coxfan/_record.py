@@ -1,14 +1,13 @@
 """The immutable record base of the package's value types.
 
-A subclass names its fields in ``__slots__``, may give defaults in
-``_defaults``, and may name fields to leave out of ``==``, ``hash`` and
-``repr`` in ``_hidden``.  It gets construction by position or keyword, a
-call of its ``__post_init__`` when it defines one, value equality and a
-hash over the compared fields taken as one tuple, and the repr
-``Name(field=value, ...)``.  Assigning to an attribute raises.  The
-methods are closures made once per class, which keeps construction,
-``==`` and ``hash`` of the hot value types (GroupElement, IntMatrix, Cone)
-free of class-attribute lookups; no code is generated.
+A subclass names its fields in ``__slots__`` and may give defaults in
+``_defaults``.  It gets construction by position or keyword, a call of
+its ``__post_init__`` when it defines one, value equality and a hash over
+all its fields taken as one tuple, and the repr ``Name(field=value,
+...)``.  Assigning to an attribute raises.  The methods are closures made
+once per class, which keeps construction, ``==`` and ``hash`` of the hot
+value types (GroupElement, IntMatrix, Cone) free of class-attribute
+lookups; no code is generated.
 """
 
 from operator import attrgetter
@@ -17,16 +16,14 @@ from operator import attrgetter
 class Record:
     __slots__ = ()
     _defaults = {}
-    _hidden = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = cls.__slots__
         setters = tuple(cls.__dict__[f].__set__ for f in fields)
         post = getattr(cls, "__post_init__", None)
-        compared = tuple(f for f in fields if f not in cls._hidden)
-        get = attrgetter(*compared)
-        key = get if len(compared) > 1 else lambda x: (get(x),)
+        get = attrgetter(*fields)
+        key = get if len(fields) > 1 else lambda x: (get(x),)
         name = cls.__qualname__
 
         def __init__(self, *args, **kwargs):
@@ -46,7 +43,7 @@ class Record:
             return hash(key(self))
 
         def __repr__(self):
-            shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in compared)
+            shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in fields)
             return f"{name}({shown})"
 
         cls.__init__ = __init__

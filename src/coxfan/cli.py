@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -55,13 +54,6 @@ def domain_errors():
     return tuple(found)
 
 
-def _primitive(v):
-    g = math.gcd(*(abs(x) for x in v))
-    if g <= 1:
-        return tuple(v), False
-    return tuple(x // g for x in v), True
-
-
 def parse_fan_json(text):
     """Parse a fan description; returns (Fan, warnings)."""
     try:
@@ -87,8 +79,8 @@ def parse_fan_json(text):
             raise ParseError(f"ray {i} must be a list of {rank} integers")
         if all(x == 0 for x in r):
             raise ParseError(f"ray {i} is zero")
-        prim, changed = _primitive(r)
-        if changed:
+        prim = polyfan.primitive(r)
+        if list(prim) != r:
             warnings.append(f"ray {i} {r} normalized to primitive {list(prim)}")
         rays.append(prim)
     cones = data["max_cones"]
@@ -109,7 +101,7 @@ def parse_fan_json(text):
 def serialize_fan(fan):
     rays = list(fan.ray_index)
     return {
-        "rank": fan.cones[0].ambient_rank if fan.cones else 0,
+        "rank": fan.ambient_rank,
         "rays": [list(r) for r in rays],
         "max_cones": [
             sorted(rays.index(g) for g in c.ray_generators)

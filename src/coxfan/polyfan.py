@@ -407,10 +407,11 @@ def validate_fan(max_cones, ray_order=None) -> Fan:
     τ′ ≤ σ′.  Then τ∩F and τ′∩F are faces of F, so their intersection
     τ∩τ′ is a face of F, hence of σ.  It lies in τ, so it is a face of τ
     (Cox-Little-Schenck, Toric Varieties, §1.2); the same holds for τ′.
-    Two faces of one given cone always meet in a common face.
+    Two faces of one given cone always meet in a common face.  A given ray
+    order must name each ray of the fan once.
     """
     if not max_cones:
-        return Fan(0 if ray_order is None else 0, (), ())
+        return Fan(0, (), ())
     rank = max_cones[0].ambient_rank
     _check_rank(rank)
     for c in max_cones:
@@ -442,6 +443,10 @@ def validate_fan(max_cones, ray_order=None) -> Fan:
         ray_order = seen
     else:
         ray_order = [primitive(g) for g in ray_order]
+        first = {}
+        for i, g in enumerate(ray_order):
+            if first.setdefault(g, i) != i:
+                raise FanInvalid(f"rays {first[g]} and {i} span the same ray {list(g)}")
     fan_rays = {
         c.ray_generators[0] for c in cones if len(c.ray_generators) == 1
     }

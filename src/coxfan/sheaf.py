@@ -3,10 +3,13 @@
 A graded module is turned into a family of localized chart modules (one
 per maximal cone), glued along overlaps.  A chart's twists (its minimal
 Laurent generators of one degree) are exact: their cone parts lie in a
-box proven from the Smith form of the cone's rays.  Global sections take
-degrees from finite lists and denominators from one level: a proven bound
-for a free module, else a heuristic.  Both section modes share one
-window/equalizer builder; the lattice-point count of P_D checks them.
+box proven from the Smith form of the cone's rays.  The cover also holds
+the localization kernel of every maximal cone and of every intersection
+of two, computed once.  Global sections take degrees from finite lists
+and denominators from one level: a proven bound for a free module, else a
+heuristic.  Both section modes share one window/equalizer builder, whose
+coordinates are Laurent monomials; the lattice-point count of P_D checks
+them.
 Chart modules and the submodules the correspondences return are held as
 reduced POT Groebner bases, relations included, so equal modules are
 equal tuples.
@@ -17,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import mul
+from operator import add, mul
 
 from . import ratlin
 from ._record import Record
@@ -57,7 +60,6 @@ class LocalModuleWindow(Record):
 
     __slots__ = (
         "cone_key",  # ray generators of the cone
-        "denominator_step",  # least power of the cone monomial inside S_B
         "generators",  # (generator index, fractional exponent vector)
         "killed",  # generator index -> least annihilating power
     )
@@ -70,14 +72,10 @@ class LocalModuleWindow(Record):
 class SheafCoverPresentation(Record):
     __slots__ = (
         "origin",  # a GradedModulePresentation
-        "charts",  # cone key -> LocalModuleWindow
-        "kernels",  # cone key -> localization kernel gens, filled on demand
+        "charts",  # maximal cone key -> LocalModuleWindow
+        "kernels",  # cone key -> reduced basis of the localization kernel,
+        # for the maximal cones and their pairwise intersections
     )
-    _defaults = {"kernels": None}
-
-    def __post_init__(self):
-        if self.kernels is None:
-            object.__setattr__(self, "kernels", {})
 
     @property
     def cox(self):
@@ -97,10 +95,7 @@ class GlobalSectionsWindow(Record):
     __slots__ = (
         "degree", "mode", "dimension", "level",
         "certificate",  # "bound": a proven level; "heuristic": two equal levels
-        "internals",  # left out of == and repr
     )
-    _defaults = {"internals": None}
-    _hidden = ("internals",)
 
 
 def _sigma_positions(cox: CoxRingData, cone_key):
@@ -202,18 +197,25 @@ def _least_in_part(v, kernel):
     return min(region(hi))
 
 
+def _overlaps(keys):
+    """Each pair of maximal cone keys with the key of their intersection:
+    in a fan σ∩τ is a common face, the cone on the shared rays."""
+    return [(a, b, tuple(g for g in a if g in b)) for a, b in combinations(keys, 2)]
+
+
 def sheafify(f: GradedModulePresentation) -> SheafCoverPresentation:
     """The cover presentation of the associated sheaf: one localized
-    module per maximal cone, with killed generators certified."""
+    module per maximal cone, with killed generators certified, and the
+    localization kernels the section windows quotient by."""
     cox = f.cox
     A = cox.grading.class_group
     rel_gb = module_groebner_basis(list(f.relations)) if f.relations else []
+    keys = [cone.ray_generators for cone in cox.grading.fan.maximal_cones()]
+    faces = dict.fromkeys(keys + [tau for *_, tau in _overlaps(keys)])
+    kernels = {key: saturate_at(GradedSubmodule(f, ()), cox.zhat[key]) for key in faces}
     charts = {}
-    kernels = {}
-    for cone in cox.grading.fan.maximal_cones():
-        key = cone.ray_generators
+    for key in keys:
         z = cox.zhat[key]
-        kernels[key] = saturate_at(GradedSubmodule(f, ()), z)
         killed = {}
         gens = []
         for i in range(f.rank):
@@ -224,12 +226,7 @@ def sheafify(f: GradedModulePresentation) -> SheafCoverPresentation:
             alpha = A.neg(f.generator_degrees[i])
             for v in _laurent_component_generators(cox, alpha, key):
                 gens.append((i, v))
-        charts[key] = LocalModuleWindow(
-            cone_key=key,
-            denominator_step=cox.m_exponents[key],
-            generators=tuple(gens),
-            killed=killed,
-        )
+        charts[key] = LocalModuleWindow(cone_key=key, generators=tuple(gens), killed=killed)
     return SheafCoverPresentation(origin=f, charts=charts, kernels=kernels)
 
 
@@ -237,18 +234,13 @@ def is_zero_sheaf(s: SheafCoverPresentation) -> bool:
     return all(chart.is_zero for chart in s.charts.values())
 
 
-def _kernel_for(s: SheafCoverPresentation, key, zexp):
-    if key not in s.kernels:
-        s.kernels[key] = saturate_at(GradedSubmodule(s.origin, ()), zexp)
-    return s.kernels[key]
-
-
 class _Window:
-    """Monomial coordinates (twist index, generator, exponent) of one
-    chart at one denominator level, together with the subspace to
-    quotient by: the localization kernel, which contains the relations,
-    in every twist block, plus the tensor identifications between the
-    twist blocks."""
+    """One chart at one denominator level: the span of the Laurent
+    monomials x^(v + e − level·ẑ)·e_i, for the chart's twists v and the
+    monomials x^e·e_i of the window's degree.  A coordinate is the pair
+    (i, v + e − level·ẑ), so two twists whose products agree share it.
+    The subspace to quotient by is the localization kernel, which
+    contains the relations, times each twist."""
 
     def __init__(self, s, key, degree, twists, level):
         f = s.origin
@@ -259,29 +251,22 @@ class _Window:
         base = _monomials_of_degree(f, target)
         base_index = {c: k for k, c in enumerate(base)}
         base_rows = component_span_rows(
-            f, graded_elements(f, _kernel_for(s, key, z)), target, base_index
+            f, graded_elements(f, s.kernels[key]), target, base_index
         )
-        self.coords = [(j, i, e) for j in range(len(twists)) for (i, e) in base]
-        self.index = {c: k for k, c in enumerate(self.coords)}
-        width = len(base)
-        rows = [
-            {j * width + c: x for c, x in r.items()}
-            for j in range(len(twists))
-            for r in base_rows
-        ]
-        for j, j2 in combinations(range(len(twists)), 2):
-            diff = tuple(a - b for a, b in zip(twists[j], twists[j2]))
-            for (i, e) in base:
-                e2 = tuple(a + b for a, b in zip(e, diff))
-                if (i, e2) in base_index:
-                    rows.append(
-                        {self.index[(j, i, e)]: _ONE, self.index[(j2, i, e2)]: -_ONE}
-                    )
+        self.index = {}
+        rows = []
+        for v in twists:
+            shift = [a - level * b for a, b in zip(v, z)]
+            cols = [
+                self.index.setdefault((i, tuple(map(add, e, shift))), len(self.index))
+                for i, e in base
+            ]
+            rows.extend({cols[c]: x for c, x in r.items()} for r in base_rows)
         self.echelon = ratlin.echelon(rows)
 
     @property
     def size(self):
-        return len(self.coords)
+        return len(self.index)
 
     @property
     def sub_rank(self):
@@ -298,12 +283,13 @@ class _Window:
 
 
 def _cover_twist(v, tw_tau, tau_pos):
-    """A twist generator of the overlap chart dividing v there, with the
-    exponent difference."""
-    for l, vt in enumerate(tw_tau):
-        d = tuple(a - b for a, b in zip(v, vt))
+    """The level slack that puts the twist v's products in the overlap
+    window: the largest −(v − vt)_i, or 0, for the first twist vt of the
+    overlap chart dividing v there."""
+    for vt in tw_tau:
+        d = [a - b for a, b in zip(v, vt)]
         if all(d[p] >= 0 for p in tau_pos):
-            return l, d
+            return max(0, -min(d))
     raise Unstabilized("twist generator not covered on the overlap chart")
 
 
@@ -311,11 +297,10 @@ def _level_invariants(s, alpha, mode):
     """What the equalizer needs at every level, computed once: the degree
     read (via_shift: alpha with the single trivial twist; via_twist: 0
     tensored with the Laurent generators of alpha), the twists of every
-    maximal cone, the level bound L, and per pair of maximal cones the
-    overlap key, its twists, each side's cover plan and the level slack
-    the plans need."""
+    maximal cone and of every overlap, the level bound L, and per pair of
+    maximal cones the overlap key, the two cone keys and the level slack
+    that puts both sides' products in the overlap window."""
     cox = s.cox
-    cones = list(cox.grading.fan.maximal_cones())
     shift = mode == "via_shift"
     degree = alpha if shift else cox.grading.class_group.zero()
 
@@ -324,7 +309,7 @@ def _level_invariants(s, alpha, mode):
             return ((0,) * cox.num_vars,)
         return _laurent_component_generators(cox, alpha, key)
 
-    keys = [c.ray_generators for c in cones]
+    keys = [c.ray_generators for c in cox.grading.fan.maximal_cones()]
     twists = {key: twist(key) for key in keys}
     # The level bound L, proven in global_sections_degree.
     bound = max([1] + [
@@ -332,28 +317,24 @@ def _level_invariants(s, alpha, mode):
         for k in keys for v in twists[k] for p, z in enumerate(cox.zhat[k]) if z > 0
     ])
     pairs = []
-    for c1, c2 in combinations(cones, 2):
-        # In a fan σ∩τ is a common face: the cone on the shared rays.
-        tau_key = tuple(g for g in c1.ray_generators if g in c2.ray_generators)
+    for *sides, tau_key in _overlaps(keys):
         if tau_key not in twists:
             twists[tau_key] = twist(tau_key)
         tau_pos = _sigma_positions(cox, tau_key)
-        plans = {
-            key: [_cover_twist(v, twists[tau_key], tau_pos) for v in twists[key]]
-            for key in (c1.ray_generators, c2.ray_generators)
-        }
         slack = max(
-            (max(0, -min(d)) for plan in plans.values() for _, d in plan),
+            (_cover_twist(v, twists[tau_key], tau_pos) for k in sides for v in twists[k]),
             default=0,
         )
-        pairs.append((tau_key, plans, slack))
+        pairs.append((tau_key, sides, slack))
     return degree, keys, twists, bound, pairs
 
 
 def _sections_at_level(s, invariants, level_k):
-    """The equalizer of the chart windows at one level, as the rank of
-    its sparse rows: one row per overlap coordinate, read off the images
-    of both sides' coordinates."""
+    """The equalizer of the chart windows at one level, and the windows.
+    It is the rank of its sparse rows: one row per overlap coordinate, read
+    off the images of both sides' coordinates.  A coordinate is a Laurent
+    monomial, and so is its image: the same monomial in the overlap
+    window."""
     cox = s.cox
     degree, keys, twists, _, pairs = invariants
     windows = {
@@ -367,31 +348,23 @@ def _sections_at_level(s, invariants, level_k):
         total += windows[key].size
     rows = []
     overlaps = {}
-    for tau_key, plans, slack in pairs:
-        ztau = cox.zhat[tau_key]
-        needed = max(windows[k].level for k in plans) + slack
+    for tau_key, sides, slack in pairs:
+        needed = max(windows[k].level for k in sides) + slack
         m = cox.m_exponents[tau_key]
         ktau = m * -(-needed // m)
         if (tau_key, ktau) not in overlaps:
             overlaps[tau_key, ktau] = _Window(s, tau_key, degree, twists[tau_key], ktau)
         wt = overlaps[tau_key, ktau]
         eq = {}
-        for key, sign in zip(plans, (_ONE, -_ONE)):
-            w = windows[key]
-            zs = cox.zhat[key]
+        for key, sign in zip(sides, (_ONE, -_ONE)):
             off = offsets[key]
-            for jcol, (j, i, e) in enumerate(w.coords):
-                l, d = plans[key][j]
-                e2 = tuple(
-                    a + b + ktau * zt - w.level * z
-                    for a, b, zt, z in zip(e, d, ztau, zs)
-                )
-                for t, x in wt.image((l, i, e2)).items():
-                    eq.setdefault(t, {})[off + jcol] = sign * x
+            for coord, col in windows[key].index.items():
+                for t, x in wt.image(coord).items():
+                    eq.setdefault(t, {})[off + col] = sign * x
         rows.extend(eq[t] for t in sorted(eq))
     trivial = sum(windows[k].sub_rank for k in keys)
     dim = total - ratlin.rank(rows) - trivial
-    return dim, (windows, offsets, keys)
+    return dim, windows
 
 
 def global_sections_degree(
@@ -408,11 +381,11 @@ def global_sections_degree(
     ``_level_invariants`` is proven, so that level alone is evaluated:
 
     1. The windows embed in the localization.  The localization kernel is
-       quotiented out, and for a free module it is 0.  The rows between
-       twist blocks identify two coordinates exactly when their products
-       x^(v + e − k·m_σ·ẑ_σ)·e_i agree, so the window is the span of those
-       Laurent monomials, and each overlap window likewise.  Agreement on
-       every overlap is then equality of Laurent polynomials.
+       quotiented out, and for a free module it is 0.  A window's
+       coordinates are the Laurent monomials x^(v + e − k·m_σ·ẑ_σ)·e_i
+       themselves, one per monomial however many twists reach it, so the
+       window is their span, and each overlap window likewise.  Agreement
+       on every overlap is then equality of Laurent polynomials.
     2. dim(k) never decreases and is at most H0.  Multiplying e by
        ẑ_σ^m_σ embeds the level-k window in the level-(k+1) one, and the
        windows of all levels make up the chart module, so H0 is the union
@@ -427,24 +400,31 @@ def global_sections_degree(
     With relations steps 1 and 3 fail, and a heuristic takes over: the
     levels from L on are evaluated until two consecutive ones agree, for
     at most DEFAULT_MAX_LEVEL levels, else ``Unstabilized`` is raised."""
+    level, dim, certificate, _ = _evaluate(s, alpha, mode)
+    return GlobalSectionsWindow(alpha, mode, dim, level, certificate)
+
+
+def _evaluate(s, alpha, mode):
+    """The level, dimension, certificate and windows of
+    ``global_sections_degree``."""
     if mode not in ("via_shift", "via_twist"):
         raise ValueError(f"unknown mode {mode!r}")
     invariants = _level_invariants(s, alpha, mode)
     level = invariants[3]
-    dim, internals = _sections_at_level(s, invariants, level)
+    dim, windows = _sections_at_level(s, invariants, level)
     certificate = "bound"
     if s.origin.relations:
         certificate = "heuristic"
         for level in range(level + 1, level + DEFAULT_MAX_LEVEL):
             prev = dim
-            dim, internals = _sections_at_level(s, invariants, level)
+            dim, windows = _sections_at_level(s, invariants, level)
             if dim == prev:
                 break
         else:
             raise Unstabilized(
                 f"section dimension did not settle within {DEFAULT_MAX_LEVEL} levels"
             )
-    return GlobalSectionsWindow(alpha, mode, dim, level, certificate, internals)
+    return level, dim, certificate, windows
 
 
 def eta_component_is_bijective(s: SheafCoverPresentation, alpha) -> bool:
@@ -453,22 +433,18 @@ def eta_component_is_bijective(s: SheafCoverPresentation, alpha) -> bool:
     from .gradmod import degree_component
 
     f = s.origin
-    cox = f.cox
-    sec = global_sections_degree(s, alpha, mode="via_shift")
-    windows, offsets, keys = sec.internals
+    _, dim, _, windows = _evaluate(s, alpha, "via_shift")
     comp = degree_component(f, alpha)
-    if comp.dimension != sec.dimension:
+    if comp.dimension != dim:
         return False
     # injectivity: a degree component element mapping into every chart's
-    # quotient-by-zero subspace must already lie in the relation span
+    # quotient-by-zero subspace must already lie in the relation span; the
+    # monomial x^e·e_i is the window coordinate (i, e)
     system = {}
-    for col, (i, e) in enumerate(comp.monomial_basis):
-        for key in keys:
-            w = windows[key]
-            z = cox.zhat[key]
-            e2 = tuple(a + w.level * b for a, b in zip(e, z))
-            for t, x in w.image((0, i, e2)).items():
-                system.setdefault(offsets[key] + t, {})[col] = x
+    for col, coord in enumerate(comp.monomial_basis):
+        for key, w in windows.items():
+            for t, x in w.image(coord).items():
+                system.setdefault((key, t), {})[col] = x
     kernel = ratlin.nullspace(list(system.values()), ncols=len(comp.monomial_basis))
     rel_rows = list(comp.relation_rows)  # independent: the pivot rows of an echelon
     return ratlin.rank(rel_rows + kernel) == len(rel_rows)

@@ -479,6 +479,46 @@ def subspace_intersection(rows_a, rows_b):
     return red[: len(piv)]
 
 
+def window_quotient_dimension(base, kernel_rows, twists):
+    """Dimension of a chart window built block by block: one coordinate
+    (j, i, e) per twist v_j and monomial x^e·e_i of ``base``, the sparse
+    ``kernel_rows`` (over ``base``) in every block, and a row
+    x_(j,i,e) − x_(j2,i,e2) for each pair of blocks j < j2 whose products
+    x^(v_j + e)·e_i and x^(v_j2 + e2)·e_i agree.  The dimension is the
+    number of coordinates minus the rank of the rows."""
+    width = len(base)
+    rows = [
+        {(j, c): x for c, x in r.items()} for j in range(len(twists)) for r in kernel_rows
+    ]
+    for j, j2 in combinations(range(len(twists)), 2):
+        for c, (i, e) in enumerate(base):
+            for c2, (i2, e2) in enumerate(base):
+                if i == i2 and all(
+                    v + a == v2 + b for v, a, v2, b in zip(twists[j], e, twists[j2], e2)
+                ):
+                    rows.append({(j, c): 1, (j2, c2): -1})
+    return len(twists) * width - _sparse_rank(rows)
+
+
+def _sparse_rank(rows):
+    """Rank of sparse rows {column: value}, one row at a time: reduce it
+    by the pivot rows kept so far, and keep what is left as a new pivot."""
+    pivots = {}
+    for row in rows:
+        r = {k: Fraction(x) for k, x in row.items() if x}
+        while r:
+            c = min(r)
+            if c not in pivots:
+                pivots[c] = {k: x / r[c] for k, x in r.items()}
+                break
+            f = r[c]
+            for k, x in pivots[c].items():
+                r[k] = r.get(k, 0) - f * x
+                if not r[k]:
+                    del r[k]
+    return len(pivots)
+
+
 # ---------------------------------------------------------------------------
 # Fourier–Motzkin on Fraction rows, dividing by each equation pivot (the
 # reference for the package's integer elimination, whose rows are positive

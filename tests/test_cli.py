@@ -13,9 +13,10 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+import coxfan
 from coxfan import cli, corpus, gradmod, grading
 
-SCHEMA_DIR = Path(corpus.corpus_dir()).parent / "schemas"
+SCHEMA_DIR = Path(coxfan.__file__).parent / "schemas"
 
 
 def _registry():
@@ -227,9 +228,35 @@ def test_primitivity_warning(tmp_path):
     assert payload["warnings"]
 
 
-def test_fan_round_trip(p2):
-    fan, warnings = cli.parse_fan_json(Path(p2).read_text())
-    again, _ = cli.parse_fan_json(json.dumps(cli.serialize_fan(fan)))
+def test_repeated_primitive_ray_is_validation_error(tmp_path):
+    # [1, 0] and [2, 0] are one ray: P2 given this way is not a fan on four
+    # rays, and a grading built on them has the wrong class group.
+    fan = tmp_path / "repeated.json"
+    fan.write_text(
+        json.dumps(
+            {"rank": 2, "rays": [[1, 0], [2, 0], [0, 1], [-1, -1]],
+             "max_cones": [[0, 2], [2, 3], [3, 1]]}
+        )
+    )
+    for command in (["fan", "validate"], ["grading", "build"]):
+        code, out = _run([*command, str(fan)])
+        assert code == cli.EXIT_DOMAIN, out
+        payload = json.loads(out)
+        _validate(payload, "error")
+        assert payload["error"] == {
+            "type": "ValidationError",
+            "reason": "rays 0 and 1 span the same ray [1, 0]",
+        }
+
+
+@pytest.mark.parametrize(
+    "text", ["p2", '{"rank": 2, "rays": [], "max_cones": []}'], ids=["p2", "empty"]
+)
+def test_fan_round_trip(p2, text):
+    fan, warnings = cli.parse_fan_json(Path(p2).read_text() if text == "p2" else text)
+    payload = cli.serialize_fan(fan)
+    _validate(payload, "fan")
+    again, _ = cli.parse_fan_json(json.dumps(payload))
     assert fan == again and not warnings
 
 

@@ -8,7 +8,6 @@ from coxfan.groeb import GREVLEX, ModuleOrder, MonomialOrder
 from coxfan.intlat import AbelianGroup, GroupElement, IntMatrix
 from coxfan.polyfan import Cone
 from coxfan.schemeprops import Verdict
-from coxfan.sheaf import GlobalSectionsWindow, SheafCoverPresentation
 
 
 def test_equal_values_hash_equal_and_share_a_dict_slot():
@@ -61,22 +60,6 @@ def test_construction_by_keyword_with_defaults():
         Verdict("HOLDS", "r", status="FAILS")
     with pytest.raises(TypeError):
         BaseRingFlags(fields=True)
-
-
-def test_hidden_internals_stay_out_of_equality_and_repr():
-    a = GlobalSectionsWindow(None, "via_shift", 3, 1, "bound", internals=[1])
-    b = GlobalSectionsWindow(None, "via_shift", 3, 1, "bound", internals=[2])
-    assert a == b and hash(a) == hash(b)
-    assert "internals" not in repr(a)
-    assert a != GlobalSectionsWindow(None, "via_shift", 4, 1, "bound")
-
-
-def test_each_sheaf_cover_presentation_has_its_own_kernels(p2_ring):
-    a, b = SheafCoverPresentation(p2_ring, {}), SheafCoverPresentation(p2_ring, {})
-    a.kernels["k"] = 1
-    assert b.kernels == {} and a.kernels is not b.kernels
-    shared = {}
-    assert SheafCoverPresentation(p2_ring, {}, shared).kernels is shared
 
 
 def test_post_init_rejects_bad_shapes_and_torsion_chains():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxfan import corpus, grading, polyfan, sheaf
+from coxfan import corpus, gradmod, grading, polyfan, sheaf
 from coxfan.cox import BaseRingFlags, build_cox
 from coxfan.gradmod import (
     GradedModulePresentation,
@@ -436,6 +436,43 @@ def test_free_module_is_evaluated_at_one_level(monkeypatch):
     win = global_sections_degree(q, _ray_multiple(c.grading, 3), mode="via_twist")
     assert win.certificate == "heuristic" and calls[0] == 3 and len(calls) >= 2
     assert win.dimension == 4
+
+
+@pytest.mark.parametrize("ideal", [None, [(1, 0, 0), (0, 1, 1)]], ids=["free", "Z1,Z2Z3"])
+def test_covers_of_one_module_stay_equal_after_sections(p2_cox, ideal):
+    f = free_module(p2_cox) if ideal is None else quotient_by_monomial_ideal(p2_cox, ideal)
+    a, b = sheafify(f), sheafify(f)
+    for mode in ("via_shift", "via_twist"):
+        global_sections_degree(a, _alpha(f, 2), mode=mode)
+    assert a == b
+
+
+@pytest.mark.parametrize("ideal", [[(1, 0, 0)], [(1, 1, 0), (0, 0, 1)]], ids=["Z1", "Z1Z2,Z3"])
+def test_windows_match_the_block_reference(monkeypatch, ideal):
+    # At odd degrees the cone of P(1,1,2) on (1, 0) and (-1, -2) has two
+    # twists, and for these modules a localization kernel.
+    c = _cox("p112")
+    g = c.grading
+    s = sheafify(quotient_by_monomial_ideal(c, ideal))
+    f = s.origin
+    checked = []
+
+    class Checked(sheaf._Window):
+        def __init__(self, s, key, degree, twists, level):
+            super().__init__(s, key, degree, twists, level)
+            target = g.class_group.add(degree, g.a_map(tuple(level * x for x in c.zhat[key])))
+            base = gradmod._monomials_of_degree(f, target)
+            index = {m: k for k, m in enumerate(base)}
+            kernel = gradmod.graded_elements(f, s.kernels[key])
+            rows = gradmod.component_span_rows(f, kernel, target, index)
+            want = oracles.window_quotient_dimension(base, rows, twists)
+            assert self.size - self.sub_rank == want, (key, degree, level)
+            checked.append(len(twists) > 1 and bool(rows))
+
+    monkeypatch.setattr(sheaf, "_Window", Checked)
+    for d in range(-3, 7):
+        global_sections_degree(s, _ray_multiple(g, d), mode="via_twist")
+    assert any(checked)
 
 
 def _lex_window(c, top):
