@@ -1,0 +1,207 @@
+#!/usr/bin/env python3
+"""Print the CLI's stdout and exit code on a fixed set of runs, as one JSON
+document.
+
+The runs are the twelve README commands on each corpus fan, a fixed set
+of refusals on each (bad flags, cone, ideal, window, module, power cap,
+subgroup and usage), commands on malformed fans, usage errors, and the
+``--help`` text of every parser.  Each run calls ``coxfan.cli.main`` in
+this process, from this checkout's ``src``.  Paths in arguments and
+output read ``<corpus>`` and ``<tmp>``, so the output of two checkouts
+can be compared with ``diff``:
+
+    python3 scripts/cli_snapshot.py > after.json
+    python3 /path/to/other/checkout/scripts/cli_snapshot.py > before.json
+    diff before.json after.json
+
+An exception that escapes ``main`` is recorded as ``uncaught``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
+
+from coxfan import cli, corpus, grading  # noqa: E402
+
+# Per corpus fan: a subgroup that is big, one that is not, a cone, and a
+# sections window valid for its class group.
+FAN_ARGS = {
+    "p2": ("2", "0", "0,1", "0;1;2;3"),
+    "p112": ("2", "0", "0,1", "0;1;2;3"),
+    "p1xp1": ("1,0;0,2", "1,0", "0,2", "0,0;1,0;0,1;1,1"),
+    "quadric_cone": ("2", "0", "0,1,2,3", "0;1;2"),
+    "three_rays": ("2", "0", "0", "0;1;2"),
+}
+
+README = [
+    ["fan", "validate", "{fan}"],
+    ["fan", "report", "{fan}", "--flags", "field,noetherian,reduced"],
+    ["grading", "build", "{fan}"],
+    ["pic", "{fan}"],
+    ["subgroup", "classify", "{fan}", "--subgroup", "{big}"],
+    ["cox", "build", "{fan}", "--subgroup", "{big}", "--flags", "field"],
+    ["chart", "{fan}", "--cone", "{cone}"],
+    ["ideal", "saturate", "{fan}", "--ideal", "Z1*Z2,Z1*Z3"],
+    ["module", "sections", "{fan}", "--degrees", "{window}"],
+    ["module", "torsion", "{fan}", "--ideal", "Z1,Z2,Z3"],
+    ["sheaf", "xi-check", "{fan}", "--ideal", "Z1", "--window", "{window}"],
+    ["sheaf", "lift", "{fan}", "--ideal", "Z1"],
+]
+
+REFUSALS = [
+    ["fan", "report", "{fan}", "--flags", "field,bogus"],
+    ["cox", "build", "{fan}", "--flags", "bogus"],
+    ["chart", "{fan}", "--cone", "0,99"],
+    ["chart", "{fan}", "--cone", "x"],
+    ["chart", "{fan}", "--cone", "0,1,2"],
+    ["ideal", "saturate", "{fan}", "--ideal", "Z99"],
+    ["ideal", "saturate", "{fan}", "--ideal", "Y1*Z2^-1"],
+    ["sheaf", "xi-check", "{fan}", "--ideal", "Z1", "--window", ";"],
+    ["module", "sections", "{fan}", "--degrees", "1,2,3"],
+    ["module", "sections", "{fan}", "--module", "{tmp}/missing.json", "--degrees", "0"],
+    ["module", "sections", "{fan}", "--module", "{tmp}/{name}-graded.json", "--degrees", "{window}"],
+    ["module", "torsion", "{fan}", "--module", "{tmp}/{name}-mixed.json"],
+    ["module", "torsion", "{fan}", "--ideal", "Z1", "--power-cap", "0"],
+    ["module", "torsion", "{fan}", "--ideal", "Z1", "--power-cap", "x"],
+    ["subgroup", "classify", "{fan}", "--subgroup", "1,2,3"],
+    ["cox", "build", "{fan}", "--subgroup", "{small}"],
+    ["module", "sections", "{fan}", "--degrees", "0", "--mode", "foo"],
+    ["sheaf", "lift", "{fan}"],
+]
+
+# Malformed fan files, each given to the commands below.
+BAD_FANS = {
+    "not_json": "{ not json",
+    "top_level_list": [],
+    "no_rank": {"rays": [], "max_cones": []},
+    "no_rays": {"rank": 2, "max_cones": []},
+    "no_max_cones": {"rank": 2, "rays": []},
+    "rank_zero": {"rank": 0, "rays": [], "max_cones": []},
+    "rank_string": {"rank": "2", "rays": [], "max_cones": []},
+    "rank_float": {"rank": 2.0, "rays": [], "max_cones": []},
+    "rank_bool": {"rank": True, "rays": [[1]], "max_cones": [[0]]},
+    "rays_int": {"rank": 2, "rays": 5, "max_cones": []},
+    "rays_null": {"rank": 2, "rays": None, "max_cones": []},
+    "rays_string": {"rank": 2, "rays": "ab", "max_cones": []},
+    "rays_object": {"rank": 2, "rays": {"a": 1}, "max_cones": []},
+    "ray_short": {"rank": 2, "rays": [[1]], "max_cones": [[0]]},
+    "ray_float": {"rank": 2, "rays": [[1.0, 0]], "max_cones": [[0]]},
+    "ray_bool": {"rank": 2, "rays": [[True, 0], [0, 1]], "max_cones": [[0, 1]]},
+    "ray_zero": {"rank": 2, "rays": [[0, 0]], "max_cones": [[0]]},
+    "ray_scaled": {"rank": 2, "rays": [[2, 0], [0, 3]], "max_cones": [[0, 1]]},
+    "cones_int": {"rank": 2, "rays": [[1, 0]], "max_cones": 5},
+    "cone_int": {"rank": 2, "rays": [[1, 0]], "max_cones": [0]},
+    "cone_index_high": {"rank": 2, "rays": [[1, 0]], "max_cones": [[1]]},
+    "cone_index_negative": {"rank": 2, "rays": [[1, 0]], "max_cones": [[-1]]},
+    "cone_index_bool": {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, True]]},
+    "cone_index_float": {"rank": 2, "rays": [[1, 0]], "max_cones": [[0.0]]},
+    "nonpointed": {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0, 1]]},
+    "repeated_ray": {"rank": 2, "rays": [[1, 0], [2, 0], [0, 1]], "max_cones": [[0, 2], [1, 2]]},
+    "overlapping": {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]], "max_cones": [[0, 1], [0, 2]]},
+    "rays_no_cones": {"rank": 2, "rays": [[1, 0]], "max_cones": []},
+    "p1": {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]},
+}
+
+BAD_FAN_COMMANDS = [
+    ["fan", "validate", "{fan}"],
+    ["fan", "report", "{fan}", "--flags", "bogus"],
+    ["module", "torsion", "{fan}", "--ideal", "Z1", "--power-cap", "0"],
+]
+
+USAGE = [
+    [],
+    ["bogus"],
+    ["fan"],
+    ["fan", "validate"],
+    ["fan", "validate", "{tmp}/missing.json"],
+    ["pic", "{corpus}/p2.json", "--bogus"],
+]
+
+HELP = [
+    [],
+    ["fan"], ["fan", "validate"], ["fan", "report"],
+    ["grading"], ["grading", "build"],
+    ["pic"],
+    ["subgroup"], ["subgroup", "classify"],
+    ["cox"], ["cox", "build"],
+    ["chart"],
+    ["ideal"], ["ideal", "saturate"],
+    ["module"], ["module", "sections"], ["module", "torsion"],
+    ["sheaf"], ["sheaf", "xi-check"], ["sheaf", "lift"],
+]
+
+
+def _modules(tmp, name):
+    """A graded module (Z1 as a relation) and one whose relation Z1 + Z1^2
+    mixes two degrees, for the fan's number of variables and class group."""
+    n = len(corpus.fan_spec(name)["rays"])
+    r = grading.build_grading(corpus.build(name)).class_group.ngens
+    z1 = [1] + [0] * (n - 1)
+    term = {"gen": 0, "exponent": z1, "coefficient": "1"}
+    graded = {"generator_degrees": [[0] * r], "relations": [[term]]}
+    mixed = {
+        "generator_degrees": [[0] * r],
+        "relations": [[term, dict(term, exponent=[2] + [0] * (n - 1))]],
+    }
+    (tmp / f"{name}-graded.json").write_text(json.dumps(graded))
+    (tmp / f"{name}-mixed.json").write_text(json.dumps(mixed))
+
+
+def _call(argv):
+    out = io.StringIO()
+    record = {}
+    with contextlib.redirect_stdout(out):
+        try:
+            record["exit"] = cli.main(argv)
+        except SystemExit as e:  # --help
+            record["exit"] = e.code
+        except Exception as e:
+            record["uncaught"] = f"{type(e).__name__}: {e}"
+    record["stdout"] = out.getvalue().splitlines()
+    return record
+
+
+def main():
+    runs = []
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        places = {str(tmp): "<tmp>", str(corpus.corpus_dir()): "<corpus>"}
+
+        def run(template, **values):
+            values.update(tmp=str(tmp), corpus=str(corpus.corpus_dir()))
+            argv = [a.format(**values) for a in template]
+            record = _call(argv)
+            shown = json.dumps({"argv": argv, **record})
+            for place, label in places.items():
+                shown = shown.replace(place, label)
+            runs.append(json.loads(shown))
+
+        for fan in corpus.CORPUS_NAMES:
+            big, small, cone, window = FAN_ARGS[fan]
+            _modules(tmp, fan)
+            for template in README + REFUSALS:
+                run(template, fan=str(corpus.fixture_path(fan)), name=fan,
+                    big=big, small=small, cone=cone, window=window)
+        for fan, content in BAD_FANS.items():
+            path = tmp / f"{fan}.json"
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+            for template in BAD_FAN_COMMANDS:
+                run(template, fan=str(path))
+        for template in USAGE:
+            run(template)
+        for template in HELP:
+            run([*template, "--help"])
+    json.dump(runs, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,9 +8,17 @@ all its fields taken as one tuple, and the repr ``Name(field=value,
 once per class, which keeps construction, ``==`` and ``hash`` of the hot
 value types (GroupElement, IntMatrix, Cone) free of class-attribute
 lookups; no code is generated.
+
+``DomainError`` is the base of every refusal of well-formed input (an
+invalid fan, a subgroup that is not big, a degree fiber past its cap):
+each layer's own error classes derive from it, and the CLI exits 1 on it.
 """
 
 from operator import attrgetter
+
+
+class DomainError(ValueError):
+    """A refusal of well-formed input; the base of each layer's errors."""
 
 
 class Record:

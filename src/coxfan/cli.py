@@ -1,8 +1,17 @@
 """Command-line front end: fan ingestion, JSON reports, exact output.
 
-Exit codes: 0 success, 1 domain error (invalid fan, bad subgroup, cap
-exceeded), 2 I/O or parse error.  All numbers in the JSON output are
-exact; rationals are rendered as "p/q" strings.
+Exit codes: 0 success; 1 a ``DomainError`` (an invalid fan, a subgroup
+that is not big, a cap exceeded: the base class of every layer's
+refusals, in ``coxfan._record``); 2 an I/O, parse or usage error
+(``ParseError``).  All numbers in the JSON output are exact; rationals are
+rendered as "p/q" strings.
+
+``COMMANDS`` maps each command name to its handler and its options, and
+``build_parser`` builds every subparser from it.  A handler returns its
+payload; ``main`` adds the command name and the warnings and prints it.
+A handler takes the fan, the grading and the ring from an ``_Inputs``,
+which builds each on first use, so a command meets bad input in the
+order in which it asks.
 
 A command imports only the layers it uses, since a process spends most of
 its time loading them: only ``ideal``, ``module`` and ``sheaf`` load gradmod.
@@ -15,18 +24,19 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 from . import polyfan
+from ._record import DomainError
 
 
 class ParseError(ValueError):
     def __init__(self, reason, line=None):
         super().__init__(reason)
-        self.reason = reason
         self.line = line
 
 
-class ValidationError(ValueError):
+class ValidationError(DomainError):
     pass
 
 
@@ -34,48 +44,37 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 
-# The domain errors by layer.  Only layers already loaded are searched:
-# a layer never loaded raised nothing.
-_DOMAIN_ERRORS = {
-    "polyfan": ("PolyfanError",),
-    "cox": ("NotBig", "ConeNotInFan"),
-    "grading": ("UnboundedFiber", "FiberTooLarge"),
-    "sheaf": ("Unstabilized",),
-}
+
+def _json_ints(values):
+    """Whether a JSON value is a list of integers (``bool`` is an ``int``
+    subclass in Python, so ``true`` is checked out by type)."""
+    return isinstance(values, list) and all(type(x) is int for x in values)
 
 
-def domain_errors():
-    """The exception classes that exit with EXIT_DOMAIN."""
-    found = [ValidationError]
-    for layer, names in _DOMAIN_ERRORS.items():
-        module = sys.modules.get(f"coxfan.{layer}")
-        if module is not None:
-            found += [getattr(module, name) for name in names]
-    return tuple(found)
+def _load_json(text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno)
 
 
 def parse_fan_json(text):
     """Parse a fan description; returns (Fan, warnings)."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno)
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     for field in ("rank", "rays", "max_cones"):
         if field not in data:
             raise ParseError(f"missing field {field!r}")
     rank = data["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:
         raise ParseError("rank must be a positive integer")
+    if not isinstance(data["rays"], list):
+        raise ParseError("rays must be a list of integer lists")
     warnings = []
     rays = []
     for i, r in enumerate(data["rays"]):
-        if (
-            not isinstance(r, list)
-            or len(r) != rank
-            or not all(isinstance(x, int) for x in r)
-        ):
+        if not _json_ints(r) or len(r) != rank:
             raise ParseError(f"ray {i} must be a list of {rank} integers")
         if all(x == 0 for x in r):
             raise ParseError(f"ray {i} is zero")
@@ -87,9 +86,7 @@ def parse_fan_json(text):
     if not isinstance(cones, list):
         raise ParseError("max_cones must be a list of ray index lists")
     for c in cones:
-        if not isinstance(c, list) or not all(
-            isinstance(i, int) and 0 <= i < len(rays) for i in c
-        ):
+        if not _json_ints(c) or not all(0 <= i < len(rays) for i in c):
             raise ParseError(f"bad cone ray index list {c!r}")
     try:
         fan = polyfan.build_fan(rank, rays, cones)
@@ -200,19 +197,10 @@ def parse_flags(spec):
     return BaseRingFlags(**values)
 
 
-def _json_ints(values):
-    """Whether a JSON value is a list of integers (``bool`` is an ``int``
-    subclass in Python, so ``true`` is checked out by type)."""
-    return isinstance(values, list) and all(type(x) is int for x in values)
-
-
 def load_module_json(text, cox_data):
     """Module presentation from JSON: generator degrees as class-group
     coordinates, relations as lists of {gen, exponent, coefficient}."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno)
+    data = _load_json(text)
     A = cox_data.grading.class_group
     try:
         raw_degrees = list(data["generator_degrees"])
@@ -259,8 +247,8 @@ def load_module_json(text, cox_data):
     return gradmod.GradedModulePresentation(cox_data, degrees, tuple(relations))
 
 
-def _coords(element):
-    return list(element.coords())
+def _coords(elements):
+    return [list(x.coords()) for x in elements]
 
 
 def _read(path):
@@ -277,126 +265,69 @@ def _emit(payload):
     return EXIT_OK
 
 
-def _pipeline(args, need_cox=True):
-    from . import grading
-    fan, warnings = parse_fan_json(_read(args.fan))
-    g = grading.build_grading(fan)
-    if not need_cox:
-        return fan, warnings, g, None
-    from . import cox
-    if getattr(args, "subgroup", None):
-        b = grading.classify_subgroup(g, parse_subgroup(args.subgroup, g.class_group))
-    else:
-        b = grading.subgroup_of_whole_group(g)
-    flags = parse_flags(getattr(args, "flags", None))
-    c = cox.build_cox(g, b, flags)
-    return fan, warnings, g, c
+class _Inputs:
+    """A command's fan, grading and ring, each built when first asked for."""
+
+    def __init__(self, args):
+        self.args = args
+        self.warnings = []
+
+    @cached_property
+    def fan(self):
+        fan, self.warnings = parse_fan_json(_read(self.args.fan))
+        return fan
+
+    @cached_property
+    def grading(self):
+        from . import grading
+        return grading.build_grading(self.fan)
+
+    @cached_property
+    def ring(self):
+        from . import cox, grading
+        g, spec = self.grading, self.args.subgroup
+        if spec:
+            b = grading.classify_subgroup(g, parse_subgroup(spec, g.class_group))
+        else:
+            b = grading.subgroup_of_whole_group(g)
+        return cox.build_cox(g, b, parse_flags(getattr(self.args, "flags", None)))
 
 
-def cmd_fan_validate(args):
-    fan, warnings = parse_fan_json(_read(args.fan))
-    return _emit(
-        {
-            "command": "fan validate",
-            "valid": True,
-            "num_cones": len(fan.cones),
-            "fan": serialize_fan(fan),
-            "warnings": warnings,
-        }
+def _ideal_submodule(args, inputs):
+    """The ideal of ``--ideal`` as a submodule of the ring."""
+    from . import gradmod
+    c = inputs.ring
+    exps = parse_ideal(args.ideal, c.num_vars)
+    return gradmod.GradedSubmodule(
+        gradmod.free_module(c), tuple(({e: Fraction(1)},) for e in exps)
     )
 
 
-def cmd_fan_report(args):
-    from . import schemeprops
-    fan, warnings = parse_fan_json(_read(args.fan))
-    props = polyfan.fan_properties(fan)
-    flags = parse_flags(args.flags)
-    report = schemeprops.scheme_property_report(props, flags)
-    return _emit(
-        {
-            "command": "fan report",
-            "properties": {
-                "is_full": props.is_full,
-                "is_complete": props.is_complete,
-                "is_simplicial": props.is_simplicial,
-                "is_regular": props.is_regular,
-                "cone_equals_span": props.cone_equals_span,
-                "is_empty": props.is_empty,
-            },
-            "scheme": report.as_dict(),
-            "warnings": warnings,
-        }
+def _generator_monomials(sub):
+    """The sorted generator monomials of a monomial submodule of the ring."""
+    return sorted(
+        format_monomial(e) for x in sub.element_generators for p in x for e in p
     )
 
 
-def cmd_grading_build(args):
-    _, warnings, g, _ = _pipeline(args, need_cox=False)
-    A = g.class_group
-    return _emit(
-        {
-            "command": "grading build",
-            "class_group": {
-                "free_rank": A.free_rank,
-                "torsion_orders": list(A.torsion_orders),
-            },
-            "ray_degrees": [_coords(d) for d in g.ray_degrees],
-            "warnings": warnings,
-        }
-    )
+def _module(inputs, path, ideal=None):
+    """The module of ``--module``, else the quotient by ``--ideal``, else
+    the ring itself."""
+    from . import gradmod
+    c = inputs.ring
+    if path:
+        return load_module_json(_read(path), c)
+    if ideal:
+        return gradmod.quotient_by_monomial_ideal(c, parse_ideal(ideal, c.num_vars))
+    return gradmod.free_module(c)
 
 
-def cmd_pic(args):
-    from . import grading
-    _, warnings, g, _ = _pipeline(args, need_cox=False)
-    pic = grading.picard_group(g)
-    return _emit(
-        {
-            "command": "pic",
-            "generators": [_coords(x) for x in pic.generators],
-            "warnings": warnings,
-        }
-    )
-
-
-def cmd_subgroup_classify(args):
-    from . import grading
-    from .intlat import INFINITE
-    _, warnings, g, _ = _pipeline(args, need_cox=False)
-    b = grading.classify_subgroup(g, parse_subgroup(args.subgroup, g.class_group))
-    return _emit(
-        {
-            "command": "subgroup classify",
-            "generators": [_coords(x) for x in b.generators],
-            "index": "infinite" if b.index_in_A == INFINITE else b.index_in_A,
-            "is_big": b.is_big,
-            "is_small": b.is_small,
-            "warnings": warnings,
-        }
-    )
-
-
-def cmd_cox_build(args):
-    fan, warnings, g, c = _pipeline(args)
-    rays = list(fan.ray_index)
-    m_exps = {}
-    for cone in fan.maximal_cones():
-        label = ",".join(str(rays.index(r)) for r in cone.ray_generators)
-        m_exps[label] = c.m_exponents[cone.ray_generators]
-    return _emit(
-        {
-            "command": "cox build",
-            "num_vars": c.num_vars,
-            "variable_degrees": [_coords(d) for d in c.variable_degrees()],
-            "irrelevant_generators": [
-                format_monomial(e) for e in c.irrelevant_generators
-            ],
-            "restricted_irrelevant_generators": [
-                format_monomial(e) for e in c.restricted_irrelevant_generators
-            ],
-            "m_exponents": m_exps,
-            "warnings": warnings,
-        }
-    )
+def _window(spec, group, option):
+    """The degrees of a window option; an empty window is refused."""
+    degrees = _element_list(spec, group, "degree")
+    if not degrees:
+        raise ValidationError(f"{option} needs at least one degree")
+    return degrees
 
 
 def _find_cone(fan, index_spec):
@@ -412,164 +343,204 @@ def _find_cone(fan, index_spec):
     raise cox.ConeNotInFan(f"no fan cone with ray indices {index_spec}")
 
 
-def cmd_chart(args):
+def cmd_fan_validate(args, inputs):
+    fan = inputs.fan
+    return {"valid": True, "num_cones": len(fan.cones), "fan": serialize_fan(fan)}
+
+
+def cmd_fan_report(args, inputs):
+    from . import schemeprops
+    props = polyfan.fan_properties(inputs.fan)
+    report = schemeprops.scheme_property_report(props, parse_flags(args.flags))
+    return {
+        "properties": {f: getattr(props, f) for f in props.__slots__},
+        "scheme": report.as_dict(),
+    }
+
+
+def cmd_grading_build(args, inputs):
+    g = inputs.grading
+    A = g.class_group
+    return {
+        "class_group": {
+            "free_rank": A.free_rank,
+            "torsion_orders": list(A.torsion_orders),
+        },
+        "ray_degrees": _coords(g.ray_degrees),
+    }
+
+
+def cmd_pic(args, inputs):
+    from . import grading
+    return {"generators": _coords(grading.picard_group(inputs.grading).generators)}
+
+
+def cmd_subgroup_classify(args, inputs):
+    from . import grading
+    from .intlat import INFINITE
+    g = inputs.grading
+    b = grading.classify_subgroup(g, parse_subgroup(args.subgroup, g.class_group))
+    return {
+        "generators": _coords(b.generators),
+        "index": "infinite" if b.index_in_A == INFINITE else b.index_in_A,
+        "is_big": b.is_big,
+        "is_small": b.is_small,
+    }
+
+
+def cmd_cox_build(args, inputs):
+    c = inputs.ring
+    rays = list(inputs.fan.ray_index)
+    return {
+        "num_vars": c.num_vars,
+        "variable_degrees": _coords(c.variable_degrees()),
+        "irrelevant_generators": [format_monomial(e) for e in c.irrelevant_generators],
+        "restricted_irrelevant_generators": [
+            format_monomial(e) for e in c.restricted_irrelevant_generators
+        ],
+        "m_exponents": {
+            ",".join(str(rays.index(r)) for r in cone.ray_generators):
+                c.m_exponents[cone.ray_generators]
+            for cone in inputs.fan.maximal_cones()
+        },
+    }
+
+
+def cmd_chart(args, inputs):
     from . import cox
-    fan, warnings, g, c = _pipeline(args)
-    cone = _find_cone(fan, args.cone)
-    chart = cox.local_chart(c, cone)
-    return _emit(
-        {
-            "command": "chart",
-            "cone": args.cone,
-            "degree_zero_generators": [list(e) for e in chart.degree_zero_generators],
-            "toric_relations": [list(r) for r in chart.toric_relations],
-            "monoid_hilbert_basis": [list(u) for u in chart.monoid_chart[0]],
-            "warnings": warnings,
-        }
-    )
+    c = inputs.ring
+    chart = cox.local_chart(c, _find_cone(inputs.fan, args.cone))
+    return {
+        "cone": args.cone,
+        "degree_zero_generators": [list(e) for e in chart.degree_zero_generators],
+        "toric_relations": [list(r) for r in chart.toric_relations],
+        "monoid_hilbert_basis": [list(u) for u in chart.monoid_chart[0]],
+    }
 
 
-def cmd_ideal_saturate(args):
+def cmd_ideal_saturate(args, inputs):
     from . import gradmod
-    _, warnings, g, c = _pipeline(args)
-    exps = parse_ideal(args.ideal, c.num_vars)
-    s = gradmod.free_module(c)
-    sub = gradmod.GradedSubmodule(
-        s, tuple(({e: Fraction(1)},) for e in exps)
-    )
-    sat = gradmod.saturate_submodule(sub)
-    gens = sorted(
-        format_monomial(e) for x in sat.element_generators for p in x for e in p
-    )
-    return _emit(
-        {
-            "command": "ideal saturate",
-            "input": sorted(format_monomial(e) for e in exps),
-            "generators": gens,
-            "warnings": warnings,
-        }
-    )
+    sub = _ideal_submodule(args, inputs)
+    return {
+        "input": _generator_monomials(sub),
+        "generators": _generator_monomials(gradmod.saturate_submodule(sub)),
+    }
 
 
-def _window(spec, group, option):
-    """The degrees of a window option; an empty window is refused."""
-    degrees = _element_list(spec, group, "degree")
-    if not degrees:
-        raise ValidationError(f"{option} needs at least one degree")
-    return degrees
-
-
-def cmd_module_sections(args):
-    from . import gradmod, sheaf
-    _, warnings, g, c = _pipeline(args)
-    if args.module:
-        f = load_module_json(_read(args.module), c)
-    else:
-        f = gradmod.free_module(c)
-    s = sheaf.sheafify(f)
+def cmd_module_sections(args, inputs):
+    from . import sheaf
+    s = sheaf.sheafify(_module(inputs, args.module))
     dims = {}
-    for alpha in _window(args.degrees, g.class_group, "--degrees"):
+    for alpha in _window(args.degrees, inputs.grading.class_group, "--degrees"):
         w = sheaf.global_sections_degree(s, alpha, mode=args.mode)
-        key = ",".join(str(x) for x in _coords(alpha))
+        key = ",".join(str(x) for x in alpha.coords())
         dims[key] = {"dimension": w.dimension, "certificate": w.certificate}
-    return _emit(
-        {
-            "command": "module sections",
-            "mode": args.mode,
-            "dimensions": dims,
-            "warnings": warnings,
-        }
-    )
+    return {"mode": args.mode, "dimensions": dims}
 
 
-def cmd_module_torsion(args):
+def cmd_module_torsion(args, inputs):
     from . import gradmod
     cap = gradmod.DEFAULT_POWER_CAP if args.power_cap is None else args.power_cap
     if cap < 1:
         raise ValidationError("--power-cap must be >= 1")
-    _, warnings, g, c = _pipeline(args)
-    if args.module:
-        f = load_module_json(_read(args.module), c)
-    elif args.ideal:
-        f = gradmod.quotient_by_monomial_ideal(
-            c, parse_ideal(args.ideal, c.num_vars)
-        )
-    else:
-        f = gradmod.free_module(c)
-    cert = gradmod.is_torsion(f, power_cap=cap)
+    cert = gradmod.is_torsion(_module(inputs, args.module, args.ideal), power_cap=cap)
     table = [
-        {
-            "generator": i,
-            "cone_rays": [list(r) for r in key],
-            "power": k,
-        }
+        {"generator": i, "cone_rays": [list(r) for r in key], "power": k}
         for (i, key), k in sorted(cert.exponent_table.items())
     ]
-    return _emit(
-        {
-            "command": "module torsion",
-            "is_torsion": cert.is_torsion,
-            "certificate": table,
-            "capped": cert.capped,
-            "warnings": warnings,
-        }
-    )
+    return {"is_torsion": cert.is_torsion, "certificate": table, "capped": cert.capped}
 
 
-def cmd_sheaf_xi_check(args):
+def cmd_sheaf_xi_check(args, inputs):
     from . import gradmod, sheaf
-    _, warnings, g, c = _pipeline(args)
-    exps = parse_ideal(args.ideal, c.num_vars)
-    window = _window(args.window, g.class_group, "--window")
-    s = gradmod.free_module(c)
-    sub = gradmod.GradedSubmodule(s, tuple(({e: Fraction(1)},) for e in exps))
+    sub = _ideal_submodule(args, inputs)
+    window = _window(args.window, inputs.grading.class_group, "--window")
     sat = gradmod.saturate_submodule(sub)
-    t = sheaf.xi_forward(sub)
-    pre = sheaf.xi_preimage(t, s, window)
-    agrees = pre.element_generators == sat.element_generators
-    return _emit(
-        {
-            "command": "sheaf xi-check",
-            "saturation_generators": sorted(
-                format_monomial(e)
-                for x in sat.element_generators
-                for p in x
-                for e in p
-            ),
-            "preimage_generators": sorted(
-                format_monomial(e)
-                for x in pre.element_generators
-                for p in x
-                for e in p
-            ),
-            "round_trip_equal": agrees,
-            "warnings": warnings,
-        }
-    )
+    pre = sheaf.xi_preimage(sheaf.xi_forward(sub), sub.ambient, window)
+    return {
+        "saturation_generators": _generator_monomials(sat),
+        "preimage_generators": _generator_monomials(pre),
+        "round_trip_equal": pre.element_generators == sat.element_generators,
+    }
 
 
-def cmd_sheaf_lift(args):
-    from . import gradmod, sheaf
-    _, warnings, g, c = _pipeline(args)
-    exps = parse_ideal(args.ideal, c.num_vars)
-    s = gradmod.free_module(c)
-    sub = gradmod.GradedSubmodule(s, tuple(({e: Fraction(1)},) for e in exps))
+def cmd_sheaf_lift(args, inputs):
+    from . import sheaf
+    sub = _ideal_submodule(args, inputs)
     t = sheaf.xi_forward(sub)
-    lift = sheaf.lift_finite_type(t, s)
-    ok = sheaf.family_equal(sheaf.xi_forward(lift), t)
-    return _emit(
-        {
-            "command": "sheaf lift",
-            "lift_generators": sorted(
-                format_monomial(e)
-                for x in lift.element_generators
-                for p in x
-                for e in p
-            ),
-            "family_round_trip": ok,
-            "warnings": warnings,
-        }
-    )
+    lift = sheaf.lift_finite_type(t, sub.ambient)
+    return {
+        "lift_generators": _generator_monomials(lift),
+        "family_round_trip": sheaf.family_equal(sheaf.xi_forward(lift), t),
+    }
+
+
+# The help of each command group, in the order `coxfan --help` lists them.
+GROUP_HELP = {
+    "fan": "fan validation and property reports",
+    "grading": "class group and ray degrees",
+    "pic": "Picard subgroup generators",
+    "subgroup": "degree subgroup classification",
+    "cox": "restricted coordinate ring data",
+    "chart": "local chart of one fan cone",
+    "ideal": "monomial ideal operations",
+    "module": "graded module computations",
+    "sheaf": "subsheaf chart families",
+}
+
+_SUBGROUP = ("--subgroup", {})
+
+# Each command, by the words that name it: its handler, and the options
+# that follow its positional fan argument.
+COMMANDS = {
+    "fan validate": (cmd_fan_validate, []),
+    "fan report": (
+        cmd_fan_report,
+        [("--flags", {"default": "", "help": "comma-separated base ring flags"})],
+    ),
+    "grading build": (cmd_grading_build, []),
+    "pic": (cmd_pic, []),
+    "subgroup classify": (
+        cmd_subgroup_classify,
+        [("--subgroup", {"required": True, "help": "generators, e.g. '2' or '1,0;0,2'"})],
+    ),
+    "cox build": (cmd_cox_build, [_SUBGROUP, ("--flags", {"default": ""})]),
+    "chart": (
+        cmd_chart,
+        [("--cone", {"required": True, "help": "ray indices, e.g. '0,1'"}), _SUBGROUP],
+    ),
+    "ideal saturate": (
+        cmd_ideal_saturate,
+        [("--ideal", {"required": True, "help": "monomials, e.g. 'Z1*Z2,Z1*Z3'"}), _SUBGROUP],
+    ),
+    "module sections": (
+        cmd_module_sections,
+        [
+            ("--module", {}),
+            ("--degrees", {"required": True, "help": "e.g. '-1;0;1'"}),
+            ("--mode", {"choices": ["via_shift", "via_twist"], "default": "via_shift"}),
+            _SUBGROUP,
+        ],
+    ),
+    "module torsion": (
+        cmd_module_torsion,
+        [
+            ("--module", {}),
+            ("--ideal", {"help": "quotient by this monomial ideal"}),
+            ("--power-cap", {"type": int}),
+            _SUBGROUP,
+        ],
+    ),
+    "sheaf xi-check": (
+        cmd_sheaf_xi_check,
+        [
+            ("--ideal", {"required": True}),
+            ("--window", {"default": "0;1;2;3", "help": "degrees, e.g. '0;1;2;3'"}),
+            _SUBGROUP,
+        ],
+    ),
+    "sheaf lift": (cmd_sheaf_lift, [("--ideal", {"required": True}), _SUBGROUP]),
+}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -591,115 +562,36 @@ def build_parser():
         prog="coxfan",
         description="Exact toric-fan, Cox-ring and sheaf computations with JSON output",
     )
-    sub = p.add_subparsers(dest="group", required=True)
-
-    fan_p = sub.add_parser("fan", help="fan validation and property reports")
-    fan_sub = fan_p.add_subparsers(dest="action", required=True)
-    fv = fan_sub.add_parser("validate")
-    fv.add_argument("fan")
-    fv.set_defaults(func=cmd_fan_validate)
-    fr = fan_sub.add_parser("report")
-    fr.add_argument("fan")
-    fr.add_argument("--flags", default="", help="comma-separated base ring flags")
-    fr.set_defaults(func=cmd_fan_report)
-
-    gr_p = sub.add_parser("grading", help="class group and ray degrees")
-    gr_sub = gr_p.add_subparsers(dest="action", required=True)
-    gb = gr_sub.add_parser("build")
-    gb.add_argument("fan")
-    gb.set_defaults(func=cmd_grading_build)
-
-    pic_p = sub.add_parser("pic", help="Picard subgroup generators")
-    pic_p.add_argument("fan")
-    pic_p.set_defaults(func=cmd_pic)
-
-    sg_p = sub.add_parser("subgroup", help="degree subgroup classification")
-    sg_sub = sg_p.add_subparsers(dest="action", required=True)
-    sc = sg_sub.add_parser("classify")
-    sc.add_argument("fan")
-    sc.add_argument("--subgroup", required=True, help="generators, e.g. '2' or '1,0;0,2'")
-    sc.set_defaults(func=cmd_subgroup_classify)
-
-    cox_p = sub.add_parser("cox", help="restricted coordinate ring data")
-    cox_sub = cox_p.add_subparsers(dest="action", required=True)
-    cb = cox_sub.add_parser("build")
-    cb.add_argument("fan")
-    cb.add_argument("--subgroup", default=None)
-    cb.add_argument("--flags", default="")
-    cb.set_defaults(func=cmd_cox_build)
-
-    ch = sub.add_parser("chart", help="local chart of one fan cone")
-    ch.add_argument("fan")
-    ch.add_argument("--cone", required=True, help="ray indices, e.g. '0,1'")
-    ch.add_argument("--subgroup", default=None)
-    ch.set_defaults(func=cmd_chart)
-
-    id_p = sub.add_parser("ideal", help="monomial ideal operations")
-    id_sub = id_p.add_subparsers(dest="action", required=True)
-    isat = id_sub.add_parser("saturate")
-    isat.add_argument("fan")
-    isat.add_argument("--ideal", required=True, help="monomials, e.g. 'Z1*Z2,Z1*Z3'")
-    isat.add_argument("--subgroup", default=None)
-    isat.set_defaults(func=cmd_ideal_saturate)
-
-    mod_p = sub.add_parser("module", help="graded module computations")
-    mod_sub = mod_p.add_subparsers(dest="action", required=True)
-    ms = mod_sub.add_parser("sections")
-    ms.add_argument("fan")
-    ms.add_argument("--module", default=None)
-    ms.add_argument("--degrees", required=True, help="e.g. '-1;0;1'")
-    ms.add_argument("--mode", choices=["via_shift", "via_twist"], default="via_shift")
-    ms.add_argument("--subgroup", default=None)
-    ms.set_defaults(func=cmd_module_sections)
-    mt = mod_sub.add_parser("torsion")
-    mt.add_argument("fan")
-    mt.add_argument("--module", default=None)
-    mt.add_argument("--ideal", default=None, help="quotient by this monomial ideal")
-    mt.add_argument("--power-cap", type=int, default=None)
-    mt.add_argument("--subgroup", default=None)
-    mt.set_defaults(func=cmd_module_torsion)
-
-    sh_p = sub.add_parser("sheaf", help="subsheaf chart families")
-    sh_sub = sh_p.add_subparsers(dest="action", required=True)
-    sx = sh_sub.add_parser("xi-check")
-    sx.add_argument("fan")
-    sx.add_argument("--ideal", required=True)
-    sx.add_argument("--window", default="0;1;2;3", help="degrees, e.g. '0;1;2;3'")
-    sx.add_argument("--subgroup", default=None)
-    sx.set_defaults(func=cmd_sheaf_xi_check)
-    sl = sh_sub.add_parser("lift")
-    sl.add_argument("fan")
-    sl.add_argument("--ideal", required=True)
-    sl.add_argument("--subgroup", default=None)
-    sl.set_defaults(func=cmd_sheaf_lift)
-
+    groups = p.add_subparsers(dest="group", required=True)
+    actions = {}
+    for name, (handler, options) in COMMANDS.items():
+        group, _, action = name.partition(" ")
+        if not action:
+            sp = groups.add_parser(group, help=GROUP_HELP[group])
+        else:
+            if group not in actions:
+                gp = groups.add_parser(group, help=GROUP_HELP[group])
+                actions[group] = gp.add_subparsers(dest="action", required=True)
+            sp = actions[group].add_parser(action)
+        sp.add_argument("fan")
+        for flag, spec in options:
+            sp.add_argument(flag, **spec)
+        sp.set_defaults(command=name, handler=handler)
     return p
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except ParseError as e:
-        _emit(
-            {
-                "ok": False,
-                "error": {
-                    "type": "ParseError",
-                    "reason": e.reason,
-                    "line": e.line,
-                },
-            }
-        )
-        return EXIT_PARSE
-    except domain_errors() as e:
-        _emit(
-            {
-                "ok": False,
-                "error": {"type": type(e).__name__, "reason": str(e)},
-            }
-        )
-        return EXIT_DOMAIN
+        inputs = _Inputs(args)
+        payload = args.handler(args, inputs)
+        return _emit({**payload, "command": args.command, "warnings": inputs.warnings})
+    except (ParseError, DomainError) as e:
+        error = {"type": type(e).__name__, "reason": str(e)}
+        if isinstance(e, ParseError):
+            error["line"] = e.line
+        _emit({"ok": False, "error": error})
+        return EXIT_PARSE if isinstance(e, ParseError) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ dual cones.
 from __future__ import annotations
 
 from . import intlat
-from ._record import Record
+from ._record import DomainError, Record
 from .grading import GradingData, SubgroupB, degree_fiber
 from .grading import _cone_points, _degree_zero_lattice, _nonnegative_rows
 from .groeb import minimalize_monomials
@@ -25,11 +25,11 @@ from .intlat import (
 from .polyfan import Cone, dual_cone, hilbert_basis
 
 
-class NotBig(ValueError):
+class NotBig(DomainError):
     pass
 
 
-class ConeNotInFan(ValueError):
+class ConeNotInFan(DomainError):
     pass
 
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import islice
 from operator import add, mul
 
-from ._record import Record
+from ._record import DomainError, Record
 from .intlat import (
     INFINITE,
     AbelianGroup,
@@ -30,11 +30,11 @@ from .polyfan import Fan, fm_combine
 FIBER_POINT_CAP = 200_000
 
 
-class UnboundedFiber(ValueError):
+class UnboundedFiber(DomainError):
     pass
 
 
-class FiberTooLarge(ValueError):
+class FiberTooLarge(DomainError):
     """A degree fiber has more than FIBER_POINT_CAP points."""
 
 

@@ -355,37 +355,12 @@ class QuotientMap:
 
 
 def _unimodular_inverse(u: IntMatrix):
-    """Exact inverse of a unimodular integer matrix via integer elimination."""
-    n = u.rows
-    a = u.to_rows()
-    inv = IntMatrix.identity(n).to_rows()
-    for col in range(n):
-        piv = None
-        # gcd-style elimination keeps everything integral.
-        while True:
-            nz = [i for i in range(col, n) if a[i][col] != 0]
-            nz.sort(key=lambda i: (abs(a[i][col]), i))
-            piv = nz[0]
-            if len(nz) == 1:
-                break
-            for i in nz[1:]:
-                q = a[i][col] // a[piv][col]
-                a[i] = [x - q * y for x, y in zip(a[i], a[piv])]
-                inv[i] = [x - q * y for x, y in zip(inv[i], inv[piv])]
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        if a[col][col] < 0:
-            a[col] = [-x for x in a[col]]
-            inv[col] = [-x for x in inv[col]]
-        if a[col][col] != 1:
-            raise ValueError("matrix is not unimodular")
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                q = a[i][col]
-                a[i] = [x - q * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - q * y for x, y in zip(inv[i], inv[col])]
-    return IntMatrix.from_rows(inv, cols=n) if n else IntMatrix(0, 0, ())
+    """Exact inverse of a unimodular integer matrix: its Smith form d = p*u*q
+    is the identity, so the inverse is q*p."""
+    d, p, q = smith_normal_form(u)
+    if d != IntMatrix.identity(u.rows):
+        raise ValueError("matrix is not unimodular")
+    return q.mul(p)
 
 
 def cokernel_presentation(m: IntMatrix):

@@ -15,13 +15,13 @@ from itertools import combinations, product
 from math import gcd
 
 from . import ratlin
-from ._record import Record
+from ._record import DomainError, Record
 from .intlat import IntMatrix, integer_kernel, smith_normal_form, _unimodular_inverse
 
 RANK_CAP = 6
 
 
-class PolyfanError(ValueError):
+class PolyfanError(DomainError):
     pass
 
 
@@ -156,10 +156,6 @@ def cone_generators_from_inequalities(ineqs, eqs, rank):
 def in_cone(v, generators, rank):
     """Exact membership of a vector in cone(generators)."""
     ineqs, eqs = _hrep_cached(tuple(tuple(g) for g in generators), rank)
-    return _satisfies(v, ineqs, eqs)
-
-
-def _satisfies(v, ineqs, eqs):
     return all(_dot(f, v) >= 0 for f in ineqs) and all(
         _dot(e, v) == 0 for e in eqs
     )
@@ -204,9 +200,6 @@ class Cone(Record):
             return 0
         return ratlin.rank([list(g) for g in self.ray_generators])
 
-    def is_zero(self):
-        return not self.ray_generators
-
     def hrep(self):
         return _hrep_cached(self.ray_generators, self.ambient_rank)
 
@@ -217,10 +210,6 @@ class Cone(Record):
             ncols=self.ambient_rank,
         )
         return not ker
-
-    def contains(self, v):
-        ineqs, eqs = self.hrep()
-        return _satisfies(v, ineqs, eqs)
 
     def faces(self):
         """All faces (including the cone itself and, when pointed, 0)."""
@@ -376,9 +365,6 @@ class Fan(Record):
         "cones",  # all cones, face-closed, deduplicated, sorted
         "ray_index",  # ordered primitive ray generators (Sigma_1 order)
     )
-
-    def rays(self):
-        return self.ray_index
 
     def maximal_cones(self):
         out = []

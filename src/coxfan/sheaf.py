@@ -23,7 +23,7 @@ from itertools import combinations
 from operator import add, mul
 
 from . import ratlin
-from ._record import Record
+from ._record import DomainError, Record
 from .cox import CoxRingData
 from .grading import _degree_zero_lattice, _lattice_points
 from .gradmod import (
@@ -50,7 +50,7 @@ DEFAULT_MAX_LEVEL = 8
 _ONE = Fraction(1)
 
 
-class Unstabilized(RuntimeError):
+class Unstabilized(DomainError, RuntimeError):
     """A windowed computation did not settle within its bound, or no
     level can settle it."""
 

@@ -1,9 +1,11 @@
 """Command-line interface: schemas, exit codes, determinism."""
 
 import contextlib
+import functools
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from referencing import Registry, Resource
 
 import coxfan
@@ -29,10 +33,15 @@ def _registry():
 REGISTRY = _registry()
 
 
-def _validate(payload, name):
+@functools.lru_cache(maxsize=None)
+def _validator(name):
     with open(SCHEMA_DIR / f"{name}.schema.json") as fh:
         schema = json.load(fh)
-    jsonschema.Draft202012Validator(schema, registry=REGISTRY).validate(payload)
+    return jsonschema.Draft202012Validator(schema, registry=REGISTRY)
+
+
+def _validate(payload, name):
+    _validator(name).validate(payload)
 
 
 def _run(args):
@@ -247,6 +256,37 @@ def test_repeated_primitive_ray_is_validation_error(tmp_path):
             "type": "ValidationError",
             "reason": "rays 0 and 1 span the same ray [1, 0]",
         }
+
+
+MALFORMED_FANS = {
+    "rays_int": ({"rank": 2, "rays": 5, "max_cones": []}, "rays must be a list"),
+    "rays_null": ({"rank": 2, "rays": None, "max_cones": []}, "rays must be a list"),
+    "rays_object": ({"rank": 2, "rays": {}, "max_cones": []}, "rays must be a list"),
+    "bool_rank": ({"rank": True, "rays": [[1]], "max_cones": [[0]]}, "rank must be"),
+    "bool_coordinate": (
+        {"rank": 2, "rays": [[True, 0], [0, 1]], "max_cones": [[0, 1]]},
+        "ray 0 must be",
+    ),
+    "bool_cone_index": (
+        {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[False, True]]},
+        "bad cone ray index list",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FANS))
+def test_malformed_fan_is_parse_error(tmp_path, name):
+    # Before these were refused, 'rays' that is not a list escaped as a
+    # TypeError, and booleans were read as the integers 0 and 1.
+    doc, reason = MALFORMED_FANS[name]
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps(doc))
+    code, out = _run(["fan", "validate", str(fan)])
+    assert code == cli.EXIT_PARSE, out
+    payload = json.loads(out)
+    _validate(payload, "error")
+    assert payload["error"]["type"] == "ParseError"
+    assert payload["error"]["reason"].startswith(reason)
 
 
 @pytest.mark.parametrize(
@@ -560,3 +600,155 @@ def test_module_json_loader(p2, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["is_torsion"] is False
+
+
+# In-process fuzzing of cli.main: malformed fans, ideals, degree lists,
+# module JSON and power caps.  Numbers stay small where they are sizes
+# (exponents up to 12 a factor, degrees up to 9, besides one degree past
+# the fiber cap): the CLI has no cap yet on exponent size or window
+# degree, and a large one is a long computation, not a malformed input.
+FUZZ_SECONDS = 5
+
+_SCALARS = st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from([0.5, "1", "x"])
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["rank", "rays", "max_cones", "gen"]), inner, max_size=2),
+    max_leaves=6,
+)
+_P2 = corpus.fan_spec("p2")
+# P2 with one field replaced, or any JSON document.
+_FANS = st.one_of(
+    _JSON,
+    st.tuples(st.sampled_from(sorted(_P2)), _SCALARS | _JSON).map(
+        lambda fv: {**_P2, fv[0]: fv[1]}
+    ),
+    st.lists(st.lists(st.integers(-2, 2) | _JSON, max_size=3), max_size=4).map(
+        lambda rays: {**_P2, "rays": rays}
+    ),
+    st.lists(st.lists(st.integers(-1, 3) | _JSON, max_size=3), max_size=4).map(
+        lambda cones: {**_P2, "max_cones": cones}
+    ),
+)
+_POWERS = st.sampled_from(["", "^2", "^12", "^0", "^-1", "^", "^x"])
+_MONOMIALS = st.lists(
+    st.sampled_from(["Z1", "Z2", "Z3", "Z4", "Z0", "Z", "Y1", "1", "", " "]).flatmap(
+        lambda var: _POWERS.map(var.__add__)
+    ),
+    max_size=3,
+).map("*".join)
+_IDEALS = st.lists(_MONOMIALS, max_size=3).map(",".join)
+_COORDS = st.integers(-6, 9).map(str) | st.sampled_from(["99999999", "x", "", "1.5", "--1"])
+_DEGREES = st.lists(
+    st.lists(_COORDS, min_size=1, max_size=3).map(",".join), max_size=3
+).map(";".join)
+_TERMS = st.fixed_dictionaries(
+    {
+        "gen": st.sampled_from([0, 1, -1, True, "0"]),
+        "exponent": st.lists(st.integers(0, 3), min_size=3, max_size=3) | _JSON,
+        "coefficient": st.sampled_from([1, -1, "1/2", "0", "1/0", "x", 0.5, True]),
+    }
+) | _JSON
+_MODULES = st.fixed_dictionaries(
+    {
+        "generator_degrees": st.lists(
+            st.lists(st.integers(-1, 2), min_size=1, max_size=2), max_size=2
+        )
+        | _JSON,
+        "relations": st.lists(st.lists(_TERMS, max_size=3), max_size=2) | _JSON,
+    }
+) | _JSON
+_CAPS = st.integers(-2, 10**9).map(str) | st.sampled_from(["x", "", "1e3"])
+
+# Requests as (argv, {file name: JSON document}); "{dir}" is the files'
+# directory and "{p2}" the P2 fixture.
+_FAN_REQUESTS = st.tuples(
+    st.sampled_from(
+        [["fan", "validate"], ["fan", "report"], ["grading", "build"], ["pic"], ["cox", "build"]]
+    ).map(lambda words: [*words, "{dir}/fan.json"]),
+    _FANS.map(lambda doc: {"fan.json": doc}),
+)
+_OTHER_REQUESTS = st.one_of(
+    st.tuples(
+        st.sampled_from(
+            [["ideal", "saturate"], ["module", "torsion"], ["sheaf", "lift"], ["sheaf", "xi-check"]]
+        ).flatmap(lambda words: _IDEALS.map(lambda i: [*words, "{p2}", "--ideal", i])),
+        st.just({}),
+    ),
+    st.tuples(
+        st.sampled_from(["via_shift", "via_twist"]).flatmap(
+            lambda mode: _DEGREES.map(
+                lambda d: ["module", "sections", "{p2}", "--mode", mode, f"--degrees={d}"]
+            )
+        )
+        | _DEGREES.map(lambda d: ["sheaf", "xi-check", "{p2}", "--ideal", "Z1", f"--window={d}"]),
+        st.just({}),
+    ),
+    st.tuples(
+        st.sampled_from(
+            [["module", "torsion", "{p2}"], ["module", "sections", "{p2}", "--degrees", "0;1;2"]]
+        ).map(lambda argv: [*argv, "--module", "{dir}/module.json"]),
+        _MODULES.map(lambda doc: {"module.json": doc}),
+    ),
+    st.tuples(
+        st.tuples(_IDEALS, _CAPS).map(
+            lambda ic: ["module", "torsion", "{p2}", "--ideal", ic[0], f"--power-cap={ic[1]}"]
+        ),
+        st.just({}),
+    ),
+)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def stop(signum, frame):
+        raise TimeoutError(f"a call took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _check_request(directory, p2, request):
+    """Exit code 0, 1 or 2, stdout that validates against the command's
+    schema or the error schema, and no call longer than FUZZ_SECONDS."""
+    argv, files = request
+    for name, doc in files.items():
+        (directory / name).write_text(json.dumps(doc))
+    argv = [a.format(dir=directory, p2=p2) for a in argv]
+    with _time_limit(FUZZ_SECONDS):
+        code, out = _run(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_DOMAIN, cli.EXIT_PARSE), argv
+    payload = json.loads(out)
+    if code == cli.EXIT_OK:
+        _validate(payload, payload["command"].replace(" ", "_").replace("-", "_"))
+    else:
+        _validate(payload, "error")
+
+
+_FUZZ = pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+
+
+@_FUZZ
+@seed(20)
+@settings(max_examples=100, database=None)
+@given(request=_FAN_REQUESTS)
+def test_malformed_fans_get_schema_json(fuzz_dir, p2, request):
+    _check_request(fuzz_dir, p2, request)
+
+
+@_FUZZ
+@seed(20)
+@settings(max_examples=60, database=None)
+@given(request=_OTHER_REQUESTS)
+def test_malformed_requests_get_schema_json(fuzz_dir, p2, request):
+    _check_request(fuzz_dir, p2, request)

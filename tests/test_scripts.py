@@ -49,3 +49,14 @@ def test_random_invariants_round_trips():
     out = _run("random_invariants.py", "--cones", "0", "--ideals", "0", "--round-trips", "6")
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "round trips: 6/6 passed"
+
+
+def test_cli_snapshot_runs():
+    out = _run("cli_snapshot.py")
+    assert out.returncode == 0, out.stderr
+    runs = json.loads(out.stdout)
+    assert not [r["argv"] for r in runs if "uncaught" in r]
+    assert {r["exit"] for r in runs} == {0, 1, 2}
+    # Paths are normalized, so two checkouts print the same document.
+    assert "<corpus>/p2.json" in out.stdout and "<tmp>/" in out.stdout
+    assert str(ROOT) not in out.stdout
