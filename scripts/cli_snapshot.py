@@ -3,8 +3,8 @@
 document.
 
 The runs are the twelve README commands on each corpus fan, a fixed set
-of refusals on each (bad flags, cone, ideal, window, module, power cap,
-subgroup and usage), commands on malformed fans, usage errors, and the
+of refusals on each (bad flags, cone, ideal, window, module, subgroup
+and usage), commands on malformed fans, usage errors, and the
 ``--help`` text of every parser.  Each run calls ``coxfan.cli.main`` in
 this process, from this checkout's ``src``.  Paths in arguments and
 output read ``<corpus>`` and ``<tmp>``, so the output of two checkouts

@@ -8,11 +8,16 @@ submodules (elements ``(p,)``).  With ``--round-trips N`` it also checks,
 on N random monomial ideals I of P2, P1xP1 and F2 and N random binomial
 ideals of P2 and P1xP1, that xi_preimage(xi_forward(I)) is the saturation
 of I (the iterated colon for monomial ideals) and that
-xi_forward(lift_finite_type(T)) equals T for the family T of I.
+xi_forward(lift_finite_type(T)) equals T for the family T of I.  With
+``--torsion N`` it checks the kill table of N random quotients of rank 1
+or 2 on P2, P1xP1 and F2, by monomial relations (exponents up to 20) or
+by binomial ones, against the reference Groebner engine, and that
+is_torsion agrees with the sheaf being zero.
 
 Usage:
     python3 scripts/random_invariants.py --cones 50 --ideals 25 --seed 7
     python3 scripts/random_invariants.py --cones 0 --ideals 0 --round-trips 200
+    python3 scripts/random_invariants.py --cones 0 --ideals 0 --torsion 200
 """
 
 import argparse
@@ -29,12 +34,16 @@ import oracles  # noqa: E402
 from coxfan import corpus, grading, polyfan  # noqa: E402
 from coxfan.cox import build_cox  # noqa: E402
 from coxfan.gradmod import (  # noqa: E402
+    GradedModulePresentation,
     GradedSubmodule,
     free_module,
+    is_torsion,
+    kill_table,
     saturate_submodule,
     submodules_equal,
 )
 from coxfan.groeb import (  # noqa: E402
+    ELIM,
     POT,
     _s_vector,
     m_is_zero,
@@ -44,7 +53,14 @@ from coxfan.groeb import (  # noqa: E402
     poly,
 )
 from coxfan.polyfan import Cone, dual_cone, hilbert_basis  # noqa: E402
-from coxfan.sheaf import family_equal, lift_finite_type, xi_forward, xi_preimage  # noqa: E402
+from coxfan.sheaf import (  # noqa: E402
+    family_equal,
+    is_zero_sheaf,
+    lift_finite_type,
+    sheafify,
+    xi_forward,
+    xi_preimage,
+)
 
 
 @dataclass(frozen=True)
@@ -52,6 +68,7 @@ class RunConfig:
     cones: int = 50
     ideals: int = 25
     round_trips: int = 0
+    torsion: int = 0
     seed: int = 7
     entry_bound: int = 4
     box: int = 3
@@ -162,6 +179,55 @@ def check_round_trip(rng, rings):
     )
 
 
+def _reference_contains(gb, x):
+    return not any(oracles.m_normal_form(x, gb, POT))
+
+
+def check_torsion(rng, rings):
+    """One quotient of rank 1 or 2 by monomial or binomial relations, each
+    in one generator's component: every kill-table entry k must put
+    z^k e_i in the relations and z^(k-1) e_i outside them, and every
+    None must leave e_i outside (relations : z^inf), by the reference
+    engine; is_torsion must agree with the sheaf being zero."""
+    cox = rings[rng.choice(sorted(rings))].cox
+    n, g = cox.num_vars, cox.grading
+    rank = rng.randint(1, 2)
+    top = 20
+    if rng.random() < 0.5:
+        polys = [
+            {tuple(rng.randint(1, top) if x else 0 for x in e): Fraction(1)}
+            for e in oracles.random_monomial_ideal(rng, n)
+        ]
+    else:
+        top = 4  # the binomial case runs Rabinowitsch's Groebner basis
+        polys = oracles.random_binomial_ideal(rng, n, lambda e: g.a_map(e).coords())
+    rels = []
+    for p in polys:
+        i = rng.randrange(rank)
+        rels.append(tuple(p if j == i else {} for j in range(rank)))
+    if rng.random() < 0.5:  # a torsion module: a power of each variable
+        for i in range(rank):
+            for v in range(n):
+                e = tuple(rng.randint(1, top) if u == v else 0 for u in range(n))
+                rels.append(tuple({e: Fraction(1)} if j == i else {} for j in range(rank)))
+    q = GradedModulePresentation(cox, (g.class_group.zero(),) * rank, tuple(rels))
+    rel_gb = oracles.module_groebner_basis(rels, POT)
+
+    def power(i, z, k):
+        return tuple({tuple(k * a for a in z): Fraction(1)} if j == i else {} for j in range(rank))
+
+    ok = True
+    for (i, key), k in kill_table(q).items():
+        z = cox.zhat[key]
+        if k is None:
+            sat = oracles.module_saturate_element(rels, {z: Fraction(1)}, rank, n, POT, ELIM)
+            ok &= not _reference_contains(oracles.module_groebner_basis(sat, POT), power(i, z, 0))
+        else:
+            ok &= _reference_contains(rel_gb, power(i, z, k))
+            ok &= not _reference_contains(rel_gb, power(i, z, k - 1))
+    return ok and is_torsion(q).is_torsion == is_zero_sheaf(sheafify(q))
+
+
 def _ideal(f, polys):
     return GradedSubmodule(f, tuple((p,) for p in polys))
 
@@ -171,10 +237,15 @@ def main():
     ap.add_argument("--cones", type=int, default=RunConfig.cones)
     ap.add_argument("--ideals", type=int, default=RunConfig.ideals)
     ap.add_argument("--round-trips", type=int, default=RunConfig.round_trips)
+    ap.add_argument("--torsion", type=int, default=RunConfig.torsion)
     ap.add_argument("--seed", type=int, default=RunConfig.seed)
     args = ap.parse_args()
     cfg = RunConfig(
-        cones=args.cones, ideals=args.ideals, round_trips=args.round_trips, seed=args.seed
+        cones=args.cones,
+        ideals=args.ideals,
+        round_trips=args.round_trips,
+        torsion=args.torsion,
+        seed=args.seed,
     )
 
     rng = random.Random(cfg.seed)
@@ -188,6 +259,11 @@ def main():
         trip_ok = sum(check_round_trip(rng, rings) for _ in range(cfg.round_trips))
         print(f"round trips: {trip_ok}/{cfg.round_trips} passed")
         failed = failed or trip_ok != cfg.round_trips
+    if cfg.torsion:
+        rings = round_trip_rings()
+        torsion_ok = sum(check_torsion(rng, rings) for _ in range(cfg.torsion))
+        print(f"torsion: {torsion_ok}/{cfg.torsion} passed")
+        failed = failed or torsion_ok != cfg.torsion
     if failed:
         raise SystemExit(1)
 

@@ -440,15 +440,12 @@ def cmd_module_sections(args, inputs):
 
 def cmd_module_torsion(args, inputs):
     from . import gradmod
-    cap = gradmod.DEFAULT_POWER_CAP if args.power_cap is None else args.power_cap
-    if cap < 1:
-        raise ValidationError("--power-cap must be >= 1")
-    cert = gradmod.is_torsion(_module(inputs, args.module, args.ideal), power_cap=cap)
+    cert = gradmod.is_torsion(_module(inputs, args.module, args.ideal))
     table = [
         {"generator": i, "cone_rays": [list(r) for r in key], "power": k}
         for (i, key), k in sorted(cert.exponent_table.items())
     ]
-    return {"is_torsion": cert.is_torsion, "certificate": table, "capped": cert.capped}
+    return {"is_torsion": cert.is_torsion, "certificate": table}
 
 
 def cmd_sheaf_xi_check(args, inputs):
@@ -527,7 +524,6 @@ COMMANDS = {
         [
             ("--module", {}),
             ("--ideal", {"help": "quotient by this monomial ideal"}),
-            ("--power-cap", {"type": int}),
             _SUBGROUP,
         ],
     ),

@@ -18,6 +18,7 @@ from .cox import CoxRingData
 from .grading import degree_fiber
 from .groeb import (
     m_is_zero,
+    m_term_mul,
     module_contains,
     module_groebner_basis,
     module_intersection,
@@ -25,8 +26,6 @@ from .groeb import (
     reduced_basis,
     submodule_equal,
 )
-
-DEFAULT_POWER_CAP = 16
 
 
 class GradedModulePresentation(Record):
@@ -160,19 +159,18 @@ def submodule_membership(x, sub: GradedSubmodule) -> bool:
 
 
 def _is_monomial_context(sub: GradedSubmodule):
-    return not sub.ambient.relations and all(
-        groeb.m_is_monomial(x) for x in sub.element_generators
-    )
+    return all(groeb.m_is_monomial(x) for x in sub.with_relations())
 
 
 def _monomial_saturation(sub: GradedSubmodule, zhats):
     """Generators of the intersection over ``zhats`` of the saturations
-    (sub : z^inf), for a monomial submodule of a free module.  Each
-    generator index carries its own monomial ideal; the output is sorted
-    by generator index, then by exponent."""
+    (sub + relations : z^inf), for a submodule that is monomial, relations
+    included.  Each generator index carries its own monomial ideal; the
+    output is sorted by generator index, then by exponent, as a reduced
+    basis is."""
     rank = sub.ambient.rank
     exps = {}
-    for x in sub.element_generators:
+    for x in sub.with_relations():
         for i, p in enumerate(x):
             exps.setdefault(i, []).extend(p)
     out = []
@@ -201,23 +199,6 @@ def saturate_at(g: GradedSubmodule, z):
     return reduced_basis(sat)
 
 
-def _kill_power(rel_gb, kern_gb, i, zexp, rank, cap=None):
-    """The least k with z^k times generator i in the relation module, None
-    when no k works, or cap + 1 when no k <= cap does.  kern_gb is the
-    localization kernel: some power kills generator i exactly when the
-    generator lies in it, so no power is tried otherwise."""
-    one = {(0,) * len(zexp): Fraction(1)}
-    unit = tuple(one if j == i else {} for j in range(rank))
-    if not module_contains(kern_gb, unit):
-        return None
-    for k in count(1) if cap is None else range(1, cap + 1):
-        e = tuple(k * x for x in zexp)
-        elem = tuple({} if j != i else {e: Fraction(1)} for j in range(rank))
-        if module_contains(rel_gb, elem):
-            return k
-    return cap + 1
-
-
 def saturate_submodule(g: GradedSubmodule) -> GradedSubmodule:
     """The smallest enlargement stable under colon by the restricted
     irrelevant ideal.  Computed as the intersection of the saturations by
@@ -243,6 +224,33 @@ def saturate_submodule(g: GradedSubmodule) -> GradedSubmodule:
     return GradedSubmodule(f, sat)
 
 
+def kill_table(f: GradedModulePresentation, kernels=None):
+    """(generator index i, maximal cone rays) -> the least k with z^k e_i
+    in the relation module, z the cone monomial, or None when no power of
+    z kills e_i.  ``kernels`` maps cone rays to the localization kernels
+    (relations : z^inf), which are computed here when not given.  Some
+    power kills e_i exactly when e_i lies in that kernel, so the count up
+    from k = 1 runs only when it ends."""
+    cox = f.cox
+    keys = [c.ray_generators for c in cox.grading.fan.maximal_cones()]
+    if kernels is None:
+        kernels = {key: saturate_at(GradedSubmodule(f, ()), cox.zhat[key]) for key in keys}
+    rel_gb = module_groebner_basis(list(f.relations))
+    one = {(0,) * f.nvars: Fraction(1)}
+    table = {}
+    for i in range(f.rank):
+        unit = tuple(one if j == i else {} for j in range(f.rank))
+        for key in keys:
+            table[(i, key)] = None
+            if module_contains(kernels[key], unit):
+                z = cox.zhat[key]
+                table[(i, key)] = next(
+                    k for k in count(1)
+                    if module_contains(rel_gb, m_term_mul(unit, tuple(k * x for x in z), 1))
+                )
+    return table
+
+
 def submodules_equal(a: GradedSubmodule, b: GradedSubmodule) -> bool:
     return submodule_equal(a.with_relations(), b.with_relations())
 
@@ -252,28 +260,17 @@ class TorsionCertificate(Record):
         "is_torsion",
         "exponent_table",  # (generator index, cone rays) -> least killing power
         "failure",  # (generator index, cone rays) not killed, when not torsion
-        "capped",  # True when the power cap, not the kernel, gave the verdict
     )
 
 
-def is_torsion(f: GradedModulePresentation, power_cap: int = DEFAULT_POWER_CAP):
+def is_torsion(f: GradedModulePresentation):
     """Whether every generator is annihilated, on each maximal cone, by a
-    power of the cone monomial modulo the relations."""
-    if power_cap < 1:
-        raise ValueError("power cap must be >= 1")
-    if f.rank == 0:
-        return TorsionCertificate(True, {}, None, False)
-    cox = f.cox
-    maximal = [c.ray_generators for c in cox.grading.fan.maximal_cones()]
-    rel_gb = (
-        module_groebner_basis(list(f.relations)) if f.relations else []
-    )
-    kern = {key: saturate_at(GradedSubmodule(f, ()), cox.zhat[key]) for key in maximal}
+    power of the cone monomial modulo the relations.  The certificate
+    holds the kill table in generator order up to the first entry that no
+    power kills."""
     table = {}
-    for i in range(f.rank):
-        for key in maximal:
-            found = _kill_power(rel_gb, kern[key], i, cox.zhat[key], f.rank, power_cap)
-            if found is None or found > power_cap:
-                return TorsionCertificate(False, table, (i, key), found is not None)
-            table[(i, key)] = found
-    return TorsionCertificate(True, table, None, False)
+    for entry, k in kill_table(f).items():
+        if k is None:
+            return TorsionCertificate(False, table, entry)
+        table[entry] = k
+    return TorsionCertificate(True, table, None)

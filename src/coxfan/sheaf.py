@@ -29,10 +29,10 @@ from .grading import _degree_zero_lattice, _lattice_points
 from .gradmod import (
     GradedModulePresentation,
     GradedSubmodule,
-    _kill_power,
     _monomials_of_degree,
     component_span_rows,
     graded_elements,
+    kill_table,
     saturate_at,
 )
 from .groeb import (
@@ -209,24 +209,20 @@ def sheafify(f: GradedModulePresentation) -> SheafCoverPresentation:
     localization kernels the section windows quotient by."""
     cox = f.cox
     A = cox.grading.class_group
-    rel_gb = module_groebner_basis(list(f.relations)) if f.relations else []
     keys = [cone.ray_generators for cone in cox.grading.fan.maximal_cones()]
     faces = dict.fromkeys(keys + [tau for *_, tau in _overlaps(keys)])
     kernels = {key: saturate_at(GradedSubmodule(f, ()), cox.zhat[key]) for key in faces}
+    table = kill_table(f, kernels)
     charts = {}
     for key in keys:
-        z = cox.zhat[key]
-        killed = {}
-        gens = []
-        for i in range(f.rank):
-            k = _kill_power(rel_gb, kernels[key], i, z, f.rank)
-            if k is not None:
-                killed[i] = k
-                continue
-            alpha = A.neg(f.generator_degrees[i])
-            for v in _laurent_component_generators(cox, alpha, key):
-                gens.append((i, v))
-        charts[key] = LocalModuleWindow(cone_key=key, generators=tuple(gens), killed=killed)
+        killed = {i: k for i in range(f.rank) if (k := table[(i, key)]) is not None}
+        gens = tuple(
+            (i, v)
+            for i in range(f.rank)
+            if i not in killed
+            for v in _laurent_component_generators(cox, A.neg(f.generator_degrees[i]), key)
+        )
+        charts[key] = LocalModuleWindow(cone_key=key, generators=gens, killed=killed)
     return SheafCoverPresentation(origin=f, charts=charts, kernels=kernels)
 
 

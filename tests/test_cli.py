@@ -115,8 +115,9 @@ def test_parse_error_exit_code(tmp_path, p2):
         ["module", "sections", "{p2}", "--degrees", "1", "--mode", "foo"],
         ["module", "sections", "{p2}"],
         [],
+        ["module", "torsion", "{p2}", "--ideal", "Z1", "--power-cap", "3"],
     ],
-    ids=["bad_choice", "missing_required", "no_command"],
+    ids=["bad_choice", "missing_required", "no_command", "removed_power_cap"],
 )
 def test_usage_error_is_parse_error_json(p2, capsys, args):
     code = cli.main([a.format(p2=p2) for a in args])
@@ -214,14 +215,6 @@ def test_domain_error_exit_code(tmp_path):
     payload = json.loads(out)
     _validate(payload, "error")
     assert payload["error"]["type"] == "NonPointed"
-
-
-def test_power_cap_below_one_is_domain_error(p2):
-    code, out = _run(["module", "torsion", p2, "--ideal", "Z1", "--power-cap", "0"])
-    assert code == cli.EXIT_DOMAIN
-    payload = json.loads(out)
-    _validate(payload, "error")
-    assert payload["error"]["type"] == "ValidationError"
 
 
 def test_primitivity_warning(tmp_path):
@@ -404,8 +397,8 @@ def test_torsion_of_a_rank_two_module(tmp_path, p2):
     payload = json.loads(out)
     _validate(payload, "module_torsion")
     # No power of the cone monomial kills generator 0 there: the
-    # localization kernel certifies that, whatever the power cap.
-    assert payload["is_torsion"] is False and payload["capped"] is False
+    # localization kernel certifies that.
+    assert payload["is_torsion"] is False
     assert [(c["generator"], c["power"]) for c in payload["certificate"]] == [(0, 1)]
 
 
@@ -449,20 +442,24 @@ def test_huge_degree_is_refused_quickly(p2, args):
     assert str(grading.FIBER_POINT_CAP) in payload["error"]["reason"]
 
 
-def test_torsion_with_a_huge_power_cap_returns_quickly(p2):
-    # No power of Z2 or Z3 lies in (Z1), so the kill-power search must not
-    # walk up to the cap; a child process, so a hang fails at the timeout.
+def test_torsion_of_a_huge_power_returns_quickly(p2):
+    # Z1^10000 is killed on the chart where Z1 is inverted, by the power
+    # 10000 and no smaller one: the localization kernel of monomial
+    # relations is a monomial saturation, and the count up stops at the
+    # least power.  A child process, so a hang fails at the timeout.
     src = str(Path(cli.__file__).resolve().parents[1])
-    args = ["module", "torsion", p2, "--ideal", "Z1"]
     proc = subprocess.run(
-        [sys.executable, "-m", "coxfan.cli", *args, "--power-cap", "99999999"],
+        [sys.executable, "-m", "coxfan.cli", "module", "torsion", p2, "--ideal", "Z1^10000"],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=5,
     )
     assert proc.returncode == 0, proc.stdout
-    assert proc.stdout == _run(args)[1]
+    payload = json.loads(proc.stdout)
+    _validate(payload, "module_torsion")
+    assert payload["is_torsion"] is False
+    assert [(c["generator"], c["power"]) for c in payload["certificate"]] == [(0, 10000)]
 
 
 @pytest.mark.parametrize(
@@ -602,8 +599,8 @@ def test_module_json_loader(p2, tmp_path):
     assert payload["is_torsion"] is False
 
 
-# In-process fuzzing of cli.main: malformed fans, ideals, degree lists,
-# module JSON and power caps.  Numbers stay small where they are sizes
+# In-process fuzzing of cli.main: malformed fans, ideals, degree lists
+# and module JSON.  Numbers stay small where they are sizes
 # (exponents up to 12 a factor, degrees up to 9, besides one degree past
 # the fiber cap): the CLI has no cap yet on exponent size or window
 # degree, and a large one is a long computation, not a malformed input.
@@ -658,7 +655,6 @@ _MODULES = st.fixed_dictionaries(
         "relations": st.lists(st.lists(_TERMS, max_size=3), max_size=2) | _JSON,
     }
 ) | _JSON
-_CAPS = st.integers(-2, 10**9).map(str) | st.sampled_from(["x", "", "1e3"])
 
 # Requests as (argv, {file name: JSON document}); "{dir}" is the files'
 # directory and "{p2}" the P2 fixture.
@@ -689,12 +685,6 @@ _OTHER_REQUESTS = st.one_of(
             [["module", "torsion", "{p2}"], ["module", "sections", "{p2}", "--degrees", "0;1;2"]]
         ).map(lambda argv: [*argv, "--module", "{dir}/module.json"]),
         _MODULES.map(lambda doc: {"module.json": doc}),
-    ),
-    st.tuples(
-        st.tuples(_IDEALS, _CAPS).map(
-            lambda ic: ["module", "torsion", "{p2}", "--ideal", ic[0], f"--power-cap={ic[1]}"]
-        ),
-        st.just({}),
     ),
 )
 

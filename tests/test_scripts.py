@@ -51,6 +51,12 @@ def test_random_invariants_round_trips():
     assert out.stdout.splitlines()[-1] == "round trips: 6/6 passed"
 
 
+def test_random_invariants_torsion():
+    out = _run("random_invariants.py", "--cones", "0", "--ideals", "0", "--torsion", "8")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "torsion: 8/8 passed"
+
+
 def test_cli_snapshot_runs():
     out = _run("cli_snapshot.py")
     assert out.returncode == 0, out.stderr

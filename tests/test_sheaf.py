@@ -212,6 +212,57 @@ def test_kill_power_is_exact_beyond_sixteen(p2_cox):
     q = quotient_by_monomial_ideal(p2_cox, [(0, 0, 17)])
     killed = [w.killed for w in sheafify(q).charts.values() if w.killed]
     assert killed == [{0: 17}]
+    # S/<Z1^17, Z2^17, Z3^17> is torsion, each cone monomial's 17th power
+    # being the least that kills the generator
+    q = quotient_by_monomial_ideal(p2_cox, [(17, 0, 0), (0, 17, 0), (0, 0, 17)])
+    cert = is_torsion(q)
+    assert cert.is_torsion
+    assert list(cert.exponent_table.values()) == [17, 17, 17]
+
+
+def _least_kill_power(rels, i, z, bound):
+    """The least k <= bound with z^k e_i in the relation module, by the
+    reference Groebner engine, or None."""
+    gb = oracles.module_groebner_basis(list(rels), POT)
+    for k in range(1, bound + 1):
+        x = tuple({tuple(k * a for a in z): Fraction(1)} if j == i else {} for j in range(len(rels[0])))
+        if not any(oracles.m_normal_form(x, gb, POT)):
+            return k
+    return None
+
+
+@pytest.mark.parametrize("name", ["p2", "p112", "p1xp1"])
+def test_kill_table_matches_count_up_oracle(name):
+    # Random monomial modules of rank 1-2, exponents up to 20: a power of
+    # the cone monomial that kills a generator is at most the largest
+    # exponent of a relation, so counting up to it decides each entry.
+    c = _cox(name)
+    n = c.num_vars
+    A = c.grading.class_group
+    rng = random.Random(20261018)
+    for _ in range(12):
+        rank = rng.randint(1, 2)
+        rels = []
+        for _ in range(rng.randint(2, 6)):
+            e = [0] * n
+            for v in rng.sample(range(n), rng.choice([1, 1, 2])):
+                e[v] = rng.randint(1, 20)
+            i = rng.randrange(rank)
+            rels.append(tuple({tuple(e): Fraction(1)} if j == i else {} for j in range(rank)))
+        q = GradedModulePresentation(c, (A.zero(),) * rank, tuple(rels))
+        bound = max(x for r in rels for p in r for e in p for x in e)
+        table = gradmod.kill_table(q)
+        want = {
+            (i, key): _least_kill_power(rels, i, c.zhat[key], bound)
+            for (i, key) in table
+        }
+        assert table == want, rels
+        assert len(table) == rank * len(c.grading.fan.maximal_cones())
+        for key, chart in sheafify(q).charts.items():
+            assert chart.killed == {
+                i: k for i in range(rank) if (k := table[(i, key)]) is not None
+            }
+        assert is_torsion(q).is_torsion == (None not in table.values())
 
 
 def test_rank_two_localization_kernel(p2_cox):
