@@ -4,11 +4,11 @@ document.
 
 The runs are the twelve README commands on each corpus fan, a fixed set
 of refusals on each (bad flags, cone, ideal, window, module, subgroup
-and usage), commands on malformed fans, usage errors, and the
-``--help`` text of every parser.  Each run calls ``coxfan.cli.main`` in
-this process, from this checkout's ``src``.  Paths in arguments and
-output read ``<corpus>`` and ``<tmp>``, so the output of two checkouts
-can be compared with ``diff``:
+and usage), the sections of S/<Z1> in both modes, commands on malformed
+fans, usage errors, and the ``--help`` text of every parser.  Each run
+calls ``coxfan.cli.main`` in this process, from this checkout's ``src``.
+Paths in arguments and output read ``<corpus>`` and ``<tmp>``, so the
+output of two checkouts can be compared with ``diff``:
 
     python3 scripts/cli_snapshot.py > after.json
     python3 /path/to/other/checkout/scripts/cli_snapshot.py > before.json
@@ -68,6 +68,8 @@ REFUSALS = [
     ["module", "sections", "{fan}", "--degrees", "1,2,3"],
     ["module", "sections", "{fan}", "--module", "{tmp}/missing.json", "--degrees", "0"],
     ["module", "sections", "{fan}", "--module", "{tmp}/{name}-graded.json", "--degrees", "{window}"],
+    ["module", "sections", "{fan}", "--module", "{tmp}/{name}-graded.json", "--degrees", "{window}",
+     "--mode", "via_twist"],
     ["module", "torsion", "{fan}", "--module", "{tmp}/{name}-mixed.json"],
     ["module", "torsion", "{fan}", "--ideal", "Z1", "--power-cap", "0"],
     ["module", "torsion", "{fan}", "--ideal", "Z1", "--power-cap", "x"],

@@ -19,7 +19,7 @@ _EXPORTS = {
     "is_positively_graded local_chart strongly_graded_at",
     "gradmod": "GradedModulePresentation GradedSubmodule degree_component free_module "
     "is_torsion quotient_by_monomial_ideal saturate_submodule submodule_membership",
-    "sheaf": "ChartSubmoduleFamily LocalModuleWindow SheafCoverPresentation Unstabilized "
+    "sheaf": "ChartSubmoduleFamily SheafCoverPresentation Unstabilized "
     "global_sections_degree is_zero_sheaf lift_finite_type sheafify xi_forward xi_preimage",
     "schemeprops": "PropertyReport scheme_property_report",
 }

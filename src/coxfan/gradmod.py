@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import count
 
 from . import groeb, ratlin
 from ._record import Record
@@ -229,8 +228,10 @@ def kill_table(f: GradedModulePresentation, kernels=None):
     in the relation module, z the cone monomial, or None when no power of
     z kills e_i.  ``kernels`` maps cone rays to the localization kernels
     (relations : z^inf), which are computed here when not given.  Some
-    power kills e_i exactly when e_i lies in that kernel, so the count up
-    from k = 1 runs only when it ends."""
+    power kills e_i exactly when e_i lies in that kernel, so the search
+    for k runs only when it ends.  Membership of z^k e_i is monotone in k,
+    so the search tests k = 1, 2, 4, ... until one kills and bisects the
+    last gap: 2·ceil(log2 k) tests, and one for k = 1."""
     cox = f.cox
     keys = [c.ray_generators for c in cox.grading.fan.maximal_cones()]
     if kernels is None:
@@ -244,10 +245,17 @@ def kill_table(f: GradedModulePresentation, kernels=None):
             table[(i, key)] = None
             if module_contains(kernels[key], unit):
                 z = cox.zhat[key]
-                table[(i, key)] = next(
-                    k for k in count(1)
-                    if module_contains(rel_gb, m_term_mul(unit, tuple(k * x for x in z), 1))
-                )
+
+                def kills(k):
+                    return module_contains(rel_gb, m_term_mul(unit, tuple(k * x for x in z), 1))
+
+                lo, hi = 0, 1  # no power up to lo kills; test hi
+                while not kills(hi):
+                    lo, hi = hi, 2 * hi
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if kills(mid) else (mid, hi)
+                table[(i, key)] = hi
     return table
 
 

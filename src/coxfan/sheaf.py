@@ -1,15 +1,17 @@
 """Quasicoherent sheaves on the toric cover, presented chart by chart.
 
-A graded module is turned into a family of localized chart modules (one
-per maximal cone), glued along overlaps.  A chart's twists (its minimal
+A graded module's sheaf is held as its cover: the localization kernel
+of every maximal cone and of every intersection of two, computed once,
+and the kill table of the maximal cones (the least power of each cone
+monomial that kills each generator).  A chart's twists (its minimal
 Laurent generators of one degree) are exact: their cone parts lie in a
-box proven from the Smith form of the cone's rays.  The cover also holds
-the localization kernel of every maximal cone and of every intersection
-of two, computed once.  Global sections take degrees from finite lists
-and denominators from one level: a proven bound for a free module, else a
-heuristic.  Both section modes share one window/equalizer builder, whose
-coordinates are Laurent monomials; the lattice-point count of P_D checks
-them.
+box proven from the Smith form of the cone's rays.  Global sections take
+degrees from finite lists and denominators from one level: a proven
+bound for a free module, else a heuristic.  Both section modes share
+one window/equalizer builder, whose coordinates are Laurent monomials;
+the lattice-point count of P_D checks them.  The unit η of the
+correspondence is compared by dimensions: its kernel in degree α is the
+saturated relations modulo the relations there.
 Chart modules and the submodules the correspondences return are held as
 reduced POT Groebner bases, relations included, so equal modules are
 equal tuples.
@@ -31,6 +33,7 @@ from .gradmod import (
     GradedSubmodule,
     _monomials_of_degree,
     component_span_rows,
+    degree_component,
     graded_elements,
     kill_table,
     saturate_at,
@@ -55,24 +58,13 @@ class Unstabilized(DomainError, RuntimeError):
     level can settle it."""
 
 
-class LocalModuleWindow(Record):
-    """The localized chart module at one maximal cone."""
-
-    __slots__ = (
-        "cone_key",  # ray generators of the cone
-        "generators",  # (generator index, fractional exponent vector)
-        "killed",  # generator index -> least annihilating power
-    )
-
-    @property
-    def is_zero(self):
-        return not self.generators
-
-
 class SheafCoverPresentation(Record):
+    """The sheaf of a graded module, as what its readers use: the kill
+    table and the localization kernels the section windows quotient by."""
+
     __slots__ = (
         "origin",  # a GradedModulePresentation
-        "charts",  # maximal cone key -> LocalModuleWindow
+        "killed",  # (generator index, maximal cone key) -> least killing power, or None
         "kernels",  # cone key -> reduced basis of the localization kernel,
         # for the maximal cones and their pairwise intersections
     )
@@ -85,10 +77,7 @@ class SheafCoverPresentation(Record):
 class ChartSubmoduleFamily(Record):
     """A subsheaf given by its (saturated) chart submodules."""
 
-    __slots__ = (
-        "ambient",
-        "charts",  # cone key -> reduced basis of the chart module, relations included
-    )
+    __slots__ = ("charts",)  # cone key -> reduced basis of the chart module, relations included
 
 
 class GlobalSectionsWindow(Record):
@@ -204,30 +193,20 @@ def _overlaps(keys):
 
 
 def sheafify(f: GradedModulePresentation) -> SheafCoverPresentation:
-    """The cover presentation of the associated sheaf: one localized
-    module per maximal cone, with killed generators certified, and the
-    localization kernels the section windows quotient by."""
+    """The cover presentation of the associated sheaf: the localization
+    kernels of the maximal cones and of their pairwise intersections, and
+    the kill table read off the maximal cones' kernels."""
     cox = f.cox
-    A = cox.grading.class_group
     keys = [cone.ray_generators for cone in cox.grading.fan.maximal_cones()]
     faces = dict.fromkeys(keys + [tau for *_, tau in _overlaps(keys)])
     kernels = {key: saturate_at(GradedSubmodule(f, ()), cox.zhat[key]) for key in faces}
-    table = kill_table(f, kernels)
-    charts = {}
-    for key in keys:
-        killed = {i: k for i in range(f.rank) if (k := table[(i, key)]) is not None}
-        gens = tuple(
-            (i, v)
-            for i in range(f.rank)
-            if i not in killed
-            for v in _laurent_component_generators(cox, A.neg(f.generator_degrees[i]), key)
-        )
-        charts[key] = LocalModuleWindow(cone_key=key, generators=gens, killed=killed)
-    return SheafCoverPresentation(origin=f, charts=charts, kernels=kernels)
+    return SheafCoverPresentation(origin=f, killed=kill_table(f, kernels), kernels=kernels)
 
 
 def is_zero_sheaf(s: SheafCoverPresentation) -> bool:
-    return all(chart.is_zero for chart in s.charts.values())
+    """Whether every generator dies on every chart: some power of each
+    cone monomial kills each generator."""
+    return None not in s.killed.values()
 
 
 class _Window:
@@ -292,10 +271,15 @@ def _cover_twist(v, tw_tau, tau_pos):
 def _level_invariants(s, alpha, mode):
     """What the equalizer needs at every level, computed once: the degree
     read (via_shift: alpha with the single trivial twist; via_twist: 0
-    tensored with the Laurent generators of alpha), the twists of every
-    maximal cone and of every overlap, the level bound L, and per pair of
-    maximal cones the overlap key, the two cone keys and the level slack
-    that puts both sides' products in the overlap window."""
+    tensored with the Laurent generators of alpha), the live maximal cones,
+    the twists of every maximal cone and of every live overlap, the level
+    bound L, and per pair of live cones the overlap key, the two cone keys
+    and the level slack that puts both sides' products in the overlap
+    window.  A cone is live unless the kill table kills every generator
+    there: a dead chart's window is all subspace, and so is the window of
+    each of its overlaps, since its cone monomial divides the overlap's.
+    Neither adds to the equalizer, so neither is built, but L is taken
+    over every cone."""
     cox = s.cox
     shift = mode == "via_shift"
     degree = alpha if shift else cox.grading.class_group.zero()
@@ -306,6 +290,7 @@ def _level_invariants(s, alpha, mode):
         return _laurent_component_generators(cox, alpha, key)
 
     keys = [c.ray_generators for c in cox.grading.fan.maximal_cones()]
+    live = [k for k in keys if any(s.killed[i, k] is None for i in range(s.origin.rank))]
     twists = {key: twist(key) for key in keys}
     # The level bound L, proven in global_sections_degree.
     bound = max([1] + [
@@ -313,7 +298,7 @@ def _level_invariants(s, alpha, mode):
         for k in keys for v in twists[k] for p, z in enumerate(cox.zhat[k]) if z > 0
     ])
     pairs = []
-    for *sides, tau_key in _overlaps(keys):
+    for *sides, tau_key in _overlaps(live):
         if tau_key not in twists:
             twists[tau_key] = twist(tau_key)
         tau_pos = _sigma_positions(cox, tau_key)
@@ -322,15 +307,15 @@ def _level_invariants(s, alpha, mode):
             default=0,
         )
         pairs.append((tau_key, sides, slack))
-    return degree, keys, twists, bound, pairs
+    return degree, live, twists, bound, pairs
 
 
 def _sections_at_level(s, invariants, level_k):
-    """The equalizer of the chart windows at one level, and the windows.
-    It is the rank of its sparse rows: one row per overlap coordinate, read
-    off the images of both sides' coordinates.  A coordinate is a Laurent
-    monomial, and so is its image: the same monomial in the overlap
-    window."""
+    """The dimension of the equalizer of the live chart windows at one
+    level.  It is the rank of its sparse rows: one row per overlap
+    coordinate, read off the images of both sides' coordinates.  A
+    coordinate is a Laurent monomial, and so is its image: the same
+    monomial in the overlap window."""
     cox = s.cox
     degree, keys, twists, _, pairs = invariants
     windows = {
@@ -359,8 +344,7 @@ def _sections_at_level(s, invariants, level_k):
                     eq.setdefault(t, {})[off + col] = sign * x
         rows.extend(eq[t] for t in sorted(eq))
     trivial = sum(windows[k].sub_rank for k in keys)
-    dim = total - ratlin.rank(rows) - trivial
-    return dim, windows
+    return total - ratlin.rank(rows) - trivial
 
 
 def global_sections_degree(
@@ -396,54 +380,43 @@ def global_sections_degree(
     With relations steps 1 and 3 fail, and a heuristic takes over: the
     levels from L on are evaluated until two consecutive ones agree, for
     at most DEFAULT_MAX_LEVEL levels, else ``Unstabilized`` is raised."""
-    level, dim, certificate, _ = _evaluate(s, alpha, mode)
-    return GlobalSectionsWindow(alpha, mode, dim, level, certificate)
-
-
-def _evaluate(s, alpha, mode):
-    """The level, dimension, certificate and windows of
-    ``global_sections_degree``."""
     if mode not in ("via_shift", "via_twist"):
         raise ValueError(f"unknown mode {mode!r}")
     invariants = _level_invariants(s, alpha, mode)
     level = invariants[3]
-    dim, windows = _sections_at_level(s, invariants, level)
+    dim = _sections_at_level(s, invariants, level)
     certificate = "bound"
     if s.origin.relations:
         certificate = "heuristic"
         for level in range(level + 1, level + DEFAULT_MAX_LEVEL):
-            prev = dim
-            dim, windows = _sections_at_level(s, invariants, level)
+            prev, dim = dim, _sections_at_level(s, invariants, level)
             if dim == prev:
                 break
         else:
             raise Unstabilized(
                 f"section dimension did not settle within {DEFAULT_MAX_LEVEL} levels"
             )
-    return level, dim, certificate, windows
+    return GlobalSectionsWindow(alpha, mode, dim, level, certificate)
 
 
 def eta_component_is_bijective(s: SheafCoverPresentation, alpha) -> bool:
-    """Whether the canonical map from the degree-alpha component of the
-    module to the sections of the shifted sheaf is an isomorphism."""
-    from .gradmod import degree_component
-
+    """Whether the unit η_α: M_α → H0(M~(α)) of the correspondence is an
+    isomorphism, by dimensions.  Its kernel is (R : B^∞)_α / R_α, R the
+    relations and B the irrelevant ideal, and (R : B^∞) is the
+    intersection of the localization kernels of the maximal cones.  So
+    η_α is bijective exactly when that intersection is R_α in degree α
+    and dim M_α equals the section dimension."""
     f = s.origin
-    _, dim, _, windows = _evaluate(s, alpha, "via_shift")
+    h0 = global_sections_degree(s, alpha).dimension
     comp = degree_component(f, alpha)
-    if comp.dimension != dim:
-        return False
-    # injectivity: a degree component element mapping into every chart's
-    # quotient-by-zero subspace must already lie in the relation span; the
-    # monomial x^e·e_i is the window coordinate (i, e)
-    system = {}
-    for col, coord in enumerate(comp.monomial_basis):
-        for key, w in windows.items():
-            for t, x in w.image(coord).items():
-                system.setdefault((key, t), {})[col] = x
-    kernel = ratlin.nullspace(list(system.values()), ncols=len(comp.monomial_basis))
-    rel_rows = list(comp.relation_rows)  # independent: the pivot rows of an echelon
-    return ratlin.rank(rel_rows + kernel) == len(rel_rows)
+    index = {c: k for k, c in enumerate(comp.monomial_basis)}
+    keys = [c.ray_generators for c in s.cox.grading.fan.maximal_cones()]
+    saturated = ratlin.intersection(
+        (component_span_rows(f, graded_elements(f, s.kernels[k]), alpha, index) for k in keys),
+        len(index),
+    )
+    ker = len(saturated) - len(comp.relation_rows)
+    return ker == 0 and comp.dimension == h0
 
 
 def xi_forward(g: GradedSubmodule) -> ChartSubmoduleFamily:
@@ -455,7 +428,7 @@ def xi_forward(g: GradedSubmodule) -> ChartSubmoduleFamily:
         cone.ray_generators: saturate_at(g, cox.zhat[cone.ray_generators])
         for cone in cox.grading.fan.maximal_cones()
     }
-    return ChartSubmoduleFamily(ambient=g.ambient, charts=charts)
+    return ChartSubmoduleFamily(charts)
 
 
 def family_equal(a: ChartSubmoduleFamily, b: ChartSubmoduleFamily) -> bool:

@@ -527,7 +527,7 @@ picard_group subgroup_of_whole_group BaseRingFlags CoxRingData LocalChart
 build_cox gamma_is_iso is_positively_graded local_chart strongly_graded_at
 GradedModulePresentation GradedSubmodule degree_component free_module
 is_torsion quotient_by_monomial_ideal saturate_submodule
-submodule_membership ChartSubmoduleFamily LocalModuleWindow
+submodule_membership ChartSubmoduleFamily
 SheafCoverPresentation Unstabilized global_sections_degree is_zero_sheaf
 lift_finite_type sheafify xi_forward xi_preimage PropertyReport
 scheme_property_report __version__

@@ -1,6 +1,7 @@
 """Chart covers, global sections, and the module/submodule correspondences."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -50,12 +51,13 @@ def _alpha(ring, d):
     return ring.cox.grading.class_group.from_coords([d])
 
 
-def test_structure_cover_is_free(p2_ring):
+def test_structure_cover_is_free(p2_cox, p2_ring):
     cover = sheafify(p2_ring)
-    for w in cover.charts.values():
-        assert not w.is_zero
-        (i, vec), = w.generators
-        assert i == 0 and vec == (0, 0, 0)
+    assert not is_zero_sheaf(cover)
+    assert set(cover.killed.values()) == {None}
+    zero = _alpha(p2_ring, 0)
+    for key in cover.killed:
+        assert sheaf._laurent_component_generators(p2_cox, zero, key[1]) == ((0, 0, 0),)
 
 
 def test_irrelevant_quotient_gives_zero_cover(p2_cox, p2_ring):
@@ -64,14 +66,18 @@ def test_irrelevant_quotient_gives_zero_cover(p2_cox, p2_ring):
     )
     cover = sheafify(q)
     assert is_zero_sheaf(cover)
-    for w in cover.charts.values():
-        assert w.killed and all(k == 1 for k in w.killed.values())
+    assert len(cover.killed) == 3 and set(cover.killed.values()) == {1}
 
 
-def test_twist_chart_generators(p2_ring):
-    cover = sheafify(p2_ring.shifted(_alpha(p2_ring, 1)))
-    sizes = {len(w.generators) for w in cover.charts.values()}
-    assert sizes == {1}
+def test_twist_chart_generators(p2_cox, p2_ring):
+    # The generator of O(1) has degree -1, so each chart is spanned by the
+    # one Laurent monomial of degree 1 that is >= 0 on the cone's rays.
+    for cone in p2_cox.grading.fan.maximal_cones():
+        key = cone.ray_generators
+        gens = sheaf._laurent_component_generators(p2_cox, _alpha(p2_ring, 1), key)
+        assert len(gens) == 1
+        (v,) = gens
+        assert all(v[p] >= 0 for p in sheaf._sigma_positions(p2_cox, key))
 
 
 def test_sections_of_twists_match_counting_oracle(p2_ring):
@@ -111,10 +117,43 @@ def test_sections_on_product_fan():
         assert win.certificate == "bound" and win.dimension == want, (a, b)
 
 
-def test_comparison_map_bijective_in_positive_degrees(p2_ring):
-    cover = sheafify(p2_ring)
-    for d in range(5):
-        assert eta_component_is_bijective(cover, _alpha(p2_ring, d))
+def test_comparison_map_bijective_in_positive_degrees():
+    for name in ("p2", "p1xp1", "p112"):
+        c = _cox(name)
+        cover = sheafify(free_module(c))
+        for ray in (0, 1):
+            for d in range(5):
+                assert eta_component_is_bijective(cover, _ray_multiple(c.grading, d, ray)), (name, ray, d)
+
+
+def _quotient_sum(c, ideals):
+    """S/I_1 ⊕ ... ⊕ S/I_r for monomial ideals, each generator in degree 0."""
+    rank = len(ideals)
+    rels = tuple(
+        tuple({tuple(e): Fraction(1)} if j == i else {} for j in range(rank))
+        for i, ideal in enumerate(ideals)
+        for e in ideal
+    )
+    return GradedModulePresentation(c, (c.grading.class_group.zero(),) * rank, rels)
+
+
+def test_eta_kernel_decides_where_dimensions_agree(p2_cox, p2_ring):
+    # M = S/<Z1,Z2,Z3> ⊕ S/<Z1, Z2·Z3>.  At α = 0 the first summand's
+    # generator spans ker η_0, as B kills it, while dim M_0 = h0 = 2: the
+    # second summand's sheaf is the structure sheaf of two points.
+    irrelevant = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    pair = _quotient_sum(p2_cox, [irrelevant, [(1, 0, 0), (0, 1, 1)]])
+    s = sheafify(pair)
+    zero = _alpha(p2_ring, 0)
+    assert gradmod.degree_component(pair, zero).dimension == 2
+    assert global_sections_degree(s, zero).dimension == 2
+    assert not eta_component_is_bijective(s, zero)
+    for d in (1, 2, 3):
+        assert eta_component_is_bijective(s, _alpha(p2_ring, d)), d
+    # S/<Z1,Z2,Z3> alone: M_0 = Q, and the sheaf is 0.
+    s = sheafify(quotient_by_monomial_ideal(p2_cox, irrelevant))
+    got = [eta_component_is_bijective(s, _alpha(p2_ring, d)) for d in range(4)]
+    assert got == [False, True, True, True]
 
 
 def test_xi_forward_of_principal_ideal(p2_ring):
@@ -189,7 +228,7 @@ def test_lift_refusal_is_certified(p2_ring):
     assert sorted(zhat[k] for k in charts) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     other = next(k for k in charts if zhat[k] == (0, 0, 1))
     charts[other] = (_elem((0, 1, 0)),)
-    family = sheaf.ChartSubmoduleFamily(ambient=p2_ring, charts=charts)
+    family = sheaf.ChartSubmoduleFamily(charts)
     with pytest.raises(sheaf.Unstabilized, match="no chart module"):
         lift_finite_type(family, p2_ring)
 
@@ -210,14 +249,33 @@ def test_kill_power_is_exact_beyond_sixteen(p2_cox):
     # Z3^17 kills the generator on the chart where Z3 is inverted, and no
     # smaller power does
     q = quotient_by_monomial_ideal(p2_cox, [(0, 0, 17)])
-    killed = [w.killed for w in sheafify(q).charts.values() if w.killed]
-    assert killed == [{0: 17}]
+    killed = [(k, i) for (i, _), k in sheafify(q).killed.items() if k is not None]
+    assert killed == [(17, 0)]
     # S/<Z1^17, Z2^17, Z3^17> is torsion, each cone monomial's 17th power
     # being the least that kills the generator
     q = quotient_by_monomial_ideal(p2_cox, [(17, 0, 0), (0, 17, 0), (0, 0, 17)])
     cert = is_torsion(q)
     assert cert.is_torsion
     assert list(cert.exponent_table.values()) == [17, 17, 17]
+
+
+@pytest.mark.parametrize("k", [1, 100000])
+def test_kill_table_needs_logarithmically_many_tests(p2_cox, monkeypatch, k):
+    # Z1^k kills the generator where Z1 is inverted.  After the kernel test
+    # of e_1, doubling and bisection test 2·ceil(log2 k) powers, one when
+    # k = 1.
+    powers = []
+    real = gradmod.module_contains
+
+    def counted(gb, x):
+        if any(any(e) for p in x for e in p):
+            powers.append(x)
+        return real(gb, x)
+
+    monkeypatch.setattr(gradmod, "module_contains", counted)
+    table = gradmod.kill_table(quotient_by_monomial_ideal(p2_cox, [(k, 0, 0)]))
+    assert [v for v in table.values() if v is not None] == [k]
+    assert len(powers) <= 2 * math.ceil(math.log2(k)) + 1
 
 
 def _least_kill_power(rels, i, z, bound):
@@ -258,10 +316,7 @@ def test_kill_table_matches_count_up_oracle(name):
         }
         assert table == want, rels
         assert len(table) == rank * len(c.grading.fan.maximal_cones())
-        for key, chart in sheafify(q).charts.items():
-            assert chart.killed == {
-                i: k for i in range(rank) if (k := table[(i, key)]) is not None
-            }
+        assert sheafify(q).killed == table
         assert is_torsion(q).is_torsion == (None not in table.values())
 
 
@@ -272,8 +327,11 @@ def test_rank_two_localization_kernel(p2_cox):
     rels = (({(1, 0, 0): Fraction(1)}, {}), ({}, {(0, 1, 0): Fraction(1)}))
     m = GradedModulePresentation(p2_cox, (A.from_coords([0]), A.from_coords([1])), rels)
     cover = sheafify(m)
-    by_zhat = {p2_cox.zhat[k]: w.killed for k, w in cover.charts.items()}
-    assert by_zhat == {(1, 0, 0): {0: 1}, (0, 1, 0): {1: 1}, (0, 0, 1): {}}
+    by_zhat = {(i, p2_cox.zhat[key]): k for (i, key), k in cover.killed.items()}
+    assert by_zhat == {
+        (0, (1, 0, 0)): 1, (0, (0, 1, 0)): None, (0, (0, 0, 1)): None,
+        (1, (1, 0, 0)): None, (1, (0, 1, 0)): 1, (1, (0, 0, 1)): None,
+    }
 
 
 def _line_bundle_cover(rays, max_cones):
@@ -429,7 +487,7 @@ def test_free_sections_at_the_level_bound(name, a, bound):
         assert (win.dimension, win.level, win.certificate) == (want, level, "bound"), mode
     # One level lower some section is still missing.
     inv = sheaf._level_invariants(s, alpha, "via_twist")
-    assert sheaf._sections_at_level(s, inv, bound - 1)[0] < want
+    assert sheaf._sections_at_level(s, inv, bound - 1) < want
 
 
 # Degrees whose Laurent generators lie outside the box |u_j| <= 8 that a
@@ -487,6 +545,27 @@ def test_free_module_is_evaluated_at_one_level(monkeypatch):
     win = global_sections_degree(q, _ray_multiple(c.grading, 3), mode="via_twist")
     assert win.certificate == "heuristic" and calls[0] == 3 and len(calls) >= 2
     assert win.dimension == 4
+
+
+def test_killed_chart_builds_no_window(monkeypatch):
+    # S/<Z1> on P(1,1,2) dies on the chart where Z1 is inverted.  Its
+    # window and its overlaps' windows are all subspace (one overlap window
+    # has 169 coordinates at 6·D_0), so none of them is built.
+    c = _cox("p112")
+    s = sheafify(quotient_by_monomial_ideal(c, [(1, 0, 0)]))
+    (dead,) = [key for (_, key), k in s.killed.items() if k is not None]
+    built = []
+
+    class Counted(sheaf._Window):
+        def __init__(self, s, key, *rest):
+            built.append(key)
+            super().__init__(s, key, *rest)
+
+    monkeypatch.setattr(sheaf, "_Window", Counted)
+    win = global_sections_degree(s, _ray_multiple(c.grading, 6), mode="via_twist")
+    assert (win.dimension, win.level, win.certificate) == (4, 7, "heuristic")
+    assert built and not any(set(key) <= set(dead) for key in built)
+    assert len(set(built)) == 3  # the two live charts and their overlap
 
 
 @pytest.mark.parametrize("ideal", [None, [(1, 0, 0), (0, 1, 1)]], ids=["free", "Z1,Z2Z3"])
