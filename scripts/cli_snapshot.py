@@ -2,10 +2,11 @@
 """Print the CLI's stdout and exit code on a fixed set of runs, as one JSON
 document.
 
-The runs are the twelve README commands on each corpus fan, a fixed set
-of refusals on each (bad flags, cone, ideal, window, module, subgroup
-and usage), the sections of S/<Z1> in both modes, commands on malformed
-fans, usage errors, and the ``--help`` text of every parser.  Each run
+The runs are the twelve README commands on each corpus fan, ``cox build``
+on a second big subgroup of each, a fixed set of refusals on each (bad
+flags, cone, ideal, window, module, subgroup and usage), the sections of
+S/<Z1> in both modes, commands on malformed fans, usage errors, and the
+``--help`` text of every parser.  Each run
 calls ``coxfan.cli.main`` in this process, from this checkout's ``src``.
 Paths in arguments and output read ``<corpus>`` and ``<tmp>``, so the
 output of two checkouts can be compared with ``diff``:
@@ -31,14 +32,14 @@ os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
 
 from coxfan import cli, corpus, grading  # noqa: E402
 
-# Per corpus fan: a subgroup that is big, one that is not, a cone, and a
-# sections window valid for its class group.
+# Per corpus fan: two subgroups that are big, one that is not, a cone, and
+# a sections window valid for its class group.
 FAN_ARGS = {
-    "p2": ("2", "0", "0,1", "0;1;2;3"),
-    "p112": ("2", "0", "0,1", "0;1;2;3"),
-    "p1xp1": ("1,0;0,2", "1,0", "0,2", "0,0;1,0;0,1;1,1"),
-    "quadric_cone": ("2", "0", "0,1,2,3", "0;1;2"),
-    "three_rays": ("2", "0", "0", "0;1;2"),
+    "p2": ("2", "3", "0", "0,1", "0;1;2;3"),
+    "p112": ("2", "3", "0", "0,1", "0;1;2;3"),
+    "p1xp1": ("1,0;0,2", "2,0;0,2", "1,0", "0,2", "0,0;1,0;0,1;1,1"),
+    "quadric_cone": ("2", "3", "0", "0,1,2,3", "0;1;2"),
+    "three_rays": ("2", "3", "0", "0", "0;1;2"),
 }
 
 README = [
@@ -48,6 +49,7 @@ README = [
     ["pic", "{fan}"],
     ["subgroup", "classify", "{fan}", "--subgroup", "{big}"],
     ["cox", "build", "{fan}", "--subgroup", "{big}", "--flags", "field"],
+    ["cox", "build", "{fan}", "--subgroup", "{big2}"],
     ["chart", "{fan}", "--cone", "{cone}"],
     ["ideal", "saturate", "{fan}", "--ideal", "Z1*Z2,Z1*Z3"],
     ["module", "sections", "{fan}", "--degrees", "{window}"],
@@ -71,8 +73,7 @@ REFUSALS = [
     ["module", "sections", "{fan}", "--module", "{tmp}/{name}-graded.json", "--degrees", "{window}",
      "--mode", "via_twist"],
     ["module", "torsion", "{fan}", "--module", "{tmp}/{name}-mixed.json"],
-    ["module", "torsion", "{fan}", "--ideal", "Z1", "--power-cap", "0"],
-    ["module", "torsion", "{fan}", "--ideal", "Z1", "--power-cap", "x"],
+    ["module", "torsion", "{fan}", "--ideal", "Z99"],
     ["subgroup", "classify", "{fan}", "--subgroup", "1,2,3"],
     ["cox", "build", "{fan}", "--subgroup", "{small}"],
     ["module", "sections", "{fan}", "--degrees", "0", "--mode", "foo"],
@@ -115,7 +116,7 @@ BAD_FANS = {
 BAD_FAN_COMMANDS = [
     ["fan", "validate", "{fan}"],
     ["fan", "report", "{fan}", "--flags", "bogus"],
-    ["module", "torsion", "{fan}", "--ideal", "Z1", "--power-cap", "0"],
+    ["module", "torsion", "{fan}", "--ideal", "Z1"],
 ]
 
 USAGE = [
@@ -175,10 +176,11 @@ def main():
     runs = []
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        places = {str(tmp): "<tmp>", str(corpus.corpus_dir()): "<corpus>"}
+        corpus_dir = str(corpus.fixture_path("p2").parent)
+        places = {str(tmp): "<tmp>", corpus_dir: "<corpus>"}
 
         def run(template, **values):
-            values.update(tmp=str(tmp), corpus=str(corpus.corpus_dir()))
+            values.update(tmp=str(tmp), corpus=corpus_dir)
             argv = [a.format(**values) for a in template]
             record = _call(argv)
             shown = json.dumps({"argv": argv, **record})
@@ -187,11 +189,11 @@ def main():
             runs.append(json.loads(shown))
 
         for fan in corpus.CORPUS_NAMES:
-            big, small, cone, window = FAN_ARGS[fan]
+            big, big2, small, cone, window = FAN_ARGS[fan]
             _modules(tmp, fan)
             for template in README + REFUSALS:
                 run(template, fan=str(corpus.fixture_path(fan)), name=fan,
-                    big=big, small=small, cone=cone, window=window)
+                    big=big, big2=big2, small=small, cone=cone, window=window)
         for fan, content in BAD_FANS.items():
             path = tmp / f"{fan}.json"
             path.write_text(content if isinstance(content, str) else json.dumps(content))

@@ -9,20 +9,29 @@ dual cones.
 
 from __future__ import annotations
 
-from . import intlat
+from operator import mul
+
 from ._record import DomainError, Record
-from .grading import GradingData, SubgroupB, degree_fiber
-from .grading import _cone_points, _degree_zero_lattice, _nonnegative_rows
+from .grading import FIBER_POINT_CAP, FiberTooLarge, GradingData, SubgroupB
+from .grading import _degree_zero_lattice, _lattice_points, _nonnegative_rows
 from .groeb import minimalize_monomials
 from .intlat import (
     INFINITE,
     IntMatrix,
+    _presentation_rows,
     element_order_in_quotient,
     hermite_row_basis,
     integer_kernel,
+    smith_normal_form,
     subgroup_contains,
 )
-from .polyfan import Cone, dual_cone, hilbert_basis
+from .polyfan import (
+    Cone,
+    cone_generators_from_inequalities,
+    cone_inequalities,
+    dual_cone,
+    hilbert_basis,
+)
 
 
 class NotBig(DomainError):
@@ -95,7 +104,7 @@ def build_cox(g: GradingData, b: SubgroupB, flags: BaseRingFlags = BaseRingFlags
         m_exponents[cone.ray_generators] = order
     maximal = [c.ray_generators for c in g.fan.maximal_cones()]
     irrelevant = tuple(minimalize_monomials(zhat[k] for k in maximal))
-    restricted = _restricted_irrelevant(g, b, zhat, m_exponents, maximal, irrelevant)
+    restricted = _restricted_irrelevant(g, b, zhat, maximal, irrelevant)
     return CoxRingData(
         grading=g,
         subgroup=b,
@@ -107,29 +116,33 @@ def build_cox(g: GradingData, b: SubgroupB, flags: BaseRingFlags = BaseRingFlags
     )
 
 
-def _restricted_irrelevant(g, b, zhat, m_exponents, maximal, irrelevant):
+def _restricted_irrelevant(g, b, zhat, maximal, irrelevant):
     """Minimal monomial generators of I ∩ S_B.
 
-    With B = A this is I.  Otherwise the monomials of I in the lattice of
-    exponents with degree in B are enumerated up to the total-degree cap
-    |Sigma_1| * max m_sigma + max |Zhat|; the powers Zhat^m landing in S_B
-    guarantee every minimal generator appears below the cap.
+    With B = A this is I.  Otherwise the exponents of degree in B form the
+    lattice L_B, of finite index, whose largest Smith invariant e is the
+    exponent of A/B; so e*e_j lies in L_B, and every minimal point of
+    (-Zhat_sigma + L_B) ∩ N^n lies in the box [0, e)^n.  The generators are
+    the minimal elements of Zhat_sigma + (those box points) over the
+    maximal cones sigma.  A coset of L_B has e^n / [A : B] points in the
+    box; past FIBER_POINT_CAP in all, FiberTooLarge is raised.
     """
-    if not maximal:
-        return []
-    if b.index_in_A == 1:
+    if not maximal or b.index_in_A == 1:
         return list(irrelevant)
     nr = g.num_rays
-    m_max = max(m_exponents[k] for k in maximal)
-    cap = nr * m_max + max(sum(zhat[k]) for k in maximal)
     lat = hermite_row_basis(
         [*_degree_zero_lattice(g.c_matrix), *map(g.a_map.lift, b.generators)], nr
     )
-    found = [
-        v
-        for v in _cone_points(lat, (0,) * nr, cap)
-        if any(all(x >= y for x, y in zip(v, zhat[k])) for k in maximal)
-    ]
+    e = smith_normal_form(IntMatrix.from_rows(lat))[0].at(nr - 1, nr - 1)
+    if len(maximal) * e**nr // b.index_in_A > FIBER_POINT_CAP:
+        raise FiberTooLarge(f"more than {FIBER_POINT_CAP} points (the enumeration cap)")
+    rows = _nonnegative_rows(lat, nr)
+    box = rows + tuple(tuple(-x for x in r) for r in rows)
+    found = []
+    for k in maximal:
+        # x = u . lat with Zhat <= x <= Zhat + e - 1
+        offsets = tuple(-z for z in zhat[k]) + tuple(z + e - 1 for z in zhat[k])
+        found += _lattice_points(box, offsets, (0,) * nr, lat)
     return minimalize_monomials(found)
 
 
@@ -146,8 +159,6 @@ def degree_zero_monoid_generators(c: CoxRingData, cone: Cone):
     # Cone in lattice coordinates: rows of lat give v = x . lat.
     rows = _nonnegative_rows(lat, nr)
     gens_cone_ineqs = [rows[g.delta_basis.index(ray)] for ray in cone.ray_generators]
-    from .polyfan import cone_generators_from_inequalities
-
     rays, lin = cone_generators_from_inequalities(gens_cone_ineqs, [], r)
     hb = hilbert_basis(list(rays) + [l for l in lin] + [tuple(-x for x in l) for l in lin], r)
     out = []
@@ -214,51 +225,37 @@ def strongly_graded_at(c: CoxRingData, cone: Cone) -> bool:
     )
 
 
-def _unit_subgroup_of_degree_monoid(c: CoxRingData):
-    """Generators of the group of degrees alpha with monomials in both
-    degree alpha and degree -alpha.
+def is_positively_graded(c: CoxRingData):
+    """(flag, witness).  S_B fails to be positively graded exactly when some
+    nonzero alpha in B has monomials in both degree alpha and degree -alpha;
+    the witness is then (alpha, v_plus, v_minus), both exponent vectors
+    nonnegative, of degrees alpha and -alpha.
 
-    A cancelling pair of monomials exists exactly along supports of
-    nonnegative degree-0 exponent vectors; those supports are the rays not
-    lying in the lineality space of the support cone, i.e. the rays whose
-    negative leaves the cone spanned by all rays.
+    Each facet normal f of the cone spanned by all rays gives the
+    nonnegative degree-0 vector (f . u_j)_j; their sum W is positive on the
+    unit rays, whose degrees generate the units of the degree monoid.  A
+    kernel vector of [unit-ray degrees | -B generators | torsion relations]
+    gives c with alpha = sum c_j deg x_j in B; with k = max |c_j|, the
+    vectors k W + c and k W - c are the witness.
     """
     g = c.grading
-    from .polyfan import in_cone
-
-    rays = list(g.delta_basis)
-    if not rays:
-        return []
-    n = g.fan.ambient_rank
-    unit_gens = []
-    for i, r in enumerate(rays):
-        if not in_cone(tuple(-x for x in r), rays, n):
-            unit_gens.append(g.ray_degrees[i])
-    return unit_gens
-
-
-def is_positively_graded(c: CoxRingData, degree_bound: int = 3):
-    """(flag, witness).  Decided exactly from the geometry of the support
-    cone; the bound only limits the search for a witness degree when the
-    answer is negative.  The witness is (alpha, v_plus, v_minus) with both
-    exponent vectors nonnegative of degrees alpha and -alpha."""
-    if degree_bound < 1:
-        raise ValueError("degree bound must be >= 1")
-    g = c.grading
-    if g.class_group.is_zero():
+    A = g.class_group
+    normals, _ = cone_inequalities(g.delta_basis, g.fan.ambient_rank)
+    w = [sum(sum(map(mul, f, u)) for f in normals) for u in g.delta_basis]
+    units = [j for j, x in enumerate(w) if x > 0]
+    if A.is_zero() or not units:
         return True, None
-    units = _unit_subgroup_of_degree_monoid(c)
-    bad = intlat.subgroup_intersection(
-        units, list(c.subgroup.generators), g.class_group
-    )
-    if not bad:
-        return True, None
-    alpha = bad[0]
-    witness = None
-    for b in range(1, degree_bound + 1):
-        plus = degree_fiber(g, alpha, cap=b)
-        minus = degree_fiber(g, g.class_group.neg(alpha), cap=b)
-        if plus and minus:
-            witness = (alpha, plus[0], minus[0])
-            break
-    return False, witness
+    relations, n = _presentation_rows(A, map(A.neg, c.subgroup.generators))
+    columns = [g.ray_degrees[j].coords() for j in units] + relations
+    m = IntMatrix.from_rows(columns, cols=n).transpose()
+    for v in integer_kernel(m):
+        x = [0] * g.num_rays
+        for j, cj in zip(units, v):
+            x[j] = cj
+        alpha = g.a_map(x)
+        if not alpha.is_zero():
+            k = max(map(abs, x))
+            plus = tuple(k * wj + xj for wj, xj in zip(w, x))
+            minus = tuple(k * wj - xj for wj, xj in zip(w, x))
+            return False, (alpha, plus, minus)
+    return True, None

@@ -231,38 +231,33 @@ def _nonnegative_rows(basis, n):
     return tuple(tuple(r[i] for r in basis) for i in range(n))
 
 
-def _cone_points(basis, v0, cap=None):
-    """The sorted vectors v = v0 + x . basis (x integral) with v >= 0 and,
-    given a cap, sum(v) <= cap.  Raises FiberTooLarge past FIBER_POINT_CAP
-    vectors."""
+def _cone_points(basis, v0):
+    """The sorted vectors v = v0 + x . basis (x integral) with v >= 0.
+    Raises FiberTooLarge past FIBER_POINT_CAP vectors."""
     m = _nonnegative_rows(basis, len(v0))
-    b = tuple(v0)
-    if cap is not None:
-        m += (tuple(-sum(r) for r in basis),)
-        b += (cap - sum(v0),)
-    out = list(islice(_lattice_points(m, b, v0, basis), FIBER_POINT_CAP + 1))
+    out = list(islice(_lattice_points(m, tuple(v0), v0, basis), FIBER_POINT_CAP + 1))
     if len(out) > FIBER_POINT_CAP:
         raise FiberTooLarge(f"more than {FIBER_POINT_CAP} points (the enumeration cap)")
     return sorted(out)
 
 
-_FIBERS = OrderedDict()  # (c_matrix, lift, cap) -> fiber, least recent first
+_FIBERS = OrderedDict()  # (c_matrix, lift) -> fiber, least recent first
 _fiber_points = 0  # the points held in _FIBERS
 
 
-def degree_fiber(g: GradingData, alpha: GroupElement, cap=None):
-    """The exact set of exponent vectors v >= 0 with degree alpha (and
-    sum(v) <= cap when a cap is given), as a new sorted list.
+def degree_fiber(g: GradingData, alpha: GroupElement):
+    """The exact set of exponent vectors v >= 0 with degree alpha, as a new
+    sorted list.
 
-    Without a cap the fiber must be finite; raises UnboundedFiber otherwise.
-    Fibers are kept as tuples, least recently used dropped first once more
-    than FIBER_POINT_CAP points are held; a refusal is not kept.
+    The fiber must be finite; raises UnboundedFiber otherwise.  Fibers are
+    kept as tuples, least recently used dropped first once more than
+    FIBER_POINT_CAP points are held; a refusal is not kept.
     """
     global _fiber_points
-    key = (g.c_matrix, g.a_map.lift(alpha), cap)
+    key = (g.c_matrix, g.a_map.lift(alpha))
     fiber = _FIBERS.pop(key, None)
     if fiber is None:
-        fiber = tuple(_cone_points(_degree_zero_lattice(g.c_matrix), key[1], cap))
+        fiber = tuple(_cone_points(_degree_zero_lattice(g.c_matrix), key[1]))
         _fiber_points += len(fiber)
         while _fiber_points > FIBER_POINT_CAP:
             _fiber_points -= len(_FIBERS.popitem(last=False)[1])

@@ -430,17 +430,3 @@ def subgroup_leq(gens_a, gens_b, g: AbelianGroup):
     """<gens_a> contained in <gens_b>."""
     return all(subgroup_contains(gens_b, x, g) for x in gens_a)
 
-
-def subgroup_intersection(gens_a, gens_b, g: AbelianGroup):
-    """Generators of <gens_a> ∩ <gens_b> as a subgroup of g."""
-    rows_a, n = _presentation_rows(g, gens_a)
-    rows_b, _ = _presentation_rows(g, gens_b)
-    inter = lattice_intersection(
-        hermite_row_basis(rows_a, n), hermite_row_basis(rows_b, n), n
-    )
-    out = []
-    for r in inter:
-        e = g.from_coords(r)
-        if not e.is_zero():
-            out.append(e)
-    return out

@@ -215,8 +215,12 @@ def test_criterion_07_positivity():
     for name in ("p2", "p1xp1", "p112"):
         flag, _ = is_positively_graded(_cox(name))
         ok &= flag
-    flag, witness = is_positively_graded(_cox("three_rays"), degree_bound=3)
-    ok &= not flag and witness is not None
+    c = _cox("three_rays")
+    g = c.grading
+    flag, (alpha, plus, minus) = is_positively_graded(c)
+    ok &= not flag and not alpha.is_zero()
+    ok &= g.a_map(plus) == alpha and g.a_map(minus) == g.class_group.neg(alpha)
+    ok &= min(plus) >= 0 and min(minus) >= 0
     _report("07 positivity", ok)
 
 

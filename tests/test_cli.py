@@ -20,6 +20,8 @@ from referencing import Registry, Resource
 import coxfan
 from coxfan import cli, corpus, gradmod, grading
 
+import oracles
+
 SCHEMA_DIR = Path(coxfan.__file__).parent / "schemas"
 
 
@@ -89,6 +91,22 @@ def test_output_is_byte_identical_across_runs(p2, schema_name, mk):
     _, a = _run(mk(p2))
     _, b = _run(mk(p2))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "name,subgroup,count",
+    [("dp6", "4,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1", 17), ("p1cubed", "4,0,0;0,1,0;0,0,1", 20)],
+    ids=["dp6", "p1cubed"],
+)
+def test_cox_build_on_a_big_subgroup_of_a_scale_fan(tmp_path, name, subgroup, count):
+    rays, max_cones = oracles.SCALE_FANS[name]
+    fan = tmp_path / f"{name}.json"
+    fan.write_text(json.dumps({"rank": len(rays[0]), "rays": rays, "max_cones": max_cones}))
+    code, out = _run(["cox", "build", str(fan), "--subgroup", subgroup])
+    assert code == 0, out
+    payload = json.loads(out)
+    _validate(payload, "cox_build")
+    assert len(payload["restricted_irrelevant_generators"]) == count
 
 
 def test_parse_error_exit_code(tmp_path, p2):

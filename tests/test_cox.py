@@ -1,6 +1,7 @@
 """Multigraded coordinate rings, local charts, grading quality checks."""
 
 import itertools
+import math
 
 import pytest
 
@@ -14,6 +15,8 @@ from coxfan.cox import (
     strongly_graded_at,
 )
 from coxfan.grading import classify_subgroup, subgroup_of_whole_group
+from coxfan.intlat import subgroup_contains
+from coxfan.polyfan import build_fan
 
 import oracles
 
@@ -143,8 +146,32 @@ def test_positively_graded():
     assert is_positively_graded(_cox("p2"))[0]
     assert is_positively_graded(_cox("p1xp1"))[0]
     assert is_positively_graded(_cox("p112"))[0]
-    ok, witness = is_positively_graded(_cox("three_rays"))
-    assert not ok and witness is not None
+
+
+# Rays (1,0), (2,3), (1,3): class group Z/3 x Z, every ray a unit ray.
+TORSION_FAN = build_fan(2, [(1, 0), (2, 3), (1, 3)], [[0, 1], [1, 2]])
+
+
+def _double_last_generator(g):
+    gens = g.class_group.generators()
+    gens[-1] = g.class_group.add(gens[-1], gens[-1])
+    return classify_subgroup(g, gens)
+
+
+@pytest.mark.parametrize("index", [1, 2])
+@pytest.mark.parametrize("name", ["three_rays", "quadric_cone", "torsion"])
+def test_negative_positivity_verdict_carries_its_witness(name, index):
+    g = grading.build_grading(
+        TORSION_FAN if name == "torsion" else corpus.build(name)
+    )
+    b = _double_last_generator(g) if index == 2 else subgroup_of_whole_group(g)
+    assert b.index_in_A == index
+    ok, (alpha, plus, minus) = is_positively_graded(build_cox(g, b))
+    A = g.class_group
+    assert not ok
+    assert g.a_map(plus) == alpha and g.a_map(minus) == A.neg(alpha)
+    assert min(plus) >= 0 and min(minus) >= 0
+    assert not alpha.is_zero() and subgroup_contains(b.generators, alpha, A)
 
 
 def test_degree_zero_independent_of_subgroup():
@@ -157,22 +184,63 @@ def test_degree_zero_independent_of_subgroup():
         assert a == b
 
 
-def test_restricted_irrelevant_against_brute_force():
-    def sub(g):
-        A = g.class_group
-        return classify_subgroup(g, [A.from_coords([1, 0]), A.from_coords([0, 2])])
+def _fan(name):
+    if name in oracles.SCALE_FANS:
+        rays, max_cones = oracles.SCALE_FANS[name]
+        return build_fan(len(rays[0]), rays, max_cones)
+    return corpus.build(name)
 
-    c = _cox("p1xp1", sub)
-    g = c.grading
+
+# (fan, diagonal of B in class-group coordinates); the dp6 and p1cubed
+# subgroups were past the former total-degree cap walk's point cap.
+RESTRICTED_CASES = [
+    ("p1xp1", (1, 2)),
+    ("p2", (3,)),
+    ("p112", (3,)),
+    ("f2", (2, 2)),
+    ("dp6", (4, 1, 1, 1)),
+    ("p1cubed", (4, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("name,diagonal", RESTRICTED_CASES, ids=[n for n, _ in RESTRICTED_CASES])
+def test_restricted_irrelevant_against_brute_force(name, diagonal):
+    g = grading.build_grading(_fan(name))
+    A = g.class_group
+    assert not A.torsion_orders and A.free_rank == len(diagonal)
+    rows = [[d * (i == j) for j in range(len(diagonal))] for i, d in enumerate(diagonal)]
+    c = build_cox(g, classify_subgroup(g, map(A.from_coords, rows)))
     zhats = [c.zhat[m.ray_generators] for m in g.fan.maximal_cones()]
-    # degrees in B = <(1,0), (0,2)> are those with an even second coordinate
+    degrees = [d.coords() for d in g.ray_degrees]
+    # generators lie in Zhat + [0, e)^n, e = lcm(diagonal); the box reaches e + 1
+    e = math.lcm(*diagonal)
     members = [
         v
-        for v in itertools.product(range(5), repeat=g.num_rays)
-        if any(all(x >= y for x, y in zip(v, z)) for z in zhats)
-        and g.a_map(v).coords()[1] % 2 == 0
+        for v in itertools.product(range(e + 2), repeat=g.num_rays)
+        if all(
+            sum(x * d[i] for x, d in zip(v, degrees)) % m == 0
+            for i, m in enumerate(diagonal)
+        )
+        and any(all(x >= y for x, y in zip(v, z)) for z in zhats)
+    ]
+    # a member one step above another is not minimal; this keeps the
+    # quadratic oracle small
+    held = set(members)
+    candidates = [
+        v
+        for v in members
+        if not any(x and v[:j] + (x - 1,) + v[j + 1 :] in held for j, x in enumerate(v))
     ]
     assert sorted(c.restricted_irrelevant_generators) == sorted(
-        oracles.minimalize(members)
+        oracles.minimalize(candidates)
     )
     assert c.restricted_irrelevant_generators != c.irrelevant_generators
+
+
+def test_restricted_irrelevant_past_the_point_cap_is_refused():
+    # e = 16 on six variables: 16^6 / 16 box points per maximal cone
+    g = grading.build_grading(_fan("p1cubed"))
+    A = g.class_group
+    b = classify_subgroup(g, [A.from_coords([16, 0, 0]), *A.generators()[1:]])
+    with pytest.raises(grading.FiberTooLarge):
+        build_cox(g, b)
