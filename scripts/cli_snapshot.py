@@ -5,8 +5,9 @@ document.
 The runs are the twelve README commands on each corpus fan, ``cox build``
 on a second big subgroup of each, a fixed set of refusals on each (bad
 flags, cone, ideal, window, module, subgroup and usage), the sections of
-S/<Z1> in both modes, commands on malformed fans, usage errors, and the
-``--help`` text of every parser.  Each run
+S/<Z1> in both modes, ``chart`` on every nonzero cone of each (``--cone``
+cannot name the zero cone), commands on malformed fans, usage errors,
+and the ``--help`` text of every parser.  Each run
 calls ``coxfan.cli.main`` in this process, from this checkout's ``src``.
 Paths in arguments and output read ``<corpus>`` and ``<tmp>``, so the
 output of two checkouts can be compared with ``diff``:
@@ -107,6 +108,9 @@ BAD_FANS = {
     "cone_index_bool": {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, True]]},
     "cone_index_float": {"rank": 2, "rays": [[1, 0]], "max_cones": [[0.0]]},
     "nonpointed": {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0, 1]]},
+    "line_and_redundant_ray": {
+        "rank": 2, "rays": [[1, 0], [-1, 0], [0, 1], [1, 1]], "max_cones": [[0, 1, 2, 3]],
+    },
     "repeated_ray": {"rank": 2, "rays": [[1, 0], [2, 0], [0, 1]], "max_cones": [[0, 2], [1, 2]]},
     "overlapping": {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]], "max_cones": [[0, 1], [0, 2]]},
     "rays_no_cones": {"rank": 2, "rays": [[1, 0]], "max_cones": []},
@@ -194,6 +198,10 @@ def main():
             for template in README + REFUSALS:
                 run(template, fan=str(corpus.fixture_path(fan)), name=fan,
                     big=big, big2=big2, small=small, cone=cone, window=window)
+            built = corpus.build(fan)
+            for c in built.cones[1:]:
+                run(["chart", "{fan}", "--cone", "{cone}"], fan=str(corpus.fixture_path(fan)),
+                    cone=",".join(map(str, built.cone_ray_indices(c))))
         for fan, content in BAD_FANS.items():
             path = tmp / f"{fan}.json"
             path.write_text(content if isinstance(content, str) else json.dumps(content))

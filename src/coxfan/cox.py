@@ -19,9 +19,9 @@ from .intlat import (
     INFINITE,
     IntMatrix,
     _presentation_rows,
-    element_order_in_quotient,
     hermite_row_basis,
     integer_kernel,
+    quotient_presentation,
     smith_normal_form,
     subgroup_contains,
 )
@@ -94,11 +94,11 @@ def build_cox(g: GradingData, b: SubgroupB, flags: BaseRingFlags = BaseRingFlags
         raise NotBig("the degree subgroup must have finite index")
     zhat = {}
     m_exponents = {}
+    quotient, project = quotient_presentation(g.class_group, b.generators)
     for cone in g.fan.cones:
         e = _zhat_exponent(g, cone)
         zhat[cone.ray_generators] = e
-        deg = g.a_map(e)
-        order = element_order_in_quotient(deg, list(b.generators), g.class_group)
+        order = quotient.element_order(project(g.a_map(e)))
         if order == INFINITE:
             raise NotBig("no power of a cone monomial lands in the subgroup")
         m_exponents[cone.ray_generators] = order

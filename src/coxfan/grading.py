@@ -14,7 +14,6 @@ from operator import add, mul
 from ._record import DomainError, Record
 from .intlat import (
     INFINITE,
-    AbelianGroup,
     GroupElement,
     IntMatrix,
     cokernel_presentation,
@@ -196,7 +195,7 @@ def _lattice_points(m, b, v0, basis):
     unless the polyhedron is bounded for every b."""
     levels = _projections(m)
     if levels is None:
-        raise UnboundedFiber("degree fibers are infinite; supply an enumeration bound")
+        raise UnboundedFiber("degree fibers are infinite: a nonzero monomial has degree 0")
     sums = [[sum(map(mul, la, b)) for _, la in lv] for lv in levels]
     if any(s < 0 for s in sums[0]):
         return []

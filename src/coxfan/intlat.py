@@ -12,7 +12,7 @@ first and the free part last.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from operator import mod
 
 from ._record import Record
@@ -272,6 +272,12 @@ class AbelianGroup(Record):
             n *= t
         return n
 
+    def element_order(self, x):
+        """Least m >= 1 with m*x = 0, or INFINITE."""
+        if any(x.free_part):
+            return INFINITE
+        return lcm(*(t // gcd(r, t) for r, t in zip(x.torsion_part, self.torsion_orders)))
+
     def zero(self):
         return GroupElement(
             tuple([0] * len(self.torsion_orders)), tuple([0] * self.free_rank)
@@ -329,7 +335,7 @@ class QuotientMap:
     def __init__(self, group, u, torsion_positions, free_positions):
         self.group = group
         self._u = u
-        self._uinv = _unimodular_inverse(u)
+        self._uinv = None  # built on the first lift
         self._torsion_positions = torsion_positions
         self._free_positions = free_positions
 
@@ -351,6 +357,8 @@ class QuotientMap:
             y[p] = g.torsion_part[i]
         for i, p in enumerate(self._free_positions):
             y[p] = g.free_part[i]
+        if self._uinv is None:
+            self._uinv = _unimodular_inverse(self._u)
         return self._uinv.mul_vec(tuple(y))
 
 
@@ -412,14 +420,7 @@ def subgroup_index(sub, g: AbelianGroup):
 def element_order_in_quotient(x, sub, g: AbelianGroup):
     """Least m >= 1 with m*x in <sub>, or INFINITE."""
     q, project = quotient_presentation(g, sub)
-    y = project(x)
-    if any(v != 0 for v in y.free_part):
-        return INFINITE
-    order = 1
-    for r, t in zip(y.torsion_part, q.torsion_orders):
-        o = t // gcd(r % t, t) if r % t else 1
-        order = order * o // gcd(order, o)
-    return order
+    return q.element_order(project(x))
 
 
 def subgroup_contains(sub, x, g: AbelianGroup):

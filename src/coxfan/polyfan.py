@@ -2,7 +2,13 @@
 
 Cones are given by primitive integer ray generators; conversion between
 generator and inequality descriptions goes through Fourier-Motzkin
-elimination on primitive integer rows.  Hilbert bases are computed by
+elimination on primitive integer rows.  Everything else about a cone is
+read off the ray-row incidence of its one cached H-representation
+(Cox-Little-Schenck, Toric Varieties, §1.2): a generator g spans an
+extreme ray when the rows tight at g, with the equalities, have rank one
+less than the ambient rank; the faces are the intersections of the sets
+of rays tight on each row; a row is a facet when the rays tight on it
+span one dimension less than the cone.  Hilbert bases are computed by
 bounded lattice enumeration in exact integer arithmetic.  Everything is
 capped at ambient rank 6; the algorithms here are enumeration-based and
 meant for desk-scale inputs.
@@ -156,9 +162,7 @@ def cone_generators_from_inequalities(ineqs, eqs, rank):
 def in_cone(v, generators, rank):
     """Exact membership of a vector in cone(generators)."""
     ineqs, eqs = _hrep_cached(tuple(tuple(g) for g in generators), rank)
-    return all(_dot(f, v) >= 0 for f in ineqs) and all(
-        _dot(e, v) == 0 for e in eqs
-    )
+    return all(_dot(f, v) >= 0 for f in ineqs) and not any(_dot(e, v) for e in eqs)
 
 
 def _dot(a, b):
@@ -170,20 +174,9 @@ def _hrep_cached(gens, rank):
     return cone_inequalities(list(gens), rank)
 
 
-def minimal_generators(generators, rank):
-    """Drop generators lying in the cone of the others (extreme rays only,
-    for pointed inputs)."""
-    gens = _prune([primitive(g) for g in generators])
-    changed = True
-    while changed:
-        changed = False
-        for g in list(gens):
-            rest = [h for h in gens if h != g]
-            if rest and in_cone(g, rest, rank):
-                gens = rest
-                changed = True
-                break
-    return gens
+def _tight(row, rays):
+    """The rays on the hyperplane row.x = 0, in order."""
+    return tuple(g for g in rays if not _dot(row, g))
 
 
 class Cone(Record):
@@ -191,46 +184,39 @@ class Cone(Record):
 
     @staticmethod
     def make(rank, generators):
+        """The cone on the generators that span its extreme rays.  The rows
+        tight at g, with the equalities, cut out the smallest face holding
+        g, so g spans an extreme ray when they have rank ``rank - 1``.  A
+        cone that contains a line keeps every primitive generator."""
         _check_rank(rank)
-        gens = minimal_generators(generators, rank)
-        return Cone(rank, tuple(sorted(gens)))
+        cone = Cone(rank, tuple(sorted(_prune([primitive(g) for g in generators]))))
+        if not cone.is_pointed():
+            return cone
+        ineqs, eqs = cone.hrep()
+        return Cone(rank, tuple(
+            g for g in cone.ray_generators
+            if ratlin.rank([f for f in ineqs if not _dot(f, g)] + eqs) == rank - 1
+        ))
 
     def dim(self):
-        if not self.ray_generators:
-            return 0
-        return ratlin.rank([list(g) for g in self.ray_generators])
+        return ratlin.rank(self.ray_generators)
 
     def hrep(self):
         return _hrep_cached(self.ray_generators, self.ambient_rank)
 
     def is_pointed(self):
         ineqs, eqs = self.hrep()
-        ker = ratlin.nullspace(
-            [list(f) for f in ineqs] + [list(e) for e in eqs],
-            ncols=self.ambient_rank,
-        )
-        return not ker
+        return ratlin.rank(ineqs + eqs) == self.ambient_rank
 
     def faces(self):
-        """All faces (including the cone itself and, when pointed, 0)."""
-        ineqs, eqs = self.hrep()
-        found = {}
-        stack = [self]
-        while stack:
-            c = stack.pop()
-            if c.ray_generators in found:
-                continue
-            found[c.ray_generators] = c
-            f_ineqs, _ = c.hrep()
-            for u in f_ineqs:
-                sub = [g for g in c.ray_generators if _dot(u, g) == 0]
-                face = Cone.make(self.ambient_rank, sub)
-                if face.ray_generators not in found:
-                    stack.append(face)
-        if self.is_pointed():
-            zero = Cone(self.ambient_rank, ())
-            found.setdefault((), zero)
-        return sorted(found.values(), key=lambda c: (len(c.ray_generators), c.ray_generators))
+        """All faces (including the cone itself and, when pointed, 0): the
+        ray sets tight on the rows, closed under intersection."""
+        rays = self.ray_generators
+        found = {rays}
+        for f in self.hrep()[0]:
+            tight = set(_tight(f, rays))
+            found |= {tuple(g for g in face if g in tight) for face in found}
+        return [Cone(self.ambient_rank, k) for k in sorted(found, key=lambda k: (len(k), k))]
 
     def intersect(self, other):
         ineqs_a, eqs_a = self.hrep()
@@ -254,35 +240,25 @@ class DualCone(Record):
 
 
 def dual_cone(c: Cone) -> DualCone:
-    """Dual cone {u : u.g >= 0 for all generators g} in both descriptions."""
+    """Dual cone {u : u.g >= 0 for all generators g} in both descriptions.
+    Its rays are the facet normals, one row per tight ray set of rank
+    dim - 1, and +/- the equality normals span its lineality space (all
+    of it for the zero cone, whose equalities are the unit vectors)."""
     ineqs, eqs = c.hrep()
-    gens = list(ineqs)
-    for e in eqs:
-        gens.append(tuple(e))
-        gens.append(tuple(-x for x in e))
-    gens = minimal_generators(gens, c.ambient_rank) if gens else []
-    if not c.ray_generators:
-        # Dual of the zero cone is everything.
-        gens = []
-        for i in range(c.ambient_rank):
-            e = [0] * c.ambient_rank
-            e[i] = 1
-            gens.append(tuple(e))
-            gens.append(tuple(-x for x in e))
-    return DualCone(
-        c.ambient_rank,
-        tuple(sorted(gens)),
-        tuple(sorted(tuple(g) for g in c.ray_generators)),
-    )
+    rows = {_tight(f, c.ray_generators): f for f in ineqs}
+    gens = [f for tight, f in rows.items() if ratlin.rank(tight) == c.dim() - 1]
+    gens += [s for e in eqs for s in (e, tuple(-x for x in e))]
+    return DualCone(c.ambient_rank, tuple(sorted(gens)), c.ray_generators)
 
 
 # --- Hilbert bases --------------------------------------------------------
 
 def _hilbert_basis_pointed(generators, rank):
-    gens = minimal_generators(generators, rank)
+    cone = Cone.make(rank, generators)
+    gens = cone.ray_generators
     if not gens:
         return []
-    ineqs, eqs = cone_inequalities(gens, rank)
+    ineqs, eqs = cone.hrep()
     s = [sum(g[c] for g in gens) for c in range(rank)]
     bound = [_dot(f, s) for f in ineqs]
     box = [
@@ -489,14 +465,12 @@ def fan_properties(f: Fan) -> FanProperties:
     else:
         is_complete = bool(maximal) and all(c.dim() == n for c in maximal)
         if is_complete:
-            walls = [c for c in f.cones if c.dim() == n - 1]
-            top_faces = [
-                {fc.ray_generators for fc in t.faces()}
-                for t in f.cones
-                if t.dim() == n
-            ]
+            # The fan is face-closed: a wall whose rays a top cone holds
+            # is a face of it.
+            walls = [set(c.ray_generators) for c in f.cones if c.dim() == n - 1]
+            tops = [set(t.ray_generators) for t in f.cones if t.dim() == n]
             for w in walls:
-                count = sum(w.ray_generators in keys for keys in top_faces)
+                count = sum(w <= t for t in tops)
                 if count != 2:
                     is_complete = False
                     break

@@ -204,9 +204,28 @@ def sheafify(f: GradedModulePresentation) -> SheafCoverPresentation:
 
 
 def is_zero_sheaf(s: SheafCoverPresentation) -> bool:
-    """Whether every generator dies on every chart: some power of each
-    cone monomial kills each generator."""
-    return None not in s.killed.values()
+    """Whether the sheaf is 0: on each maximal cone σ the degree-0 chart
+    module is spanned by the x^v·e_i, v over the Laurent generators of
+    degree −deg e_i, and x^v·e_i = x^(v + c·ẑ_σ)·e_i / ẑ_σ^c (c clearing
+    v's negative entries) is 0 exactly when its numerator lies in the
+    localization kernel.  The kill table decides B-torsion, which is
+    more: on a singular chart a generator that no power of ẑ_σ kills may
+    have no nonzero multiple of degree 0."""
+    f = s.origin
+    cox = f.cox
+    group = cox.grading.class_group
+    one = {(0,) * f.nvars: _ONE}
+    for cone in cox.grading.fan.maximal_cones():
+        key = cone.ray_generators
+        z = cox.zhat[key]
+        for i, d in enumerate(f.generator_degrees):
+            unit = tuple(one if j == i else {} for j in range(f.rank))
+            for v in _laurent_component_generators(cox, group.neg(d), key):
+                c = max(0, -min(v))
+                x = m_term_mul(unit, tuple(a + c * b for a, b in zip(v, z)), 1)
+                if not module_contains(s.kernels[key], x):
+                    return False
+    return True
 
 
 class _Window:

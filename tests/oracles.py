@@ -642,6 +642,66 @@ def _dedup_frac(rows):
 
 
 # ---------------------------------------------------------------------------
+# Extreme rays, faces and dual cones by removal: the algorithms the
+# package's incidence reading replaced, kept as references.
+
+
+def in_cone_eliminated(v, generators, rank):
+    """Membership by the reference H-representation.  Its equalities stay
+    equations, so a lower-dimensional cone does not multiply rows the way
+    the opposite half-space pairs of ``cone_halfspaces`` do."""
+    ineqs, eqs = cone_inequalities(generators, rank)
+    return all(_dot(f, v) >= 0 for f in ineqs) and not any(_dot(e, v) for e in eqs)
+
+
+def minimal_generators(generators, rank):
+    """The generators spanning extreme rays of a pointed cone, in input
+    order: drop the first generator that lies in the cone of the others,
+    and repeat until none does."""
+    gens = _prune([_primitive(g) for g in generators])
+    while True:
+        redundant = next(
+            (
+                g for g in gens
+                if len(gens) > 1 and in_cone_eliminated(g, [h for h in gens if h != g], rank)
+            ),
+            None,
+        )
+        if redundant is None:
+            return gens
+        gens = [h for h in gens if h != redundant]
+
+
+def cone_faces(generators, rank):
+    """Ray sets of all faces of a pointed cone, 0 included, sorted by
+    size: a walk from the cone through the face each facet normal of a
+    found face cuts out."""
+    found = set()
+    stack = [tuple(sorted(minimal_generators(generators, rank)))]
+    while stack:
+        rays = stack.pop()
+        if rays not in found:
+            found.add(rays)
+            for u in cone_inequalities(rays, rank)[0]:
+                tight = [g for g in rays if _dot(u, g) == 0]
+                stack.append(tuple(sorted(minimal_generators(tight, rank))))
+    found.add(())
+    return sorted(found, key=lambda k: (len(k), k))
+
+
+def dual_cone_generators(generators, rank):
+    """Sorted rays of the dual of a pointed cone: its inequality and ±
+    equality normals with the redundant ones removed; ±e_i for 0."""
+    rays = sorted(minimal_generators(generators, rank))
+    if not rays:
+        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        return sorted(units + [tuple(-x for x in e) for e in units])
+    ineqs, eqs = cone_inequalities(rays, rank)
+    gens = list(ineqs) + [s for e in eqs for s in (e, tuple(-x for x in e))]
+    return sorted(minimal_generators(gens, rank))
+
+
+# ---------------------------------------------------------------------------
 # Fans in the plane by angular intervals
 
 

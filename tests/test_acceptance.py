@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxfan import corpus, grading, polyfan
+from coxfan import corpus, grading
 from coxfan.cox import (
     BaseRingFlags,
     build_cox,
@@ -41,7 +41,7 @@ from coxfan.groeb import (
     module_groebner_basis,
     poly,
 )
-from coxfan.polyfan import Cone, build_fan, dual_cone, fan_properties, hilbert_basis
+from coxfan.polyfan import Cone, dual_cone, fan_properties, hilbert_basis
 from coxfan.sheaf import (
     eta_component_is_bijective,
     family_equal,

@@ -179,6 +179,48 @@ def test_validate_preserves_ray_order():
     assert list(fan.ray_index) == [(0, 1), (1, 0), (-1, -1)]
 
 
+# --- Extreme rays, faces and duals against the removal references --------
+
+
+def _sweep_cones():
+    """Seeded pointed cones of rank 2-4: full-dimensional ones from random
+    generators and lower-dimensional ones from random combinations of
+    fewer basis vectors, with a redundant sum of two generators, a
+    repeated or a scaled generator mixed in."""
+    rng = random.Random(20261019)
+    out = []
+    while len(out) < 150:
+        rank = 2 + len(out) % 3
+        span = rank if len(out) % 2 else rng.randint(1, rank - 1)
+        basis = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(span)]
+        gens = [
+            tuple(sum(rng.randint(-1, 2) * b[i] for b in basis) for i in range(rank))
+            for _ in range(rng.randint(1, rank + 1))
+        ]
+        gens = [g for g in gens if any(g)]
+        if len(gens) > 1 and rng.random() < 0.5:
+            a, b = rng.sample(gens, 2)
+            gens.append(tuple(x + y for x, y in zip(a, b)))
+        if gens and rng.random() < 0.3:
+            gens.append(tuple(rng.choice((1, 2)) * x for x in rng.choice(gens)))
+        if gens and not any(
+            oracles.in_cone_eliminated([-x for x in g], gens, rank) for g in gens
+        ):
+            out.append((rank, gens))
+    return out
+
+
+def test_rays_faces_and_dual_match_the_removal_references():
+    dims = set()
+    for rank, gens in _sweep_cones():
+        c = Cone.make(rank, gens)
+        assert c.ray_generators == tuple(sorted(oracles.minimal_generators(gens, rank))), gens
+        assert [f.ray_generators for f in c.faces()] == oracles.cone_faces(gens, rank), gens
+        assert list(dual_cone(c).generators) == oracles.dual_cone_generators(gens, rank), gens
+        dims.add((rank, c.dim()))
+    assert {(r, d) for r in (2, 3, 4) for d in range(1, r + 1)} <= dims
+
+
 # --- Integer Fourier-Motzkin against the Fraction reference ---------------
 
 

@@ -245,6 +245,21 @@ def test_torsion_iff_zero_cover_small_subgroup(p2_cox):
         assert is_zero_sheaf(sheafify(q)) == torsion
 
 
+def test_zero_sheaf_on_a_singular_chart_without_torsion():
+    # On P(1,1,2), S(1)/<Z1, Z3> lives only on the chart of the cone on
+    # (1, 0) and (-1, -2), where Z2 of degree 2 is inverted: no power of
+    # Z2 kills the generator, yet every Z2^k·e has odd degree, so the
+    # degree-0 chart module, and with it the sheaf, is 0.
+    c = _cox("p112")
+    A = c.grading.class_group
+    relations = tuple(_elem(e) for e in [(1, 0, 0), (0, 0, 1)])
+    s = sheafify(GradedModulePresentation(c, (A.from_coords([1]),), relations))
+    assert is_zero_sheaf(s)
+    assert not is_torsion(s.origin).is_torsion
+    for d in range(-2, 4):
+        assert global_sections_degree(s, A.from_coords([d]), mode="via_twist").dimension == 0
+
+
 def test_kill_power_is_exact_beyond_sixteen(p2_cox):
     # Z3^17 kills the generator on the chart where Z3 is inverted, and no
     # smaller power does
