@@ -5,9 +5,10 @@ document.
 The runs are the twelve README commands on each corpus fan, ``cox build``
 on a second big subgroup of each, a fixed set of refusals on each (bad
 flags, cone, ideal, window, module, subgroup and usage), the sections of
-S/<Z1> in both modes, ``chart`` on every nonzero cone of each (``--cone``
-cannot name the zero cone), commands on malformed fans, usage errors,
-and the ``--help`` text of every parser.  Each run
+S/<Z1> in both modes, ``chart`` on every cone of each (the zero cone
+as ``--cone ""``), ``pic``, ``cox build`` and ``chart`` on every cone of
+the scale fans of ``tests/oracles.py``, commands on malformed fans, usage
+errors, and the ``--help`` text of every parser.  Each run
 calls ``coxfan.cli.main`` in this process, from this checkout's ``src``.
 Paths in arguments and output read ``<corpus>`` and ``<tmp>``, so the
 output of two checkouts can be compared with ``diff``:
@@ -27,11 +28,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-sys.path.insert(0, str(SRC))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
 
-from coxfan import cli, corpus, grading  # noqa: E402
+import oracles  # noqa: E402
+
+from coxfan import cli, corpus, grading, polyfan  # noqa: E402
 
 # Per corpus fan: two subgroups that are big, one that is not, a cone, and
 # a sections window valid for its class group.
@@ -176,6 +180,12 @@ def _call(argv):
     return record
 
 
+def _every_chart(run, path, fan):
+    for c in fan.cones:
+        run(["chart", "{fan}", "--cone", "{cone}"], fan=path,
+            cone=",".join(map(str, fan.cone_ray_indices(c))))
+
+
 def main():
     runs = []
     with tempfile.TemporaryDirectory() as name:
@@ -198,10 +208,13 @@ def main():
             for template in README + REFUSALS:
                 run(template, fan=str(corpus.fixture_path(fan)), name=fan,
                     big=big, big2=big2, small=small, cone=cone, window=window)
-            built = corpus.build(fan)
-            for c in built.cones[1:]:
-                run(["chart", "{fan}", "--cone", "{cone}"], fan=str(corpus.fixture_path(fan)),
-                    cone=",".join(map(str, built.cone_ray_indices(c))))
+            _every_chart(run, str(corpus.fixture_path(fan)), corpus.build(fan))
+        for fan, (rays, max_cones) in oracles.SCALE_FANS.items():
+            path = tmp / f"{fan}.json"
+            path.write_text(json.dumps({"rank": len(rays[0]), "rays": rays, "max_cones": max_cones}))
+            run(["pic", "{fan}"], fan=str(path))
+            run(["cox", "build", "{fan}"], fan=str(path))
+            _every_chart(run, str(path), polyfan.build_fan(len(rays[0]), rays, max_cones))
         for fan, content in BAD_FANS.items():
             path = tmp / f"{fan}.json"
             path.write_text(content if isinstance(content, str) else json.dumps(content))

@@ -331,8 +331,9 @@ def _window(spec, group, option):
 
 
 def _find_cone(fan, index_spec):
+    """The fan cone on the listed ray indices; a blank list names the zero cone."""
     rays = list(fan.ray_index)
-    idxs = _parse_coords(index_spec)
+    idxs = _parse_coords(index_spec) if index_spec.strip() else []
     if not all(0 <= i < len(rays) for i in idxs):
         raise ParseError(f"cone ray index out of range in {index_spec!r}")
     wanted = tuple(sorted(tuple(rays[i]) for i in idxs))

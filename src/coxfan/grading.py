@@ -18,7 +18,7 @@ from .intlat import (
     IntMatrix,
     cokernel_presentation,
     hermite_row_basis,
-    lattice_intersection,
+    integer_kernel,
     subgroup_contains,
     subgroup_index,
     subgroup_leq,
@@ -87,35 +87,27 @@ def build_grading(f: Fan) -> GradingData:
 
 def cartier_lattice(g: GradingData):
     """Hermite basis of the lattice of support functions: vectors v in
-    Z^Sigma_1 that admit, on every cone, an integral linear form agreeing
-    with v on that cone's rays."""
+    Z^Sigma_1 that admit, on every maximal cone σ, an integral linear form
+    u_σ agreeing with v on that cone's rays.  It is the projection to v of
+    the integer kernel of v_i − u_σ·ρ_i = 0 (i ∈ σ) in the variables
+    (v, u_σ for each σ)."""
     nr = g.num_rays
+    n = g.fan.ambient_rank
     maximal = g.fan.maximal_cones()
     if not maximal or nr == 0:
         return hermite_row_basis(
             [[int(i == j) for j in range(nr)] for i in range(nr)], nr
         )
-    current = None
-    for cone in maximal:
-        idxs = g.fan.cone_ray_indices(cone)
-        basis = []
-        # Values realizable on this cone's rays by a linear form u.
-        for j in range(g.fan.ambient_rank):
-            v = [0] * nr
-            for i in idxs:
-                v[i] = g.delta_basis[i][j]
-            basis.append(tuple(v))
-        for i in range(nr):
-            if i not in idxs:
-                e = [0] * nr
-                e[i] = 1
-                basis.append(tuple(e))
-        basis = hermite_row_basis(basis, nr)
-        if current is None:
-            current = basis
-        else:
-            current = lattice_intersection(current, basis, nr)
-    return current
+    width = nr + n * len(maximal)
+    rows = []
+    for k, cone in enumerate(maximal):
+        for i in g.fan.cone_ray_indices(cone):
+            row = [0] * width
+            row[i] = 1
+            row[nr + n * k: nr + n * (k + 1)] = [-x for x in g.delta_basis[i]]
+            rows.append(row)
+    kernel = integer_kernel(IntMatrix.from_rows(rows, cols=width))
+    return hermite_row_basis([v[:nr] for v in kernel], nr)
 
 
 def picard_group(g: GradingData) -> PicardGroup:

@@ -222,29 +222,6 @@ def integer_kernel(m: IntMatrix):
     ]
 
 
-def lattice_intersection(basis_a, basis_b, ncols):
-    """Hermite basis of the intersection of two integer lattices."""
-    if not basis_a or not basis_b:
-        return []
-    na, nb = len(basis_a), len(basis_b)
-    system = IntMatrix.from_rows(
-        [
-            [basis_a[i][c] for i in range(na)] + [-basis_b[j][c] for j in range(nb)]
-            for c in range(ncols)
-        ],
-        cols=na + nb,
-    )
-    combos = integer_kernel(system)
-    vecs = []
-    for s in combos:
-        vecs.append(
-            tuple(
-                sum(s[i] * basis_a[i][c] for i in range(na)) for c in range(ncols)
-            )
-        )
-    return hermite_row_basis(vecs, ncols)
-
-
 class AbelianGroup(Record):
     __slots__ = ("free_rank", "torsion_orders")
 

@@ -2,16 +2,20 @@
 
 Cones are given by primitive integer ray generators; conversion between
 generator and inequality descriptions goes through Fourier-Motzkin
-elimination on primitive integer rows.  Everything else about a cone is
-read off the ray-row incidence of its one cached H-representation
-(Cox-Little-Schenck, Toric Varieties, §1.2): a generator g spans an
-extreme ray when the rows tight at g, with the equalities, have rank one
-less than the ambient rank; the faces are the intersections of the sets
-of rays tight on each row; a row is a facet when the rays tight on it
-span one dimension less than the cone.  Hilbert bases are computed by
-bounded lattice enumeration in exact integer arithmetic.  Everything is
-capped at ambient rank 6; the algorithms here are enumeration-based and
-meant for desk-scale inputs.
+elimination on primitive integer rows, and keeps only the facets: a row
+whose tight generators span one dimension less than the cone, one row
+per tight set.  Everything else about a cone is read off the ray-facet
+incidence of its one cached H-representation (Cox-Little-Schenck, Toric
+Varieties, §1.2): a generator g spans an extreme ray when the facets
+tight at g, with the equalities, have rank one less than the ambient
+rank; the faces are the intersections of the sets of rays tight on each
+facet; the facets are the rays of the dual.  Hilbert bases are computed by
+bounded lattice enumeration in exact integer arithmetic.  Cones, fans
+and Hilbert bases are capped at ambient rank 6 where they are made
+(`Cone.make`, `build_fan`, `hilbert_basis`); the algorithms here are
+enumeration-based and meant for desk-scale inputs.  The Fourier-Motzkin
+conversions themselves take any rank, since a chart's polyhedron is
+homogenized one rank above its fan.
 """
 
 from __future__ import annotations
@@ -111,14 +115,26 @@ def _prune(vectors):
     return out
 
 
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _tight(row, rays):
+    """The rays on the hyperplane row.x = 0, in order."""
+    return tuple(g for g in rays if not _dot(row, g))
+
+
 def cone_inequalities(generators, rank):
-    """H-representation of cone(generators): (inequality normals, equality normals).
+    """Facet H-representation of cone(generators): (facet normals, equality normals).
 
     The cone is {x : f.x >= 0 for f in ineqs, e.x = 0 for e in eqs}.
     Obtained by eliminating the multiplier variables lambda from
     {x = sum lambda_i g_i, lambda >= 0} with Fourier-Motzkin, in integers.
+    Elimination also yields implied rows.  A row is kept when the
+    generators tight on it span dim - 1, so it cuts out a facet, and of
+    the rows with one tight set the last is kept.  A row in the span of
+    the equalities is tight on every generator, so it goes too.
     """
-    _check_rank(rank)
     gens = [tuple(g) for g in generators]
     k = len(gens)
     eqs = [
@@ -128,35 +144,31 @@ def cone_inequalities(generators, rank):
     ineqs = [tuple(int(j == rank + i) for j in range(rank + k)) for i in range(k)]
     for idx in reversed(range(rank, rank + k)):
         eqs, ineqs = _fm_eliminate(eqs, ineqs, idx)
-    out_ineq = _prune([primitive(f[:rank]) for f in ineqs])
     # Canonical independent set of equality normals.
     ech = ratlin.echelon(f[:rank] for f in eqs)
     out_eq = [_normalize_int([r.get(c, 0) for c in range(rank)]) for r in ech.values()]
-    # Inequalities implied by the equalities are redundant.
-    out_ineq = [f for f in out_ineq if ratlin.new_to_span(out_eq, [f])]
-    return out_ineq, out_eq
+    facet_rank = rank - len(out_eq) - 1
+    rows = {_tight(f, gens): f for f in _prune([primitive(f[:rank]) for f in ineqs])}
+    return [f for tight, f in rows.items() if ratlin.rank(tight) == facet_rank], out_eq
 
 
 def cone_generators_from_inequalities(ineqs, eqs, rank):
     """V-representation of {x : ineqs.x >= 0, eqs.x = 0}.
 
     Returns (rays, lineality_basis); the cone is cone(rays) + lattice
-    spanned by +/- the lineality basis.  Uses duality: the dual of the
-    constraint cone is generated by the normals, and one more H-rep
-    computation dualizes back.
+    spanned by +/- the lineality basis.  Uses duality: the normals
+    generate the dual cone, whose facets are the extreme rays (so no ray
+    is redundant) and whose equalities span the lineality space.
     """
-    _check_rank(rank)
-    dual_gens = [tuple(f) for f in ineqs]
-    for e in eqs:
-        dual_gens.append(tuple(e))
-        dual_gens.append(tuple(-x for x in e))
-    if not dual_gens:
-        basis = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-        return [], basis
-    f2, e2 = cone_inequalities(dual_gens, rank)
-    rays = _prune([tuple(f) for f in f2])
-    lin = [tuple(e) for e in e2]
-    return rays, lin
+    return cone_inequalities(_dual_generators(ineqs, eqs), rank)
+
+
+def _dual_generators(ineqs, eqs):
+    """Generators of the dual of {x : ineqs.x >= 0, eqs.x = 0}: the
+    inequality normals and +/- the equality normals."""
+    return [tuple(f) for f in ineqs] + [
+        s for e in eqs for s in (tuple(e), tuple(-x for x in e))
+    ]
 
 
 def in_cone(v, generators, rank):
@@ -165,18 +177,9 @@ def in_cone(v, generators, rank):
     return all(_dot(f, v) >= 0 for f in ineqs) and not any(_dot(e, v) for e in eqs)
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
 @lru_cache(maxsize=4096)
 def _hrep_cached(gens, rank):
     return cone_inequalities(list(gens), rank)
-
-
-def _tight(row, rays):
-    """The rays on the hyperplane row.x = 0, in order."""
-    return tuple(g for g in rays if not _dot(row, g))
 
 
 class Cone(Record):
@@ -184,7 +187,7 @@ class Cone(Record):
 
     @staticmethod
     def make(rank, generators):
-        """The cone on the generators that span its extreme rays.  The rows
+        """The cone on the generators that span its extreme rays.  The facets
         tight at g, with the equalities, cut out the smallest face holding
         g, so g spans an extreme ray when they have rank ``rank - 1``.  A
         cone that contains a line keeps every primitive generator."""
@@ -210,7 +213,7 @@ class Cone(Record):
 
     def faces(self):
         """All faces (including the cone itself and, when pointed, 0): the
-        ray sets tight on the rows, closed under intersection."""
+        ray sets tight on the facets, closed under intersection."""
         rays = self.ray_generators
         found = {rays}
         for f in self.hrep()[0]:
@@ -222,13 +225,11 @@ class Cone(Record):
         ineqs_a, eqs_a = self.hrep()
         ineqs_b, eqs_b = other.hrep()
         rays, lin = cone_generators_from_inequalities(
-            list(ineqs_a) + list(ineqs_b),
-            list(eqs_a) + list(eqs_b),
-            self.ambient_rank,
+            ineqs_a + ineqs_b, eqs_a + eqs_b, self.ambient_rank
         )
         if lin:
             raise NonPointed("intersection of pointed cones should be pointed")
-        return Cone.make(self.ambient_rank, rays)
+        return Cone(self.ambient_rank, tuple(sorted(rays)))
 
 
 class DualCone(Record):
@@ -241,13 +242,10 @@ class DualCone(Record):
 
 def dual_cone(c: Cone) -> DualCone:
     """Dual cone {u : u.g >= 0 for all generators g} in both descriptions.
-    Its rays are the facet normals, one row per tight ray set of rank
-    dim - 1, and +/- the equality normals span its lineality space (all
-    of it for the zero cone, whose equalities are the unit vectors)."""
-    ineqs, eqs = c.hrep()
-    rows = {_tight(f, c.ray_generators): f for f in ineqs}
-    gens = [f for tight, f in rows.items() if ratlin.rank(tight) == c.dim() - 1]
-    gens += [s for e in eqs for s in (e, tuple(-x for x in e))]
+    Its rays are the cone's facet normals, its H-representation's rows,
+    and +/- the equality normals span its lineality space (all of it for
+    the zero cone, whose equalities are the unit vectors)."""
+    gens = _dual_generators(*c.hrep())
     return DualCone(c.ambient_rank, tuple(sorted(gens)), c.ray_generators)
 
 
@@ -285,7 +283,7 @@ def _hilbert_basis_pointed(generators, rank):
 
 
 def _lineality_lattice(generators, rank):
-    ineqs, eqs = cone_inequalities(generators, rank)
+    ineqs, eqs = _hrep_cached(tuple(generators), rank)
     rows = [list(f) for f in ineqs] + [list(e) for e in eqs]
     if not rows:
         return [tuple(int(i == j) for j in range(rank)) for i in range(rank)]

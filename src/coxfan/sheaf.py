@@ -150,20 +150,17 @@ def _part_lattice(c_matrix, pos):
 
 
 def _nonsimplicial_part_bounds(b, v0_tau):
-    """⌈max over the vertices of P⌉ + Σ_g (B·g) − 1 per entry of the part."""
-    r = len(b[0])
-    vertices = []
-    for rows in combinations(range(len(b)), r):
-        ech = ratlin.echelon([list(b[i]) + [-v0_tau[i]] for i in rows])
-        if list(ech) == list(range(r)):
-            y = [ech[i].get(r, 0) for i in range(r)]
-            vertex = [x + sum(map(mul, row, y)) for row, x in zip(b, v0_tau)]
-            if min(vertex) >= 0:
-                vertices.append(vertex)
-    rays, _ = cone_generators_from_inequalities(b, [], r)
+    """⌈max over the vertices of P⌉ + Σ_g (B·g) − 1 per entry of the part.
+    The rays (t, y) of the homogenization {t·v0_τ + B·y ≥ 0, t ≥ 0} of P
+    give its vertices y/t where t > 0 and the rays g = y of its recession
+    cone where t = 0 (Ziegler, Lectures on Polytopes, §1)."""
+    rows = [(x, *row) for x, row in zip(v0_tau, b)]
+    t_row = (1,) + (0,) * len(b[0])
+    rays, _ = cone_generators_from_inequalities(rows + [t_row], [], len(t_row))
     return [
-        -(-max(col) // 1) + sum(sum(map(mul, row, g)) for g in rays) - 1
-        for col, row in zip(zip(*vertices), b)
+        max(-(-sum(map(mul, row, v)) // v[0]) for v in rays if v[0])
+        + sum(sum(map(mul, row, g)) for g in rays if not g[0]) - 1
+        for row in rows
     ]
 
 

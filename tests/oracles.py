@@ -137,26 +137,7 @@ def subgroup_canonical_basis(gens, group):
     entries above a pivot reduced into [0, pivot), zero rows dropped."""
     n = len(group.torsion_orders) + group.free_rank
     rows = [[t * (i == j) for j in range(n)] for i, t in enumerate(group.torsion_orders)]
-    rows += [list(e.coords()) for e in gens]
-    basis = []
-    for col in range(n):
-        live = [r for r in rows if r[col]]
-        while len(live) > 1:  # Euclid on the column
-            p = min(live, key=lambda r: abs(r[col]))
-            for r in live:
-                if r is not p:
-                    q = r[col] // p[col]
-                    r[:] = [a - q * b for a, b in zip(r, p)]
-            live = [r for r in rows if r[col]]
-        if live:
-            rows = [r for r in rows if r is not live[0]]
-            basis.append([-x for x in live[0]] if live[0][col] < 0 else live[0])
-    for i, p in enumerate(basis):
-        c = next(j for j, x in enumerate(p) if x)
-        for k in range(i):
-            q = basis[k][c] // p[c]
-            basis[k] = [a - q * b for a, b in zip(basis[k], p)]
-    return [tuple(r) for r in basis]
+    return _hermite(rows + [list(e.coords()) for e in gens], n)
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +609,23 @@ def cone_inequalities(generators, rank):
     return out_ineq, out_eq
 
 
+def row_rank(rows):
+    return len(rref(rows)[1])
+
+
+def facet_hrep(generators, rank):
+    """The reference H-representation with its rows cut to the facets:
+    a row is kept when the generators tight on it span one dimension less
+    than the cone, and of the rows with one tight set the last is kept."""
+    gens = [tuple(g) for g in generators]
+    ineqs, eqs = cone_inequalities(gens, rank)
+    facet_rank = rank - len(eqs) - 1
+    rows = {}
+    for f in ineqs:
+        rows[tuple(g for g in gens if _dot(f, g) == 0)] = f
+    return [f for tight, f in rows.items() if row_rank(tight) == facet_rank], eqs
+
+
 def _dedup_frac(rows):
     seen = set()
     out = []
@@ -699,6 +697,91 @@ def dual_cone_generators(generators, rank):
     ineqs, eqs = cone_inequalities(rays, rank)
     gens = list(ineqs) + [s for e in eqs for s in (e, tuple(-x for x in e))]
     return sorted(minimal_generators(gens, rank))
+
+
+def polyhedron_vertices(b, v0):
+    """The points v0 + B·y at the vertices of the pointed polyhedron
+    {y : v0 + B·y >= 0}, B of full column rank r: y solves r of the rows
+    with equality, uniquely, and satisfies the others."""
+    r = len(b[0])
+    out = []
+    for rows in combinations(range(len(b)), r):
+        sub = [b[i] for i in rows]
+        if row_rank(sub) == r:
+            y = solve_rational(sub, [-v0[i] for i in rows])
+            point = [x + _dot(row, y) for row, x in zip(b, v0)]
+            if min(point) >= 0:
+                out.append(point)
+    return out
+
+
+def part_bounds(b, v0):
+    """Per entry i: ⌈max over the vertices of (v0 + B·y)_i⌉ + Σ_g (B·g)_i − 1,
+    g over the primitive extreme rays of {B·y >= 0}, with the redundant
+    Fourier–Motzkin rays removed: g spans an extreme ray of the pointed
+    cone when the rows of B tight at g have rank r − 1."""
+    r = len(b[0])
+    rays = [
+        g for g in _prune([_primitive(g) for g in cone_inequalities(b, r)[0]])
+        if row_rank([row for row in b if _dot(row, g) == 0]) == r - 1
+    ]
+    vertices = polyhedron_vertices(b, v0)
+    return [
+        -(-max(p[i] for p in vertices) // 1) + sum(_dot(row, g) for g in rays) - 1
+        for i, row in enumerate(b)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Cartier lattices by per-cone lattice intersection
+
+
+def _hermite(rows, ncols):
+    """Row-style Hermite normal form: positive pivots, entries above a
+    pivot reduced into [0, pivot), zero rows dropped."""
+    rows = [list(r) for r in rows]
+    basis = []
+    for col in range(ncols):
+        live = [r for r in rows if r[col]]
+        while len(live) > 1:  # Euclid on the column
+            p = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not p:
+                    q = r[col] // p[col]
+                    r[:] = [a - q * b for a, b in zip(r, p)]
+            live = [r for r in rows if r[col]]
+        if live:
+            rows = [r for r in rows if r is not live[0]]
+            basis.append([-x for x in live[0]] if live[0][col] < 0 else live[0])
+    for i, p in enumerate(basis):
+        c = next(j for j, x in enumerate(p) if x)
+        for k in range(i):
+            q = basis[k][c] // p[c]
+            basis[k] = [a - q * b for a, b in zip(basis[k], p)]
+    return [tuple(r) for r in basis]
+
+
+def lattice_intersection(basis_a, basis_b, ncols):
+    """Hermite basis of L_a ∩ L_b (Zassenhaus): in the lattice of the rows
+    (a, a) and (b, 0), the vectors whose first half vanishes are
+    (0, x·A) with x·A = −y·B, and an echelon basis spans them by its rows
+    with a pivot in the second half."""
+    rows = [list(a) + list(a) for a in basis_a] + [list(b) + [0] * ncols for b in basis_b]
+    return _hermite([r[ncols:] for r in _hermite(rows, 2 * ncols) if not any(r[:ncols])], ncols)
+
+
+def cartier_lattice(rays, max_cones):
+    """Hermite basis of the support functions v on the rays: on each
+    cone, the values of the linear forms on its rays plus the unit
+    vectors off it, intersected over the maximal cones."""
+    nr, rank = len(rays), len(rays[0])
+    current = None
+    for cone in max_cones:
+        basis = [[rays[i][j] if i in cone else 0 for i in range(nr)] for j in range(rank)]
+        basis += [[int(i == k) for i in range(nr)] for k in range(nr) if k not in cone]
+        basis = _hermite(basis, nr)
+        current = basis if current is None else lattice_intersection(current, basis, nr)
+    return current
 
 
 # ---------------------------------------------------------------------------

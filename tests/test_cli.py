@@ -597,6 +597,23 @@ def test_unknown_cone_is_domain_error(p2):
     _validate(json.loads(out), "error")
 
 
+@pytest.mark.parametrize("spec", ["", " "], ids=["empty", "blank"])
+def test_blank_cone_names_the_zero_cone(p2, spec):
+    code, out = _run(["chart", p2, "--cone", spec])
+    assert code == 0, out
+    payload = json.loads(out)
+    _validate(payload, "chart")
+    # The chart of the zero cone is the torus: its monoid is all of M.
+    assert payload["monoid_hilbert_basis"] == [[-1, 0], [0, -1], [0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("spec", [",", "0,", " , ", "0;1"])
+def test_malformed_cone_list_is_parse_error(p2, spec):
+    code, out = _run(["chart", p2, "--cone", spec])
+    assert code == cli.EXIT_PARSE, out
+    _validate(json.loads(out), "error")
+
+
 def test_module_json_loader(p2, tmp_path):
     mod = tmp_path / "mod.json"
     mod.write_text(

@@ -97,6 +97,27 @@ def test_pic_against_cartier_oracle():
     )
 
 
+_E4 = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+CARTIER_FANS = {
+    **{name: (corpus.fan_spec(name)["rays"], corpus.fan_spec(name)["max_cones"])
+       for name in corpus.CORPUS_NAMES},
+    **oracles.SCALE_FANS,
+    "p4": (_E4 + [(-1, -1, -1, -1)], [list(c) for c in itertools.combinations(range(5), 4)]),
+    "p1_4": (
+        [v for e in _E4 for v in (e, tuple(-x for x in e))],
+        [[a, b, c, d] for a in (0, 1) for b in (2, 3) for c in (4, 5) for d in (6, 7)],
+    ),
+    "p123": ([(1, 0), (0, 1), (-2, -3)], [[0, 1], [1, 2], [2, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(CARTIER_FANS))
+def test_cartier_lattice_matches_the_per_cone_intersection(name):
+    rays, max_cones = CARTIER_FANS[name]
+    g = grading.build_grading(build_fan(len(rays[0]), rays, max_cones))
+    assert grading.cartier_lattice(g) == oracles.cartier_lattice(rays, max_cones)
+
+
 def test_pic_big_iff_simplicial(corpus_gradings):
     from coxfan.polyfan import fan_properties
 

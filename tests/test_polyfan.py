@@ -254,7 +254,39 @@ def _generator_sets():
 def test_cone_inequalities_rows_and_order_match_fraction_reference():
     for gens in _generator_sets():
         rank = len(gens[0]) if gens else 2
-        assert cone_inequalities(gens, rank) == oracles.cone_inequalities(gens, rank), gens
+        assert cone_inequalities(gens, rank) == oracles.facet_hrep(gens, rank), gens
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def test_cone_inequalities_are_the_facets():
+    for gens in _generator_sets():
+        rank = len(gens[0]) if gens else 2
+        ineqs, eqs = cone_inequalities(gens, rank)
+        dim = oracles.row_rank(gens)
+        tight_sets = [tuple(g for g in gens if not _dot(f, g)) for f in ineqs]
+        for f, tight in zip(ineqs, tight_sets):
+            assert all(_dot(f, g) >= 0 for g in gens), (gens, f)
+            assert oracles.row_rank(tight) == dim - 1, (gens, f)
+        assert len(set(tight_sets)) == len(tight_sets), gens
+        # Membership as in oracles.in_cone_eliminated, its rows computed once.
+        ref_ineqs, ref_eqs = oracles.cone_inequalities(gens, rank)
+        for v in _box(rank, 2 if rank < 4 else 1):
+            expect = all(_dot(f, v) >= 0 for f in ref_ineqs) and not any(_dot(e, v) for e in ref_eqs)
+            got = all(_dot(f, v) >= 0 for f in ineqs) and not any(_dot(e, v) for e in eqs)
+            assert got == expect, (gens, v)
+
+
+def test_cone_generators_from_inequalities_returns_no_redundant_ray():
+    for gens in _generator_sets():
+        rank = len(gens[0]) if gens else 2
+        rays, lin = cone_generators_from_inequalities(gens, [], rank)
+        span = list(lin) + [tuple(-x for x in v) for v in lin]
+        for r in rays:
+            others = [g for g in rays if g != r] + span
+            assert not oracles.in_cone_eliminated(r, others, rank), (gens, r)
 
 
 def _box(rank, r):

@@ -444,6 +444,55 @@ def test_simplicial_part_bound_is_reached(d):
     assert sorted(tuple(v[p] for p in pos) for v in got) == [(0, 1), (1, 0)]
 
 
+def _pointed_polyhedra(count, ranks=(1, 2, 3)):
+    """Seeded (B, v0) with B of r independent columns, r in ranks, and
+    r+1 … r+3 rows, and P = {y : v0 + B·y >= 0} not empty."""
+    rng = random.Random(20261020)
+    out = []
+    while len(out) < count:
+        r = rng.choice(ranks)
+        b = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(r + rng.randint(1, 3))]
+        v0 = [rng.randint(-4, 4) for _ in b]
+        if oracles.row_rank(b) == r and oracles.polyhedron_vertices(b, v0):
+            out.append((b, v0))
+    return out
+
+
+def test_nonsimplicial_part_bounds_match_the_vertex_reference():
+    # Non-extreme recession rays would only widen the bound: the sweep's
+    # Fourier–Motzkin rays include some (the reference removes them).
+    for b, v0 in _pointed_polyhedra(300):
+        assert sheaf._nonsimplicial_part_bounds(b, v0) == oracles.part_bounds(b, v0), (b, v0)
+
+
+def test_nonsimplicial_part_bounds_at_the_rank_cap():
+    # A full-dimensional cone of a rank-6 fan has r = 6, and the
+    # homogenization of P works one rank higher, above the fan rank cap.
+    for b, v0 in _pointed_polyhedra(8, ranks=(polyfan.RANK_CAP,)):
+        assert sheaf._nonsimplicial_part_bounds(b, v0) == oracles.part_bounds(b, v0), (b, v0)
+
+
+# The fan over the faces of a square pyramid, times P^3: rank 6, and each
+# maximal cone on the pyramid's base is full-dimensional with 7 rays.
+_PYRAMID_RAYS = [(0, 0, 1), (1, 1, -1), (1, -1, -1), (-1, 1, -1), (-1, -1, -1)]
+_PYRAMID_CONES = [[1, 2, 3, 4], [0, 1, 2], [0, 2, 4], [0, 4, 3], [0, 3, 1]]
+PYRAMID_TIMES_P3 = (
+    [r + (0, 0, 0) for r in _PYRAMID_RAYS] + [(0, 0, 0) + r for r in oracles.P3[0]],
+    [a + [5 + j for j in b] for a in _PYRAMID_CONES for b in oracles.P3[1]],
+)
+
+
+@pytest.mark.parametrize("a", [(0,) * 5 + (1, 0, 0, 0), (1,) + (0,) * 8])
+def test_sections_on_a_rank_six_nonsimplicial_fan(a):
+    rays, max_cones = PYRAMID_TIMES_P3
+    g, cover = _line_bundle_cover(rays, max_cones)
+    dims = {
+        mode: global_sections_degree(cover, g.a_map(a), mode=mode).dimension
+        for mode in ("via_shift", "via_twist")
+    }
+    assert dims == dict.fromkeys(dims, oracles.polytope_lattice_count(rays, a, 2))
+
+
 @pytest.mark.parametrize("name", ["p2", "p3", "f2", "dp6"])
 def test_twist_overlaps_need_no_more_level_than_the_degree(name):
     # A face twist on the edge of the search box (the lexicographically
