@@ -161,66 +161,73 @@ def _is_monomial_context(sub: GradedSubmodule):
     return all(groeb.m_is_monomial(x) for x in sub.with_relations())
 
 
-def _monomial_saturation(sub: GradedSubmodule, zhats):
-    """Generators of the intersection over ``zhats`` of the saturations
-    (sub + relations : z^inf), for a submodule that is monomial, relations
-    included.  Each generator index carries its own monomial ideal; the
-    output is sorted by generator index, then by exponent, as a reduced
-    basis is."""
-    rank = sub.ambient.rank
-    exps = {}
-    for x in sub.with_relations():
-        for i, p in enumerate(x):
-            exps.setdefault(i, []).extend(p)
-    out = []
-    for i in sorted(exps):
-        sat = reduce(
-            groeb.monomial_ideal_intersection,
-            (groeb.monomial_ideal_saturate(exps[i], z) for z in zhats),
-        )
-        for e in sat:
-            row = [{} for _ in range(rank)]
-            row[i] = {e: Fraction(1)}
-            out.append(tuple(row))
-    return tuple(out)
+def _monomial_rows(rank, ideals):
+    """Monic monomial elements from one monomial ideal per position, sorted
+    by position, then by exponent, as a reduced basis is."""
+    one = Fraction(1)
+    return tuple(
+        tuple({e: one} if j == i else {} for j in range(rank))
+        for i, m in enumerate(ideals)
+        for e in m
+    )
 
 
 def saturate_at(g: GradedSubmodule, z):
     """The reduced basis of (g + relations : z^inf), for one cone monomial
     z.  Of the empty submodule it is the localization kernel, the elements
-    a power of z kills."""
+    a power of z kills.  A monomial input is saturated position by position."""
     f = g.ambient
     if _is_monomial_context(g):
-        return _monomial_saturation(g, [z])
+        gens = g.with_relations()
+        exps = ([e for x in gens for e in x[i]] for i in range(f.rank))
+        return _monomial_rows(f.rank, [groeb.monomial_ideal_saturate(m, z) for m in exps])
     sat = module_saturate_element(
         g.with_relations(), {tuple(z): Fraction(1)}, f.rank, f.nvars
     )
     return reduced_basis(sat)
 
 
+_LAST_CHARTS = [None, None]  # the last submodule and its chart bases
+_LAST_MEET = [None, None]  # the last charts dict and its chart intersection
+
+
+def chart_bases(g: GradedSubmodule):
+    """Maximal cone key -> ``saturate_at(g, z)``, z the cone monomial: the
+    chart modules of g, relations included.  The last submodule's dict is
+    returned again for the same object (``is``, not equal content), so
+    ``saturate_submodule(g)`` then ``xi_forward(g)`` saturate once."""
+    if _LAST_CHARTS[0] is not g:
+        cox = g.ambient.cox
+        keys = [c.ray_generators for c in cox.grading.fan.maximal_cones()]
+        _LAST_CHARTS[:] = g, {key: saturate_at(g, cox.zhat[key]) for key in keys}
+    return _LAST_CHARTS[1]
+
+
+def chart_intersection(f: GradedModulePresentation, charts):
+    """The reduced basis of the intersection of the chart modules of a
+    dict of reduced bases in f, kept for the same dict (``is``).  Monomial
+    charts, and no charts at all, meet position by position as monomial
+    ideals, from the unit ideal.  Otherwise each running intersection, the
+    t-free part of a tag-elimination basis and so a POT Groebner basis,
+    is cut to its reduced basis."""
+    if _LAST_MEET[0] is not charts:
+        bases = list(charts.values())
+        if all(groeb.m_is_monomial(x) for basis in bases for x in basis):
+            unit = [(0,) * f.nvars]
+            parts = [[[e for x in b for e in x[i]] for b in bases] for i in range(f.rank)]
+            ideals = [reduce(groeb.monomial_ideal_intersection, p, unit) for p in parts]
+            meet = _monomial_rows(f.rank, ideals)
+        else:
+            meet = reduce(lambda a, b: reduced_basis(module_intersection(a, b, f.nvars)), bases)
+        _LAST_MEET[:] = charts, meet
+    return _LAST_MEET[1]
+
+
 def saturate_submodule(g: GradedSubmodule) -> GradedSubmodule:
     """The smallest enlargement stable under colon by the restricted
-    irrelevant ideal.  Computed as the intersection of the saturations by
-    the single cone monomials of the maximal cones.  Each saturation and
-    each running intersection is the t-free part of an elimination basis,
-    hence a POT Groebner basis, and is cut to its reduced basis before it
-    enters the next intersection.  The result is the reduced basis of the
-    saturation, relations included."""
-    f = g.ambient
-    cox = f.cox
-    maximal = [c.ray_generators for c in cox.grading.fan.maximal_cones()]
-    zhats = [cox.zhat[k] for k in maximal]
-    if _is_monomial_context(g):
-        return GradedSubmodule(f, _monomial_saturation(g, zhats))
-    sat = None
-    for z in zhats:
-        part = saturate_at(g, z)
-        sat = part if sat is None else reduced_basis(
-            module_intersection(sat, part, f.nvars)
-        )
-    if sat is None:
-        sat = reduced_basis(module_groebner_basis(g.with_relations()))
-    return GradedSubmodule(f, sat)
+    irrelevant ideal: the intersection of the saturations by the maximal
+    cones' monomials, as the reduced basis, relations included."""
+    return GradedSubmodule(g.ambient, chart_intersection(g.ambient, chart_bases(g)))
 
 
 def kill_table(f: GradedModulePresentation, kernels=None):
@@ -260,7 +267,10 @@ def kill_table(f: GradedModulePresentation, kernels=None):
 
 
 def submodules_equal(a: GradedSubmodule, b: GradedSubmodule) -> bool:
-    return submodule_equal(a.with_relations(), b.with_relations())
+    """Equal generator lists generate equal submodules; otherwise the
+    reduced bases decide."""
+    gens = a.with_relations()
+    return gens == b.with_relations() or submodule_equal(gens, b.with_relations())
 
 
 class TorsionCertificate(Record):

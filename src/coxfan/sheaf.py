@@ -14,7 +14,9 @@ correspondence is compared by dimensions: its kernel in degree α is the
 saturated relations modulo the relations there.
 Chart modules and the submodules the correspondences return are held as
 reduced POT Groebner bases, relations included, so equal modules are
-equal tuples.
+equal tuples.  ``xi_forward`` and ``xi_preimage`` read one chart family
+and one chart intersection per submodule (``gradmod.chart_bases`` and
+``gradmod.chart_intersection``), each kept for the last object by identity.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .gradmod import (
     GradedModulePresentation,
     GradedSubmodule,
     _monomials_of_degree,
+    chart_bases,
+    chart_intersection,
     component_span_rows,
     degree_component,
     graded_elements,
@@ -438,13 +442,8 @@ def eta_component_is_bijective(s: SheafCoverPresentation, alpha) -> bool:
 def xi_forward(g: GradedSubmodule) -> ChartSubmoduleFamily:
     """The chart family of the subsheaf generated by a graded submodule:
     per maximal cone, the reduced basis of the saturation by the cone
-    monomial."""
-    cox = g.ambient.cox
-    charts = {
-        cone.ray_generators: saturate_at(g, cox.zhat[cone.ray_generators])
-        for cone in cox.grading.fan.maximal_cones()
-    }
-    return ChartSubmoduleFamily(charts)
+    monomial: ``gradmod.chart_bases(g)``."""
+    return ChartSubmoduleFamily(chart_bases(g))
 
 
 def family_equal(a: ChartSubmoduleFamily, b: ChartSubmoduleFamily) -> bool:
@@ -458,32 +457,28 @@ def xi_preimage(
     window_degrees,
 ) -> GradedSubmodule:
     """The saturated graded submodule whose image is t, reconstructed
-    degree by degree over the window: the intersection over charts of
-    the chart modules' graded components, as the annihilator of the sum
-    of their annihilators.  Each chart basis spans a module that contains
-    the relations, so no relation rows join it.  A basis vector of the
-    intersection is kept only when it is new to the degree-alpha span of
-    the relations and the vectors kept so far, which is the submodule's
-    own component there.  The result is the reduced basis of the kept
-    vectors and the relations: in a window not in increasing order, a
-    later, lower degree can make an earlier vector redundant, and the
-    reduced basis drops it."""
+    degree by degree over the window: the degree-alpha rows of the chart
+    intersection (``gradmod.chart_intersection``, built once per charts
+    dict, so ``xi_forward(g)`` after ``saturate_submodule(g)`` reuses it),
+    which contains the relations as every chart does.  A row is kept only
+    when it is new to the degree-alpha span of the relations and the
+    vectors kept so far, the submodule's own component there.  The result
+    is the reduced basis of the kept vectors and the relations: in a
+    window not in increasing order, a later, lower degree can make an
+    earlier vector redundant, and the reduced basis drops it."""
     rels = graded_elements(f, f.relations)
-    charts = [graded_elements(f, chart_gens) for chart_gens in t.charts.values()]
+    meet = graded_elements(f, chart_intersection(f, t.charts))
     gens = []  # (degree, element) pairs kept so far
     for alpha in window_degrees:
         coords = _monomials_of_degree(f, alpha)
         if not coords:
             continue
         index = {c: k for k, c in enumerate(coords)}
-        inter = ratlin.intersection(
-            (component_span_rows(f, chart, alpha, index) for chart in charts),
-            len(coords),
-        )
-        if not inter:
+        rows = component_span_rows(f, meet, alpha, index)
+        if not rows:
             continue
         own = component_span_rows(f, gens + rels, alpha, index)
-        for vec in ratlin.new_to_span(own, inter):
+        for vec in ratlin.new_to_span(own, rows):
             gens.append((alpha, tuple(
                 {coords[k][1]: c for k, c in sorted(vec.items()) if coords[k][0] == i}
                 for i in range(f.rank)

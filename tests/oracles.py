@@ -874,18 +874,16 @@ def solve_rational(rows, rhs):
 
 def divisor_is_cartier(rays, max_cone_indices, coefficients):
     """Whether the ray-coefficient vector admits per-cone integral linear
-    forms u_sigma with u_sigma · ray = -coefficient on every cone ray."""
-    rank = len(rays[0])
+    forms u_sigma with u_sigma · ray = -coefficient on every cone ray: on
+    each cone the right-hand side lies in the lattice of the columns of
+    the ray matrix, so adding it leaves that lattice's Hermite basis as
+    it is.  A cone that is not full-dimensional leaves u_sigma partly
+    free, so no single rational solution decides it."""
     for cone in max_cone_indices:
-        rows = [list(rays[i]) for i in cone]
+        columns = [[rays[i][j] for i in cone] for j in range(len(rays[0]))]
         rhs = [-coefficients[i] for i in cone]
-        x = solve_rational(rows, rhs)
-        if x is None or any(v.denominator != 1 for v in x):
+        if _hermite(columns + [rhs], len(cone)) != _hermite(columns, len(cone)):
             return False
-        # the solved form must match on all cone rays (overdetermined case)
-        for i in cone:
-            if sum(a * b for a, b in zip(x, rays[i])) != -coefficients[i]:
-                return False
     return True
 
 

@@ -95,6 +95,10 @@ def test_pic_against_cartier_oracle():
     assert oracles.divisor_is_cartier(
         spec["rays"], spec["max_cones"], [0, 0, 0, 0]
     )
+    # On one ray the forms are partly free: u = (0, -1) takes (2, 1) to -1.
+    assert oracles.divisor_is_cartier([(2, 1)], [[0]], [1])
+    # u·(1, 0, 0) = -1 and u·(1, 2, 0) = 0 force u_2 = 1/2, whatever u_3 is.
+    assert not oracles.divisor_is_cartier([(1, 0, 0), (1, 2, 0)], [[0, 1]], [1, 0])
 
 
 _E4 = [tuple(int(i == j) for j in range(4)) for i in range(4)]

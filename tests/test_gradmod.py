@@ -174,6 +174,19 @@ def test_family_of_35_ideals(p2_ring):
         assert submodules_equal(sat, want), exps
 
 
+def test_saturation_on_a_fan_without_cones_is_the_whole_module():
+    # With no maximal cone the irrelevant ideal is 0, so every submodule
+    # saturates to the ambient free module: the chart intersection of no
+    # charts starts from the unit ideal at every position.
+    g = grading.build_grading(polyfan.build_fan(2, [], []))
+    c = build_cox(g, subgroup_of_whole_group(g))
+    ring = free_module(c, [g.class_group.zero()] * 2)
+    one = Fraction(1)
+    for gens in [(), (({(): one}, {}),), (({(): 2 * one}, {(): 3 * one}),)]:
+        sat = saturate_submodule(GradedSubmodule(ring, gens))
+        assert sat.element_generators == (({(): one}, {}), ({}, {(): one}))
+
+
 def test_torsion_of_irrelevant_quotients(p2_cox):
     for m in (1, 2, 3):
         powered = [

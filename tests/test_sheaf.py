@@ -772,6 +772,90 @@ def test_generated_binomial_round_trips(name):
         assert family_equal(xi_forward(lift_finite_type(family, f)), family), ideal
 
 
+def _component_meet(f, family, alpha):
+    """A basis of the degree-alpha vectors that lie in every chart module,
+    as module elements: the chart components, intersected densely by the
+    oracle."""
+    coords = gradmod._monomials_of_degree(f, alpha)
+    index = {m: k for k, m in enumerate(coords)}
+    meet = None
+    for chart in family.charts.values():
+        rows = gradmod.component_span_rows(f, gradmod.graded_elements(f, chart), alpha, index)
+        dense = [[row.get(k, 0) for k in range(len(coords))] for row in rows]
+        meet = dense if meet is None else oracles.subspace_intersection(meet, dense)
+    return [
+        tuple({coords[k][1]: x for k, x in enumerate(v) if x and coords[k][0] == i} for i in range(f.rank))
+        for v in meet
+    ]
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "f2"])
+def test_preimage_is_generated_by_the_chart_components_meet(name):
+    # Seeded monomial and binomial ideals, over windows that reach past
+    # the saturation's generator degrees and windows cut short of them,
+    # in increasing and shuffled order: the preimage is the submodule
+    # that the per-degree intersections of the chart components generate.
+    c = _cox(name)
+    f = free_module(c)
+    g = c.grading
+    A = g.class_group
+    rng = random.Random(20261019)
+    for k in range(4):
+        if k % 2:
+            ideal = [{e: Fraction(1)} for e in oracles.random_monomial_ideal(rng, c.num_vars)]
+        else:
+            ideal = oracles.random_binomial_ideal(rng, c.num_vars, lambda e: g.a_map(e).coords())
+        sub = GradedSubmodule(f, tuple((p,) for p in ideal))
+        family = xi_forward(sub)
+        steps = (A.zero(), *g.ray_degrees)
+        sat = saturate_submodule(sub)
+        cover = sorted(
+            {A.add(f.element_degree(x), d) for x in sat.element_generators for d in steps},
+            key=lambda a: a.coords(),
+        )
+        shuffled = list(cover)
+        rng.shuffle(shuffled)
+        cut = sorted({f.element_degree(x) for x in sub.element_generators}, key=lambda a: a.coords())
+        meets = {alpha: _component_meet(f, family, alpha) for alpha in cover + cut}
+        for window in (cover, shuffled, cover[:2], cover[1::-1], cut, cut[:1]):
+            vectors = [x for alpha in window for x in meets[alpha]]
+            got = xi_preimage(family, f, window)
+            assert got.element_generators == reduced_basis(module_groebner_basis(vectors)), (ideal, window)
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1"])
+def test_xi_check_saturates_each_chart_once(name, monkeypatch):
+    # The chart bases and their intersection are kept for the last
+    # submodule and the last charts dict, by identity: the saturation and
+    # the round trip of sheaf xi-check saturate each chart and intersect
+    # the charts once, and an equal but distinct submodule computes its own.
+    c = _cox(name)
+    f = free_module(c)
+    A = c.grading.class_group
+    saturations, meets = [], []
+    real_at, real_meet = gradmod.saturate_at, gradmod.module_intersection
+    monkeypatch.setattr(gradmod, "saturate_at", lambda g, z: saturations.append(g) or real_at(g, z))
+    monkeypatch.setattr(gradmod, "module_intersection", lambda *a: meets.append(a) or real_meet(*a))
+    one = Fraction(1)
+    ideal = {
+        "p2": [{(1, 1, 0): one, (0, 0, 2): -one}, {(1, 0, 1): one, (0, 2, 0): -2 * one}],
+        "p1xp1": [{(1, 0, 1, 0): one, (0, 1, 0, 1): -one}, {(1, 0, 0, 1): one, (0, 1, 1, 0): 2 * one}],
+    }[name]
+    sub = GradedSubmodule(f, tuple((p,) for p in ideal))
+    window = _lex_window(c, (3,) * A.free_rank)
+    n = len(c.grading.fan.maximal_cones())
+    sat = saturate_submodule(sub)
+    pre = xi_preimage(xi_forward(sub), f, window)
+    assert pre.element_generators == sat.element_generators
+    assert len(saturations) == n and all(g is sub for g in saturations)
+    assert len(meets) == n - 1
+    twin = GradedSubmodule(f, tuple((p,) for p in ideal))
+    assert twin == sub and twin is not sub
+    assert saturate_submodule(twin).element_generators == sat.element_generators
+    assert len(saturations) == 2 * n and all(g is twin for g in saturations[n:])
+    assert len(meets) == 2 * (n - 1)
+
+
 # Two-binomial saturations that took 127 s, 5.2 s and more than 460 s
 # (on a 2-CPU Xeon) when Buchberger popped its pairs last in, first out.
 TAIL_SATURATIONS = [
