@@ -82,13 +82,6 @@ def nullspace(rows, ncols):
     return list(basis.values())
 
 
-def new_to_span(rows, vectors):
-    """The vectors, in order, that are not in the row span of the rows
-    and of the vectors kept before them."""
-    piv = _pivot_rows(rows)
-    return [v for v in vectors if _insert(piv, v)]
-
-
 def intersection(spans, ncols):
     """Reduced echelon rows of the intersection of the row spans of the
     given row lists, all ncols wide, by V_1 ∩ … ∩ V_k = (V_1^⊥ + … +

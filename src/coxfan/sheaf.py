@@ -14,22 +14,25 @@ correspondence is compared by dimensions: its kernel in degree α is the
 saturated relations modulo the relations there.
 Chart modules and the submodules the correspondences return are held as
 reduced POT Groebner bases, relations included, so equal modules are
-equal tuples.  ``xi_forward`` and ``xi_preimage`` read one chart family
-and one chart intersection per submodule (``gradmod.chart_bases`` and
-``gradmod.chart_intersection``), each kept for the last object by identity.
+equal tuples.  ``xi_forward`` reads one chart family per submodule
+(``gradmod.chart_bases``), and ``xi_preimage`` and ``lift_finite_type``
+one chart intersection per family (``gradmod.chart_intersection``), each
+kept for the last object by identity: the preimage is generated by the
+intersection's basis and the window-degree multiples of its elements
+outside the window, and the lift tests each power against that basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from operator import add, mul
 
 from . import ratlin
 from ._record import DomainError, Record
 from .cox import CoxRingData
-from .grading import _degree_zero_lattice, _lattice_points
+from .grading import _degree_zero_lattice, _lattice_points, degree_fiber
 from .gradmod import (
     GradedModulePresentation,
     GradedSubmodule,
@@ -456,35 +459,35 @@ def xi_preimage(
     f: GradedModulePresentation,
     window_degrees,
 ) -> GradedSubmodule:
-    """The saturated graded submodule whose image is t, reconstructed
-    degree by degree over the window: the degree-alpha rows of the chart
-    intersection (``gradmod.chart_intersection``, built once per charts
-    dict, so ``xi_forward(g)`` after ``saturate_submodule(g)`` reuses it),
-    which contains the relations as every chart does.  A row is kept only
-    when it is new to the degree-alpha span of the relations and the
-    vectors kept so far, the submodule's own component there.  The result
-    is the reduced basis of the kept vectors and the relations: in a
-    window not in increasing order, a later, lower degree can make an
-    earlier vector redundant, and the reduced basis drops it."""
-    rels = graded_elements(f, f.relations)
-    meet = graded_elements(f, chart_intersection(f, t.charts))
-    gens = []  # (degree, element) pairs kept so far
-    for alpha in window_degrees:
-        coords = _monomials_of_degree(f, alpha)
-        if not coords:
-            continue
-        index = {c: k for k, c in enumerate(coords)}
-        rows = component_span_rows(f, meet, alpha, index)
-        if not rows:
-            continue
-        own = component_span_rows(f, gens + rels, alpha, index)
-        for vec in ratlin.new_to_span(own, rows):
-            gens.append((alpha, tuple(
-                {coords[k][1]: c for k, c in sorted(vec.items()) if coords[k][0] == i}
-                for i in range(f.rank)
-            )))
-    kept = [x for _, x in gens] + list(f.relations)
-    return GradedSubmodule(f, reduced_basis(module_groebner_basis(kept)))
+    """The saturated graded submodule whose image is t, generated over the
+    window W by the relations and by N_α for α in W, N the chart
+    intersection (``gradmod.chart_intersection``, kept per charts dict, so
+    ``xi_forward(g)`` after ``saturate_submodule(g)`` reuses it).  For b
+    over N's reduced basis, N_α is spanned by the x^m·b of degree α, and
+    when b's degree lies in W, b is one of them and its multiples add
+    nothing.  So the generators are the b of degree in W and the multiples
+    of degree in W of the others: N's basis itself when no b is outside W,
+    else the reduced basis of those and the relations.  The monomials of
+    every window degree are listed first, in window order, so an unbounded
+    or oversized fiber is refused."""
+    window = dict.fromkeys(window_degrees)
+    for alpha in window:
+        _monomials_of_degree(f, alpha)
+    meet = chart_intersection(f, t.charts)
+    graded = graded_elements(f, meet)
+    far = [(d, b) for d, b in graded if d not in window]
+    if not far:
+        return GradedSubmodule(f, meet)
+    g = f.cox.grading
+    A = g.class_group
+    gens = [b for d, b in graded if d in window] + list(f.relations)
+    gens += [
+        m_term_mul(b, m, _ONE)
+        for d, b in far
+        for alpha in window
+        for m in degree_fiber(g, A.add(alpha, A.neg(d)))
+    ]
+    return GradedSubmodule(f, reduced_basis(module_groebner_basis(gens)))
 
 
 def lift_finite_type(
@@ -494,43 +497,35 @@ def lift_finite_type(
     """A finite-type graded submodule with the given chart family: every
     chart generator x of a cone σ is cleared by the least power
     z_σ^(j·m_σ) that puts it in the chart module T_τ of every other cone
-    τ.  Some power does exactly when x lies in (T_τ : z_σ^∞) for every τ.
-    That is tested before any j > 1 is tried, so a refusal is certified;
-    membership is monotone in j, so counting up from j = 0 finds the
-    least j.  Each chart holds a reduced basis of T_τ, relations
-    included, so it is the membership basis.  The result is the reduced
-    basis of the cleared generators and the relations."""
+    τ.  Since x lies in T_σ, that is membership in the chart intersection
+    N (``gradmod.chart_intersection``), whose reduced basis, relations
+    included, tests it.  Some power works exactly when x lies in every
+    (T_τ : z_σ^∞), that is in (N : z_σ^∞), as the colon commutes with
+    intersections: one saturation per cone, tested before any j > 1, so
+    a refusal is certified.  Membership is monotone in j, so counting up
+    from j = 0 finds the least j.  The result is the reduced basis of the
+    cleared generators and the relations."""
     cox = f.cox
-    keys = sorted(t.charts)
+    meet = chart_intersection(f, t.charts)
     gens = []
-    for key in keys:
+    for key in sorted(t.charts):
         z = cox.zhat[key]
-        step = cox.m_exponents[key]
-        others = [other for other in keys if other != key]
-        colons = []
-
-        def cleared(x, j):
-            return m_term_mul(x, tuple(j * step * zi for zi in z), _ONE)
-
-        def inside(x, j):
-            cand = cleared(x, j)
-            return all(module_contains(t.charts[other], cand) for other in others)
-
-        def certify(x):
-            if not colons:
-                colons.extend(saturate_at(GradedSubmodule(f, t.charts[other]), z) for other in others)
-            if not all(module_contains(gb, x) for gb in colons):
-                raise Unstabilized(
-                    "chart generator lies in no chart module after clearing "
-                    "by any power of its cone monomial"
-                )
-
+        power = tuple(cox.m_exponents[key] * zi for zi in z)
+        colon = None
         for x in t.charts[key]:
-            if not m_is_zero(x):
-                j = 0
-                while not inside(x, j):
-                    if j == 1:
-                        certify(x)
-                    j += 1
-                gens.append(cleared(x, j))
+            if m_is_zero(x):
+                continue
+            for j in count():
+                y = m_term_mul(x, tuple(j * p for p in power), _ONE)
+                if module_contains(meet, y):
+                    break
+                if j == 1:
+                    if colon is None:
+                        colon = saturate_at(GradedSubmodule(f, meet), z)
+                    if not module_contains(colon, x):
+                        raise Unstabilized(
+                            "chart generator lies in no chart module after clearing "
+                            "by any power of its cone monomial"
+                        )
+            gens.append(y)
     return GradedSubmodule(f, reduced_basis(module_groebner_basis(gens + list(f.relations))))

@@ -10,6 +10,7 @@ compare the fast implementations against these.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
@@ -210,8 +211,9 @@ def _dot(u, v):
 
 
 def in_cone(v, generators, rank=None):
-    rank = rank if rank is not None else len(v)
-    return in_halfspaces(v, cone_halfspaces(generators, rank))
+    """Membership by ``in_cone_eliminated``, whose H-representation keeps
+    its equalities as equations."""
+    return in_cone_eliminated(v, generators, len(v) if rank is None else rank)
 
 
 def in_halfspaces(v, halfspaces):
@@ -644,11 +646,17 @@ def _dedup_frac(rows):
 # package's incidence reading replaced, kept as references.
 
 
+@lru_cache(maxsize=64)
+def _reference_hrep(generators, rank):
+    return cone_inequalities(generators, rank)
+
+
 def in_cone_eliminated(v, generators, rank):
-    """Membership by the reference H-representation.  Its equalities stay
-    equations, so a lower-dimensional cone does not multiply rows the way
-    the opposite half-space pairs of ``cone_halfspaces`` do."""
-    ineqs, eqs = cone_inequalities(generators, rank)
+    """Membership by the reference H-representation, kept for the last
+    cones asked about.  Its equalities stay equations, so a
+    lower-dimensional cone does not multiply rows the way the opposite
+    half-space pairs of ``cone_halfspaces`` do."""
+    ineqs, eqs = _reference_hrep(tuple(map(tuple, generators)), rank)
     return all(_dot(f, v) >= 0 for f in ineqs) and not any(_dot(e, v) for e in eqs)
 
 
@@ -1184,3 +1192,44 @@ def module_saturate_element(gens, f, rank, nvars, pot, elim, max_steps=64):
             return current
         current = nxt
     raise RuntimeError("saturation did not stabilize")
+
+
+def lift_per_chart(charts, zhat, m_exponents, relations, pot, elim):
+    """The finite-type lift searched chart by chart: each generator x of
+    the chart of cone σ times the least z_σ^(j·m_σ) that lies in every
+    other chart module T_τ, each tested by its own normal form (every
+    chart is a Groebner basis).  Before any j > 1, x is tested against
+    each (T_τ : z_σ^∞), and None is returned when it lies outside one, as
+    then no power works.  The result is the reduced basis of the cleared
+    generators and the relations."""
+    keys = sorted(charts)
+    gens = []
+    for key in keys:
+        z = zhat[key]
+        others = [charts[k] for k in keys if k != key]
+        colons = []
+        for x in charts[key]:
+            if _m_is_zero(x):
+                continue
+            j = 0
+            while True:
+                cand = _m_term_mul(x, tuple(j * m_exponents[key] * a for a in z), 1)
+                if all(_m_is_zero(m_normal_form(cand, b, pot)) for b in others):
+                    break
+                if j == 1:
+                    if not colons:
+                        colons.extend(
+                            module_groebner_basis(
+                                module_saturate_element(
+                                    list(b) + list(relations), {tuple(z): Fraction(1)},
+                                    len(x), len(z), pot, elim,
+                                ),
+                                pot,
+                            )
+                            for b in others
+                        )
+                    if not all(_m_is_zero(m_normal_form(x, c, pot)) for c in colons):
+                        return None
+                j += 1
+            gens.append(cand)
+    return tuple(reduced_basis(module_groebner_basis(gens + list(relations), pot), pot))

@@ -1,6 +1,7 @@
 """Cones, dual cones, Hilbert bases, fan validation and properties."""
 
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -133,6 +134,49 @@ def test_oracle_halfspaces_agree_with_in_cone_in_rank_4():
     halfspaces = oracles.cone_halfspaces(gens, 4)
     for v in product(range(-4, 5), repeat=4):
         assert oracles.in_halfspaces(v, halfspaces) == in_cone(v, gens, 4), v
+
+
+# Six generators of a pointed cone in a hyperplane of Q^4: through opposite
+# half-space pairs the oracle's rows multiplied, and it did not finish this
+# cone in 120 s (2-CPU Xeon).
+FLAT_CONE = [(-2, 2, -6, 2), (3, -1, -3, 4), (-3, 1, -2, -1), (-4, 0, 2, -4), (3, 1, -5, 5), (-2, -4, 0, -1)]
+
+
+def _flat_cones(seed, count):
+    """FLAT_CONE, then seeded pointed cones of rank 3 and 4 with one to six
+    generators, each spanned inside a subspace of lower dimension."""
+    rng = random.Random(seed)
+    cones = [(4, FLAT_CONE)]
+    while len(cones) < count:
+        rank = rng.choice((3, 4))
+        basis = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(1, rank - 1))]
+        gens = [
+            tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(rank))
+            for coeffs in ([rng.randint(-2, 2) for _ in basis] for _ in range(rng.randint(1, 6)))
+        ]
+        if all(any(g) for g in gens) and not any(
+            oracles.in_cone([-x for x in g], gens, rank) for g in gens
+        ):
+            cones.append((rank, gens))
+    return cones
+
+
+def test_oracle_in_cone_on_lower_dimensional_cones():
+    # oracles.in_cone agrees with the package on a box and on nonnegative
+    # combinations of the generators, on 150 lower-dimensional cones, in
+    # seconds.
+    rng = random.Random(1)
+    start = time.perf_counter()
+    for rank, gens in _flat_cones(20261020, 150):
+        combos = [
+            tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(rank))
+            for coeffs in ([rng.randint(0, 3) for _ in gens] for _ in range(5))
+        ]
+        for v in combos:
+            assert oracles.in_cone(v, gens, rank), (gens, v)
+        for v in list(product(range(-1, 2), repeat=rank)) + combos:
+            assert oracles.in_cone(v, gens, rank) == in_cone(v, gens, rank), (gens, v)
+    assert time.perf_counter() - start < 30
 
 
 def test_fan_p2_has_seven_cones():

@@ -102,22 +102,6 @@ def test_nullspace_vectors_are_solutions(cases):
         assert ratlin.nullspace(_sparse(m), ncols) == basis
 
 
-def test_in_row_span_matches_reference(cases):
-    rng = random.Random(7)
-    for m, (_, piv) in cases:
-        ncols = len(m[0]) if m else 3
-        combo = [0] * ncols
-        for r in m:
-            c = rng.randint(-2, 2)
-            combo = [a + c * b for a, b in zip(combo, r)]
-        assert ratlin.new_to_span(m, [combo]) == [], m
-        assert ratlin.new_to_span(m, [[0] * ncols]) == [], m
-        v = _matrix(rng, 1, ncols, 0.6)[0]
-        want = len(oracles.rref(m + [v])[1]) == len(piv)
-        assert ratlin.new_to_span(m, [v]) == ([] if want else [v]), (m, v)
-        assert ratlin.new_to_span(m, [combo, v, v]) == ([] if want else [v])
-
-
 def test_subspace_intersection_matches_reference(cases):
     rng = random.Random(11)
     for m, _ in cases:

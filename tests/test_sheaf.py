@@ -21,7 +21,7 @@ from coxfan.gradmod import (
     submodules_equal,
 )
 from coxfan.grading import classify_subgroup, subgroup_of_whole_group
-from coxfan.groeb import POT, module_groebner_basis, module_saturate_element, reduced_basis
+from coxfan.groeb import ELIM, POT, module_groebner_basis, module_saturate_element, reduced_basis
 from coxfan.sheaf import (
     eta_component_is_bijective,
     family_equal,
@@ -231,6 +231,43 @@ def test_lift_refusal_is_certified(p2_ring):
     family = sheaf.ChartSubmoduleFamily(charts)
     with pytest.raises(sheaf.Unstabilized, match="no chart module"):
         lift_finite_type(family, p2_ring)
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "f2"])
+def test_lift_matches_the_per_chart_reference(name, monkeypatch):
+    # Seeded monomial and binomial ideals, each with its own chart family
+    # and with one chart taken from the ideal of its first generator: the
+    # lift is the chart-by-chart reference element for element, refuses
+    # where the reference does, and saturates at most once per cone.
+    c = _cox(name)
+    f = free_module(c)
+    g = c.grading
+    saturations = []
+    real = sheaf.saturate_at
+    monkeypatch.setattr(sheaf, "saturate_at", lambda sub, z: saturations.append(tuple(z)) or real(sub, z))
+    rng = random.Random(20261020)
+    outcomes = set()
+    for k in range(6):
+        if k % 2:
+            ideal = [{e: Fraction(1)} for e in oracles.random_monomial_ideal(rng, c.num_vars)]
+        else:
+            ideal = oracles.random_binomial_ideal(rng, c.num_vars, lambda e: g.a_map(e).coords())
+        sub = GradedSubmodule(f, tuple((p,) for p in ideal))
+        charts = xi_forward(sub).charts
+        mixed = dict(charts)
+        key = sorted(mixed)[k % len(mixed)]
+        mixed[key] = xi_forward(GradedSubmodule(f, sub.element_generators[:1])).charts[key]
+        for family in (charts, mixed):
+            want = oracles.lift_per_chart(family, c.zhat, c.m_exponents, f.relations, POT, ELIM)
+            saturations.clear()
+            try:
+                got = lift_finite_type(sheaf.ChartSubmoduleFamily(family), f).element_generators
+            except sheaf.Unstabilized:
+                got = None
+            assert got == want, (ideal, key)
+            assert len(saturations) == len(set(saturations)), (ideal, key)
+            outcomes.add((got is None, bool(saturations)))
+    assert {(True, True), (False, True)} <= outcomes
 
 
 def test_torsion_iff_zero_cover_small_subgroup(p2_cox):
@@ -695,18 +732,28 @@ def _preimage_case(label):
 
 
 @pytest.mark.parametrize("label", sorted(PREIMAGE_CASES))
-def test_preimage_hands_minimalization_no_redundant_candidate(label, monkeypatch):
-    # Over a window in increasing order the span filter keeps only vectors
-    # new to the submodule's own component, so the vectors the reduced
-    # basis is built from are already minimal generators.
+def test_preimage_builds_a_basis_only_off_the_window(label, monkeypatch):
+    # The preimage is generated by the chart intersection's basis elements
+    # of degree in the window and the window-degree multiples of the rest.
+    # A window that holds every basis degree returns the intersection's
+    # basis with no Groebner basis run; a window of the top degree alone
+    # runs one, on the multiples, all of that degree.
     f, sub, family, window = _preimage_case(label)
+    sat = saturate_submodule(sub)
+    degrees = {f.element_degree(x) for x in sat.element_generators}
+    assert degrees <= set(window)
     calls = []
     real = sheaf.module_groebner_basis
     monkeypatch.setattr(sheaf, "module_groebner_basis", lambda gens: calls.append(list(gens)) or real(gens))
     out = xi_preimage(family, f, window)
-    (kept,) = calls
-    assert oracles.minimalize_generators(kept, (), POT) == kept
-    assert out.element_generators == saturate_submodule(sub).element_generators
+    assert calls == []
+    assert out.element_generators == sat.element_generators
+    top = window[-1]
+    assert degrees != {top}
+    out = xi_preimage(family, f, [top])
+    (gens,) = calls
+    assert {f.element_degree(x) for x in gens} == {top}
+    assert out.element_generators == reduced_basis(module_groebner_basis(_component_meet(f, family, top)))
 
 
 @pytest.mark.parametrize("label", sorted(PREIMAGE_CASES))
