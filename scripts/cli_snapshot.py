@@ -4,12 +4,13 @@ document.
 
 The runs are the twelve README commands on each corpus fan, ``cox build``
 on a second big subgroup of each, a fixed set of refusals on each (bad
-flags, cone, ideal, window, module, subgroup and usage), the sections of
-S/<Z1> in both modes, ``chart`` on every cone of each (the zero cone
-as ``--cone ""``), ``pic``, ``cox build`` and ``chart`` on every cone of
-the scale fans of ``tests/oracles.py``, commands on malformed fans, usage
-errors, and the ``--help`` text of every parser.  Each run
-calls ``coxfan.cli.main`` in this process, from this checkout's ``src``.
+flags, cone, ideal, window, module, subgroup and usage, and ``--module``
+with ``--ideal``), the sections of S/<Z1> in both modes, ``chart`` on
+every cone of each (the zero cone as ``--cone ""``), ``pic``, ``cox
+build`` and ``chart`` on every cone of the scale fans of
+``tests/oracles.py``, commands on malformed fans, usage errors, and the
+``--help`` text of every parser.  Each run calls ``coxfan.cli.main`` in
+this process, from this checkout's ``src``.
 Paths in arguments and output read ``<corpus>`` and ``<tmp>``, so the
 output of two checkouts can be compared with ``diff``:
 
@@ -83,6 +84,7 @@ REFUSALS = [
     ["cox", "build", "{fan}", "--subgroup", "{small}"],
     ["module", "sections", "{fan}", "--degrees", "0", "--mode", "foo"],
     ["sheaf", "lift", "{fan}"],
+    ["module", "torsion", "{fan}", "--module", "{tmp}/{name}-graded.json", "--ideal", "Z1,Z2,Z3"],
 ]
 
 # Malformed fan files, each given to the commands below.

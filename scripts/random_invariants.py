@@ -11,8 +11,10 @@ of I (the iterated colon for monomial ideals) and that
 xi_forward(lift_finite_type(T)) equals T for the family T of I.  With
 ``--torsion N`` it checks the kill table of N random quotients of rank 1
 or 2 on P2, P1xP1 and F2, by monomial relations (exponents up to 20) or
-by binomial ones, against the reference Groebner engine, and that
-is_torsion agrees with the sheaf being zero.
+by binomial ones, against the reference Groebner engine, that the
+chart intersection of the sheaf cover's kernels is the reference
+intersection of the maximal cones' kernels, and that is_torsion agrees
+with the sheaf being zero.
 
 Usage:
     python3 scripts/random_invariants.py --cones 50 --ideals 25 --seed 7
@@ -21,6 +23,7 @@ Usage:
 """
 
 import argparse
+import functools
 import itertools
 import random
 import sys
@@ -36,6 +39,7 @@ from coxfan.cox import build_cox  # noqa: E402
 from coxfan.gradmod import (  # noqa: E402
     GradedModulePresentation,
     GradedSubmodule,
+    chart_intersection,
     free_module,
     is_torsion,
     kill_table,
@@ -188,7 +192,10 @@ def check_torsion(rng, rings):
     in one generator's component: every kill-table entry k must put
     z^k e_i in the relations and z^(k-1) e_i outside them, and every
     None must leave e_i outside (relations : z^inf), by the reference
-    engine; is_torsion must agree with the sheaf being zero."""
+    engine; the chart intersection of all the sheaf cover's kernels,
+    the overlaps' included, must be the reference intersection of the
+    maximal cones' kernels alone; is_torsion must agree with the sheaf
+    being zero."""
     cox = rings[rng.choice(sorted(rings))].cox
     n, g = cox.num_vars, cox.grading
     rank = rng.randint(1, 2)
@@ -212,6 +219,12 @@ def check_torsion(rng, rings):
                 rels.append(tuple({e: Fraction(1)} if j == i else {} for j in range(rank)))
     q = GradedModulePresentation(cox, (g.class_group.zero(),) * rank, tuple(rels))
     rel_gb = oracles.module_groebner_basis(rels, POT)
+    kernels = {
+        c.ray_generators: oracles.module_saturate_element(
+            rels, {cox.zhat[c.ray_generators]: Fraction(1)}, rank, n, POT, ELIM
+        )
+        for c in g.fan.maximal_cones()
+    }
 
     def power(i, z, k):
         return tuple({tuple(k * a for a in z): Fraction(1)} if j == i else {} for j in range(rank))
@@ -220,12 +233,17 @@ def check_torsion(rng, rings):
     for (i, key), k in kill_table(q).items():
         z = cox.zhat[key]
         if k is None:
-            sat = oracles.module_saturate_element(rels, {z: Fraction(1)}, rank, n, POT, ELIM)
-            ok &= not _reference_contains(oracles.module_groebner_basis(sat, POT), power(i, z, 0))
+            kernel = oracles.module_groebner_basis(kernels[key], POT)
+            ok &= not _reference_contains(kernel, power(i, z, 0))
         else:
             ok &= _reference_contains(rel_gb, power(i, z, k))
             ok &= not _reference_contains(rel_gb, power(i, z, k - 1))
-    return ok and is_torsion(q).is_torsion == is_zero_sheaf(sheafify(q))
+    cover = sheafify(q)
+    meet = functools.reduce(
+        lambda a, b: oracles.module_intersection(a, b, n, ELIM), kernels.values()
+    )
+    ok &= oracles.submodule_equal(list(chart_intersection(q, cover.kernels)), meet, POT)
+    return ok and is_torsion(q).is_torsion == is_zero_sheaf(cover)
 
 
 def _ideal(f, polys):

@@ -312,8 +312,11 @@ def _generator_monomials(sub):
 
 def _module(inputs, path, ideal=None):
     """The module of ``--module``, else the quotient by ``--ideal``, else
-    the ring itself."""
+    the ring itself.  The two options name two modules, so both together
+    are refused."""
     from . import gradmod
+    if path is not None and ideal is not None:
+        raise ParseError("--module and --ideal each name the module: give one of them")
     c = inputs.ring
     if path:
         return load_module_json(_read(path), c)

@@ -42,6 +42,13 @@ class GradedModulePresentation(Record):
     def nvars(self):
         return self.cox.num_vars
 
+    @property
+    def units(self):
+        """The free generators e_i, as module elements."""
+        one = {(0,) * self.nvars: Fraction(1)}
+        r = range(self.rank)
+        return tuple(tuple(one if j == i else {} for j in r) for i in r)
+
     def shifted(self, alpha):
         """The degree-shifted module: component beta reads off component
         alpha+beta, so generator degrees drop by alpha."""
@@ -230,28 +237,23 @@ def saturate_submodule(g: GradedSubmodule) -> GradedSubmodule:
     return GradedSubmodule(g.ambient, chart_intersection(g.ambient, chart_bases(g)))
 
 
-def kill_table(f: GradedModulePresentation, kernels=None):
+def kill_table(f: GradedModulePresentation):
     """(generator index i, maximal cone rays) -> the least k with z^k e_i
     in the relation module, z the cone monomial, or None when no power of
-    z kills e_i.  ``kernels`` maps cone rays to the localization kernels
-    (relations : z^inf), which are computed here when not given.  Some
-    power kills e_i exactly when e_i lies in that kernel, so the search
-    for k runs only when it ends.  Membership of z^k e_i is monotone in k,
-    so the search tests k = 1, 2, 4, ... until one kills and bisects the
-    last gap: 2·ceil(log2 k) tests, and one for k = 1."""
-    cox = f.cox
-    keys = [c.ray_generators for c in cox.grading.fan.maximal_cones()]
-    if kernels is None:
-        kernels = {key: saturate_at(GradedSubmodule(f, ()), cox.zhat[key]) for key in keys}
+    z kills e_i.  Some power kills e_i exactly when e_i lies in the
+    localization kernel (relations : z^inf), the chart basis of the empty
+    submodule (``chart_bases``), so the search for k runs only when it
+    ends.  Membership of z^k e_i is monotone in k, so the search tests
+    k = 1, 2, 4, ... until one kills and bisects the last gap:
+    2·ceil(log2 k) tests, and one for k = 1."""
+    kernels = chart_bases(GradedSubmodule(f, ()))
     rel_gb = module_groebner_basis(list(f.relations))
-    one = {(0,) * f.nvars: Fraction(1)}
     table = {}
-    for i in range(f.rank):
-        unit = tuple(one if j == i else {} for j in range(f.rank))
-        for key in keys:
+    for i, unit in enumerate(f.units):
+        for key, kernel in kernels.items():
             table[(i, key)] = None
-            if module_contains(kernels[key], unit):
-                z = cox.zhat[key]
+            if module_contains(kernel, unit):
+                z = f.cox.zhat[key]
 
                 def kills(k):
                     return module_contains(rel_gb, m_term_mul(unit, tuple(k * x for x in z), 1))

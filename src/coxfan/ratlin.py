@@ -3,18 +3,19 @@
 A row is stored as a dict {column: Fraction} of its nonzero entries: the
 chart windows and Čech equalizers of `sheaf` have thousands of rows with
 a handful of entries each, mostly ±1.  Rows may be given as lists too;
-every row returned is a dict.  One echelon core serves every function.
-It inserts the rows one at a time, cancelling each row's leading entry
-against the pivot rows found so far until the row vanishes or opens a
-new pivot, and back-substitutes once at the end.  The result is the
-reduced row echelon form, which is unique.
+every row returned is a dict.  One echelon core serves both functions,
+``echelon`` and ``rank``.  It inserts the rows one at a time, cancelling
+each row's leading entry against the pivot rows found so far until the
+row vanishes or opens a new pivot; ``echelon`` back-substitutes once at
+the end, to the reduced row echelon form, which is unique.  Subspace
+intersections are not taken here: the ones the package needs are
+degree slices of submodule intersections, which ``gradmod`` takes once
+as modules.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-_ONE = Fraction(1)
 
 
 def _sparse(row):
@@ -68,30 +69,3 @@ def echelon(rows):
 
 def rank(rows):
     return len(_pivot_rows(rows))
-
-
-def nullspace(rows, ncols):
-    """Basis of {x : A x = 0} for the ncols-wide matrix with the given
-    rows: one vector per free column f, 1 at f and 0 at the others."""
-    ech = echelon(rows)
-    basis = {f: {f: _ONE} for f in range(ncols) if f not in ech}
-    for p, r in ech.items():
-        for f, x in r.items():
-            if f != p:
-                basis[f][p] = -x
-    return list(basis.values())
-
-
-def intersection(spans, ncols):
-    """Reduced echelon rows of the intersection of the row spans of the
-    given row lists, all ncols wide, by V_1 ∩ … ∩ V_k = (V_1^⊥ + … +
-    V_k^⊥)^⊥: each annihilator V^⊥ is the nullspace of V's rows.  The
-    spans are read lazily, and no further once the annihilators fill
-    all ncols columns."""
-    ann = {}
-    for rows in spans:
-        for v in nullspace(rows, ncols):
-            _insert(ann, v)
-        if len(ann) == ncols:
-            return []
-    return list(echelon(nullspace(ann.values(), ncols)).values())

@@ -1,17 +1,17 @@
 """Quasicoherent sheaves on the toric cover, presented chart by chart.
 
 A graded module's sheaf is held as its cover: the localization kernel
-of every maximal cone and of every intersection of two, computed once,
-and the kill table of the maximal cones (the least power of each cone
-monomial that kills each generator).  A chart's twists (its minimal
-Laurent generators of one degree) are exact: their cone parts lie in a
-box proven from the Smith form of the cone's rays.  Global sections take
+of every maximal cone and of every intersection of two, computed once.
+A chart's twists (its minimal Laurent generators of one degree) are
+exact: their cone parts lie in a box proven from the Smith form of the
+cone's rays.  Global sections take
 degrees from finite lists and denominators from one level: a proven
 bound for a free module, else a heuristic.  Both section modes share
 one window/equalizer builder, whose coordinates are Laurent monomials;
 the lattice-point count of P_D checks them.  The unit η of the
 correspondence is compared by dimensions: its kernel in degree α is the
-saturated relations modulo the relations there.
+saturated relations modulo the relations there, the saturated relations
+being the chart intersection of the cover's kernels.
 Chart modules and the submodules the correspondences return are held as
 reduced POT Groebner bases, relations included, so equal modules are
 equal tuples.  ``xi_forward`` reads one chart family per submodule
@@ -42,7 +42,6 @@ from .gradmod import (
     component_span_rows,
     degree_component,
     graded_elements,
-    kill_table,
     saturate_at,
 )
 from .groeb import (
@@ -66,12 +65,12 @@ class Unstabilized(DomainError, RuntimeError):
 
 
 class SheafCoverPresentation(Record):
-    """The sheaf of a graded module, as what its readers use: the kill
-    table and the localization kernels the section windows quotient by."""
+    """The sheaf of a graded module, as what its readers use: the
+    localization kernels, which decide the live charts, make the section
+    windows' subspaces and meet in the saturated relations of η."""
 
     __slots__ = (
         "origin",  # a GradedModulePresentation
-        "killed",  # (generator index, maximal cone key) -> least killing power, or None
         "kernels",  # cone key -> reduced basis of the localization kernel,
         # for the maximal cones and their pairwise intersections
     )
@@ -198,13 +197,12 @@ def _overlaps(keys):
 
 def sheafify(f: GradedModulePresentation) -> SheafCoverPresentation:
     """The cover presentation of the associated sheaf: the localization
-    kernels of the maximal cones and of their pairwise intersections, and
-    the kill table read off the maximal cones' kernels."""
+    kernels of the maximal cones and of their pairwise intersections."""
     cox = f.cox
     keys = [cone.ray_generators for cone in cox.grading.fan.maximal_cones()]
     faces = dict.fromkeys(keys + [tau for *_, tau in _overlaps(keys)])
     kernels = {key: saturate_at(GradedSubmodule(f, ()), cox.zhat[key]) for key in faces}
-    return SheafCoverPresentation(origin=f, killed=kill_table(f, kernels), kernels=kernels)
+    return SheafCoverPresentation(origin=f, kernels=kernels)
 
 
 def is_zero_sheaf(s: SheafCoverPresentation) -> bool:
@@ -212,18 +210,16 @@ def is_zero_sheaf(s: SheafCoverPresentation) -> bool:
     module is spanned by the x^v·e_i, v over the Laurent generators of
     degree −deg e_i, and x^v·e_i = x^(v + c·ẑ_σ)·e_i / ẑ_σ^c (c clearing
     v's negative entries) is 0 exactly when its numerator lies in the
-    localization kernel.  The kill table decides B-torsion, which is
-    more: on a singular chart a generator that no power of ẑ_σ kills may
-    have no nonzero multiple of degree 0."""
+    localization kernel.  The kill table (``gradmod.kill_table``) decides
+    B-torsion, which is more: on a singular chart a generator that no
+    power of ẑ_σ kills may have no nonzero multiple of degree 0."""
     f = s.origin
     cox = f.cox
     group = cox.grading.class_group
-    one = {(0,) * f.nvars: _ONE}
     for cone in cox.grading.fan.maximal_cones():
         key = cone.ray_generators
         z = cox.zhat[key]
-        for i, d in enumerate(f.generator_degrees):
-            unit = tuple(one if j == i else {} for j in range(f.rank))
+        for unit, d in zip(f.units, f.generator_degrees):
             for v in _laurent_component_generators(cox, group.neg(d), key):
                 c = max(0, -min(v))
                 x = m_term_mul(unit, tuple(a + c * b for a, b in zip(v, z)), 1)
@@ -298,11 +294,12 @@ def _level_invariants(s, alpha, mode):
     the twists of every maximal cone and of every live overlap, the level
     bound L, and per pair of live cones the overlap key, the two cone keys
     and the level slack that puts both sides' products in the overlap
-    window.  A cone is live unless the kill table kills every generator
-    there: a dead chart's window is all subspace, and so is the window of
-    each of its overlaps, since its cone monomial divides the overlap's.
-    Neither adds to the equalizer, so neither is built, but L is taken
-    over every cone."""
+    window.  A cone is live when some generator e_i lies outside its
+    localization kernel, that is when no power of the cone monomial kills
+    every generator: a dead chart's window is all subspace, and so is the
+    window of each of its overlaps, since its cone monomial divides the
+    overlap's.  Neither adds to the equalizer, so neither is built, but L
+    is taken over every cone."""
     cox = s.cox
     shift = mode == "via_shift"
     degree = alpha if shift else cox.grading.class_group.zero()
@@ -313,7 +310,7 @@ def _level_invariants(s, alpha, mode):
         return _laurent_component_generators(cox, alpha, key)
 
     keys = [c.ray_generators for c in cox.grading.fan.maximal_cones()]
-    live = [k for k in keys if any(s.killed[i, k] is None for i in range(s.origin.rank))]
+    live = [k for k in keys if not all(module_contains(s.kernels[k], e) for e in s.origin.units)]
     twists = {key: twist(key) for key in keys}
     # The level bound L, proven in global_sections_degree.
     bound = max([1] + [
@@ -424,22 +421,27 @@ def global_sections_degree(
 
 def eta_component_is_bijective(s: SheafCoverPresentation, alpha) -> bool:
     """Whether the unit η_α: M_α → H0(M~(α)) of the correspondence is an
-    isomorphism, by dimensions.  Its kernel is (R : B^∞)_α / R_α, R the
-    relations and B the irrelevant ideal, and (R : B^∞) is the
-    intersection of the localization kernels of the maximal cones.  So
-    η_α is bijective exactly when that intersection is R_α in degree α
-    and dim M_α equals the section dimension."""
+    isomorphism, by dimensions.  Its kernel is N_α / R_α, R the relations
+    in the free module F, B the irrelevant ideal and N = (R : B^∞), the
+    intersection of the localization kernels (R : z_σ^∞) of the maximal
+    cones σ.  As R ⊆ N, η_α is injective exactly when dim (F/N)_α =
+    dim M_α, and bijective when that is also the section dimension.
+
+    N is the chart intersection of all the cover's kernels
+    (``gradmod.chart_intersection``), the overlaps' included.  An overlap
+    τ = σ ∩ σ' is a face of σ, so each ray off σ is off τ and z_σ divides
+    z_τ: if z_σ^k·x lies in R, so does z_τ^k·x.  Hence the overlap kernel
+    (R : z_τ^∞) contains (R : z_σ^∞), and with it the intersection of the
+    maximal kernels, which meeting it therefore leaves as it is.  The
+    kernels dict is the same object at every α, so the intersection is
+    built once per cover."""
     f = s.origin
     h0 = global_sections_degree(s, alpha).dimension
-    comp = degree_component(f, alpha)
-    index = {c: k for k, c in enumerate(comp.monomial_basis)}
-    keys = [c.ray_generators for c in s.cox.grading.fan.maximal_cones()]
-    saturated = ratlin.intersection(
-        (component_span_rows(f, graded_elements(f, s.kernels[k]), alpha, index) for k in keys),
-        len(index),
+    saturated = GradedModulePresentation(
+        f.cox, f.generator_degrees, chart_intersection(f, s.kernels)
     )
-    ker = len(saturated) - len(comp.relation_rows)
-    return ker == 0 and comp.dimension == h0
+    dim = degree_component(f, alpha).dimension
+    return dim == degree_component(saturated, alpha).dimension == h0
 
 
 def xi_forward(g: GradedSubmodule) -> ChartSubmoduleFamily:

@@ -145,65 +145,14 @@ def subgroup_canonical_basis(gens, group):
 # Cone geometry by direct Fourier–Motzkin elimination
 
 
-def _fm_step(ineqs, col):
-    keep, pos, neg = [], [], []
-    for row in ineqs:
-        if row[col] > 0:
-            pos.append(row)
-        elif row[col] < 0:
-            neg.append(row)
-        else:
-            keep.append(row)
-    # Each combination is divided by the gcd of its entries and duplicates
-    # are dropped after every step; otherwise the rows multiply with each
-    # elimination.  The dict keeps the order deterministic.
-    out = dict.fromkeys(tuple(row) for row in keep)
-    for p in pos:
-        for n in neg:
-            combo = [p[col] * n[k] - n[col] * p[k] for k in range(len(p))]
-            g = gcd(*combo)
-            if g:
-                out[tuple(x // g for x in combo)] = None
-    return [list(row) for row in out]
-
-
 def cone_halfspaces(generators, rank):
     """Inequality description of cone(generators) ⊆ Q^rank: returns rows u
-    with the cone equal to {x : u·x ≥ 0 for all u} (equalities appear as
-    opposite pairs).  Derived by eliminating the combination multipliers."""
-    gens = [list(g) for g in generators]
-    k = len(gens)
-    # variables (x, t); encode x = sum t_i g_i, t >= 0 as inequalities
-    rows = []
-    for j in range(rank):
-        row = [0] * (rank + k)
-        row[j] = 1
-        for i in range(k):
-            row[rank + i] = -gens[i][j]
-        rows.append(row)
-        rows.append([-x for x in row])
-    for i in range(k):
-        row = [0] * (rank + k)
-        row[rank + i] = 1
-        rows.append(row)
-    for col in range(rank, rank + k):
-        rows = _fm_step(rows, col)
-    # Most rows are positive combinations of facet normals.  Keep a row
-    # only if the generators it vanishes on are all of them (an equality)
-    # or a set not strictly inside another row's proper zero set (a facet).
-    zeros = {}
-    for row in rows:
-        u = tuple(row[:rank])
-        if any(u):
-            zeros.setdefault(
-                u, frozenset(i for i, g in enumerate(gens) if _dot(u, g) == 0)
-            )
-    proper = {z for z in zeros.values() if len(z) < k}
-    return [
-        list(u)
-        for u, z in zeros.items()
-        if len(z) == k or not any(z < w for w in proper)
-    ]
+    with the cone equal to {x : u·x ≥ 0 for all u}, each equality written
+    as an opposite pair.  Read off ``facet_hrep``, whose Fourier–Motzkin
+    eliminates a multiplier through an equality row by substitution, so
+    the rows of a lower-dimensional cone do not multiply."""
+    ineqs, eqs = facet_hrep(generators, rank)
+    return [list(u) for u in ineqs] + [[s * x for x in e] for e in eqs for s in (1, -1)]
 
 
 def _dot(u, v):
@@ -654,8 +603,8 @@ def _reference_hrep(generators, rank):
 def in_cone_eliminated(v, generators, rank):
     """Membership by the reference H-representation, kept for the last
     cones asked about.  Its equalities stay equations, so a
-    lower-dimensional cone does not multiply rows the way the opposite
-    half-space pairs of ``cone_halfspaces`` do."""
+    lower-dimensional cone does not multiply rows the way opposite
+    half-space pairs would."""
     ineqs, eqs = _reference_hrep(tuple(map(tuple, generators)), rank)
     return all(_dot(f, v) >= 0 for f in ineqs) and not any(_dot(e, v) for e in eqs)
 
@@ -1117,7 +1066,7 @@ def reduced_basis(basis, order):
     return [g for _, g in sorted(out, key=lambda kg: kg[0])]
 
 
-def _submodule_equal(gens_a, gens_b, pot):
+def submodule_equal(gens_a, gens_b, pot):
     ga = module_groebner_basis(gens_a, pot)
     gb = module_groebner_basis(gens_b, pot)
     return all(_m_is_zero(m_normal_form(x, gb, pot)) for x in gens_a) and all(
@@ -1188,7 +1137,7 @@ def module_saturate_element(gens, f, rank, nvars, pot, elim, max_steps=64):
             tuple(_p_divexact(p, f) if p else {} for p in x)
             for x in module_intersection(current, fF, nvars, elim)
         ]
-        if _submodule_equal(current, nxt, pot):
+        if submodule_equal(current, nxt, pot):
             return current
         current = nxt
     raise RuntimeError("saturation did not stabilize")

@@ -420,6 +420,20 @@ def test_torsion_of_a_rank_two_module(tmp_path, p2):
     assert [(c["generator"], c["power"]) for c in payload["certificate"]] == [(0, 1)]
 
 
+def test_torsion_refuses_a_module_with_an_ideal(tmp_path, p2):
+    # Both options name the module; neither is dropped in silence.
+    mod = tmp_path / "free.json"
+    mod.write_text(json.dumps({"generator_degrees": [[0]]}))
+    code, out = _run(["module", "torsion", p2, "--module", str(mod), "--ideal", "Z1,Z2,Z3"])
+    assert code == cli.EXIT_PARSE, out
+    payload = json.loads(out)
+    _validate(payload, "error")
+    assert payload["error"]["type"] == "ParseError"
+    assert "--module" in payload["error"]["reason"] and "--ideal" in payload["error"]["reason"]
+    code, out = _run(["module", "torsion", p2, "--module", str(mod)])
+    assert code == 0 and json.loads(out)["is_torsion"] is False
+
+
 @pytest.mark.parametrize("form", ["separate", "equals"])
 def test_degrees_may_start_with_a_negative_degree(p2, form):
     # The help text's own example: '-1;0;1' is a value, not an option.

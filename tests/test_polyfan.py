@@ -136,9 +136,9 @@ def test_oracle_halfspaces_agree_with_in_cone_in_rank_4():
         assert oracles.in_halfspaces(v, halfspaces) == in_cone(v, gens, 4), v
 
 
-# Six generators of a pointed cone in a hyperplane of Q^4: through opposite
-# half-space pairs the oracle's rows multiplied, and it did not finish this
-# cone in 120 s (2-CPU Xeon).
+# Six generators of a pointed cone in a hyperplane of Q^4: an oracle that
+# wrote the hyperplane's equality as opposite half-space pairs multiplied
+# its rows and did not finish this cone in 120 s (2-CPU Xeon).
 FLAT_CONE = [(-2, 2, -6, 2), (3, -1, -3, 4), (-3, 1, -2, -1), (-4, 0, 2, -4), (3, 1, -5, 5), (-2, -4, 0, -1)]
 
 
@@ -177,6 +177,15 @@ def test_oracle_in_cone_on_lower_dimensional_cones():
         for v in list(product(range(-1, 2), repeat=rank)) + combos:
             assert oracles.in_cone(v, gens, rank) == in_cone(v, gens, rank), (gens, v)
     assert time.perf_counter() - start < 30
+
+
+def test_oracle_hilbert_basis_of_the_flat_cone():
+    # The oracle's Fourier–Motzkin substitutes through the hyperplane's
+    # equality, so its half-spaces (four facets and one opposite pair) and
+    # the reduction reference on them finish on FLAT_CONE in about a second.
+    halfspaces = oracles.cone_halfspaces(FLAT_CONE, 4)
+    assert len(halfspaces) == 6
+    assert oracles.hilbert_basis_by_reduction(FLAT_CONE, 4) == hilbert_basis(FLAT_CONE, 4)
 
 
 def test_fan_p2_has_seven_cones():

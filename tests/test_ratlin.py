@@ -57,10 +57,6 @@ def _matrices():
     return out
 
 
-def _times(rows, x):
-    return [sum(Fraction(r[c]) * v for c, v in x.items()) for r in rows]
-
-
 def _dense(rows, ncols):
     return [[r.get(c, Fraction(0)) for c in range(ncols)] for r in rows]
 
@@ -89,38 +85,3 @@ def test_rref_matches_dense_reference(cases):
         assert m == before
         assert ratlin.rank(m) == len(ech)
         assert ratlin.rank(_sparse(m)) == len(ech)
-
-
-def test_nullspace_vectors_are_solutions(cases):
-    for m, (_, piv) in cases:
-        ncols = len(m[0]) if m else 4
-        basis = ratlin.nullspace(m, ncols=ncols)
-        assert len(basis) == ncols - len(piv), m
-        assert all(isinstance(x, dict) and all(x.values()) for x in basis)
-        assert all(not any(_times(m, x)) for x in basis)
-        assert len(oracles.rref(_dense(basis, ncols))[1]) == len(basis)
-        assert ratlin.nullspace(_sparse(m), ncols) == basis
-
-
-def test_subspace_intersection_matches_reference(cases):
-    rng = random.Random(11)
-    for m, _ in cases:
-        if not m or not m[0]:
-            continue
-        ncols = len(m[0])
-        spans = [m]
-        for _ in range(rng.randint(1, 2)):  # two and three spans
-            other = _matrix(rng, rng.randint(1, 4), ncols, rng.uniform(0.2, 1.0))
-            if rng.random() < 0.5:  # share a combination of the rows of m
-                coef = [rng.randint(-1, 1) for _ in m]
-                other.append([sum(k * r[c] for k, r in zip(coef, m)) for c in range(ncols)])
-            spans.append(other)
-        want = spans[0]
-        for other in spans[1:]:
-            want = oracles.subspace_intersection(want, other)
-        got = ratlin.intersection(spans, ncols)
-        assert _dense(got, ncols) == want, spans
-        assert ratlin.intersection(map(_sparse, spans), ncols) == got
-    assert ratlin.intersection([[], [[1, 0]]], 2) == []
-    assert ratlin.intersection([[[1, 0]], []], 2) == []
-    assert ratlin.intersection([[[0, 0]], [[1, 1]]], 2) == []

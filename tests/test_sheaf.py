@@ -54,9 +54,10 @@ def _alpha(ring, d):
 def test_structure_cover_is_free(p2_cox, p2_ring):
     cover = sheafify(p2_ring)
     assert not is_zero_sheaf(cover)
-    assert set(cover.killed.values()) == {None}
+    table = gradmod.kill_table(p2_ring)
+    assert set(table.values()) == {None}
     zero = _alpha(p2_ring, 0)
-    for key in cover.killed:
+    for key in table:
         assert sheaf._laurent_component_generators(p2_cox, zero, key[1]) == ((0, 0, 0),)
 
 
@@ -64,9 +65,9 @@ def test_irrelevant_quotient_gives_zero_cover(p2_cox, p2_ring):
     q = quotient_by_monomial_ideal(
         p2_cox, p2_cox.restricted_irrelevant_generators
     )
-    cover = sheafify(q)
-    assert is_zero_sheaf(cover)
-    assert len(cover.killed) == 3 and set(cover.killed.values()) == {1}
+    assert is_zero_sheaf(sheafify(q))
+    table = gradmod.kill_table(q)
+    assert len(table) == 3 and set(table.values()) == {1}
 
 
 def test_twist_chart_generators(p2_cox, p2_ring):
@@ -154,6 +155,106 @@ def test_eta_kernel_decides_where_dimensions_agree(p2_cox, p2_ring):
     s = sheafify(quotient_by_monomial_ideal(p2_cox, irrelevant))
     got = [eta_component_is_bijective(s, _alpha(p2_ring, d)) for d in range(4)]
     assert got == [False, True, True, True]
+
+
+def _reference_kernels(f):
+    """The maximal cones' localization kernels (R : z_σ^∞), each by
+    ``oracles.module_saturate_element``."""
+    c = f.cox
+    rels = list(f.relations)
+    return [
+        oracles.module_saturate_element(rels, {z: Fraction(1)}, f.rank, c.num_vars, POT, ELIM)
+        for z in (c.zhat[cone.ray_generators] for cone in c.grading.fan.maximal_cones())
+    ]
+
+
+def _eta_reference(f, kernels, alpha):
+    """dim M_α and dim ker η_α by the reference engine, for a module whose
+    monomials of degree α have every exponent at most max(0, α) (P2 and
+    P1xP1 with generators in degrees >= 0): ker η_α is N_α / R_α, N the
+    intersection of the kernels, each cut to its degree-α slice, the
+    slices met by ``oracles.subspace_intersection``."""
+    c = f.cox
+    g, A = c.grading, c.grading.class_group
+    box = list(itertools.product(range(max(0, *alpha.coords()) + 1), repeat=c.num_vars))
+    coords = [
+        (i, e) for i, d in enumerate(f.generator_degrees) for e in box
+        if A.add(d, g.a_map(e)) == alpha
+    ]
+    index = {x: k for k, x in enumerate(coords)}
+
+    def slice_rows(gens):
+        rows = []
+        for x in gens:
+            i, e0 = next((i, e) for i, p in enumerate(x) for e in p)
+            for m in box:
+                if A.add(f.generator_degrees[i], g.a_map(tuple(map(sum, zip(e0, m))))) == alpha:
+                    row = [Fraction(0)] * len(coords)
+                    for j, p in enumerate(x):
+                        for e, v in p.items():
+                            row[index[j, tuple(map(sum, zip(e, m)))]] += v
+                    rows.append(row)
+        red, piv = oracles.rref(rows)
+        return red[: len(piv)]
+
+    meet = slice_rows(kernels[0])
+    for kernel in kernels[1:]:
+        meet = oracles.subspace_intersection(meet, slice_rows(kernel))
+    r = len(slice_rows(f.relations))
+    return len(coords) - r, len(meet) - r
+
+
+def _terms(*terms):
+    return {e: Fraction(x) for x, e in terms}
+
+
+_SIX_POINTS = [_terms((1, (2, 0, 0)), (-1, (0, 1, 1))), _terms((1, (0, 3, 0)), (-2, (0, 0, 3)))]
+
+# Binomial relations.  On P2 the six points Z1² = Z2·Z3, Z2³ = 2·Z3³, all
+# in the torus; with S(-2)/B beside them (B the irrelevant ideal),
+# dim M_2 = h0 = 6 while ker η_2 is the torsion summand's degree-2 part.
+# On P1xP1, (Z3 − Z4)·<Z1·Z2, Z3·Z4>: the curve Z3 = Z4 and the four
+# torus-fixed points, each on one chart only, so that without any one
+# maximal kernel the intersection is too big where η is bijective.
+_P2_BOX = [[d] for d in range(-1, 5)]
+ETA_BINOMIAL = {
+    "p2": ("p2", [[0]], [(p,) for p in _SIX_POINTS], _P2_BOX),
+    "p2_with_torsion": (
+        "p2", [[0], [2]],
+        [(p, {}) for p in _SIX_POINTS]
+        + [({}, _terms((1, e))) for e in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]],
+        _P2_BOX,
+    ),
+    "p1xp1": (
+        "p1xp1", [[0, 0]],
+        [
+            (_terms((1, (1, 1, 1, 0)), (-1, (1, 1, 0, 1))),),
+            (_terms((1, (0, 0, 2, 1)), (-1, (0, 0, 1, 2))),),
+        ],
+        [[a, b] for a in range(-1, 3) for b in range(-1, 4)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ETA_BINOMIAL))
+def test_eta_on_binomial_relations_matches_the_reference_kernel(case):
+    name, degrees, rels, box = ETA_BINOMIAL[case]
+    c = _cox(name)
+    A = c.grading.class_group
+    f = GradedModulePresentation(c, tuple(map(A.from_coords, degrees)), tuple(rels))
+    s = sheafify(f)
+    kernels = _reference_kernels(f)
+    verdicts = set()
+    for d in box:
+        alpha = A.from_coords(d)
+        dim, ker = _eta_reference(f, kernels, alpha)
+        h0 = global_sections_degree(s, alpha).dimension
+        got = eta_component_is_bijective(s, alpha)
+        assert got == (ker == 0 and dim == h0), (case, d, dim, ker, h0)
+        verdicts.add((got, ker == 0, dim == h0))
+    assert (True, True, True) in verdicts
+    if case == "p2_with_torsion":
+        assert (False, False, True) in verdicts  # the kernel alone decides
 
 
 def test_xi_forward_of_principal_ideal(p2_ring):
@@ -301,7 +402,7 @@ def test_kill_power_is_exact_beyond_sixteen(p2_cox):
     # Z3^17 kills the generator on the chart where Z3 is inverted, and no
     # smaller power does
     q = quotient_by_monomial_ideal(p2_cox, [(0, 0, 17)])
-    killed = [(k, i) for (i, _), k in sheafify(q).killed.items() if k is not None]
+    killed = [(k, i) for (i, _), k in gradmod.kill_table(q).items() if k is not None]
     assert killed == [(17, 0)]
     # S/<Z1^17, Z2^17, Z3^17> is torsion, each cone monomial's 17th power
     # being the least that kills the generator
@@ -368,7 +469,6 @@ def test_kill_table_matches_count_up_oracle(name):
         }
         assert table == want, rels
         assert len(table) == rank * len(c.grading.fan.maximal_cones())
-        assert sheafify(q).killed == table
         assert is_torsion(q).is_torsion == (None not in table.values())
 
 
@@ -378,8 +478,7 @@ def test_rank_two_localization_kernel(p2_cox):
     A = p2_cox.grading.class_group
     rels = (({(1, 0, 0): Fraction(1)}, {}), ({}, {(0, 1, 0): Fraction(1)}))
     m = GradedModulePresentation(p2_cox, (A.from_coords([0]), A.from_coords([1])), rels)
-    cover = sheafify(m)
-    by_zhat = {(i, p2_cox.zhat[key]): k for (i, key), k in cover.killed.items()}
+    by_zhat = {(i, p2_cox.zhat[key]): k for (i, key), k in gradmod.kill_table(m).items()}
     assert by_zhat == {
         (0, (1, 0, 0)): 1, (0, (0, 1, 0)): None, (0, (0, 0, 1)): None,
         (1, (1, 0, 0)): None, (1, (0, 1, 0)): 1, (1, (0, 0, 1)): None,
@@ -654,7 +753,7 @@ def test_killed_chart_builds_no_window(monkeypatch):
     # has 169 coordinates at 6·D_0), so none of them is built.
     c = _cox("p112")
     s = sheafify(quotient_by_monomial_ideal(c, [(1, 0, 0)]))
-    (dead,) = [key for (_, key), k in s.killed.items() if k is not None]
+    (dead,) = [key for (_, key), k in gradmod.kill_table(s.origin).items() if k is not None]
     built = []
 
     class Counted(sheaf._Window):
