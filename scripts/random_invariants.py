@@ -10,8 +10,9 @@ ideals of P2 and P1xP1, that xi_preimage(xi_forward(I)) is the saturation
 of I (the iterated colon for monomial ideals) and that
 xi_forward(lift_finite_type(T)) equals T for the family T of I.  With
 ``--torsion N`` it checks the kill table of N random quotients of rank 1
-or 2 on P2, P1xP1 and F2, by monomial relations (exponents up to 20) or
-by binomial ones, against the reference Groebner engine, that the
+or 2 on P2, P1xP1 and F2, by monomial relations (exponents up to 20),
+by binomial ones, or (every third) by a fattened ideal of the
+torus-fixed points, against the reference Groebner engine, that the
 chart intersection of the sheaf cover's kernels is the reference
 intersection of the maximal cones' kernels, and that is_torsion agrees
 with the sheaf being zero.
@@ -29,6 +30,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -187,7 +189,7 @@ def _reference_contains(gb, x):
     return not any(oracles.m_normal_form(x, gb, POT))
 
 
-def check_torsion(rng, rings):
+def check_torsion(rng, rings, draw):
     """One quotient of rank 1 or 2 by monomial or binomial relations, each
     in one generator's component: every kill-table entry k must put
     z^k e_i in the relations and z^(k-1) e_i outside them, and every
@@ -195,12 +197,30 @@ def check_torsion(rng, rings):
     engine; the chart intersection of all the sheaf cover's kernels,
     the overlaps' included, must be the reference intersection of the
     maximal cones' kernels alone; is_torsion must agree with the sheaf
-    being zero."""
+    being zero.
+
+    Every third draw is a fattened ideal of the torus-fixed points, the
+    intersection over the maximal cones σ of <Z_ρ^k : ρ in σ>, times a
+    binomial half the time, as S/(Z3 - Z4)·<Z1·Z2, Z3·Z4> on P1xP1, and
+    gets no power of each variable: that module is not torsion, and its
+    kernel at σ is the component at σ's fixed point, so an intersection
+    that missed any one maximal kernel would be larger."""
     cox = rings[rng.choice(sorted(rings))].cox
     n, g = cox.num_vars, cox.grading
     rank = rng.randint(1, 2)
     top = 20
-    if rng.random() < 0.5:
+    points = draw % 3 == 0
+    if points:
+        ideal = [(0,) * n]  # the unit ideal
+        for c in g.fan.maximal_cones():
+            rays = g.fan.cone_ray_indices(c)
+            powers = [tuple(rng.randint(1, 2) * (u == v) for u in range(n)) for v in rays]
+            ideal = oracles.intersect_monomial(ideal, powers)
+        b = {(0,) * n: 1}
+        if rng.random() < 0.5:
+            b = oracles.random_binomial_ideal(rng, n, lambda e: g.a_map(e).coords())[0]
+        polys = [{tuple(map(add, e, m)): Fraction(c) for e, c in b.items()} for m in ideal]
+    elif rng.random() < 0.5:
         polys = [
             {tuple(rng.randint(1, top) if x else 0 for x in e): Fraction(1)}
             for e in oracles.random_monomial_ideal(rng, n)
@@ -209,10 +229,11 @@ def check_torsion(rng, rings):
         top = 4  # the binomial case runs Rabinowitsch's Groebner basis
         polys = oracles.random_binomial_ideal(rng, n, lambda e: g.a_map(e).coords())
     rels = []
+    home = rng.randrange(rank)  # the fixed points' component
     for p in polys:
-        i = rng.randrange(rank)
+        i = home if points else rng.randrange(rank)
         rels.append(tuple(p if j == i else {} for j in range(rank)))
-    if rng.random() < 0.5:  # a torsion module: a power of each variable
+    if not points and rng.random() < 0.5:  # a torsion module: a power of each variable
         for i in range(rank):
             for v in range(n):
                 e = tuple(rng.randint(1, top) if u == v else 0 for u in range(n))
@@ -279,7 +300,7 @@ def main():
         failed = failed or trip_ok != cfg.round_trips
     if cfg.torsion:
         rings = round_trip_rings()
-        torsion_ok = sum(check_torsion(rng, rings) for _ in range(cfg.torsion))
+        torsion_ok = sum(check_torsion(rng, rings, i) for i in range(cfg.torsion))
         print(f"torsion: {torsion_ok}/{cfg.torsion} passed")
         failed = failed or torsion_ok != cfg.torsion
     if failed:

@@ -9,7 +9,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "intlat": "INFINITE AbelianGroup GroupElement IntMatrix cokernel_presentation "
+    "intlat": "INFINITE AbelianGroup GroupElement cokernel_presentation "
     "hermite_row_basis smith_normal_form",
     "polyfan": "Cone Fan FanInvalid FanProperties build_fan dual_cone fan_properties "
     "hilbert_basis validate_fan",

@@ -6,7 +6,7 @@ its ``__post_init__`` when it defines one, value equality and a hash over
 all its fields taken as one tuple, and the repr ``Name(field=value,
 ...)``.  Assigning to an attribute raises.  The methods are closures made
 once per class, which keeps construction, ``==`` and ``hash`` of the hot
-value types (GroupElement, IntMatrix, Cone) free of class-attribute
+value types (GroupElement, Cone) free of class-attribute
 lookups; no code is generated.
 
 ``DomainError`` is the base of every refusal of well-formed input (an

@@ -17,8 +17,8 @@ from .grading import _degree_zero_lattice, _lattice_points, _nonnegative_rows
 from .groeb import minimalize_monomials
 from .intlat import (
     INFINITE,
-    IntMatrix,
     _presentation_rows,
+    _transpose,
     hermite_row_basis,
     integer_kernel,
     quotient_presentation,
@@ -131,9 +131,9 @@ def _restricted_irrelevant(g, b, zhat, maximal, irrelevant):
         return list(irrelevant)
     nr = g.num_rays
     lat = hermite_row_basis(
-        [*_degree_zero_lattice(g.c_matrix), *map(g.a_map.lift, b.generators)], nr
+        [*_degree_zero_lattice(g.delta_basis), *map(g.a_map.lift, b.generators)], nr
     )
-    e = smith_normal_form(IntMatrix.from_rows(lat))[0].at(nr - 1, nr - 1)
+    e = smith_normal_form(lat, nr)[0][nr - 1]
     if len(maximal) * e**nr // b.index_in_A > FIBER_POINT_CAP:
         raise FiberTooLarge(f"more than {FIBER_POINT_CAP} points (the enumeration cap)")
     rows = _nonnegative_rows(lat, nr)
@@ -152,7 +152,7 @@ def degree_zero_monoid_generators(c: CoxRingData, cone: Cone):
     nr = g.num_rays
     if cone.ray_generators not in c.zhat:
         raise ConeNotInFan(f"cone {cone.ray_generators} is not in the fan")
-    lat = _degree_zero_lattice(g.c_matrix)
+    lat = _degree_zero_lattice(g.delta_basis)
     if not lat:
         return ()
     r = len(lat)
@@ -179,8 +179,7 @@ def local_chart(c: CoxRingData, cone: Cone) -> LocalChart:
     gens = degree_zero_monoid_generators(c, cone)
     nr = c.num_vars
     if gens:
-        m = IntMatrix.from_rows([list(v) for v in gens], cols=nr).transpose()
-        relations = tuple(integer_kernel(m))
+        relations = tuple(integer_kernel(_transpose(gens, nr), len(gens)))
     else:
         relations = ()
     dc = dual_cone(cone)
@@ -201,7 +200,7 @@ def gamma_is_iso(c: CoxRingData):
     """(flag, witness): the chart comparison is an isomorphism iff the ray
     matrix has trivial kernel; otherwise a nonzero kernel vector of the
     ray-evaluation map is returned."""
-    ker = integer_kernel(c.grading.c_matrix)
+    ker = integer_kernel(c.grading.delta_basis, c.grading.fan.ambient_rank)
     if not ker:
         return True, None
     return False, ker[0]
@@ -247,8 +246,7 @@ def is_positively_graded(c: CoxRingData):
         return True, None
     relations, n = _presentation_rows(A, map(A.neg, c.subgroup.generators))
     columns = [g.ray_degrees[j].coords() for j in units] + relations
-    m = IntMatrix.from_rows(columns, cols=n).transpose()
-    for v in integer_kernel(m):
+    for v in integer_kernel(_transpose(columns, n), len(columns)):
         x = [0] * g.num_rays
         for j, cj in zip(units, v):
             x[j] = cj

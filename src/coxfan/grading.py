@@ -15,7 +15,6 @@ from ._record import DomainError, Record
 from .intlat import (
     INFINITE,
     GroupElement,
-    IntMatrix,
     cokernel_presentation,
     hermite_row_basis,
     integer_kernel,
@@ -40,11 +39,10 @@ class FiberTooLarge(DomainError):
 class GradingData(Record):
     __slots__ = (
         "fan",
-        "c_matrix",  # IntMatrix, rows indexed by Sigma_1, row = ray generator
         "class_group",
         "a_map",  # QuotientMap Z^Sigma_1 -> class_group
         "ray_degrees",  # GroupElement per ray, in Sigma_1 order
-        "delta_basis",  # the rays, tagging the canonical basis of Z^Sigma_1
+        "delta_basis",  # the rays in Sigma_1 order: the ray matrix's rows
     )
 
     @property
@@ -66,9 +64,7 @@ class PicardGroup(Record):
 
 def build_grading(f: Fan) -> GradingData:
     rays = f.ray_index
-    n = f.ambient_rank
-    c = IntMatrix.from_rows([list(r) for r in rays], cols=n)
-    group, proj = cokernel_presentation(c)
+    group, proj = cokernel_presentation(rays, f.ambient_rank)
     nr = len(rays)
     degrees = []
     for i in range(nr):
@@ -77,7 +73,6 @@ def build_grading(f: Fan) -> GradingData:
         degrees.append(proj(e))
     return GradingData(
         fan=f,
-        c_matrix=c,
         class_group=group,
         a_map=proj,
         ray_degrees=tuple(degrees),
@@ -106,7 +101,7 @@ def cartier_lattice(g: GradingData):
             row[i] = 1
             row[nr + n * k: nr + n * (k + 1)] = [-x for x in g.delta_basis[i]]
             rows.append(row)
-    kernel = integer_kernel(IntMatrix.from_rows(rows, cols=width))
+    kernel = integer_kernel(rows, width)
     return hermite_row_basis([v[:nr] for v in kernel], nr)
 
 
@@ -144,10 +139,10 @@ def subgroup_of_whole_group(g: GradingData) -> SubgroupB:
 
 
 @lru_cache(maxsize=256)
-def _degree_zero_lattice(c_matrix):
+def _degree_zero_lattice(rays):
     """Hermite basis of the degree-0 exponent vectors: the image of the ray
     matrix, whose rows are the rays."""
-    return tuple(hermite_row_basis(c_matrix.transpose().to_rows(), c_matrix.rows))
+    return tuple(hermite_row_basis(list(zip(*rays)), len(rays)))
 
 
 @lru_cache(maxsize=256)
@@ -232,7 +227,7 @@ def _cone_points(basis, v0):
     return sorted(out)
 
 
-_FIBERS = OrderedDict()  # (c_matrix, lift) -> fiber, least recent first
+_FIBERS = OrderedDict()  # (rays, lift) -> fiber, least recent first
 _fiber_points = 0  # the points held in _FIBERS
 
 
@@ -245,10 +240,10 @@ def degree_fiber(g: GradingData, alpha: GroupElement):
     FIBER_POINT_CAP points are held; a refusal is not kept.
     """
     global _fiber_points
-    key = (g.c_matrix, g.a_map.lift(alpha))
+    key = (g.delta_basis, g.a_map.lift(alpha))
     fiber = _FIBERS.pop(key, None)
     if fiber is None:
-        fiber = tuple(_cone_points(_degree_zero_lattice(g.c_matrix), key[1]))
+        fiber = tuple(_cone_points(_degree_zero_lattice(g.delta_basis), key[1]))
         _fiber_points += len(fiber)
         while _fiber_points > FIBER_POINT_CAP:
             _fiber_points -= len(_FIBERS.popitem(last=False)[1])

@@ -91,16 +91,7 @@ class GradedSubmodule(Record):
 
 
 class DegreeComponent(Record):
-    __slots__ = (
-        "degree",
-        "monomial_basis",  # (generator index, exponent) coordinates
-        "relation_rows",  # echelon rows {coordinate: Fraction} of the relation subspace
-        "quotient_basis",  # coordinate indices forming a basis of the quotient
-    )
-
-    @property
-    def dimension(self):
-        return len(self.quotient_basis)
+    __slots__ = ("degree", "dimension")  # dimension over Q
 
 
 def _monomials_of_degree(f: GradedModulePresentation, alpha):
@@ -142,18 +133,12 @@ def component_span_rows(f, graded, alpha, index):
 
 
 def degree_component(f: GradedModulePresentation, alpha) -> DegreeComponent:
-    """Exact basis of the degree-alpha component as a rational vector space."""
+    """Exact dimension of the degree-alpha component: its monomials less
+    the rank of the relations' degree-alpha slice."""
     coords = _monomials_of_degree(f, alpha)
     index = {c: k for k, c in enumerate(coords)}
     rel_rows = component_span_rows(f, graded_elements(f, f.relations), alpha, index)
-    ech = ratlin.echelon(rel_rows)
-    free = tuple(k for k in range(len(coords)) if k not in ech)
-    return DegreeComponent(
-        degree=alpha,
-        monomial_basis=tuple(coords),
-        relation_rows=tuple(ech.values()),
-        quotient_basis=free,
-    )
+    return DegreeComponent(alpha, len(coords) - ratlin.rank(rel_rows))
 
 
 def submodule_membership(x, sub: GradedSubmodule) -> bool:

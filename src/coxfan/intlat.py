@@ -2,7 +2,9 @@
 
 Smith and Hermite normal forms, integer kernels, cokernel presentations of
 integer matrices, and arithmetic in finitely generated abelian groups.  All
-arithmetic is arbitrary-precision; nothing here ever touches floats.
+arithmetic is arbitrary-precision; nothing here ever touches floats.  A
+matrix is its list of rows, passed with its column count as (rows, ncols),
+so an empty matrix keeps its shape.
 
 An abelian group is kept in the canonical shape Z/t_1 x ... x Z/t_k x Z^f
 with t_1 | t_2 | ... | t_k and every t_i >= 2, so two groups are equal iff
@@ -13,7 +15,7 @@ first and the free part last.
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import mod
+from operator import mod, mul
 
 from ._record import Record
 
@@ -21,79 +23,28 @@ from ._record import Record
 INFINITE = "infinite"
 
 
-class IntMatrix(Record):
-    __slots__ = ("rows", "cols", "entries")  # entries row-major
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @staticmethod
-    def from_rows(rows_list, cols=None):
-        rows_list = [tuple(int(x) for x in r) for r in rows_list]
-        if rows_list:
-            cols = len(rows_list[0])
-            if any(len(r) != cols for r in rows_list):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        flat = tuple(x for r in rows_list for x in r)
-        return IntMatrix(len(rows_list), cols, flat)
-
-    @staticmethod
-    def identity(n):
-        return IntMatrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-
-    def at(self, i, j):
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self):
-        return IntMatrix.from_rows(
-            [[self.at(i, j) for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            out.append(
-                [
-                    sum(r[k] * other.at(k, j) for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-            )
-        return IntMatrix.from_rows(out, cols=other.cols)
-
-    def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(
-            sum(self.at(i, k) * v[k] for k in range(self.cols))
-            for i in range(self.rows)
-        )
+def _transpose(rows, ncols):
+    return [[r[j] for r in rows] for j in range(ncols)]
 
 
-def smith_normal_form(m: IntMatrix):
-    """Return (d, u, v) with d = u*m*v, u and v unimodular, d diagonal with
-    nonnegative entries forming a divisibility chain.
+def _mul_vec(rows, x):
+    return tuple(sum(map(mul, r, x)) for r in rows)
+
+
+def smith_normal_form(rows, ncols):
+    """Return (d, u, v) for the matrix with the given rows and ncols
+    columns: u and v are unimodular (as row lists) and u*m*v is diagonal,
+    with diagonal d (min(rows, ncols) entries, nonnegative, a divisibility
+    chain, zeros last).
 
     Pivot selection: smallest nonzero absolute value in the working
     submatrix, ties broken by lowest (row, column) index, so the transforms
     are deterministic.
     """
-    a = m.to_rows()
-    r, c = m.rows, m.cols
-    u = IntMatrix.identity(r).to_rows()
-    v = IntMatrix.identity(c).to_rows()
+    a = [list(map(int, row)) for row in rows]
+    r, c = len(a), ncols
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    v = [[int(i == j) for j in range(c)] for i in range(c)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -166,8 +117,7 @@ def smith_normal_form(m: IntMatrix):
         if a[t][t] < 0:
             negate_row(t)
         t += 1
-    d = IntMatrix.from_rows(a, cols=c)
-    return d, IntMatrix.from_rows(u, cols=r), IntMatrix.from_rows(v, cols=c)
+    return [a[i][i] for i in range(min(r, c))], u, v
 
 
 def hermite_row_basis(rows, ncols):
@@ -213,13 +163,12 @@ def hermite_row_basis(rows, ncols):
     return [tuple(r) for r in basis]
 
 
-def integer_kernel(m: IntMatrix):
-    """Basis of {x in Z^cols : m x = 0}; the lattice returned is saturated."""
-    d, u, v = smith_normal_form(m)
-    nz = sum(1 for i in range(min(m.rows, m.cols)) if d.at(i, i) != 0)
-    return [
-        tuple(v.at(i, j) for i in range(m.cols)) for j in range(nz, m.cols)
-    ]
+def integer_kernel(rows, ncols):
+    """Basis of {x in Z^ncols : m x = 0} for the matrix m with these rows;
+    the lattice returned is saturated."""
+    d, _, v = smith_normal_form(rows, ncols)
+    nz = sum(1 for x in d if x)
+    return [tuple(row[j] for row in v) for j in range(nz, ncols)]
 
 
 class AbelianGroup(Record):
@@ -305,8 +254,9 @@ class GroupElement(Record):
 class QuotientMap:
     """Surjection Z^n -> G recorded via a Smith normal form.
 
-    Holds the unimodular row transform u with u*m*v = d, so proj(x) reads
-    off coordinates of u*x at the torsion and free positions of d.
+    Holds the unimodular row transform u with u*m*v diagonal, so proj(x)
+    reads off coordinates of u*x at the torsion and free positions of the
+    diagonal.
     """
 
     def __init__(self, group, u, torsion_positions, free_positions):
@@ -316,12 +266,8 @@ class QuotientMap:
         self._torsion_positions = torsion_positions
         self._free_positions = free_positions
 
-    @property
-    def ambient_rank(self):
-        return self._u.rows
-
     def __call__(self, x):
-        y = self._u.mul_vec(tuple(x))
+        y = _mul_vec(self._u, x)
         return self.group.element(
             [y[i] for i in self._torsion_positions],
             [y[i] for i in self._free_positions],
@@ -329,36 +275,37 @@ class QuotientMap:
 
     def lift(self, g):
         """Some preimage in Z^n of a group element."""
-        y = [0] * self.ambient_rank
+        y = [0] * len(self._u)
         for i, p in enumerate(self._torsion_positions):
             y[p] = g.torsion_part[i]
         for i, p in enumerate(self._free_positions):
             y[p] = g.free_part[i]
         if self._uinv is None:
             self._uinv = _unimodular_inverse(self._u)
-        return self._uinv.mul_vec(tuple(y))
+        return _mul_vec(self._uinv, y)
 
 
-def _unimodular_inverse(u: IntMatrix):
-    """Exact inverse of a unimodular integer matrix: its Smith form d = p*u*q
-    is the identity, so the inverse is q*p."""
-    d, p, q = smith_normal_form(u)
-    if d != IntMatrix.identity(u.rows):
+def _unimodular_inverse(u):
+    """Exact inverse of a unimodular integer matrix (a square row list): its
+    Smith form p*u*q is the identity, so the inverse is q*p."""
+    n = len(u)
+    d, p, q = smith_normal_form(u, n)
+    if d != [1] * n:
         raise ValueError("matrix is not unimodular")
-    return q.mul(p)
+    pt = _transpose(p, n)
+    return [_mul_vec(pt, row) for row in q]
 
 
-def cokernel_presentation(m: IntMatrix):
-    """Present Z^rows / (column lattice of m) as (AbelianGroup, QuotientMap)."""
-    d, u, v = smith_normal_form(m)
-    k = min(m.rows, m.cols)
-    diag = [d.at(i, i) for i in range(k)]
-    torsion_positions = [i for i, x in enumerate(diag) if x >= 2]
-    free_positions = [i for i, x in enumerate(diag) if x == 0] + list(
-        range(k, m.rows)
+def cokernel_presentation(rows, ncols):
+    """Present Z^len(rows) / (column lattice of m) as (AbelianGroup,
+    QuotientMap), for the matrix m with the given rows and ncols columns."""
+    d, u, _ = smith_normal_form(rows, ncols)
+    torsion_positions = [i for i, x in enumerate(d) if x >= 2]
+    free_positions = [i for i, x in enumerate(d) if x == 0] + list(
+        range(len(d), len(rows))
     )
     group = AbelianGroup(
-        len(free_positions), tuple(diag[i] for i in torsion_positions)
+        len(free_positions), tuple(d[i] for i in torsion_positions)
     )
     return group, QuotientMap(group, u, torsion_positions, free_positions)
 
@@ -379,8 +326,7 @@ def _presentation_rows(g: AbelianGroup, extra_elements=()):
 def quotient_presentation(g: AbelianGroup, sub):
     """Quotient g/<sub> as (AbelianGroup, map from elements of g)."""
     rows, n = _presentation_rows(g, sub)
-    m = IntMatrix.from_rows([list(r) for r in rows], cols=n).transpose()
-    q, proj = cokernel_presentation(m)
+    q, proj = cokernel_presentation(_transpose(rows, n), len(rows))
 
     def project(x):
         return proj(x.coords())

@@ -26,7 +26,7 @@ from math import gcd
 
 from . import ratlin
 from ._record import DomainError, Record
-from .intlat import IntMatrix, integer_kernel, smith_normal_form, _unimodular_inverse
+from .intlat import _mul_vec, _transpose, _unimodular_inverse, integer_kernel, smith_normal_form
 
 RANK_CAP = 6
 
@@ -233,20 +233,16 @@ class Cone(Record):
 
 
 class DualCone(Record):
-    __slots__ = (
-        "ambient_rank",
-        "generators",  # rays; for non-pointed duals includes +/- pairs
-        "inequalities",  # H-rep normals of the dual cone (= primal rays)
-    )
+    __slots__ = ("ambient_rank", "generators")  # rays, with +/- pairs if not pointed
 
 
 def dual_cone(c: Cone) -> DualCone:
-    """Dual cone {u : u.g >= 0 for all generators g} in both descriptions.
+    """Dual cone {u : u.g >= 0 for all generators g}, by its generators.
     Its rays are the cone's facet normals, its H-representation's rows,
     and +/- the equality normals span its lineality space (all of it for
     the zero cone, whose equalities are the unit vectors)."""
     gens = _dual_generators(*c.hrep())
-    return DualCone(c.ambient_rank, tuple(sorted(gens)), c.ray_generators)
+    return DualCone(c.ambient_rank, tuple(sorted(gens)))
 
 
 # --- Hilbert bases --------------------------------------------------------
@@ -287,8 +283,7 @@ def _lineality_lattice(generators, rank):
     rows = [list(f) for f in ineqs] + [list(e) for e in eqs]
     if not rows:
         return [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    m = IntMatrix.from_rows(rows, cols=rank)
-    return integer_kernel(m)
+    return integer_kernel(rows, rank)
 
 
 def hilbert_basis(generators, rank):
@@ -306,28 +301,19 @@ def hilbert_basis(generators, rank):
     if not lin:
         return _hilbert_basis_pointed(gens, rank)
     l = len(lin)
-    kt = IntMatrix.from_rows([list(v) for v in lin], cols=rank).transpose()
-    d, u, v = smith_normal_form(kt)
+    _, u, _ = smith_normal_form(_transpose(lin, rank), l)
     uinv = _unimodular_inverse(u)
-    proj_rows = [list(u.row(i)) for i in range(l, rank)]
-    section_cols = [
-        tuple(uinv.at(i, j) for i in range(rank)) for j in range(l, rank)
-    ]
     out = []
     for b in lin:
         out.append(tuple(b))
         out.append(tuple(-x for x in b))
     if rank > l:
-        proj = IntMatrix.from_rows(proj_rows, cols=rank)
-        proj_gens = _prune([primitive(proj.mul_vec(g)) for g in gens])
+        # u sends the lineality lattice onto the first l coordinates, so the
+        # last rank - l coordinates of u project it away and u^-1 lifts back.
+        proj_gens = _prune([primitive(_mul_vec(u[l:], g)) for g in gens])
         proj_gens = [g for g in proj_gens if any(x != 0 for x in g)]
         hb = _hilbert_basis_pointed(proj_gens, rank - l)
-        for h in hb:
-            lift = tuple(
-                sum(section_cols[j][i] * h[j] for j in range(rank - l))
-                for i in range(rank)
-            )
-            out.append(lift)
+        out += [_mul_vec(uinv, (0,) * l + h) for h in hb]
     return sorted(set(out))
 
 
@@ -431,10 +417,8 @@ def build_fan(rank, rays, max_cone_ray_indices) -> Fan:
 def _invariant_factors(rows, rank):
     if not rows:
         return []
-    m = IntMatrix.from_rows([list(r) for r in rows], cols=rank)
-    d, _, _ = smith_normal_form(m)
-    k = min(m.rows, m.cols)
-    return [d.at(i, i) for i in range(k) if d.at(i, i) != 0]
+    d, _, _ = smith_normal_form(rows, rank)
+    return [x for x in d if x]
 
 
 def fan_properties(f: Fan) -> FanProperties:

@@ -52,7 +52,7 @@ from .groeb import (
     module_groebner_basis,
     reduced_basis,
 )
-from .intlat import IntMatrix, smith_normal_form
+from .intlat import _mul_vec, _transpose, smith_normal_form
 from .polyfan import cone_generators_from_inequalities
 
 DEFAULT_MAX_LEVEL = 8
@@ -129,7 +129,7 @@ def _laurent_component_generators(cox: CoxRingData, alpha, cone_key):
     g = cox.grading
     v0 = g.a_map.lift(alpha)
     pos = _sigma_positions(cox, cone_key)
-    steps, kernel, top = _part_lattice(g.c_matrix, tuple(pos))
+    steps, kernel, top = _part_lattice(g.delta_basis, tuple(pos))
     b = [tuple(s[p] for s in steps) for p in pos]
     v0_tau = [v0[p] for p in pos]
     if top is None:
@@ -142,16 +142,15 @@ def _laurent_component_generators(cox: CoxRingData, alpha, cone_key):
 
 
 @lru_cache(maxsize=256)
-def _part_lattice(c_matrix, pos):
+def _part_lattice(rays, pos):
     """Steps, kernel directions and, for a simplicial cone, the bounds e − 1
     of ``_laurent_component_generators`` for the rays at pos."""
-    nr = c_matrix.rows
-    h = IntMatrix.from_rows(_degree_zero_lattice(c_matrix), nr)
-    ht = h.transpose()
-    d, _, w = smith_normal_form(IntMatrix.from_rows([ht.row(p) for p in pos], h.rows))
-    r = sum(1 for x in d.entries if x)
-    dirs = [tuple(x) for x in w.transpose().mul(h).to_rows()]
-    top = (max(d.entries, default=1) - 1,) * r if r == len(pos) else None
+    h = _degree_zero_lattice(rays)
+    ht = _transpose(h, len(rays))
+    d, _, w = smith_normal_form([ht[p] for p in pos], len(h))
+    r = sum(1 for x in d if x)
+    dirs = [_mul_vec(ht, col) for col in _transpose(w, len(h))]
+    top = (max(d, default=1) - 1,) * r if r == len(pos) else None
     return dirs[:r], dirs[r:], top
 
 

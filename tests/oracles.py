@@ -93,10 +93,10 @@ def snf_diagonal(rows):
     return diag
 
 
-def det(m):
-    """Determinant of a square integer matrix (anything with ``to_rows``)
-    by cofactor expansion along the first row; small matrices only."""
-    rows = m.to_rows()
+def det(rows):
+    """Determinant of a square integer matrix, given as its rows, by
+    cofactor expansion along the first row; small matrices only."""
+    rows = [list(r) for r in rows]
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("not square")
 

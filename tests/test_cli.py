@@ -551,7 +551,7 @@ def test_cox_build_loads_neither_gradmod_nor_sheaf(p2):
 
 # Every name the package exported when it imported all of its layers.
 PACKAGE_EXPORTS = """
-INFINITE AbelianGroup GroupElement IntMatrix cokernel_presentation
+INFINITE AbelianGroup GroupElement cokernel_presentation
 hermite_row_basis smith_normal_form Cone Fan FanInvalid FanProperties
 build_fan dual_cone fan_properties hilbert_basis validate_fan GradingData
 PicardGroup SubgroupB build_grading classify_subgroup degree_fiber

@@ -301,7 +301,7 @@ def test_cached_fibers_equal_the_enumeration(name, corpus_gradings, fresh_fiber_
             degree_fiber(g, g.class_group.zero())
         assert not grading._FIBERS  # a refusal is not kept
         return
-    lattice = grading._degree_zero_lattice(g.c_matrix)
+    lattice = grading._degree_zero_lattice(g.delta_basis)
     for _ in range(2):  # enumerated, then read from the cache
         for alpha in _degree_box(g, -1, 3):
             want = grading._cone_points(lattice, g.a_map.lift(alpha))

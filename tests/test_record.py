@@ -5,7 +5,7 @@ import pytest
 
 from coxfan.cox import BaseRingFlags
 from coxfan.groeb import GREVLEX, ModuleOrder, MonomialOrder
-from coxfan.intlat import AbelianGroup, GroupElement, IntMatrix
+from coxfan.intlat import AbelianGroup, GroupElement
 from coxfan.polyfan import Cone
 from coxfan.schemeprops import Verdict
 
@@ -63,10 +63,6 @@ def test_construction_by_keyword_with_defaults():
 
 
 def test_post_init_rejects_bad_shapes_and_torsion_chains():
-    with pytest.raises(ValueError, match="entry count"):
-        IntMatrix(2, 2, (1, 2, 3))
-    with pytest.raises(ValueError, match="entry count"):
-        IntMatrix(rows=1, cols=2, entries=())
     with pytest.raises(ValueError, match=">= 2"):
         AbelianGroup(0, (1,))
     with pytest.raises(ValueError, match="divisibility chain"):

@@ -532,7 +532,7 @@ def _check_twists(c, alpha, label):
     reference's too, and on the other faces each is the least
     (max |v_i|, v) of its part, by brute force up to its own max |v_i|."""
     g = c.grading
-    rays = g.c_matrix.to_rows()
+    rays = g.delta_basis
     v0 = g.a_map.lift(alpha)
     for key in c.zhat:
         pos = sheaf._sigma_positions(c, key)
@@ -564,6 +564,15 @@ def test_face_twist_is_the_least_in_its_part():
     got = sheaf._laurent_component_generators(c, alpha, ((-1, 0),))
     assert got == ((4, -3, -4, 0, 3, 4),)
     _check_twists(c, alpha, (2, -1, 0, 2, 1, 0))
+
+
+def test_part_lattice_at_the_zero_cone(corpus_gradings):
+    # No steps and no bounds: the whole degree-0 lattice is kernel.
+    for g in corpus_gradings.values():
+        lattice = grading._degree_zero_lattice(g.delta_basis)
+        assert sheaf._part_lattice(g.delta_basis, ()) == ([], list(lattice), ())
+    p2 = corpus_gradings["p2"]
+    assert sheaf._part_lattice(p2.delta_basis, ()) == ([], [(1, 0, -1), (0, 1, -1)], ())
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
