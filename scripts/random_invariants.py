@@ -3,12 +3,13 @@
 
 Verifies the double-dual identity and Hilbert-basis generation on random
 pointed cones against the brute-force oracles used by the test suite, and
-the Buchberger S-pair criterion on random ideals, taken as rank-1
-submodules (elements ``(p,)``).  With ``--round-trips N`` it also checks,
-on N random monomial ideals I of P2, P1xP1 and F2 and N random binomial
-ideals of P2 and P1xP1, that xi_preimage(xi_forward(I)) is the saturation
-of I (the iterated colon for monomial ideals) and that
-xi_forward(lift_finite_type(T)) equals T for the family T of I.  With
+the Buchberger S-pair criterion on random ideals with rational
+coefficients, taken as rank-1 submodules (elements ``(p,)``).  With
+``--round-trips N`` it also checks, on N random monomial ideals I of P2,
+P1xP1 and F2 and N random binomial ideals of P2 and P1xP1, that
+xi_preimage(xi_forward(I)) is the saturation of I (the iterated colon
+for monomial ideals) and that xi_forward(lift_finite_type(T)) equals T
+for the family T of I.  With
 ``--torsion N`` it checks the kill table of N random quotients of rank 1
 or 2 on P2, P1xP1 and F2, by monomial relations (exponents up to 20),
 by binomial ones, or (every third) by a fattened ideal of the
@@ -120,7 +121,7 @@ def random_ideal(rng):
         for _ in range(rng.randint(1, 3)):
             e = tuple(rng.randint(0, 3) for _ in range(nvars))
             if sum(e) <= 3:
-                terms[e] = Fraction(rng.randint(-3, 3))
+                terms[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         terms = {k: v for k, v in terms.items() if v}
         if terms:
             gens.append((poly(terms),))

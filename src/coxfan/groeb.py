@@ -1,26 +1,36 @@
 """Groebner bases over the rationals, for submodules of free modules.
 
-Polynomials are dicts mapping exponent tuples to nonzero Fractions.  Module
+Polynomials are dicts mapping exponent tuples to nonzero coefficients.  Module
 elements are tuples of polynomials against a free basis; module orders are
 position-over-term.  An ideal is the rank-1 case, elements ``(p,)``.
 Elimination uses a block order on a leading tag variable t.  Buchberger
 takes its pairs by the normal strategy (least lcm of the leading terms
 first) and skips those that the chain criterion settles; it keeps each
 basis element's leading term and never queues a pair of two single
-terms, whose S-vector is zero.  Reduction works in place on the dicts of
-the remainder, with the same reducer (the first basis element whose
-leading term divides) and the same exact Fraction arithmetic as a copying
-reduction.  Saturation by one element f is a single basis: the t-free
-part of N + (1 - t*f)*F (Cox-Little-O'Shea, Ch. 4 §4).  The reduced POT
-basis is the one canonical form of a submodule: two submodules are equal
-exactly when their reduced bases are.
+terms, whose S-vector is zero.  It runs over the integers: each generator
+is scaled once to a primitive element (coprime int coefficients), an
+S-vector cancels the two leading coefficients by their cofactors over
+their gcd, a reduction step w <- a*w - q*X^m*b is division-free, and each
+new basis element has its content divided out; a basis element is a
+rational multiple of the one the same steps over the rationals give.
+Each term's order key is computed once per run.  One reduction routine,
+working in place with the same reducer (the first basis element whose
+leading term divides), serves the basis, membership, the exact remainder
+of `m_normal_form` (the scaled remainder over the product of the step
+factors) and the reduced basis; on Fraction operands its step is
+w - (c/b_c)*X^m*b.  Fractions remain in the inputs, in that remainder and
+in the reduced POT basis, the one canonical form of a submodule: monic,
+so two submodules are equal exactly when their reduced bases are.
+Saturation by one element f is a single basis: the t-free part of
+N + (1 - t*f)*F (Cox-Little-O'Shea, Ch. 4 §4).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from operator import le, neg
+from math import gcd, lcm
+from operator import add, le, neg, sub
 
 from ._record import Record
 
@@ -39,11 +49,9 @@ def poly(terms):
 
 def p_term_mul(p, e, c):
     """Multiply by the term c * X^e."""
-    c = Fraction(c)
     if not c:
         return {}
-    e = tuple(e)
-    return {tuple(a + b for a, b in zip(e, m)): c * x for m, x in p.items()}
+    return {tuple(map(add, e, m)): c * x for m, x in p.items()}
 
 
 # --- monomial orders ------------------------------------------------------
@@ -132,26 +140,98 @@ class ModuleOrder(Record):
 POT = ModuleOrder()
 
 
+class _Keys(dict):
+    """Exponent -> its order key, each computed once by `key`."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def __missing__(self, e):
+        k = self[e] = self.key(e)
+        return k
+
+
+def _leader(order, rank):
+    """m_leading_term under `order` for elements of rank `rank`, with each
+    term's key computed once over the life of the returned function.
+    Under a non-block order, grevlex on the ring, a lower position always
+    wins, so the leading term is the first nonzero position's largest."""
+    if not order.ring_order.block:
+        ring = _Keys(_grevlex_key).__getitem__
+
+        def lead(x):
+            for i, p in enumerate(x):
+                if p:
+                    e = max(p, key=ring)
+                    return (i, e), p[e]
+            return None
+
+        return lead
+    keys = [_Keys(lambda e, i=i: order.key((i, e))).__getitem__ for i in range(rank)]
+
+    def lead(x):
+        best = None
+        for i, (p, key) in enumerate(zip(x, keys)):
+            if p:
+                e = max(p, key=key)
+                if best is None or key(e) > top:
+                    best, top = ((i, e), p[e]), key(e)
+        return best
+
+    return lead
+
+
 def m_leading_term(x, order):
-    """((pos, exp), coeff) of the largest term, or None for zero.  Under a
-    non-block order a lower position always wins, so the first nonzero
-    position holds the leading term."""
-    best = None
-    for i, p in enumerate(x):
-        for e, c in p.items():
-            k = order.key((i, e))
-            if best is None or k > bkey:
-                best, bkey = ((i, e), c), k
-        if best is not None and not order.ring_order.block:
-            break
-    return best
+    """((pos, exp), coeff) of the largest term, or None for zero."""
+    return _leader(order, len(x))(x)
+
+
+def _cofactors(c, bc):
+    """(a, q) with a > 0 and a*c == q*bc: the step w <- a*w - q*X^m*b
+    cancels w's leading coefficient c against b's, bc.  Two ints stay ints,
+    a = bc/g and q = c/g with g = gcd(c, bc) signed as bc; otherwise a = 1
+    and q = c/bc."""
+    if type(c) is int and type(bc) is int:
+        g = gcd(c, bc) if bc > 0 else -gcd(c, bc)
+        return bc // g, c // g
+    return 1, c / bc
+
+
+def _scale(x, a):
+    """x times the int a, in place."""
+    for p in x:
+        for e in p:
+            p[e] *= a
+
+
+def _primitive(x):
+    """A fresh copy of x times a rational that makes its coefficients
+    coprime ints; a single term gets coefficient 1."""
+    cs = [c for p in x for c in p.values()]
+    if len(cs) == 1:
+        return tuple({e: 1 for e in p} for p in x)
+    d = lcm(*[c.denominator for c in cs])
+    x = tuple({e: c.numerator * (d // c.denominator) for e, c in p.items()} for p in x)
+    return _content_free(x)
+
+
+def _content_free(x):
+    """x, nonzero with int coefficients, divided in place by their gcd."""
+    g = gcd(*(c for p in x for c in p.values()))
+    if g != 1:
+        for p in x:
+            for e in p:
+                p[e] //= g
+    return x
 
 
 def _sub_term_mul(w, b, q_e, q):
     """w -= q * X^q_e * b, position by position, in place."""
     for wp, bp in zip(w, b):
         for m, y in bp.items():
-            k = tuple(a + d for a, d in zip(q_e, m))
+            k = tuple(map(add, q_e, m))
             v = wp.get(k, 0) - q * y
             if v:
                 wp[k] = v
@@ -159,35 +239,56 @@ def _sub_term_mul(w, b, q_e, q):
                 del wp[k]
 
 
-def m_normal_form(x, basis, order, lts=None):
-    """Remainder of x on division by basis.  `lts`, when given, holds the
-    leading term of each basis element.  The reducer of a term is the
-    first basis element whose leading term divides it."""
-    work = [dict(p) for p in x]
-    rem = tuple({} for _ in x)
-    if lts is None:
-        lts = [m_leading_term(b, order) for b in basis]
-    while (lt := m_leading_term(work, order)) is not None:
+def _reduce(w, basis, lts, lead):
+    """(r, a): r is the remainder of a*w on division by basis, where a > 0
+    is the product of the step factors, 1 while each reducer's leading
+    coefficient divides the one it cancels; w's dicts are consumed.  `lts` holds the
+    leading term of each basis element and `lead` finds w's.  The reducer
+    of a term is the first basis element whose leading term divides it;
+    the remainder is scaled along with w."""
+    rem = tuple({} for _ in w)
+    a = 1
+    while (lt := lead(w)) is not None:
         (pos, e), c = lt
         for b, ((bpos, be), bc) in zip(basis, lts):
             if bpos == pos and _divides(be, e):
-                _sub_term_mul(work, b, tuple(a - d for a, d in zip(e, be)), c / bc)
+                s, q = _cofactors(c, bc)
+                if s != 1:
+                    a *= s
+                    _scale(w, s)
+                    _scale(rem, s)
+                _sub_term_mul(w, b, tuple(map(sub, e, be)), q)
                 break
         else:
             rem[pos][e] = c
-            del work[pos][e]
-    return rem
+            del w[pos][e]
+    return rem, a
+
+
+def m_normal_form(x, basis, order, lts=None):
+    """Remainder of x on division by basis, exact.  `lts`, when given,
+    holds the leading term of each basis element.  The reducer of a term
+    is the first basis element whose leading term divides it."""
+    lead = _leader(order, len(x))
+    if lts is None:
+        lts = [lead(b) for b in basis]
+    r, a = _reduce(tuple(map(dict, x)), basis, lts, lead)
+    if a == 1:
+        return r
+    return tuple({e: Fraction(c, a) for e, c in p.items()} for p in r)
 
 
 def _s_vector(f, g, lt_f, lt_g):
     """S-vector of two elements whose leading terms, lt_f and lt_g, share a
-    position."""
+    position: a*X^(l-e_f)*f - q*X^(l-e_g)*g, l the lcm of the leading
+    exponents and (a, q) the cofactors of the leading coefficients."""
     (_, ef), cf = lt_f
     (_, eg), cg = lt_g
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    s = list(m_term_mul(f, tuple(a - b for a, b in zip(lcm, ef)), Fraction(1) / cf))
-    _sub_term_mul(s, g, tuple(a - b for a, b in zip(lcm, eg)), Fraction(1) / cg)
-    return tuple(s)
+    top = tuple(map(max, ef, eg))
+    a, q = _cofactors(cf, cg)
+    s = m_term_mul(f, tuple(map(sub, top, ef)), a)
+    _sub_term_mul(s, g, tuple(map(sub, top, eg)), q)
+    return s
 
 
 def module_groebner_basis(gens, order=POT):
@@ -201,9 +302,11 @@ def module_groebner_basis(gens, order=POT):
     criterion is not used: it does not hold for modules of rank > 1.  A
     pair of two single-term elements is never queued, as its S-vector is
     zero.  Leading terms are computed once, when an element joins the
-    basis."""
-    basis = [g for g in gens if not m_is_zero(g)]
-    lts = [m_leading_term(g, order) for g in basis]
+    basis.  The elements are primitive: the generators scaled, then each
+    remainder with its content divided out."""
+    basis = [_primitive(g) for g in gens if not m_is_zero(g)]
+    lead = _leader(order, len(basis[0]) if basis else 0)
+    lts = [lead(g) for g in basis]
     single = [m_is_monomial(g) for g in basis]
     heap, pending = [], set()
 
@@ -212,16 +315,16 @@ def module_groebner_basis(gens, order=POT):
         for i in range(j):
             (q, ei), _ = lts[i]
             if q == pos and not (single[i] and single[j]):
-                lcm = tuple(map(max, ei, ej))
-                heappush(heap, (order.key((pos, lcm)), i, j, lcm))
+                top = tuple(map(max, ei, ej))
+                heappush(heap, (order.key((pos, top)), i, j, top))
                 pending.add((i, j))
 
-    def chain(i, j, pos, lcm):
+    def chain(i, j, pos, top):
         return any(
             q == pos
             and k != i
             and k != j
-            and _divides(e, lcm)
+            and _divides(e, top)
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
             for k, ((q, e), _) in enumerate(lts)
@@ -230,15 +333,14 @@ def module_groebner_basis(gens, order=POT):
     for j in range(len(basis)):
         queue_pairs(j)
     while heap:
-        _, i, j, lcm = heappop(heap)
+        _, i, j, top = heappop(heap)
         pending.discard((i, j))
-        if chain(i, j, lts[i][0][0], lcm):
+        if chain(i, j, lts[i][0][0], top):
             continue
-        s = _s_vector(basis[i], basis[j], lts[i], lts[j])
-        r = m_normal_form(s, basis, order, lts)
+        r, _ = _reduce(_s_vector(basis[i], basis[j], lts[i], lts[j]), basis, lts, lead)
         if not m_is_zero(r):
-            basis.append(r)
-            lts.append(m_leading_term(r, order))
+            basis.append(_content_free(r))
+            lts.append(lead(r))
             single.append(m_is_monomial(r))
             queue_pairs(len(basis) - 1)
     return basis
@@ -249,7 +351,8 @@ def module_contains(gb, x):
         return True
     if not gb:
         return False
-    return m_is_zero(m_normal_form(x, gb, POT))
+    lead = _leader(POT, len(x))
+    return m_is_zero(_reduce(tuple(map(dict, x)), gb, [lead(b) for b in gb], lead)[0])
 
 
 def reduced_basis(gb):
@@ -260,7 +363,8 @@ def reduced_basis(gb):
     (position, exponent).  It depends on the submodule only
     (Cox-Little-O'Shea, Ch. 2 §7, Prop. 6)."""
     gb = [x for x in gb if not m_is_zero(x)]
-    lts = [m_leading_term(x, POT) for x in gb]
+    lead = _leader(POT, len(gb[0]) if gb else 0)
+    lts = [lead(x) for x in gb]
     keep = [
         i
         for i, ((pos, e), _) in enumerate(lts)
@@ -272,9 +376,10 @@ def reduced_basis(gb):
     out = []
     for i in keep:
         rest = [k for k in keep if k != i]
-        r = m_normal_form(gb[i], [gb[k] for k in rest], POT, [lts[k] for k in rest])
-        c = lts[i][1]
-        out.append((lts[i][0], tuple({e: x / c for e, x in p.items()} for p in r)))
+        r, _ = _reduce(tuple(map(dict, gb[i])), [gb[k] for k in rest], [lts[k] for k in rest], lead)
+        (pos, e), _ = lts[i]
+        c = r[pos][e]
+        out.append((lts[i][0], tuple({e: Fraction(x, c) for e, x in p.items()} for p in r)))
     return tuple(x for _, x in sorted(out, key=lambda tx: tx[0]))
 
 
@@ -314,7 +419,7 @@ def module_intersection(gens_a, gens_b, nvars):
     for g in b:
         emb = _m_embed(g)
         ext.append(m_term_mul(emb, (0,) * (nvars + 1), 1))
-        _sub_term_mul(ext[-1], emb, t, Fraction(1))
+        _sub_term_mul(ext[-1], emb, t, 1)
     return _t_free(module_groebner_basis(ext, ELIM))
 
 

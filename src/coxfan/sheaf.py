@@ -11,7 +11,7 @@ one window/equalizer builder, whose coordinates are Laurent monomials;
 the lattice-point count of P_D checks them.  The unit η of the
 correspondence is compared by dimensions: its kernel in degree α is the
 saturated relations modulo the relations there, the saturated relations
-being the chart intersection of the cover's kernels.
+being the chart intersection of the maximal cones' kernels.
 Chart modules and the submodules the correspondences return are held as
 reduced POT Groebner bases, relations included, so equal modules are
 equal tuples.  ``xi_forward`` reads one chart family per submodule
@@ -66,13 +66,16 @@ class Unstabilized(DomainError, RuntimeError):
 
 class SheafCoverPresentation(Record):
     """The sheaf of a graded module, as what its readers use: the
-    localization kernels, which decide the live charts, make the section
-    windows' subspaces and meet in the saturated relations of η."""
+    localization kernels, which decide the live charts and make the
+    section windows' subspaces, and among them the maximal cones', which
+    meet in the saturated relations of η."""
 
     __slots__ = (
         "origin",  # a GradedModulePresentation
         "kernels",  # cone key -> reduced basis of the localization kernel,
         # for the maximal cones and their pairwise intersections
+        "maximal",  # the maximal cones' entries of kernels, one dict per
+        # cover, so that η's chart intersection is kept for it (``is``)
     )
 
     @property
@@ -201,7 +204,8 @@ def sheafify(f: GradedModulePresentation) -> SheafCoverPresentation:
     keys = [cone.ray_generators for cone in cox.grading.fan.maximal_cones()]
     faces = dict.fromkeys(keys + [tau for *_, tau in _overlaps(keys)])
     kernels = {key: saturate_at(GradedSubmodule(f, ()), cox.zhat[key]) for key in faces}
-    return SheafCoverPresentation(origin=f, kernels=kernels)
+    maximal = {key: kernels[key] for key in keys}
+    return SheafCoverPresentation(origin=f, kernels=kernels, maximal=maximal)
 
 
 def is_zero_sheaf(s: SheafCoverPresentation) -> bool:
@@ -425,19 +429,13 @@ def eta_component_is_bijective(s: SheafCoverPresentation, alpha) -> bool:
     intersection of the localization kernels (R : z_σ^∞) of the maximal
     cones σ.  As R ⊆ N, η_α is injective exactly when dim (F/N)_α =
     dim M_α, and bijective when that is also the section dimension.
-
-    N is the chart intersection of all the cover's kernels
-    (``gradmod.chart_intersection``), the overlaps' included.  An overlap
-    τ = σ ∩ σ' is a face of σ, so each ray off σ is off τ and z_σ divides
-    z_τ: if z_σ^k·x lies in R, so does z_τ^k·x.  Hence the overlap kernel
-    (R : z_τ^∞) contains (R : z_σ^∞), and with it the intersection of the
-    maximal kernels, which meeting it therefore leaves as it is.  The
-    kernels dict is the same object at every α, so the intersection is
-    built once per cover."""
+    N is the chart intersection (``gradmod.chart_intersection``) of the
+    cover's `maximal` dict, the same object at every α, so N is built
+    once per cover."""
     f = s.origin
     h0 = global_sections_degree(s, alpha).dimension
     saturated = GradedModulePresentation(
-        f.cox, f.generator_degrees, chart_intersection(f, s.kernels)
+        f.cox, f.generator_degrees, chart_intersection(f, s.maximal)
     )
     dim = degree_component(f, alpha).dimension
     return dim == degree_component(saturated, alpha).dimension == h0

@@ -941,11 +941,13 @@ def monomials_of_weighted_degree(weights, degree, cap=None):
 # Buchberger over every same-position pair, last in first out, recomputing
 # leading terms at each step, one basis per candidate in generator
 # minimalization, and saturation by the iterated colon (the reference for
-# the package's Groebner engine: its remainders, S-vectors and minimal
-# generator lists must equal these element for element, and its bases
-# must have the same reduced basis).  Module elements
-# are tuples of {exponent: Fraction} dicts; `order` is any object whose
-# `key` ranks (position, exponent) terms.
+# the package's Groebner engine: its remainders and minimal generator
+# lists must equal these element for element, its S-vectors must equal
+# these up to a nonzero factor, and its bases must have the same reduced
+# basis).  Module elements are tuples of {exponent: coefficient} dicts,
+# Fractions or ints (the engine's bases have primitive int elements), and
+# every division is over Fraction; `order` is any object whose `key` ranks
+# (position, exponent) terms.
 
 
 def _p_add(p, q):
@@ -1000,7 +1002,7 @@ def m_normal_form(x, basis, order):
         for b, ((bpos, be), bc) in zip(basis, lts):
             if bpos == pos and _divides(be, e):
                 q_e = tuple(a - b2 for a, b2 in zip(e, be))
-                work = _m_sub(work, _m_term_mul(b, q_e, c / bc))
+                work = _m_sub(work, _m_term_mul(b, q_e, Fraction(c) / bc))
                 break
         else:
             rem = list(rem)
@@ -1062,7 +1064,7 @@ def reduced_basis(basis, order):
     for i, g in enumerate(minimal):
         r = m_normal_form(g, minimal[:i] + minimal[i + 1 :], order)
         term, c = _m_leading_term(r, order)
-        out.append((term, _m_term_mul(r, (0,) * len(term[1]), 1 / c)))
+        out.append((term, _m_term_mul(r, (0,) * len(term[1]), Fraction(1) / c)))
     return [g for _, g in sorted(out, key=lambda kg: kg[0])]
 
 
@@ -1101,7 +1103,7 @@ def _p_divexact(p, f):
         if not _divides(le, e):
             raise ValueError("division is not exact")
         q_e = tuple(a - b for a, b in zip(e, le))
-        quot[q_e] = work[e] / f[le]
+        quot[q_e] = Fraction(work[e]) / f[le]
         work = _m_sub((work,), (_p_term_mul(f, q_e, quot[q_e]),))[0]
     return quot
 
