@@ -5,7 +5,9 @@ document.
 The runs are the twelve README commands on each corpus fan, ``cox build``
 on a second big subgroup of each, a fixed set of refusals on each (bad
 flags, cone, ideal, window, module, subgroup and usage, and ``--module``
-with ``--ideal``), the sections of S/<Z1> in both modes, ``chart`` on
+with ``--ideal``), the sections of S/<Z1> in both modes, ``module
+torsion`` and ``module sections`` of S/<binomial> on p2 (the conic
+Z1·Z2 - Z3^2) and three_rays (Z1^2·Z3 - Z2), ``chart`` on
 every cone of each (the zero cone as ``--cone ""``), ``pic``, ``cox
 build`` and ``chart`` on every cone of the scale fans of
 ``tests/oracles.py``, commands on malformed fans, usage errors, and the
@@ -87,6 +89,15 @@ REFUSALS = [
     ["module", "torsion", "{fan}", "--module", "{tmp}/{name}-graded.json", "--ideal", "Z1,Z2,Z3"],
 ]
 
+# A Cl-homogeneous binomial relation x^u - x^v per fan, (u, v): its
+# saturations are not monomial.
+BINOMIALS = {"p2": ([1, 1, 0], [0, 0, 2]), "three_rays": ([2, 0, 1], [0, 1, 0])}
+
+BINOMIAL_RUNS = [
+    ["module", "torsion", "{fan}", "--module", "{tmp}/{name}-binomial.json"],
+    ["module", "sections", "{fan}", "--module", "{tmp}/{name}-binomial.json", "--degrees", "{window}"],
+]
+
 # Malformed fan files, each given to the commands below.
 BAD_FANS = {
     "not_json": "{ not json",
@@ -153,8 +164,9 @@ HELP = [
 
 
 def _modules(tmp, name):
-    """A graded module (Z1 as a relation) and one whose relation Z1 + Z1^2
-    mixes two degrees, for the fan's number of variables and class group."""
+    """A graded module (Z1 as a relation), one whose relation Z1 + Z1^2
+    mixes two degrees, and the fan's binomial quotient if it has one, for
+    the fan's number of variables and class group."""
     n = len(corpus.fan_spec(name)["rays"])
     r = grading.build_grading(corpus.build(name)).class_group.ngens
     z1 = [1] + [0] * (n - 1)
@@ -166,6 +178,11 @@ def _modules(tmp, name):
     }
     (tmp / f"{name}-graded.json").write_text(json.dumps(graded))
     (tmp / f"{name}-mixed.json").write_text(json.dumps(mixed))
+    if name in BINOMIALS:
+        u, v = BINOMIALS[name]
+        relation = [dict(term, exponent=u), dict(term, exponent=v, coefficient="-1")]
+        binomial = {"generator_degrees": [[0] * r], "relations": [relation]}
+        (tmp / f"{name}-binomial.json").write_text(json.dumps(binomial))
 
 
 def _call(argv):
@@ -207,7 +224,7 @@ def main():
         for fan in corpus.CORPUS_NAMES:
             big, big2, small, cone, window = FAN_ARGS[fan]
             _modules(tmp, fan)
-            for template in README + REFUSALS:
+            for template in README + REFUSALS + (BINOMIAL_RUNS if fan in BINOMIALS else []):
                 run(template, fan=str(corpus.fixture_path(fan)), name=fan,
                     big=big, big2=big2, small=small, cone=cone, window=window)
             _every_chart(run, str(corpus.fixture_path(fan)), corpus.build(fan))

@@ -6,13 +6,15 @@ pointed cones against the brute-force oracles used by the test suite, and
 the Buchberger S-pair criterion on random ideals with rational
 coefficients, taken as rank-1 submodules (elements ``(p,)``).  With
 ``--round-trips N`` it also checks, on N random monomial ideals I of P2,
-P1xP1 and F2 and N random binomial ideals of P2 and P1xP1, that
-xi_preimage(xi_forward(I)) is the saturation of I (the iterated colon
-for monomial ideals) and that xi_forward(lift_finite_type(T)) equals T
-for the family T of I.  With
+P1xP1 and F2 and N generated Cl-homogeneous binomial ideals or rank-2
+modules (``oracles.random_homogeneous_elements``) of P2, P1xP1, F2,
+P(1,1,2), three_rays, P3 and dP6, that xi_preimage(xi_forward(I)) is the
+saturation of I (the iterated colon for monomial ideals; not on
+three_rays, whose degree fibers are infinite) and that
+xi_forward(lift_finite_type(T)) equals T for the family T of I.  With
 ``--torsion N`` it checks the kill table of N random quotients of rank 1
-or 2 on P2, P1xP1 and F2, by monomial relations (exponents up to 20),
-by binomial ones, or (every third) by a fattened ideal of the
+or 2 on those seven fans, by monomial relations (exponents up to 20), by
+generated binomial ones, or (every third) by a fattened ideal of the
 torus-fixed points, against the reference Groebner engine, that the
 chart intersection of the sheaf cover's kernels is the reference
 intersection of the maximal cones' kernels, and that is_torsion agrees
@@ -138,10 +140,13 @@ def check_ideal(rng):
     )
 
 
+MONOMIAL_FANS = ("f2", "p1xp1", "p2")
+
+
 def round_trip_rings():
-    rays, max_cones = oracles.F2
-    fans = {"p2": corpus.build("p2"), "p1xp1": corpus.build("p1xp1")}
-    fans["f2"] = polyfan.build_fan(2, rays, max_cones)
+    fans = {name: corpus.build(name) for name in ("p2", "p1xp1", "p112", "three_rays")}
+    for name, (rays, max_cones) in (("f2", oracles.F2), ("p3", oracles.P3), ("dp6", oracles.DP6)):
+        fans[name] = polyfan.build_fan(len(rays[0]), rays, max_cones)
     out = {}
     for name, fan in fans.items():
         g = grading.build_grading(fan)
@@ -149,23 +154,38 @@ def round_trip_rings():
     return out
 
 
+def _generated(rng, f):
+    """Generated relations or generators on f's fan: a binomial ideal, or
+    half the time a rank-2 module, with the free module they live in."""
+    g = f.cox.grading
+    rays = g.fan.ray_index
+    shift = None
+    if rng.random() < 0.5:
+        shift = tuple(rng.randint(0, 1) for _ in rays)
+        f = free_module(f.cox, [g.class_group.zero(), g.a_map(shift)])
+    return f, oracles.random_homogeneous_elements(rng, rays, rng.randint(1, 2), shift)
+
+
 def _round_trip(f, sub, degrees):
     """xi_preimage(xi_forward(N)) over the given degrees, each also one
-    variable degree further, and whether the finite-type lift of the
-    family has the same family."""
+    variable degree further, or None where the degree fibers are
+    infinite, and whether the finite-type lift of the family has the same
+    family."""
     A = f.cox.grading.class_group
     family = xi_forward(sub)
+    lift_ok = family_equal(xi_forward(lift_finite_type(family, f)), family)
+    if not oracles.finite_fibers(f.cox.grading):
+        return None, lift_ok
     window = {A.add(a, d) for a in degrees for d in (A.zero(), *f.cox.grading.ray_degrees)}
-    pre = xi_preimage(family, f, sorted(window, key=lambda a: a.coords()))
-    return pre, family_equal(xi_forward(lift_finite_type(family, f)), family)
+    return xi_preimage(family, f, sorted(window, key=lambda a: a.coords())), lift_ok
 
 
 def check_round_trip(rng, rings):
-    """One monomial ideal, whose preimage must give the minimal monomials
-    of the iterated colon, and one binomial ideal of P2 or P1xP1, whose
-    preimage must equal saturate_submodule, as a submodule and as the
-    same reduced basis."""
-    f = rings[rng.choice(sorted(rings))]
+    """One monomial ideal of P2, P1xP1 or F2, whose preimage must give the
+    minimal monomials of the iterated colon, and one generated binomial
+    ideal or rank-2 module on any of the fans, whose preimage must equal
+    saturate_submodule, as a submodule and as the same reduced basis."""
+    f = rings[rng.choice(MONOMIAL_FANS)]
     g = f.cox.grading
     exps = oracles.random_monomial_ideal(rng, f.nvars)
     zhats = [f.cox.zhat[c.ray_generators] for c in g.fan.maximal_cones()]
@@ -173,17 +193,13 @@ def check_round_trip(rng, rings):
     sub = _ideal(f, ({e: Fraction(1)} for e in exps))
     pre, monomial_ok = _round_trip(f, sub, [g.a_map(e) for e in want])
     monomial_ok = monomial_ok and sorted(e for x in pre.element_generators for p in x for e in p) == want
-    f = rings[rng.choice(["p1xp1", "p2"])]
-    g = f.cox.grading
-    sub = _ideal(f, oracles.random_binomial_ideal(rng, f.nvars, lambda e: g.a_map(e).coords()))
+    f, gens = _generated(rng, rings[rng.choice(sorted(rings))])
+    sub = GradedSubmodule(f, tuple(gens))
     sat = saturate_submodule(sub)
     pre, binomial_ok = _round_trip(f, sub, [f.element_degree(x) for x in sat.element_generators])
-    return (
-        monomial_ok
-        and binomial_ok
-        and submodules_equal(pre, sat)
-        and pre.element_generators == sat.element_generators
-    )
+    if pre is not None:
+        binomial_ok &= submodules_equal(pre, sat) and pre.element_generators == sat.element_generators
+    return monomial_ok and binomial_ok
 
 
 def _reference_contains(gb, x):
@@ -191,14 +207,14 @@ def _reference_contains(gb, x):
 
 
 def check_torsion(rng, rings, draw):
-    """One quotient of rank 1 or 2 by monomial or binomial relations, each
-    in one generator's component: every kill-table entry k must put
-    z^k e_i in the relations and z^(k-1) e_i outside them, and every
-    None must leave e_i outside (relations : z^inf), by the reference
-    engine; the chart intersection of all the sheaf cover's kernels,
-    the overlaps' included, must be the reference intersection of the
-    maximal cones' kernels alone; is_torsion must agree with the sheaf
-    being zero.
+    """One quotient of rank 1 or 2 by monomial relations, each in one
+    generator's component, or by generated binomial ones: every kill-table
+    entry k must put z^k e_i in the relations and, for k > 0, z^(k-1) e_i
+    outside them, and every None must leave e_i outside (relations :
+    z^inf), by the reference engine; the chart intersection of all the
+    sheaf cover's kernels, the overlaps' included, must be the reference
+    intersection of the maximal cones' kernels alone; is_torsion must
+    agree with the sheaf being zero.
 
     Every third draw is a fattened ideal of the torus-fixed points, the
     intersection over the maximal cones σ of <Z_ρ^k : ρ in σ>, times a
@@ -206,11 +222,17 @@ def check_torsion(rng, rings, draw):
     gets no power of each variable: that module is not torsion, and its
     kernel at σ is the component at σ's fixed point, so an intersection
     that missed any one maximal kernel would be larger."""
-    cox = rings[rng.choice(sorted(rings))].cox
+    f = rings[rng.choice(sorted(rings))]
+    cox = f.cox
     n, g = cox.num_vars, cox.grading
     rank = rng.randint(1, 2)
+    degrees = (g.class_group.zero(),) * rank
     top = 20
     points = draw % 3 == 0
+
+    def placed(p, i):
+        return tuple(p if j == i else {} for j in range(rank))
+
     if points:
         ideal = [(0,) * n]  # the unit ideal
         for c in g.fan.maximal_cones():
@@ -219,27 +241,24 @@ def check_torsion(rng, rings, draw):
             ideal = oracles.intersect_monomial(ideal, powers)
         b = {(0,) * n: 1}
         if rng.random() < 0.5:
-            b = oracles.random_binomial_ideal(rng, n, lambda e: g.a_map(e).coords())[0]
-        polys = [{tuple(map(add, e, m)): Fraction(c) for e, c in b.items()} for m in ideal]
+            (b,) = oracles.random_homogeneous_elements(rng, g.fan.ray_index, 1)[0]
+        home = rng.randrange(rank)  # the fixed points' component
+        rels = [placed({tuple(map(add, e, m)): Fraction(c) for e, c in b.items()}, home) for m in ideal]
     elif rng.random() < 0.5:
-        polys = [
-            {tuple(rng.randint(1, top) if x else 0 for x in e): Fraction(1)}
+        rels = [
+            placed({tuple(rng.randint(1, top) if x else 0 for x in e): Fraction(1)}, rng.randrange(rank))
             for e in oracles.random_monomial_ideal(rng, n)
         ]
     else:
         top = 4  # the binomial case runs Rabinowitsch's Groebner basis
-        polys = oracles.random_binomial_ideal(rng, n, lambda e: g.a_map(e).coords())
-    rels = []
-    home = rng.randrange(rank)  # the fixed points' component
-    for p in polys:
-        i = home if points else rng.randrange(rank)
-        rels.append(tuple(p if j == i else {} for j in range(rank)))
+        f, rels = _generated(rng, f)
+        rank, degrees = f.rank, f.generator_degrees
     if not points and rng.random() < 0.5:  # a torsion module: a power of each variable
         for i in range(rank):
             for v in range(n):
                 e = tuple(rng.randint(1, top) if u == v else 0 for u in range(n))
                 rels.append(tuple({e: Fraction(1)} if j == i else {} for j in range(rank)))
-    q = GradedModulePresentation(cox, (g.class_group.zero(),) * rank, tuple(rels))
+    q = GradedModulePresentation(cox, degrees, tuple(rels))
     rel_gb = oracles.module_groebner_basis(rels, POT)
     kernels = {
         c.ray_generators: oracles.module_saturate_element(
@@ -259,7 +278,7 @@ def check_torsion(rng, rings, draw):
             ok &= not _reference_contains(kernel, power(i, z, 0))
         else:
             ok &= _reference_contains(rel_gb, power(i, z, k))
-            ok &= not _reference_contains(rel_gb, power(i, z, k - 1))
+            ok &= k == 0 or not _reference_contains(rel_gb, power(i, z, k - 1))
     cover = sheafify(q)
     meet = functools.reduce(
         lambda a, b: oracles.module_intersection(a, b, n, ELIM), kernels.values()

@@ -199,9 +199,9 @@ def chart_intersection(f: GradedModulePresentation, charts):
     """The reduced basis of the intersection of the chart modules of a
     dict of reduced bases in f, kept for the same dict (``is``).  Monomial
     charts, and no charts at all, meet position by position as monomial
-    ideals, from the unit ideal.  Otherwise each running intersection, the
-    t-free part of a tag-elimination basis and so a POT Groebner basis,
-    is cut to its reduced basis."""
+    ideals, from the unit ideal.  Otherwise each running intersection, a
+    POT Groebner basis read off one basis in F ⊕ F, is cut to its reduced
+    basis."""
     if _LAST_MEET[0] is not charts:
         bases = list(charts.values())
         if all(groeb.m_is_monomial(x) for basis in bases for x in basis):
@@ -210,7 +210,7 @@ def chart_intersection(f: GradedModulePresentation, charts):
             ideals = [reduce(groeb.monomial_ideal_intersection, p, unit) for p in parts]
             meet = _monomial_rows(f.rank, ideals)
         else:
-            meet = reduce(lambda a, b: reduced_basis(module_intersection(a, b, f.nvars)), bases)
+            meet = reduce(lambda a, b: reduced_basis(module_intersection(a, b)), bases)
         _LAST_MEET[:] = charts, meet
     return _LAST_MEET[1]
 
@@ -229,8 +229,8 @@ def kill_table(f: GradedModulePresentation):
     localization kernel (relations : z^inf), the chart basis of the empty
     submodule (``chart_bases``), so the search for k runs only when it
     ends.  Membership of z^k e_i is monotone in k, so the search tests
-    k = 1, 2, 4, ... until one kills and bisects the last gap:
-    2·ceil(log2 k) tests, and one for k = 1."""
+    k = 0, 1, 3, 7, ... until one kills and bisects the last gap: at most
+    2·ceil(log2 k) + 1 tests of k > 0.  k = 0 when e_i is a relation."""
     kernels = chart_bases(GradedSubmodule(f, ()))
     rel_gb = module_groebner_basis(list(f.relations))
     table = {}
@@ -243,9 +243,9 @@ def kill_table(f: GradedModulePresentation):
                 def kills(k):
                     return module_contains(rel_gb, m_term_mul(unit, tuple(k * x for x in z), 1))
 
-                lo, hi = 0, 1  # no power up to lo kills; test hi
+                lo, hi = -1, 0  # no power up to lo kills; test hi
                 while not kills(hi):
-                    lo, hi = hi, 2 * hi
+                    lo, hi = hi, 2 * hi + 1
                 while hi - lo > 1:
                     mid = (lo + hi) // 2
                     lo, hi = (lo, mid) if kills(mid) else (mid, hi)

@@ -1,9 +1,9 @@
 """Groebner bases over the rationals, for submodules of free modules.
 
 Polynomials are dicts mapping exponent tuples to nonzero coefficients.  Module
-elements are tuples of polynomials against a free basis; module orders are
-position-over-term.  An ideal is the rank-1 case, elements ``(p,)``.
-Elimination uses a block order on a leading tag variable t.  Buchberger
+elements are tuples of polynomials against a free basis; a module order is
+its key on module terms, position-over-term (POT) unless one is passed.
+An ideal is the rank-1 case, elements ``(p,)``.  Buchberger
 takes its pairs by the normal strategy (least lcm of the leading terms
 first) and skips those that the chain criterion settles; it keeps each
 basis element's leading term and never queues a pair of two single
@@ -21,8 +21,9 @@ factors) and the reduced basis; on Fraction operands its step is
 w - (c/b_c)*X^m*b.  Fractions remain in the inputs, in that remainder and
 in the reduced POT basis, the one canonical form of a submodule: monic,
 so two submodules are equal exactly when their reduced bases are.
-Saturation by one element f is a single basis: the t-free part of
-N + (1 - t*f)*F (Cox-Little-O'Shea, Ch. 4 §4).
+An intersection is one POT basis in F ⊕ F.  Saturation by one element f
+is a single basis under ELIM, the one order with a tag variable t: the
+t-free part of N + (1 - t*f)*F (Cox-Little-O'Shea, Ch. 4 §4).
 """
 
 from __future__ import annotations
@@ -52,28 +53,6 @@ def p_term_mul(p, e, c):
     if not c:
         return {}
     return {tuple(map(add, e, m)): c * x for m, x in p.items()}
-
-
-# --- monomial orders ------------------------------------------------------
-
-class MonomialOrder(Record):
-    """Graded reverse lexicographic order, optionally with a leading
-    elimination block of the first `block` variables."""
-
-    __slots__ = ("block",)  # number of leading variables to eliminate first
-    _defaults = {"block": 0}
-
-    def key(self, e):
-        if self.block:
-            return (_grevlex_key(e[: self.block]), _grevlex_key(e[self.block :]))
-        return _grevlex_key(e)
-
-
-def _grevlex_key(e):
-    return (sum(e), tuple(map(neg, reversed(e))))
-
-
-GREVLEX = MonomialOrder(0)
 
 
 def _divides(e, m):
@@ -120,24 +99,26 @@ def m_is_zero(x):
 
 
 def m_is_monomial(x):
-    terms = [(i, e) for i, p in enumerate(x) for e in p]
-    return len(terms) == 1
+    return sum(map(len, x)) == 1
 
 
 class ModuleOrder(Record):
-    __slots__ = ("ring_order",)  # a MonomialOrder
-    _defaults = {"ring_order": GREVLEX}
+    """A module order, given by its key on module terms (position,
+    exponent): the term with the larger key is the larger."""
 
-    def key(self, term):
-        pos, e = term
-        if self.ring_order.block:
-            blk = e[: self.ring_order.block]
-            rest = e[self.ring_order.block :]
-            return (_grevlex_key(blk), -pos, _grevlex_key(rest))
-        return (-pos, self.ring_order.key(e))
+    __slots__ = ("key",)
 
 
-POT = ModuleOrder()
+def _grevlex_key(e):
+    return (sum(e), tuple(map(neg, reversed(e))))
+
+
+def _pot_key(term):
+    pos, e = term
+    return (-pos, _grevlex_key(e))
+
+
+POT = ModuleOrder(_pot_key)  # position over term, grevlex on the ring
 
 
 class _Keys(dict):
@@ -156,9 +137,9 @@ class _Keys(dict):
 def _leader(order, rank):
     """m_leading_term under `order` for elements of rank `rank`, with each
     term's key computed once over the life of the returned function.
-    Under a non-block order, grevlex on the ring, a lower position always
-    wins, so the leading term is the first nonzero position's largest."""
-    if not order.ring_order.block:
+    Under POT a lower position always wins, so the leading term is the
+    first nonzero position's largest."""
+    if order is POT:
         ring = _Keys(_grevlex_key).__getitem__
 
         def lead(x):
@@ -346,13 +327,19 @@ def module_groebner_basis(gens, order=POT):
     return basis
 
 
+_LAST_LEADS = [None, None, None]  # the last basis, its leading terms, its leader
+
+
 def module_contains(gb, x):
-    if m_is_zero(x):
-        return True
-    if not gb:
-        return False
-    lead = _leader(POT, len(x))
-    return m_is_zero(_reduce(tuple(map(dict, x)), gb, [lead(b) for b in gb], lead)[0])
+    """Whether x lies in the submodule of the POT Groebner basis gb.  The
+    leading terms of the last basis are kept for the same object (``is``,
+    not equal content): no caller changes a basis it has tested against."""
+    if not gb or m_is_zero(x):
+        return m_is_zero(x)
+    if _LAST_LEADS[0] is not gb:
+        lead = _leader(POT, len(x))
+        _LAST_LEADS[:] = gb, [lead(b) for b in gb], lead
+    return m_is_zero(_reduce(tuple(map(dict, x)), *_LAST_LEADS)[0])
 
 
 def reduced_basis(gb):
@@ -390,43 +377,42 @@ def submodule_equal(gens_a, gens_b):
     )
 
 
+def module_intersection(gens_a, gens_b):
+    """Intersection A ∩ B of two submodules of a free module F, in one POT
+    basis of F ⊕ F (Greuel-Pfister, Ch. 2): (u | v) lies in <(a | a),
+    (b | 0)> with u = 0 exactly when v lies in A ∩ B.  POT ranks the
+    first block's positions first, so the basis elements whose first
+    block is 0, with it dropped, are a POT basis of A ∩ B."""
+    a = [g for g in gens_a if not m_is_zero(g)]
+    b = [g for g in gens_b if not m_is_zero(g)]
+    if not a or not b:
+        return []
+    r = len(a[0])
+    gb = module_groebner_basis([g + g for g in a] + [g + ({},) * r for g in b])
+    return [g[r:] for g in gb if m_is_zero(g[:r])]
+
+
 def _m_embed(x):
     """Prepend a zero exponent for the new leading (tag) variable."""
     return tuple({(0,) + e: c for e, c in p.items()} for p in x)
 
 
-ELIM = ModuleOrder(MonomialOrder(block=1))  # eliminates a leading tag t
+def _elim_key(term):
+    pos, e = term
+    return (e[0], -pos, _grevlex_key(e[1:]))
 
 
-def _t_free(gb):
-    """The elements of an ELIM basis free of the tag, with it dropped."""
-    return [
-        tuple({e[1:]: c for e, c in p.items()} for p in g)
-        for g in gb
-        if not any(e[0] for p in g for e in p)
-    ]
-
-
-def module_intersection(gens_a, gens_b, nvars):
-    """Intersection of two submodules of a free module, by tag elimination:
-    the elements of t*A + (1-t)*B free of t."""
-    a = [g for g in gens_a if not m_is_zero(g)]
-    b = [g for g in gens_b if not m_is_zero(g)]
-    if not a or not b:
-        return []
-    t = (1,) + (0,) * nvars
-    ext = [m_term_mul(_m_embed(g), t, 1) for g in a]
-    for g in b:
-        emb = _m_embed(g)
-        ext.append(m_term_mul(emb, (0,) * (nvars + 1), 1))
-        _sub_term_mul(ext[-1], emb, t, 1)
-    return _t_free(module_groebner_basis(ext, ELIM))
+ELIM = ModuleOrder(_elim_key)  # eliminates a leading tag t, then POT
 
 
 def module_saturate_element(gens, f, rank, nvars):
     """(N : f^infinity) in one Groebner basis (Rabinowitsch): the t-free
-    part of N + (1 - t*f)*F, where F is the ambient free module."""
+    part of N + (1 - t*f)*F, F the ambient free module, with t dropped."""
     one_tf = {(0,) * (nvars + 1): Fraction(1), **{(1,) + e: -c for e, c in f.items()}}
     ext = [_m_embed(g) for g in gens if not m_is_zero(g)]
     ext += [tuple(one_tf if j == i else {} for j in range(rank)) for i in range(rank)]
-    return _t_free(module_groebner_basis(ext, ELIM))
+    return [
+        tuple({e[1:]: c for e, c in p.items()} for p in g)
+        for g in module_groebner_basis(ext, ELIM)
+        if not any(e[0] for p in g for e in p)
+    ]

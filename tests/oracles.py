@@ -889,6 +889,46 @@ def random_binomial_ideal(rng, nvars, degree):
     return gens
 
 
+_GENERATED_COEFFICIENTS = tuple(map(Fraction, (1, -1, 2, -3))) + (Fraction(1, 2), Fraction(-3, 4))
+
+
+def _homogeneous_pair(rng, rays, shift, top):
+    """Distinct exponents (u, v) with u − v − shift = (⟨m, u_ρ⟩)_ρ for a
+    lattice point m with entries in −top..top: the positive and negative
+    parts of that difference plus a common part of 0s and 1s.  So x^u
+    and x^(v + shift) have one Cl-degree."""
+    while True:
+        m = [rng.randint(-top, top) for _ in rays[0]]
+        d = [_dot(m, r) + s for r, s in zip(rays, shift)]
+        common = [rng.randint(0, 1) for _ in rays]
+        u = tuple(max(x, 0) + c for x, c in zip(d, common))
+        v = tuple(max(-x, 0) + c for x, c in zip(d, common))
+        if u != v:
+            return u, v
+
+
+def random_homogeneous_elements(rng, rays, count, shift=None, top=1):
+    """`count` Cl-homogeneous elements on the fan with these rays, as
+    tuples of {exponent: Fraction} dicts.  With no shift they are
+    binomials x^u − c·x^v of rank 1, u − v = (⟨m, u_ρ⟩)_ρ for a lattice
+    point m.  With an exponent `shift` s they lie in the rank-2 free
+    module whose generators have degrees 0 and deg x^s: such a binomial
+    in either position, or x^u·e_0 − c·x^v·e_1 with
+    u − v − s = (⟨m, u_ρ⟩)_ρ."""
+    rank = 1 if shift is None else 2
+    out = []
+    for _ in range(count):
+        c = rng.choice(_GENERATED_COEFFICIENTS)
+        if rank == 2 and rng.random() < 0.5:
+            u, v = _homogeneous_pair(rng, rays, shift, top)
+            out.append(({u: Fraction(1)}, {v: -c}))
+        else:
+            u, v = _homogeneous_pair(rng, rays, (0,) * len(rays), top)
+            pos = rng.randrange(rank)
+            out.append(tuple({u: Fraction(1), v: -c} if i == pos else {} for i in range(rank)))
+    return out
+
+
 def colon_monomial(ideal, f):
     return minimalize(
         [tuple(max(a - b, 0) for a, b in zip(e, f)) for e in ideal]
@@ -1025,22 +1065,30 @@ def _s_vector(f, g, order):
 
 
 def module_groebner_basis(gens, order):
+    """Buchberger without criteria: every pair of elements whose leading
+    terms share a position is reduced, the pair with the least lcm of
+    its leading terms first (the normal strategy).  Taking the last pair
+    instead grew a basis of over 150 elements for the tag intersection of
+    two principal ideals of dP6, whose answer is one element."""
     basis = [g for g in gens if not _m_is_zero(g)]
-    pairs = [
-        (i, j)
-        for i, j in combinations(range(len(basis)), 2)
-        if _m_leading_term(basis[i], order)[0][0]
-        == _m_leading_term(basis[j], order)[0][0]
-    ]
+    lts = [_m_leading_term(g, order)[0] for g in basis]
+    pairs = []
+
+    def add_pairs(j):
+        for i in range(j):
+            if lts[i][0] == lts[j][0]:
+                lcm = tuple(max(a, b) for a, b in zip(lts[i][1], lts[j][1]))
+                pairs.append((order.key((lts[j][0], lcm)), i, j))
+
+    for j in range(len(basis)):
+        add_pairs(j)
     while pairs:
-        i, j = pairs.pop()
+        _, i, j = pairs.pop(min(range(len(pairs)), key=pairs.__getitem__))
         r = m_normal_form(_s_vector(basis[i], basis[j], order), basis, order)
         if not _m_is_zero(r):
             basis.append(r)
-            rpos = _m_leading_term(r, order)[0][0]
-            for k in range(len(basis) - 1):
-                if _m_leading_term(basis[k], order)[0][0] == rpos:
-                    pairs.append((k, len(basis) - 1))
+            lts.append(_m_leading_term(r, order)[0])
+            add_pairs(len(basis) - 1)
     return basis
 
 

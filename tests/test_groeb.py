@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, strategies as st
 
+from coxfan import corpus
 from coxfan.groeb import (
     ELIM,
     POT,
@@ -119,7 +121,7 @@ def test_buchberger_criterion_random_ideals():
 
 def test_buchberger_criterion_random_modules():
     # rank 2 and 3, in position-over-term and in the elimination order
-    # that module_intersection uses; then single terms next to binomials,
+    # that module_saturate_element uses; then single terms next to binomials,
     # and the input shape of the one-basis saturation
     rng = random.Random(20261018)
     cases = []
@@ -177,7 +179,34 @@ def test_ideal_intersection_principal():
     x = poly({(1, 0): Fraction(1)})
     y = poly({(0, 1): Fraction(1)})
     xy = poly({(1, 1): Fraction(1)})
-    assert submodule_equal(module_intersection([(x,)], [(y,)], 2), [(xy,)])
+    assert submodule_equal(module_intersection([(x,)], [(y,)]), [(xy,)])
+
+
+_GENERATED_FANS = {
+    **{name: corpus.fan_spec(name)["rays"] for name in ("p2", "p1xp1", "p112", "three_rays")},
+    "f2": oracles.F2[0],
+    "p3": oracles.P3[0],
+    "dp6": oracles.DP6[0],
+}
+
+
+@pytest.mark.parametrize("fan", sorted(_GENERATED_FANS))
+def test_intersection_equals_tag_elimination_on_generated_modules(fan):
+    # A ∩ B read off one basis in F ⊕ F has the reduced basis of the
+    # reference's tag elimination, on generated Cl-homogeneous ideals and
+    # rank-2 modules whose second generator has degree deg x^s
+    rays = _GENERATED_FANS[fan]
+    rng = random.Random(20261103 + sorted(_GENERATED_FANS).index(fan))
+    larger = 0
+    for k in range(12):
+        shift = None if k % 2 else tuple(rng.randint(0, 1) for _ in rays)
+        a = oracles.random_homogeneous_elements(rng, rays, rng.randint(1, 2), shift)
+        b = oracles.random_homogeneous_elements(rng, rays, rng.randint(1, 2), shift)
+        got = reduced_basis(module_intersection(a, b))
+        want = oracles.module_intersection(a, b, len(rays), ELIM)
+        assert got == tuple(oracles.reduced_basis(want, POT))
+        larger += len(got) > 1
+    assert larger >= 2
 
 
 small_exps = st.lists(

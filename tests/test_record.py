@@ -4,10 +4,10 @@ hashing, immutability and repr."""
 import pytest
 
 from coxfan.cox import BaseRingFlags
-from coxfan.groeb import GREVLEX, ModuleOrder, MonomialOrder
+from coxfan.groeb import ModuleOrder
 from coxfan.intlat import AbelianGroup, GroupElement
 from coxfan.polyfan import Cone
-from coxfan.schemeprops import Verdict
+from coxfan.schemeprops import PropertyReport, Verdict
 
 
 def test_equal_values_hash_equal_and_share_a_dict_slot():
@@ -24,8 +24,8 @@ def test_equal_values_hash_equal_and_share_a_dict_slot():
 
 
 def test_a_single_field_record_hashes_as_a_one_tuple():
-    assert hash(MonomialOrder(2)) == hash((2,))
-    assert MonomialOrder() == MonomialOrder(0) == MonomialOrder(block=0)
+    assert hash(ModuleOrder(len)) == hash((len,))
+    assert ModuleOrder(len) == ModuleOrder(key=len) != ModuleOrder(abs)
 
 
 def test_assigning_or_deleting_an_attribute_raises():
@@ -43,11 +43,13 @@ def test_assigning_or_deleting_an_attribute_raises():
 def test_repr_is_the_dataclass_repr():
     assert repr(GroupElement((), (1,))) == "GroupElement(torsion_part=(), free_part=(1,))"
     assert repr(Verdict("HOLDS", "r")) == "Verdict(status='HOLDS', rule='r', condition='')"
-    assert repr(ModuleOrder()) == "ModuleOrder(ring_order=MonomialOrder(block=0))"
+    assert repr(PropertyReport({"x": Verdict("HOLDS", "r")})) == (
+        "PropertyReport(verdicts={'x': Verdict(status='HOLDS', rule='r', condition='')})"
+    )
 
 
 def test_construction_by_keyword_with_defaults():
-    assert ModuleOrder().ring_order is GREVLEX
+    assert ModuleOrder(key=len).key is len
     flags = BaseRingFlags(field=True)
     assert flags.field and not flags.zero
     assert flags == BaseRingFlags(True, False, False, False, False)

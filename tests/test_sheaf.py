@@ -431,6 +431,17 @@ def test_kill_table_needs_logarithmically_many_tests(p2_cox, monkeypatch, k):
     assert len(powers) <= 2 * math.ceil(math.log2(k)) + 1
 
 
+def test_a_generator_among_the_relations_is_killed_by_the_zeroth_power(p2_cox):
+    # Z1·e_0 and Z1·Z3·e_0 - 2·e_1 are relations, so e_1 is one too.
+    A = p2_cox.grading.class_group
+    rels = (({(1, 0, 0): Fraction(1)}, {}), ({(1, 0, 1): Fraction(1)}, {(0, 0, 0): Fraction(-2)}))
+    q = GradedModulePresentation(p2_cox, (A.zero(), A.from_coords([2])), rels)
+    table = gradmod.kill_table(q)
+    assert [k for (i, _), k in table.items() if i == 1] == [0, 0, 0]
+    by_zhat = {p2_cox.zhat[key]: k for (i, key), k in table.items() if i == 0}
+    assert by_zhat == {(1, 0, 0): 1, (0, 1, 0): None, (0, 0, 1): None}
+
+
 def _least_kill_power(rels, i, z, bound):
     """The least k <= bound with z^k e_i in the relation module, by the
     reference Groebner engine, or None."""
