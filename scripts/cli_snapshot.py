@@ -3,7 +3,8 @@
 document.
 
 The runs are the twelve README commands on each corpus fan, ``cox build``
-on a second big subgroup of each, a fixed set of refusals on each (bad
+on a second big subgroup of each, ``subgroup classify`` on a subgroup of
+infinite index of each, a fixed set of refusals on each (bad
 flags, cone, ideal, window, module, subgroup and usage, and ``--module``
 with ``--ideal``), the sections of S/<Z1> in both modes, ``module
 torsion`` and ``module sections`` of S/<binomial> on p2 (the conic
@@ -58,6 +59,7 @@ README = [
     ["subgroup", "classify", "{fan}", "--subgroup", "{big}"],
     ["cox", "build", "{fan}", "--subgroup", "{big}", "--flags", "field"],
     ["cox", "build", "{fan}", "--subgroup", "{big2}"],
+    ["subgroup", "classify", "{fan}", "--subgroup", "{small}"],
     ["chart", "{fan}", "--cone", "{cone}"],
     ["ideal", "saturate", "{fan}", "--ideal", "Z1*Z2,Z1*Z3"],
     ["module", "sections", "{fan}", "--degrees", "{window}"],

@@ -17,13 +17,14 @@ from .grading import _degree_zero_lattice, _lattice_points, _nonnegative_rows
 from .groeb import minimalize_monomials
 from .intlat import (
     INFINITE,
+    _order_modulo,
     _presentation_rows,
+    _subgroup_basis,
     _transpose,
     hermite_row_basis,
     integer_kernel,
-    quotient_presentation,
     smith_normal_form,
-    subgroup_contains,
+    subgroup_leq,
 )
 from .polyfan import (
     Cone,
@@ -94,11 +95,11 @@ def build_cox(g: GradingData, b: SubgroupB, flags: BaseRingFlags = BaseRingFlags
         raise NotBig("the degree subgroup must have finite index")
     zhat = {}
     m_exponents = {}
-    quotient, project = quotient_presentation(g.class_group, b.generators)
+    basis = _subgroup_basis(g.class_group, b.generators)
     for cone in g.fan.cones:
         e = _zhat_exponent(g, cone)
         zhat[cone.ray_generators] = e
-        order = quotient.element_order(project(g.a_map(e)))
+        order = _order_modulo(basis, g.a_map(e).coords())
         if order == INFINITE:
             raise NotBig("no power of a cone monomial lands in the subgroup")
         m_exponents[cone.ray_generators] = order
@@ -219,9 +220,7 @@ def strongly_graded_at(c: CoxRingData, cone: Cone) -> bool:
         for i, r in enumerate(g.delta_basis)
         if r not in cone_rays
     ]
-    return all(
-        subgroup_contains(off, x, g.class_group) for x in c.subgroup.generators
-    )
+    return subgroup_leq(c.subgroup.generators, off, g.class_group)
 
 
 def is_positively_graded(c: CoxRingData):

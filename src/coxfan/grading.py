@@ -22,7 +22,7 @@ from .intlat import (
     subgroup_index,
     subgroup_leq,
 )
-from .polyfan import Fan, fm_combine
+from .polyfan import Fan, _fm_eliminate
 
 
 FIBER_POINT_CAP = 200_000
@@ -151,26 +151,23 @@ def _projections(m):
 
     Level j + 1 holds the rows, on u_0..u_j, that bound u_j once the earlier
     coordinates are fixed; level 0 holds the constant rows.  A row is
-    (coefficients, nonnegative multipliers on the rows of M), so its
-    constant term for an offset b is multipliers . b.  None when a level
-    lacks rows of both signs: the polyhedron then has a recession direction.
+    (coefficients, nonnegative multipliers on the rows of M), eliminated
+    with its multipliers as extra columns, so its constant term for an
+    offset b is multipliers . b.  None when a level lacks rows of both
+    signs: the polyhedron then has a recession direction.
     """
     k = len(m[0]) if m else 0
-    rows = {(r, tuple(int(i == t) for t in range(len(m)))) for i, r in enumerate(m)}
+    rows = [(*r, *(int(i == t) for t in range(len(m)))) for i, r in enumerate(m)]
     levels = []
     for j in reversed(range(k)):
-        pos = [r for r in rows if r[0][j] > 0]
-        neg = [r for r in rows if r[0][j] < 0]
+        pos = [r for r in rows if r[j] > 0]
+        neg = [r for r in rows if r[j] < 0]
         if not pos or not neg:
             return None
-        levels.append(tuple(pos + neg))
-        rows = {r for r in rows if r[0][j] == 0}
-        for a, la in pos:
-            for c, lc in neg:
-                row = fm_combine(a + la, c + lc, j)
-                rows.add((row[:k], row[k:]))
-    levels.append(tuple(rows))
-    return tuple(reversed(levels))
+        levels.append(pos + neg)
+        _, rows = _fm_eliminate([], rows, j)
+    levels.append(rows)
+    return tuple(tuple((r[:k], r[k:]) for r in lv) for lv in reversed(levels))
 
 
 def _lattice_points(m, b, v0, basis):

@@ -246,14 +246,11 @@ def _reduce(w, basis, lts, lead):
     return rem, a
 
 
-def m_normal_form(x, basis, order, lts=None):
-    """Remainder of x on division by basis, exact.  `lts`, when given,
-    holds the leading term of each basis element.  The reducer of a term
+def m_normal_form(x, basis, order):
+    """Remainder of x on division by basis, exact.  The reducer of a term
     is the first basis element whose leading term divides it."""
     lead = _leader(order, len(x))
-    if lts is None:
-        lts = [lead(b) for b in basis]
-    r, a = _reduce(tuple(map(dict, x)), basis, lts, lead)
+    r, a = _reduce(tuple(map(dict, x)), basis, [lead(b) for b in basis], lead)
     if a == 1:
         return r
     return tuple({e: Fraction(c, a) for e, c in p.items()} for p in r)

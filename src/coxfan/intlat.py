@@ -4,7 +4,10 @@ Smith and Hermite normal forms, integer kernels, cokernel presentations of
 integer matrices, and arithmetic in finitely generated abelian groups.  All
 arithmetic is arbitrary-precision; nothing here ever touches floats.  A
 matrix is its list of rows, passed with its column count as (rows, ncols),
-so an empty matrix keeps its shape.
+so an empty matrix keeps its shape.  A subgroup is its Hermite basis, and
+membership, containment, element orders and the index are read off that
+basis; the Smith form serves only presentations (Cohen, A Course in
+Computational Algebraic Number Theory, §2.4).
 
 An abelian group is kept in the canonical shape Z/t_1 x ... x Z/t_k x Z^f
 with t_1 | t_2 | ... | t_k and every t_i >= 2, so two groups are equal iff
@@ -14,7 +17,7 @@ first and the free part last.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, prod
 from operator import mod, mul
 
 from ._record import Record
@@ -37,38 +40,28 @@ def smith_normal_form(rows, ncols):
     with diagonal d (min(rows, ncols) entries, nonnegative, a divisibility
     chain, zeros last).
 
+    The work is done on the block matrix [[m, I_r], [I_c, 0]]: a row
+    operation on its first r rows acts on m and u together, a column
+    operation on its first c columns on m and v together.
+
     Pivot selection: smallest nonzero absolute value in the working
     submatrix, ties broken by lowest (row, column) index, so the transforms
     are deterministic.
     """
-    a = [list(map(int, row)) for row in rows]
-    r, c = len(a), ncols
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    r, c = len(rows), ncols
+    a = [[*map(int, row), *(int(i == j) for j in range(r))] for i, row in enumerate(rows)]
+    a += [[int(i == j) for j in range(c + r)] for i in range(c)]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
 
     def addmul_row(dst, src, q):
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     def addmul_col(dst, src, q):
         for row in a:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(r, c):
@@ -81,7 +74,7 @@ def smith_normal_form(rows, ncols):
                     best = (i, j)
         if best is None:
             break
-        swap_rows(t, best[0])
+        a[t], a[best[0]] = a[best[0]], a[t]
         swap_cols(t, best[1])
         # Clear row and column t; restart whenever a remainder shrinks the pivot.
         while True:
@@ -91,7 +84,7 @@ def smith_normal_form(rows, ncols):
                     q = a[i][t] // a[t][t]
                     addmul_row(i, t, -q)
                     if a[i][t] != 0:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             for j in range(t + 1, c):
                 if a[t][j] != 0:
@@ -115,9 +108,10 @@ def smith_normal_form(rows, ncols):
                 break
             addmul_row(t, bad, 1)
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         t += 1
-    return [a[i][i] for i in range(min(r, c))], u, v
+    d = [a[i][i] for i in range(min(r, c))]
+    return d, [row[c:] for row in a[:r]], [row[:c] for row in a[r:]]
 
 
 def hermite_row_basis(rows, ncols):
@@ -197,12 +191,6 @@ class AbelianGroup(Record):
         for t in self.torsion_orders:
             n *= t
         return n
-
-    def element_order(self, x):
-        """Least m >= 1 with m*x = 0, or INFINITE."""
-        if any(x.free_part):
-            return INFINITE
-        return lcm(*(t // gcd(r, t) for r, t in zip(x.torsion_part, self.torsion_orders)))
 
     def zero(self):
         return GroupElement(
@@ -323,34 +311,42 @@ def _presentation_rows(g: AbelianGroup, extra_elements=()):
     return rows, n
 
 
-def quotient_presentation(g: AbelianGroup, sub):
-    """Quotient g/<sub> as (AbelianGroup, map from elements of g)."""
-    rows, n = _presentation_rows(g, sub)
-    q, proj = cokernel_presentation(_transpose(rows, n), len(rows))
+def _subgroup_basis(g: AbelianGroup, elements):
+    """Hermite basis of <elements> as a lattice in Z^ngens: the element
+    coordinates and the torsion relations."""
+    return hermite_row_basis(*_presentation_rows(g, elements))
 
-    def project(x):
-        return proj(x.coords())
 
-    return q, project
+def _order_modulo(basis, x):
+    """Least m >= 1 with m*x in the lattice of a Hermite basis, or INFINITE.
+
+    Walking the pivot rows in order, the least k with p | k*y[c] at pivot
+    column c is forced on m, and the pivot row then clears column c; what
+    no pivot clears stays nonzero in every multiple."""
+    y = list(x)
+    m = 1
+    for row in basis:
+        c, p = next((j, p) for j, p in enumerate(row) if p)
+        k = p // gcd(y[c], p)
+        q = k * y[c] // p
+        y = [k * a - q * b for a, b in zip(y, row)]
+        m *= k
+    return INFINITE if any(y) else m
 
 
 def subgroup_index(sub, g: AbelianGroup):
     """[g : <sub>] exactly, or INFINITE."""
-    q, _ = quotient_presentation(g, sub)
-    return q.order()
-
-
-def element_order_in_quotient(x, sub, g: AbelianGroup):
-    """Least m >= 1 with m*x in <sub>, or INFINITE."""
-    q, project = quotient_presentation(g, sub)
-    return q.element_order(project(x))
+    basis = _subgroup_basis(g, sub)
+    if len(basis) < g.ngens:
+        return INFINITE
+    return prod(row[i] for i, row in enumerate(basis))
 
 
 def subgroup_contains(sub, x, g: AbelianGroup):
-    return element_order_in_quotient(x, sub, g) == 1
+    return _order_modulo(_subgroup_basis(g, sub), x.coords()) == 1
 
 
 def subgroup_leq(gens_a, gens_b, g: AbelianGroup):
     """<gens_a> contained in <gens_b>."""
-    return all(subgroup_contains(gens_b, x, g) for x in gens_a)
-
+    basis = _subgroup_basis(g, gens_b)
+    return all(_order_modulo(basis, x.coords()) == 1 for x in gens_a)

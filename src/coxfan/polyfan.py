@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 from . import ratlin
 from ._record import DomainError, Record
-from .intlat import _mul_vec, _transpose, _unimodular_inverse, integer_kernel, smith_normal_form
+from .intlat import _transpose, cokernel_presentation, integer_kernel, smith_normal_form
 
 RANK_CAP = 6
 
@@ -96,11 +96,8 @@ def _fm_eliminate(eqs, ineqs, idx):
 
 def _normalize_int(vec):
     """Clear denominators and make primitive, keeping orientation."""
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    return primitive(ints)
+    den = lcm(*(x.denominator for x in vec))
+    return primitive([int(x * den) for x in vec])
 
 
 def _prune(vectors):
@@ -300,20 +297,16 @@ def hilbert_basis(generators, rank):
     lin = _lineality_lattice(gens, rank)
     if not lin:
         return _hilbert_basis_pointed(gens, rank)
-    l = len(lin)
-    _, u, _ = smith_normal_form(_transpose(lin, rank), l)
-    uinv = _unimodular_inverse(u)
     out = []
     for b in lin:
         out.append(tuple(b))
         out.append(tuple(-x for x in b))
-    if rank > l:
-        # u sends the lineality lattice onto the first l coordinates, so the
-        # last rank - l coordinates of u project it away and u^-1 lifts back.
-        proj_gens = _prune([primitive(_mul_vec(u[l:], g)) for g in gens])
-        proj_gens = [g for g in proj_gens if any(x != 0 for x in g)]
-        hb = _hilbert_basis_pointed(proj_gens, rank - l)
-        out += [_mul_vec(uinv, (0,) * l + h) for h in hb]
+    if rank > len(lin):
+        # The lineality lattice is saturated, so Z^rank modulo it is free.
+        quotient, proj = cokernel_presentation(_transpose(lin, rank), len(lin))
+        proj_gens = _prune([primitive(proj(g).free_part) for g in gens])
+        hb = _hilbert_basis_pointed(proj_gens, rank - len(lin))
+        out += [proj.lift(quotient.element((), h)) for h in hb]
     return sorted(set(out))
 
 
@@ -414,13 +407,6 @@ def build_fan(rank, rays, max_cone_ray_indices) -> Fan:
     return validate_fan(cones, ray_order=rays)
 
 
-def _invariant_factors(rows, rank):
-    if not rows:
-        return []
-    d, _, _ = smith_normal_form(rows, rank)
-    return [x for x in d if x]
-
-
 def fan_properties(f: Fan) -> FanProperties:
     if not f.cones:
         return FanProperties(
@@ -438,7 +424,7 @@ def fan_properties(f: Fan) -> FanProperties:
         len(c.ray_generators) == c.dim() for c in f.cones
     )
     is_regular = is_simplicial and all(
-        all(x == 1 for x in _invariant_factors(c.ray_generators, n))
+        all(x == 1 for x in smith_normal_form(c.ray_generators, n)[0])
         for c in f.cones
     )
     maximal = f.maximal_cones()

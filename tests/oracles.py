@@ -4,7 +4,9 @@ Everything in this file is deliberately written from scratch, without
 importing the package's own algorithms: naive elementary-operation
 normal forms, half-space elimination by the textbook recipe, explicit
 lattice-point enumeration, and set-based monomial combinatorics.  Tests
-compare the fast implementations against these.
+compare the fast implementations against these.  The one exception is
+``smith_normal_form``, a verbatim copy of the package's earlier two-list
+elimination, which pins the exact transforms of the block-matrix form.
 """
 
 from __future__ import annotations
@@ -139,6 +141,142 @@ def subgroup_canonical_basis(gens, group):
     n = len(group.torsion_orders) + group.free_rank
     rows = [[t * (i == j) for j in range(n)] for i, t in enumerate(group.torsion_orders)]
     return _hermite(rows + [list(e.coords()) for e in gens], n)
+
+
+def _lattice_rows(gens, group):
+    n = len(group.torsion_orders) + group.free_rank
+    rel = [[t * (i == j) for j in range(n)] for i, t in enumerate(group.torsion_orders)]
+    return rel + [list(e.coords()) for e in gens], n
+
+
+def _determinantal_divisor(rows, n):
+    """(r, d): the rank r of the row lattice and the gcd d of its r x r
+    minors, which is the product of its nonzero invariant factors."""
+    for r in range(min(len(rows), n), 0, -1):
+        d = 0
+        for rs in combinations(rows, r):
+            for cs in combinations(range(n), r):
+                d = gcd(d, det([[row[c] for c in cs] for row in rs]))
+        if d:
+            return r, d
+    return 0, 1
+
+
+def subgroup_index(gens, group):
+    """[group : <gens>]: the divisor of the full-rank lattice of the element
+    coordinates and the torsion relations, else "infinite"."""
+    rows, n = _lattice_rows(gens, group)
+    r, d = _determinantal_divisor(rows, n)
+    return d if r == n else "infinite"
+
+
+def order_modulo(x, gens, group):
+    """Least m >= 1 with m*x in <gens>, trying m = 1, 2, ...  A vector lies
+    in a lattice iff adding it keeps the rank and the divisor, since a
+    lattice of the same rank inside another has index the ratio of their
+    divisors.  No multiple lies in it when adding x raises the rank."""
+    rows, n = _lattice_rows(gens, group)
+    base = _determinantal_divisor(rows, n)
+    if _determinantal_divisor(rows + [list(x.coords())], n)[0] > base[0]:
+        return "infinite"
+    m = 1
+    while _determinantal_divisor(rows + [[m * c for c in x.coords()]], n) != base:
+        m += 1
+    return m
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form with its transforms, pivot rule included: the
+# reference for coxfan.intlat's exact (d, u, v)
+
+
+def smith_normal_form(rows, ncols):
+    """Return (d, u, v) for the matrix with the given rows and ncols
+    columns: u and v are unimodular (as row lists) and u*m*v is diagonal,
+    with diagonal d (min(rows, ncols) entries, nonnegative, a divisibility
+    chain, zeros last).
+
+    Pivot selection: smallest nonzero absolute value in the working
+    submatrix, ties broken by lowest (row, column) index, so the transforms
+    are deterministic.
+    """
+    a = [list(map(int, row)) for row in rows]
+    r, c = len(a), ncols
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    v = [[int(i == j) for j in range(c)] for i in range(c)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def addmul_row(dst, src, q):
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def addmul_col(dst, src, q):
+        for row in a:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(r, c):
+        # Locate the pivot: minimal |entry| over the trailing submatrix.
+        best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        # Clear row and column t; restart whenever a remainder shrinks the pivot.
+        while True:
+            dirty = False
+            for i in range(t + 1, r):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    addmul_row(i, t, -q)
+                    if a[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, c):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    addmul_col(j, t, -q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # Divisibility: the pivot must divide every remaining entry.
+            bad = None
+            for i in range(t + 1, r):
+                for j in range(t + 1, c):
+                    if a[i][j] % a[t][t] != 0:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            addmul_row(t, bad, 1)
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+    return [a[i][i] for i in range(min(r, c))], u, v
 
 
 # ---------------------------------------------------------------------------

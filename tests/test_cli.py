@@ -19,6 +19,7 @@ from referencing import Registry, Resource
 
 import coxfan
 from coxfan import cli, corpus, gradmod, grading
+from coxfan.polyfan import build_fan
 
 import oracles
 
@@ -492,6 +493,39 @@ def test_torsion_of_a_huge_power_returns_quickly(p2):
     _validate(payload, "module_torsion")
     assert payload["is_torsion"] is False
     assert [(c["generator"], c["power"]) for c in payload["certificate"]] == [(0, 10000)]
+
+
+# A complete plane fan whose Picard generators have entries near 10^5: a
+# Smith form of them grows past a thousand bits, their Hermite basis does not.
+SIX_RAYS = ([[-2, -3], [3, -5], [9, -7], [8, -5], [-1, 8], [-2, 9]],
+            [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]])
+
+
+def test_ring_building_answers_on_a_fan_with_large_degrees(tmp_path):
+    rays, max_cones = SIX_RAYS
+    fan = tmp_path / "six_rays.json"
+    fan.write_text(json.dumps({"rank": 2, "rays": rays, "max_cones": max_cones}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    payloads = {}
+    for command in (["pic"], ["cox", "build"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxfan.cli", *command, str(fan)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stdout
+        payloads[command[0]] = json.loads(proc.stdout)
+    _validate(payloads["pic"], "pic")
+    _validate(payloads["cox"], "cox_build")
+    g = grading.build_grading(build_fan(2, rays, max_cones))
+    A = g.class_group
+    pic = [A.from_coords(x) for x in payloads["pic"]["generators"]]
+    cartier = [g.a_map(v) for v in oracles.cartier_lattice(rays, max_cones)]
+    assert oracles.subgroup_equal(pic, cartier, A)
+    # [Cl : Pic] is the product of the six cone multiplicities.
+    assert oracles.subgroup_index(pic, A) == 49_718_592 == 19 * 24 * 11 * 59 * 7 * 24
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """Integer lattice layer: normal forms, cokernels, subgroup calculus."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxfan import intlat
+from coxfan import corpus, intlat
 from coxfan.intlat import (
     INFINITE,
     AbelianGroup,
@@ -147,3 +149,53 @@ def test_subgroup_canonical_idempotent(gens):
     assert oracles.subgroup_equal(elems, regen, z2)
     for e in elems:
         assert intlat.subgroup_contains(regen, e, z2)
+
+
+def test_smith_transforms_match_the_reference():
+    """(d, u, v) equal the two-list elimination's exactly, pivot choices
+    included, on seeded matrices, the empty shapes and the ray matrices."""
+    rng = random.Random(32)
+    cases = [([], n) for n in range(4)] + [([[]] * n, 0) for n in range(1, 4)]
+    for _ in range(400):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 5)
+        cases.append(([[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)], nc))
+    fans = [corpus.fan_spec(name)["rays"] for name in corpus.CORPUS_NAMES]
+    fans += [rays for rays, _ in oracles.SCALE_FANS.values()]
+    cases += [(rays, len(rays[0])) for rays in fans]
+    for rows, ncols in cases:
+        assert smith_normal_form(rows, ncols) == oracles.smith_normal_form(rows, ncols), rows
+
+
+def _random_group(rng):
+    torsion = rng.choice([(), (2,), (3,), (6,), (2, 2), (2, 4), (2, 6), (3, 6)])
+    return AbelianGroup(rng.randint(0, 2), torsion)
+
+
+def _random_element(rng, group):
+    return group.from_coords(
+        [rng.randrange(t) for t in group.torsion_orders]
+        + [rng.randint(-4, 4) for _ in range(group.free_rank)]
+    )
+
+
+def test_subgroup_questions_match_the_oracles():
+    """Hermite basis, element orders, index and containment against the
+    determinantal-divisor oracles, on groups Z^f x T with f <= 2 and
+    torsion orders <= 6."""
+    rng = random.Random(2026)
+    orders = set()
+    for _ in range(300):
+        group = _random_group(rng)
+        gens = [_random_element(rng, group) for _ in range(rng.randint(0, 4))]
+        others = [_random_element(rng, group) for _ in range(rng.randint(0, 2))]
+        basis = intlat._subgroup_basis(group, gens)
+        assert basis == oracles.subgroup_canonical_basis(gens, group)
+        for x in others + gens[:1]:
+            order = intlat._order_modulo(basis, x.coords())
+            assert order == oracles.order_modulo(x, gens, group)
+            orders.add(order)
+        assert subgroup_index(gens, group) == oracles.subgroup_index(gens, group)
+        assert intlat.subgroup_leq(others, gens, group) == all(
+            oracles.order_modulo(x, gens, group) == 1 for x in others
+        )
+    assert INFINITE in orders and {1, 2, 3, 4, 6} <= orders
