@@ -8,7 +8,8 @@ infinite index of each, a fixed set of refusals on each (bad
 flags, cone, ideal, window, module, subgroup and usage, and ``--module``
 with ``--ideal``), the sections of S/<Z1> in both modes, ``module
 torsion`` and ``module sections`` of S/<binomial> on p2 (the conic
-Z1·Z2 - Z3^2) and three_rays (Z1^2·Z3 - Z2), ``chart`` on
+Z1·Z2 - Z3^2), P1xP1 (Z1·Z3 - Z2·Z4), P(1,1,2) (Z1·Z3 - Z2), quadric_cone
+(Z1·Z2 - Z3·Z4) and three_rays (Z1^2·Z3 - Z2), ``chart`` on
 every cone of each (the zero cone as ``--cone ""``), ``pic``, ``cox
 build`` and ``chart`` on every cone of the scale fans of
 ``tests/oracles.py``, commands on malformed fans, usage errors, and the
@@ -93,7 +94,13 @@ REFUSALS = [
 
 # A Cl-homogeneous binomial relation x^u - x^v per fan, (u, v): its
 # saturations are not monomial.
-BINOMIALS = {"p2": ([1, 1, 0], [0, 0, 2]), "three_rays": ([2, 0, 1], [0, 1, 0])}
+BINOMIALS = {
+    "p2": ([1, 1, 0], [0, 0, 2]),
+    "p1xp1": ([1, 0, 1, 0], [0, 1, 0, 1]),  # two variables in each cone monomial
+    "p112": ([1, 0, 1], [0, 1, 0]),  # weights (1, 2, 1) on the rays
+    "quadric_cone": ([1, 1, 0, 0], [0, 0, 1, 1]),  # one chart, cone monomial 1
+    "three_rays": ([2, 0, 1], [0, 1, 0]),
+}
 
 BINOMIAL_RUNS = [
     ["module", "torsion", "{fan}", "--module", "{tmp}/{name}-binomial.json"],

@@ -8,12 +8,13 @@ coefficients, taken as rank-1 submodules (elements ``(p,)``).  With
 ``--round-trips N`` it also checks, on N random monomial ideals I of P2,
 P1xP1 and F2 and N generated Cl-homogeneous binomial ideals or rank-2
 modules (``oracles.random_homogeneous_elements``) of P2, P1xP1, F2,
-P(1,1,2), three_rays, P3 and dP6, that xi_preimage(xi_forward(I)) is the
-saturation of I (the iterated colon for monomial ideals; not on
-three_rays, whose degree fibers are infinite) and that
+P(1,1,2), quadric_cone, three_rays, P3, dP6 and (P1)^3, that
+xi_preimage(xi_forward(I)) is the saturation of I (the iterated colon for
+monomial ideals; not on quadric_cone and three_rays, whose degree fibers
+are infinite) and that
 xi_forward(lift_finite_type(T)) equals T for the family T of I.  With
 ``--torsion N`` it checks the kill table of N random quotients of rank 1
-or 2 on those seven fans, by monomial relations (exponents up to 20), by
+or 2 on those nine fans, by monomial relations (exponents up to 20), by
 generated binomial ones, or (every third) by a fattened ideal of the
 torus-fixed points, against the reference Groebner engine, that the
 chart intersection of the sheaf cover's kernels is the reference
@@ -144,8 +145,9 @@ MONOMIAL_FANS = ("f2", "p1xp1", "p2")
 
 
 def round_trip_rings():
-    fans = {name: corpus.build(name) for name in ("p2", "p1xp1", "p112", "three_rays")}
-    for name, (rays, max_cones) in (("f2", oracles.F2), ("p3", oracles.P3), ("dp6", oracles.DP6)):
+    fans = {name: corpus.build(name) for name in ("p2", "p1xp1", "p112", "quadric_cone", "three_rays")}
+    scale = ("f2", oracles.F2), ("p3", oracles.P3), ("dp6", oracles.DP6), ("p1cubed", oracles.P1_CUBED)
+    for name, (rays, max_cones) in scale:
         fans[name] = polyfan.build_fan(len(rays[0]), rays, max_cones)
     out = {}
     for name, fan in fans.items():

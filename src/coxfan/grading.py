@@ -17,12 +17,11 @@ from .intlat import (
     GroupElement,
     cokernel_presentation,
     hermite_row_basis,
-    integer_kernel,
     subgroup_contains,
     subgroup_index,
     subgroup_leq,
 )
-from .polyfan import Fan, _fm_eliminate
+from .polyfan import Fan, _fm_eliminate, cone_generators_from_inequalities
 
 
 FIBER_POINT_CAP = 200_000
@@ -83,16 +82,12 @@ def build_grading(f: Fan) -> GradingData:
 def cartier_lattice(g: GradingData):
     """Hermite basis of the lattice of support functions: vectors v in
     Z^Sigma_1 that admit, on every maximal cone σ, an integral linear form
-    u_σ agreeing with v on that cone's rays.  It is the projection to v of
-    the integer kernel of v_i − u_σ·ρ_i = 0 (i ∈ σ) in the variables
-    (v, u_σ for each σ)."""
-    nr = g.num_rays
-    n = g.fan.ambient_rank
+    u_σ agreeing with v on that cone's rays.  With x = (v, u_σ for each σ)
+    and m the system v_i − u_σ·ρ_i = 0 (i ∈ σ), it is the part of the
+    Hermite basis of the lattice of the (m·x | v) whose first block is 0,
+    with that block dropped (a Smith form's transforms grow here)."""
+    nr, n = g.num_rays, g.fan.ambient_rank
     maximal = g.fan.maximal_cones()
-    if not maximal or nr == 0:
-        return hermite_row_basis(
-            [[int(i == j) for j in range(nr)] for i in range(nr)], nr
-        )
     width = nr + n * len(maximal)
     rows = []
     for k, cone in enumerate(maximal):
@@ -101,8 +96,9 @@ def cartier_lattice(g: GradingData):
             row[i] = 1
             row[nr + n * k: nr + n * (k + 1)] = [-x for x in g.delta_basis[i]]
             rows.append(row)
-    kernel = integer_kernel(rows, width)
-    return hermite_row_basis([v[:nr] for v in kernel], nr)
+    h = len(rows)
+    cols = [[r[j] for r in rows] + [int(i == j) for i in range(nr)] for j in range(width)]
+    return [v[h:] for v in hermite_row_basis(cols, h + nr) if not any(v[:h])]
 
 
 def picard_group(g: GradingData) -> PicardGroup:
@@ -143,6 +139,17 @@ def _degree_zero_lattice(rays):
     """Hermite basis of the degree-0 exponent vectors: the image of the ray
     matrix, whose rows are the rays."""
     return tuple(hermite_row_basis(list(zip(*rays)), len(rays)))
+
+
+@lru_cache(maxsize=256)
+def positive_weight_vector(rays):
+    """Integer weights w > 0 on the rays with Σ w_ρ·u_ρ = 0, or None if
+    there are none: the sum of the extreme rays of {w ≥ 0 : Σ w_ρ·u_ρ = 0},
+    positive exactly when some w in that cone is."""
+    units = [tuple(int(i == j) for j in range(len(rays))) for i in range(len(rays))]
+    gens, lineality = cone_generators_from_inequalities(units, list(zip(*rays)), len(rays))
+    w = tuple(map(sum, zip(*gens)))
+    return w if gens and not lineality and all(w) else None
 
 
 @lru_cache(maxsize=256)

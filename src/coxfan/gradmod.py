@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 
 from . import groeb, ratlin
 from ._record import Record
 from .cox import CoxRingData
-from .grading import degree_fiber
+from .grading import degree_fiber, positive_weight_vector
 from .groeb import (
     m_is_zero,
     m_term_mul,
@@ -22,6 +23,7 @@ from .groeb import (
     module_groebner_basis,
     module_intersection,
     module_saturate_element,
+    module_saturate_variable,
     reduced_basis,
     submodule_equal,
 )
@@ -167,16 +169,32 @@ def _monomial_rows(rank, ideals):
 def saturate_at(g: GradedSubmodule, z):
     """The reduced basis of (g + relations : z^inf), for one cone monomial
     z.  Of the empty submodule it is the localization kernel, the elements
-    a power of z kills.  A monomial input is saturated position by position."""
+    a power of z kills.  A monomial input is saturated position by
+    position.  Otherwise, where the rays have a positive relation w
+    (``positive_weight_vector``), it is one basis per variable of z,
+    (N : x_j^inf) by ``module_saturate_variable``, then one POT basis; z = 1
+    takes that basis alone.  Proof: w kills the degree-0 lattice, the
+    image of the ray matrix, so generator i's shift w·v is the same for
+    every Laurent v of degree d_i, and the terms x^e·e_i of a homogeneous
+    element share w·e + shift_i.  The order then compares them by revlex
+    with x_j last, so the leading term has the least power of x_j among
+    the terms (Eisenbud, Prop. 15.12).  Without a positive relation some
+    x^u ≠ 1 has degree 0 (Stiemke's lemma), x^u − 1 is homogeneous, and
+    every order leads it with x^u: the colon keeps Rabinowitsch's basis
+    under ELIM (``module_saturate_element``)."""
     f = g.ambient
+    gens = g.with_relations()
     if _is_monomial_context(g):
-        gens = g.with_relations()
         exps = ([e for x in gens for e in x[i]] for i in range(f.rank))
         return _monomial_rows(f.rank, [groeb.monomial_ideal_saturate(m, z) for m in exps])
-    sat = module_saturate_element(
-        g.with_relations(), {tuple(z): Fraction(1)}, f.rank, f.nvars
-    )
-    return reduced_basis(sat)
+    grading = f.cox.grading
+    w = positive_weight_vector(grading.delta_basis)
+    if w is None and any(z):
+        return reduced_basis(module_saturate_element(gens, {tuple(z): 1}, f.rank, f.nvars))
+    for j in (j for j, x in enumerate(z) if x):
+        shifts = [sum(map(mul, w, grading.a_map.lift(d))) for d in f.generator_degrees]
+        gens = module_saturate_variable(gens, j, w, shifts)
+    return reduced_basis(module_groebner_basis(gens))
 
 
 _LAST_CHARTS = [None, None]  # the last submodule and its chart bases

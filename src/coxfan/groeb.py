@@ -21,9 +21,12 @@ factors) and the reduced basis; on Fraction operands its step is
 w - (c/b_c)*X^m*b.  Fractions remain in the inputs, in that remainder and
 in the reduced POT basis, the one canonical form of a submodule: monic,
 so two submodules are equal exactly when their reduced bases are.
-An intersection is one POT basis in F ⊕ F.  Saturation by one element f
-is a single basis under ELIM, the one order with a tag variable t: the
-t-free part of N + (1 - t*f)*F (Cox-Little-O'Shea, Ch. 4 §4).
+An intersection is one POT basis in F ⊕ F.  Saturation of a homogeneous
+submodule by one variable x_j is one basis under a weighted revlex order
+with x_j last, each element then divided by its largest power of x_j
+(Bayer's method).  Saturation by any element f is one basis under ELIM,
+the one order with a tag variable t: the t-free part of N + (1 - t*f)*F
+(Rabinowitsch; Cox-Little-O'Shea, Ch. 4 §4).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from operator import add, le, neg, sub
+from operator import add, le, mul, neg, sub
 
 from ._record import Record
 
@@ -389,9 +392,21 @@ def module_intersection(gens_a, gens_b):
     return [g[r:] for g in gb if m_is_zero(g[:r])]
 
 
-def _m_embed(x):
-    """Prepend a zero exponent for the new leading (tag) variable."""
-    return tuple({(0,) + e: c for e, c in p.items()} for p in x)
+def module_saturate_variable(gens, j, weights, shifts):
+    """(N : x_j^infinity) for the submodule N of the homogeneous gens
+    (Bayer's method; see ``gradmod.saturate_at``): one basis under the
+    order by weights.e + shifts[pos], then revlex with x_j last, then
+    position, each element divided by its largest power of x_j."""
+
+    def key(term):
+        pos, e = term
+        return (sum(map(mul, weights, e)) + shifts[pos], -e[j], tuple(map(neg, reversed(e))), -pos)
+
+    out = []
+    for g in module_groebner_basis(gens, ModuleOrder(key)):
+        k = min(e[j] for p in g for e in p)
+        out.append(tuple({(*e[:j], e[j] - k, *e[j + 1:]): c for e, c in p.items()} for p in g))
+    return out
 
 
 def _elim_key(term):
@@ -406,7 +421,7 @@ def module_saturate_element(gens, f, rank, nvars):
     """(N : f^infinity) in one Groebner basis (Rabinowitsch): the t-free
     part of N + (1 - t*f)*F, F the ambient free module, with t dropped."""
     one_tf = {(0,) * (nvars + 1): Fraction(1), **{(1,) + e: -c for e, c in f.items()}}
-    ext = [_m_embed(g) for g in gens if not m_is_zero(g)]
+    ext = [tuple({(0,) + e: c for e, c in p.items()} for p in g) for g in gens if not m_is_zero(g)]
     ext += [tuple(one_tf if j == i else {} for j in range(rank)) for i in range(rank)]
     return [
         tuple({e[1:]: c for e, c in p.items()} for p in g)

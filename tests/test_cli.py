@@ -501,13 +501,14 @@ SIX_RAYS = ([[-2, -3], [3, -5], [9, -7], [8, -5], [-1, 8], [-2, 9]],
             [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]])
 
 
-def test_ring_building_answers_on_a_fan_with_large_degrees(tmp_path):
-    rays, max_cones = SIX_RAYS
-    fan = tmp_path / "six_rays.json"
+def _run_on_plane_fan(tmp_path, rays, max_cones, commands):
+    """The JSON of each CLI command on the plane fan, each run as a
+    process under a 30 s timeout."""
+    fan = tmp_path / "fan.json"
     fan.write_text(json.dumps({"rank": 2, "rays": rays, "max_cones": max_cones}))
     src = str(Path(cli.__file__).resolve().parents[1])
     payloads = {}
-    for command in (["pic"], ["cox", "build"]):
+    for command in commands:
         proc = subprocess.run(
             [sys.executable, "-m", "coxfan.cli", *command, str(fan)],
             env={**os.environ, "PYTHONPATH": src},
@@ -517,15 +518,40 @@ def test_ring_building_answers_on_a_fan_with_large_degrees(tmp_path):
         )
         assert proc.returncode == 0, proc.stdout
         payloads[command[0]] = json.loads(proc.stdout)
-    _validate(payloads["pic"], "pic")
-    _validate(payloads["cox"], "cox_build")
+    return payloads
+
+
+def _pic_is_the_cartier_classes(payload, rays, max_cones):
+    """The Picard generators span the classes of the oracle's support
+    functions; returns the group and the generators."""
+    _validate(payload, "pic")
     g = grading.build_grading(build_fan(2, rays, max_cones))
     A = g.class_group
-    pic = [A.from_coords(x) for x in payloads["pic"]["generators"]]
+    pic = [A.from_coords(x) for x in payload["generators"]]
     cartier = [g.a_map(v) for v in oracles.cartier_lattice(rays, max_cones)]
     assert oracles.subgroup_equal(pic, cartier, A)
+    return A, pic
+
+
+def test_ring_building_answers_on_a_fan_with_large_degrees(tmp_path):
+    rays, max_cones = SIX_RAYS
+    payloads = _run_on_plane_fan(tmp_path, rays, max_cones, (["pic"], ["cox", "build"]))
+    _validate(payloads["cox"], "cox_build")
+    A, pic = _pic_is_the_cartier_classes(payloads["pic"], rays, max_cones)
     # [Cl : Pic] is the product of the six cone multiplicities.
     assert oracles.subgroup_index(pic, A) == 49_718_592 == 19 * 24 * 11 * 59 * 7 * 24
+
+
+# A complete plane fan whose Cartier system, v_i − u_σ·ρ_i = 0, sent a
+# Smith form's transforms past any useful size: `pic` ran past 5 s.  The
+# Hermite basis of the system's kernel stays small.
+NINE_RAYS = [[50, -41], [1, 0], [29, 3], [9, 47], [-11, 34], [-10, 21], [-41, 51], [-31, 21], [-59, 25]]
+
+
+def test_pic_answers_on_a_fan_with_a_dense_cartier_system(tmp_path):
+    max_cones = [[i, (i + 1) % 9] for i in range(9)]
+    payloads = _run_on_plane_fan(tmp_path, NINE_RAYS, max_cones, (["pic"],))
+    _pic_is_the_cartier_classes(payloads["pic"], NINE_RAYS, max_cones)
 
 
 @pytest.mark.parametrize(

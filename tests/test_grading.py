@@ -344,3 +344,24 @@ def test_fiber_cache_drops_the_least_recently_used(corpus_gradings, fresh_fiber_
     for d in (1, 2, 1, 0):  # 3 + 6 points, then degree 1 is used again
         degree_fiber(g, alpha[d])
     assert [k[1] for k in grading._FIBERS] == [g.a_map.lift(alpha[d]) for d in (1, 0)]
+
+
+@pytest.mark.parametrize(
+    "name,want",
+    [
+        ("p2", (1, 1, 1)),
+        ("p1xp1", (1, 1, 1, 1)),
+        ("p3", (1, 1, 1, 1)),
+        ("p1cubed", (1,) * 6),
+        ("f2", (1, 1, 1, 3)),
+        ("p112", (1, 2, 1)),
+        ("three_rays", None),
+        ("quadric_cone", None),
+    ],
+)
+def test_positive_weight_vector(name, want, corpus_gradings):
+    g = corpus_gradings[name] if name in corpus_gradings else _scale_grading(name)
+    w = grading.positive_weight_vector(g.delta_basis)
+    assert w == want
+    if w is not None:
+        assert not any(sum(x * u[k] for x, u in zip(w, g.delta_basis)) for k in range(g.fan.ambient_rank))

@@ -262,3 +262,37 @@ def test_pruned_saturation_is_the_intersection(name, monkeypatch):
             for j, ((q, d), _) in enumerate(lts):
                 if j != i:
                     assert not any(_divides(d, e) for e in x[q]), (x, gb[j])
+
+
+def _cox_of(name):
+    if name in oracles.SCALE_FANS:
+        rays, max_cones = oracles.SCALE_FANS[name]
+        fan = polyfan.build_fan(len(rays[0]), rays, max_cones)
+    else:
+        fan = corpus.build(name)
+    g = grading.build_grading(fan)
+    return build_cox(g, subgroup_of_whole_group(g))
+
+
+@pytest.mark.parametrize("name", list(corpus.CORPUS_NAMES) + sorted(oracles.SCALE_FANS))
+def test_saturation_at_every_cone_equals_the_iterated_colon(name):
+    # Generated binomial ideals, and rank-2 modules whose second generator
+    # sits in the degree of a monomial x^s, saturated at every cone
+    # monomial: by one variable at a time where the rays have a positive
+    # relation, by Rabinowitsch where they have none (three_rays), and
+    # not at all at z = 1 (the zero cone; quadric_cone's one chart).  Each
+    # reduced basis is the one of the reference iterated colon.
+    c = _cox_of(name)
+    g, A = c.grading, c.grading.class_group
+    rays = g.fan.ray_index
+    rng = random.Random(name)
+    shift = tuple(1 - (i % 2) for i in range(len(rays)))
+    cases = [
+        (free_module(c), oracles.random_homogeneous_elements(rng, rays, 2)),
+        (free_module(c, [A.zero(), g.a_map(shift)]), oracles.random_homogeneous_elements(rng, rays, 2, shift)),
+    ]
+    for z in c.zhat.values():
+        for f, gens in cases:
+            got = gradmod.saturate_at(GradedSubmodule(f, tuple(gens)), z)
+            want = oracles.module_saturate_element(gens, {z: Fraction(1)}, f.rank, c.num_vars, POT, ELIM)
+            assert got == gradmod.reduced_basis(gradmod.module_groebner_basis(want)), (z, gens)

@@ -12,7 +12,6 @@ from coxfan import corpus
 from coxfan.groeb import (
     ELIM,
     POT,
-    _m_embed,
     _s_vector,
     m_is_monomial,
     m_is_zero,
@@ -95,7 +94,7 @@ def _saturation_input(gens, f, rank, nvars):
     embedded generators plus (1 - t*f)*e_i for each i."""
     one_tf = poly({(0,) * (nvars + 1): 1, **{(1,) + e: -c for e, c in f.items()}})
     unit = [tuple(one_tf if j == i else {} for j in range(rank)) for i in range(rank)]
-    return [_m_embed(g) for g in gens] + unit
+    return [tuple({(0,) + e: c for e, c in p.items()} for p in g) for g in gens] + unit
 
 
 def _same_position_s_vectors(gb, order):
