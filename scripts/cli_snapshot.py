@@ -4,7 +4,8 @@ document.
 
 The runs are the twelve README commands on each corpus fan, ``cox build``
 on a second big subgroup of each, ``subgroup classify`` on a subgroup of
-infinite index of each, a fixed set of refusals on each (bad
+infinite index of each, ``sheaf lift`` of <Z1^1000> and of <Z1> at a big
+subgroup of each, a fixed set of refusals on each (bad
 flags, cone, ideal, window, module, subgroup and usage, and ``--module``
 with ``--ideal``), the sections of S/<Z1> in both modes, ``module
 torsion`` and ``module sections`` of S/<binomial> on p2 (the conic
@@ -90,6 +91,12 @@ REFUSALS = [
     ["module", "sections", "{fan}", "--degrees", "0", "--mode", "foo"],
     ["sheaf", "lift", "{fan}"],
     ["module", "torsion", "{fan}", "--module", "{tmp}/{name}-graded.json", "--ideal", "Z1,Z2,Z3"],
+]
+
+# The lift at a high power, and at a big subgroup, where m_σ may exceed 1.
+LIFT_RUNS = [
+    ["sheaf", "lift", "{fan}", "--ideal", "Z1^1000"],
+    ["sheaf", "lift", "{fan}", "--ideal", "Z1", "--subgroup", "{big}"],
 ]
 
 # A Cl-homogeneous binomial relation x^u - x^v per fan, (u, v): its
@@ -233,7 +240,8 @@ def main():
         for fan in corpus.CORPUS_NAMES:
             big, big2, small, cone, window = FAN_ARGS[fan]
             _modules(tmp, fan)
-            for template in README + REFUSALS + (BINOMIAL_RUNS if fan in BINOMIALS else []):
+            binomial = BINOMIAL_RUNS if fan in BINOMIALS else []
+            for template in README + LIFT_RUNS + REFUSALS + binomial:
                 run(template, fan=str(corpus.fixture_path(fan)), name=fan,
                     big=big, big2=big2, small=small, cone=cone, window=window)
             _every_chart(run, str(corpus.fixture_path(fan)), corpus.build(fan))

@@ -242,7 +242,8 @@ def load_module_json(text, cox_data):
         if len(degs) > 1:
             shown = ";".join(",".join(map(str, c)) for c in sorted(d.coords() for d in degs))
             raise ValidationError(f"relation {n} is not homogeneous: its terms have degrees {shown}")
-        relations.append(rel)
+        if any(rel):  # a relation whose terms cancel presents nothing
+            relations.append(rel)
     from . import gradmod
     return gradmod.GradedModulePresentation(cox_data, degrees, tuple(relations))
 

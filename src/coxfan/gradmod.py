@@ -240,35 +240,42 @@ def saturate_submodule(g: GradedSubmodule) -> GradedSubmodule:
     return GradedSubmodule(g.ambient, chart_intersection(g.ambient, chart_bases(g)))
 
 
+def _least_power(x, step, basis, colon=None):
+    """The least k with z^k·x in the submodule of the POT Groebner basis
+    ``basis``, z the monomial of exponent ``step``, or None when there is
+    none.  Membership is monotone in k, so the search tests k = 0, 1, 3,
+    7, ... (k -> 2k + 1) until one lies in it, then bisects the last gap,
+    and tests no power twice: a least k >= 1 takes m = ceil(log2(k + 1))
+    tests and m - 1 bisection tests, at most 2·ceil(log2 k) + 1 of k > 0.
+    Some power works exactly when x lies in (basis : z^inf), whose basis
+    ``colon()`` returns; it is asked once k = 0 and k = 1 fail, so every
+    None is certified.  Without ``colon`` some power is known to work."""
+
+    def works(k):
+        return module_contains(basis, m_term_mul(x, tuple(k * s for s in step), 1))
+
+    lo, hi = -1, 0  # no power up to lo works; test hi
+    while not works(hi):
+        if hi == 1 and colon is not None and not module_contains(colon(), x):
+            return None
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if works(mid) else (mid, hi)
+    return hi
+
+
 def kill_table(f: GradedModulePresentation):
     """(generator index i, maximal cone rays) -> the least k with z^k e_i
-    in the relation module, z the cone monomial, or None when no power of
-    z kills e_i.  Some power kills e_i exactly when e_i lies in the
+    in the relation module, z the cone monomial (``_least_power``), or
+    None when no power of z kills e_i: when e_i lies outside the
     localization kernel (relations : z^inf), the chart basis of the empty
-    submodule (``chart_bases``), so the search for k runs only when it
-    ends.  Membership of z^k e_i is monotone in k, so the search tests
-    k = 0, 1, 3, 7, ... until one kills and bisects the last gap: at most
-    2·ceil(log2 k) + 1 tests of k > 0.  k = 0 when e_i is a relation."""
+    submodule (``chart_bases``), tested before any power."""
     kernels = chart_bases(GradedSubmodule(f, ()))
     rel_gb = module_groebner_basis(list(f.relations))
-    table = {}
-    for i, unit in enumerate(f.units):
-        for key, kernel in kernels.items():
-            table[(i, key)] = None
-            if module_contains(kernel, unit):
-                z = f.cox.zhat[key]
-
-                def kills(k):
-                    return module_contains(rel_gb, m_term_mul(unit, tuple(k * x for x in z), 1))
-
-                lo, hi = -1, 0  # no power up to lo kills; test hi
-                while not kills(hi):
-                    lo, hi = hi, 2 * hi + 1
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    lo, hi = (lo, mid) if kills(mid) else (mid, hi)
-                table[(i, key)] = hi
-    return table
+    zhat = f.cox.zhat
+    return {(i, key): _least_power(e, zhat[key], rel_gb) if module_contains(kernel, e) else None
+            for i, e in enumerate(f.units) for key, kernel in kernels.items()}
 
 
 def submodules_equal(a: GradedSubmodule, b: GradedSubmodule) -> bool:

@@ -19,14 +19,14 @@ equal tuples.  ``xi_forward`` reads one chart family per submodule
 one chart intersection per family (``gradmod.chart_intersection``), each
 kept for the last object by identity: the preimage is generated by the
 intersection's basis and the window-degree multiples of its elements
-outside the window, and the lift tests each power against that basis.
+outside the window, and the lift searches least powers against that basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, count
+from functools import cache, lru_cache
+from itertools import combinations
 from operator import add, mul
 
 from . import ratlin
@@ -36,6 +36,7 @@ from .grading import _degree_zero_lattice, _lattice_points, degree_fiber
 from .gradmod import (
     GradedModulePresentation,
     GradedSubmodule,
+    _least_power,
     _monomials_of_degree,
     chart_bases,
     chart_intersection,
@@ -45,7 +46,6 @@ from .gradmod import (
     saturate_at,
 )
 from .groeb import (
-    m_is_zero,
     m_term_mul,
     minimalize_monomials,
     module_contains,
@@ -498,33 +498,23 @@ def lift_finite_type(
     z_σ^(j·m_σ) that puts it in the chart module T_τ of every other cone
     τ.  Since x lies in T_σ, that is membership in the chart intersection
     N (``gradmod.chart_intersection``), whose reduced basis, relations
-    included, tests it.  Some power works exactly when x lies in every
-    (T_τ : z_σ^∞), that is in (N : z_σ^∞), as the colon commutes with
-    intersections: one saturation per cone, tested before any j > 1, so
-    a refusal is certified.  Membership is monotone in j, so counting up
-    from j = 0 finds the least j.  The result is the reduced basis of the
-    cleared generators and the relations."""
+    included, tests it, and j is found by ``gradmod._least_power``.  Some
+    power works exactly when x lies in every (T_τ : z_σ^∞), that is in
+    (N : z_σ^∞), as the colon commutes with intersections: one saturation
+    per cone, built only when some generator needs j > 1, so a refusal is
+    certified.  The result is the reduced basis of the cleared generators
+    and the relations."""
     cox = f.cox
     meet = chart_intersection(f, t.charts)
     gens = []
     for key in sorted(t.charts):
         z = cox.zhat[key]
-        power = tuple(cox.m_exponents[key] * zi for zi in z)
-        colon = None
+        step = tuple(cox.m_exponents[key] * zi for zi in z)
+        colon = cache(lambda z=z: saturate_at(GradedSubmodule(f, meet), z))
         for x in t.charts[key]:
-            if m_is_zero(x):
-                continue
-            for j in count():
-                y = m_term_mul(x, tuple(j * p for p in power), _ONE)
-                if module_contains(meet, y):
-                    break
-                if j == 1:
-                    if colon is None:
-                        colon = saturate_at(GradedSubmodule(f, meet), z)
-                    if not module_contains(colon, x):
-                        raise Unstabilized(
-                            "chart generator lies in no chart module after clearing "
-                            "by any power of its cone monomial"
-                        )
-            gens.append(y)
+            j = _least_power(x, step, meet, colon)
+            if j is None:
+                raise Unstabilized("chart generator lies in no chart module after "
+                                   "clearing by any power of its cone monomial")
+            gens.append(m_term_mul(x, tuple(j * s for s in step), _ONE))
     return GradedSubmodule(f, reduced_basis(module_groebner_basis(gens + list(f.relations))))

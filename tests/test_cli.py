@@ -354,6 +354,25 @@ def test_sections_of_a_conic(tmp_path, p2, mode):
     assert {v["certificate"] for v in payload["dimensions"].values()} == {"heuristic"}
 
 
+@pytest.mark.parametrize(
+    "relation",
+    [[], [{"gen": 0, "exponent": [1, 0, 0], "coefficient": "0"}]],
+    ids=["empty", "zero_coefficient"],
+)
+@pytest.mark.parametrize("mode", ["via_shift", "via_twist"])
+def test_a_zero_relation_leaves_the_free_module(p2, tmp_path, mode, relation):
+    # A relation whose terms cancel presents nothing: the module is S, whose
+    # sections of degree 1 have the proven level of a free module.
+    mod = tmp_path / "m.json"
+    mod.write_text(json.dumps({"generator_degrees": [[0]], "relations": [relation]}))
+    args = ["module", "sections", p2, "--module", str(mod), "--degrees", "1", "--mode", mode]
+    code, out = _run(args)
+    assert code == 0, out
+    payload = json.loads(out)
+    _validate(payload, "module_sections")
+    assert payload["dimensions"] == {"1": {"certificate": "bound", "dimension": 3}}
+
+
 def test_twisted_sections_at_the_level_bound(p2):
     # Levels 1 and 2 both give 0 here; the proven level is 4.
     args = ["module", "sections", p2, "--degrees", "4", "--mode", "via_twist"]
@@ -478,21 +497,31 @@ def test_huge_degree_is_refused_quickly(p2, args):
 def test_torsion_of_a_huge_power_returns_quickly(p2):
     # Z1^10000 is killed on the chart where Z1 is inverted, by the power
     # 10000 and no smaller one: the localization kernel of monomial
-    # relations is a monomial saturation, and the count up stops at the
-    # least power.  A child process, so a hang fails at the timeout.
+    # relations is a monomial saturation, and the least-power search
+    # gallops to the least power.  The lift of <Z1^1000000> needs that
+    # search's millionth power of Z1 on the same chart.  Child processes,
+    # so a hang fails at the timeout.
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "coxfan.cli", "module", "torsion", p2, "--ideal", "Z1^10000"],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=5,
-    )
-    assert proc.returncode == 0, proc.stdout
-    payload = json.loads(proc.stdout)
+
+    def run(*args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxfan.cli", *args],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == 0, proc.stdout
+        return json.loads(proc.stdout)
+
+    payload = run("module", "torsion", p2, "--ideal", "Z1^10000")
     _validate(payload, "module_torsion")
     assert payload["is_torsion"] is False
     assert [(c["generator"], c["power"]) for c in payload["certificate"]] == [(0, 10000)]
+    payload = run("sheaf", "lift", p2, "--ideal", "Z1^1000000")
+    _validate(payload, "sheaf_lift")
+    assert payload["lift_generators"] == ["Z1^1000000"]
+    assert payload["family_round_trip"] is True
 
 
 # A complete plane fan whose Picard generators have entries near 10^5: a

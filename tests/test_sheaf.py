@@ -334,12 +334,13 @@ def test_lift_refusal_is_certified(p2_ring):
         lift_finite_type(family, p2_ring)
 
 
-@pytest.mark.parametrize("name", ["p2", "p1xp1", "f2"])
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "f2", "p2_2cl"])
 def test_lift_matches_the_per_chart_reference(name, monkeypatch):
     # Seeded monomial and binomial ideals, each with its own chart family
     # and with one chart taken from the ideal of its first generator: the
     # lift is the chart-by-chart reference element for element, refuses
-    # where the reference does, and saturates at most once per cone.
+    # where the reference does, and saturates at most once per cone.  On
+    # p2 at B = 2·Cl every m_σ is 2, so the search steps by z_σ^2.
     c = _cox(name)
     f = free_module(c)
     g = c.grading
@@ -348,7 +349,7 @@ def test_lift_matches_the_per_chart_reference(name, monkeypatch):
     monkeypatch.setattr(sheaf, "saturate_at", lambda sub, z: saturations.append(tuple(z)) or real(sub, z))
     rng = random.Random(20261020)
     outcomes = set()
-    for k in range(6):
+    for k in range(12):
         if k % 2:
             ideal = [{e: Fraction(1)} for e in oracles.random_monomial_ideal(rng, c.num_vars)]
         else:
@@ -429,6 +430,28 @@ def test_kill_table_needs_logarithmically_many_tests(p2_cox, monkeypatch, k):
     table = gradmod.kill_table(quotient_by_monomial_ideal(p2_cox, [(k, 0, 0)]))
     assert [v for v in table.values() if v is not None] == [k]
     assert len(powers) <= 2 * math.ceil(math.log2(k)) + 1
+
+
+@pytest.mark.parametrize("k", [1, 100000])
+def test_lift_needs_logarithmically_many_tests(p2_ring, monkeypatch, k):
+    # The unit on the chart of Z1 needs Z1^k to enter <Z1^k>, the chart
+    # module of Z2 and of Z3.  The search tests 2·ceil(log2 k) + 1 powers
+    # of it at most, every chart generator once at j = 0, and the unit
+    # once against the colon.  Counting up made k + 1 tests.
+    t = xi_forward(_submodule(p2_ring, [(k, 0, 0)]))
+    tests = []
+    real = gradmod.module_contains
+
+    def counted(gb, x):
+        tests.append(x)
+        return real(gb, x)
+
+    monkeypatch.setattr(gradmod, "module_contains", counted)
+    monkeypatch.setattr(sheaf, "module_contains", counted)
+    lifted = lift_finite_type(t, p2_ring)
+    assert lifted.element_generators == _submodule(p2_ring, [(k, 0, 0)]).element_generators
+    generators = sum(map(len, t.charts.values()))
+    assert len(tests) <= 2 * math.ceil(math.log2(k)) + 1 + generators + 1
 
 
 def test_a_generator_among_the_relations_is_killed_by_the_zeroth_power(p2_cox):
@@ -522,12 +545,17 @@ def test_dp6_twist_agrees_with_shift_and_lattice_points():
 
 
 def _cox(name):
-    if name in SCALE_FANS:
-        rays, max_cones = SCALE_FANS[name]
+    """The ring of a corpus or scale fan at B = Cl, or at B = 2·Cl for a
+    name ending in "_2cl" (p2 only: Cl = Z)."""
+    fan_name = name.removesuffix("_2cl")
+    if fan_name in SCALE_FANS:
+        rays, max_cones = SCALE_FANS[fan_name]
         fan = polyfan.build_fan(len(rays[0]), rays, max_cones)
     else:
-        fan = corpus.build(name)
+        fan = corpus.build(fan_name)
     g = grading.build_grading(fan)
+    if name != fan_name:
+        return build_cox(g, classify_subgroup(g, [g.class_group.from_coords([2])]))
     return build_cox(g, subgroup_of_whole_group(g))
 
 
