@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals, on sparse rows.
 
-A row is stored as a dict {column: Fraction} of its nonzero entries: the
-chart windows and Čech equalizers of `sheaf` have thousands of rows with
-a handful of entries each, mostly ±1.  Rows may be given as lists too;
-every row returned is a dict.  One echelon core serves both functions,
-``echelon`` and ``rank``.  It inserts the rows one at a time, cancelling
-each row's leading entry against the pivot rows found so far until the
-row vanishes or opens a new pivot; ``echelon`` back-substitutes once at
-the end, to the reduced row echelon form, which is unique.  Subspace
-intersections are not taken here: the ones the package needs are
-degree slices of submodule intersections, which ``gradmod`` takes once
-as modules.
+A row is stored as a dict {column: int or Fraction} of its nonzero
+entries: the chart windows and Čech equalizers of `sheaf` have thousands
+of rows with a handful of entries each, mostly ±1.  Rows may be given as
+lists too; every row returned is a dict.  One echelon core serves both
+functions, ``echelon`` and ``rank``.  It inserts the rows one at a time,
+cancelling each row's leading entry against the pivot rows found so far
+until the row vanishes or opens a new pivot.  A pivot of ±1 keeps a
+row's ints, so rational arithmetic starts only at the first other pivot.
+``echelon`` back-substitutes once at the end, to the reduced row echelon
+form, which is unique, with Fraction entries.  Subspace intersections
+are not taken here: the ones the package needs are degree slices of
+submodule intersections, which ``gradmod`` takes once as modules.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 def _sparse(row):
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: x if type(x) is Fraction else Fraction(x) for c, x in items if x}
+    return {c: x if type(x) in (int, Fraction) else Fraction(x) for c, x in items if x}
 
 
 def _axpy(r, f, p, skip):
@@ -42,7 +43,11 @@ def _insert(piv, row):
         c = min(r)
         if c not in piv:
             x = r[c]
-            piv[c] = {k: y / x for k, y in r.items()} if x != 1 else r
+            if x == -1:
+                r = {k: -y for k, y in r.items()}
+            elif x != 1:
+                r = {k: Fraction(y, x) for k, y in r.items()}
+            piv[c] = r
             return True
         _axpy(r, r.pop(c), piv[c], c)
     return False
@@ -64,7 +69,7 @@ def echelon(rows):
         r = piv[c]
         for q in [k for k in r if k != c and k in piv]:
             _axpy(r, r.pop(q), piv[q], q)
-    return {c: piv[c] for c in order}
+    return {c: {k: Fraction(x) for k, x in piv[c].items()} for c in order}
 
 
 def rank(rows):

@@ -237,7 +237,8 @@ class _Window:
     monomials x^e·e_i of the window's degree.  A coordinate is the pair
     (i, v + e − level·ẑ), so two twists whose products agree share it.
     The subspace to quotient by is the localization kernel, which
-    contains the relations, times each twist."""
+    contains the relations, times each twist.  A free module's subspace
+    is 0, so the image of a coordinate is the int 1 at itself."""
 
     def __init__(self, s, key, degree, twists, level):
         f = s.origin
@@ -275,7 +276,7 @@ class _Window:
         t = self.index[coord]
         row = self.echelon.get(t)
         if row is None:
-            return {t: _ONE}
+            return {t: 1}
         return {k: -x for k, x in row.items() if k != t}
 
 
@@ -338,7 +339,8 @@ def _sections_at_level(s, invariants, level_k):
     level.  It is the rank of its sparse rows: one row per overlap
     coordinate, read off the images of both sides' coordinates.  A
     coordinate is a Laurent monomial, and so is its image: the same
-    monomial in the overlap window."""
+    monomial in the overlap window.  For a free module every entry is the
+    int 1 or −1, so ``ratlin.rank`` eliminates in integers."""
     cox = s.cox
     degree, keys, twists, _, pairs = invariants
     windows = {
@@ -360,7 +362,7 @@ def _sections_at_level(s, invariants, level_k):
             overlaps[tau_key, ktau] = _Window(s, tau_key, degree, twists[tau_key], ktau)
         wt = overlaps[tau_key, ktau]
         eq = {}
-        for key, sign in zip(sides, (_ONE, -_ONE)):
+        for key, sign in zip(sides, (1, -1)):
             off = offsets[key]
             for coord, col in windows[key].index.items():
                 for t, x in wt.image(coord).items():

@@ -25,6 +25,10 @@ P1_CUBED = (
     [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
     [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)],
 )
+P1_4 = (
+    [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)],
+    [[a, b, c, d] for a in (0, 1) for b in (2, 3) for c in (4, 5) for d in (6, 7)],
+)
 DP6 = (
     [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
     [[i, (i + 1) % 6] for i in range(6)],

@@ -107,10 +107,7 @@ CARTIER_FANS = {
        for name in corpus.CORPUS_NAMES},
     **oracles.SCALE_FANS,
     "p4": (_E4 + [(-1, -1, -1, -1)], [list(c) for c in itertools.combinations(range(5), 4)]),
-    "p1_4": (
-        [v for e in _E4 for v in (e, tuple(-x for x in e))],
-        [[a, b, c, d] for a in (0, 1) for b in (2, 3) for c in (4, 5) for d in (6, 7)],
-    ),
+    "p1_4": oracles.P1_4,
     "p123": ([(1, 0), (0, 1), (-2, -3)], [[0, 1], [1, 2], [2, 0]]),
 }
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from coxfan import ratlin
+from coxfan import ratlin, sheaf
+from coxfan.gradmod import free_module
+from coxfan.sheaf import sheafify
 
 import oracles
 
@@ -85,3 +87,36 @@ def test_rref_matches_dense_reference(cases):
         assert m == before
         assert ratlin.rank(m) == len(ech)
         assert ratlin.rank(_sparse(m)) == len(ech)
+
+
+def _entry_types(piv):
+    return {type(x) for r in piv.values() for x in r.values()}
+
+
+def test_unit_pivots_keep_integer_entries(p2_cox, monkeypatch):
+    # Directed-graph incidence rows are totally unimodular: every pivot is ±1.
+    rng = random.Random(35)
+    for _ in range(50):
+        n = rng.randint(2, 12)
+        rows = [
+            {a: 1, b: -1}
+            for a, b in (rng.sample(range(n), 2) for _ in range(rng.randint(1, 20)))
+        ]
+        assert _entry_types(ratlin._pivot_rows(rows)) <= {int}
+    # The Čech equalizer of a free module, at both modes on p2 at α = 2.
+    seen = []
+    monkeypatch.setattr(ratlin, "rank", lambda rows: seen.append(rows) or len(rows))
+    s = sheafify(free_module(p2_cox))
+    for mode in ("via_shift", "via_twist"):
+        inv = sheaf._level_invariants(s, p2_cox.grading.a_map((2, 0, 0)), mode)
+        sheaf._sections_at_level(s, inv, inv[3])
+    assert len(seen) == 2 and all(seen)
+    for rows in seen:
+        assert _entry_types(ratlin._pivot_rows(rows)) == {int}
+
+
+def test_other_pivots_turn_rational_never_float(cases):
+    for m in [[[2, 1], [1, 1]], [[1, 1], [1, 3]]] + [m for m, _ in cases]:
+        assert _entry_types(ratlin._pivot_rows(m)) <= {int, Fraction}
+        assert ratlin.rank(m) == len(oracles.rref(m)[1]), m
+    assert _entry_types(ratlin._pivot_rows([[2, 1], [1, 1]])) == {Fraction}

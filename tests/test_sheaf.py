@@ -34,7 +34,7 @@ from coxfan.sheaf import (
 )
 
 import oracles
-from oracles import DP6, P1_CUBED, SCALE_FANS
+from oracles import DP6, P1_4, P1_CUBED, SCALE_FANS
 
 
 def _elem(e):
@@ -531,6 +531,19 @@ def test_sections_on_p1_cubed_match_lattice_points():
     a = (1, 0, 1, 0, 1, 0)
     win = global_sections_degree(cover, g.a_map(a), mode="via_shift")
     assert win.dimension == oracles.polytope_lattice_count(rays, a, 3) == 8
+
+
+# Rank-4 equalizers: 10^4 to 10^5 rows of ±1 entries, eliminated in integers.
+def test_sections_on_p1_to_the_fourth_match_lattice_points():
+    rays, max_cones = P1_4
+    g, cover = _line_bundle_cover(rays, max_cones)
+    for a, modes, want in (
+        ((2, 0) * 4, ("via_shift", "via_twist"), 81),
+        ((3, 0) * 4, ("via_shift",), 256),
+    ):
+        assert oracles.polytope_lattice_count(rays, a, 5) == want
+        for mode in modes:
+            assert global_sections_degree(cover, g.a_map(a), mode=mode).dimension == want, mode
 
 
 def test_dp6_twist_agrees_with_shift_and_lattice_points():
