@@ -13,7 +13,8 @@ Z1·Z2 - Z3^2), P1xP1 (Z1·Z3 - Z2·Z4), P(1,1,2) (Z1·Z3 - Z2), quadric_cone
 (Z1·Z2 - Z3·Z4) and three_rays (Z1^2·Z3 - Z2), ``chart`` on
 every cone of each (the zero cone as ``--cone ""``), ``pic``, ``cox
 build`` and ``chart`` on every cone of the scale fans of
-``tests/oracles.py``, commands on malformed fans, usage errors, and the
+``tests/oracles.py``, the commands of ``RANK3_RUNS`` on its singular
+rank-3 fan, commands on malformed fans, usage errors, and the
 ``--help`` text of every parser.  Each run calls ``coxfan.cli.main`` in
 this process, from this checkout's ``src``.
 Paths in arguments and output read ``<corpus>`` and ``<tmp>``, so the
@@ -112,6 +113,18 @@ BINOMIALS = {
 BINOMIAL_RUNS = [
     ["module", "torsion", "{fan}", "--module", "{tmp}/{name}-binomial.json"],
     ["module", "sections", "{fan}", "--module", "{tmp}/{name}-binomial.json", "--degrees", "{window}"],
+]
+
+# Commands on ``oracles.RANK3_FAN``, a singular fan outside the corpus
+# (``fan report`` reads its regularity off Hermite bases of its cones).
+RANK3_RUNS = [
+    ["grading", "build", "{fan}"],
+    ["pic", "{fan}"],
+    ["fan", "report", "{fan}"],
+    ["cox", "build", "{fan}"],
+    ["chart", "{fan}", "--cone", ""],
+    ["chart", "{fan}", "--cone", "0"],
+    ["module", "torsion", "{fan}", "--ideal", "Z1,Z2,Z3"],
 ]
 
 # Malformed fan files, each given to the commands below.
@@ -251,6 +264,11 @@ def main():
             run(["pic", "{fan}"], fan=str(path))
             run(["cox", "build", "{fan}"], fan=str(path))
             _every_chart(run, str(path), polyfan.build_fan(len(rays[0]), rays, max_cones))
+        rays, max_cones = oracles.RANK3_FAN
+        path = tmp / "rank3.json"
+        path.write_text(json.dumps({"rank": 3, "rays": rays, "max_cones": max_cones}))
+        for template in RANK3_RUNS:
+            run(template, fan=str(path))
         for fan, content in BAD_FANS.items():
             path = tmp / f"{fan}.json"
             path.write_text(content if isinstance(content, str) else json.dumps(content))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -56,6 +57,8 @@ def _load_json(text):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno)
+    except ValueError:  # an integer past Python's digit limit
+        raise ParseError(f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits")
 
 
 def parse_fan_json(text):
@@ -260,10 +263,22 @@ def _read(path):
         raise ParseError(f"cannot read {path}: {e.strerror}")
 
 
-def _emit(payload):
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return EXIT_OK
+def _emit(payload, code=EXIT_OK):
+    """Print a payload whole and return its exit code.  A reader that has
+    gone makes an I/O error, and stdout then points at os.devnull, so the
+    interpreter's last flush stays quiet."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    except ValueError:  # an integer past Python's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValidationError(f"an integer in the result has more than {limit} digits")
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE
+    return code
 
 
 class _Inputs:
@@ -591,8 +606,8 @@ def main(argv=None):
         error = {"type": type(e).__name__, "reason": str(e)}
         if isinstance(e, ParseError):
             error["line"] = e.line
-        _emit({"ok": False, "error": error})
-        return EXIT_PARSE if isinstance(e, ParseError) else EXIT_DOMAIN
+        code = EXIT_PARSE if isinstance(e, ParseError) else EXIT_DOMAIN
+        return _emit({"ok": False, "error": error}, code)
 
 
 if __name__ == "__main__":

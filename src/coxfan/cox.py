@@ -9,6 +9,7 @@ dual cones.
 
 from __future__ import annotations
 
+from math import lcm
 from operator import mul
 
 from ._record import DomainError, Record
@@ -23,7 +24,6 @@ from .intlat import (
     _transpose,
     hermite_row_basis,
     integer_kernel,
-    smith_normal_form,
     subgroup_leq,
 )
 from .polyfan import (
@@ -121,12 +121,12 @@ def _restricted_irrelevant(g, b, zhat, maximal, irrelevant):
     """Minimal monomial generators of I ∩ S_B.
 
     With B = A this is I.  Otherwise the exponents of degree in B form the
-    lattice L_B, of finite index, whose largest Smith invariant e is the
-    exponent of A/B; so e*e_j lies in L_B, and every minimal point of
-    (-Zhat_sigma + L_B) ∩ N^n lies in the box [0, e)^n.  The generators are
-    the minimal elements of Zhat_sigma + (those box points) over the
-    maximal cones sigma.  A coset of L_B has e^n / [A : B] points in the
-    box; past FIBER_POINT_CAP in all, FiberTooLarge is raised.
+    lattice L_B, of finite index, and the lcm e of the unit vectors' orders
+    modulo L_B is the exponent of A/B; so e*e_j lies in L_B, and every
+    minimal point of (-Zhat_sigma + L_B) ∩ N^n lies in the box [0, e)^n.
+    The generators are the minimal elements of Zhat_sigma + (those box
+    points) over the maximal cones sigma.  A coset of L_B has e^n / [A : B]
+    points in the box; past FIBER_POINT_CAP in all, FiberTooLarge is raised.
     """
     if not maximal or b.index_in_A == 1:
         return list(irrelevant)
@@ -134,7 +134,7 @@ def _restricted_irrelevant(g, b, zhat, maximal, irrelevant):
     lat = hermite_row_basis(
         [*_degree_zero_lattice(g.delta_basis), *map(g.a_map.lift, b.generators)], nr
     )
-    e = smith_normal_form(lat, nr)[0][nr - 1]
+    e = lcm(*(_order_modulo(lat, [int(i == j) for i in range(nr)]) for j in range(nr)))
     if len(maximal) * e**nr // b.index_in_A > FIBER_POINT_CAP:
         raise FiberTooLarge(f"more than {FIBER_POINT_CAP} points (the enumeration cap)")
     rows = _nonnegative_rows(lat, nr)

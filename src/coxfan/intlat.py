@@ -274,14 +274,15 @@ class QuotientMap:
 
 
 def _unimodular_inverse(u):
-    """Exact inverse of a unimodular integer matrix (a square row list): its
-    Smith form p*u*q is the identity, so the inverse is q*p."""
+    """Exact inverse of a unimodular integer matrix (a square row list): the
+    Hermite basis of the rows (u_i | e_i) is (I | u^-1), since each of its
+    rows (h | w) has h = w*u, and u's rows span Z^n."""
     n = len(u)
-    d, p, q = smith_normal_form(u, n)
-    if d != [1] * n:
+    eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    basis = hermite_row_basis([(*row, *e) for row, e in zip(u, eye)], 2 * n)
+    if [row[:n] for row in basis] != eye:
         raise ValueError("matrix is not unimodular")
-    pt = _transpose(p, n)
-    return [_mul_vec(pt, row) for row in q]
+    return [row[n:] for row in basis]
 
 
 def cokernel_presentation(rows, ncols):

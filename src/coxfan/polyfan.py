@@ -26,7 +26,7 @@ from math import gcd, lcm
 
 from . import ratlin
 from ._record import DomainError, Record
-from .intlat import _transpose, cokernel_presentation, integer_kernel, smith_normal_form
+from .intlat import _transpose, cokernel_presentation, hermite_row_basis, integer_kernel
 
 RANK_CAP = 6
 
@@ -423,8 +423,10 @@ def fan_properties(f: Fan) -> FanProperties:
     is_simplicial = all(
         len(c.ray_generators) == c.dim() for c in f.cones
     )
+    # A simplicial cone is regular when the columns of its k rays span Z^k.
     is_regular = is_simplicial and all(
-        all(x == 1 for x in smith_normal_form(c.ray_generators, n)[0])
+        hermite_row_basis(_transpose(c.ray_generators, n), k := len(c.ray_generators))
+        == [tuple(int(i == j) for j in range(k)) for i in range(k)]
         for c in f.cones
     )
     maximal = f.maximal_cones()

@@ -39,6 +39,14 @@ P3 = (
 )
 F2 = ([(1, 0), (0, 1), (-1, 2), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]])
 SCALE_FANS = {"p3": P3, "f2": F2, "dp6": DP6, "p1cubed": P1_CUBED}
+# The face fan of a random simplicial polytope: complete and simplicial,
+# not regular, with Cl = Z^5.  The Smith transform of its ray matrix has
+# entries of 36-158 bits.
+RANK3_FAN = (
+    [(-1, 6, 0), (0, 7, 8), (7, 7, 9), (4, 0, -3), (6, 7, 2), (-7, 1, -9), (-3, -6, -8), (9, -8, -1)],
+    [[1, 2, 7], [2, 4, 7], [1, 2, 4], [1, 5, 6], [1, 6, 7], [3, 4, 5],
+     [3, 4, 7], [3, 5, 6], [3, 6, 7], [0, 1, 5], [0, 4, 5], [0, 1, 4]],
+)
 
 
 # ---------------------------------------------------------------------------

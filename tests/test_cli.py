@@ -530,11 +530,11 @@ SIX_RAYS = ([[-2, -3], [3, -5], [9, -7], [8, -5], [-1, 8], [-2, 9]],
             [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]])
 
 
-def _run_on_plane_fan(tmp_path, rays, max_cones, commands):
-    """The JSON of each CLI command on the plane fan, each run as a
-    process under a 30 s timeout."""
+def _run_on_fan(tmp_path, rays, max_cones, commands):
+    """The JSON of each CLI command on the fan, keyed by the command's
+    group, each run as a process under a 30 s timeout."""
     fan = tmp_path / "fan.json"
-    fan.write_text(json.dumps({"rank": 2, "rays": rays, "max_cones": max_cones}))
+    fan.write_text(json.dumps({"rank": len(rays[0]), "rays": rays, "max_cones": max_cones}))
     src = str(Path(cli.__file__).resolve().parents[1])
     payloads = {}
     for command in commands:
@@ -564,7 +564,7 @@ def _pic_is_the_cartier_classes(payload, rays, max_cones):
 
 def test_ring_building_answers_on_a_fan_with_large_degrees(tmp_path):
     rays, max_cones = SIX_RAYS
-    payloads = _run_on_plane_fan(tmp_path, rays, max_cones, (["pic"], ["cox", "build"]))
+    payloads = _run_on_fan(tmp_path, rays, max_cones, (["pic"], ["cox", "build"]))
     _validate(payloads["cox"], "cox_build")
     A, pic = _pic_is_the_cartier_classes(payloads["pic"], rays, max_cones)
     # [Cl : Pic] is the product of the six cone multiplicities.
@@ -579,8 +579,76 @@ NINE_RAYS = [[50, -41], [1, 0], [29, 3], [9, 47], [-11, 34], [-10, 21], [-41, 51
 
 def test_pic_answers_on_a_fan_with_a_dense_cartier_system(tmp_path):
     max_cones = [[i, (i + 1) % 9] for i in range(9)]
-    payloads = _run_on_plane_fan(tmp_path, NINE_RAYS, max_cones, (["pic"],))
+    payloads = _run_on_fan(tmp_path, NINE_RAYS, max_cones, (["pic"],))
     _pic_is_the_cartier_classes(payloads["pic"], NINE_RAYS, max_cones)
+
+
+def test_sections_and_ring_answer_on_a_singular_rank_three_fan(tmp_path):
+    # Each command lifts a class, which inverts the Smith transform u of
+    # the ray matrix; u has entries of 36-158 bits, and a Smith form of u
+    # grows past use where the Hermite basis of (u | I) does not.
+    rays, max_cones = oracles.RANK3_FAN
+    zero = "0,0,0,0,0"
+    twice = ";".join(",".join(str(2 * (i == j)) for j in range(5)) for i in range(5))
+    payloads = _run_on_fan(tmp_path, rays, max_cones, (
+        ["module", "sections", "--degrees", zero],
+        ["cox", "build", "--subgroup", twice],
+        ["sheaf", "xi-check", "--ideal", "Z1", "--window", zero],
+    ))
+    _validate(payloads["module"], "module_sections")
+    assert payloads["module"]["dimensions"] == {zero: {"dimension": 1, "certificate": "bound"}}
+    _validate(payloads["cox"], "cox_build")
+    _validate(payloads["sheaf"], "sheaf_xi_check")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_pipe_is_an_io_error_without_a_traceback(p2, unbuffered):
+    # As in `coxfan grading build p2.json | true`: the reader has gone
+    # before the JSON is written, which a buffered stdout meets only at
+    # its flush.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxfan.cli", "grading", "build", p2],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=30,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_PARSE
+    assert proc.stderr == ""  # no traceback, at exit or before
+
+
+def test_an_integer_past_the_digit_limit_in_the_fan_is_a_parse_error(tmp_path):
+    fan = tmp_path / "fan.json"
+    big = "1" + "0" * 5000
+    fan.write_text(f'{{"rank": 2, "rays": [[{big}, 1], [0, 1]], "max_cones": [[0, 1]]}}')
+    code, out = _run(["fan", "validate", str(fan)])
+    assert code == cli.EXIT_PARSE
+    payload = json.loads(out)
+    _validate(payload, "error")
+    assert payload["error"]["type"] == "ParseError"
+    assert str(sys.get_int_max_str_digits()) in payload["error"]["reason"]
+
+
+def test_an_integer_past_the_digit_limit_in_the_result_is_refused_whole():
+    # Two generators of 3,001 digits fit, but the index they print,
+    # 10^6000, has more digits than Python converts; the refusal is the
+    # only output, with nothing of the result before it.
+    p1xp1 = str(corpus.fixture_path("p1xp1"))
+    big = "1" + "0" * 3000
+    code, out = _run(["subgroup", "classify", p1xp1, "--subgroup", f"{big},0;0,{big}"])
+    assert code == cli.EXIT_DOMAIN
+    payload = json.loads(out)
+    _validate(payload, "error")
+    assert payload["error"] == {
+        "type": "ValidationError",
+        "reason": f"an integer in the result has more than {sys.get_int_max_str_digits()} digits",
+    }
 
 
 @pytest.mark.parametrize(

@@ -244,3 +244,38 @@ def test_restricted_irrelevant_past_the_point_cap_is_refused():
     b = classify_subgroup(g, [A.from_coords([16, 0, 0]), *A.generators()[1:]])
     with pytest.raises(grading.FiberTooLarge):
         build_cox(g, b)
+
+
+# (fan, diagonal of B) with A = Z^2 and A/B = Z/2 x Z/3: the variables'
+# degrees have orders 2 and 3 there, none has order 6.
+EXPONENT_CASES = [("p1xp1", (2, 3)), ("f2", (2, 3))]
+
+
+@pytest.mark.parametrize("name,diagonal", EXPONENT_CASES, ids=[n for n, _ in EXPONENT_CASES])
+def test_restricted_irrelevant_box_is_the_exponent_box(name, diagonal, monkeypatch):
+    # The box [0, e)^n of each maximal cone holds e^n / [A : B] points of
+    # L_B, with e the exponent of A/B, which is the lcm of the variables'
+    # orders and not the largest; the cap counts those points.  The
+    # generators alone do not show e: a minimal one exceeds Zhat in x_j by
+    # less than the order of deg x_j.
+    g = grading.build_grading(_fan(name))
+    A = g.class_group
+    rows = [[d * (i == j) for j in range(len(diagonal))] for i, d in enumerate(diagonal)]
+    b = classify_subgroup(g, map(A.from_coords, rows))
+    orders = [
+        math.lcm(*(m // math.gcd(x, m) for x, m in zip(d.coords(), diagonal)))
+        for d in g.ray_degrees
+    ]
+    e = math.lcm(*diagonal)
+    assert math.lcm(*orders) == e > max(orders)
+    counts = []
+    enumerate_points = cox._lattice_points
+
+    def counting(*args):
+        points = list(enumerate_points(*args))
+        counts.append(len(points))
+        return points
+
+    monkeypatch.setattr(cox, "_lattice_points", counting)
+    build_cox(g, b)
+    assert counts == [e ** g.num_rays // b.index_in_A] * len(g.fan.maximal_cones())

@@ -1,6 +1,7 @@
 """Integer lattice layer: normal forms, cokernels, subgroup calculus."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -199,3 +200,24 @@ def test_subgroup_questions_match_the_oracles():
             oracles.order_modulo(x, gens, group) == 1 for x in others
         )
     assert INFINITE in orders and {1, 2, 3, 4, 6} <= orders
+
+
+def test_unimodular_inverse_of_dense_smith_transforms():
+    """The Smith transforms u of seeded ray matrices reach 158-bit
+    entries; the Hermite basis of (u | I) inverts all six in well under a
+    second."""
+    rng = random.Random(1)
+    start = time.perf_counter()
+    for _ in range(6):
+        n, r = rng.randint(5, 9), rng.randint(2, 4)
+        rays = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(n)]
+        u = cokernel_presentation(rays, r)[1]._u
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert _matmul(intlat._unimodular_inverse(u), u) == eye, rays
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("rows", [[[2]], [[1, 0], [0, 3]], [[1, 2], [2, 4]], [[1, 1], [1, -1]]])
+def test_unimodular_inverse_refuses_other_matrices(rows):
+    with pytest.raises(ValueError, match="not unimodular"):
+        intlat._unimodular_inverse(rows)

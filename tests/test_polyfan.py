@@ -493,3 +493,39 @@ def test_validation_intersects_only_pairs_of_given_cones(monkeypatch, cones):
     validate_fan([Cone.make(3, c) for c in cones])
     k = len(cones)
     assert 0 < len(calls) <= k * (k - 1) // 2
+
+
+def _simplicial_cones(seed, count):
+    """Seeded simplicial cones of rank 2-4 with 2 to rank rays: every other
+    one is spanned by rows of a random unimodular matrix, so it is regular;
+    the rest by random primitive rays."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        rank = rng.randint(2, 4)
+        k = rng.randint(2, rank)
+        if len(cones) % 2:
+            rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+            for _ in range(3 * rank):
+                i, j = rng.sample(range(rank), 2)
+                c = rng.choice((-2, -1, 1, 2))
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            gens = rng.sample(rows, k)
+        else:
+            gens = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(k)]
+        gens = [oracles._primitive(g) for g in gens]
+        if oracles.row_rank(gens) == k:
+            cones.append((rank, gens))
+    return cones
+
+
+def test_is_regular_is_a_smith_diagonal_of_ones():
+    # A simplicial cone is regular when its rays extend to a basis of Z^n,
+    # that is when the invariant factors of its ray matrix are all 1.
+    verdicts = []
+    for rank, gens in _simplicial_cones(36, 160):
+        p = fan_properties(build_fan(rank, gens, [range(len(gens))]))
+        expected = all(x == 1 for x in oracles.snf_diagonal(gens))
+        assert p.is_simplicial and p.is_regular == expected, gens
+        verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
