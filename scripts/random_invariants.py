@@ -19,12 +19,19 @@ generated binomial ones, or (every third) by a fattened ideal of the
 torus-fixed points, against the reference Groebner engine, that the
 chart intersection of the sheaf cover's kernels is the reference
 intersection of the maximal cones' kernels, and that is_torsion agrees
-with the sheaf being zero.
+with the sheaf being zero.  With ``--sections N`` it checks global
+sections of N random free modules S(−d_1) ⊕ … of rank 1–3 at random
+classes α of the seven complete fans against the lattice count
+Σ #(P_(α−d_i) ∩ M): at a Cartier α, via_twist's own windows, via_shift
+and the public via_twist (which reads via_shift's windows there);
+elsewhere the public via_twist, its twisted windows, with each d_i
+Cartier so that S(−d_i)~ ⊗ O(α) ≅ O(α − d_i).
 
 Usage:
     python3 scripts/random_invariants.py --cones 50 --ideals 25 --seed 7
     python3 scripts/random_invariants.py --cones 0 --ideals 0 --round-trips 200
     python3 scripts/random_invariants.py --cones 0 --ideals 0 --torsion 200
+    python3 scripts/random_invariants.py --cones 0 --ideals 0 --sections 200
 """
 
 import argparse
@@ -64,7 +71,10 @@ from coxfan.groeb import (  # noqa: E402
 )
 from coxfan.polyfan import Cone, dual_cone, hilbert_basis  # noqa: E402
 from coxfan.sheaf import (  # noqa: E402
+    _level_invariants,
+    _sections_at_level,
     family_equal,
+    global_sections_degree,
     is_zero_sheaf,
     lift_finite_type,
     sheafify,
@@ -79,6 +89,7 @@ class RunConfig:
     ideals: int = 25
     round_trips: int = 0
     torsion: int = 0
+    sections: int = 0
     seed: int = 7
     entry_bound: int = 4
     box: int = 3
@@ -289,6 +300,35 @@ def check_torsion(rng, rings, draw):
     return ok and is_torsion(q).is_torsion == is_zero_sheaf(cover)
 
 
+COMPLETE_FANS = ("p2", "p1xp1", "p112", "f2", "p3", "dp6", "p1cubed")
+
+
+def check_sections(rng, rings):
+    """One free module of rank 1–3, shifts d_i with entries 0 or 1, at a
+    class α with entries −1 … 2 on one complete fan: the Cartier verdicts
+    of ``grading.is_cartier`` and of the per-cone systems must agree, and
+    every route must give the lattice count (see the module docstring)."""
+    f = rings[rng.choice(COMPLETE_FANS)]
+    g = f.cox.grading
+    rays = g.delta_basis
+    cones = [g.fan.cone_ray_indices(c) for c in g.fan.maximal_cones()]
+    a = [rng.randint(-1, 2) for _ in rays]
+    cartier = oracles.divisor_is_cartier(rays, cones, a)
+    shifts = [[rng.randint(0, 1) for _ in rays] for _ in range(rng.randint(1, 3))]
+    if not cartier:
+        shifts = [d if oracles.divisor_is_cartier(rays, cones, d) else [0] * len(rays) for d in shifts]
+    s = sheafify(free_module(f.cox, [g.a_map(tuple(d)) for d in shifts]))
+    alpha = g.a_map(tuple(a))
+    want = sum(oracles.polytope_lattice_count(rays, [x - y for x, y in zip(a, d)], 10) for d in shifts)
+    got = [global_sections_degree(s, alpha, mode).dimension for mode in ("via_shift", "via_twist")]
+    if cartier:
+        inv = _level_invariants(s, alpha, "via_twist")
+        got.append(_sections_at_level(s, inv, inv[3]))
+    else:
+        got = got[1:]
+    return grading.is_cartier(g, alpha) == cartier and got == [want] * len(got)
+
+
 def _ideal(f, polys):
     return GradedSubmodule(f, tuple((p,) for p in polys))
 
@@ -299,6 +339,7 @@ def main():
     ap.add_argument("--ideals", type=int, default=RunConfig.ideals)
     ap.add_argument("--round-trips", type=int, default=RunConfig.round_trips)
     ap.add_argument("--torsion", type=int, default=RunConfig.torsion)
+    ap.add_argument("--sections", type=int, default=RunConfig.sections)
     ap.add_argument("--seed", type=int, default=RunConfig.seed)
     args = ap.parse_args()
     cfg = RunConfig(
@@ -306,6 +347,7 @@ def main():
         ideals=args.ideals,
         round_trips=args.round_trips,
         torsion=args.torsion,
+        sections=args.sections,
         seed=args.seed,
     )
 
@@ -325,6 +367,11 @@ def main():
         torsion_ok = sum(check_torsion(rng, rings, i) for i in range(cfg.torsion))
         print(f"torsion: {torsion_ok}/{cfg.torsion} passed")
         failed = failed or torsion_ok != cfg.torsion
+    if cfg.sections:
+        rings = round_trip_rings()
+        sections_ok = sum(check_sections(rng, rings) for _ in range(cfg.sections))
+        print(f"sections: {sections_ok}/{cfg.sections} passed")
+        failed = failed or sections_ok != cfg.sections
     if failed:
         raise SystemExit(1)
 

@@ -15,6 +15,8 @@ from ._record import DomainError, Record
 from .intlat import (
     INFINITE,
     GroupElement,
+    _order_modulo,
+    _subgroup_basis,
     cokernel_presentation,
     hermite_row_basis,
     subgroup_contains,
@@ -115,6 +117,21 @@ def picard_group(g: GradingData) -> PicardGroup:
         if not subgroup_contains(rest, x, g.class_group):
             out.append(x)
     return PicardGroup(tuple(out))
+
+
+@lru_cache(maxsize=256)
+def _picard_basis(g: GradingData):
+    """Hermite basis of Pic in the class group's coordinates, torsion
+    relations included: the span of the classes of the Cartier lattice."""
+    return _subgroup_basis(g.class_group, [g.a_map(v) for v in cartier_lattice(g)])
+
+
+def is_cartier(g: GradingData, alpha: GroupElement) -> bool:
+    """Whether alpha lies in Pic: its divisors are Cartier, locally
+    principal on every maximal cone (Cox–Little–Schenck, Thm 4.2.8).  A
+    principal divisor is Cartier, so one divisor of the class decides it
+    for all, and the test is one membership in Pic's Hermite basis."""
+    return _order_modulo(_picard_basis(g), alpha.coords()) == 1
 
 
 def classify_subgroup(g: GradingData, generators) -> SubgroupB:

@@ -8,7 +8,9 @@ cone's rays.  Global sections take
 degrees from finite lists and denominators from one level: a proven
 bound for a free module, else a heuristic.  Both section modes share
 one window/equalizer builder, whose coordinates are Laurent monomials;
-the lattice-point count of P_D checks them.  The unit η of the
+the lattice-point count of P_D checks them.  For a free module at a class
+in Pic (B = Cl), via_twist reads via_shift's windows: O(α) is then a
+line bundle and M~ ⊗ O(α) ≅ M(α)~.  The unit η of the
 correspondence is compared by dimensions: its kernel in degree α is the
 saturated relations modulo the relations there, the saturated relations
 being the chart intersection of the maximal cones' kernels.
@@ -32,7 +34,7 @@ from operator import add, mul
 from . import ratlin
 from ._record import DomainError, Record
 from .cox import CoxRingData
-from .grading import _degree_zero_lattice, _lattice_points, degree_fiber
+from .grading import _degree_zero_lattice, _lattice_points, degree_fiber, is_cartier
 from .gradmod import (
     GradedModulePresentation,
     GradedSubmodule,
@@ -91,7 +93,11 @@ class ChartSubmoduleFamily(Record):
 
 class GlobalSectionsWindow(Record):
     __slots__ = (
-        "degree", "mode", "dimension", "level",
+        "degree", "mode", "dimension",
+        "level",  # the last level evaluated: for a free module the proven
+        # bound L of the windows read, 1 for via_shift's, which via_twist
+        # reads at a Cartier class; with relations the second of two
+        # equal levels
         "certificate",  # "bound": a proven level; "heuristic": two equal levels
     )
 
@@ -404,10 +410,32 @@ def global_sections_degree(
 
     With relations steps 1 and 3 fail, and a heuristic takes over: the
     levels from L on are evaluated until two consecutive ones agree, for
-    at most DEFAULT_MAX_LEVEL levels, else ``Unstabilized`` is raised."""
+    at most DEFAULT_MAX_LEVEL levels, else ``Unstabilized`` is raised.
+
+    via_twist of a free module F = ⊕ S·e_i at a class α in Pic, with
+    B = Cl, is read off via_shift's windows (Cox–Little–Schenck §5.3):
+    F~ ⊗ O(α) ≅ F(α)~.  On a maximal cone σ, α is Cartier, so some
+    divisor v_σ of class α (one of the class plus a principal one) is 0
+    on σ's rays, and x^(v_σ) is a unit of S_(ẑ_σ), which inverts exactly
+    the variables off σ.  Every Laurent monomial of degree α there is
+    x^(v_σ) times one of degree 0, so the multiplication
+    (F_(ẑ_σ))_0 ⊗ (S_(ẑ_σ))_α → (F_(ẑ_σ))_α, f ⊗ g ↦ f·g, is onto, and
+    g ↦ g·x^(−v_σ) ⊗ x^(v_σ) inverts it.  Multiplication commutes with
+    the restriction to σ∩τ (where x^(v_σ − v_τ) is the transition), so
+    the chart isomorphisms glue and the sections agree.  A generator's
+    degree plays no part: S(−d)~ ⊗ O(α) ≅ S(α−d)~ needs only α to be
+    Cartier.  Everywhere else via_twist keeps its own windows: at a
+    non-Cartier α the two sheaves differ, and with relations via_shift's
+    level is the heuristic, whose numbers can be wrong where via_twist's
+    are right."""
     if mode not in ("via_shift", "via_twist"):
         raise ValueError(f"unknown mode {mode!r}")
-    invariants = _level_invariants(s, alpha, mode)
+    cox = s.cox
+    windows = mode
+    if (mode == "via_twist" and not s.origin.relations
+            and cox.subgroup.index_in_A == 1 and is_cartier(cox.grading, alpha)):
+        windows = "via_shift"
+    invariants = _level_invariants(s, alpha, windows)
     level = invariants[3]
     dim = _sections_at_level(s, invariants, level)
     certificate = "bound"

@@ -374,7 +374,9 @@ def test_a_zero_relation_leaves_the_free_module(p2, tmp_path, mode, relation):
 
 
 def test_twisted_sections_at_the_level_bound(p2):
-    # Levels 1 and 2 both give 0 here; the proven level is 4.
+    # The twisted windows give 0 at levels 1 and 2 here and reach every
+    # section at their proven level 4; a free module at a Cartier class
+    # reads via_shift's level-1 windows instead, with the same label.
     args = ["module", "sections", p2, "--degrees", "4", "--mode", "via_twist"]
     code, out = _run(args)
     assert code == 0, out
@@ -385,7 +387,8 @@ def test_twisted_sections_at_the_level_bound(p2):
 
 def test_twisted_sections_past_the_former_generator_box(p2):
     # The Laurent generators of degree 7 reach past |u_j| <= 8; a box search
-    # refused this degree with Unstabilized.
+    # refused this degree with Unstabilized.  At this Cartier class the free
+    # module reads via_shift's windows.
     args = ["module", "sections", p2, "--degrees", "7", "--mode", "via_twist"]
     code, out = _run(args)
     assert code == 0, out
@@ -599,6 +602,19 @@ def test_sections_and_ring_answer_on_a_singular_rank_three_fan(tmp_path):
     assert payloads["module"]["dimensions"] == {zero: {"dimension": 1, "certificate": "bound"}}
     _validate(payloads["cox"], "cox_build")
     _validate(payloads["sheaf"], "sheaf_xi_check")
+
+
+def test_twisted_sections_answer_on_a_singular_rank_three_fan(tmp_path):
+    # The twist box [0, e)^3 of the cone (2, 4, 7), of multiplicity 768,
+    # holds 589,824 points of one coset and ran past 40 s; at the Cartier
+    # class 0 the free module's via_twist reads via_shift's windows.
+    rays, max_cones = oracles.RANK3_FAN
+    zero = "0,0,0,0,0"
+    command = ["module", "sections", "--degrees", zero, "--mode", "via_twist"]
+    payload = _run_on_fan(tmp_path, rays, max_cones, (command,))["module"]
+    _validate(payload, "module_sections")
+    assert payload["mode"] == "via_twist"
+    assert payload["dimensions"] == {zero: {"dimension": 1, "certificate": "bound"}}
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])

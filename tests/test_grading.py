@@ -119,6 +119,22 @@ def test_cartier_lattice_matches_the_per_cone_intersection(name):
     assert grading.cartier_lattice(g) == oracles.cartier_lattice(rays, max_cones)
 
 
+@pytest.mark.parametrize("name", list(CARTIER_FANS))
+def test_is_cartier_decides_the_per_cone_systems(name):
+    # Seeded divisors, each with its classes' verdict: a divisor is Cartier
+    # exactly when its class lies in Pic.
+    rays, max_cones = CARTIER_FANS[name]
+    g = grading.build_grading(build_fan(len(rays[0]), rays, max_cones))
+    rng = random.Random(f"cartier {name}")
+    seen = set()
+    for _ in range(40):
+        a = [rng.randint(-3, 3) for _ in rays]
+        want = oracles.divisor_is_cartier(rays, max_cones, a)
+        assert grading.is_cartier(g, g.a_map(tuple(a))) == want, a
+        seen.add(want)
+    assert True in seen
+
+
 def test_pic_big_iff_simplicial(corpus_gradings):
     from coxfan.polyfan import fan_properties
 

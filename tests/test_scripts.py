@@ -57,6 +57,12 @@ def test_random_invariants_torsion():
     assert out.stdout.splitlines()[-1] == "torsion: 8/8 passed"
 
 
+def test_random_invariants_sections():
+    out = _run("random_invariants.py", "--cones", "0", "--ideals", "0", "--sections", "20")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "sections: 20/20 passed"
+
+
 def test_cli_snapshot_runs():
     out = _run("cli_snapshot.py")
     assert out.returncode == 0, out.stderr

@@ -93,13 +93,22 @@ def test_sections_of_twists_match_counting_oracle(p2_ring):
         assert win.certificate == "bound" and win.dimension == 0
 
 
+def _twisted(s, alpha):
+    """The dimension from via_twist's own windows at their level bound.
+    The public via_twist reads via_shift's windows instead for a free
+    module at a Cartier class (B = Cl), so a test of the twisted windows
+    there calls them directly."""
+    inv = sheaf._level_invariants(s, alpha, "via_twist")
+    return sheaf._sections_at_level(s, inv, inv[3])
+
+
 def test_shift_and_twist_modes_agree(p2_ring):
     for shift in (0, 1):
         cover = sheafify(p2_ring.shifted(_alpha(p2_ring, shift)))
         for d in range(-2, 3):
             a = global_sections_degree(cover, _alpha(p2_ring, d), mode="via_shift")
             b = global_sections_degree(cover, _alpha(p2_ring, d), mode="via_twist")
-            assert a.dimension == b.dimension, (shift, d)
+            assert a.dimension == b.dimension == _twisted(cover, _alpha(p2_ring, d)), (shift, d)
 
 
 def test_sections_on_product_fan():
@@ -544,6 +553,22 @@ def test_sections_on_p1_to_the_fourth_match_lattice_points():
         assert oracles.polytope_lattice_count(rays, a, 5) == want
         for mode in modes:
             assert global_sections_degree(cover, g.a_map(a), mode=mode).dimension == want, mode
+        if "via_twist" in modes:
+            assert _twisted(cover, g.a_map(a)) == want
+
+
+# Classes of (P1)^4 whose twisted windows refused with FiberTooLarge after
+# 4.0 s and 6.5 s, or answered after 10.2 s; via_shift's windows take 0.01 s.
+@pytest.mark.parametrize("a", [(-6, -3, 0, 7), (0, -6, -3, 7), (-6, 4, -3, 3)])
+def test_twisted_sections_on_p1_to_the_fourth_at_large_classes(a):
+    rays, max_cones = P1_4
+    g, cover = _line_bundle_cover(rays, max_cones)
+    alpha = g.a_map(tuple(x for c in a for x in (c, 0)))
+    for mode in ("via_shift", "via_twist"):
+        start = time.perf_counter()
+        win = global_sections_degree(cover, alpha, mode=mode)
+        assert (win.dimension, win.certificate) == (0, "bound"), mode
+        assert time.perf_counter() - start < 5, mode
 
 
 def test_dp6_twist_agrees_with_shift_and_lattice_points():
@@ -554,6 +579,7 @@ def test_dp6_twist_agrees_with_shift_and_lattice_points():
         mode: global_sections_degree(cover, g.a_map(a), mode=mode).dimension
         for mode in ("via_shift", "via_twist")
     }
+    dims["twisted windows"] = _twisted(cover, g.a_map(a))
     assert dims == dict.fromkeys(dims, oracles.polytope_lattice_count(rays, a, 3))
 
 
@@ -687,7 +713,19 @@ def test_sections_on_a_rank_six_nonsimplicial_fan(a):
         mode: global_sections_degree(cover, g.a_map(a), mode=mode).dimension
         for mode in ("via_shift", "via_twist")
     }
+    dims["twisted windows"] = _twisted(cover, g.a_map(a))
     assert dims == dict.fromkeys(dims, oracles.polytope_lattice_count(rays, a, 2))
+
+
+def test_sections_on_a_rank_six_nonsimplicial_fan_at_a_cartier_class():
+    # The twisted windows of this class pass FIBER_POINT_CAP and refuse.
+    rays, max_cones = PYRAMID_TIMES_P3
+    g, cover = _line_bundle_cover(rays, max_cones)
+    a = (2, 0, 0, 0, 0, 1, 0, 0, 0)
+    assert grading.is_cartier(g, g.a_map(a))
+    for mode in ("via_shift", "via_twist"):
+        win = global_sections_degree(cover, g.a_map(a), mode=mode)
+        assert (win.dimension, win.level, win.certificate) == (76, 1, "bound"), mode
 
 
 @pytest.mark.parametrize("name", ["p2", "p3", "f2", "dp6"])
@@ -722,6 +760,7 @@ def test_both_modes_count_lattice_points(name, a):
     want = oracles.polytope_lattice_count(_rays(name), a, 4)
     for mode in ("via_shift", "via_twist"):
         assert global_sections_degree(s, c.grading.a_map(a), mode=mode).dimension == want, mode
+    assert _twisted(s, c.grading.a_map(a)) == want
 
 
 
@@ -743,12 +782,70 @@ def test_free_sections_at_the_level_bound(name, a, bound):
     s = sheafify(free_module(c))
     alpha = c.grading.a_map(a)
     want = oracles.polytope_lattice_count(_rays(name), a, 12)
-    for mode, level in (("via_shift", 1), ("via_twist", bound)):
+    # Every class here is Cartier, so the public via_twist reads via_shift's
+    # level-1 windows.
+    for mode in ("via_shift", "via_twist"):
         win = global_sections_degree(s, alpha, mode=mode)
-        assert (win.dimension, win.level, win.certificate) == (want, level, "bound"), mode
-    # One level lower some section is still missing.
+        assert (win.dimension, win.level, win.certificate) == (want, 1, "bound"), mode
+    # The twisted windows hold every section at the bound, and one level
+    # lower some section is still missing.
     inv = sheaf._level_invariants(s, alpha, "via_twist")
+    assert inv[3] == bound
+    assert sheaf._sections_at_level(s, inv, bound) == want
     assert sheaf._sections_at_level(s, inv, bound - 1) < want
+
+
+@pytest.mark.parametrize(
+    "degrees,d,want",
+    [((1,), 1, {"via_twist": 0, "via_shift": 1}), ((0, 1), 3, {"via_twist": 9, "via_shift": 10})],
+    ids=["S(-1) at 1", "S+S(-1) at 3"],
+)
+def test_twist_keeps_its_windows_off_pic(degrees, d, want):
+    # Pic of P(1,1,2) is 2·Cl: at an odd class O(α) is no line bundle, and
+    # S(−1)~ ⊗ O(α) is not O(α − 1).
+    c = _cox("p112")
+    A = c.grading.class_group
+    s = sheafify(free_module(c, [A.from_coords([x]) for x in degrees]))
+    alpha = A.from_coords([d])
+    assert not grading.is_cartier(c.grading, alpha)
+    got = {mode: global_sections_degree(s, alpha, mode=mode).dimension for mode in want}
+    assert got == want
+
+
+def test_twist_keeps_its_windows_with_relations(p2_cox):
+    # S/<Z1, Z2·Z3> is two points of P2: via_twist's windows count them at
+    # α = −4, where via_shift's heuristic level still prints 0, so routing
+    # a module with relations would copy that wrong number.
+    s = sheafify(quotient_by_monomial_ideal(p2_cox, [(1, 0, 0), (0, 1, 1)]))
+    alpha = p2_cox.grading.class_group.from_coords([-4])
+    got = {mode: global_sections_degree(s, alpha, mode=mode).dimension for mode in ("via_twist", "via_shift")}
+    assert got == {"via_twist": 2, "via_shift": 0}
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "f2", "p3", "dp6", "p112"])
+def test_twisted_windows_at_cartier_classes_equal_shift_and_lattice_points(name):
+    # Seeded free modules ⊕ S(−d_i) of rank 1–3 at Cartier classes α (the
+    # even ones on P(1,1,2)): h0 = Σ #(P_(α−d_i) ∩ M) by every route.
+    c = _cox(name)
+    g = c.grading
+    rays = g.delta_basis
+    cones = [g.fan.cone_ray_indices(k) for k in g.fan.maximal_cones()]
+    rng = random.Random(f"cartier {name}")
+    wants = []
+    while len(wants) < 8:
+        a = [rng.randint(-1, 2) for _ in rays]
+        if not oracles.divisor_is_cartier(rays, cones, a):
+            continue
+        shifts = [[rng.randint(0, 1) for _ in rays] for _ in range(rng.randint(1, 3))]
+        s = sheafify(free_module(c, [g.a_map(tuple(d)) for d in shifts]))
+        alpha = g.a_map(tuple(a))
+        want = sum(oracles.polytope_lattice_count(rays, [x - y for x, y in zip(a, d)], 8) for d in shifts)
+        assert _twisted(s, alpha) == want, (a, shifts)
+        for mode in ("via_shift", "via_twist"):
+            win = global_sections_degree(s, alpha, mode=mode)
+            assert (win.dimension, win.level) == (want, 1), (a, shifts, mode)
+        wants.append(want)
+    assert any(wants)
 
 
 # Degrees whose Laurent generators lie outside the box |u_j| <= 8 that a
@@ -761,6 +858,7 @@ def test_sections_past_the_former_generator_box(name, a):
     for mode in ("via_shift", "via_twist"):
         win = global_sections_degree(s, c.grading.a_map(a), mode=mode)
         assert (win.dimension, win.certificate) == (want, "bound"), mode
+    assert _twisted(s, c.grading.a_map(a)) == want
 
 
 P6 = (
@@ -781,6 +879,7 @@ def test_twist_sections_take_no_box_walk(rays, max_cones, a, want):
     g, cover = _line_bundle_cover(rays, max_cones)
     win = global_sections_degree(cover, g.a_map(a), mode="via_twist")
     assert (win.dimension, win.certificate) == (want, "bound")
+    assert _twisted(cover, g.a_map(a)) == want
     assert time.perf_counter() - start < 5
 
 
