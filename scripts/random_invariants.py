@@ -25,7 +25,9 @@ classes α of the seven complete fans against the lattice count
 Σ #(P_(α−d_i) ∩ M): at a Cartier α, via_twist's own windows, via_shift
 and the public via_twist (which reads via_shift's windows there);
 elsewhere the public via_twist, its twisted windows, with each d_i
-Cartier so that S(−d_i)~ ⊗ O(α) ≅ O(α − d_i).
+Cartier so that S(−d_i)~ ⊗ O(α) ≅ O(α − d_i).  In both modes the count
+of coordinates common to the chart windows, which a free module's
+sections read, must equal the rows-and-rank equalizer of those windows.
 
 Usage:
     python3 scripts/random_invariants.py --cones 50 --ideals 25 --seed 7
@@ -71,6 +73,8 @@ from coxfan.groeb import (  # noqa: E402
 )
 from coxfan.polyfan import Cone, dual_cone, hilbert_basis  # noqa: E402
 from coxfan.sheaf import (  # noqa: E402
+    _chart_windows,
+    _equalizer,
     _level_invariants,
     _sections_at_level,
     family_equal,
@@ -306,8 +310,10 @@ COMPLETE_FANS = ("p2", "p1xp1", "p112", "f2", "p3", "dp6", "p1cubed")
 def check_sections(rng, rings):
     """One free module of rank 1–3, shifts d_i with entries 0 or 1, at a
     class α with entries −1 … 2 on one complete fan: the Cartier verdicts
-    of ``grading.is_cartier`` and of the per-cone systems must agree, and
-    every route must give the lattice count (see the module docstring)."""
+    of ``grading.is_cartier`` and of the per-cone systems must agree, each
+    mode's windows at its level bound must hold as many common coordinates
+    as the rows-and-rank equalizer counts, and every route must give the
+    lattice count (see the module docstring)."""
     f = rings[rng.choice(COMPLETE_FANS)]
     g = f.cox.grading
     rays = g.delta_basis
@@ -320,10 +326,15 @@ def check_sections(rng, rings):
     s = sheafify(free_module(f.cox, [g.a_map(tuple(d)) for d in shifts]))
     alpha = g.a_map(tuple(a))
     want = sum(oracles.polytope_lattice_count(rays, [x - y for x, y in zip(a, d)], 10) for d in shifts)
+    counts = {}
+    for mode in ("via_shift", "via_twist"):
+        inv = _level_invariants(s, alpha, mode)
+        counts[mode] = _sections_at_level(s, inv, inv[3])
+        if counts[mode] != _equalizer(s, inv, _chart_windows(s, inv, inv[3])):
+            return False
     got = [global_sections_degree(s, alpha, mode).dimension for mode in ("via_shift", "via_twist")]
     if cartier:
-        inv = _level_invariants(s, alpha, "via_twist")
-        got.append(_sections_at_level(s, inv, inv[3]))
+        got.append(counts["via_twist"])
     else:
         got = got[1:]
     return grading.is_cartier(g, alpha) == cartier and got == [want] * len(got)

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Tabulate global-section dimensions of line-bundle twists.
 
-Runs the Čech-style equalizer over the chart cover of a complete fixture
-fan and prints dim Γ(𝒪(d)) for a window of twists, in both evaluation
+Reads the global sections off the chart cover of a complete fixture fan
+(for this free module, the coordinates common to the chart windows) and
+prints dim Γ(𝒪(d)) for a window of twists, in both evaluation
 modes as a cross-check, with the certificate of each mode's level
 ("bound" for a proven level).
 

@@ -7,7 +7,9 @@ exact: their cone parts lie in a box proven from the Smith form of the
 cone's rays.  Global sections take
 degrees from finite lists and denominators from one level: a proven
 bound for a free module, else a heuristic.  Both section modes share
-one window/equalizer builder, whose coordinates are Laurent monomials;
+one window builder, whose coordinates are Laurent monomials, and one
+rows-and-rank equalizer; a free module's sections are the coordinates
+common to its live windows, which the equalizer would count too, and
 the lattice-point count of P_D checks them.  For a free module at a class
 in Pic (B = Cl), via_twist reads via_shift's windows: O(α) is then a
 line bundle and M~ ⊗ O(α) ≅ M(α)~.  The unit η of the
@@ -225,8 +227,7 @@ def is_zero_sheaf(s: SheafCoverPresentation) -> bool:
     f = s.origin
     cox = f.cox
     group = cox.grading.class_group
-    for cone in cox.grading.fan.maximal_cones():
-        key = cone.ray_generators
+    for key in s.maximal:
         z = cox.zhat[key]
         for unit, d in zip(f.units, f.generator_degrees):
             for v in _laurent_component_generators(cox, group.neg(d), key):
@@ -319,7 +320,7 @@ def _level_invariants(s, alpha, mode):
             return ((0,) * cox.num_vars,)
         return _laurent_component_generators(cox, alpha, key)
 
-    keys = [c.ray_generators for c in cox.grading.fan.maximal_cones()]
+    keys = list(s.maximal)
     live = [k for k in keys if not all(module_contains(s.kernels[k], e) for e in s.origin.units)]
     twists = {key: twist(key) for key in keys}
     # The level bound L, proven in global_sections_degree.
@@ -340,24 +341,31 @@ def _level_invariants(s, alpha, mode):
     return degree, live, twists, bound, pairs
 
 
-def _sections_at_level(s, invariants, level_k):
-    """The dimension of the equalizer of the live chart windows at one
-    level.  It is the rank of its sparse rows: one row per overlap
-    coordinate, read off the images of both sides' coordinates.  A
-    coordinate is a Laurent monomial, and so is its image: the same
-    monomial in the overlap window.  For a free module every entry is the
-    int 1 or −1, so ``ratlin.rank`` eliminates in integers."""
+def _chart_windows(s, invariants, level_k):
+    """The live maximal cones' windows at one level, by cone key."""
     cox = s.cox
-    degree, keys, twists, _, pairs = invariants
-    windows = {
+    degree, keys, twists, *_ = invariants
+    return {
         key: _Window(s, key, degree, twists[key], level_k * cox.m_exponents[key])
         for key in keys
     }
+
+
+def _equalizer(s, invariants, windows):
+    """The dimension of the equalizer of the chart windows: their
+    coordinates less the windows' subspaces and the rank of its sparse
+    rows, one row per overlap coordinate, read off the images of both
+    sides' coordinates.  A coordinate is a Laurent monomial, and so is
+    its image: the same monomial in the overlap window.  For a free
+    module every entry is the int 1 or −1, so ``ratlin.rank``
+    eliminates in integers."""
+    cox = s.cox
+    degree, _, twists, _, pairs = invariants
     offsets = {}
     total = 0
-    for key in keys:
+    for key, w in windows.items():
         offsets[key] = total
-        total += windows[key].size
+        total += w.size
     rows = []
     overlaps = {}
     for tau_key, sides, slack in pairs:
@@ -374,8 +382,28 @@ def _sections_at_level(s, invariants, level_k):
                 for t, x in wt.image(coord).items():
                     eq.setdefault(t, {})[off + col] = sign * x
         rows.extend(eq[t] for t in sorted(eq))
-    trivial = sum(windows[k].sub_rank for k in keys)
+    trivial = sum(w.sub_rank for w in windows.values())
     return total - ratlin.rank(rows) - trivial
+
+
+def _sections_at_level(s, invariants, level_k):
+    """The dimension of the equalizer of the live chart windows at one
+    level.  With relations it is ``_equalizer``'s rank.  For a free module
+    it is the number of coordinates common to all live windows, with no
+    overlap window and no elimination: each window's subspace is 0, and a
+    coordinate (i, u) is its own image in every overlap window.  So each
+    row of the equalizer is e_c − e_c′, where the monomial (i, u) lies in
+    both windows, or ±e_c, where it lies in one only, and the equalizer
+    splits into one block per (i, u).  A block whose monomial lies in
+    every live window is the diagonal: the values there agree, and it adds
+    one dimension.  Any other block has a window holding (i, u) and one
+    not, whose row ±e_c sets that value to 0, and then every e_c − e_c′
+    sets the rest to 0: it adds none."""
+    windows = _chart_windows(s, invariants, level_k)
+    if s.origin.relations:
+        return _equalizer(s, invariants, windows)
+    indexes = [w.index for w in windows.values()]
+    return len(set(indexes[0]).intersection(*indexes[1:])) if indexes else 0
 
 
 def global_sections_degree(
@@ -396,7 +424,9 @@ def global_sections_degree(
        coordinates are the Laurent monomials x^(v + e − k·m_σ·ẑ_σ)·e_i
        themselves, one per monomial however many twists reach it, so the
        window is their span, and each overlap window likewise.  Agreement
-       on every overlap is then equality of Laurent polynomials.
+       on every overlap is then equality of Laurent polynomials, so dim(k)
+       is the number of monomials common to all live windows, which
+       ``_sections_at_level`` counts without the equalizer's rows.
     2. dim(k) never decreases and is at most H0.  Multiplying e by
        ẑ_σ^m_σ embeds the level-k window in the level-(k+1) one, and the
        windows of all levels make up the chart module, so H0 is the union

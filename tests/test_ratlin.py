@@ -104,15 +104,20 @@ def test_unit_pivots_keep_integer_entries(p2_cox, monkeypatch):
         ]
         assert _entry_types(ratlin._pivot_rows(rows)) <= {int}
     # The Čech equalizer of a free module, at both modes on p2 at α = 2.
+    # The sections of a free module are counted without it, so it is
+    # called on the windows directly.
     seen = []
     monkeypatch.setattr(ratlin, "rank", lambda rows: seen.append(rows) or len(rows))
     s = sheafify(free_module(p2_cox))
     for mode in ("via_shift", "via_twist"):
         inv = sheaf._level_invariants(s, p2_cox.grading.a_map((2, 0, 0)), mode)
-        sheaf._sections_at_level(s, inv, inv[3])
+        sheaf._equalizer(s, inv, sheaf._chart_windows(s, inv, inv[3]))
     assert len(seen) == 2 and all(seen)
     for rows in seen:
-        assert _entry_types(ratlin._pivot_rows(rows)) == {int}
+        assert {x for r in rows for x in r.values()} == {1, -1}
+        piv = ratlin._pivot_rows(rows)
+        assert _entry_types(piv) == {int}
+        assert all(r[c] == 1 for c, r in piv.items())
 
 
 def test_other_pivots_turn_rational_never_float(cases):

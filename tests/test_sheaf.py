@@ -542,7 +542,8 @@ def test_sections_on_p1_cubed_match_lattice_points():
     assert win.dimension == oracles.polytope_lattice_count(rays, a, 3) == 8
 
 
-# Rank-4 equalizers: 10^4 to 10^5 rows of ±1 entries, eliminated in integers.
+# Rank-4 windows of 10^4 to 10^5 coordinates, whose common ones a free
+# module's sections count without elimination.
 def test_sections_on_p1_to_the_fourth_match_lattice_points():
     rays, max_cones = P1_4
     g, cover = _line_bundle_cover(rays, max_cones)
@@ -846,6 +847,56 @@ def test_twisted_windows_at_cartier_classes_equal_shift_and_lattice_points(name)
             assert (win.dimension, win.level) == (want, 1), (a, shifts, mode)
         wants.append(want)
     assert any(wants)
+
+
+def _count_and_equalizer(s, inv, level):
+    """A free module's section count at one level (the coordinates its
+    windows share) and the rows-and-rank equalizer of the same windows."""
+    return (
+        sheaf._sections_at_level(s, inv, level),
+        sheaf._equalizer(s, inv, sheaf._chart_windows(s, inv, level)),
+    )
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "p112", "p3", "f2", "dp6", "p1cubed"])
+def test_free_sections_are_the_common_coordinates(name):
+    # Seeded free modules ⊕ S(−d_i) of rank 1–3 at classes α with entries
+    # −1 … 2: at the level bound L both modes' windows share exactly the
+    # Σ #(P_(α−d_i) ∩ M) sections that the equalizer counts, and one level
+    # lower, where some window still misses a section, the two agree too.
+    # On P(1,1,2) half the classes are not Cartier; the twisted windows
+    # are called directly there, with every d_i Cartier, so that
+    # S(−d_i)~ ⊗ O(α) ≅ O(α − d_i).
+    c = _cox(name)
+    g = c.grading
+    rays = g.delta_basis
+    cones = [g.fan.cone_ray_indices(k) for k in g.fan.maximal_cones()]
+    rng = random.Random(f"common {name}")
+    below = []
+    cartier = []
+    for _ in range(6):
+        a = [rng.randint(-1, 2) for _ in rays]
+        shifts = [[rng.randint(0, 1) for _ in rays] for _ in range(rng.randint(1, 3))]
+        cartier.append(oracles.divisor_is_cartier(rays, cones, a))
+        if not cartier[-1]:
+            shifts = [d if oracles.divisor_is_cartier(rays, cones, d) else [0] * len(rays) for d in shifts]
+        s = sheafify(free_module(c, [g.a_map(tuple(d)) for d in shifts]))
+        alpha = g.a_map(tuple(a))
+        want = sum(oracles.polytope_lattice_count(rays, [x - y for x, y in zip(a, d)], 8) for d in shifts)
+        for mode in ("via_shift", "via_twist"):
+            inv = sheaf._level_invariants(s, alpha, mode)
+            level = inv[3]
+            assert _count_and_equalizer(s, inv, level) == (want, want), (a, shifts, mode)
+            if level > 1:
+                count, eq = _count_and_equalizer(s, inv, level - 1)
+                assert count == eq, (a, shifts, mode)
+                below.append(count < want)
+    assert any(below)
+    assert name != "p112" or not all(cartier)
+    # With no generator no window is live, and there is no section.
+    s = sheafify(free_module(c, []))
+    inv = sheaf._level_invariants(s, g.class_group.zero(), "via_shift")
+    assert _count_and_equalizer(s, inv, 1) == (0, 0)
 
 
 # Degrees whose Laurent generators lie outside the box |u_j| <= 8 that a
