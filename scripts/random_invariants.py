@@ -74,9 +74,10 @@ from coxfan.groeb import (  # noqa: E402
 from coxfan.polyfan import Cone, dual_cone, hilbert_basis  # noqa: E402
 from coxfan.sheaf import (  # noqa: E402
     _chart_windows,
+    _common_coordinates,
     _equalizer,
     _level_invariants,
-    _sections_at_level,
+    _overlap_plan,
     family_equal,
     global_sections_degree,
     is_zero_sheaf,
@@ -329,8 +330,9 @@ def check_sections(rng, rings):
     counts = {}
     for mode in ("via_shift", "via_twist"):
         inv = _level_invariants(s, alpha, mode)
-        counts[mode] = _sections_at_level(s, inv, inv[3])
-        if counts[mode] != _equalizer(s, inv, _chart_windows(s, inv, inv[3])):
+        windows = _chart_windows(s, inv, inv[3])
+        counts[mode] = _common_coordinates(windows)
+        if counts[mode] != _equalizer(s, inv, _overlap_plan(s, alpha, mode, inv), windows):
             return False
     got = [global_sections_degree(s, alpha, mode).dimension for mode in ("via_shift", "via_twist")]
     if cartier:

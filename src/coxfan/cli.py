@@ -419,9 +419,8 @@ def cmd_cox_build(args, inputs):
             format_monomial(e) for e in c.restricted_irrelevant_generators
         ],
         "m_exponents": {
-            ",".join(str(rays.index(r)) for r in cone.ray_generators):
-                c.m_exponents[cone.ray_generators]
-            for cone in inputs.fan.maximal_cones()
+            ",".join(str(rays.index(r)) for r in key): c.m_exponents[key]
+            for key in c.maximal_keys
         },
     }
 

@@ -63,6 +63,7 @@ class CoxRingData(Record):
         "base_ring_flags",
         "zhat",  # cone ray-generator tuple -> exponent vector
         "m_exponents",  # same keys -> least m >= 1 with m*deg(Zhat) in B
+        "maximal_keys",  # the maximal cones' keys, in the fan's cone order
         "irrelevant_generators",  # minimal monomial generators of I
         "restricted_irrelevant_generators",  # minimal monomial gens of I ∩ S_B
     )
@@ -103,7 +104,7 @@ def build_cox(g: GradingData, b: SubgroupB, flags: BaseRingFlags = BaseRingFlags
         if order == INFINITE:
             raise NotBig("no power of a cone monomial lands in the subgroup")
         m_exponents[cone.ray_generators] = order
-    maximal = [c.ray_generators for c in g.fan.maximal_cones()]
+    maximal = tuple(c.ray_generators for c in g.fan.maximal_cones())
     irrelevant = tuple(minimalize_monomials(zhat[k] for k in maximal))
     restricted = _restricted_irrelevant(g, b, zhat, maximal, irrelevant)
     return CoxRingData(
@@ -112,6 +113,7 @@ def build_cox(g: GradingData, b: SubgroupB, flags: BaseRingFlags = BaseRingFlags
         base_ring_flags=flags,
         zhat=zhat,
         m_exponents=m_exponents,
+        maximal_keys=maximal,
         irrelevant_generators=irrelevant,
         restricted_irrelevant_generators=tuple(restricted),
     )

@@ -208,8 +208,7 @@ def chart_bases(g: GradedSubmodule):
     ``saturate_submodule(g)`` then ``xi_forward(g)`` saturate once."""
     if _LAST_CHARTS[0] is not g:
         cox = g.ambient.cox
-        keys = [c.ray_generators for c in cox.grading.fan.maximal_cones()]
-        _LAST_CHARTS[:] = g, {key: saturate_at(g, cox.zhat[key]) for key in keys}
+        _LAST_CHARTS[:] = g, {key: saturate_at(g, cox.zhat[key]) for key in cox.maximal_keys}
     return _LAST_CHARTS[1]
 
 

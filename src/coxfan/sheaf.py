@@ -4,13 +4,13 @@ A graded module's sheaf is held as its cover: the localization kernel
 of every maximal cone and of every intersection of two, computed once.
 A chart's twists (its minimal Laurent generators of one degree) are
 exact: their cone parts lie in a box proven from the Smith form of the
-cone's rays.  Global sections take
-degrees from finite lists and denominators from one level: a proven
-bound for a free module, else a heuristic.  Both section modes share
-one window builder, whose coordinates are Laurent monomials, and one
-rows-and-rank equalizer; a free module's sections are the coordinates
-common to its live windows, which the equalizer would count too, and
-the lattice-point count of P_D checks them.  For a free module at a class
+cone's rays.  Global sections take degrees from finite lists and
+denominators from one level: a proven bound for a free module, else a
+heuristic.  Both section modes share one window builder, whose
+coordinates are Laurent monomials.  A free module's sections are the
+coordinates common to its live maximal windows, which the lattice-point
+count of P_D checks; only a module with relations builds the overlaps'
+windows, for the rows-and-rank equalizer.  For a free module at a class
 in Pic (B = Cl), via_twist reads via_shift's windows: O(α) is then a
 line bundle and M~ ⊗ O(α) ≅ M(α)~.  The unit η of the
 correspondence is compared by dimensions: its kernel in degree α is the
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import add, mul
 
 from . import ratlin
@@ -96,10 +96,9 @@ class ChartSubmoduleFamily(Record):
 class GlobalSectionsWindow(Record):
     __slots__ = (
         "degree", "mode", "dimension",
-        "level",  # the last level evaluated: for a free module the proven
-        # bound L of the windows read, 1 for via_shift's, which via_twist
-        # reads at a Cartier class; with relations the second of two
-        # equal levels
+        "level",  # a free module's one level: the proven bound L of the
+        # windows read (1 for via_shift's, which via_twist reads at a
+        # Cartier class); with relations the second of two equal levels
         "certificate",  # "bound": a proven level; "heuristic": two equal levels
     )
 
@@ -209,7 +208,7 @@ def sheafify(f: GradedModulePresentation) -> SheafCoverPresentation:
     """The cover presentation of the associated sheaf: the localization
     kernels of the maximal cones and of their pairwise intersections."""
     cox = f.cox
-    keys = [cone.ray_generators for cone in cox.grading.fan.maximal_cones()]
+    keys = list(cox.maximal_keys)
     faces = dict.fromkeys(keys + [tau for *_, tau in _overlaps(keys)])
     kernels = {key: saturate_at(GradedSubmodule(f, ()), cox.zhat[key]) for key in faces}
     maximal = {key: kernels[key] for key in keys}
@@ -298,60 +297,70 @@ def _cover_twist(v, tw_tau, tau_pos):
     raise Unstabilized("twist generator not covered on the overlap chart")
 
 
+def _twists(cox, alpha, mode, key):
+    """A cone's twists: via_shift's trivial one, via_twist's Laurent generators of alpha."""
+    if mode == "via_shift":
+        return ((0,) * cox.num_vars,)
+    return _laurent_component_generators(cox, alpha, key)
+
+
 def _level_invariants(s, alpha, mode):
-    """What the equalizer needs at every level, computed once: the degree
-    read (via_shift: alpha with the single trivial twist; via_twist: 0
-    tensored with the Laurent generators of alpha), the live maximal cones,
-    the twists of every maximal cone and of every live overlap, the level
-    bound L, and per pair of live cones the overlap key, the two cone keys
-    and the level slack that puts both sides' products in the overlap
-    window.  A cone is live when some generator e_i lies outside its
-    localization kernel, that is when no power of the cone monomial kills
-    every generator: a dead chart's window is all subspace, and so is the
-    window of each of its overlaps, since its cone monomial divides the
-    overlap's.  Neither adds to the equalizer, so neither is built, but L
-    is taken over every cone."""
+    """What every level of either path reads, computed once: the degree
+    read (via_shift: alpha with the trivial twist; via_twist: 0 tensored
+    with the Laurent generators of alpha), the live maximal cones, every
+    maximal cone's twists and the level bound L.  A cone is live when no
+    power of its cone monomial kills every generator e_i: a dead chart's
+    window is all subspace, and so is each of its overlaps' windows, as
+    its cone monomial divides theirs.  Neither adds to the sections, so
+    neither is built, but L is taken over every cone."""
     cox = s.cox
-    shift = mode == "via_shift"
-    degree = alpha if shift else cox.grading.class_group.zero()
-
-    def twist(key):
-        if shift:
-            return ((0,) * cox.num_vars,)
-        return _laurent_component_generators(cox, alpha, key)
-
-    keys = list(s.maximal)
+    degree = alpha if mode == "via_shift" else cox.grading.class_group.zero()
+    keys = cox.maximal_keys
     live = [k for k in keys if not all(module_contains(s.kernels[k], e) for e in s.origin.units)]
-    twists = {key: twist(key) for key in keys}
+    twists = {key: _twists(cox, alpha, mode, key) for key in keys}
     # The level bound L, proven in global_sections_degree.
     bound = max([1] + [
         -(-v[p] // (cox.m_exponents[k] * z))
         for k in keys for v in twists[k] for p, z in enumerate(cox.zhat[k]) if z > 0
     ])
-    pairs = []
-    for *sides, tau_key in _overlaps(live):
-        if tau_key not in twists:
-            twists[tau_key] = twist(tau_key)
-        tau_pos = _sigma_positions(cox, tau_key)
-        slack = max(
-            (_cover_twist(v, twists[tau_key], tau_pos) for k in sides for v in twists[k]),
-            default=0,
-        )
-        pairs.append((tau_key, sides, slack))
-    return degree, live, twists, bound, pairs
+    return degree, live, twists, bound
+
+
+def _overlap_plan(s, alpha, mode, invariants):
+    """What ``_equalizer`` reads of the overlaps at every level: per pair
+    of live cones the overlap key, the two cone keys, the overlap's twists
+    and the level slack that puts both sides' products in its window."""
+    cox = s.cox
+    _, live, twists, _ = invariants
+    pairs = _overlaps(live)
+    tau_twists = {tau: _twists(cox, alpha, mode, tau) for *_, tau in pairs}
+    plan = []
+    for *sides, tau in pairs:
+        pos = _sigma_positions(cox, tau)
+        slack = max((_cover_twist(v, tau_twists[tau], pos) for k in sides for v in twists[k]),
+                    default=0)
+        plan.append((tau, sides, tau_twists[tau], slack))
+    return plan
 
 
 def _chart_windows(s, invariants, level_k):
     """The live maximal cones' windows at one level, by cone key."""
     cox = s.cox
-    degree, keys, twists, *_ = invariants
+    degree, keys, twists, _ = invariants
     return {
         key: _Window(s, key, degree, twists[key], level_k * cox.m_exponents[key])
         for key in keys
     }
 
 
-def _equalizer(s, invariants, windows):
+def _common_coordinates(windows):
+    """The number of coordinates every window holds: a free module's
+    sections in them (step 1 of ``global_sections_degree``)."""
+    indexes = [w.index for w in windows.values()]
+    return len(set(indexes[0]).intersection(*indexes[1:])) if indexes else 0
+
+
+def _equalizer(s, invariants, plan, windows):
     """The dimension of the equalizer of the chart windows: their
     coordinates less the windows' subspaces and the rank of its sparse
     rows, one row per overlap coordinate, read off the images of both
@@ -360,20 +369,16 @@ def _equalizer(s, invariants, windows):
     module every entry is the int 1 or −1, so ``ratlin.rank``
     eliminates in integers."""
     cox = s.cox
-    degree, _, twists, _, pairs = invariants
-    offsets = {}
-    total = 0
-    for key, w in windows.items():
-        offsets[key] = total
-        total += w.size
+    sizes = [w.size for w in windows.values()]
+    offsets = dict(zip(windows, accumulate(sizes, initial=0)))
     rows = []
     overlaps = {}
-    for tau_key, sides, slack in pairs:
+    for tau_key, sides, tw_tau, slack in plan:
         needed = max(windows[k].level for k in sides) + slack
         m = cox.m_exponents[tau_key]
         ktau = m * -(-needed // m)
         if (tau_key, ktau) not in overlaps:
-            overlaps[tau_key, ktau] = _Window(s, tau_key, degree, twists[tau_key], ktau)
+            overlaps[tau_key, ktau] = _Window(s, tau_key, invariants[0], tw_tau, ktau)
         wt = overlaps[tau_key, ktau]
         eq = {}
         for key, sign in zip(sides, (1, -1)):
@@ -383,27 +388,7 @@ def _equalizer(s, invariants, windows):
                     eq.setdefault(t, {})[off + col] = sign * x
         rows.extend(eq[t] for t in sorted(eq))
     trivial = sum(w.sub_rank for w in windows.values())
-    return total - ratlin.rank(rows) - trivial
-
-
-def _sections_at_level(s, invariants, level_k):
-    """The dimension of the equalizer of the live chart windows at one
-    level.  With relations it is ``_equalizer``'s rank.  For a free module
-    it is the number of coordinates common to all live windows, with no
-    overlap window and no elimination: each window's subspace is 0, and a
-    coordinate (i, u) is its own image in every overlap window.  So each
-    row of the equalizer is e_c − e_c′, where the monomial (i, u) lies in
-    both windows, or ±e_c, where it lies in one only, and the equalizer
-    splits into one block per (i, u).  A block whose monomial lies in
-    every live window is the diagonal: the values there agree, and it adds
-    one dimension.  Any other block has a window holding (i, u) and one
-    not, whose row ±e_c sets that value to 0, and then every e_c − e_c′
-    sets the rest to 0: it adds none."""
-    windows = _chart_windows(s, invariants, level_k)
-    if s.origin.relations:
-        return _equalizer(s, invariants, windows)
-    indexes = [w.index for w in windows.values()]
-    return len(set(indexes[0]).intersection(*indexes[1:])) if indexes else 0
+    return sum(sizes) - ratlin.rank(rows) - trivial
 
 
 def global_sections_degree(
@@ -425,8 +410,12 @@ def global_sections_degree(
        themselves, one per monomial however many twists reach it, so the
        window is their span, and each overlap window likewise.  Agreement
        on every overlap is then equality of Laurent polynomials, so dim(k)
-       is the number of monomials common to all live windows, which
-       ``_sections_at_level`` counts without the equalizer's rows.
+       is the number of monomials common to all live windows
+       (``_common_coordinates``).  In ``_equalizer``'s terms: each row is
+       e_c − e_c′, where the monomial lies in both windows of a pair, or
+       ±e_c, where it lies in one only, so the equalizer splits by
+       monomial, and a monomial adds one dimension exactly when it lies in
+       every live window.
     2. dim(k) never decreases and is at most H0.  Multiplying e by
        ẑ_σ^m_σ embeds the level-k window in the level-(k+1) one, and the
        windows of all levels make up the chart module, so H0 is the union
@@ -439,8 +428,9 @@ def global_sections_degree(
        them e' ≥ L·m_σ·ẑ_σ,ρ − v_ρ ≥ 0, because L·m_σ·ẑ_σ,ρ ≥ max(v_ρ, 0).
 
     With relations steps 1 and 3 fail, and a heuristic takes over: the
-    levels from L on are evaluated until two consecutive ones agree, for
-    at most DEFAULT_MAX_LEVEL levels, else ``Unstabilized`` is raised.
+    equalizer of the levels from L on, over the overlap plan built once
+    per call, until two consecutive ones agree, for at most
+    DEFAULT_MAX_LEVEL levels, else ``Unstabilized`` is raised.
 
     via_twist of a free module F = ⊕ S·e_i at a class α in Pic, with
     B = Cl, is read off via_shift's windows (Cox–Little–Schenck §5.3):
@@ -460,26 +450,25 @@ def global_sections_degree(
     are right."""
     if mode not in ("via_shift", "via_twist"):
         raise ValueError(f"unknown mode {mode!r}")
-    cox = s.cox
-    windows = mode
-    if (mode == "via_twist" and not s.origin.relations
-            and cox.subgroup.index_in_A == 1 and is_cartier(cox.grading, alpha)):
-        windows = "via_shift"
-    invariants = _level_invariants(s, alpha, windows)
-    level = invariants[3]
-    dim = _sections_at_level(s, invariants, level)
-    certificate = "bound"
     if s.origin.relations:
-        certificate = "heuristic"
-        for level in range(level + 1, level + DEFAULT_MAX_LEVEL):
-            prev, dim = dim, _sections_at_level(s, invariants, level)
+        invariants = _level_invariants(s, alpha, mode)
+        plan = _overlap_plan(s, alpha, mode, invariants)
+        prev = None
+        for level in range(invariants[3], invariants[3] + DEFAULT_MAX_LEVEL):
+            dim = _equalizer(s, invariants, plan, _chart_windows(s, invariants, level))
             if dim == prev:
-                break
-        else:
-            raise Unstabilized(
-                f"section dimension did not settle within {DEFAULT_MAX_LEVEL} levels"
-            )
-    return GlobalSectionsWindow(alpha, mode, dim, level, certificate)
+                return GlobalSectionsWindow(alpha, mode, dim, level, "heuristic")
+            prev = dim
+        raise Unstabilized(
+            f"section dimension did not settle within {DEFAULT_MAX_LEVEL} levels"
+        )
+    read = mode
+    if mode == "via_twist" and s.cox.subgroup.index_in_A == 1 and is_cartier(s.cox.grading, alpha):
+        read = "via_shift"
+    invariants = _level_invariants(s, alpha, read)
+    level = invariants[3]
+    dim = _common_coordinates(_chart_windows(s, invariants, level))
+    return GlobalSectionsWindow(alpha, mode, dim, level, "bound")
 
 
 def eta_component_is_bijective(s: SheafCoverPresentation, alpha) -> bool:

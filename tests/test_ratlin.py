@@ -109,9 +109,11 @@ def test_unit_pivots_keep_integer_entries(p2_cox, monkeypatch):
     seen = []
     monkeypatch.setattr(ratlin, "rank", lambda rows: seen.append(rows) or len(rows))
     s = sheafify(free_module(p2_cox))
+    alpha = p2_cox.grading.a_map((2, 0, 0))
     for mode in ("via_shift", "via_twist"):
-        inv = sheaf._level_invariants(s, p2_cox.grading.a_map((2, 0, 0)), mode)
-        sheaf._equalizer(s, inv, sheaf._chart_windows(s, inv, inv[3]))
+        inv = sheaf._level_invariants(s, alpha, mode)
+        plan = sheaf._overlap_plan(s, alpha, mode, inv)
+        sheaf._equalizer(s, inv, plan, sheaf._chart_windows(s, inv, inv[3]))
     assert len(seen) == 2 and all(seen)
     for rows in seen:
         assert {x for r in rows for x in r.values()} == {1, -1}

@@ -99,7 +99,7 @@ def _twisted(s, alpha):
     module at a Cartier class (B = Cl), so a test of the twisted windows
     there calls them directly."""
     inv = sheaf._level_invariants(s, alpha, "via_twist")
-    return sheaf._sections_at_level(s, inv, inv[3])
+    return sheaf._common_coordinates(sheaf._chart_windows(s, inv, inv[3]))
 
 
 def test_shift_and_twist_modes_agree(p2_ring):
@@ -736,8 +736,10 @@ def test_twist_overlaps_need_no_more_level_than_the_degree(name):
     c = _cox(name)
     s = sheafify(free_module(c))
     for d in range(4):
-        *_, pairs = sheaf._level_invariants(s, _ray_multiple(c.grading, d), "via_twist")
-        assert max(slack for *_, slack in pairs) <= d, d
+        alpha = _ray_multiple(c.grading, d)
+        inv = sheaf._level_invariants(s, alpha, "via_twist")
+        plan = sheaf._overlap_plan(s, alpha, "via_twist", inv)
+        assert max(slack for *_, slack in plan) <= d, d
 
 
 def _rays(name):
@@ -792,8 +794,8 @@ def test_free_sections_at_the_level_bound(name, a, bound):
     # lower some section is still missing.
     inv = sheaf._level_invariants(s, alpha, "via_twist")
     assert inv[3] == bound
-    assert sheaf._sections_at_level(s, inv, bound) == want
-    assert sheaf._sections_at_level(s, inv, bound - 1) < want
+    assert sheaf._common_coordinates(sheaf._chart_windows(s, inv, bound)) == want
+    assert sheaf._common_coordinates(sheaf._chart_windows(s, inv, bound - 1)) < want
 
 
 @pytest.mark.parametrize(
@@ -849,13 +851,12 @@ def test_twisted_windows_at_cartier_classes_equal_shift_and_lattice_points(name)
     assert any(wants)
 
 
-def _count_and_equalizer(s, inv, level):
+def _count_and_equalizer(s, alpha, mode, inv, level):
     """A free module's section count at one level (the coordinates its
     windows share) and the rows-and-rank equalizer of the same windows."""
-    return (
-        sheaf._sections_at_level(s, inv, level),
-        sheaf._equalizer(s, inv, sheaf._chart_windows(s, inv, level)),
-    )
+    windows = sheaf._chart_windows(s, inv, level)
+    plan = sheaf._overlap_plan(s, alpha, mode, inv)
+    return sheaf._common_coordinates(windows), sheaf._equalizer(s, inv, plan, windows)
 
 
 @pytest.mark.parametrize("name", ["p2", "p1xp1", "p112", "p3", "f2", "dp6", "p1cubed"])
@@ -886,17 +887,18 @@ def test_free_sections_are_the_common_coordinates(name):
         for mode in ("via_shift", "via_twist"):
             inv = sheaf._level_invariants(s, alpha, mode)
             level = inv[3]
-            assert _count_and_equalizer(s, inv, level) == (want, want), (a, shifts, mode)
+            assert _count_and_equalizer(s, alpha, mode, inv, level) == (want, want), (a, shifts, mode)
             if level > 1:
-                count, eq = _count_and_equalizer(s, inv, level - 1)
+                count, eq = _count_and_equalizer(s, alpha, mode, inv, level - 1)
                 assert count == eq, (a, shifts, mode)
                 below.append(count < want)
     assert any(below)
     assert name != "p112" or not all(cartier)
     # With no generator no window is live, and there is no section.
     s = sheafify(free_module(c, []))
-    inv = sheaf._level_invariants(s, g.class_group.zero(), "via_shift")
-    assert _count_and_equalizer(s, inv, 1) == (0, 0)
+    zero = g.class_group.zero()
+    inv = sheaf._level_invariants(s, zero, "via_shift")
+    assert _count_and_equalizer(s, zero, "via_shift", inv, 1) == (0, 0)
 
 
 # Degrees whose Laurent generators lie outside the box |u_j| <= 8 that a
@@ -937,13 +939,13 @@ def test_twist_sections_take_no_box_walk(rays, max_cones, a, want):
 def test_free_module_is_evaluated_at_one_level(monkeypatch):
     c = _cox("p2")
     calls = []
-    real = sheaf._sections_at_level
+    real = sheaf._chart_windows
 
     def counted(*args):
         calls.append(args[2])
         return real(*args)
 
-    monkeypatch.setattr(sheaf, "_sections_at_level", counted)
+    monkeypatch.setattr(sheaf, "_chart_windows", counted)
     s = sheafify(free_module(c))
     for mode in ("via_shift", "via_twist"):
         for d in (-1, 0, 3):
@@ -956,6 +958,49 @@ def test_free_module_is_evaluated_at_one_level(monkeypatch):
     win = global_sections_degree(q, _ray_multiple(c.grading, 3), mode="via_twist")
     assert win.certificate == "heuristic" and calls[0] == 3 and len(calls) >= 2
     assert win.dimension == 4
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the named sheaf functions, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, real=getattr(sheaf, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(sheaf, name, counted)
+    return calls
+
+
+def test_free_module_sections_read_no_overlap(monkeypatch):
+    # A free module reads its maximal charts only: on P(1,1,2) at the class
+    # 3, not Cartier, via_twist takes the Laurent generators of its three
+    # maximal cones and of none of their three overlaps.
+    c = _cox("p112")
+    s = sheafify(free_module(c))
+    calls = _count_calls(monkeypatch, "_laurent_component_generators", "_cover_twist")
+    alpha = c.grading.class_group.from_coords([3])
+    assert not grading.is_cartier(c.grading, alpha)
+    global_sections_degree(s, alpha, mode="via_twist")
+    assert calls["_laurent_component_generators"] == 3
+    # No free-module call, in either mode, reaches the overlaps' level slack.
+    for name in ("p2", "p112", "f2"):
+        c = _cox(name)
+        s = sheafify(free_module(c, [_ray_multiple(c.grading, 1)]))
+        for mode in ("via_shift", "via_twist"):
+            for d in range(-1, 4):
+                global_sections_degree(s, _ray_multiple(c.grading, d), mode=mode)
+    assert calls["_cover_twist"] == 0
+
+
+def test_overlap_plan_is_built_once_per_call(p2_cox, monkeypatch):
+    # S/<Z1> on p2 at 3 under via_twist: the heuristic evaluates two or
+    # more levels, all over one overlap plan, whose slack is computed.
+    s = sheafify(quotient_by_monomial_ideal(p2_cox, [(1, 0, 0)]))
+    calls = _count_calls(monkeypatch, "_overlap_plan", "_chart_windows", "_cover_twist")
+    win = global_sections_degree(s, _ray_multiple(p2_cox.grading, 3), mode="via_twist")
+    assert win.certificate == "heuristic" and win.dimension == 4
+    assert calls["_overlap_plan"] == 1 and calls["_chart_windows"] >= 2
+    assert calls["_cover_twist"] > 0
 
 
 def test_killed_chart_builds_no_window(monkeypatch):
