@@ -17,6 +17,7 @@ from ._record import Record
 from .cox import CoxRingData
 from .grading import degree_fiber, positive_weight_vector
 from .groeb import (
+    _monomial_rows,
     m_is_zero,
     m_term_mul,
     module_contains,
@@ -155,17 +156,6 @@ def _is_monomial_context(sub: GradedSubmodule):
     return all(groeb.m_is_monomial(x) for x in sub.with_relations())
 
 
-def _monomial_rows(rank, ideals):
-    """Monic monomial elements from one monomial ideal per position, sorted
-    by position, then by exponent, as a reduced basis is."""
-    one = Fraction(1)
-    return tuple(
-        tuple({e: one} if j == i else {} for j in range(rank))
-        for i, m in enumerate(ideals)
-        for e in m
-    )
-
-
 def saturate_at(g: GradedSubmodule, z):
     """The reduced basis of (g + relations : z^inf), for one cone monomial
     z.  Of the empty submodule it is the localization kernel, the elements
@@ -242,13 +232,29 @@ def saturate_submodule(g: GradedSubmodule) -> GradedSubmodule:
 def _least_power(x, step, basis, colon=None):
     """The least k with z^k·x in the submodule of the POT Groebner basis
     ``basis``, z the monomial of exponent ``step``, or None when there is
-    none.  Membership is monotone in k, so the search tests k = 0, 1, 3,
-    7, ... (k -> 2k + 1) until one lies in it, then bisects the last gap,
-    and tests no power twice: a least k >= 1 takes m = ceil(log2(k + 1))
-    tests and m - 1 bisection tests, at most 2·ceil(log2 k) + 1 of k > 0.
-    Some power works exactly when x lies in (basis : z^inf), whose basis
-    ``colon()`` returns; it is asked once k = 0 and k = 1 fail, so every
-    None is certified.  Without ``colon`` some power is known to work."""
+    none.  When x = c·x^a·e_p and the basis are single terms, membership
+    is divisibility, and k is read off the exponents: a basis term
+    x^g·e_p divides z^k·x exactly when k >= ⌈(g_ρ − a_ρ)/step_ρ⌉ for every
+    ρ with g_ρ > a_ρ, which no k does when such a step_ρ is 0, and k is
+    the least of these bounds over the basis terms of position p.  This
+    answer is exact, so it needs no colon.  Otherwise membership is monotone
+    in k, so the search tests k = 0, 1, 3, 7, ... (k -> 2k + 1) until one
+    lies in it, then bisects the last gap, and tests no power twice: a
+    least k >= 1 takes m = ceil(log2(k + 1)) tests and m - 1 bisection
+    tests, at most 2·ceil(log2 k) + 1 of k > 0.  Some power works exactly
+    when x lies in (basis : z^inf), whose basis ``colon()`` returns; it is
+    asked once k = 0 and k = 1 fail, so every None is certified.  Without
+    ``colon`` some power is known to work."""
+    if groeb.m_is_monomial(x) and all(map(groeb.m_is_monomial, basis)):
+        p = next(i for i, q in enumerate(x) if q)
+        (a,) = x[p]
+        bounds = (
+            max((-((ar - gr) // s) for gr, ar, s in zip(g, a, step) if gr > ar), default=0)
+            for b in basis
+            for g in b[p]
+            if all(s or gr <= ar for gr, ar, s in zip(g, a, step))
+        )
+        return min(bounds, default=None)
 
     def works(k):
         return module_contains(basis, m_term_mul(x, tuple(k * s for s in step), 1))

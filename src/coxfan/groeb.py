@@ -88,6 +88,17 @@ def monomial_ideal_intersection(exps_a, exps_b):
     )
 
 
+def _monomial_rows(rank, ideals):
+    """Monic monomial elements from one monomial ideal per position, sorted
+    by position, then by exponent, as a reduced basis is."""
+    one = Fraction(1)
+    return tuple(
+        tuple({e: one} if j == i else {} for j in range(rank))
+        for i, m in enumerate(ideals)
+        for e in m
+    )
+
+
 # --- free modules ---------------------------------------------------------
 #
 # A module element over S^r is a tuple of r polynomials.  A module term is
@@ -348,9 +359,15 @@ def reduced_basis(gb):
     leading term no other's divides (the first of equal ones), reduces
     each by the rest, makes it monic, and sorts by leading term
     (position, exponent).  It depends on the submodule only
-    (Cox-Little-O'Shea, Ch. 2 §7, Prop. 6)."""
+    (Cox-Little-O'Shea, Ch. 2 §7, Prop. 6).  Of single terms it is the
+    minimal exponents of each position, monic: a term reduces only to
+    zero, and a term no other divides is its own remainder."""
     gb = [x for x in gb if not m_is_zero(x)]
-    lead = _leader(POT, len(gb[0]) if gb else 0)
+    rank = len(gb[0]) if gb else 0
+    if all(map(m_is_monomial, gb)):
+        return _monomial_rows(rank, [minimalize_monomials(e for x in gb for e in x[i])
+                                     for i in range(rank)])
+    lead = _leader(POT, rank)
     lts = [lead(x) for x in gb]
     keep = [
         i

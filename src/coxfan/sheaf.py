@@ -24,6 +24,8 @@ one chart intersection per family (``gradmod.chart_intersection``), each
 kept for the last object by identity: the preimage is generated by the
 intersection's basis and the window-degree multiples of its elements
 outside the window, and the lift searches least powers against that basis.
+A family keeps the submodule ``xi_forward`` built it from, and its lift
+then needs no colon: some power is proven to clear every chart generator.
 """
 
 from __future__ import annotations
@@ -88,9 +90,14 @@ class SheafCoverPresentation(Record):
 
 
 class ChartSubmoduleFamily(Record):
-    """A subsheaf given by its (saturated) chart submodules."""
+    """A subsheaf given by its (saturated) chart submodules, and the
+    graded submodule they saturate when ``xi_forward`` built them."""
 
-    __slots__ = ("charts",)  # cone key -> reduced basis of the chart module, relations included
+    __slots__ = (
+        "charts",  # cone key -> reduced basis of the chart module, relations included
+        "source",  # the GradedSubmodule of ``xi_forward``, or None for a family given by hand
+    )
+    _defaults = {"source": None}
 
 
 class GlobalSectionsWindow(Record):
@@ -493,8 +500,8 @@ def eta_component_is_bijective(s: SheafCoverPresentation, alpha) -> bool:
 def xi_forward(g: GradedSubmodule) -> ChartSubmoduleFamily:
     """The chart family of the subsheaf generated by a graded submodule:
     per maximal cone, the reduced basis of the saturation by the cone
-    monomial: ``gradmod.chart_bases(g)``."""
-    return ChartSubmoduleFamily(chart_bases(g))
+    monomial: ``gradmod.chart_bases(g)``, with g as its source."""
+    return ChartSubmoduleFamily(chart_bases(g), g)
 
 
 def family_equal(a: ChartSubmoduleFamily, b: ChartSubmoduleFamily) -> bool:
@@ -547,19 +554,25 @@ def lift_finite_type(
     z_σ^(j·m_σ) that puts it in the chart module T_τ of every other cone
     τ.  Since x lies in T_σ, that is membership in the chart intersection
     N (``gradmod.chart_intersection``), whose reduced basis, relations
-    included, tests it, and j is found by ``gradmod._least_power``.  Some
-    power works exactly when x lies in every (T_τ : z_σ^∞), that is in
-    (N : z_σ^∞), as the colon commutes with intersections: one saturation
-    per cone, built only when some generator needs j > 1, so a refusal is
-    certified.  The result is the reduced basis of the cleared generators
-    and the relations."""
+    included, tests it, and j is found by ``gradmod._least_power``.
+
+    Some power works for a family that ``xi_forward`` built from a
+    submodule g of f (``t.source``): with R the relations,
+    T_σ = (g + R : z_σ^∞) and g + R ⊆ N ⊆ T_σ, so (N : z_σ^∞) = T_σ,
+    which holds x.  The search then takes no colon.  For any other family,
+    some power works exactly when x lies in every (T_τ : z_σ^∞), that is
+    in (N : z_σ^∞), as the colon commutes with intersections: one
+    saturation per cone, built only when some generator needs j > 1, so a
+    refusal is certified.  The result is the reduced basis of the cleared
+    generators and the relations."""
     cox = f.cox
     meet = chart_intersection(f, t.charts)
+    built = t.source is not None and t.source.ambient is f
     gens = []
     for key in sorted(t.charts):
         z = cox.zhat[key]
         step = tuple(cox.m_exponents[key] * zi for zi in z)
-        colon = cache(lambda z=z: saturate_at(GradedSubmodule(f, meet), z))
+        colon = None if built else cache(lambda z=z: saturate_at(GradedSubmodule(f, meet), z))
         for x in t.charts[key]:
             j = _least_power(x, step, meet, colon)
             if j is None:

@@ -305,6 +305,34 @@ def test_groebner_basis_equals_reference():
     assert 2 * singles >= elements
 
 
+def test_monomial_reduced_basis_equals_reference():
+    # Single terms of rank 1-3 with repeated terms, terms that divide
+    # others, non-unit coefficients and zero elements: their minimal terms
+    # per position, monic, are the reference's reduced POT basis, both of
+    # the terms themselves (a basis already) and of the engine's basis.
+    rng = random.Random(20261104)
+    repeated = divided = 0
+    for _ in range(200):
+        rank, nvars = rng.randint(1, 3), rng.randint(1, 3)
+        gens, terms = [], []
+        for _ in range(rng.randint(1, 6)):
+            if terms and rng.random() < 0.3:
+                pos, e = rng.choice(terms)
+                e = tuple(a + rng.randint(0, 1) for a in e)
+            else:
+                pos, e = rng.randrange(rank), tuple(rng.randint(0, 3) for _ in range(nvars))
+            c = rng.choice([1, -1, 2] + _RATIONAL) if rng.random() < 0.9 else 0
+            gens.append(tuple(poly({e: c}) if j == pos else {} for j in range(rank)))
+            terms += [(pos, e)] if c else []
+        repeated += len(set(terms)) < len(terms)
+        divided += any(i == j and e != f and all(map(int.__le__, e, f))
+                       for i, e in terms for j, f in terms)
+        want = tuple(oracles.reduced_basis(oracles.module_groebner_basis(gens, POT), POT))
+        assert reduced_basis(gens) == want, gens
+        assert reduced_basis(module_groebner_basis(gens)) == want, gens
+    assert repeated >= 20 and divided >= 20
+
+
 def test_saturation_equals_iterated_colon():
     rng = random.Random(20261020)
     for _ in range(160):

@@ -424,9 +424,61 @@ def test_kill_power_is_exact_beyond_sixteen(p2_cox):
 
 @pytest.mark.parametrize("k", [1, 100000])
 def test_kill_table_needs_logarithmically_many_tests(p2_cox, monkeypatch, k):
-    # Z1^k kills the generator where Z1 is inverted.  After the kernel test
-    # of e_1, doubling and bisection test 2·ceil(log2 k) powers, one when
-    # k = 1.
+    # Relations Z1^k·e_0 - Z2^k·e_1 and Z2·e_1: Z1^k kills e_0 where Z1 is
+    # inverted, and the binomial keeps the search off the exponents.
+    # After the kernel test of e_0, doubling and bisection test
+    # 2·ceil(log2 k) powers of it, one when k = 1; e_0 lies outside the
+    # other two kernels, so no other power of it is tested.
+    powers = []
+    real = gradmod.module_contains
+
+    def counted(gb, x):
+        if any(any(e) for e in x[0]):
+            powers.append(x)
+        return real(gb, x)
+
+    monkeypatch.setattr(gradmod, "module_contains", counted)
+    A = p2_cox.grading.class_group
+    rels = (({(k, 0, 0): Fraction(1)}, {(0, k, 0): Fraction(-1)}), ({}, {(0, 1, 0): Fraction(1)}))
+    table = gradmod.kill_table(GradedModulePresentation(p2_cox, (A.zero(),) * 2, rels))
+    by_zhat = {(i, p2_cox.zhat[key]): v for (i, key), v in table.items() if v is not None}
+    assert by_zhat == {(0, (1, 0, 0)): k, (1, (0, 1, 0)): 1}
+    assert 1 <= len(powers) <= 2 * math.ceil(math.log2(k)) + 1
+
+
+def _z1_power_times_binomial(ring, k):
+    return GradedSubmodule(ring, (({(k, 1, 0): Fraction(1), (k, 0, 1): Fraction(-1)},),))
+
+
+@pytest.mark.parametrize("k", [1, 100000])
+def test_lift_needs_logarithmically_many_tests(p2_ring, monkeypatch, k):
+    # The generator Z2 - Z3 of the chart of Z1 needs Z1^k to enter
+    # <Z1^k·(Z2 - Z3)>, the chart module of Z2 and of Z3.  The search
+    # tests 2·ceil(log2 k) + 1 powers of it at most and every chart
+    # generator once at j = 0; a family built by xi_forward takes no
+    # colon.  Counting up made k + 1 tests.
+    sub = _z1_power_times_binomial(p2_ring, k)
+    t = xi_forward(sub)
+    tests = []
+    real = gradmod.module_contains
+
+    def counted(gb, x):
+        tests.append(x)
+        return real(gb, x)
+
+    monkeypatch.setattr(gradmod, "module_contains", counted)
+    monkeypatch.setattr(sheaf, "module_contains", counted)
+    lifted = lift_finite_type(t, p2_ring)
+    assert lifted.element_generators == reduced_basis(module_groebner_basis(sub.element_generators))
+    generators = sum(map(len, t.charts.values()))
+    assert len(tests) <= 2 * math.ceil(math.log2(k)) + 1 + generators
+
+
+@pytest.mark.parametrize("k", [1, 17, 100000])
+def test_monomial_least_powers_are_read_off_the_exponents(p2_cox, p2_ring, monkeypatch, k):
+    # Z1^k kills S/<Z1^k> where Z1 is inverted, and the unit on the chart
+    # of Z1 needs Z1^k to enter <Z1^k>: both are read off the exponents,
+    # with no membership test of a power.
     powers = []
     real = gradmod.module_contains
 
@@ -438,29 +490,27 @@ def test_kill_table_needs_logarithmically_many_tests(p2_cox, monkeypatch, k):
     monkeypatch.setattr(gradmod, "module_contains", counted)
     table = gradmod.kill_table(quotient_by_monomial_ideal(p2_cox, [(k, 0, 0)]))
     assert [v for v in table.values() if v is not None] == [k]
-    assert len(powers) <= 2 * math.ceil(math.log2(k)) + 1
-
-
-@pytest.mark.parametrize("k", [1, 100000])
-def test_lift_needs_logarithmically_many_tests(p2_ring, monkeypatch, k):
-    # The unit on the chart of Z1 needs Z1^k to enter <Z1^k>, the chart
-    # module of Z2 and of Z3.  The search tests 2·ceil(log2 k) + 1 powers
-    # of it at most, every chart generator once at j = 0, and the unit
-    # once against the colon.  Counting up made k + 1 tests.
     t = xi_forward(_submodule(p2_ring, [(k, 0, 0)]))
-    tests = []
-    real = gradmod.module_contains
+    assert lift_finite_type(t, p2_ring).element_generators == _submodule(p2_ring, [(k, 0, 0)]).element_generators
+    assert powers == []
 
-    def counted(gb, x):
-        tests.append(x)
-        return real(gb, x)
 
-    monkeypatch.setattr(gradmod, "module_contains", counted)
-    monkeypatch.setattr(sheaf, "module_contains", counted)
+def test_lift_of_a_built_family_takes_no_colon(p2_ring, monkeypatch):
+    # Z2 - Z3 on the chart of Z1 needs Z1^7.  The family xi_forward built
+    # from <Z1^7·(Z2 - Z3)> saturates nothing to lift; the same charts
+    # given by hand saturate once, on that chart, for the same lift.
+    sub = _z1_power_times_binomial(p2_ring, 7)
+    t = xi_forward(sub)
+    saturations = []
+    real = sheaf.saturate_at
+    monkeypatch.setattr(sheaf, "saturate_at", lambda g, z: saturations.append(tuple(z)) or real(g, z))
     lifted = lift_finite_type(t, p2_ring)
-    assert lifted.element_generators == _submodule(p2_ring, [(k, 0, 0)]).element_generators
-    generators = sum(map(len, t.charts.values()))
-    assert len(tests) <= 2 * math.ceil(math.log2(k)) + 1 + generators + 1
+    assert saturations == []
+    assert lifted.element_generators == reduced_basis(module_groebner_basis(sub.element_generators))
+    assert family_equal(xi_forward(lifted), t)
+    by_hand = lift_finite_type(sheaf.ChartSubmoduleFamily(dict(t.charts)), p2_ring)
+    assert saturations == [(1, 0, 0)]
+    assert by_hand == lifted
 
 
 def test_a_generator_among_the_relations_is_killed_by_the_zeroth_power(p2_cox):
@@ -485,7 +535,7 @@ def _least_kill_power(rels, i, z, bound):
     return None
 
 
-@pytest.mark.parametrize("name", ["p2", "p112", "p1xp1"])
+@pytest.mark.parametrize("name", ["p2", "p112", "p1xp1", "f2", "p1cubed"])
 def test_kill_table_matches_count_up_oracle(name):
     # Random monomial modules of rank 1-2, exponents up to 20: a power of
     # the cone monomial that kills a generator is at most the largest
