@@ -4,6 +4,9 @@ A module is a free module with one generator per listed degree, modulo a
 list of homogeneous relation rows.  On top of the presentation sit degree
 components (exact rational vector spaces), submodule membership, colon /
 saturation against the restricted irrelevant ideal, and torsion detection.
+The saturation is the intersection of the chart modules, met one pair at
+a time: a chart nested in the other is read off by exact membership
+tests, and only charts that are not nested take a basis in F ⊕ F.
 """
 
 from __future__ import annotations
@@ -179,11 +182,12 @@ def saturate_at(g: GradedSubmodule, z):
         return _monomial_rows(f.rank, [groeb.monomial_ideal_saturate(m, z) for m in exps])
     grading = f.cox.grading
     w = positive_weight_vector(grading.delta_basis)
-    if w is None and any(z):
-        return reduced_basis(module_saturate_element(gens, {tuple(z): 1}, f.rank, f.nvars))
-    for j in (j for j, x in enumerate(z) if x):
+    if any(z):
+        if w is None:
+            return reduced_basis(module_saturate_element(gens, {tuple(z): 1}, f.rank, f.nvars))
         shifts = [sum(map(mul, w, grading.a_map.lift(d))) for d in f.generator_degrees]
-        gens = module_saturate_variable(gens, j, w, shifts)
+        for j in (j for j, x in enumerate(z) if x):
+            gens = module_saturate_variable(gens, j, w, shifts)
     return reduced_basis(module_groebner_basis(gens))
 
 
@@ -202,13 +206,27 @@ def chart_bases(g: GradedSubmodule):
     return _LAST_CHARTS[1]
 
 
+def _meet(a, b):
+    """The reduced basis of A ∩ B, A and B given by their reduced POT
+    bases a and b.  Membership in a Groebner basis is exact, so when every
+    element of a lies in B, A ⊆ B and A ∩ B = A, whose reduced basis is a;
+    likewise b when B ⊆ A.  Only charts that are not nested are met in
+    F ⊕ F (``module_intersection``)."""
+    if all(module_contains(b, x) for x in a):
+        return a
+    if all(module_contains(a, x) for x in b):
+        return b
+    return reduced_basis(module_intersection(a, b))
+
+
 def chart_intersection(f: GradedModulePresentation, charts):
     """The reduced basis of the intersection of the chart modules of a
     dict of reduced bases in f, kept for the same dict (``is``).  Monomial
     charts, and no charts at all, meet position by position as monomial
-    ideals, from the unit ideal.  Otherwise each running intersection, a
-    POT Groebner basis read off one basis in F ⊕ F, is cut to its reduced
-    basis."""
+    ideals, from the unit ideal.  Otherwise the charts are met one at a
+    time (``_meet``): a running intersection nested in the next chart, or
+    holding it, is read off by containment tests, and only two charts
+    that are not nested take a basis in F ⊕ F, cut to its reduced basis."""
     if _LAST_MEET[0] is not charts:
         bases = list(charts.values())
         if all(groeb.m_is_monomial(x) for basis in bases for x in basis):
@@ -217,7 +235,7 @@ def chart_intersection(f: GradedModulePresentation, charts):
             ideals = [reduce(groeb.monomial_ideal_intersection, p, unit) for p in parts]
             meet = _monomial_rows(f.rank, ideals)
         else:
-            meet = reduce(lambda a, b: reduced_basis(module_intersection(a, b)), bases)
+            meet = reduce(_meet, bases)
         _LAST_MEET[:] = charts, meet
     return _LAST_MEET[1]
 
@@ -275,11 +293,12 @@ def kill_table(f: GradedModulePresentation):
     in the relation module, z the cone monomial (``_least_power``), or
     None when no power of z kills e_i: when e_i lies outside the
     localization kernel (relations : z^inf), the chart basis of the empty
-    submodule (``chart_bases``), tested before any power."""
+    submodule (``chart_bases``), which is the search's colon.  Monomial
+    relations decide every entry from the exponents."""
     kernels = chart_bases(GradedSubmodule(f, ()))
     rel_gb = module_groebner_basis(list(f.relations))
     zhat = f.cox.zhat
-    return {(i, key): _least_power(e, zhat[key], rel_gb) if module_contains(kernel, e) else None
+    return {(i, key): _least_power(e, zhat[key], rel_gb, lambda kernel=kernel: kernel)
             for i, e in enumerate(f.units) for key, kernel in kernels.items()}
 
 

@@ -13,15 +13,18 @@ S-vector cancels the two leading coefficients by their cofactors over
 their gcd, a reduction step w <- a*w - q*X^m*b is division-free, and each
 new basis element has its content divided out; a basis element is a
 rational multiple of the one the same steps over the rationals give.
-Each term's order key is computed once per run.  One reduction routine,
-working in place with the same reducer (the first basis element whose
-leading term divides), serves the basis, membership, the exact remainder
-of `m_normal_form` (the scaled remainder over the product of the step
-factors) and the reduced basis; on Fraction operands its step is
-w - (c/b_c)*X^m*b.  Fractions remain in the inputs, in that remainder and
+A single element is its own basis.  Each term's order key is computed
+once per run; a POT key is grevlex on the exponent, so every POT run
+shares one table, cleared when it would pass a fixed size.  One
+reduction routine, working in place with the same reducer (the first
+basis element whose leading term divides), serves the basis, membership,
+the exact remainder of `m_normal_form` (the scaled remainder over the
+product of the step factors) and the reduced basis; on Fraction operands
+its step is w - (c/b_c)*X^m*b.  Fractions remain in the inputs, in that remainder and
 in the reduced POT basis, the one canonical form of a submodule: monic,
 so two submodules are equal exactly when their reduced bases are.
-An intersection is one POT basis in F ⊕ F.  Saturation of a homogeneous
+An intersection is one POT basis in F ⊕ F (``gradmod`` meets nested
+chart modules by membership tests first).  Saturation of a homogeneous
 submodule by one variable x_j is one basis under a weighted revlex order
 with x_j last, each element then divided by its largest power of x_j
 (Bayer's method).  Saturation by any element f is one basis under ELIM,
@@ -135,8 +138,12 @@ def _pot_key(term):
 POT = ModuleOrder(_pot_key)  # position over term, grevlex on the ring
 
 
+_KEYS_MAX = 1 << 16  # entries a key table holds before it is cleared
+
+
 class _Keys(dict):
-    """Exponent -> its order key, each computed once by `key`."""
+    """Exponent -> its order key, each computed by `key` once until the
+    table, cleared when it would pass ``_KEYS_MAX`` entries, forgets it."""
 
     __slots__ = ("key",)
 
@@ -144,17 +151,23 @@ class _Keys(dict):
         self.key = key
 
     def __missing__(self, e):
+        if len(self) >= _KEYS_MAX:
+            self.clear()
         k = self[e] = self.key(e)
         return k
+
+
+_POT_KEYS = _Keys(_grevlex_key)  # one table per process: a grevlex key is its exponent's
 
 
 def _leader(order, rank):
     """m_leading_term under `order` for elements of rank `rank`, with each
     term's key computed once over the life of the returned function.
     Under POT a lower position always wins, so the leading term is the
-    first nonzero position's largest."""
+    first nonzero position's largest, and every POT leader shares the one
+    table ``_POT_KEYS``, as the grevlex key depends on the exponent only."""
     if order is POT:
-        ring = _Keys(_grevlex_key).__getitem__
+        ring = _POT_KEYS.__getitem__
 
         def lead(x):
             for i, p in enumerate(x):
@@ -295,9 +308,12 @@ def module_groebner_basis(gens, order=POT):
     pair of two single-term elements is never queued, as its S-vector is
     zero.  Leading terms are computed once, when an element joins the
     basis.  The elements are primitive: the generators scaled, then each
-    remainder with its content divided out."""
+    remainder with its content divided out.  Fewer than two primitive
+    generators are their own basis: a single element has no S-pair."""
     basis = [_primitive(g) for g in gens if not m_is_zero(g)]
-    lead = _leader(order, len(basis[0]) if basis else 0)
+    if len(basis) < 2:
+        return basis
+    lead = _leader(order, len(basis[0]))
     lts = [lead(g) for g in basis]
     single = [m_is_monomial(g) for g in basis]
     heap, pending = [], set()

@@ -26,6 +26,8 @@ intersection's basis and the window-degree multiples of its elements
 outside the window, and the lift searches least powers against that basis.
 A family keeps the submodule ``xi_forward`` built it from, and its lift
 then needs no colon: some power is proven to clear every chart generator.
+A lift whose cleared generators hold the intersection's reduced basis is
+the intersection, returned with no Groebner basis.
 """
 
 from __future__ import annotations
@@ -564,7 +566,14 @@ def lift_finite_type(
     in (N : z_σ^∞), as the colon commutes with intersections: one
     saturation per cone, built only when some generator needs j > 1, so a
     refusal is certified.  The result is the reduced basis of the cleared
-    generators and the relations."""
+    generators and the relations.
+
+    That module L is N itself when every element of N's reduced basis is
+    among the cleared generators, and then ``meet`` is returned with no
+    Groebner basis.  Proof: each cleared generator z_σ^(j·m_σ)·x lies in N,
+    as j is the least power that membership in N's basis (or, for single
+    terms, divisibility, which is exact) accepts, and R ⊆ N, so L ⊆ N; N's
+    basis lies in L, so N ⊆ L.  N's reduced basis is then L's."""
     cox = f.cox
     meet = chart_intersection(f, t.charts)
     built = t.source is not None and t.source.ambient is f
@@ -579,4 +588,6 @@ def lift_finite_type(
                 raise Unstabilized("chart generator lies in no chart module after "
                                    "clearing by any power of its cone monomial")
             gens.append(m_term_mul(x, tuple(j * s for s in step), _ONE))
+    if all(b in gens for b in meet):
+        return GradedSubmodule(f, meet)
     return GradedSubmodule(f, reduced_basis(module_groebner_basis(gens + list(f.relations))))

@@ -443,6 +443,20 @@ def test_torsion_of_a_rank_two_module(tmp_path, p2):
     assert [(c["generator"], c["power"]) for c in payload["certificate"]] == [(0, 1)]
 
 
+@pytest.mark.parametrize("k", [1, 5])
+def test_torsion_of_a_monomial_quotient_makes_no_membership_test(p2, monkeypatch, k):
+    # S/<Z1^k> on p2: every kill-table entry is read off the exponents, a
+    # None included, so no Groebner reduction runs.
+    calls = []
+    real = gradmod.module_contains
+    monkeypatch.setattr(gradmod, "module_contains", lambda gb, x: calls.append(x) or real(gb, x))
+    code, out = _run(["module", "torsion", p2, "--ideal", f"Z1^{k}"])
+    assert code == 0, out
+    payload = json.loads(out)
+    assert payload["is_torsion"] is False
+    assert calls == []
+
+
 def test_torsion_refuses_a_module_with_an_ideal(tmp_path, p2):
     # Both options name the module; neither is dropped in silence.
     mod = tmp_path / "free.json"

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from coxfan import corpus
+from coxfan import corpus, groeb
 from coxfan.groeb import (
     ELIM,
     POT,
@@ -386,3 +386,37 @@ def test_reduction_kernel_equals_reference():
                     s_vectors += 1
         assert (_items(x), [_items(b) for b in basis]) == before
     assert reduced >= 200 and s_vectors >= 200
+
+
+def test_one_element_is_its_own_basis():
+    # A single element has no S-pair: the basis is the element made
+    # primitive, under POT and under ELIM, and a reference run agrees.
+    rng = random.Random(20261020)
+    for _ in range(40):
+        rank, nvars = rng.randint(1, 3), rng.randint(1, 3)
+        x = _random_element(rng, rank, nvars, False)
+        if m_is_zero(x):
+            continue
+        for order in (POT, ELIM):
+            (b,) = module_groebner_basis([x], order)
+            assert all(type(c) is int for p in b for c in p.values())
+            assert _proportional(b, x)
+            want = oracles.module_groebner_basis([x], order)
+            assert reduced_basis([b]) == reduced_basis(want)
+    assert module_groebner_basis([]) == [] and module_groebner_basis([({},)]) == []
+
+
+def test_pot_key_table_is_shared_and_bounded(monkeypatch):
+    # Every POT leader reads the one process-wide grevlex table, which is
+    # cleared before it would pass _KEYS_MAX entries; answers do not change.
+    lead = groeb._leader(POT, 1)
+    x = ({(i, 300 - i, 7): Fraction(i + 1) for i in range(300)},)
+    assert lead(x) == m_leading_term(x, POT) == ((0, (299, 1, 7)), Fraction(300))
+    assert (5, 295, 7) in groeb._POT_KEYS
+    big = ({(i, 2 * groeb._KEYS_MAX - i): Fraction(1) for i in range(groeb._KEYS_MAX + 100)},)
+    lead(big)
+    assert len(groeb._POT_KEYS) <= groeb._KEYS_MAX
+    monkeypatch.setattr(groeb, "_KEYS_MAX", 16)
+    gens = [(poly({(i, 0, 2): 1, (0, i, 2): -1}),) for i in range(1, 12)]
+    assert reduced_basis(module_groebner_basis(gens)) == reduced_basis(oracles.module_groebner_basis(gens, POT))
+    assert len(groeb._POT_KEYS) <= 16

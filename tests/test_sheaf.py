@@ -1,5 +1,6 @@
 """Chart covers, global sections, and the module/submodule correspondences."""
 
+import functools
 import itertools
 import math
 import random
@@ -21,7 +22,16 @@ from coxfan.gradmod import (
     submodules_equal,
 )
 from coxfan.grading import classify_subgroup, subgroup_of_whole_group
-from coxfan.groeb import ELIM, POT, module_groebner_basis, module_saturate_element, reduced_basis
+from coxfan.groeb import (
+    ELIM,
+    POT,
+    m_term_mul,
+    module_contains,
+    module_groebner_basis,
+    module_intersection,
+    module_saturate_element,
+    reduced_basis,
+)
 from coxfan.sheaf import (
     eta_component_is_bijective,
     family_equal,
@@ -426,9 +436,10 @@ def test_kill_power_is_exact_beyond_sixteen(p2_cox):
 def test_kill_table_needs_logarithmically_many_tests(p2_cox, monkeypatch, k):
     # Relations Z1^k·e_0 - Z2^k·e_1 and Z2·e_1: Z1^k kills e_0 where Z1 is
     # inverted, and the binomial keeps the search off the exponents.
-    # After the kernel test of e_0, doubling and bisection test
-    # 2·ceil(log2 k) powers of it, one when k = 1; e_0 lies outside the
-    # other two kernels, so no other power of it is tested.
+    # Doubling and bisection test 2·ceil(log2 k) + 1 powers of Z1 at most,
+    # one when k = 1; e_0 lies outside the other two kernels, the search's
+    # colons, so there only Z2·e_0 and Z3·e_0 are tested before the colon
+    # refuses.
     powers = []
     real = gradmod.module_contains
 
@@ -443,7 +454,9 @@ def test_kill_table_needs_logarithmically_many_tests(p2_cox, monkeypatch, k):
     table = gradmod.kill_table(GradedModulePresentation(p2_cox, (A.zero(),) * 2, rels))
     by_zhat = {(i, p2_cox.zhat[key]): v for (i, key), v in table.items() if v is not None}
     assert by_zhat == {(0, (1, 0, 0)): k, (1, (0, 1, 0)): 1}
-    assert 1 <= len(powers) <= 2 * math.ceil(math.log2(k)) + 1
+    of_z1 = [x for x in powers if all(e[1:] == (0, 0) for e in x[0])]
+    assert 1 <= len(of_z1) <= 2 * math.ceil(math.log2(k)) + 1
+    assert sorted(e for x in powers if x not in of_z1 for e in x[0]) == [(0, 0, 1), (0, 1, 0)]
 
 
 def _z1_power_times_binomial(ring, k):
@@ -456,9 +469,11 @@ def test_lift_needs_logarithmically_many_tests(p2_ring, monkeypatch, k):
     # <Z1^k·(Z2 - Z3)>, the chart module of Z2 and of Z3.  The search
     # tests 2·ceil(log2 k) + 1 powers of it at most and every chart
     # generator once at j = 0; a family built by xi_forward takes no
-    # colon.  Counting up made k + 1 tests.
+    # colon.  Counting up made k + 1 tests.  The chart intersection is
+    # built first, so only the search's tests are counted.
     sub = _z1_power_times_binomial(p2_ring, k)
     t = xi_forward(sub)
+    gradmod.chart_intersection(p2_ring, t.charts)
     tests = []
     real = gradmod.module_contains
 
@@ -1224,6 +1239,92 @@ def test_generated_binomial_round_trips(name):
         assert family_equal(xi_forward(lift_finite_type(family, f)), family), ideal
 
 
+NINE_FANS = ["p2", "p1xp1", "f2", "p112", "three_rays", "p3", "dp6", "quadric_cone", "p1cubed"]
+
+
+def _generated_modules(c, rng, count):
+    """(free module, generated elements) pairs on c's fan: binomial ideals
+    and, every second draw, rank-2 modules (``random_homogeneous_elements``)."""
+    g = c.grading
+    rays = g.fan.ray_index
+    for k in range(count):
+        shift, f = None, free_module(c)
+        if k % 2:
+            shift = tuple(rng.randint(0, 1) for _ in rays)
+            f = free_module(c, [g.class_group.zero(), g.a_map(shift)])
+        yield f, oracles.random_homogeneous_elements(rng, rays, rng.randint(1, 2), shift)
+
+
+def _lift_by_groebner(t, f):
+    """The finite-type lift with every result from its Groebner basis: the
+    same least powers, then the reduced basis of the cleared generators and
+    the relations; None where some generator has no power."""
+    cox = f.cox
+    meet = gradmod.chart_intersection(f, t.charts)
+    gens = []
+    for key in sorted(t.charts):
+        z = cox.zhat[key]
+        step = tuple(cox.m_exponents[key] * a for a in z)
+        for x in t.charts[key]:
+            j = gradmod._least_power(x, step, meet, lambda z=z: gradmod.saturate_at(GradedSubmodule(f, meet), z))
+            if j is None:
+                return None
+            gens.append(m_term_mul(x, tuple(j * s for s in step), Fraction(1)))
+    return reduced_basis(module_groebner_basis(gens + list(f.relations)))
+
+
+@pytest.mark.parametrize("name", NINE_FANS)
+def test_meets_and_lifts_match_the_groebner_paths(name):
+    # Generated binomial ideals and rank-2 modules on the nine fans, with
+    # their chart family and with one chart taken from their first
+    # generator's: the chart intersection, which meets nested charts by
+    # containment, is the plain F ⊕ F fold of the charts; the lift, which
+    # returns the intersection when it holds the intersection's basis, is
+    # the lift whose result is always a Groebner basis, and refuses where
+    # it does; a built family lifts to a module with the same family and,
+    # where the degree fibers are finite, round trips to the saturation
+    # over a window one variable degree past its generators.  Relations
+    # drawn the same way have a kill table whose every entry is the least
+    # killing power, and every None lies outside the kernel.
+    c = _cox(name)
+    A = c.grading.class_group
+    steps = (A.zero(), *c.grading.ray_degrees)
+    finite = oracles.finite_fibers(c.grading)
+    rng = random.Random(20261020)
+    for k, (f, gens) in enumerate(_generated_modules(c, rng, 6)):
+        sub = GradedSubmodule(f, tuple(gens))
+        built = xi_forward(sub)
+        mixed = dict(built.charts)
+        key = sorted(mixed)[k % len(mixed)]
+        mixed[key] = xi_forward(GradedSubmodule(f, sub.element_generators[:1])).charts[key]
+        for t in (built, sheaf.ChartSubmoduleFamily(mixed)):
+            fold = functools.reduce(lambda a, b: reduced_basis(module_intersection(a, b)), t.charts.values())
+            assert gradmod.chart_intersection(f, t.charts) == fold, gens
+            want = _lift_by_groebner(t, f)
+            try:
+                got = lift_finite_type(t, f).element_generators
+            except sheaf.Unstabilized:
+                got = None
+            assert got == want, gens
+        assert family_equal(xi_forward(lift_finite_type(built, f)), built), gens
+        if finite:
+            sat = saturate_submodule(sub)
+            window = {A.add(f.element_degree(x), d) for x in sat.element_generators for d in steps}
+            pre = xi_preimage(built, f, sorted(window, key=lambda a: a.coords()))
+            assert pre.element_generators == sat.element_generators, gens
+        q = GradedModulePresentation(c, f.generator_degrees, tuple(gens))
+        rel_gb = module_groebner_basis(gens)
+        kernels = gradmod.chart_bases(GradedSubmodule(q, ()))
+        for (i, key), power in gradmod.kill_table(q).items():
+            e = q.units[i]
+            z = c.zhat[key]
+            if power is None:
+                assert not module_contains(kernels[key], e), gens
+                continue
+            assert module_contains(rel_gb, m_term_mul(e, tuple(power * a for a in z), 1)), gens
+            assert power == 0 or not module_contains(rel_gb, m_term_mul(e, tuple((power - 1) * a for a in z), 1))
+
+
 def _component_meet(f, family, alpha):
     """A basis of the degree-alpha vectors that lie in every chart module,
     as module elements: the chart components, intersected densely by the
@@ -1280,18 +1381,24 @@ def test_xi_check_saturates_each_chart_once(name, monkeypatch):
     # The chart bases and their intersection are kept for the last
     # submodule and the last charts dict, by identity: the saturation and
     # the round trip of sheaf xi-check saturate each chart and intersect
-    # the charts once, and an equal but distinct submodule computes its own.
+    # the charts once, in n - 1 pairwise meets, and an equal but distinct
+    # submodule computes its own.  These charts are nested, so no meet
+    # takes a basis in F ⊕ F; charts that are not nested, those of
+    # Z1·Z2·(Z1 - Z3) on p2 and of Z1·Z3·(Z1 - Z2) on p1xp1, do.
     c = _cox(name)
     f = free_module(c)
     A = c.grading.class_group
-    saturations, meets = [], []
-    real_at, real_meet = gradmod.saturate_at, gradmod.module_intersection
+    saturations, meets, intersections = [], [], []
+    real_at, real_meet, real_inter = gradmod.saturate_at, gradmod._meet, gradmod.module_intersection
     monkeypatch.setattr(gradmod, "saturate_at", lambda g, z: saturations.append(g) or real_at(g, z))
-    monkeypatch.setattr(gradmod, "module_intersection", lambda *a: meets.append(a) or real_meet(*a))
+    monkeypatch.setattr(gradmod, "_meet", lambda *a: meets.append(a) or real_meet(*a))
+    monkeypatch.setattr(gradmod, "module_intersection", lambda *a: intersections.append(a) or real_inter(*a))
     one = Fraction(1)
-    ideal = {
-        "p2": [{(1, 1, 0): one, (0, 0, 2): -one}, {(1, 0, 1): one, (0, 2, 0): -2 * one}],
-        "p1xp1": [{(1, 0, 1, 0): one, (0, 1, 0, 1): -one}, {(1, 0, 0, 1): one, (0, 1, 1, 0): 2 * one}],
+    ideal, distinct = {
+        "p2": ([{(1, 1, 0): one, (0, 0, 2): -one}, {(1, 0, 1): one, (0, 2, 0): -2 * one}],
+               {(2, 1, 0): one, (1, 1, 1): -one}),
+        "p1xp1": ([{(1, 0, 1, 0): one, (0, 1, 0, 1): -one}, {(1, 0, 0, 1): one, (0, 1, 1, 0): 2 * one}],
+                  {(2, 0, 1, 0): one, (1, 1, 1, 0): -one}),
     }[name]
     sub = GradedSubmodule(f, tuple((p,) for p in ideal))
     window = _lex_window(c, (3,) * A.free_rank)
@@ -1306,6 +1413,11 @@ def test_xi_check_saturates_each_chart_once(name, monkeypatch):
     assert saturate_submodule(twin).element_generators == sat.element_generators
     assert len(saturations) == 2 * n and all(g is twin for g in saturations[n:])
     assert len(meets) == 2 * (n - 1)
+    assert intersections == []
+    apart = GradedSubmodule(f, ((distinct,),))
+    assert saturate_submodule(apart).element_generators == apart.element_generators
+    assert len(meets) == 3 * (n - 1)
+    assert len(intersections) == 1
 
 
 # Two-binomial saturations that took 127 s, 5.2 s and more than 460 s
