@@ -12,7 +12,8 @@ P(1,1,2), quadric_cone, three_rays, P3, dP6 and (P1)^3, that
 xi_preimage(xi_forward(I)) is the saturation of I (the iterated colon for
 monomial ideals; not on quadric_cone and three_rays, whose degree fibers
 are infinite) and that
-xi_forward(lift_finite_type(T)) equals T for the family T of I.  With
+xi_forward(lift_finite_type(T)) equals T for the family T of I, and so
+do the lift's charts saturated one by one with no cache.  With
 ``--torsion N`` it checks the kill table of N random quotients of rank 1
 or 2 on those nine fans, by monomial relations (exponents up to 20), by
 generated binomial ones, or (every third) by a fattened ideal of the
@@ -58,6 +59,7 @@ from coxfan.gradmod import (  # noqa: E402
     free_module,
     is_torsion,
     kill_table,
+    saturate_at,
     saturate_submodule,
     submodules_equal,
 )
@@ -188,10 +190,12 @@ def _round_trip(f, sub, degrees):
     """xi_preimage(xi_forward(N)) over the given degrees, each also one
     variable degree further, or None where the degree fibers are
     infinite, and whether the finite-type lift of the family has the same
-    family."""
+    family, read by ``xi_forward`` and saturated afresh chart by chart."""
     A = f.cox.grading.class_group
     family = xi_forward(sub)
-    lift_ok = family_equal(xi_forward(lift_finite_type(family, f)), family)
+    lift = lift_finite_type(family, f)
+    cold = {key: saturate_at(lift, f.cox.zhat[key]) for key in f.cox.maximal_keys}
+    lift_ok = family_equal(xi_forward(lift), family) and cold == family.charts
     if not oracles.finite_fibers(f.cox.grading):
         return None, lift_ok
     window = {A.add(a, d) for a in degrees for d in (A.zero(), *f.cox.grading.ray_degrees)}

@@ -6,7 +6,10 @@ components (exact rational vector spaces), submodule membership, colon /
 saturation against the restricted irrelevant ideal, and torsion detection.
 The saturation is the intersection of the chart modules, met one pair at
 a time: a chart nested in the other is read off by exact membership
-tests, and only charts that are not nested take a basis in F ⊕ F.
+tests, and only charts that are not nested take a basis in F ⊕ F.  The
+chart modules are kept for the last submodule, and read again for the
+same object or for one whose generators are their intersection's
+reduced basis.
 """
 
 from __future__ import annotations
@@ -195,14 +198,29 @@ _LAST_CHARTS = [None, None]  # the last submodule and its chart bases
 _LAST_MEET = [None, None]  # the last charts dict and its chart intersection
 
 
-def chart_bases(g: GradedSubmodule):
-    """Maximal cone key -> ``saturate_at(g, z)``, z the cone monomial: the
-    chart modules of g, relations included.  The last submodule's dict is
-    returned again for the same object (``is``, not equal content), so
-    ``saturate_submodule(g)`` then ``xi_forward(g)`` saturate once."""
-    if _LAST_CHARTS[0] is not g:
-        cox = g.ambient.cox
-        _LAST_CHARTS[:] = g, {key: saturate_at(g, cox.zhat[key]) for key in cox.maximal_keys}
+def chart_bases(h: GradedSubmodule):
+    """Maximal cone key -> ``saturate_at(h, z)``, z the cone monomial: the
+    chart modules of h, relations included.  The last submodule's dict is
+    returned again for the same object (``is``), so
+    ``saturate_submodule(h)`` then ``xi_forward(h)`` saturate once.  It is
+    returned too, and h kept in its place, when h's generators are the
+    reduced basis of those charts' intersection N, in the same ambient, as
+    the lift of a family's often are.  Proof: with g the last submodule, R
+    the relations and T_σ = (g + R : z_σ^∞), every T_σ holds g + R, so N
+    does and h + R = N; saturation is monotone, N ⊆ T_σ and T_σ is
+    z_σ-saturated, so T_σ ⊆ (N : z_σ^∞) ⊆ (T_σ : z_σ^∞) = T_σ, and the
+    reduced basis of a module is unique."""
+    g, charts = _LAST_CHARTS
+    if g is not h:
+        if not (
+            g is not None
+            and g.ambient is h.ambient
+            and _LAST_MEET[0] is charts
+            and h.element_generators == _LAST_MEET[1]
+        ):
+            cox = h.ambient.cox
+            charts = {key: saturate_at(h, cox.zhat[key]) for key in cox.maximal_keys}
+        _LAST_CHARTS[:] = h, charts
     return _LAST_CHARTS[1]
 
 

@@ -21,9 +21,11 @@ reduced POT Groebner bases, relations included, so equal modules are
 equal tuples.  ``xi_forward`` reads one chart family per submodule
 (``gradmod.chart_bases``), and ``xi_preimage`` and ``lift_finite_type``
 one chart intersection per family (``gradmod.chart_intersection``), each
-kept for the last object by identity: the preimage is generated by the
-intersection's basis and the window-degree multiples of its elements
-outside the window, and the lift searches least powers against that basis.
+kept for the last object by identity; a submodule generated by the
+intersection's reduced basis, as a family's lift often is, reads the
+last family too.  The preimage is generated by the intersection's basis and
+the window-degree multiples of its elements outside the window, and the
+lift searches least powers against that basis.
 A family keeps the submodule ``xi_forward`` built it from, and its lift
 then needs no colon: some power is proven to clear every chart generator.
 A lift whose cleared generators hold the intersection's reduced basis is

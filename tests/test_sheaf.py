@@ -1306,7 +1306,9 @@ def test_meets_and_lifts_match_the_groebner_paths(name):
             except sheaf.Unstabilized:
                 got = None
             assert got == want, gens
-        assert family_equal(xi_forward(lift_finite_type(built, f)), built), gens
+        lift = lift_finite_type(built, f)
+        assert family_equal(xi_forward(lift), built), gens
+        assert {key: gradmod.saturate_at(lift, c.zhat[key]) for key in c.maximal_keys} == built.charts, gens
         if finite:
             sat = saturate_submodule(sub)
             window = {A.add(f.element_degree(x), d) for x in sat.element_generators for d in steps}
@@ -1323,6 +1325,75 @@ def test_meets_and_lifts_match_the_groebner_paths(name):
                 continue
             assert module_contains(rel_gb, m_term_mul(e, tuple(power * a for a in z), 1)), gens
             assert power == 0 or not module_contains(rel_gb, m_term_mul(e, tuple((power - 1) * a for a in z), 1))
+
+
+@pytest.mark.parametrize("name", NINE_FANS)
+def test_xi_reads_the_last_family_for_its_meet_basis(name, monkeypatch):
+    # Generated binomial ideals and rank-2 modules g on the nine fans, each
+    # h read just after g's family T and its intersection N: h takes T
+    # with no saturation exactly when it is generated by N's reduced basis
+    # in g's ambient, and saturates its n charts otherwise.  The
+    # saturation always takes T, and so does the lift where it returns N,
+    # on every fan; the relations alone, g with an element outside N added
+    # and N's basis over an equal but distinct ambient never do; the
+    # lift, an equal but distinct twin of g, the preimage and a monomial
+    # ideal take T where their generators are N's basis.  Every read
+    # equals the charts computed with both caches cleared.  A hand-made
+    # lift that drops one of g's generators fails the family round trip
+    # wherever its charts differ, which happens on every fan.
+    c = _cox(name)
+    n = len(c.maximal_keys)
+    A = c.grading.class_group
+    steps = (A.zero(), *c.grading.ray_degrees)
+    finite = oracles.finite_fibers(c.grading)
+    saturations = []
+    real_at = gradmod.saturate_at
+    monkeypatch.setattr(gradmod, "saturate_at", lambda g, z: saturations.append(g) or real_at(g, z))
+
+    def check(g, h):
+        family = xi_forward(g)
+        meet = gradmod.chart_intersection(g.ambient, family.charts)
+        before = len(saturations)
+        got = xi_forward(h).charts
+        hit = h.ambient is g.ambient and h.element_generators == meet
+        assert (got is family.charts) == hit and len(saturations) - before == (0 if hit else n), g
+        gradmod._LAST_CHARTS[:] = None, None
+        gradmod._LAST_MEET[:] = None, None
+        assert got == xi_forward(h).charts, g
+        return hit, family
+
+    rng = random.Random(20261021)
+    lifts_hit = dropped = 0
+    for f, gens in _generated_modules(c, rng, 6):
+        sub = GradedSubmodule(f, tuple(gens))
+        sat = saturate_submodule(sub)
+        meet = sat.element_generators
+        assert check(sub, sat)[0], gens
+        lift = lift_finite_type(xi_forward(sub), f)
+        hit, family = check(sub, lift)
+        lifts_hit += hit
+        assert family_equal(xi_forward(lift), family), gens
+        q = GradedModulePresentation(c, f.generator_degrees, tuple(gens))
+        twin_f = GradedModulePresentation(c, f.generator_degrees, f.relations)
+        outer = [e for e in f.units if not module_contains(meet, e)]
+        misses = [
+            (GradedSubmodule(q, q.units[:1]), GradedSubmodule(q, ())),
+            (sub, GradedSubmodule(twin_f, meet)),
+            *((sub, GradedSubmodule(f, (*gens, e))) for e in outer[:1]),
+        ]
+        for g, h in misses:
+            assert not check(g, h)[0], gens
+        check(sub, GradedSubmodule(f, tuple(gens)))
+        if finite:
+            window = {A.add(f.element_degree(x), d) for x in meet + sub.element_generators for d in steps}
+            check(sub, xi_preimage(xi_forward(sub), f, sorted(window, key=lambda a: a.coords())))
+        if len(gens) > 1:
+            h = GradedSubmodule(f, tuple(gens[1:]))
+            dropped += not family_equal(xi_forward(h), xi_forward(sub))
+        mono = _submodule(free_module(c), oracles.random_monomial_ideal(rng, c.num_vars))
+        check(mono, GradedSubmodule(mono.ambient, saturate_submodule(mono).element_generators))
+        check(mono, GradedSubmodule(mono.ambient, mono.element_generators))
+    assert lifts_hit and dropped, name
 
 
 def _component_meet(f, family, alpha):
