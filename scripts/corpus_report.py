@@ -10,12 +10,16 @@ Usage:
 
 import argparse
 import json
+import sys
+from pathlib import Path
 
-from coxfan import corpus, grading
-from coxfan.cox import BaseRingFlags
-from coxfan.grading import classify_subgroup, picard_group
-from coxfan.polyfan import fan_properties
-from coxfan.schemeprops import scheme_property_report
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from coxfan import corpus, grading  # noqa: E402
+from coxfan.cox import BaseRingFlags  # noqa: E402
+from coxfan.grading import classify_subgroup, picard_group  # noqa: E402
+from coxfan.polyfan import fan_properties  # noqa: E402
+from coxfan.schemeprops import scheme_property_report  # noqa: E402
 
 
 def describe(name, flags):

@@ -13,7 +13,9 @@ xi_preimage(xi_forward(I)) is the saturation of I (the iterated colon for
 monomial ideals; not on quadric_cone and three_rays, whose degree fibers
 are infinite) and that
 xi_forward(lift_finite_type(T)) equals T for the family T of I, and so
-do the lift's charts saturated one by one with no cache.  With
+do the lift's charts saturated one by one with no cache, and that the
+lift's generators are those of ``oracles.lift_by_groebner``, the lift
+with none of its shortcuts.  With
 ``--torsion N`` it checks the kill table of N random quotients of rank 1
 or 2 on those nine fans, by monomial relations (exponents up to 20), by
 generated binomial ones, or (every third) by a fattened ideal of the
@@ -47,7 +49,9 @@ from fractions import Fraction
 from operator import add
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 import oracles  # noqa: E402
 
 from coxfan import corpus, grading, polyfan  # noqa: E402
@@ -190,12 +194,17 @@ def _round_trip(f, sub, degrees):
     """xi_preimage(xi_forward(N)) over the given degrees, each also one
     variable degree further, or None where the degree fibers are
     infinite, and whether the finite-type lift of the family has the same
-    family, read by ``xi_forward`` and saturated afresh chart by chart."""
+    family, read by ``xi_forward`` and saturated afresh chart by chart,
+    and the generators of ``oracles.lift_by_groebner``."""
     A = f.cox.grading.class_group
     family = xi_forward(sub)
     lift = lift_finite_type(family, f)
     cold = {key: saturate_at(lift, f.cox.zhat[key]) for key in f.cox.maximal_keys}
-    lift_ok = family_equal(xi_forward(lift), family) and cold == family.charts
+    lift_ok = (
+        family_equal(xi_forward(lift), family)
+        and cold == family.charts
+        and lift.element_generators == oracles.lift_by_groebner(family, f)
+    )
     if not oracles.finite_fibers(f.cox.grading):
         return None, lift_ok
     window = {A.add(a, d) for a in degrees for d in (A.zero(), *f.cox.grading.ray_degrees)}

@@ -13,12 +13,16 @@ Usage:
 
 import argparse
 import json
+import sys
+from pathlib import Path
 
-from coxfan import corpus, grading
-from coxfan.cox import BaseRingFlags, build_cox
-from coxfan.grading import subgroup_of_whole_group
-from coxfan.gradmod import free_module
-from coxfan.sheaf import global_sections_degree, sheafify
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from coxfan import corpus, grading  # noqa: E402
+from coxfan.cox import BaseRingFlags, build_cox  # noqa: E402
+from coxfan.grading import subgroup_of_whole_group  # noqa: E402
+from coxfan.gradmod import free_module  # noqa: E402
+from coxfan.sheaf import global_sections_degree, sheafify  # noqa: E402
 
 
 def main():

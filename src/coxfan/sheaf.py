@@ -29,7 +29,9 @@ lift searches least powers against that basis.
 A family keeps the submodule ``xi_forward`` built it from, and its lift
 then needs no colon: some power is proven to clear every chart generator.
 A lift whose cleared generators hold the intersection's reduced basis is
-the intersection, returned with no Groebner basis.
+the intersection, returned with no Groebner basis; so is, with no search,
+the lift of a built family whose intersection basis is made of cone-monomial
+power multiples of its chart generators.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, combinations
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import ratlin
 from ._record import DomainError, Record
@@ -56,6 +58,8 @@ from .gradmod import (
     saturate_at,
 )
 from .groeb import (
+    POT,
+    m_leading_term,
     m_term_mul,
     minimalize_monomials,
     module_contains,
@@ -575,15 +579,28 @@ def lift_finite_type(
     Groebner basis.  Proof: each cleared generator z_σ^(j·m_σ)·x lies in N,
     as j is the least power that membership in N's basis (or, for single
     terms, divisibility, which is exact) accepts, and R ⊆ N, so L ⊆ N; N's
-    basis lies in L, so N ⊆ L.  N's reduced basis is then L's."""
+    basis lies in L, so N ⊆ L.  N's reduced basis is then L's.
+
+    For a built family L is N, with no search, when every element b of
+    N's reduced basis is z_σ^(k·m_σ)·x for a chart generator x of some
+    cone σ and some k >= 0 (``_cleared_multiple``).  Proof: every
+    generator has a least power j, and z_σ^(k·m_σ)·x = b lies in N, so
+    j <= k and b is a multiple of the cleared generator z_σ^(j·m_σ)·x;
+    so N ⊆ L, and L ⊆ N as above.  A family given by hand does not take
+    this rule, as one of its generators may have no power in N and must be
+    refused.  Either way the result is N's reduced basis, ``meet``."""
     cox = f.cox
     meet = chart_intersection(f, t.charts)
     built = t.source is not None and t.source.ambient is f
+    steps = {key: tuple(cox.m_exponents[key] * zi for zi in cox.zhat[key]) for key in t.charts}
+    if built:
+        offers = [(m_leading_term(x, POT)[0], x, steps[key]) for key in t.charts for x in t.charts[key]]
+        if all(_cleared_multiple(b, offers) for b in meet):
+            return GradedSubmodule(f, meet)
     gens = []
     for key in sorted(t.charts):
-        z = cox.zhat[key]
-        step = tuple(cox.m_exponents[key] * zi for zi in z)
-        colon = None if built else cache(lambda z=z: saturate_at(GradedSubmodule(f, meet), z))
+        step = steps[key]
+        colon = None if built else cache(lambda z=cox.zhat[key]: saturate_at(GradedSubmodule(f, meet), z))
         for x in t.charts[key]:
             j = _least_power(x, step, meet, colon)
             if j is None:
@@ -593,3 +610,21 @@ def lift_finite_type(
     if all(b in gens for b in meet):
         return GradedSubmodule(f, meet)
     return GradedSubmodule(f, reduced_basis(module_groebner_basis(gens + list(f.relations))))
+
+
+def _cleared_multiple(b, offers):
+    """Whether the monic b is z^(k·step)·x for some (POT leading term of
+    x, monic x, step) of ``offers`` and some k >= 0.  Multiplying by a
+    monomial keeps the POT leading term, so k is read off lt(b) − lt(x),
+    and one comparison of elements confirms it; x's exponents are shifted
+    with its coefficients kept, as the factor is 1."""
+    (p, e), _ = m_leading_term(b, POT)
+    for (q, a), x, step in offers:
+        if q == p:
+            d = tuple(map(sub, e, a))
+            k = next((di // s for di, s in zip(d, step) if s), 0)
+            if k >= 0 and d == tuple(k * s for s in step) and b == tuple(
+                {tuple(map(add, m, d)): c for m, c in xp.items()} for xp in x
+            ):
+                return True
+    return False

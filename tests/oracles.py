@@ -4,9 +4,11 @@ Everything in this file is deliberately written from scratch, without
 importing the package's own algorithms: naive elementary-operation
 normal forms, half-space elimination by the textbook recipe, explicit
 lattice-point enumeration, and set-based monomial combinatorics.  Tests
-compare the fast implementations against these.  The one exception is
+compare the fast implementations against these.  The two exceptions are
 ``smith_normal_form``, a verbatim copy of the package's earlier two-list
-elimination, which pins the exact transforms of the block-matrix form.
+elimination, which pins the exact transforms of the block-matrix form,
+and ``lift_by_groebner``, the finite-type lift by the package's own least
+powers and Groebner bases, with none of the lift's shortcuts.
 """
 
 from __future__ import annotations
@@ -1382,3 +1384,27 @@ def lift_per_chart(charts, zhat, m_exponents, relations, pot, elim):
                 j += 1
             gens.append(cand)
     return tuple(reduced_basis(module_groebner_basis(gens + list(relations), pot), pot))
+
+
+def lift_by_groebner(t, f):
+    """The finite-type lift of the chart family t of f with every result
+    from its Groebner basis: the package's least powers against the chart
+    intersection, each refusal certified by its saturation, then the
+    reduced basis of the cleared generators and the relations; None where
+    some generator has no power."""
+    from coxfan import gradmod, groeb
+
+    cox = f.cox
+    meet = gradmod.chart_intersection(f, t.charts)
+    gens = []
+    for key in sorted(t.charts):
+        z = cox.zhat[key]
+        step = tuple(cox.m_exponents[key] * a for a in z)
+        for x in t.charts[key]:
+            j = gradmod._least_power(
+                x, step, meet, lambda z=z: gradmod.saturate_at(gradmod.GradedSubmodule(f, meet), z)
+            )
+            if j is None:
+                return None
+            gens.append(groeb.m_term_mul(x, tuple(j * s for s in step), Fraction(1)))
+    return groeb.reduced_basis(groeb.module_groebner_basis(gens + list(f.relations)))

@@ -39,6 +39,19 @@ def test_json_script_runs(script, args):
     assert json.loads(out.stdout)
 
 
+@pytest.mark.parametrize("script", ["corpus_report.py", "sections_scan.py", "random_invariants.py"])
+def test_script_runs_from_a_checkout_without_pythonpath(script, tmp_path):
+    # Each script finds the package in the checkout's src by itself, as
+    # its usage line runs it, from any directory.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    args = ["--cones", "1", "--ideals", "1"] if script == "random_invariants.py" else []
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+
+
 def test_random_invariants_passes():
     out = _run("random_invariants.py", "--cones", "3", "--ideals", "5", "--seed", "1")
     assert out.returncode == 0, out.stderr

@@ -353,6 +353,52 @@ def test_lift_refusal_is_certified(p2_ring):
         lift_finite_type(family, p2_ring)
 
 
+# The binomial ideals of the correspondence benchmark: (coefficient, exponent)
+# terms, None standing for the constant c.
+_BINOMIAL_TEMPLATES = [
+    ("p2", [[(1, (1, 1, 0)), (None, (0, 0, 2))]]),
+    ("p2", [[(1, (2, 0, 0)), (None, (0, 1, 1))], [(1, (1, 1, 0))]]),
+    ("p2", [[(1, (1, 1, 0)), (None, (0, 0, 2))], [(1, (1, 0, 1)), (None, (0, 2, 0))]]),
+    ("p1xp1", [[(1, (1, 0, 1, 0)), (None, (0, 1, 0, 1))]]),
+    ("p1xp1", [[(1, (1, 0, 0, 0)), (None, (0, 1, 0, 0))]]),
+    ("p1xp1", [[(1, (1, 0, 1, 0)), (None, (0, 1, 0, 1))], [(1, (1, 0, 0, 1))]]),
+]
+
+
+def test_built_lift_reads_the_meet_off_power_multiples(monkeypatch):
+    # A built family whose chart intersection N has every basis element a
+    # cone-monomial power multiple of a chart generator lifts to N with no
+    # least-power search: the benchmark's binomial ideals, each with a
+    # seeded coefficient.  <Z1·Z2, Z3> and <Z1·Z3², Z2·Z4> on P1xP1 lift
+    # to less than N and still search; so does a hand-given copy of a built
+    # family, which may hold a generator with no power.  Every lift is the
+    # one whose result is always a Groebner basis.
+    calls = _count_calls(monkeypatch, "_least_power")
+    rng = random.Random(20261020)
+    for name, template in _BINOMIAL_TEMPLATES:
+        f = free_module(_cox(name))
+        c = Fraction(rng.choice([-1, -2, -3, 2, "-1/2", "3/2"]))
+        gens = tuple(({e: c if x is None else Fraction(x) for x, e in p},) for p in template)
+        built = xi_forward(GradedSubmodule(f, gens))
+        calls["_least_power"] = 0
+        lift = lift_finite_type(built, f)
+        assert calls["_least_power"] == 0, template
+        assert lift.element_generators == gradmod.chart_intersection(f, built.charts), template
+        assert lift.element_generators == oracles.lift_by_groebner(built, f), template
+        by_hand = sheaf.ChartSubmoduleFamily(dict(built.charts))
+        calls["_least_power"] = 0
+        assert lift_finite_type(by_hand, f).element_generators == lift.element_generators, template
+        assert calls["_least_power"] > 0, template
+    f = free_module(_cox("p1xp1"))
+    for exps in ([(1, 1, 0, 0), (0, 0, 1, 0)], [(1, 0, 2, 0), (0, 1, 0, 1)]):
+        built = xi_forward(_submodule(f, exps))
+        calls["_least_power"] = 0
+        lift = lift_finite_type(built, f)
+        assert calls["_least_power"] > 0, exps
+        assert lift.element_generators != gradmod.chart_intersection(f, built.charts), exps
+        assert lift.element_generators == oracles.lift_by_groebner(built, f), exps
+
+
 @pytest.mark.parametrize("name", ["p2", "p1xp1", "f2", "p2_2cl"])
 def test_lift_matches_the_per_chart_reference(name, monkeypatch):
     # Seeded monomial and binomial ideals, each with its own chart family
@@ -1255,24 +1301,6 @@ def _generated_modules(c, rng, count):
         yield f, oracles.random_homogeneous_elements(rng, rays, rng.randint(1, 2), shift)
 
 
-def _lift_by_groebner(t, f):
-    """The finite-type lift with every result from its Groebner basis: the
-    same least powers, then the reduced basis of the cleared generators and
-    the relations; None where some generator has no power."""
-    cox = f.cox
-    meet = gradmod.chart_intersection(f, t.charts)
-    gens = []
-    for key in sorted(t.charts):
-        z = cox.zhat[key]
-        step = tuple(cox.m_exponents[key] * a for a in z)
-        for x in t.charts[key]:
-            j = gradmod._least_power(x, step, meet, lambda z=z: gradmod.saturate_at(GradedSubmodule(f, meet), z))
-            if j is None:
-                return None
-            gens.append(m_term_mul(x, tuple(j * s for s in step), Fraction(1)))
-    return reduced_basis(module_groebner_basis(gens + list(f.relations)))
-
-
 @pytest.mark.parametrize("name", NINE_FANS)
 def test_meets_and_lifts_match_the_groebner_paths(name):
     # Generated binomial ideals and rank-2 modules on the nine fans, with
@@ -1300,7 +1328,7 @@ def test_meets_and_lifts_match_the_groebner_paths(name):
         for t in (built, sheaf.ChartSubmoduleFamily(mixed)):
             fold = functools.reduce(lambda a, b: reduced_basis(module_intersection(a, b)), t.charts.values())
             assert gradmod.chart_intersection(f, t.charts) == fold, gens
-            want = _lift_by_groebner(t, f)
+            want = oracles.lift_by_groebner(t, f)
             try:
                 got = lift_finite_type(t, f).element_generators
             except sheaf.Unstabilized:
