@@ -283,4 +283,10 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed the pipe: exit 2 quietly, as the CLI does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)

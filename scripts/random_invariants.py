@@ -42,6 +42,7 @@ Usage:
 import argparse
 import functools
 import itertools
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -398,9 +399,14 @@ def main():
         sections_ok = sum(check_sections(rng, rings) for _ in range(cfg.sections))
         print(f"sections: {sections_ok}/{cfg.sections} passed")
         failed = failed or sections_ok != cfg.sections
-    if failed:
-        raise SystemExit(1)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed the pipe: exit 2 quietly, as the CLI does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)

@@ -2,8 +2,8 @@
 
 A module is a free module with one generator per listed degree, modulo a
 list of homogeneous relation rows.  On top of the presentation sit degree
-components (exact rational vector spaces), submodule membership, colon /
-saturation against the restricted irrelevant ideal, and torsion detection.
+components (counted by standard monomials, not eliminated), membership,
+colon / saturation against the restricted irrelevant ideal, and torsion.
 The saturation is the intersection of the chart modules, met one pair at
 a time: a chart nested in the other is read off by exact membership
 tests, and only charts that are not nested take a basis in F ⊕ F.  The
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import mul
 
-from . import groeb, ratlin
+from . import groeb
 from ._record import Record
 from .cox import CoxRingData
 from .grading import degree_fiber, positive_weight_vector
@@ -142,12 +142,16 @@ def component_span_rows(f, graded, alpha, index):
 
 
 def degree_component(f: GradedModulePresentation, alpha) -> DegreeComponent:
-    """Exact dimension of the degree-alpha component: its monomials less
-    the rank of the relations' degree-alpha slice."""
-    coords = _monomials_of_degree(f, alpha)
-    index = {c: k for k, c in enumerate(coords)}
-    rel_rows = component_span_rows(f, graded_elements(f, f.relations), alpha, index)
-    return DegreeComponent(alpha, len(coords) - ratlin.rank(rel_rows))
+    """Exact dimension of the degree-alpha component: the number of its
+    monomials x^e·e_i that no leading term of a POT Groebner basis of the
+    relations divides.  They are a basis of (F/R)_alpha, as that basis is
+    homogeneous (Macaulay's basis theorem; Cox-Little-O'Shea, Using
+    Algebraic Geometry, Ch. 5 §2)."""
+    basis = module_groebner_basis(list(f.relations))
+    lts = [groeb.m_leading_term(x, groeb.POT)[0] for x in basis]
+    standard = (not any(q == i and groeb._divides(d, e) for q, d in lts)
+                for i, e in _monomials_of_degree(f, alpha))
+    return DegreeComponent(alpha, sum(standard))
 
 
 def submodule_membership(x, sub: GradedSubmodule) -> bool:

@@ -28,10 +28,9 @@ the window-degree multiples of its elements outside the window, and the
 lift searches least powers against that basis.
 A family keeps the submodule ``xi_forward`` built it from, and its lift
 then needs no colon: some power is proven to clear every chart generator.
-A lift whose cleared generators hold the intersection's reduced basis is
-the intersection, returned with no Groebner basis; so is, with no search,
-the lift of a built family whose intersection basis is made of cone-monomial
-power multiples of its chart generators.
+The lift of a built family whose intersection basis is made of
+cone-monomial power multiples of its chart generators is the
+intersection, returned with no search.
 """
 
 from __future__ import annotations
@@ -495,14 +494,15 @@ def eta_component_is_bijective(s: SheafCoverPresentation, alpha) -> bool:
     dim M_α, and bijective when that is also the section dimension.
     N is the chart intersection (``gradmod.chart_intersection``) of the
     cover's `maximal` dict, the same object at every α, so N is built
-    once per cover."""
+    once per cover.  The kernel is asked first: where η_α is not
+    injective, no section window is built."""
     f = s.origin
-    h0 = global_sections_degree(s, alpha).dimension
     saturated = GradedModulePresentation(
         f.cox, f.generator_degrees, chart_intersection(f, s.maximal)
     )
     dim = degree_component(f, alpha).dimension
-    return dim == degree_component(saturated, alpha).dimension == h0
+    return (dim == degree_component(saturated, alpha).dimension
+            and dim == global_sections_degree(s, alpha).dimension)
 
 
 def xi_forward(g: GradedSubmodule) -> ChartSubmoduleFamily:
@@ -571,24 +571,20 @@ def lift_finite_type(
     some power works exactly when x lies in every (T_τ : z_σ^∞), that is
     in (N : z_σ^∞), as the colon commutes with intersections: one
     saturation per cone, built only when some generator needs j > 1, so a
-    refusal is certified.  The result is the reduced basis of the cleared
-    generators and the relations.
-
-    That module L is N itself when every element of N's reduced basis is
-    among the cleared generators, and then ``meet`` is returned with no
-    Groebner basis.  Proof: each cleared generator z_σ^(j·m_σ)·x lies in N,
-    as j is the least power that membership in N's basis (or, for single
-    terms, divisibility, which is exact) accepts, and R ⊆ N, so L ⊆ N; N's
-    basis lies in L, so N ⊆ L.  N's reduced basis is then L's.
+    refusal is certified.  The result L is the reduced basis of the
+    cleared generators and the relations.
 
     For a built family L is N, with no search, when every element b of
     N's reduced basis is z_σ^(k·m_σ)·x for a chart generator x of some
     cone σ and some k >= 0 (``_cleared_multiple``).  Proof: every
     generator has a least power j, and z_σ^(k·m_σ)·x = b lies in N, so
     j <= k and b is a multiple of the cleared generator z_σ^(j·m_σ)·x;
-    so N ⊆ L, and L ⊆ N as above.  A family given by hand does not take
-    this rule, as one of its generators may have no power in N and must be
-    refused.  Either way the result is N's reduced basis, ``meet``."""
+    so N ⊆ L.  Each cleared generator lies in N, as j is the least power
+    that membership in N's basis (or, for single terms, divisibility,
+    which is exact) accepts, and R ⊆ N, so L ⊆ N.  N's reduced basis,
+    ``meet``, is then L's.  A family given by hand does not take this
+    rule, as one of its generators may have no power in N and must be
+    refused."""
     cox = f.cox
     meet = chart_intersection(f, t.charts)
     built = t.source is not None and t.source.ambient is f
@@ -607,8 +603,6 @@ def lift_finite_type(
                 raise Unstabilized("chart generator lies in no chart module after "
                                    "clearing by any power of its cone monomial")
             gens.append(m_term_mul(x, tuple(j * s for s in step), _ONE))
-    if all(b in gens for b in meet):
-        return GradedSubmodule(f, meet)
     return GradedSubmodule(f, reduced_basis(module_groebner_basis(gens + list(f.relations))))
 
 

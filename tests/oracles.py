@@ -41,6 +41,9 @@ P3 = (
 )
 F2 = ([(1, 0), (0, 1), (-1, 2), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]])
 SCALE_FANS = {"p3": P3, "f2": F2, "dp6": DP6, "p1cubed": P1_CUBED}
+# The five corpus fans and the scale tier, by name: the fans of the
+# differentials on generated modules.
+NINE_FANS = ["p2", "p1xp1", "f2", "p112", "three_rays", "p3", "dp6", "quadric_cone", "p1cubed"]
 # The face fan of a random simplicial polytope: complete and simplicial,
 # not regular, with Cl = Z^5.  The Smith transform of its ray matrix has
 # entries of 36-158 bits.
@@ -601,6 +604,29 @@ def _sparse_rank(rows):
                 if not r[k]:
                     del r[k]
     return len(pivots)
+
+
+def component_dimension_by_rank(fiber, relations):
+    """The dimension of the degree component whose monomials x^e·e_i are
+    the (i, e) pairs of ``fiber`` (every monomial of one degree) modulo
+    the homogeneous ``relations`` (tuples of {exponent: coefficient}
+    dicts): the number of monomials less the rank of the relations'
+    multiples x^u·r in that degree.  Such a multiple puts r's first term
+    (i, a) on some (i, e) of the fiber, with u = e − a, so the multiples
+    read off the fiber that way are all of them."""
+    index = {c: k for k, c in enumerate(fiber)}
+    rows = []
+    for r in relations:
+        i, a = next((i, a) for i, p in enumerate(r) for a in p)
+        for j, e in fiber:
+            if j == i and all(x >= y for x, y in zip(e, a)):
+                u = [x - y for x, y in zip(e, a)]
+                rows.append({
+                    index[k, tuple(x + y for x, y in zip(b, u))]: c
+                    for k, p in enumerate(r)
+                    for b, c in p.items()
+                })
+    return len(fiber) - _sparse_rank(rows)
 
 
 # ---------------------------------------------------------------------------

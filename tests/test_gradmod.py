@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from coxfan import corpus, gradmod, grading, polyfan
+from coxfan import corpus, gradmod, grading, polyfan, ratlin
 from coxfan.cox import BaseRingFlags, build_cox
 from coxfan.gradmod import (
+    GradedModulePresentation,
     GradedSubmodule,
     degree_component,
     free_module,
@@ -94,6 +95,85 @@ def test_components_match_counting_oracle(corpus_gradings):
             assert comp.dimension == len(
                 oracles.monomials_of_weighted_degree(w, d)
             ), (name, d)
+
+
+def _presentations(c, rng, count):
+    """Presentations of rank 1, 2 and 3 in turn on c's fan: generator i
+    sits in degree β + deg x^(s_i), with s_0 = 0, the other s_i 0/1
+    exponents and β = deg x^t − deg x^t′ for 0/1 exponents t and t′.  The
+    relations are one or two generated elements on e_0 alone and on each
+    pair (e_0, e_i) (``oracles.random_homogeneous_elements``)."""
+    g = c.grading
+    A = g.class_group
+    rays = g.fan.ray_index
+
+    def bits():
+        return tuple(rng.randint(0, 1) for _ in rays)
+
+    for k in range(count):
+        rank = k % 3 + 1
+        beta = A.add(g.a_map(bits()), A.neg(g.a_map(bits())))
+        shifts = [(0,) * len(rays)] + [bits() for _ in range(rank - 1)]
+        rels = []
+        for i, s in enumerate(shifts):
+            for x in oracles.random_homogeneous_elements(rng, rays, rng.randint(1, 2), s if i else None):
+                row = [{} for _ in range(rank)]
+                for j, p in zip((0, i), x):
+                    row[j] = p
+                rels.append(tuple(row))
+        yield GradedModulePresentation(c, tuple(A.add(beta, g.a_map(s)) for s in shifts), tuple(rels))
+
+
+@pytest.mark.parametrize("name", oracles.NINE_FANS)
+def test_component_counts_match_the_row_rank(name):
+    # Generated presentations of rank 1-3 with shifted generator degrees
+    # on the nine fans: the count of standard monomials is the fiber's
+    # monomials less the rank of the relations' slice, eliminated from
+    # scratch, at degrees deg e_0 + deg x^w, and one deg e_0 + deg x^w −
+    # deg x^w′.  Where a nonzero monomial has degree 0 (three_rays,
+    # quadric_cone) every fiber is infinite, and the count refuses as the
+    # fiber does.
+    c = _cox_of(name)
+    g, A = c.grading, c.grading.class_group
+    rays = g.fan.ray_index
+    rng = random.Random(name)
+    for f in _presentations(c, rng, 9):
+        for k in range(4):
+            w = tuple(rng.randint(0, 2) for _ in rays)
+            w2 = tuple(rng.randint(0, k // 3) for _ in rays)
+            alpha = A.add(f.generator_degrees[0], A.add(g.a_map(w), A.neg(g.a_map(w2))))
+            if not oracles.finite_fibers(g):
+                with pytest.raises(grading.UnboundedFiber):
+                    degree_component(f, alpha)
+                continue
+            fiber = gradmod._monomials_of_degree(f, alpha)
+            want = oracles.component_dimension_by_rank(fiber, f.relations)
+            assert degree_component(f, alpha).dimension == want, (f.relations, alpha)
+
+
+def test_components_are_counted_without_elimination(p2_cox, monkeypatch):
+    # With every ratlin elimination made to raise, components still come
+    # out: the complete intersections <Z1^2 - Z2·Z3, Z2^3 - 2·Z3^3>
+    # (whose leading terms are coprime, so the relations are their own
+    # Groebner basis) and <Z1·Z2 - Z3^2, Z1·Z3 - Z2^2> (whose basis adds a
+    # cubic) have the Hilbert functions of degrees (2, 3) and (2, 2), and
+    # S/<Z1, Z2, Z3> is Q in degree 0 alone.
+    def refuse(*args):
+        raise AssertionError("degree components eliminate no rows")
+
+    monkeypatch.setattr(ratlin, "rank", refuse)
+    monkeypatch.setattr(ratlin, "echelon", refuse)
+    A = p2_cox.grading.class_group
+    one = Fraction(1)
+    cases = [
+        ([{(2, 0, 0): one, (0, 1, 1): -one}, {(0, 3, 0): one, (0, 0, 3): -2 * one}], [1, 3, 5, 6, 6, 6, 6]),
+        ([{(1, 1, 0): one, (0, 0, 2): -one}, {(1, 0, 1): one, (0, 2, 0): -one}], [1, 3, 4, 4, 4, 4, 4]),
+        ([{(1, 0, 0): one}, {(0, 1, 0): one}, {(0, 0, 1): one}], [1, 0, 0, 0, 0, 0, 0]),
+    ]
+    for polys, hilbert in cases:
+        f = GradedModulePresentation(p2_cox, (A.zero(),), tuple((p,) for p in polys))
+        got = [degree_component(f, A.from_coords([d])).dimension for d in range(-1, 7)]
+        assert got == [0] + hilbert, polys
 
 
 def test_membership(p2_ring):

@@ -52,6 +52,32 @@ def test_script_runs_from_a_checkout_without_pythonpath(script, tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+@pytest.mark.parametrize(
+    "script,args",
+    [
+        ("corpus_report.py", []),
+        ("sections_scan.py", ["--fan", "p2", "--min", "0", "--max", "1"]),
+        ("random_invariants.py", ["--cones", "1", "--ideals", "1"]),
+        ("cli_snapshot.py", []),
+    ],
+)
+def test_script_exits_quietly_on_a_closed_pipe(script, args):
+    # The pipe's reading end is closed before the script starts, so its
+    # first write fails: it exits 2 with nothing on stderr, as the CLI does.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), *args],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert "Traceback" not in out.stderr
+    assert (out.returncode, out.stderr) == (2, "")
+
+
 def test_random_invariants_passes():
     out = _run("random_invariants.py", "--cones", "3", "--ideals", "5", "--seed", "1")
     assert out.returncode == 0, out.stderr

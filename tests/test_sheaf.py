@@ -44,7 +44,7 @@ from coxfan.sheaf import (
 )
 
 import oracles
-from oracles import DP6, P1_4, P1_CUBED, SCALE_FANS
+from oracles import DP6, NINE_FANS, P1_4, P1_CUBED, SCALE_FANS
 
 
 def _elem(e):
@@ -174,6 +174,20 @@ def test_eta_kernel_decides_where_dimensions_agree(p2_cox, p2_ring):
     s = sheafify(quotient_by_monomial_ideal(p2_cox, irrelevant))
     got = [eta_component_is_bijective(s, _alpha(p2_ring, d)) for d in range(4)]
     assert got == [False, True, True, True]
+
+
+def test_eta_asks_its_kernel_before_the_windows(p2_cox, p2_ring, monkeypatch):
+    # S/<Z1,Z2,Z3>: at α = 0, dim M_0 = 1 and dim (F/N)_0 = 0, N = S, so
+    # η_0 is not injective, and no section window is built; at α = −1
+    # and 1 both dimensions are 0, and the sections decide, once each.
+    calls = []
+    real = sheaf.global_sections_degree
+    monkeypatch.setattr(sheaf, "global_sections_degree", lambda *a: calls.append(a) or real(*a))
+    s = sheafify(quotient_by_monomial_ideal(p2_cox, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    assert not eta_component_is_bijective(s, _alpha(p2_ring, 0))
+    assert calls == []
+    assert [eta_component_is_bijective(s, _alpha(p2_ring, d)) for d in (-1, 1)] == [True, True]
+    assert len(calls) == 2
 
 
 def _reference_kernels(f):
@@ -1283,9 +1297,6 @@ def test_generated_binomial_round_trips(name):
         assert submodules_equal(got, sat), ideal
         assert got.element_generators == sat.element_generators, ideal
         assert family_equal(xi_forward(lift_finite_type(family, f)), family), ideal
-
-
-NINE_FANS = ["p2", "p1xp1", "f2", "p112", "three_rays", "p3", "dp6", "quadric_cone", "p1cubed"]
 
 
 def _generated_modules(c, rng, count):
