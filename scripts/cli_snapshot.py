@@ -116,7 +116,9 @@ BINOMIAL_RUNS = [
 ]
 
 # Commands on ``oracles.RANK3_FAN``, a singular fan outside the corpus
-# (``fan report`` reads its regularity off Hermite bases of its cones).
+# (``fan report`` reads its regularity off Hermite bases of its cones;
+# the charts on 1,2,4 and 1,6,7 read Hilbert bases of duals of
+# multiplicity 2,688 and 3,267).
 RANK3_RUNS = [
     ["grading", "build", "{fan}"],
     ["pic", "{fan}"],
@@ -124,6 +126,8 @@ RANK3_RUNS = [
     ["cox", "build", "{fan}"],
     ["chart", "{fan}", "--cone", ""],
     ["chart", "{fan}", "--cone", "0"],
+    ["chart", "{fan}", "--cone", "1,2,4"],
+    ["chart", "{fan}", "--cone", "1,6,7"],
     ["module", "torsion", "{fan}", "--ideal", "Z1,Z2,Z3"],
 ]
 

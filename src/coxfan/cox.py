@@ -14,7 +14,7 @@ from operator import mul
 
 from ._record import DomainError, Record
 from .grading import FIBER_POINT_CAP, FiberTooLarge, GradingData, SubgroupB
-from .grading import _degree_zero_lattice, _lattice_points, _nonnegative_rows
+from .grading import _degree_zero_lattice, _nonnegative_rows
 from .groeb import minimalize_monomials
 from .intlat import (
     INFINITE,
@@ -28,6 +28,7 @@ from .intlat import (
 )
 from .polyfan import (
     Cone,
+    _lattice_points,
     cone_generators_from_inequalities,
     cone_inequalities,
     dual_cone,

@@ -1,7 +1,8 @@
 """Degree bookkeeping for a fan: the ray-evaluation map, its cokernel (the
 grading group), ray degrees, the Picard subgroup, subgroup classification
 (big / small), and the degree fibers.  Each fiber is enumerated once per
-process; the cache keeps at most FIBER_POINT_CAP points in all.
+process by `polyfan._lattice_points`; this module keeps the fiber cache,
+which holds at most FIBER_POINT_CAP points in all.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from functools import lru_cache
 from itertools import islice
-from operator import add, mul
 
 from ._record import DomainError, Record
 from .intlat import (
@@ -23,14 +23,10 @@ from .intlat import (
     subgroup_index,
     subgroup_leq,
 )
-from .polyfan import Fan, _fm_eliminate, cone_generators_from_inequalities
+from .polyfan import Fan, _lattice_points, cone_generators_from_inequalities
 
 
 FIBER_POINT_CAP = 200_000
-
-
-class UnboundedFiber(DomainError):
-    pass
 
 
 class FiberTooLarge(DomainError):
@@ -167,70 +163,6 @@ def positive_weight_vector(rays):
     gens, lineality = cone_generators_from_inequalities(units, list(zip(*rays)), len(rays))
     w = tuple(map(sum, zip(*gens)))
     return w if gens and not lineality and all(w) else None
-
-
-@lru_cache(maxsize=256)
-def _projections(m):
-    """Fourier-Motzkin projections of {u : b + M u >= 0}, valid for every b.
-
-    Level j + 1 holds the rows, on u_0..u_j, that bound u_j once the earlier
-    coordinates are fixed; level 0 holds the constant rows.  A row is
-    (coefficients, nonnegative multipliers on the rows of M), eliminated
-    with its multipliers as extra columns, so its constant term for an
-    offset b is multipliers . b.  None when a level lacks rows of both
-    signs: the polyhedron then has a recession direction.
-    """
-    k = len(m[0]) if m else 0
-    rows = [(*r, *(int(i == t) for t in range(len(m)))) for i, r in enumerate(m)]
-    levels = []
-    for j in reversed(range(k)):
-        pos = [r for r in rows if r[j] > 0]
-        neg = [r for r in rows if r[j] < 0]
-        if not pos or not neg:
-            return None
-        levels.append(pos + neg)
-        _, rows = _fm_eliminate([], rows, j)
-    levels.append(rows)
-    return tuple(tuple((r[:k], r[k:]) for r in lv) for lv in reversed(levels))
-
-
-def _lattice_points(m, b, v0, basis):
-    """The vectors v0 + u . basis for the integer points u of
-    {u : b + M u >= 0}, with M a tuple of rows, in lexicographic order of u.
-
-    Returns a lazy iterable, which carries the partial vector and each
-    bounding row's partial sum down the recursion.  Raises UnboundedFiber
-    unless the polyhedron is bounded for every b."""
-    levels = _projections(m)
-    if levels is None:
-        raise UnboundedFiber("degree fibers are infinite: a nonzero monomial has degree 0")
-    sums = [[sum(map(mul, la, b)) for _, la in lv] for lv in levels]
-    if any(s < 0 for s in sums[0]):
-        return []
-    k = len(levels) - 1
-    if k == 0:
-        return [tuple(v0)]
-    # coefs[j][l]: the coefficients on u_j of the rows of level j + 1 + l
-    coefs = [[tuple(a[j] for a, _ in lv) for lv in levels[j + 1 :]] for j in range(k)]
-
-    def rec(j, v, sums):
-        lo = max(-(s // a) for a, s in zip(coefs[j][0], sums[0]) if a > 0)
-        hi = min(s // -a for a, s in zip(coefs[j][0], sums[0]) if a < 0)
-        step = basis[j]
-        v = tuple(map(add, v, (lo * y for y in step)))
-        if j == k - 1:
-            for _ in range(lo, hi + 1):
-                yield v
-                v = tuple(map(add, v, step))
-            return
-        rest = coefs[j][1:]
-        sums = [[s + lo * a for a, s in zip(c, ss)] for c, ss in zip(rest, sums[1:])]
-        for _ in range(lo, hi + 1):
-            yield from rec(j + 1, v, sums)
-            v = tuple(map(add, v, step))
-            sums = [list(map(add, ss, c)) for c, ss in zip(rest, sums)]
-
-    return rec(0, tuple(v0), sums[1:])
 
 
 def _nonnegative_rows(basis, n):

@@ -9,9 +9,10 @@ incidence of its one cached H-representation (Cox-Little-Schenck, Toric
 Varieties, §1.2): a generator g spans an extreme ray when the facets
 tight at g, with the equalities, have rank one less than the ambient
 rank; the faces are the intersections of the sets of rays tight on each
-facet; the facets are the rays of the dual.  Hilbert bases are computed by
-bounded lattice enumeration in exact integer arithmetic.  Cones, fans
-and Hilbert bases are capped at ambient rank 6 where they are made
+facet; the facets are the rays of the dual.  The package's one
+lattice-point enumerator, `_lattice_points`, is here: degree fibers,
+chart twists, the restricted irrelevant ideal and Hilbert bases read it.
+Cones, fans and Hilbert bases are capped at ambient rank 6 where they are made
 (`Cone.make`, `build_fan`, `hilbert_basis`); the algorithms here are
 enumeration-based and meant for desk-scale inputs.  The Fourier-Motzkin
 conversions themselves take any rank, since a chart's polyhedron is
@@ -21,8 +22,9 @@ homogenized one rank above its fan.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, lcm
+from operator import add, mul
 
 from . import ratlin
 from ._record import DomainError, Record
@@ -179,6 +181,83 @@ def _hrep_cached(gens, rank):
     return cone_inequalities(list(gens), rank)
 
 
+# --- Lattice points of a polytope ----------------------------------------
+
+class UnboundedFiber(DomainError):
+    pass
+
+
+@lru_cache(maxsize=256)
+def _projections(m):
+    """Fourier-Motzkin projections of {u : b + M u >= 0}, valid for every b.
+
+    Level j + 1 holds the rows, on u_0..u_j, that bound u_j once the earlier
+    coordinates are fixed; level 0 holds the constant rows.  A row is
+    (coefficients, nonnegative multipliers on the rows of M), eliminated
+    with its multipliers as extra columns, so its constant term for an
+    offset b is multipliers . b.  None when a level lacks rows of both
+    signs: the polyhedron then has a recession direction.
+
+    Chernikov's rule (USSR Comput. Math. Math. Phys. 5, 1965): after t
+    eliminations the rows whose multipliers use at most t + 1 rows of M
+    include the extreme rays of the multiplier cone, and every other row
+    is a nonnegative combination of those, multipliers included; dropping
+    the others leaves every projection exact, for every b.
+    """
+    k = len(m[0]) if m else 0
+    rows = [(*r, *(int(i == t) for t in range(len(m)))) for i, r in enumerate(m)]
+    levels = []
+    for t, j in enumerate(reversed(range(k)), 1):
+        pos = [r for r in rows if r[j] > 0]
+        neg = [r for r in rows if r[j] < 0]
+        if not pos or not neg:
+            return None
+        levels.append(pos + neg)
+        _, rows = _fm_eliminate([], rows, j)
+        rows = [r for r in rows if sum(map(bool, r[k:])) <= t + 1]
+    levels.append(rows)
+    return tuple(tuple((r[:k], r[k:]) for r in lv) for lv in reversed(levels))
+
+
+def _lattice_points(m, b, v0, basis):
+    """The vectors v0 + u . basis for the integer points u of
+    {u : b + M u >= 0}, with M a tuple of rows, in lexicographic order of u.
+
+    Returns a lazy iterable, which carries the partial vector and each
+    bounding row's partial sum down the recursion.  Raises UnboundedFiber
+    unless the polyhedron is bounded for every b."""
+    levels = _projections(m)
+    if levels is None:
+        raise UnboundedFiber("degree fibers are infinite: a nonzero monomial has degree 0")
+    sums = [[sum(map(mul, la, b)) for _, la in lv] for lv in levels]
+    if any(s < 0 for s in sums[0]):
+        return []
+    k = len(levels) - 1
+    if k == 0:
+        return [tuple(v0)]
+    # coefs[j][l]: the coefficients on u_j of the rows of level j + 1 + l
+    coefs = [[tuple(a[j] for a, _ in lv) for lv in levels[j + 1 :]] for j in range(k)]
+
+    def rec(j, v, sums):
+        lo = max(-(s // a) for a, s in zip(coefs[j][0], sums[0]) if a > 0)
+        hi = min(s // -a for a, s in zip(coefs[j][0], sums[0]) if a < 0)
+        step = basis[j]
+        v = tuple(map(add, v, (lo * y for y in step)))
+        if j == k - 1:
+            for _ in range(lo, hi + 1):
+                yield v
+                v = tuple(map(add, v, step))
+            return
+        rest = coefs[j][1:]
+        sums = [[s + lo * a for a, s in zip(c, ss)] for c, ss in zip(rest, sums[1:])]
+        for _ in range(lo, hi + 1):
+            yield from rec(j + 1, v, sums)
+            v = tuple(map(add, v, step))
+            sums = [list(map(add, ss, c)) for c, ss in zip(rest, sums)]
+
+    return rec(0, tuple(v0), sums[1:])
+
+
 class Cone(Record):
     __slots__ = ("ambient_rank", "ray_generators")  # sorted primitive integer vectors
 
@@ -250,26 +329,18 @@ def _hilbert_basis_pointed(generators, rank):
     if not gens:
         return []
     ineqs, eqs = cone.hrep()
+    span = integer_kernel(eqs, rank)
     s = [sum(g[c] for g in gens) for c in range(rank)]
-    bound = [_dot(f, s) for f in ineqs]
-    box = [
-        range(sum(min(0, g[c]) for g in gens), sum(max(0, g[c]) for g in gens) + 1)
-        for c in range(rank)
-    ]
-    # Candidates: nonzero box points with 0 <= F.x <= F.s and E.x = 0.
-    candidates = []
-    for x in product(*box):
-        vals = tuple(_dot(f, x) for f in ineqs)
-        if (
-            any(x)
-            and all(0 <= v <= b for v, b in zip(vals, bound))
-            and not any(_dot(e, x) for e in eqs)
-        ):
-            candidates.append((sum(vals), vals, x))
+    # Candidates: the nonzero x = u . span with 0 <= F.x <= F.s.
+    m = tuple(tuple(_dot(f, k) for k in span) for f in ineqs)
+    m += tuple(tuple(-a for a in r) for r in m)
+    bounds = (0,) * len(ineqs) + tuple(_dot(f, s) for f in ineqs)
+    points = _lattice_points(m, bounds, (0,) * rank, span)
+    candidates = [(tuple(_dot(f, x) for f in ineqs), x) for x in points if any(x)]
     # sum(F.x) > 0 off the origin of a pointed cone, so a reducible x has an
     # irreducible summand y kept before it, and x - y in the cone is F.y <= F.x.
     basis = []
-    for _, vals, x in sorted(candidates):
+    for vals, x in sorted(candidates, key=lambda c: (sum(c[0]), c)):
         if not any(all(a <= b for a, b in zip(kept, vals)) for kept, _ in basis):
             basis.append((vals, x))
     return sorted(x for _, x in basis)
@@ -277,10 +348,7 @@ def _hilbert_basis_pointed(generators, rank):
 
 def _lineality_lattice(generators, rank):
     ineqs, eqs = _hrep_cached(tuple(generators), rank)
-    rows = [list(f) for f in ineqs] + [list(e) for e in eqs]
-    if not rows:
-        return [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    return integer_kernel(rows, rank)
+    return integer_kernel(ineqs + eqs, rank)
 
 
 def hilbert_basis(generators, rank):
@@ -317,17 +385,11 @@ class Fan(Record):
         "ambient_rank",
         "cones",  # all cones, face-closed, deduplicated, sorted
         "ray_index",  # ordered primitive ray generators (Sigma_1 order)
+        "maximal",  # the cones no other cone contains, in the order of cones
     )
 
     def maximal_cones(self):
-        out = []
-        for c in self.cones:
-            if not any(
-                c is not d and set(c.ray_generators) <= set(d.ray_generators)
-                for d in self.cones
-            ):
-                out.append(c)
-        return out
+        return self.maximal
 
     def cone_ray_indices(self, cone):
         return tuple(self.ray_index.index(g) for g in cone.ray_generators)
@@ -347,10 +409,11 @@ def validate_fan(max_cones, ray_order=None) -> Fan:
     τ∩τ′ is a face of F, hence of σ.  It lies in τ, so it is a face of τ
     (Cox-Little-Schenck, Toric Varieties, §1.2); the same holds for τ′.
     Two faces of one given cone always meet in a common face.  A given ray
-    order must name each ray of the fan once.
+    order must name each ray of the fan once.  Every cone is a face of a
+    given one, so a cone is maximal when no given cone strictly contains it.
     """
     if not max_cones:
-        return Fan(0, (), ())
+        return Fan(0, (), (), ())
     rank = max_cones[0].ambient_rank
     _check_rank(rank)
     for c in max_cones:
@@ -391,7 +454,9 @@ def validate_fan(max_cones, ray_order=None) -> Fan:
     }
     if set(ray_order) != fan_rays:
         raise FanInvalid("ray order does not match the rays of the fan")
-    return Fan(rank, tuple(cones), tuple(ray_order))
+    given = [set(c.ray_generators) for c in max_cones]
+    maximal = tuple(c for c in cones if not any(set(c.ray_generators) < k for k in given))
+    return Fan(rank, tuple(cones), tuple(ray_order), maximal)
 
 
 def build_fan(rank, rays, max_cone_ray_indices) -> Fan:
@@ -403,7 +468,7 @@ def build_fan(rank, rays, max_cone_ray_indices) -> Fan:
     if not cones:
         if rays:
             raise FanInvalid("rays given but no cones")
-        return Fan(rank, (), ())
+        return Fan(rank, (), (), ())
     return validate_fan(cones, ray_order=rays)
 
 

@@ -43,7 +43,7 @@ from operator import add, mul, sub
 from . import ratlin
 from ._record import DomainError, Record
 from .cox import CoxRingData
-from .grading import _degree_zero_lattice, _lattice_points, degree_fiber, is_cartier
+from .grading import _degree_zero_lattice, degree_fiber, is_cartier
 from .gradmod import (
     GradedModulePresentation,
     GradedSubmodule,
@@ -66,7 +66,7 @@ from .groeb import (
     reduced_basis,
 )
 from .intlat import _mul_vec, _transpose, smith_normal_form
-from .polyfan import cone_generators_from_inequalities
+from .polyfan import _lattice_points, cone_generators_from_inequalities
 
 DEFAULT_MAX_LEVEL = 8
 _ONE = Fraction(1)

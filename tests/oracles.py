@@ -482,6 +482,43 @@ def hilbert_basis_by_reduction(generators, rank):
     )
 
 
+def hilbert_basis_of_simplicial(generators):
+    """Hilbert basis of the cone on r independent generators w_i of Z^r.
+
+    Every point of the cone is Σ λ_i·w_i with λ ≥ 0, and subtracting
+    Σ ⌊λ_i⌋·w_i leaves a point of the fundamental parallelepiped
+    (0 ≤ λ_i < 1), one per element of Z^r / ⟨w_i⟩.  With u·W·v = D the
+    Smith form of the rows W, x ↦ x·v carries ⟨w_i⟩ onto ⊕ d_i·Z, so the
+    c·v⁻¹ with 0 ≤ c_i < d_i are the cosets, and λ(x) = x·W⁻¹.  So the w_i
+    and the nonzero parallelepiped points hold every irreducible point,
+    and y ≠ x is a summand of x exactly when λ(y) ≤ λ(x); a reducible x
+    has an irreducible summand, of smaller Σ λ.  Linear in the
+    multiplicity |det W|.
+    """
+    w = [tuple(g) for g in generators]
+    r = len(w)
+
+    def inverse(rows):
+        cols = [list(c) for c in zip(*rows)]
+        return [solve_rational(cols, [int(i == j) for j in range(r)]) for i in range(r)]
+
+    def times(x, rows):
+        return tuple(sum(a * row[j] for a, row in zip(x, rows)) for j in range(r))
+
+    d, _, v = smith_normal_form(w, r)
+    to_lambda = [times(row, inverse(w)) for row in inverse(v)]
+    found = {tuple(int(i == j) for j in range(r)): g for i, g in enumerate(w)}
+    for c in product(*(range(x) for x in d)):
+        lam = tuple(t - (t.numerator // t.denominator) for t in times(c, to_lambda))
+        if any(lam):
+            found[lam] = tuple(int(x) for x in times(lam, w))
+    basis = []
+    for lam in sorted(found, key=sum):
+        if not any(all(a <= b for a, b in zip(kept, lam)) for kept in basis):
+            basis.append(lam)
+    return sorted(found[lam] for lam in basis)
+
+
 def monoid_generates(points, generators, workspace=None):
     """True iff every listed point is a nonnegative integer combination of
     the generators.  Reachability is computed by forward closure inside a

@@ -631,6 +631,18 @@ def test_twisted_sections_answer_on_a_singular_rank_three_fan(tmp_path):
     assert payload["dimensions"] == {zero: {"dimension": 1, "certificate": "bound"}}
 
 
+@pytest.mark.parametrize("cone", ["1,2,4", "1,6,7", "1,2,7"])
+def test_chart_answers_on_a_singular_rank_three_fan(tmp_path, cone):
+    # The duals of these cones have multiplicity 2,688-5,376; their Hilbert
+    # bases scanned a coordinate box, which took minutes or did not finish.
+    rays, max_cones = oracles.RANK3_FAN
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({"rank": 3, "rays": rays, "max_cones": max_cones}))
+    code, out = _run(["chart", str(fan), "--cone", cone])
+    assert code == 0, out
+    _validate(json.loads(out), "chart")
+
+
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 def test_a_closed_pipe_is_an_io_error_without_a_traceback(p2, unbuffered):
     # As in `coxfan grading build p2.json | true`: the reader has gone

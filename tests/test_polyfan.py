@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxfan import corpus
+from coxfan import corpus, polyfan
 from coxfan.polyfan import (
     Cone,
     FanInvalid,
@@ -186,6 +186,54 @@ def test_oracle_hilbert_basis_of_the_flat_cone():
     halfspaces = oracles.cone_halfspaces(FLAT_CONE, 4)
     assert len(halfspaces) == 6
     assert oracles.hilbert_basis_by_reduction(FLAT_CONE, 4) == hilbert_basis(FLAT_CONE, 4)
+
+
+def test_hilbert_basis_matches_the_parallelepiped_reference_on_simplicial_cones():
+    rng = random.Random(12)
+    for _ in range(100):
+        rank = rng.choice([2, 3])
+        gens = [tuple(rng.randint(-4, 4) for _ in range(rank)) for _ in range(rank)]
+        if oracles.det(gens):
+            assert hilbert_basis(gens, rank) == oracles.hilbert_basis_of_simplicial(gens), gens
+
+
+def test_hilbert_bases_of_rank_three_duals_match_the_parallelepiped_reference():
+    # The reference is linear in the multiplicity, which is 2,688-217,156
+    # on these duals; the three below 6,000 take about a second in all.
+    rays, max_cones = oracles.RANK3_FAN
+    checked = 0
+    for cone in max_cones:
+        dual = oracles.dual_cone_generators([rays[i] for i in cone], 3)
+        if abs(oracles.det(dual)) <= 6000:
+            assert hilbert_basis(dual, 3) == oracles.hilbert_basis_of_simplicial(dual), cone
+            checked += 1
+    assert checked == 3
+
+
+def test_chernikov_rule_keeps_the_projections_small(monkeypatch):
+    # The cone over the octahedron: without the rule its Hilbert basis
+    # takes tens of seconds, and its widest level has millions of rows.
+    gens = [tuple(s * (i == j) for j in range(3)) + (1,) for i in range(3) for s in (1, -1)]
+    levels = []
+
+    def spy(m):
+        out = projections(m)
+        levels.append([len(lv) for lv in out])
+        return out
+
+    projections = polyfan._projections
+    monkeypatch.setattr(polyfan, "_projections", spy)
+    assert len(hilbert_basis(gens, 4)) == 7
+    assert levels and max(map(max, levels)) <= 100, levels
+
+
+def test_maximal_cones_are_the_cones_no_other_contains():
+    fans = [corpus.build(name) for name in corpus.CORPUS_NAMES]
+    fans += [build_fan(len(r[0]), r, c) for r, c in [*oracles.SCALE_FANS.values(), oracles.RANK3_FAN]]
+    for fan in fans:
+        keys = [set(c.ray_generators) for c in fan.cones]
+        want = [c for c, k in zip(fan.cones, keys) if not any(k < other for other in keys)]
+        assert list(fan.maximal_cones()) == want
 
 
 def test_fan_p2_has_seven_cones():
