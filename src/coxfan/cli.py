@@ -433,7 +433,7 @@ def cmd_chart(args, inputs):
         "cone": args.cone,
         "degree_zero_generators": [list(e) for e in chart.degree_zero_generators],
         "toric_relations": [list(r) for r in chart.toric_relations],
-        "monoid_hilbert_basis": [list(u) for u in chart.monoid_chart[0]],
+        "monoid_hilbert_basis": [list(u) for u in chart.monoid_hilbert_basis],
     }
 
 

@@ -3,8 +3,8 @@
 One variable per ray, graded by the class group; the distinguished monomials
 Zhat (one per cone, product of the variables off the cone), the irrelevant
 ideal they generate, the restriction of both to a big subgroup of degrees,
-degree-0 local charts, and the comparison with the monoid charts coming from
-dual cones.
+and degree-0 local charts, each read off one Hilbert basis, that of its dual
+cone.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .grading import _degree_zero_lattice, _nonnegative_rows
 from .groeb import minimalize_monomials
 from .intlat import (
     INFINITE,
+    _mul_vec,
     _order_modulo,
     _presentation_rows,
     _subgroup_basis,
@@ -29,7 +30,6 @@ from .intlat import (
 from .polyfan import (
     Cone,
     _lattice_points,
-    cone_generators_from_inequalities,
     cone_inequalities,
     dual_cone,
     hilbert_basis,
@@ -82,7 +82,7 @@ class LocalChart(Record):
         "cone",
         "degree_zero_generators",  # exponent vectors, negatives allowed off the cone
         "toric_relations",  # integer kernel basis among the generators
-        "monoid_chart",  # (hilbert basis of the dual monoid, images under c)
+        "monoid_hilbert_basis",  # of σ^∨ ∩ M; the generators are its nonzero images
     )
 
 
@@ -150,53 +150,36 @@ def _restricted_irrelevant(g, b, zhat, maximal, irrelevant):
     return minimalize_monomials(found)
 
 
-def degree_zero_monoid_generators(c: CoxRingData, cone: Cone):
-    """Hilbert-style generators of {v : deg(v)=0, v >= 0 on the cone's rays}."""
-    g = c.grading
-    nr = g.num_rays
-    if cone.ray_generators not in c.zhat:
-        raise ConeNotInFan(f"cone {cone.ray_generators} is not in the fan")
-    lat = _degree_zero_lattice(g.delta_basis)
-    if not lat:
-        return ()
-    r = len(lat)
-    # Cone in lattice coordinates: rows of lat give v = x . lat.
-    rows = _nonnegative_rows(lat, nr)
-    gens_cone_ineqs = [rows[g.delta_basis.index(ray)] for ray in cone.ray_generators]
-    rays, lin = cone_generators_from_inequalities(gens_cone_ineqs, [], r)
-    hb = hilbert_basis(list(rays) + [l for l in lin] + [tuple(-x for x in l) for l in lin], r)
-    out = []
-    for h in hb:
-        v = tuple(
-            sum(h[k] * lat[k][i] for k in range(r)) for i in range(nr)
-        )
-        out.append(v)
-    return tuple(sorted(set(out)))
-
-
 def local_chart(c: CoxRingData, cone: Cone) -> LocalChart:
-    """Degree-0 chart data at a cone: algebra generators of the degree-0
-    part of the localization, their lattice relations, and the dual-monoid
-    chart with its comparison map."""
+    """Degree-0 chart data at a cone σ: generators of the degree-0 monoid
+    {v ∈ Z^n : deg v = 0, v ≥ 0 on σ's rays}, their lattice relations, and
+    the Hilbert basis of σ^∨ ∩ M that they are read off.
+
+    The generators are the nonzero images of that Hilbert basis under
+    c(u) = (u·u_ρ)_ρ.  By the exact sequence M → Z^n → Cl → 0 the degree-0
+    vectors are exactly the c(u), and c(u) ≥ 0 on σ's rays iff u·g ≥ 0
+    for every ray g of σ, i.e. iff u ∈ σ^∨.  So c maps σ^∨ ∩ M onto the
+    degree-0 monoid, and on every cone the images of a generating set of
+    σ^∨ ∩ M generate it.  When σ is full-dimensional its rays span M_R,
+    so c is injective and σ^∨ is pointed, and `hilbert_basis` returns its
+    Hilbert basis; c is then an isomorphism of monoids, which carries the
+    irreducible elements onto the irreducible elements, so the images are
+    exactly the Hilbert basis of the degree-0 monoid.  On a smaller cone
+    σ^∨ has units and the generators are one choice among many.  When the
+    rays do not span, c kills M ∩ (span of the rays)^⊥, and the images of
+    σ^∨'s lineality basis may hold a dependent unit pair: the zero cone
+    of the rays (1,0,1), (0,1,1) gets ±(1,1) beside a basis of its units.
+    """
     if cone.ray_generators not in c.zhat:
         raise ConeNotInFan(f"cone {cone.ray_generators} is not in the fan")
-    gens = degree_zero_monoid_generators(c, cone)
-    nr = c.num_vars
-    if gens:
-        relations = tuple(integer_kernel(_transpose(gens, nr), len(gens)))
-    else:
-        relations = ()
-    dc = dual_cone(cone)
-    hb = tuple(hilbert_basis(dc.generators, cone.ambient_rank))
-    images = tuple(
-        tuple(sum(u[j] * ray[j] for j in range(cone.ambient_rank)) for ray in c.grading.delta_basis)
-        for u in hb
-    )
+    hb = tuple(hilbert_basis(dual_cone(cone).generators, cone.ambient_rank))
+    images = {_mul_vec(c.grading.delta_basis, u) for u in hb}
+    gens = tuple(sorted(v for v in images if any(v)))
     return LocalChart(
         cone=cone,
         degree_zero_generators=gens,
-        toric_relations=relations,
-        monoid_chart=(hb, images),
+        toric_relations=tuple(integer_kernel(_transpose(gens, c.num_vars), len(gens))),
+        monoid_hilbert_basis=hb,
     )
 
 

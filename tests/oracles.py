@@ -4,11 +4,14 @@ Everything in this file is deliberately written from scratch, without
 importing the package's own algorithms: naive elementary-operation
 normal forms, half-space elimination by the textbook recipe, explicit
 lattice-point enumeration, and set-based monomial combinatorics.  Tests
-compare the fast implementations against these.  The two exceptions are
+compare the fast implementations against these.  The three exceptions are
 ``smith_normal_form``, a verbatim copy of the package's earlier two-list
 elimination, which pins the exact transforms of the block-matrix form,
-and ``lift_by_groebner``, the finite-type lift by the package's own least
-powers and Groebner bases, with none of the lift's shortcuts.
+``lift_by_groebner``, the finite-type lift by the package's own least
+powers and Groebner bases, with none of the lift's shortcuts, and
+``degree_zero_monoid_generators``, the package's earlier chart generators:
+a Hilbert basis of the degree-0 monoid itself, in the coordinates of a
+Hermite basis of the degree-0 lattice.
 """
 
 from __future__ import annotations
@@ -1471,3 +1474,31 @@ def lift_by_groebner(t, f):
                 return None
             gens.append(groeb.m_term_mul(x, tuple(j * s for s in step), Fraction(1)))
     return groeb.reduced_basis(groeb.module_groebner_basis(gens + list(f.relations)))
+
+
+def degree_zero_monoid_generators(c, cone):
+    """Hilbert-style generators of {v : deg(v)=0, v >= 0 on the cone's rays}."""
+    from coxfan.cox import ConeNotInFan
+    from coxfan.grading import _degree_zero_lattice, _nonnegative_rows
+    from coxfan.polyfan import cone_generators_from_inequalities, hilbert_basis
+
+    g = c.grading
+    nr = g.num_rays
+    if cone.ray_generators not in c.zhat:
+        raise ConeNotInFan(f"cone {cone.ray_generators} is not in the fan")
+    lat = _degree_zero_lattice(g.delta_basis)
+    if not lat:
+        return ()
+    r = len(lat)
+    # Cone in lattice coordinates: rows of lat give v = x . lat.
+    rows = _nonnegative_rows(lat, nr)
+    gens_cone_ineqs = [rows[g.delta_basis.index(ray)] for ray in cone.ray_generators]
+    rays, lin = cone_generators_from_inequalities(gens_cone_ineqs, [], r)
+    hb = hilbert_basis(list(rays) + [l for l in lin] + [tuple(-x for x in l) for l in lin], r)
+    out = []
+    for h in hb:
+        v = tuple(
+            sum(h[k] * lat[k][i] for k in range(r)) for i in range(nr)
+        )
+        out.append(v)
+    return tuple(sorted(set(out)))

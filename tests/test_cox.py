@@ -110,8 +110,10 @@ def test_chart_rejects_foreign_cone():
         local_chart(c, foreign)
 
 
-def test_gamma_iso_p2():
-    assert gamma_is_iso(_cox("p2"))
+def test_gamma_is_iso_on_the_nine_fans():
+    # the rays of every corpus and scale fan span, so no witness
+    for name in oracles.NINE_FANS:
+        assert gamma_is_iso(_ring(_fan(name))) == (True, None), name
 
 
 def test_gamma_iso_fails_when_rays_span_a_proper_sublattice():
@@ -189,6 +191,92 @@ def _fan(name):
         rays, max_cones = oracles.SCALE_FANS[name]
         return build_fan(len(rays[0]), rays, max_cones)
     return corpus.build(name)
+
+
+def _ring(fan):
+    g = grading.build_grading(fan)
+    return build_cox(g, subgroup_of_whole_group(g), FIELD_FLAGS)
+
+
+def _degree_zero_box(c, bound):
+    """The degree-0 vectors of [-bound, bound]^n."""
+    g = c.grading
+    box = itertools.product(range(-bound, bound + 1), repeat=g.num_rays)
+    return [v for v in box if g.a_map(v).is_zero()]
+
+
+def _chart_against_reference(c, cone, box):
+    """The chart's generators and the reference's, after checking that
+    each generator has degree 0 and is >= 0 on the cone's rays, that the
+    two sets are equal where the cone is full-dimensional, and, with a
+    workspace box, that each set generates the other."""
+    g = c.grading
+    new = local_chart(c, cone).degree_zero_generators
+    old = oracles.degree_zero_monoid_generators(c, cone)
+    on_cone = [g.delta_basis.index(r) for r in cone.ray_generators]
+    for v in new:
+        assert g.a_map(v).is_zero() and all(v[i] >= 0 for i in on_cone), (cone, v)
+    if cone.dim() == cone.ambient_rank:
+        assert new == old, cone
+    if box is not None:
+        workspace = [v for v in box if all(v[i] >= 0 for i in on_cone)]
+        assert oracles.monoid_generates(old, new, workspace), cone
+        assert oracles.monoid_generates(new, old, workspace), cone
+    return new, old
+
+
+@pytest.mark.parametrize("name", oracles.NINE_FANS)
+def test_chart_generators_match_the_degree_zero_reference(name):
+    # On every cone, the images of the dual cone's Hilbert basis against
+    # the Hilbert basis of the degree-0 monoid computed in the coordinates
+    # of the degree-0 lattice: equal on full-dimensional cones, and
+    # generating the same monoid in [-2, 2]^n on every cone.
+    c = _ring(_fan(name))
+    box = _degree_zero_box(c, 2)
+    for cone in c.grading.fan.cones:
+        _chart_against_reference(c, cone, box)
+
+
+def test_chart_generators_match_the_reference_on_the_rank_three_fan():
+    # Every face of the singular rank-3 fan, whose degree-0 vectors have
+    # large entries, and its cheapest maximal cone (multiplicity 99).
+    rays, max_cones = oracles.RANK3_FAN
+    fan = build_fan(3, rays, max_cones)
+    c = _ring(fan)
+    cheap = {rays[1], rays[6], rays[7]}
+    for cone in fan.cones:
+        if cone.dim() < 3 or set(cone.ray_generators) == cheap:
+            _chart_against_reference(c, cone, None)
+
+
+@pytest.mark.parametrize(
+    "rank, rays, max_cones",
+    [(3, [(1, 0, 1), (0, 1, 1)], [[0, 1]]), (2, [(1, 0)], [[0]]), (2, [], [[]])],
+    ids=["plane_in_rank_3", "ray_in_rank_2", "empty"],
+)
+def test_chart_generators_generate_the_reference_when_the_rays_do_not_span(rank, rays, max_cones):
+    # Here c(u) = (u·u_ρ)_ρ has a kernel, and on the zero cone the images
+    # of σ^∨'s lineality basis may add a dependent unit pair, ±(1, 1) on
+    # the first fan; the two sets still generate the same monoid.  The
+    # empty fan has no degree-0 vector but 0, so no generators.
+    fan = build_fan(rank, rays, max_cones)
+    c = _ring(fan)
+    box = _degree_zero_box(c, 2)
+    for cone in fan.cones:
+        new, old = _chart_against_reference(c, cone, box)
+        if not rays:
+            assert new == old == ()
+
+
+def test_local_chart_builds_one_hilbert_basis(monkeypatch):
+    c = _cox("quadric_cone")
+    calls = []
+    real = cox.hilbert_basis
+    monkeypatch.setattr(cox, "hilbert_basis", lambda *a: calls.append(a) or real(*a))
+    cones = c.grading.fan.cones
+    for cone in cones:
+        local_chart(c, cone)
+    assert len(calls) == len(cones)
 
 
 # (fan, diagonal of B in class-group coordinates); the dp6 and p1cubed
