@@ -114,31 +114,9 @@ def _monomials_of_degree(f: GradedModulePresentation, alpha):
 
 
 def graded_elements(f, elements):
-    """(degree, element) pairs of the nonzero homogeneous elements, for
-    ``component_span_rows``: a caller that needs many degree slices of the
-    same elements takes their degrees once."""
+    """(degree, element) pairs of the nonzero homogeneous elements: a
+    caller that sorts many elements by degree takes their degrees once."""
     return [(d, x) for x in elements if (d := f.element_degree(x)) is not None]
-
-
-def component_span_rows(f, graded, alpha, index):
-    """Sparse rows {coordinate: coefficient} spanning the degree-alpha
-    slice of the module generated by the given (degree, homogeneous
-    element) pairs, in the monomial coordinates of ``index``."""
-    g = f.cox.grading
-    A = g.class_group
-    rows = []
-    for d_rel, rel in graded:
-        for m in degree_fiber(g, A.add(alpha, A.neg(d_rel))):
-            row = {}
-            for i, p in enumerate(rel):
-                for e, c in p.items():
-                    k = index.get((i, tuple(a + b for a, b in zip(e, m))))
-                    if k is not None:
-                        row[k] = row.get(k, 0) + c
-            row = {k: c for k, c in row.items() if c}
-            if row:
-                rows.append(row)
-    return rows
 
 
 def degree_component(f: GradedModulePresentation, alpha) -> DegreeComponent:

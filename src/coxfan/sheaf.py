@@ -51,13 +51,13 @@ from .gradmod import (
     _monomials_of_degree,
     chart_bases,
     chart_intersection,
-    component_span_rows,
     degree_component,
     graded_elements,
     saturate_at,
 )
 from .groeb import (
     POT,
+    _divides,
     m_leading_term,
     m_term_mul,
     minimalize_monomials,
@@ -254,11 +254,21 @@ def is_zero_sheaf(s: SheafCoverPresentation) -> bool:
 class _Window:
     """One chart at one denominator level: the span of the Laurent
     monomials x^(v + e − level·ẑ)·e_i, for the chart's twists v and the
-    monomials x^e·e_i of the window's degree.  A coordinate is the pair
-    (i, v + e − level·ẑ), so two twists whose products agree share it.
-    The subspace to quotient by is the localization kernel, which
-    contains the relations, times each twist.  A free module's subspace
-    is 0, so the image of a coordinate is the int 1 at itself."""
+    monomials x^e·e_i of the window's degree t.  A coordinate is the pair
+    (i, u), u = v + e − level·ẑ, so two twists whose products agree share
+    it.  The subspace is Σ_v x^(v − level·ẑ)·K_t, K the localization
+    kernel, which contains the relations.  Let c clear the twists'
+    negative entries and J = Σ_v x^(v + c·ẑ)·K.  Every twist has one
+    degree, so the subspace is x^(−(c + level)·ẑ)·J_D for one degree D.
+    Its rows are x^(u − d)·b, one per coordinate whose monomial
+    x^(u + (c + level)·ẑ)·e_i the leading term x^d·e_i of an element b of
+    J's POT Groebner basis divides (the first such b).  J lies in the
+    monomial submodule the x^(v + c·ẑ)·e_i generate, whose monomials of
+    degree D are the window's, so each row lies in the window; the rows'
+    leading terms are distinct, and they number dim J_D (Macaulay), so
+    the rows are a basis.  ``ratlin.echelon`` takes them to the reduced
+    row echelon form, which is unique.  A free module's window has no
+    row, and the image of a coordinate is the int 1 at itself."""
 
     def __init__(self, s, key, degree, twists, level):
         f = s.origin
@@ -267,19 +277,27 @@ class _Window:
         self.level = level
         target = g.class_group.add(degree, g.a_map(tuple(level * x for x in z)))
         base = _monomials_of_degree(f, target)
-        base_index = {c: k for k, c in enumerate(base)}
-        base_rows = component_span_rows(
-            f, graded_elements(f, s.kernels[key]), target, base_index
-        )
         self.index = {}
-        rows = []
         for v in twists:
             shift = [a - level * b for a, b in zip(v, z)]
-            cols = [
+            for i, e in base:
                 self.index.setdefault((i, tuple(map(add, e, shift))), len(self.index))
-                for i, e in base
-            ]
-            rows.extend({cols[c]: x for c, x in r.items()} for r in base_rows)
+        c = max([0] + [-a for v in twists for a in v])
+        basis = module_groebner_basis([
+            m_term_mul(k, tuple(a + c * b for a, b in zip(v, z)), 1)
+            for v in twists for k in s.kernels[key]
+        ])
+        leads = [m_leading_term(b, POT)[0] for b in basis]
+        lift = [(c + level) * b for b in z]
+        rows = []
+        for i, u in self.index if basis else ():
+            m = tuple(map(add, u, lift))
+            for b, (q, d) in zip(basis, leads):
+                if q == i and _divides(d, m):
+                    step = tuple(map(sub, u, d))
+                    rows.append({self.index[j, tuple(map(add, e, step))]: x
+                                 for j, p in enumerate(b) for e, x in p.items()})
+                    break
         self.echelon = ratlin.echelon(rows)
 
     @property
@@ -379,9 +397,10 @@ def _equalizer(s, invariants, plan, windows):
     coordinates less the windows' subspaces and the rank of its sparse
     rows, one row per overlap coordinate, read off the images of both
     sides' coordinates.  A coordinate is a Laurent monomial, and so is
-    its image: the same monomial in the overlap window.  For a free
-    module every entry is the int 1 or −1, so ``ratlin.rank``
-    eliminates in integers."""
+    its image: the same monomial in the overlap window.  Only a module
+    with relations gets here.  A coordinate off the pivots of the
+    overlap's subspace maps to the int 1 at itself, and a pivot to its
+    echelon row's other entries, negated, as Fractions."""
     cox = s.cox
     sizes = [w.size for w in windows.values()]
     offsets = dict(zip(windows, accumulate(sizes, initial=0)))

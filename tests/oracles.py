@@ -4,14 +4,15 @@ Everything in this file is deliberately written from scratch, without
 importing the package's own algorithms: naive elementary-operation
 normal forms, half-space elimination by the textbook recipe, explicit
 lattice-point enumeration, and set-based monomial combinatorics.  Tests
-compare the fast implementations against these.  The three exceptions are
+compare the fast implementations against these.  The four exceptions are
 ``smith_normal_form``, a verbatim copy of the package's earlier two-list
-elimination, which pins the exact transforms of the block-matrix form,
+elimination, which pins the exact transforms of the block-matrix form;
 ``lift_by_groebner``, the finite-type lift by the package's own least
-powers and Groebner bases, with none of the lift's shortcuts, and
+powers and Groebner bases, with none of the lift's shortcuts;
 ``degree_zero_monoid_generators``, the package's earlier chart generators:
 a Hilbert basis of the degree-0 monoid itself, in the coordinates of a
-Hermite basis of the degree-0 lattice.
+Hermite basis of the degree-0 lattice; and ``component_span_rows``, the
+package's earlier window rows: every fiber multiple of every element.
 """
 
 from __future__ import annotations
@@ -625,6 +626,30 @@ def window_quotient_dimension(base, kernel_rows, twists):
                 ):
                     rows.append({(j, c): 1, (j2, c2): -1})
     return len(twists) * width - _sparse_rank(rows)
+
+
+def component_span_rows(f, graded, alpha, index):
+    """Sparse rows {coordinate: coefficient} spanning the degree-alpha
+    slice of the module generated by the given (degree, homogeneous
+    element) pairs, in the monomial coordinates of ``index``: every fiber
+    multiple of every element, dependent rows included."""
+    from coxfan.grading import degree_fiber
+
+    g = f.cox.grading
+    A = g.class_group
+    rows = []
+    for d_rel, rel in graded:
+        for m in degree_fiber(g, A.add(alpha, A.neg(d_rel))):
+            row = {}
+            for i, p in enumerate(rel):
+                for e, c in p.items():
+                    k = index.get((i, tuple(a + b for a, b in zip(e, m))))
+                    if k is not None:
+                        row[k] = row.get(k, 0) + c
+            row = {k: c for k, c in row.items() if c}
+            if row:
+                rows.append(row)
+    return rows
 
 
 def _sparse_rank(rows):

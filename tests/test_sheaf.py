@@ -5,11 +5,12 @@ import itertools
 import math
 import random
 import time
+import types
 from fractions import Fraction
 
 import pytest
 
-from coxfan import corpus, gradmod, grading, polyfan, sheaf
+from coxfan import corpus, gradmod, grading, polyfan, ratlin, sheaf
 from coxfan.cox import BaseRingFlags, build_cox
 from coxfan.gradmod import (
     GradedModulePresentation,
@@ -1158,32 +1159,92 @@ def test_covers_of_one_module_stay_equal_after_sections(p2_cox, ideal):
     assert a == b
 
 
-@pytest.mark.parametrize("ideal", [[(1, 0, 0)], [(1, 1, 0), (0, 0, 1)]], ids=["Z1", "Z1Z2,Z3"])
-def test_windows_match_the_block_reference(monkeypatch, ideal):
-    # At odd degrees the cone of P(1,1,2) on (1, 0) and (-1, -2) has two
-    # twists, and for these modules a localization kernel.
-    c = _cox("p112")
-    g = c.grading
-    s = sheafify(quotient_by_monomial_ideal(c, ideal))
-    f = s.origin
-    checked = []
+def _check_windows(monkeypatch, checked):
+    """Make every window built check itself against the block reference,
+    which quotients each twist's block by all fiber multiples of the
+    kernel, and append whether it had several twists and a kernel."""
 
     class Checked(sheaf._Window):
         def __init__(self, s, key, degree, twists, level):
             super().__init__(s, key, degree, twists, level)
-            target = g.class_group.add(degree, g.a_map(tuple(level * x for x in c.zhat[key])))
+            f = s.origin
+            g = f.cox.grading
+            target = g.class_group.add(degree, g.a_map(tuple(level * x for x in f.cox.zhat[key])))
             base = gradmod._monomials_of_degree(f, target)
             index = {m: k for k, m in enumerate(base)}
             kernel = gradmod.graded_elements(f, s.kernels[key])
-            rows = gradmod.component_span_rows(f, kernel, target, index)
+            rows = oracles.component_span_rows(f, kernel, target, index)
             want = oracles.window_quotient_dimension(base, rows, twists)
             assert self.size - self.sub_rank == want, (key, degree, level)
             checked.append(len(twists) > 1 and bool(rows))
 
     monkeypatch.setattr(sheaf, "_Window", Checked)
+
+
+@pytest.mark.parametrize("ideal", [[(1, 0, 0)], [(1, 1, 0), (0, 0, 1)]], ids=["Z1", "Z1Z2,Z3"])
+def test_windows_match_the_block_reference(monkeypatch, ideal):
+    # At odd degrees the cone of P(1,1,2) on (1, 0) and (-1, -2) has two
+    # twists, and for these modules a localization kernel.
+    c = _cox("p112")
+    s = sheafify(quotient_by_monomial_ideal(c, ideal))
+    checked = []
+    _check_windows(monkeypatch, checked)
     for d in range(-3, 7):
-        global_sections_degree(s, _ray_multiple(g, d), mode="via_twist")
+        global_sections_degree(s, _ray_multiple(c.grading, d), mode="via_twist")
     assert any(checked)
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "p112", "f2", "dp6", "p3"])
+def test_windows_of_generated_relations_match_the_block_reference(monkeypatch, name):
+    # Generated binomial ideals and rank-2 modules, in both modes, at
+    # classes with entries -1..2: a window's subspace rows, read off a
+    # Groebner basis of its twisted kernel, span what every fiber multiple
+    # of the kernel spans.  At the odd classes of P(1,1,2) a window has two
+    # twists and a binomial kernel, whose two shifted bases together need
+    # not be a Groebner basis.
+    c = _cox(name)
+    A = c.grading.class_group
+    rng = random.Random(28)
+    modules = list(_generated_modules(c, rng, 4))
+    boxes = list(itertools.product(range(-1, 3), repeat=len(A.zero().coords())))
+    alphas = [A.from_coords(t) for t in rng.sample(boxes, min(4, len(boxes)))]
+    checked = []
+    _check_windows(monkeypatch, checked)
+    for f, gens in modules:
+        s = sheafify(GradedModulePresentation(c, f.generator_degrees, tuple(gens)))
+        for alpha in alphas:
+            for mode in ("via_shift", "via_twist"):
+                global_sections_degree(s, alpha, mode=mode)
+    assert checked
+    assert any(checked) == (name == "p112")
+
+
+def test_window_rows_are_independent(monkeypatch):
+    # A window inserts one row per leading monomial of its twisted
+    # kernel's Groebner basis, so elimination cancels none of them: every
+    # window's rows number its pivots.  Every fiber multiple of the kernel
+    # gave row 3 of ROADMAP item 3 at α = 4 16 rows for 15 pivots.
+    sizes = []
+
+    def echelon(rows):
+        out = ratlin.echelon(rows)
+        sizes.append((len(rows), len(out)))
+        return out
+
+    monkeypatch.setattr(sheaf, "ratlin", types.SimpleNamespace(echelon=echelon, rank=ratlin.rank))
+    row3 = [{(2, 0, 0): 1, (0, 1, 1): -1}, {(0, 3, 0): 1, (0, 0, 3): -2}]
+    cases = [
+        ("p2", row3, 4, "via_shift"),
+        ("p2", row3, 4, "via_twist"),
+        ("p112", [{(2, 0, 0): 1, (0, 1, 0): -1}, {(0, 0, 2): 1, (0, 1, 0): -3}], 5, "via_twist"),
+    ]
+    for name, ideal, d, mode in cases:
+        c = _cox(name)
+        rels = tuple(({e: Fraction(x) for e, x in p.items()},) for p in ideal)
+        s = sheafify(GradedModulePresentation(c, (c.grading.class_group.zero(),), rels))
+        global_sections_degree(s, _ray_multiple(c.grading, d), mode=mode)
+    assert sizes and all(n == k for n, k in sizes), sizes
+    assert any(n for n, _ in sizes)
 
 
 def _lex_window(c, top):
@@ -1443,7 +1504,7 @@ def _component_meet(f, family, alpha):
     index = {m: k for k, m in enumerate(coords)}
     meet = None
     for chart in family.charts.values():
-        rows = gradmod.component_span_rows(f, gradmod.graded_elements(f, chart), alpha, index)
+        rows = oracles.component_span_rows(f, gradmod.graded_elements(f, chart), alpha, index)
         dense = [[row.get(k, 0) for k in range(len(coords))] for row in rows]
         meet = dense if meet is None else oracles.subspace_intersection(meet, dense)
     return [
