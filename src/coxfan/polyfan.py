@@ -3,14 +3,15 @@
 Cones are given by primitive integer ray generators; conversion between
 generator and inequality descriptions goes through Fourier-Motzkin
 elimination on primitive integer rows, and keeps only the facets: a row
-whose tight generators span one dimension less than the cone, one row
-per tight set.  Everything else about a cone is read off the ray-facet
+whose tight generators lie in no other row's tight set, one row per
+tight set.  Everything else about a cone is read off the ray-facet
 incidence of its one cached H-representation (Cox-Little-Schenck, Toric
-Varieties, §1.2): a generator g spans an extreme ray when the facets
-tight at g, with the equalities, have rank one less than the ambient
-rank; the faces are the intersections of the sets of rays tight on each
-facet; the facets are the rays of the dual.  The package's one
-lattice-point enumerator, `_lattice_points`, is here: degree fibers,
+Varieties, §1.2): a generator g spans an extreme ray when no other
+generator is tight on every facet tight at g; the faces are the
+intersections of the sets of rays tight on each facet; the facets are
+the rays of the dual; the dimension is the ambient rank less the number
+of equality normals.  Other ranks are lengths of Hermite bases.  The
+one lattice-point enumerator, `_lattice_points`, is here: degree fibers,
 chart twists, the restricted irrelevant ideal and Hilbert bases read it.
 Cones, fans and Hilbert bases are capped at ambient rank 6 where they are made
 (`Cone.make`, `build_fan`, `hilbert_basis`); the algorithms here are
@@ -23,10 +24,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
 
-from . import ratlin
 from ._record import DomainError, Record
 from .intlat import _transpose, cokernel_presentation, hermite_row_basis, integer_kernel
 
@@ -96,12 +96,6 @@ def _fm_eliminate(eqs, ineqs, idx):
     return _prune(eqs), _prune(ineqs)
 
 
-def _normalize_int(vec):
-    """Clear denominators and make primitive, keeping orientation."""
-    den = lcm(*(x.denominator for x in vec))
-    return primitive([int(x * den) for x in vec])
-
-
 def _prune(vectors):
     seen = set()
     out = []
@@ -119,8 +113,8 @@ def _dot(a, b):
 
 
 def _tight(row, rays):
-    """The rays on the hyperplane row.x = 0, in order."""
-    return tuple(g for g in rays if not _dot(row, g))
+    """The rays on the hyperplane row.x = 0."""
+    return frozenset(g for g in rays if not _dot(row, g))
 
 
 def cone_inequalities(generators, rank):
@@ -129,10 +123,17 @@ def cone_inequalities(generators, rank):
     The cone is {x : f.x >= 0 for f in ineqs, e.x = 0 for e in eqs}.
     Obtained by eliminating the multiplier variables lambda from
     {x = sum lambda_i g_i, lambda >= 0} with Fourier-Motzkin, in integers.
-    Elimination also yields implied rows.  A row is kept when the
-    generators tight on it span dim - 1, so it cuts out a facet, and of
-    the rows with one tight set the last is kept.  A row in the span of
-    the equalities is tight on every generator, so it goes too.
+    Elimination also yields implied rows.  A row cuts out the face on the
+    generators tight on it, and some row cuts out each facet, as the rows
+    are an H-representation.  No row is tight on every generator: a final
+    row f is sum mu_i lambda_i plus a combination of the equations, with
+    mu >= 0 not all 0, as every step scales the multipliers or adds them
+    positively, and the coefficients of lambda_i give f.g_i = mu_i.  So a
+    row's face lies in a facet, and a row is kept when its tight set lies
+    strictly inside no other row's, the last of the rows with one tight
+    set.  The equality normals are the Hermite basis of the eliminated
+    equations, cleared from the last row up to primitive reduced echelon
+    rows.
     """
     gens = [tuple(g) for g in generators]
     k = len(gens)
@@ -143,12 +144,14 @@ def cone_inequalities(generators, rank):
     ineqs = [tuple(int(j == rank + i) for j in range(rank + k)) for i in range(k)]
     for idx in reversed(range(rank, rank + k)):
         eqs, ineqs = _fm_eliminate(eqs, ineqs, idx)
-    # Canonical independent set of equality normals.
-    ech = ratlin.echelon(f[:rank] for f in eqs)
-    out_eq = [_normalize_int([r.get(c, 0) for c in range(rank)]) for r in ech.values()]
-    facet_rank = rank - len(out_eq) - 1
+    out_eq = hermite_row_basis([f[:rank] for f in eqs], rank)
+    for i in reversed(range(len(out_eq))):
+        out_eq[i] = p = primitive(out_eq[i])
+        col = next(c for c, x in enumerate(p) if x)
+        for j in range(i):
+            out_eq[j] = [p[col] * a - out_eq[j][col] * b for a, b in zip(out_eq[j], p)]
     rows = {_tight(f, gens): f for f in _prune([primitive(f[:rank]) for f in ineqs])}
-    return [f for tight, f in rows.items() if ratlin.rank(tight) == facet_rank], out_eq
+    return [f for tight, f in rows.items() if not any(tight < t for t in rows)], out_eq
 
 
 def cone_generators_from_inequalities(ineqs, eqs, rank):
@@ -263,29 +266,31 @@ class Cone(Record):
 
     @staticmethod
     def make(rank, generators):
-        """The cone on the generators that span its extreme rays.  The facets
-        tight at g, with the equalities, cut out the smallest face holding
-        g, so g spans an extreme ray when they have rank ``rank - 1``.  A
-        cone that contains a line keeps every primitive generator."""
+        """The cone on the generators that span its extreme rays.  A face is
+        the cone on the generators it holds, and the facets tight at g cut
+        out the smallest face holding g, so g spans an extreme ray when no
+        other generator is tight on every facet tight at g.  A cone that
+        contains a line keeps every primitive generator."""
         _check_rank(rank)
         cone = Cone(rank, tuple(sorted(_prune([primitive(g) for g in generators]))))
         if not cone.is_pointed():
             return cone
-        ineqs, eqs = cone.hrep()
+        gens, ineqs = cone.ray_generators, cone.hrep()[0]
+        tight = {g: {i for i, f in enumerate(ineqs) if not _dot(f, g)} for g in gens}
         return Cone(rank, tuple(
-            g for g in cone.ray_generators
-            if ratlin.rank([f for f in ineqs if not _dot(f, g)] + eqs) == rank - 1
+            g for g in gens if not any(h != g and tight[g] <= tight[h] for h in gens)
         ))
 
     def dim(self):
-        return ratlin.rank(self.ray_generators)
+        """The equality normals are a basis of span(G)^⊥."""
+        return self.ambient_rank - len(self.hrep()[1])
 
     def hrep(self):
         return _hrep_cached(self.ray_generators, self.ambient_rank)
 
     def is_pointed(self):
         ineqs, eqs = self.hrep()
-        return ratlin.rank(ineqs + eqs) == self.ambient_rank
+        return len(hermite_row_basis(ineqs + eqs, self.ambient_rank)) == self.ambient_rank
 
     def faces(self):
         """All faces (including the cone itself and, when pointed, 0): the
@@ -293,7 +298,7 @@ class Cone(Record):
         rays = self.ray_generators
         found = {rays}
         for f in self.hrep()[0]:
-            tight = set(_tight(f, rays))
+            tight = _tight(f, rays)
             found |= {tuple(g for g in face if g in tight) for face in found}
         return [Cone(self.ambient_rank, k) for k in sorted(found, key=lambda k: (len(k), k))]
 
@@ -483,8 +488,7 @@ def fan_properties(f: Fan) -> FanProperties:
             is_empty=True,
         )
     n = f.ambient_rank
-    rays = [list(r) for r in f.ray_index]
-    is_full = (ratlin.rank(rays) == n) if rays else (n == 0)
+    is_full = len(hermite_row_basis(f.ray_index, n)) == n
     is_simplicial = all(
         len(c.ray_generators) == c.dim() for c in f.cones
     )

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals, on sparse rows.
 
 A row is stored as a dict {column: int or Fraction} of its nonzero
-entries: the chart windows and Čech equalizers of `sheaf` have thousands
-of rows with a handful of entries each, mostly ±1.  Rows may be given as
-lists too; every row returned is a dict.  One echelon core serves both
-functions, ``echelon`` and ``rank``.  It inserts the rows one at a time,
+entries: the Čech equalizer of `sheaf`, its one caller, has thousands of
+rows with a handful of entries each, mostly ±1.  Rows may be given as
+lists too; every row returned is a dict.  One echelon core serves
+``echelon``, for the overlap windows' rows, and ``rank``, for the
+equalizer's.  It inserts the rows one at a time,
 cancelling each row's leading entry against the pivot rows found so far
 until the row vanishes or opens a new pivot.  A pivot of ±1 keeps a
 row's ints, so rational arithmetic starts only at the first other pivot.

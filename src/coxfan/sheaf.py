@@ -10,9 +10,11 @@ heuristic.  Both section modes share one window builder, whose
 coordinates are Laurent monomials.  A free module's sections are the
 coordinates common to its live maximal windows, which the lattice-point
 count of P_D checks; only a module with relations builds the overlaps'
-windows, for the rows-and-rank equalizer.  For a free module at a class
-in Pic (B = Cl), via_twist reads via_shift's windows: O(α) is then a
-line bundle and M~ ⊗ O(α) ≅ M(α)~.  The unit η of the
+windows, for the equalizer, whose columns are the maximal windows'
+coordinates with no subspace row; only the overlap windows eliminate.
+For a free module at a class in Pic (B = Cl), via_twist reads
+via_shift's windows: O(α) is then a line bundle and
+M~ ⊗ O(α) ≅ M(α)~.  The unit η of the
 correspondence is compared by dimensions: its kernel in degree α is the
 saturated relations modulo the relations there, the saturated relations
 being the chart intersection of the maximal cones' kernels.
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations, count
 from operator import add, mul, sub
 
 from . import ratlin
@@ -262,13 +264,18 @@ class _Window:
     degree, so the subspace is x^(−(c + level)·ẑ)·J_D for one degree D.
     Its rows are x^(u − d)·b, one per coordinate whose monomial
     x^(u + (c + level)·ẑ)·e_i the leading term x^d·e_i of an element b of
-    J's POT Groebner basis divides (the first such b).  J lies in the
-    monomial submodule the x^(v + c·ẑ)·e_i generate, whose monomials of
-    degree D are the window's, so each row lies in the window; the rows'
-    leading terms are distinct, and they number dim J_D (Macaulay), so
-    the rows are a basis.  ``ratlin.echelon`` takes them to the reduced
-    row echelon form, which is unique.  A free module's window has no
-    row, and the image of a coordinate is the int 1 at itself."""
+    J's POT Groebner basis divides (the first such b), keyed by that
+    coordinate.  J lies in the monomial submodule the x^(v + c·ẑ)·e_i
+    generate, whose monomials of degree D are the window's, so each row
+    lies in the window; the rows' leading terms are distinct, and they
+    number dim J_D (Macaulay), so the rows are a basis.
+
+    The coordinates S with no row are a basis of the window's quotient:
+    by Macaulay's basis theorem (Cox–Little–O'Shea, Using Algebraic
+    Geometry, Ch. 5 §2) the monomials of degree D that no leading term of
+    J's basis divides are independent modulo J_D, so span(S) meets the
+    subspace only in 0, and |S| is the size less the rows, the subspace's
+    dimension.  A free module's window has no row."""
 
     def __init__(self, s, key, degree, twists, level):
         f = s.origin
@@ -289,33 +296,15 @@ class _Window:
         ])
         leads = [m_leading_term(b, POT)[0] for b in basis]
         lift = [(c + level) * b for b in z]
-        rows = []
+        self.rows = {}
         for i, u in self.index if basis else ():
             m = tuple(map(add, u, lift))
             for b, (q, d) in zip(basis, leads):
                 if q == i and _divides(d, m):
                     step = tuple(map(sub, u, d))
-                    rows.append({self.index[j, tuple(map(add, e, step))]: x
-                                 for j, p in enumerate(b) for e, x in p.items()})
+                    self.rows[i, u] = {self.index[j, tuple(map(add, e, step))]: x
+                                       for j, p in enumerate(b) for e, x in p.items()}
                     break
-        self.echelon = ratlin.echelon(rows)
-
-    @property
-    def size(self):
-        return len(self.index)
-
-    @property
-    def sub_rank(self):
-        return len(self.echelon)
-
-    def image(self, coord):
-        """The class of a coordinate vector in the quotient, as the sparse
-        representative that is 0 at every pivot of the subspace."""
-        t = self.index[coord]
-        row = self.echelon.get(t)
-        if row is None:
-            return {t: 1}
-        return {k: -x for k, x in row.items() if k != t}
 
 
 def _cover_twist(v, tw_tau, tau_pos):
@@ -393,17 +382,20 @@ def _common_coordinates(windows):
 
 
 def _equalizer(s, invariants, plan, windows):
-    """The dimension of the equalizer of the chart windows: their
-    coordinates less the windows' subspaces and the rank of its sparse
-    rows, one row per overlap coordinate, read off the images of both
-    sides' coordinates.  A coordinate is a Laurent monomial, and so is
-    its image: the same monomial in the overlap window.  Only a module
-    with relations gets here.  A coordinate off the pivots of the
-    overlap's subspace maps to the int 1 at itself, and a pivot to its
-    echelon row's other entries, negated, as Fractions."""
+    """The dimension of the equalizer of the chart windows' quotients
+    (only a module with relations gets here).  A maximal window's quotient
+    has the basis S_σ of its coordinates with no row (``_Window``), which
+    number the columns.  The equalizer is the kernel of δ on ⊕ span(S_σ),
+    which sends a coordinate to its class in each overlap window's
+    quotient, negated on a pair's second side, so its dimension is
+    Σ|S_σ| − rank δ.  A coordinate's image is the same Laurent monomial in
+    the overlap window, whose reduced echelon rows, taken once per
+    distinct window, give its class as the representative 0 at every
+    pivot: 1 at itself off the pivots, else its row's other entries,
+    negated.  δ has one sparse row per overlap coordinate."""
     cox = s.cox
-    sizes = [w.size for w in windows.values()]
-    offsets = dict(zip(windows, accumulate(sizes, initial=0)))
+    n = count()
+    cols = {key: {c: next(n) for c in w.index if c not in w.rows} for key, w in windows.items()}
     rows = []
     overlaps = {}
     for tau_key, sides, tw_tau, slack in plan:
@@ -411,17 +403,19 @@ def _equalizer(s, invariants, plan, windows):
         m = cox.m_exponents[tau_key]
         ktau = m * -(-needed // m)
         if (tau_key, ktau) not in overlaps:
-            overlaps[tau_key, ktau] = _Window(s, tau_key, invariants[0], tw_tau, ktau)
-        wt = overlaps[tau_key, ktau]
+            wt = _Window(s, tau_key, invariants[0], tw_tau, ktau)
+            overlaps[tau_key, ktau] = wt.index, ratlin.echelon(wt.rows.values())
+        index, echelon = overlaps[tau_key, ktau]
         eq = {}
         for key, sign in zip(sides, (1, -1)):
-            off = offsets[key]
-            for coord, col in windows[key].index.items():
-                for t, x in wt.image(coord).items():
-                    eq.setdefault(t, {})[off + col] = sign * x
+            for coord, col in cols[key].items():
+                t = index[coord]
+                row = echelon.get(t)
+                image = {t: 1} if row is None else {u: -x for u, x in row.items() if u != t}
+                for u, x in image.items():
+                    eq.setdefault(u, {})[col] = sign * x
         rows.extend(eq[t] for t in sorted(eq))
-    trivial = sum(w.sub_rank for w in windows.values())
-    return sum(sizes) - ratlin.rank(rows) - trivial
+    return sum(map(len, cols.values())) - ratlin.rank(rows)
 
 
 def global_sections_degree(

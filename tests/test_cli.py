@@ -739,13 +739,14 @@ _MAIN = "import contextlib, io, sys\nfrom coxfan import cli\n" + (
 def test_fan_validate_loads_only_its_layers(p2):
     loaded = _fresh_modules(_MAIN, "fan", "validate", p2)
     assert "coxfan.polyfan" in loaded
-    assert not loaded & {"coxfan.sheaf", "coxfan.gradmod", "coxfan.groeb", "dataclasses"}
+    assert not loaded & {"coxfan.sheaf", "coxfan.gradmod", "coxfan.groeb", "coxfan.ratlin",
+                         "dataclasses"}
 
 
 def test_cox_build_loads_neither_gradmod_nor_sheaf(p2):
     loaded = _fresh_modules(_MAIN, "cox", "build", p2, "--subgroup", "2")
     assert "coxfan.cox" in loaded
-    assert not loaded & {"coxfan.sheaf", "coxfan.gradmod"}
+    assert not loaded & {"coxfan.sheaf", "coxfan.gradmod", "coxfan.ratlin"}
 
 
 # Every name the package exported when it imported all of its layers.

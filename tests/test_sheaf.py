@@ -1175,7 +1175,7 @@ def _check_windows(monkeypatch, checked):
             kernel = gradmod.graded_elements(f, s.kernels[key])
             rows = oracles.component_span_rows(f, kernel, target, index)
             want = oracles.window_quotient_dimension(base, rows, twists)
-            assert self.size - self.sub_rank == want, (key, degree, level)
+            assert len(self.index) - len(self.rows) == want, (key, degree, level)
             checked.append(len(twists) > 1 and bool(rows))
 
     monkeypatch.setattr(sheaf, "_Window", Checked)
@@ -1219,32 +1219,61 @@ def test_windows_of_generated_relations_match_the_block_reference(monkeypatch, n
     assert any(checked) == (name == "p112")
 
 
-def test_window_rows_are_independent(monkeypatch):
-    # A window inserts one row per leading monomial of its twisted
-    # kernel's Groebner basis, so elimination cancels none of them: every
-    # window's rows number its pivots.  Every fiber multiple of the kernel
-    # gave row 3 of ROADMAP item 3 at α = 4 16 rows for 15 pivots.
-    sizes = []
+_ROW3 = [{(2, 0, 0): 1, (0, 1, 1): -1}, {(0, 3, 0): 1, (0, 0, 3): -2}]
+_ROW_CASES = [
+    ("p2", _ROW3, 4, "via_shift"),
+    ("p2", _ROW3, 4, "via_twist"),
+    ("p112", [{(2, 0, 0): 1, (0, 1, 0): -1}, {(0, 0, 2): 1, (0, 1, 0): -3}], 5, "via_twist"),
+]
 
-    def echelon(rows):
-        out = ratlin.echelon(rows)
-        sizes.append((len(rows), len(out)))
-        return out
 
-    monkeypatch.setattr(sheaf, "ratlin", types.SimpleNamespace(echelon=echelon, rank=ratlin.rank))
-    row3 = [{(2, 0, 0): 1, (0, 1, 1): -1}, {(0, 3, 0): 1, (0, 0, 3): -2}]
-    cases = [
-        ("p2", row3, 4, "via_shift"),
-        ("p2", row3, 4, "via_twist"),
-        ("p112", [{(2, 0, 0): 1, (0, 1, 0): -1}, {(0, 0, 2): 1, (0, 1, 0): -3}], 5, "via_twist"),
-    ]
+def _sections_of_ideals(cases):
     for name, ideal, d, mode in cases:
         c = _cox(name)
         rels = tuple(({e: Fraction(x) for e, x in p.items()},) for p in ideal)
         s = sheafify(GradedModulePresentation(c, (c.grading.class_group.zero(),), rels))
         global_sections_degree(s, _ray_multiple(c.grading, d), mode=mode)
-    assert sizes and all(n == k for n, k in sizes), sizes
-    assert any(n for n, _ in sizes)
+
+
+def test_window_rows_are_independent(monkeypatch):
+    # A window makes one row per leading monomial of its twisted kernel's
+    # Groebner basis, so its rows number their rank.  Every fiber multiple
+    # of the kernel gave row 3 of ROADMAP item 3 at α = 4 16 rows for 15
+    # pivots.
+    sizes = []
+
+    class Checked(sheaf._Window):
+        def __init__(self, *args):
+            super().__init__(*args)
+            assert ratlin.rank(list(self.rows.values())) == len(self.rows)
+            sizes.append(len(self.rows))
+
+    monkeypatch.setattr(sheaf, "_Window", Checked)
+    _sections_of_ideals(_ROW_CASES)
+    assert any(sizes)
+
+
+def test_only_overlap_windows_eliminate(monkeypatch):
+    # A maximal window's quotient is its coordinates with no row, so only
+    # the overlap windows reach ratlin.echelon, each distinct one once.
+    calls = []
+    built = []
+
+    def echelon(rows):
+        calls.append(list(rows))
+        return ratlin.echelon(rows)
+
+    class Recorded(sheaf._Window):
+        def __init__(self, s, key, *rest):
+            super().__init__(s, key, *rest)
+            built.append((key in s.maximal, list(self.rows.values())))
+
+    monkeypatch.setattr(sheaf, "ratlin", types.SimpleNamespace(echelon=echelon, rank=ratlin.rank))
+    monkeypatch.setattr(sheaf, "_Window", Recorded)
+    _sections_of_ideals(_ROW_CASES)
+    overlaps = [rows for maximal, rows in built if not maximal]
+    assert overlaps and len(overlaps) < len(built) and any(overlaps)
+    assert calls == overlaps
 
 
 def _lex_window(c, top):
