@@ -220,7 +220,7 @@ def check_round_trip(rng, rings):
     f = rings[rng.choice(MONOMIAL_FANS)]
     g = f.cox.grading
     exps = oracles.random_monomial_ideal(rng, f.nvars)
-    zhats = [f.cox.zhat[c.ray_generators] for c in g.fan.maximal_cones()]
+    zhats = [f.cox.zhat[c.ray_generators] for c in g.fan.maximal]
     want = oracles.minimalize(oracles.saturate_monomial(exps, zhats))
     sub = _ideal(f, ({e: Fraction(1)} for e in exps))
     pre, monomial_ok = _round_trip(f, sub, [g.a_map(e) for e in want])
@@ -267,7 +267,7 @@ def check_torsion(rng, rings, draw):
 
     if points:
         ideal = [(0,) * n]  # the unit ideal
-        for c in g.fan.maximal_cones():
+        for c in g.fan.maximal:
             rays = g.fan.cone_ray_indices(c)
             powers = [tuple(rng.randint(1, 2) * (u == v) for u in range(n)) for v in rays]
             ideal = oracles.intersect_monomial(ideal, powers)
@@ -296,7 +296,7 @@ def check_torsion(rng, rings, draw):
         c.ray_generators: oracles.module_saturate_element(
             rels, {cox.zhat[c.ray_generators]: Fraction(1)}, rank, n, POT, ELIM
         )
-        for c in g.fan.maximal_cones()
+        for c in g.fan.maximal
     }
 
     def power(i, z, k):
@@ -332,7 +332,7 @@ def check_sections(rng, rings):
     f = rings[rng.choice(COMPLETE_FANS)]
     g = f.cox.grading
     rays = g.delta_basis
-    cones = [g.fan.cone_ray_indices(c) for c in g.fan.maximal_cones()]
+    cones = [g.fan.cone_ray_indices(c) for c in g.fan.maximal]
     a = [rng.randint(-1, 2) for _ in rays]
     cartier = oracles.divisor_is_cartier(rays, cones, a)
     shifts = [[rng.randint(0, 1) for _ in rays] for _ in range(rng.randint(1, 3))]

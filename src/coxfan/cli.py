@@ -105,7 +105,7 @@ def serialize_fan(fan):
         "rays": [list(r) for r in rays],
         "max_cones": [
             sorted(rays.index(g) for g in c.ray_generators)
-            for c in fan.maximal_cones()
+            for c in fan.maximal
         ],
     }
 

@@ -4,17 +4,18 @@ One variable per ray, graded by the class group; the distinguished monomials
 Zhat (one per cone, product of the variables off the cone), the irrelevant
 ideal they generate, the restriction of both to a big subgroup of degrees,
 and degree-0 local charts, each read off one Hilbert basis, that of its dual
-cone.
+cone.  `_coset_minima` lists the minimal parts of a lattice coset, for
+I ∩ S_B and the chart twists of `sheaf`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from ._record import DomainError, Record
-from .grading import FIBER_POINT_CAP, FiberTooLarge, GradingData, SubgroupB
-from .grading import _degree_zero_lattice, _nonnegative_rows
+from .grading import GradingData, SubgroupB, _capped, _degree_zero_lattice
 from .groeb import minimalize_monomials
 from .intlat import (
     INFINITE,
@@ -30,6 +31,7 @@ from .intlat import (
 from .polyfan import (
     Cone,
     _lattice_points,
+    cone_generators_from_inequalities,
     cone_inequalities,
     dual_cone,
     hilbert_basis,
@@ -105,9 +107,9 @@ def build_cox(g: GradingData, b: SubgroupB, flags: BaseRingFlags = BaseRingFlags
         if order == INFINITE:
             raise NotBig("no power of a cone monomial lands in the subgroup")
         m_exponents[cone.ray_generators] = order
-    maximal = tuple(c.ray_generators for c in g.fan.maximal_cones())
+    maximal = tuple(c.ray_generators for c in g.fan.maximal)
     irrelevant = tuple(minimalize_monomials(zhat[k] for k in maximal))
-    restricted = _restricted_irrelevant(g, b, zhat, maximal, irrelevant)
+    restricted = _restricted_irrelevant(g, b, zhat, maximal)
     return CoxRingData(
         grading=g,
         subgroup=b,
@@ -120,34 +122,79 @@ def build_cox(g: GradingData, b: SubgroupB, flags: BaseRingFlags = BaseRingFlags
     )
 
 
-def _restricted_irrelevant(g, b, zhat, maximal, irrelevant):
-    """Minimal monomial generators of I ∩ S_B.
-
-    With B = A this is I.  Otherwise the exponents of degree in B form the
-    lattice L_B, of finite index, and the lcm e of the unit vectors' orders
-    modulo L_B is the exponent of A/B; so e*e_j lies in L_B, and every
-    minimal point of (-Zhat_sigma + L_B) ∩ N^n lies in the box [0, e)^n.
-    The generators are the minimal elements of Zhat_sigma + (those box
-    points) over the maximal cones sigma.  A coset of L_B has e^n / [A : B]
-    points in the box; past FIBER_POINT_CAP in all, FiberTooLarge is raised.
-    """
-    if not maximal or b.index_in_A == 1:
-        return list(irrelevant)
-    nr = g.num_rays
-    lat = hermite_row_basis(
-        [*_degree_zero_lattice(g.delta_basis), *map(g.a_map.lift, b.generators)], nr
-    )
-    e = lcm(*(_order_modulo(lat, [int(i == j) for i in range(nr)]) for j in range(nr)))
-    if len(maximal) * e**nr // b.index_in_A > FIBER_POINT_CAP:
-        raise FiberTooLarge(f"more than {FIBER_POINT_CAP} points (the enumeration cap)")
-    rows = _nonnegative_rows(lat, nr)
-    box = rows + tuple(tuple(-x for x in r) for r in rows)
+def _restricted_irrelevant(g, b, zhat, maximal):
+    """Minimal monomial generators of I ∩ S_B: the minimal Zhat_sigma + w,
+    sigma maximal and w a minimal point of (−Zhat_sigma + L_B) ∩ N^n
+    (`_coset_minima`, every variable in the part), L_B the exponents of
+    degree in B, as x ∈ L_B with x ≥ Zhat_sigma lies above one of them."""
+    lat = tuple(hermite_row_basis(
+        [*_degree_zero_lattice(g.delta_basis), *map(g.a_map.lift, b.generators)], g.num_rays
+    ))
+    pos = tuple(range(g.num_rays))
     found = []
     for k in maximal:
-        # x = u . lat with Zhat <= x <= Zhat + e - 1
-        offsets = tuple(-z for z in zhat[k]) + tuple(z + e - 1 for z in zhat[k])
-        found += _lattice_points(box, offsets, (0,) * nr, lat)
+        minima, _ = _coset_minima(lat, tuple(-z for z in zhat[k]), pos)
+        found += (tuple(map(add, zhat[k], v)) for v in minima)
     return minimalize_monomials(found)
+
+
+def _coset_minima(basis, v0, pos):
+    """The vectors v = v0 + x·basis (x integral), one per minimal part
+    p = v|pos ≥ 0, and the kernel directions, which move v off pos only.
+    The parts fill v0|pos + L, L the lattice of the b|pos, and lie in a box:
+    - L of full rank k: e, the lcm of the unit vectors' orders modulo L,
+      puts e·e_j in L, so p_j ≥ e makes p − e·e_j a smaller part.
+    - Otherwise the parts are v0|pos + B·y (B the steps at pos, injective)
+      over the integer points y of P = {v0|pos + B·y ≥ 0} = conv(V) +
+      cone(G), V its vertices, G the primitive extreme rays of {B·y ≥ 0}
+      (Minkowski–Weyl).  For y = q + Σ μ_g·g, y − Σ ⌊μ_g⌋·g lies in P with
+      a smaller part (B·g ≥ 0), so a minimal y has every μ_g < 1, and
+      p_i < max over V of (v0|pos + B·q)_i + Σ_g (B·g)_i; strictly when
+      some B·y > 0, as on a chart, where u·ρ > 0 on the rays ρ of the
+      pointed cone for some u: then some (B·g)_i > 0.
+    Past FIBER_POINT_CAP box points, FiberTooLarge is raised."""
+    steps, kernel, top = _part_lattice(basis, pos)
+    b = [tuple(s[p] for s in steps) for p in pos]
+    v0_pos = [v0[p] for p in pos]
+    if top is None:
+        top = _nonsimplicial_part_bounds(b, v0_pos)
+    m = tuple(b) + tuple(tuple(-x for x in row) for row in b)
+    bounds = tuple(v0_pos) + tuple(t - x for t, x in zip(top, v0_pos))
+    parts = {tuple(v[p] for p in pos): v for v in _capped(_lattice_points(m, bounds, v0, steps))}
+    return [parts[p] for p in minimalize_monomials(parts)], kernel
+
+
+@lru_cache(maxsize=256)
+def _part_lattice(basis, pos):
+    """Steps, kernel and, when L has full rank, the bounds e − 1 of
+    ``_coset_minima``: in the Hermite basis of the rows (b|pos | b), the
+    rows with a nonzero first block are the steps, those blocks a Hermite
+    basis of L, and the others span the lattice's vectors 0 at pos."""
+    k = len(pos)
+    width = k + len(basis[0]) if basis else k
+    h = hermite_row_basis([(*(b[p] for p in pos), *b) for b in basis], width)
+    steps = [row[k:] for row in h if any(row[:k])]
+    kernel = [row[k:] for row in h if not any(row[:k])]
+    if len(steps) < k:
+        return steps, kernel, None
+    lat = [row[:k] for row in h[: len(steps)]]
+    e = lcm(*(_order_modulo(lat, [int(i == j) for i in range(k)]) for j in range(k)))
+    return steps, kernel, (e - 1,) * k
+
+
+def _nonsimplicial_part_bounds(b, v0_tau):
+    """⌈max over the vertices of P⌉ + Σ_g (B·g) − 1 per entry of the part.
+    The rays (t, y) of the homogenization {t·v0_τ + B·y ≥ 0, t ≥ 0} of P
+    give its vertices y/t where t > 0 and the rays g = y of its recession
+    cone where t = 0 (Ziegler, Lectures on Polytopes, §1)."""
+    rows = [(x, *row) for x, row in zip(v0_tau, b)]
+    t_row = (1,) + (0,) * len(b[0])
+    rays, _ = cone_generators_from_inequalities(rows + [t_row], [], len(t_row))
+    return [
+        max(-(-sum(map(mul, row, v)) // v[0]) for v in rays if v[0])
+        + sum(sum(map(mul, row, g)) for g in rays if not g[0]) - 1
+        for row in rows
+    ]
 
 
 def local_chart(c: CoxRingData, cone: Cone) -> LocalChart:

@@ -85,7 +85,7 @@ def cartier_lattice(g: GradingData):
     Hermite basis of the lattice of the (m·x | v) whose first block is 0,
     with that block dropped (a Smith form's transforms grow here)."""
     nr, n = g.num_rays, g.fan.ambient_rank
-    maximal = g.fan.maximal_cones()
+    maximal = g.fan.maximal
     width = nr + n * len(maximal)
     rows = []
     for k, cone in enumerate(maximal):
@@ -170,14 +170,19 @@ def _nonnegative_rows(basis, n):
     return tuple(tuple(r[i] for r in basis) for i in range(n))
 
 
+def _capped(points):
+    """The points as a list; raises FiberTooLarge past FIBER_POINT_CAP."""
+    out = list(islice(points, FIBER_POINT_CAP + 1))
+    if len(out) > FIBER_POINT_CAP:
+        raise FiberTooLarge(f"more than {FIBER_POINT_CAP} points (the enumeration cap)")
+    return out
+
+
 def _cone_points(basis, v0):
     """The sorted vectors v = v0 + x . basis (x integral) with v >= 0.
     Raises FiberTooLarge past FIBER_POINT_CAP vectors."""
     m = _nonnegative_rows(basis, len(v0))
-    out = list(islice(_lattice_points(m, tuple(v0), v0, basis), FIBER_POINT_CAP + 1))
-    if len(out) > FIBER_POINT_CAP:
-        raise FiberTooLarge(f"more than {FIBER_POINT_CAP} points (the enumeration cap)")
-    return sorted(out)
+    return sorted(_capped(_lattice_points(m, tuple(v0), v0, basis)))
 
 
 _FIBERS = OrderedDict()  # (rays, lift) -> fiber, least recent first

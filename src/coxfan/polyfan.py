@@ -9,10 +9,10 @@ incidence of its one cached H-representation (Cox-Little-Schenck, Toric
 Varieties, §1.2): a generator g spans an extreme ray when no other
 generator is tight on every facet tight at g; the faces are the
 intersections of the sets of rays tight on each facet; the facets are
-the rays of the dual; the dimension is the ambient rank less the number
-of equality normals.  Other ranks are lengths of Hermite bases.  The
-one lattice-point enumerator, `_lattice_points`, is here: degree fibers,
-chart twists, the restricted irrelevant ideal and Hilbert bases read it.
+the rays of the dual.  The dimension, like every other rank, is the
+length of a Hermite basis.  The one lattice-point enumerator,
+`_lattice_points`, is here: degree fibers, chart twists, the restricted
+irrelevant ideal and Hilbert bases read it.
 Cones, fans and Hilbert bases are capped at ambient rank 6 where they are made
 (`Cone.make`, `build_fan`, `hilbert_basis`); the algorithms here are
 enumeration-based and meant for desk-scale inputs.  The Fourier-Motzkin
@@ -282,8 +282,7 @@ class Cone(Record):
         ))
 
     def dim(self):
-        """The equality normals are a basis of span(G)^⊥."""
-        return self.ambient_rank - len(self.hrep()[1])
+        return len(hermite_row_basis(self.ray_generators, self.ambient_rank))
 
     def hrep(self):
         return _hrep_cached(self.ray_generators, self.ambient_rank)
@@ -393,9 +392,6 @@ class Fan(Record):
         "maximal",  # the cones no other cone contains, in the order of cones
     )
 
-    def maximal_cones(self):
-        return self.maximal
-
     def cone_ray_indices(self, cone):
         return tuple(self.ray_index.index(g) for g in cone.ray_generators)
 
@@ -498,7 +494,7 @@ def fan_properties(f: Fan) -> FanProperties:
         == [tuple(int(i == j) for j in range(k)) for i in range(k)]
         for c in f.cones
     )
-    maximal = f.maximal_cones()
+    maximal = f.maximal
     if n == 0:
         is_complete = True
     else:

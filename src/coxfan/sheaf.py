@@ -3,10 +3,10 @@
 A graded module's sheaf is held as its cover: the localization kernel
 of every maximal cone and of every intersection of two, computed once.
 A chart's twists (its minimal Laurent generators of one degree) are
-exact: their cone parts lie in a box proven from the Smith form of the
-cone's rays.  Global sections take degrees from finite lists and
-denominators from one level: a proven bound for a free module, else a
-heuristic.  Both section modes share one window builder, whose
+exact: their cone parts lie in a box proven from a Hermite basis
+(``cox._coset_minima``).  Global sections take degrees from finite
+lists and denominators from one level: a proven bound for a free
+module, else a heuristic.  Both section modes share one window builder, whose
 coordinates are Laurent monomials.  A free module's sections are the
 coordinates common to its live maximal windows, which the lattice-point
 count of P_D checks; only a module with relations builds the overlaps'
@@ -38,13 +38,13 @@ intersection, returned with no search.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations, count
-from operator import add, mul, sub
+from operator import add, sub
 
 from . import ratlin
 from ._record import DomainError, Record
-from .cox import CoxRingData
+from .cox import CoxRingData, _coset_minima
 from .grading import _degree_zero_lattice, degree_fiber, is_cartier
 from .gradmod import (
     GradedModulePresentation,
@@ -62,13 +62,11 @@ from .groeb import (
     _divides,
     m_leading_term,
     m_term_mul,
-    minimalize_monomials,
     module_contains,
     module_groebner_basis,
     reduced_basis,
 )
-from .intlat import _mul_vec, _transpose, smith_normal_form
-from .polyfan import _lattice_points, cone_generators_from_inequalities
+from .polyfan import _lattice_points
 
 DEFAULT_MAX_LEVEL = 8
 _ONE = Fraction(1)
@@ -127,24 +125,11 @@ def _sigma_positions(cox: CoxRingData, cone_key):
 def _laurent_component_generators(cox: CoxRingData, alpha, cone_key):
     """Minimal fractional-monomial generators of the degree-alpha part of
     the chart localization at the cone τ, as a module over its degree-0
-    ring: the minimal parts p = v_τ ≥ 0 (the entries on τ's k rays) of the
+    ring: the minimal parts v_τ ≥ 0 (the entries on τ's rays) of the
     exponents v = v0 + x·H, v0 = lift(alpha), H the Hermite basis of the
-    degree-0 lattice.  The parts fill the coset v0_τ + L, L = R·Z^m, R the
-    columns of H on τ's rays.  With the Smith form D = U·R·W of rank r,
-    x = W·(y, t) gives v = v0 + y·steps + t·kernel: y moves the part along
-    the basis d_i·U⁻¹e_i of L, and t moves only the entries off τ.
-
-    Bound on a minimal part p:
-    - τ simplicial (r = k): the exponent e = d_(r−1) of Z^k/L puts e·e_j in
-      L, so p_j ≥ e would make p − e·e_j a smaller part; p lies in [0, e)^k.
-    - Otherwise the parts are v0_τ + B·y (B = steps on τ's rays, injective)
-      for the integer points y of the pointed polyhedron
-      P = {v0_τ + B·y ≥ 0} = conv(V) + cone(G), V its vertices and G the
-      primitive extreme rays of {B·y ≥ 0} (Minkowski–Weyl).  For
-      y = q + Σ μ_g·g, the point y − Σ ⌊μ_g⌋·g lies in P with a part below
-      y's (B·g ≥ 0), so a minimal y has every μ_g < 1, and
-      p_i < max over V of (v0_τ + B·q)_i + Σ_g (B·g)_i; strictly, since τ
-      is pointed and so some (B·g)_i > 0.
+    degree-0 lattice, from ``cox._coset_minima``.  On a non-simplicial τ
+    its box needs a part of the degree-0 lattice positive on all of τ's
+    rays: u·ρ, for u in the interior of τ^∨, as τ is pointed.
 
     Each part keeps its v of least (max |v_i|, v).  On a full-dimensional τ
     there is no kernel and v is unique.  On a face the v of one part are
@@ -153,46 +138,9 @@ def _laurent_component_generators(cox: CoxRingData, alpha, cone_key):
     bisects on T and enumerates.  Dimensions do not depend on the choice:
     two v of one part differ by a unit of the chart."""
     g = cox.grading
-    v0 = g.a_map.lift(alpha)
-    pos = _sigma_positions(cox, cone_key)
-    steps, kernel, top = _part_lattice(g.delta_basis, tuple(pos))
-    b = [tuple(s[p] for s in steps) for p in pos]
-    v0_tau = [v0[p] for p in pos]
-    if top is None:
-        top = _nonsimplicial_part_bounds(b, v0_tau)
-    m = tuple(b) + tuple(tuple(-x for x in row) for row in b)
-    bounds = tuple(v0_tau) + tuple(t - x for t, x in zip(top, v0_tau))
-    points = _lattice_points(m, bounds, v0, steps)
-    parts = {tuple(v[p] for p in pos): v for v in points}
-    return tuple(_least_in_part(parts[p], kernel) for p in minimalize_monomials(parts))
-
-
-@lru_cache(maxsize=256)
-def _part_lattice(rays, pos):
-    """Steps, kernel directions and, for a simplicial cone, the bounds e − 1
-    of ``_laurent_component_generators`` for the rays at pos."""
-    h = _degree_zero_lattice(rays)
-    ht = _transpose(h, len(rays))
-    d, _, w = smith_normal_form([ht[p] for p in pos], len(h))
-    r = sum(1 for x in d if x)
-    dirs = [_mul_vec(ht, col) for col in _transpose(w, len(h))]
-    top = (max(d, default=1) - 1,) * r if r == len(pos) else None
-    return dirs[:r], dirs[r:], top
-
-
-def _nonsimplicial_part_bounds(b, v0_tau):
-    """⌈max over the vertices of P⌉ + Σ_g (B·g) − 1 per entry of the part.
-    The rays (t, y) of the homogenization {t·v0_τ + B·y ≥ 0, t ≥ 0} of P
-    give its vertices y/t where t > 0 and the rays g = y of its recession
-    cone where t = 0 (Ziegler, Lectures on Polytopes, §1)."""
-    rows = [(x, *row) for x, row in zip(v0_tau, b)]
-    t_row = (1,) + (0,) * len(b[0])
-    rays, _ = cone_generators_from_inequalities(rows + [t_row], [], len(t_row))
-    return [
-        max(-(-sum(map(mul, row, v)) // v[0]) for v in rays if v[0])
-        + sum(sum(map(mul, row, g)) for g in rays if not g[0]) - 1
-        for row in rows
-    ]
+    pos = tuple(_sigma_positions(cox, cone_key))
+    minima, kernel = _coset_minima(_degree_zero_lattice(g.delta_basis), g.a_map.lift(alpha), pos)
+    return tuple(_least_in_part(v, kernel) for v in minima)
 
 
 def _least_in_part(v, kernel):

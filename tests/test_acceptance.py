@@ -232,12 +232,12 @@ def test_criterion_08_strongly_graded():
         b = classify_subgroup(g, list(pic.generators))
         if b.is_small:
             c = build_cox(g, b, FIELD)
-            for m in g.fan.maximal_cones():
+            for m in g.fan.maximal:
                 ok &= strongly_graded_at(c, m)
     c = _cox("p112")  # B = A, not small here
     failing = [
         sorted(m.ray_generators)
-        for m in c.grading.fan.maximal_cones()
+        for m in c.grading.fan.maximal
         if not strongly_graded_at(c, m)
     ]
     ok &= [(-1, -2), (1, 0)] in failing
@@ -325,7 +325,7 @@ def test_criterion_10_subgroup_independence():
         a = sorted(local_chart(whole, m).degree_zero_generators)
         b = sorted(local_chart(half, m).degree_zero_generators)
         ok &= a == b
-    for m in g.fan.maximal_cones():
+    for m in g.fan.maximal:
         key = tuple(sorted(m.ray_generators))
         ok &= half.m_exponents[key] == 2
     _report("10 subgroup-independence", ok)

@@ -631,6 +631,23 @@ def test_twisted_sections_answer_on_a_singular_rank_three_fan(tmp_path):
     assert payload["dimensions"] == {zero: {"dimension": 1, "certificate": "bound"}}
 
 
+def test_twisted_sections_past_the_twist_box_cap_are_refused(tmp_path):
+    # At the class (1, 0, 0, 0, 0) via_twist builds its own windows: the
+    # twist box [0, 768)^3 of the cone (2, 4, 7) holds 589,824 points of
+    # one coset, past the enumeration cap, and ran past 60 s unchecked.
+    rays, max_cones = oracles.RANK3_FAN
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({"rank": 3, "rays": rays, "max_cones": max_cones}))
+    start = time.perf_counter()
+    code, out = _run(["module", "sections", str(fan), "--degrees", "1,0,0,0,0",
+                      "--mode", "via_twist"])
+    assert time.perf_counter() - start < 10
+    assert code == cli.EXIT_DOMAIN
+    payload = json.loads(out)
+    _validate(payload, "error")
+    assert payload["error"]["type"] == "FiberTooLarge"
+
+
 @pytest.mark.parametrize("cone", ["1,2,4", "1,6,7", "1,2,7"])
 def test_chart_answers_on_a_singular_rank_three_fan(tmp_path, cone):
     # The duals of these cones have multiplicity 2,688-5,376; their Hilbert

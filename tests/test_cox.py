@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -56,7 +57,7 @@ def test_p2_restricted_to_index_two():
         (1, 1, 0),
         (2, 0, 0),
     ]
-    maximal = c.grading.fan.maximal_cones()
+    maximal = c.grading.fan.maximal
     for m in maximal:
         key = tuple(sorted(m.ray_generators))
         assert c.m_exponents[key] == 2
@@ -72,7 +73,7 @@ def test_p1xp1_irrelevant_generators():
 
 def test_p2_m_exponents_whole_group():
     c = _cox("p2")
-    maximal = c.grading.fan.maximal_cones()
+    maximal = c.grading.fan.maximal
     for m in maximal:
         key = tuple(sorted(m.ray_generators))
         assert c.m_exponents[key] == 1
@@ -83,7 +84,7 @@ def test_p2_local_chart():
     fan = c.grading.fan
     sigma = next(
         m
-        for m in fan.maximal_cones()
+        for m in fan.maximal
         if sorted(m.ray_generators) == [(0, 1), (1, 0)]
     )
     ch = local_chart(c, sigma)
@@ -93,7 +94,7 @@ def test_p2_local_chart():
 
 def test_quadric_cone_chart_relation():
     c = _cox("quadric_cone")
-    sigma = max(c.grading.fan.maximal_cones(), key=lambda m: m.dim())
+    sigma = max(c.grading.fan.maximal, key=lambda m: m.dim())
     ch = local_chart(c, sigma)
     assert len(ch.degree_zero_generators) == 4
     assert len(ch.toric_relations) == 1
@@ -130,7 +131,7 @@ def test_gamma_iso_fails_when_rays_span_a_proper_sublattice():
 def test_strongly_graded_everywhere_when_small():
     for name in ("p2", "p1xp1"):
         c = _cox(name)
-        for m in c.grading.fan.maximal_cones():
+        for m in c.grading.fan.maximal:
             assert strongly_graded_at(c, m), name
 
 
@@ -138,7 +139,7 @@ def test_strongly_graded_fails_on_weighted_singular_chart():
     c = _cox("p112")
     failures = [
         sorted(m.ray_generators)
-        for m in c.grading.fan.maximal_cones()
+        for m in c.grading.fan.maximal
         if not strongly_graded_at(c, m)
     ]
     assert [(-1, -2), (1, 0)] in failures
@@ -180,7 +181,7 @@ def test_degree_zero_independent_of_subgroup():
     # the chart rings only see degree zero, so shrinking B changes nothing
     c_whole = _cox("p2")
     c_half = _cox("p2", _index_two)
-    for m in c_whole.grading.fan.maximal_cones():
+    for m in c_whole.grading.fan.maximal:
         a = sorted(local_chart(c_whole, m).degree_zero_generators)
         b = sorted(local_chart(c_half, m).degree_zero_generators)
         assert a == b
@@ -298,7 +299,7 @@ def test_restricted_irrelevant_against_brute_force(name, diagonal):
     assert not A.torsion_orders and A.free_rank == len(diagonal)
     rows = [[d * (i == j) for j in range(len(diagonal))] for i, d in enumerate(diagonal)]
     c = build_cox(g, classify_subgroup(g, map(A.from_coords, rows)))
-    zhats = [c.zhat[m.ray_generators] for m in g.fan.maximal_cones()]
+    zhats = [c.zhat[m.ray_generators] for m in g.fan.maximal]
     degrees = [d.coords() for d in g.ray_degrees]
     # generators lie in Zhat + [0, e)^n, e = lcm(diagonal); the box reaches e + 1
     e = math.lcm(*diagonal)
@@ -366,4 +367,114 @@ def test_restricted_irrelevant_box_is_the_exponent_box(name, diagonal, monkeypat
 
     monkeypatch.setattr(cox, "_lattice_points", counting)
     build_cox(g, b)
-    assert counts == [e ** g.num_rays // b.index_in_A] * len(g.fan.maximal_cones())
+    assert counts == [e ** g.num_rays // b.index_in_A] * len(g.fan.maximal)
+
+
+def _in_lattice(echelon, x):
+    """Whether x is an integer combination of the rows of an echelon
+    basis, by clearing each pivot column in turn."""
+    x = list(x)
+    for row in echelon:
+        c = next(j for j, a in enumerate(row) if a)
+        if x[c] % row[c]:
+            return False
+        q = x[c] // row[c]
+        x = [a - q * b for a, b in zip(x, row)]
+    return not any(x)
+
+
+def _coset_cases(count, full_rank):
+    """Seeded (basis, v0, pos, top): r = 1-3 independent rows in Z^n, pos
+    a set of k positions, the parts' lattice L (the rows at pos) of rank
+    r, and the scan's reach top, with (top + 1)^k at most 4,000.  When
+    full_rank, k = r and top = e, the exponent of Z^k / L: each minimal
+    part lies in [0, e)^k.  Otherwise k = r + 1, a row is positive at pos,
+    as a chart's parts have, and top is the reference bound of the
+    Minkowski–Weyl argument.  Some rows are 0 at pos, some full-rank L are
+    diagonal, where e is the lcm of the unit vectors' orders and can
+    exceed each of them, and rows are mixed."""
+    rng = random.Random(20261020 + full_rank)
+    out = []
+    while len(out) < count:
+        r = rng.randint(1, 3)
+        k = r if full_rank else r + 1
+        n = k + rng.randint(0, 2)
+        pos = tuple(sorted(rng.sample(range(n), k)))
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+        if not full_rank:
+            for p in pos:
+                rows[0][p] = rng.randint(1, 2)
+        elif rng.random() < 0.3:
+            for i, row in enumerate(rows):
+                for j, p in enumerate(pos):
+                    row[p] = rng.randint(1, 4) if i == j else 0
+        if n > k and rng.random() < 0.5:
+            rows.append([0 if j in pos else rng.randint(-2, 2) for j in range(n)])
+        if len(rows) > 1:
+            i, j = rng.sample(range(len(rows)), 2)
+            rows[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(rows[i], rows[j])]
+        parts = [[row[p] for p in pos] for row in rows]
+        if oracles.row_rank(rows) != len(rows) or oracles.row_rank(parts) != r:
+            continue
+        v0 = tuple(rng.randint(-4, 4) for _ in range(n))
+        if full_rank:
+            top = max(oracles.snf_diagonal(parts))
+        else:
+            h = oracles._hermite(parts, k)
+            b = [tuple(row[i] for row in h) for i in range(k)]
+            top = max(oracles.part_bounds(b, [v0[p] for p in pos]))
+        if (top + 1) ** k <= 4000:
+            out.append((tuple(map(tuple, rows)), v0, pos, top))
+    return out
+
+
+def _check_coset_minima(basis, v0, pos, top):
+    """The minima and kernel of ``_coset_minima`` against a scan of the
+    box [0, top]^k for the coset v0|pos + L, minimalized."""
+    lattice = oracles._hermite(basis, len(v0))
+    parts = oracles._hermite([[row[p] for p in pos] for row in basis], len(pos))
+    shift = [v0[p] for p in pos]
+    scan = [
+        q for q in itertools.product(range(top + 1), repeat=len(pos))
+        if _in_lattice(parts, [a - b for a, b in zip(q, shift)])
+    ]
+    minima, kernel = cox._coset_minima(basis, v0, pos)
+    assert [tuple(v[p] for p in pos) for v in minima] == oracles.minimalize(scan)
+    assert all(_in_lattice(lattice, [a - b for a, b in zip(v, v0)]) for v in minima)
+    assert len(kernel) == len(lattice) - len(parts) == oracles.row_rank(kernel)
+    assert all(_in_lattice(lattice, w) and not any(w[p] for p in pos) for w in kernel)
+
+
+def test_coset_minima_of_full_rank_parts_match_a_box_scan(monkeypatch):
+    # Each minimal part lies in [0, e)^k, e the exponent of Z^k / L; the
+    # scan reaches e.  The box holds e^k / [Z^k : L] points, which the
+    # bound max(orders) of the unit vectors would cut where e is larger.
+    counts = []
+    enumerate_points = cox._lattice_points
+
+    def counting(*args):
+        points = list(enumerate_points(*args))
+        counts.append(len(points))
+        return points
+
+    monkeypatch.setattr(cox, "_lattice_points", counting)
+    cut = 0
+    for basis, v0, pos, e in _coset_cases(60, full_rank=True):
+        parts = [[row[p] for p in pos] for row in basis]
+        index = math.prod(oracles.snf_diagonal(parts))
+        echelon = oracles._hermite(parts, len(pos))
+        orders = [
+            next(m for m in itertools.count(1)
+                 if _in_lattice(echelon, [m * (i == j) for i in range(len(pos))]))
+            for j in range(len(pos))
+        ]
+        cut += max(orders) < e
+        counts.clear()
+        _check_coset_minima(basis, v0, pos, e)
+        assert counts == [e ** len(pos) // index], (basis, pos)
+    assert cut
+
+
+def test_coset_minima_of_parts_without_full_rank_match_a_box_scan():
+    for basis, v0, pos, top in _coset_cases(40, full_rank=False):
+        _check_coset_minima(basis, v0, pos, top)

@@ -234,7 +234,7 @@ def test_saturation_fallback_route_agrees(p2_cox):
     gens = [m_term_mul(v, e, 1) for v in (x, y) for e in units]
     sat = saturate_submodule(GradedSubmodule(ring, tuple(gens)))
     want = None
-    for cone in p2_cox.grading.fan.maximal_cones():
+    for cone in p2_cox.grading.fan.maximal:
         z = {tuple(p2_cox.zhat[cone.ray_generators]): one}
         part = oracles.module_saturate_element(gens, z, 2, 3, POT, ELIM)
         want = part if want is None else oracles.module_intersection(
@@ -326,7 +326,7 @@ def test_pruned_saturation_is_the_intersection(name, monkeypatch):
         gens = [_random_homogeneous(rng, c, [A.zero()], rng.choice(units)) for _ in range(2)]
         sat = saturate_submodule(GradedSubmodule(ring, tuple(gens)))
         want = None
-        for cone in g.fan.maximal_cones():
+        for cone in g.fan.maximal:
             z = {tuple(c.zhat[cone.ray_generators]): Fraction(1)}
             part = module_saturate_element(gens, z, 1, c.num_vars)
             want = part if want is None else oracles.module_intersection(want, part, c.num_vars, ELIM)

@@ -1,5 +1,6 @@
 """Dead code in the package: every import is used, and every private
-module-level function or class is referenced somewhere in the package."""
+module-level function or class is referenced somewhere in the package.
+The Smith form stays inside `intlat`, where it presents quotients."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,15 @@ def test_every_private_definition_is_referenced():
             if not any(node.name in _loaded_names(n) for n in others):
                 unreferenced.append(f"{name}:{node.lineno} {node.name}")
     assert not unreferenced
+
+
+def test_only_intlat_reads_the_smith_form():
+    readers = sorted(
+        name for name, tree in _trees().items()
+        if name != "intlat.py"
+        and "smith_normal_form" in _loaded_names(tree) | {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+    )
+    assert not readers

@@ -233,7 +233,7 @@ def test_maximal_cones_are_the_cones_no_other_contains():
     for fan in fans:
         keys = [set(c.ray_generators) for c in fan.cones]
         want = [c for c, k in zip(fan.cones, keys) if not any(k < other for other in keys)]
-        assert list(fan.maximal_cones()) == want
+        assert list(fan.maximal) == want
 
 
 def test_fan_p2_has_seven_cones():

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxfan import corpus, gradmod, grading, polyfan, ratlin, sheaf
+from coxfan import corpus, cox, gradmod, grading, polyfan, ratlin, sheaf
 from coxfan.cox import BaseRingFlags, build_cox
 from coxfan.gradmod import (
     GradedModulePresentation,
@@ -84,7 +84,7 @@ def test_irrelevant_quotient_gives_zero_cover(p2_cox, p2_ring):
 def test_twist_chart_generators(p2_cox, p2_ring):
     # The generator of O(1) has degree -1, so each chart is spanned by the
     # one Laurent monomial of degree 1 that is >= 0 on the cone's rays.
-    for cone in p2_cox.grading.fan.maximal_cones():
+    for cone in p2_cox.grading.fan.maximal:
         key = cone.ray_generators
         gens = sheaf._laurent_component_generators(p2_cox, _alpha(p2_ring, 1), key)
         assert len(gens) == 1
@@ -198,7 +198,7 @@ def _reference_kernels(f):
     rels = list(f.relations)
     return [
         oracles.module_saturate_element(rels, {z: Fraction(1)}, f.rank, c.num_vars, POT, ELIM)
-        for z in (c.zhat[cone.ray_generators] for cone in c.grading.fan.maximal_cones())
+        for z in (c.zhat[cone.ray_generators] for cone in c.grading.fan.maximal)
     ]
 
 
@@ -637,7 +637,7 @@ def test_kill_table_matches_count_up_oracle(name):
             for (i, key) in table
         }
         assert table == want, rels
-        assert len(table) == rank * len(c.grading.fan.maximal_cones())
+        assert len(table) == rank * len(c.grading.fan.maximal)
         assert is_torsion(q).is_torsion == (None not in table.values())
 
 
@@ -775,9 +775,9 @@ def test_part_lattice_at_the_zero_cone(corpus_gradings):
     # No steps and no bounds: the whole degree-0 lattice is kernel.
     for g in corpus_gradings.values():
         lattice = grading._degree_zero_lattice(g.delta_basis)
-        assert sheaf._part_lattice(g.delta_basis, ()) == ([], list(lattice), ())
-    p2 = corpus_gradings["p2"]
-    assert sheaf._part_lattice(p2.delta_basis, ()) == ([], [(1, 0, -1), (0, 1, -1)], ())
+        assert cox._part_lattice(lattice, ()) == ([], list(lattice), ())
+    p2 = grading._degree_zero_lattice(corpus_gradings["p2"].delta_basis)
+    assert cox._part_lattice(p2, ()) == ([], [(1, 0, -1), (0, 1, -1)], ())
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
@@ -812,14 +812,14 @@ def test_nonsimplicial_part_bounds_match_the_vertex_reference():
     # Non-extreme recession rays would only widen the bound: the sweep's
     # Fourier–Motzkin rays include some (the reference removes them).
     for b, v0 in _pointed_polyhedra(300):
-        assert sheaf._nonsimplicial_part_bounds(b, v0) == oracles.part_bounds(b, v0), (b, v0)
+        assert cox._nonsimplicial_part_bounds(b, v0) == oracles.part_bounds(b, v0), (b, v0)
 
 
 def test_nonsimplicial_part_bounds_at_the_rank_cap():
     # A full-dimensional cone of a rank-6 fan has r = 6, and the
     # homogenization of P works one rank higher, above the fan rank cap.
     for b, v0 in _pointed_polyhedra(8, ranks=(polyfan.RANK_CAP,)):
-        assert sheaf._nonsimplicial_part_bounds(b, v0) == oracles.part_bounds(b, v0), (b, v0)
+        assert cox._nonsimplicial_part_bounds(b, v0) == oracles.part_bounds(b, v0), (b, v0)
 
 
 # The fan over the faces of a square pyramid, times P^3: rank 6, and each
@@ -958,7 +958,7 @@ def test_twisted_windows_at_cartier_classes_equal_shift_and_lattice_points(name)
     c = _cox(name)
     g = c.grading
     rays = g.delta_basis
-    cones = [g.fan.cone_ray_indices(k) for k in g.fan.maximal_cones()]
+    cones = [g.fan.cone_ray_indices(k) for k in g.fan.maximal]
     rng = random.Random(f"cartier {name}")
     wants = []
     while len(wants) < 8:
@@ -997,7 +997,7 @@ def test_free_sections_are_the_common_coordinates(name):
     c = _cox(name)
     g = c.grading
     rays = g.delta_basis
-    cones = [g.fan.cone_ray_indices(k) for k in g.fan.maximal_cones()]
+    cones = [g.fan.cone_ray_indices(k) for k in g.fan.maximal]
     rng = random.Random(f"common {name}")
     below = []
     cartier = []
@@ -1602,7 +1602,7 @@ def test_xi_check_saturates_each_chart_once(name, monkeypatch):
     }[name]
     sub = GradedSubmodule(f, tuple((p,) for p in ideal))
     window = _lex_window(c, (3,) * A.free_rank)
-    n = len(c.grading.fan.maximal_cones())
+    n = len(c.grading.fan.maximal)
     sat = saturate_submodule(sub)
     pre = xi_preimage(xi_forward(sub), f, window)
     assert pre.element_generators == sat.element_generators
