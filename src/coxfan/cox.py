@@ -11,11 +11,11 @@ I ∩ S_B and the chart twists of `sheaf`.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from operator import add, mul
 
 from ._record import DomainError, Record
-from .grading import GradingData, SubgroupB, _capped, _degree_zero_lattice
+from .grading import GradingData, SubgroupB, _capped, _degree_zero_lattice, _refuse_past_cap
 from .groeb import minimalize_monomials
 from .intlat import (
     INFINITE,
@@ -152,12 +152,15 @@ def _coset_minima(basis, v0, pos):
       p_i < max over V of (v0|pos + B·q)_i + Σ_g (B·g)_i; strictly when
       some B·y > 0, as on a chart, where u·ρ > 0 on the rays ρ of the
       pointed cone for some u: then some (B·g)_i > 0.
-    Past FIBER_POINT_CAP box points, FiberTooLarge is raised."""
-    steps, kernel, top = _part_lattice(basis, pos)
+    Past FIBER_POINT_CAP box points, FiberTooLarge is raised: before any
+    is listed when L has full rank, from the box's point count."""
+    steps, kernel, top, size = _part_lattice(basis, pos)
     b = [tuple(s[p] for s in steps) for p in pos]
     v0_pos = [v0[p] for p in pos]
     if top is None:
         top = _nonsimplicial_part_bounds(b, v0_pos)
+    else:
+        _refuse_past_cap(size)
     m = tuple(b) + tuple(tuple(-x for x in row) for row in b)
     bounds = tuple(v0_pos) + tuple(t - x for t, x in zip(top, v0_pos))
     parts = {tuple(v[p] for p in pos): v for v in _capped(_lattice_points(m, bounds, v0, steps))}
@@ -167,19 +170,21 @@ def _coset_minima(basis, v0, pos):
 @lru_cache(maxsize=256)
 def _part_lattice(basis, pos):
     """Steps, kernel and, when L has full rank, the bounds e − 1 of
-    ``_coset_minima``: in the Hermite basis of the rows (b|pos | b), the
-    rows with a nonzero first block are the steps, those blocks a Hermite
-    basis of L, and the others span the lattice's vectors 0 at pos."""
+    ``_coset_minima`` and its box's point count e^k/[Z^k : L] (else None,
+    None): in the Hermite basis of the rows (b|pos | b), the rows with a
+    nonzero first block are the steps, those blocks a triangular basis of
+    L, whose pivots multiply to [Z^k : L], and the others span the
+    lattice's vectors 0 at pos."""
     k = len(pos)
     width = k + len(basis[0]) if basis else k
     h = hermite_row_basis([(*(b[p] for p in pos), *b) for b in basis], width)
     steps = [row[k:] for row in h if any(row[:k])]
     kernel = [row[k:] for row in h if not any(row[:k])]
     if len(steps) < k:
-        return steps, kernel, None
+        return steps, kernel, None, None
     lat = [row[:k] for row in h[: len(steps)]]
     e = lcm(*(_order_modulo(lat, [int(i == j) for i in range(k)]) for j in range(k)))
-    return steps, kernel, (e - 1,) * k
+    return steps, kernel, (e - 1,) * k, e**k // prod(row[i] for i, row in enumerate(lat))
 
 
 def _nonsimplicial_part_bounds(b, v0_tau):

@@ -2,7 +2,8 @@
 grading group), ray degrees, the Picard subgroup, subgroup classification
 (big / small), and the degree fibers.  Each fiber is enumerated once per
 process by `polyfan._lattice_points`; this module keeps the fiber cache,
-which holds at most FIBER_POINT_CAP points in all.
+which holds at most FIBER_POINT_CAP points in all.  Whether the fibers
+are finite is one fact of the grading (`require_finite_fibers`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .intlat import (
     subgroup_index,
     subgroup_leq,
 )
-from .polyfan import Fan, _lattice_points, cone_generators_from_inequalities
+from .polyfan import Fan, _bounded_projections, _lattice_points, cone_generators_from_inequalities
 
 
 FIBER_POINT_CAP = 200_000
@@ -170,11 +171,16 @@ def _nonnegative_rows(basis, n):
     return tuple(tuple(r[i] for r in basis) for i in range(n))
 
 
+def _refuse_past_cap(count):
+    """Raises FiberTooLarge when count passes FIBER_POINT_CAP."""
+    if count > FIBER_POINT_CAP:
+        raise FiberTooLarge(f"more than {FIBER_POINT_CAP} points (the enumeration cap)")
+
+
 def _capped(points):
     """The points as a list; raises FiberTooLarge past FIBER_POINT_CAP."""
     out = list(islice(points, FIBER_POINT_CAP + 1))
-    if len(out) > FIBER_POINT_CAP:
-        raise FiberTooLarge(f"more than {FIBER_POINT_CAP} points (the enumeration cap)")
+    _refuse_past_cap(len(out))
     return out
 
 
@@ -183,6 +189,14 @@ def _cone_points(basis, v0):
     Raises FiberTooLarge past FIBER_POINT_CAP vectors."""
     m = _nonnegative_rows(basis, len(v0))
     return sorted(_capped(_lattice_points(m, tuple(v0), v0, basis)))
+
+
+def require_finite_fibers(g: GradingData):
+    """Raises UnboundedFiber unless every degree fiber is finite.  A fiber
+    is the lattice points of {x : lift + x . H >= 0}, H the degree-0
+    lattice's basis, and the Fourier-Motzkin projections of those rows
+    decide boundedness for every offset at once."""
+    _bounded_projections(_nonnegative_rows(_degree_zero_lattice(g.delta_basis), g.num_rays))
 
 
 _FIBERS = OrderedDict()  # (rays, lift) -> fiber, least recent first

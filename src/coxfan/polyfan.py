@@ -222,6 +222,15 @@ def _projections(m):
     return tuple(tuple((r[:k], r[k:]) for r in lv) for lv in reversed(levels))
 
 
+def _bounded_projections(m):
+    """``_projections(m)``; raises UnboundedFiber where it is None, that is
+    unless {u : b + M u >= 0} is bounded for every b."""
+    levels = _projections(m)
+    if levels is None:
+        raise UnboundedFiber("degree fibers are infinite: a nonzero monomial has degree 0")
+    return levels
+
+
 def _lattice_points(m, b, v0, basis):
     """The vectors v0 + u . basis for the integer points u of
     {u : b + M u >= 0}, with M a tuple of rows, in lexicographic order of u.
@@ -229,9 +238,7 @@ def _lattice_points(m, b, v0, basis):
     Returns a lazy iterable, which carries the partial vector and each
     bounding row's partial sum down the recursion.  Raises UnboundedFiber
     unless the polyhedron is bounded for every b."""
-    levels = _projections(m)
-    if levels is None:
-        raise UnboundedFiber("degree fibers are infinite: a nonzero monomial has degree 0")
+    levels = _bounded_projections(m)
     sums = [[sum(map(mul, la, b)) for _, la in lv] for lv in levels]
     if any(s < 0 for s in sums[0]):
         return []

@@ -44,8 +44,14 @@ from operator import add, sub
 
 from . import ratlin
 from ._record import DomainError, Record
-from .cox import CoxRingData, _coset_minima
-from .grading import _degree_zero_lattice, degree_fiber, is_cartier
+from .cox import CoxRingData, _coset_minima, _part_lattice
+from .grading import (
+    _degree_zero_lattice,
+    _refuse_past_cap,
+    degree_fiber,
+    is_cartier,
+    require_finite_fibers,
+)
 from .gradmod import (
     GradedModulePresentation,
     GradedSubmodule,
@@ -281,10 +287,18 @@ def _level_invariants(s, alpha, mode):
     power of its cone monomial kills every generator e_i: a dead chart's
     window is all subspace, and so is each of its overlaps' windows, as
     its cone monomial divides theirs.  Neither adds to the sections, so
-    neither is built, but L is taken over every cone."""
+    neither is built, but L is taken over every cone.  A twist box past
+    FIBER_POINT_CAP is refused from its point count before any cone's
+    box is listed."""
     cox = s.cox
     degree = alpha if mode == "via_shift" else cox.grading.class_group.zero()
     keys = cox.maximal_keys
+    if mode == "via_twist":
+        lattice = _degree_zero_lattice(cox.grading.delta_basis)
+        for key in keys:
+            size = _part_lattice(lattice, tuple(_sigma_positions(cox, key)))[3]
+            if size is not None:
+                _refuse_past_cap(size)
     live = [k for k in keys if not all(module_contains(s.kernels[k], e) for e in s.origin.units)]
     twists = {key: _twists(cox, alpha, mode, key) for key in keys}
     # The level bound L, proven in global_sections_degree.
@@ -491,12 +505,15 @@ def xi_preimage(
     when b's degree lies in W, b is one of them and its multiples add
     nothing.  So the generators are the b of degree in W and the multiples
     of degree in W of the others: N's basis itself when no b is outside W,
-    else the reduced basis of those and the relations.  The monomials of
-    every window degree are listed first, in window order, so an unbounded
-    or oversized fiber is refused."""
+    else the reduced basis of those and the relations.  The only fibers
+    listed are those of the multiples, α − deg b for α in W and b outside
+    W, under the one cap rule; no window degree's own fiber is, as N_α is
+    never listed.  Whether fibers are finite does not depend on the
+    degree, so a nonempty window refuses unbounded ones once, up front
+    (``grading.require_finite_fibers``)."""
     window = dict.fromkeys(window_degrees)
-    for alpha in window:
-        _monomials_of_degree(f, alpha)
+    if window:
+        require_finite_fibers(f.cox.grading)
     meet = chart_intersection(f, t.charts)
     graded = graded_elements(f, meet)
     far = [(d, b) for d, b in graded if d not in window]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from referencing import Registry, Resource
 
 import coxfan
-from coxfan import cli, corpus, gradmod, grading
+from coxfan import cli, corpus, gradmod, grading, sheaf
 from coxfan.polyfan import build_fan
 
 import oracles
@@ -511,6 +511,21 @@ def test_huge_degree_is_refused_quickly(p2, args):
     assert str(grading.FIBER_POINT_CAP) in payload["error"]["reason"]
 
 
+def test_huge_window_degree_answers_where_no_multiple_is_listed(p2):
+    # Z1 has degree 1, in the window, so the preimage takes it as it is
+    # and lists no fiber: the fiber of degree 10^8, past the cap, is
+    # never read.  Without 1 in the window, Z1's multiples of degree 10^8
+    # are listed and refused (test_huge_degree_is_refused_quickly).
+    start = time.perf_counter()
+    code, out = _run(["sheaf", "xi-check", p2, "--ideal", "Z1", "--window", "1;99999999"])
+    assert time.perf_counter() - start < 5
+    assert code == 0, out
+    payload = json.loads(out)
+    _validate(payload, "sheaf_xi_check")
+    assert payload["round_trip_equal"] is True
+    assert payload["preimage_generators"] == payload["saturation_generators"] == ["Z1"]
+
+
 def test_torsion_of_a_huge_power_returns_quickly(p2):
     # Z1^10000 is killed on the chart where Z1 is inverted, by the power
     # 10000 and no smaller one: the localization kernel of monomial
@@ -631,21 +646,29 @@ def test_twisted_sections_answer_on_a_singular_rank_three_fan(tmp_path):
     assert payload["dimensions"] == {zero: {"dimension": 1, "certificate": "bound"}}
 
 
-def test_twisted_sections_past_the_twist_box_cap_are_refused(tmp_path):
+def test_twisted_sections_past_the_twist_box_cap_are_refused(tmp_path, monkeypatch):
     # At the class (1, 0, 0, 0, 0) via_twist builds its own windows: the
-    # twist box [0, 768)^3 of the cone (2, 4, 7) holds 589,824 points of
-    # one coset, past the enumeration cap, and ran past 60 s unchecked.
+    # twist box [0, 466)^3 of the seventh maximal cone holds 217,156
+    # points of one coset, past the enumeration cap.  The boxes' point
+    # counts are known from their lattices, so the refusal comes before
+    # any cone's box is listed; listing the first six (525,014 points)
+    # took seconds, and listing them all, unchecked, ran past 60 s.
+    listed = []
+    monkeypatch.setattr(sheaf, "_coset_minima", lambda *args: listed.append(args))
     rays, max_cones = oracles.RANK3_FAN
     fan = tmp_path / "fan.json"
     fan.write_text(json.dumps({"rank": 3, "rays": rays, "max_cones": max_cones}))
     start = time.perf_counter()
     code, out = _run(["module", "sections", str(fan), "--degrees", "1,0,0,0,0",
                       "--mode", "via_twist"])
-    assert time.perf_counter() - start < 10
+    assert time.perf_counter() - start < 1
     assert code == cli.EXIT_DOMAIN
     payload = json.loads(out)
     _validate(payload, "error")
     assert payload["error"]["type"] == "FiberTooLarge"
+    cap = grading.FIBER_POINT_CAP
+    assert payload["error"]["reason"] == f"more than {cap} points (the enumeration cap)"
+    assert listed == []
 
 
 @pytest.mark.parametrize("cone", ["1,2,4", "1,6,7", "1,2,7"])

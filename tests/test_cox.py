@@ -472,7 +472,20 @@ def test_coset_minima_of_full_rank_parts_match_a_box_scan(monkeypatch):
         counts.clear()
         _check_coset_minima(basis, v0, pos, e)
         assert counts == [e ** len(pos) // index], (basis, pos)
+        assert cox._part_lattice(basis, pos)[3] == e ** len(pos) // index
     assert cut
+
+
+def test_coset_minima_refuse_a_full_rank_box_from_its_point_count(monkeypatch):
+    # L = Z^2 ⊕ 1000·Z: e = 1000, and the box [0, e)^3 holds 10^6 points
+    # of every coset, past the cap, so it is refused before any is listed.
+    listed = []
+    monkeypatch.setattr(cox, "_lattice_points", lambda *args: listed.append(args))
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1000))
+    assert cox._part_lattice(basis, (0, 1, 2))[3] == 10**6
+    with pytest.raises(grading.FiberTooLarge, match=str(grading.FIBER_POINT_CAP)):
+        cox._coset_minima(basis, (0, 0, 0), (0, 1, 2))
+    assert listed == []
 
 
 def test_coset_minima_of_parts_without_full_rank_match_a_box_scan():

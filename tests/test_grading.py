@@ -256,6 +256,24 @@ def test_uncapped_fiber_refused_on_quadric_cone(corpus_gradings):
         degree_fiber(g, g.class_group.zero())
 
 
+@pytest.mark.parametrize(
+    "name", list(corpus.CORPUS_NAMES) + sorted(oracles.SCALE_FANS) + ["rank3"]
+)
+def test_finite_fiber_check_agrees_with_the_cone_test(name, corpus_gradings):
+    # One check per grading, with no degree: it passes exactly where
+    # minus the sum of the rays lies in their cone.
+    if name == "rank3":
+        rays, max_cones = oracles.RANK3_FAN
+        g = grading.build_grading(build_fan(len(rays[0]), rays, max_cones))
+    else:
+        g = corpus_gradings[name] if name in corpus_gradings else _scale_grading(name)
+    if finite_fibers(g):
+        grading.require_finite_fibers(g)
+    else:
+        with pytest.raises(UnboundedFiber, match="infinite"):
+            grading.require_finite_fibers(g)
+
+
 def _random_polyhedron(rng, k):
     """Rows and offsets of a polyhedron in Z^k: a random box, so that it
     is bounded, plus a few random half-spaces."""

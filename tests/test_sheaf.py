@@ -772,12 +772,13 @@ def test_face_twist_is_the_least_in_its_part():
 
 
 def test_part_lattice_at_the_zero_cone(corpus_gradings):
-    # No steps and no bounds: the whole degree-0 lattice is kernel.
+    # No steps and no bounds: the whole degree-0 lattice is kernel, and
+    # the empty box holds one point.
     for g in corpus_gradings.values():
         lattice = grading._degree_zero_lattice(g.delta_basis)
-        assert cox._part_lattice(lattice, ()) == ([], list(lattice), ())
+        assert cox._part_lattice(lattice, ()) == ([], list(lattice), (), 1)
     p2 = grading._degree_zero_lattice(corpus_gradings["p2"].delta_basis)
-    assert cox._part_lattice(p2, ()) == ([], [(1, 0, -1), (0, 1, -1)], ())
+    assert cox._part_lattice(p2, ()) == ([], [(1, 0, -1), (0, 1, -1)], (), 1)
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
@@ -1336,6 +1337,43 @@ def test_preimage_does_not_depend_on_window_order(label):
         got = xi_preimage(family, f, order)
         assert submodules_equal(got, want)
         assert _monomials(got) == _monomials(want)
+
+
+@pytest.mark.parametrize("label", sorted(PREIMAGE_CASES))
+def test_preimage_lists_only_the_fibers_of_multiples(label, monkeypatch):
+    # A window that holds the degree of every element of the chart
+    # intersection's basis lists no degree fiber at all; the window of the
+    # top degree alone lists the fibers that the other elements'
+    # multiples of that degree come from, and no other.
+    f, _, family, window = _preimage_case(label)
+    A = f.cox.grading.class_group
+    degrees = [f.element_degree(x) for x in gradmod.chart_intersection(f, family.charts)]
+    assert set(degrees) <= set(window)
+    listed = []
+    real = grading.degree_fiber
+    for module in (grading, gradmod, sheaf):
+        monkeypatch.setattr(module, "degree_fiber", lambda g, a: listed.append(a) or real(g, a))
+    xi_preimage(family, f, window)
+    assert listed == []
+    top = window[-1]
+    xi_preimage(family, f, [top])
+    assert listed and set(listed) == {A.add(top, A.neg(d)) for d in degrees if d != top}
+
+
+@pytest.mark.parametrize("name", ["quadric_cone", "three_rays"])
+def test_preimage_refuses_unbounded_fibers_for_any_nonempty_window(name):
+    # A nonzero monomial has degree 0, so every fiber is infinite.  A
+    # window that holds every basis degree lists none, and is refused all
+    # the same; an empty window reads no degree and gives the relations.
+    c = _cox(name)
+    assert not oracles.finite_fibers(c.grading)
+    f = free_module(c)
+    family = xi_forward(_submodule(f, [(1,) + (0,) * (c.num_vars - 1)]))
+    window = [f.element_degree(x) for x in gradmod.chart_intersection(f, family.charts)]
+    assert window
+    with pytest.raises(polyfan.UnboundedFiber):
+        xi_preimage(family, f, window)
+    assert xi_preimage(family, f, []).element_generators == ()
 
 
 @pytest.mark.parametrize("name", ["p2", "p1xp1", "f2"])
