@@ -30,13 +30,21 @@ and the public via_twist (which reads via_shift's windows there);
 elsewhere the public via_twist, its twisted windows, with each d_i
 Cartier so that S(−d_i)~ ⊗ O(α) ≅ O(α − d_i).  In both modes the count
 of coordinates common to the chart windows, which a free module's
-sections read, must equal the rows-and-rank equalizer of those windows.
+sections read, must equal the rows-and-rank equalizer of those windows.  With
+``--relations N`` it checks N generated binomial ideals or rank-2
+modules, taken as relations, on P2, P1xP1, P(1,1,2), F2, dP6 and P3, at
+up to four classes with entries −1 … 2, in both modes: at the level
+where ``global_sections_degree`` stops, the equalizer, whose overlap
+classes are Groebner normal forms, must give its dimension and so must a
+reference equalizer that reads every window's quotient off a dense rref
+of every fiber multiple of the kernel, with no Groebner basis.
 
 Usage:
     python3 scripts/random_invariants.py --cones 50 --ideals 25 --seed 7
     python3 scripts/random_invariants.py --cones 0 --ideals 0 --round-trips 200
     python3 scripts/random_invariants.py --cones 0 --ideals 0 --torsion 200
     python3 scripts/random_invariants.py --cones 0 --ideals 0 --sections 200
+    python3 scripts/random_invariants.py --cones 0 --ideals 0 --relations 90
 """
 
 import argparse
@@ -102,6 +110,7 @@ class RunConfig:
     round_trips: int = 0
     torsion: int = 0
     sections: int = 0
+    relations: int = 0
     seed: int = 7
     entry_bound: int = 4
     box: int = 3
@@ -356,6 +365,64 @@ def check_sections(rng, rings):
     return grading.is_cartier(g, alpha) == cartier and got == [want] * len(got)
 
 
+RELATION_FANS = ("p2", "p1xp1", "p112", "f2", "dp6", "p3")
+
+
+def reference_equalizer(s, invariants, plan, level):
+    """The equalizer dimension at one level, every window's quotient read
+    off ``oracles.window_subspace`` (a dense rref of every fiber multiple
+    of the kernel, no Groebner basis): the columns are the maximal
+    windows' coordinates off the pivots, and a coordinate's class in an
+    overlap window is itself off the pivots, else minus the other entries
+    of its reduced row.  The overlap levels are ``_equalizer``'s."""
+    cox = s.cox
+    degree, live, twists, _ = invariants
+
+    def window(key, tw, k):
+        index = oracles.window_coordinates(s.origin, key, degree, tw, k)
+        return index, oracles.window_subspace(s, key, degree, tw, k, index)
+
+    windows = {key: window(key, twists[key], level * cox.m_exponents[key]) for key in live}
+    cols = {key: [c for c, t in index.items() if t not in span] for key, (index, span) in windows.items()}
+    offsets = dict(zip(cols, itertools.accumulate((len(c) for c in cols.values()), initial=0)))
+    width = sum(map(len, cols.values()))
+    rows = []
+    for tau, sides, tw_tau, slack in plan:
+        m = cox.m_exponents[tau]
+        needed = max(level * cox.m_exponents[k] for k in sides) + slack
+        index, span = window(tau, tw_tau, m * -(-needed // m))
+        block = [[0] * width for _ in index]
+        for key, sign in zip(sides, (1, -1)):
+            for j, coord in enumerate(cols[key], offsets[key]):
+                t = index[coord]
+                image = {u: -x for u, x in span[t].items() if u != t} if t in span else {t: 1}
+                for u, x in image.items():
+                    block[u][j] += sign * x
+        rows += [r for r in block if any(r)]
+    return width - len(oracles.rref(rows)[1])
+
+
+def check_relations(rng, rings):
+    """One generated binomial ideal or rank-2 module, as relations, on one
+    of RELATION_FANS, at up to four classes with entries −1 … 2, in both
+    modes: where ``global_sections_degree`` stops, ``_equalizer`` must
+    give its dimension and so must ``reference_equalizer``."""
+    f, gens = _generated(rng, rings[rng.choice(RELATION_FANS)])
+    A = f.cox.grading.class_group
+    s = sheafify(GradedModulePresentation(f.cox, f.generator_degrees, tuple(gens)))
+    boxes = list(itertools.product(range(-1, 3), repeat=len(A.zero().coords())))
+    ok = True
+    for t in rng.sample(boxes, min(4, len(boxes))):
+        alpha = A.from_coords(list(t))
+        for mode in ("via_shift", "via_twist"):
+            w = global_sections_degree(s, alpha, mode)
+            inv = _level_invariants(s, alpha, mode)
+            plan = _overlap_plan(s, alpha, mode, inv)
+            got = _equalizer(s, inv, plan, _chart_windows(s, inv, w.level))
+            ok &= got == w.dimension == reference_equalizer(s, inv, plan, w.level)
+    return ok
+
+
 def _ideal(f, polys):
     return GradedSubmodule(f, tuple((p,) for p in polys))
 
@@ -367,6 +434,7 @@ def main():
     ap.add_argument("--round-trips", type=int, default=RunConfig.round_trips)
     ap.add_argument("--torsion", type=int, default=RunConfig.torsion)
     ap.add_argument("--sections", type=int, default=RunConfig.sections)
+    ap.add_argument("--relations", type=int, default=RunConfig.relations)
     ap.add_argument("--seed", type=int, default=RunConfig.seed)
     args = ap.parse_args()
     cfg = RunConfig(
@@ -375,6 +443,7 @@ def main():
         round_trips=args.round_trips,
         torsion=args.torsion,
         sections=args.sections,
+        relations=args.relations,
         seed=args.seed,
     )
 
@@ -399,6 +468,11 @@ def main():
         sections_ok = sum(check_sections(rng, rings) for _ in range(cfg.sections))
         print(f"sections: {sections_ok}/{cfg.sections} passed")
         failed = failed or sections_ok != cfg.sections
+    if cfg.relations:
+        rings = round_trip_rings()
+        relations_ok = sum(check_relations(rng, rings) for _ in range(cfg.relations))
+        print(f"relations: {relations_ok}/{cfg.relations} passed")
+        failed = failed or relations_ok != cfg.relations
     return 1 if failed else 0
 
 

@@ -1,18 +1,16 @@
-"""Exact linear algebra over the rationals, on sparse rows.
+"""Exact linear algebra over the rationals, on sparse rows: the rank.
 
 A row is stored as a dict {column: int or Fraction} of its nonzero
 entries: the Čech equalizer of `sheaf`, its one caller, has thousands of
 rows with a handful of entries each, mostly ±1.  Rows may be given as
-lists too; every row returned is a dict.  One echelon core serves
-``echelon``, for the overlap windows' rows, and ``rank``, for the
-equalizer's.  It inserts the rows one at a time,
-cancelling each row's leading entry against the pivot rows found so far
-until the row vanishes or opens a new pivot.  A pivot of ±1 keeps a
-row's ints, so rational arithmetic starts only at the first other pivot.
-``echelon`` back-substitutes once at the end, to the reduced row echelon
-form, which is unique, with Fraction entries.  Subspace intersections
-are not taken here: the ones the package needs are degree slices of
-submodule intersections, which ``gradmod`` takes once as modules.
+lists too.  ``rank`` inserts the rows one at a time, cancelling each
+row's leading entry against the pivot rows found so far until the row
+vanishes or opens a new pivot.  A pivot of ±1 keeps a row's ints, so
+rational arithmetic starts only at the first other pivot.  Nothing else
+is eliminated here: a section window's classes are Groebner normal
+forms, and the subspace intersections the package needs are degree
+slices of submodule intersections, which ``gradmod`` takes once as
+modules.
 """
 
 from __future__ import annotations
@@ -59,18 +57,6 @@ def _pivot_rows(rows):
     for row in rows:
         _insert(piv, row)
     return piv
-
-
-def echelon(rows):
-    """Reduced row echelon form as {pivot column: sparse row}, by pivot:
-    each row has 1 at its pivot and 0 at every other pivot column."""
-    piv = _pivot_rows(rows)
-    order = sorted(piv)
-    for c in reversed(order):
-        r = piv[c]
-        for q in [k for k in r if k != c and k in piv]:
-            _axpy(r, r.pop(q), piv[q], q)
-    return {c: {k: Fraction(x) for k, x in piv[c].items()} for c in order}
 
 
 def rank(rows):

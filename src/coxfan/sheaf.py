@@ -11,7 +11,7 @@ coordinates are Laurent monomials.  A free module's sections are the
 coordinates common to its live maximal windows, which the lattice-point
 count of P_D checks; only a module with relations builds the overlaps'
 windows, for the equalizer, whose columns are the maximal windows'
-coordinates with no subspace row; only the overlap windows eliminate.
+standard coordinates and whose overlap classes are normal forms.
 For a free module at a class in Pic (B = Cl), via_twist reads
 via_shift's windows: O(α) is then a line bundle and
 M~ ⊗ O(α) ≅ M(α)~.  The unit η of the
@@ -67,6 +67,7 @@ from .groeb import (
     POT,
     _divides,
     m_leading_term,
+    m_normal_form,
     m_term_mul,
     module_contains,
     module_groebner_basis,
@@ -215,21 +216,25 @@ class _Window:
     it.  The subspace is Σ_v x^(v − level·ẑ)·K_t, K the localization
     kernel, which contains the relations.  Let c clear the twists'
     negative entries and J = Σ_v x^(v + c·ẑ)·K.  Every twist has one
-    degree, so the subspace is x^(−(c + level)·ẑ)·J_D for one degree D.
-    Its rows are x^(u − d)·b, one per coordinate whose monomial
-    x^(u + (c + level)·ẑ)·e_i the leading term x^d·e_i of an element b of
-    J's POT Groebner basis divides (the first such b), keyed by that
-    coordinate.  J lies in the monomial submodule the x^(v + c·ẑ)·e_i
-    generate, whose monomials of degree D are the window's, so each row
-    lies in the window; the rows' leading terms are distinct, and they
-    number dim J_D (Macaulay), so the rows are a basis.
+    degree, so the subspace is x^(−lift)·J_D for one degree D, with
+    lift = (c + level)·ẑ: the coordinate (i, u) is the monomial
+    x^(u + lift)·e_i of degree D.  J lies in the monomial submodule the
+    x^(v + c·ẑ)·e_i generate, whose monomials of degree D are the
+    window's.  ``rows`` is the set of coordinates whose monomial the
+    leading term of an element of J's POT Groebner basis divides.
 
-    The coordinates S with no row are a basis of the window's quotient:
-    by Macaulay's basis theorem (Cox–Little–O'Shea, Using Algebraic
-    Geometry, Ch. 5 §2) the monomials of degree D that no leading term of
-    J's basis divides are independent modulo J_D, so span(S) meets the
-    subspace only in 0, and |S| is the size less the rows, the subspace's
-    dimension.  A free module's window has no row."""
+    The other coordinates, the standard ones, are a basis of the window's
+    quotient.  They are independent modulo J_D: by Macaulay's basis
+    theorem (Cox–Little–O'Shea, Using Algebraic Geometry, Ch. 5 §2) the
+    standard monomials of degree D are a basis of F_D / J_D.  They span
+    it, as ``image`` shows: a standard coordinate is its own class, and
+    any other's is the normal form of its monomial under the basis,
+    shifted back by the lift, whose terms are standard.  The remainder
+    stays in the window: the monomial lies in the monomial submodule
+    above, and so does J, so every term of the remainder is a window
+    monomial of degree D.  It is the class's unique standard
+    representative (Macaulay).  A free module's window has an empty
+    basis, so every coordinate is standard."""
 
     def __init__(self, s, key, degree, twists, level):
         f = s.origin
@@ -244,21 +249,28 @@ class _Window:
             for i, e in base:
                 self.index.setdefault((i, tuple(map(add, e, shift))), len(self.index))
         c = max([0] + [-a for v in twists for a in v])
-        basis = module_groebner_basis([
+        self.basis = module_groebner_basis([
             m_term_mul(k, tuple(a + c * b for a, b in zip(v, z)), 1)
             for v in twists for k in s.kernels[key]
         ])
-        leads = [m_leading_term(b, POT)[0] for b in basis]
-        lift = [(c + level) * b for b in z]
-        self.rows = {}
-        for i, u in self.index if basis else ():
-            m = tuple(map(add, u, lift))
-            for b, (q, d) in zip(basis, leads):
-                if q == i and _divides(d, m):
-                    step = tuple(map(sub, u, d))
-                    self.rows[i, u] = {self.index[j, tuple(map(add, e, step))]: x
-                                       for j, p in enumerate(b) for e, x in p.items()}
-                    break
+        leads = [m_leading_term(b, POT)[0] for b in self.basis]
+        self.lift = [(c + level) * b for b in z]
+        self.rows = set()
+        for i, u in self.index if leads else ():
+            m = tuple(map(add, u, self.lift))
+            if any(q == i and _divides(d, m) for q, d in leads):
+                self.rows.add((i, u))
+
+    def image(self, coord):
+        """The coordinate's class, as {index: coefficient} over the
+        standard coordinates."""
+        if coord not in self.rows:
+            return {self.index[coord]: 1}
+        i, u = coord
+        x = [{} for _ in self.basis[0]]
+        x[i] = {tuple(map(add, u, self.lift)): 1}
+        return {self.index[j, tuple(map(sub, e, self.lift))]: y
+                for j, p in enumerate(m_normal_form(x, self.basis, POT)) for e, y in p.items()}
 
 
 def _cover_twist(v, tw_tau, tau_pos):
@@ -346,15 +358,17 @@ def _common_coordinates(windows):
 def _equalizer(s, invariants, plan, windows):
     """The dimension of the equalizer of the chart windows' quotients
     (only a module with relations gets here).  A maximal window's quotient
-    has the basis S_σ of its coordinates with no row (``_Window``), which
+    has the basis S_σ of its standard coordinates (``_Window``), which
     number the columns.  The equalizer is the kernel of δ on ⊕ span(S_σ),
     which sends a coordinate to its class in each overlap window's
     quotient, negated on a pair's second side, so its dimension is
     Σ|S_σ| − rank δ.  A coordinate's image is the same Laurent monomial in
-    the overlap window, whose reduced echelon rows, taken once per
-    distinct window, give its class as the representative 0 at every
-    pivot: 1 at itself off the pivots, else its row's other entries,
-    negated.  δ has one sparse row per overlap coordinate."""
+    the overlap window, whose class there is its normal form under the
+    window's Groebner basis (``_Window.image``): the remainder stays in
+    the window and is the class's unique representative in the overlap's
+    standard coordinates, by Macaulay's basis theorem.  Each distinct
+    overlap window is built once.  δ has one sparse row per overlap
+    coordinate."""
     cox = s.cox
     n = count()
     cols = {key: {c: next(n) for c in w.index if c not in w.rows} for key, w in windows.items()}
@@ -365,16 +379,12 @@ def _equalizer(s, invariants, plan, windows):
         m = cox.m_exponents[tau_key]
         ktau = m * -(-needed // m)
         if (tau_key, ktau) not in overlaps:
-            wt = _Window(s, tau_key, invariants[0], tw_tau, ktau)
-            overlaps[tau_key, ktau] = wt.index, ratlin.echelon(wt.rows.values())
-        index, echelon = overlaps[tau_key, ktau]
+            overlaps[tau_key, ktau] = _Window(s, tau_key, invariants[0], tw_tau, ktau)
+        wt = overlaps[tau_key, ktau]
         eq = {}
         for key, sign in zip(sides, (1, -1)):
             for coord, col in cols[key].items():
-                t = index[coord]
-                row = echelon.get(t)
-                image = {t: 1} if row is None else {u: -x for u, x in row.items() if u != t}
-                for u, x in image.items():
+                for u, x in wt.image(coord).items():
                     eq.setdefault(u, {})[col] = sign * x
         rows.extend(eq[t] for t in sorted(eq))
     return sum(map(len, cols.values())) - ratlin.rank(rows)

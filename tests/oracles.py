@@ -574,7 +574,7 @@ def rref(rows):
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -650,6 +650,47 @@ def component_span_rows(f, graded, alpha, index):
             if row:
                 rows.append(row)
     return rows
+
+
+def window_coordinates(f, key, degree, twists, level):
+    """The coordinates {(i, u): column} of a section window of the cone
+    ``key``: u = v + e − level·ẑ for each twist v and each monomial x^e·e_i
+    of the degree plus level·deg ẑ, numbered as they first appear."""
+    from coxfan.gradmod import _monomials_of_degree
+
+    g = f.cox.grading
+    z = f.cox.zhat[key]
+    index = {}
+    for v in twists:
+        for i, e in _monomials_of_degree(f, g.class_group.add(degree, g.a_map(tuple(level * x for x in z)))):
+            index.setdefault((i, tuple(a + b - level * c for a, b, c in zip(e, v, z))), len(index))
+    return index
+
+
+def window_subspace(s, key, degree, twists, level, index):
+    """The subspace Σ_v x^(v − level·ẑ)·K_t of a section window over its
+    coordinates ``index``, K the localization kernel of the cone ``key`` in
+    the sheaf cover s and t the degree plus level·deg ẑ: {pivot: sparse
+    row} of the rref of every fiber multiple of K (``component_span_rows``)
+    shifted by each twist v."""
+    from coxfan.gradmod import _monomials_of_degree, graded_elements
+
+    f = s.origin
+    g = f.cox.grading
+    z = f.cox.zhat[key]
+    target = g.class_group.add(degree, g.a_map(tuple(level * x for x in z)))
+    base = _monomials_of_degree(f, target)
+    kernel = graded_elements(f, s.kernels[key])
+    rows = set()
+    for v in twists:
+        at = [index[i, tuple(a + b - level * c for a, b, c in zip(e, v, z))] for i, e in base]
+        for r in component_span_rows(f, kernel, target, {m: k for k, m in enumerate(base)}):
+            row = [0] * len(index)
+            for k, x in r.items():
+                row[at[k]] += x
+            rows.add(tuple(row))
+    reduced, pivots = rref(sorted(rows))
+    return {p: {k: x for k, x in enumerate(r) if x} for p, r in zip(pivots, reduced)}
 
 
 def _sparse_rank(rows):
@@ -1060,7 +1101,7 @@ def solve_rational(rows, rhs):
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         piv_cols.append(c)
         r += 1
     for i in range(r, len(m)):

@@ -102,6 +102,12 @@ def test_random_invariants_sections():
     assert out.stdout.splitlines()[-1] == "sections: 20/20 passed"
 
 
+def test_random_invariants_relations():
+    out = _run("random_invariants.py", "--cones", "0", "--ideals", "0", "--relations", "3")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "relations: 3/3 passed"
+
+
 def test_cli_snapshot_runs():
     out = _run("cli_snapshot.py")
     assert out.returncode == 0, out.stderr

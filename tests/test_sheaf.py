@@ -5,12 +5,11 @@ import itertools
 import math
 import random
 import time
-import types
 from fractions import Fraction
 
 import pytest
 
-from coxfan import corpus, cox, gradmod, grading, polyfan, ratlin, sheaf
+from coxfan import corpus, cox, gradmod, grading, polyfan, sheaf
 from coxfan.cox import BaseRingFlags, build_cox
 from coxfan.gradmod import (
     GradedModulePresentation,
@@ -1236,45 +1235,61 @@ def _sections_of_ideals(cases):
         global_sections_degree(s, _ray_multiple(c.grading, d), mode=mode)
 
 
-def test_window_rows_are_independent(monkeypatch):
-    # A window makes one row per leading monomial of its twisted kernel's
-    # Groebner basis, so its rows number their rank.  Every fiber multiple
-    # of the kernel gave row 3 of ROADMAP item 3 at α = 4 16 rows for 15
-    # pivots.
-    sizes = []
-
-    class Checked(sheaf._Window):
-        def __init__(self, *args):
-            super().__init__(*args)
-            assert ratlin.rank(list(self.rows.values())) == len(self.rows)
-            sizes.append(len(self.rows))
-
-    monkeypatch.setattr(sheaf, "_Window", Checked)
-    _sections_of_ideals(_ROW_CASES)
-    assert any(sizes)
+def _in_span(vector, span):
+    """Whether the sparse vector lies in the span of the reduced rows
+    {pivot: row}: it is then the sum of its pivot entries times their rows."""
+    rest = dict(vector)
+    for p, x in vector.items():
+        for k, y in span.get(p, {}).items():
+            rest[k] = rest.get(k, 0) - x * y
+    return not any(rest.values())
 
 
-def test_only_overlap_windows_eliminate(monkeypatch):
-    # A maximal window's quotient is its coordinates with no row, so only
-    # the overlap windows reach ratlin.echelon, each distinct one once.
-    calls = []
-    built = []
-
-    def echelon(rows):
-        calls.append(list(rows))
-        return ratlin.echelon(rows)
+def test_overlap_images_are_normal_forms(monkeypatch):
+    # Every class the equalizer reads in an overlap window is supported on
+    # the window's standard coordinates and differs from the coordinate by
+    # an element of the window's subspace, here the rref of every fiber
+    # multiple of the kernel: together these pin the class's unique
+    # standard representative, which the normal form must be.
+    read = []
 
     class Recorded(sheaf._Window):
-        def __init__(self, s, key, *rest):
-            super().__init__(s, key, *rest)
-            built.append((key in s.maximal, list(self.rows.values())))
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.args = args
 
-    monkeypatch.setattr(sheaf, "ratlin", types.SimpleNamespace(echelon=echelon, rank=ratlin.rank))
+        def image(self, coord):
+            got = super().image(coord)
+            read.append((self, coord, got))
+            return got
+
     monkeypatch.setattr(sheaf, "_Window", Recorded)
     _sections_of_ideals(_ROW_CASES)
-    overlaps = [rows for maximal, rows in built if not maximal]
-    assert overlaps and len(overlaps) < len(built) and any(overlaps)
-    assert calls == overlaps
+    for name in ("p2", "p112", "dp6"):
+        c = _cox(name)
+        A = c.grading.class_group
+        rng = random.Random(52)
+        boxes = list(itertools.product(range(-1, 3), repeat=len(A.zero().coords())))
+        alphas = [A.from_coords(t) for t in rng.sample(boxes, min(2, len(boxes)))]
+        for f, gens in _generated_modules(c, rng, 2):
+            s = sheafify(GradedModulePresentation(c, f.generator_degrees, tuple(gens)))
+            for alpha in alphas:
+                for mode in ("via_shift", "via_twist"):
+                    global_sections_degree(s, alpha, mode=mode)
+    spans = {}
+    moved = 0
+    for w, coord, got in read:
+        assert w.args[1] not in w.args[0].maximal
+        if w not in spans:
+            assert oracles.window_coordinates(w.args[0].origin, *w.args[1:]) == w.index
+            spans[w] = {w.index[c] for c in w.index if c not in w.rows}, oracles.window_subspace(*w.args, w.index)
+        standard, span = spans[w]
+        assert set(got) <= standard, coord
+        diff = dict(got)
+        diff[w.index[coord]] = diff.get(w.index[coord], 0) - 1
+        assert _in_span(diff, span), coord
+        moved += coord in w.rows
+    assert moved and len(spans) > 1
 
 
 def _lex_window(c, top):
