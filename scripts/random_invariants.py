@@ -88,7 +88,6 @@ from coxfan.groeb import (  # noqa: E402
 )
 from coxfan.polyfan import Cone, dual_cone, hilbert_basis  # noqa: E402
 from coxfan.sheaf import (  # noqa: E402
-    _chart_windows,
     _common_coordinates,
     _equalizer,
     _level_invariants,
@@ -352,10 +351,9 @@ def check_sections(rng, rings):
     want = sum(oracles.polytope_lattice_count(rays, [x - y for x, y in zip(a, d)], 10) for d in shifts)
     counts = {}
     for mode in ("via_shift", "via_twist"):
-        inv = _level_invariants(s, alpha, mode)
-        windows = _chart_windows(s, inv, inv[3])
-        counts[mode] = _common_coordinates(windows)
-        if counts[mode] != _equalizer(s, inv, _overlap_plan(s, alpha, mode, inv), windows):
+        charts, level = _level_invariants(s, alpha, mode)
+        counts[mode] = _common_coordinates(charts, level)
+        if counts[mode] != _equalizer(charts, _overlap_plan(s, alpha, mode, charts), level):
             return False
     got = [global_sections_degree(s, alpha, mode).dimension for mode in ("via_shift", "via_twist")]
     if cartier:
@@ -368,29 +366,28 @@ def check_sections(rng, rings):
 RELATION_FANS = ("p2", "p1xp1", "p112", "f2", "dp6", "p3")
 
 
-def reference_equalizer(s, invariants, plan, level):
+def reference_equalizer(s, charts, plan, level):
     """The equalizer dimension at one level, every window's quotient read
     off ``oracles.window_subspace`` (a dense rref of every fiber multiple
     of the kernel, no Groebner basis): the columns are the maximal
     windows' coordinates off the pivots, and a coordinate's class in an
     overlap window is itself off the pivots, else minus the other entries
-    of its reduced row.  The overlap levels are ``_equalizer``'s."""
-    cox = s.cox
-    degree, live, twists, _ = invariants
+    of its reduced row.  Of the charts it reads only their cone, degree,
+    twists and m, and the overlap levels are ``_equalizer``'s."""
 
-    def window(key, tw, k):
-        index = oracles.window_coordinates(s.origin, key, degree, tw, k)
-        return index, oracles.window_subspace(s, key, degree, tw, k, index)
+    def window(chart, k):
+        args = s.origin, chart.key, chart.degree, chart.twists, k * chart.m
+        index = oracles.window_coordinates(*args)
+        return index, oracles.window_subspace(s, *args[1:], index)
 
-    windows = {key: window(key, twists[key], level * cox.m_exponents[key]) for key in live}
+    windows = {key: window(chart, level) for key, chart in charts.items()}
     cols = {key: [c for c, t in index.items() if t not in span] for key, (index, span) in windows.items()}
     offsets = dict(zip(cols, itertools.accumulate((len(c) for c in cols.values()), initial=0)))
     width = sum(map(len, cols.values()))
     rows = []
-    for tau, sides, tw_tau, slack in plan:
-        m = cox.m_exponents[tau]
-        needed = max(level * cox.m_exponents[k] for k in sides) + slack
-        index, span = window(tau, tw_tau, m * -(-needed // m))
+    for chart, sides, slack in plan:
+        needed = max(level * charts[k].m for k in sides) + slack
+        index, span = window(chart, -(-needed // chart.m))
         block = [[0] * width for _ in index]
         for key, sign in zip(sides, (1, -1)):
             for j, coord in enumerate(cols[key], offsets[key]):
@@ -416,10 +413,10 @@ def check_relations(rng, rings):
         alpha = A.from_coords(list(t))
         for mode in ("via_shift", "via_twist"):
             w = global_sections_degree(s, alpha, mode)
-            inv = _level_invariants(s, alpha, mode)
-            plan = _overlap_plan(s, alpha, mode, inv)
-            got = _equalizer(s, inv, plan, _chart_windows(s, inv, w.level))
-            ok &= got == w.dimension == reference_equalizer(s, inv, plan, w.level)
+            charts, _ = _level_invariants(s, alpha, mode)
+            plan = _overlap_plan(s, alpha, mode, charts)
+            got = _equalizer(charts, plan, w.level)
+            ok &= got == w.dimension == reference_equalizer(s, charts, plan, w.level)
     return ok
 
 

@@ -1,26 +1,20 @@
 """Exact linear algebra over the rationals, on sparse rows: the rank.
 
-A row is stored as a dict {column: int or Fraction} of its nonzero
-entries: the Čech equalizer of `sheaf`, its one caller, has thousands of
-rows with a handful of entries each, mostly ±1.  Rows may be given as
-lists too.  ``rank`` inserts the rows one at a time, cancelling each
-row's leading entry against the pivot rows found so far until the row
-vanishes or opens a new pivot.  A pivot of ±1 keeps a row's ints, so
-rational arithmetic starts only at the first other pivot.  Nothing else
-is eliminated here: a section window's classes are Groebner normal
-forms, and the subspace intersections the package needs are degree
-slices of submodule intersections, which ``gradmod`` takes once as
-modules.
+A row is a dict {column: int or Fraction} of its nonzero entries: the
+Čech equalizer of `sheaf`, its one caller, has thousands of rows with a
+handful of entries each, mostly ±1.  ``rank`` inserts the rows one at a
+time, cancelling each row's leading entry against the pivot rows found
+so far until the row vanishes or opens a new pivot.  A pivot of ±1
+keeps a row's ints, so rational arithmetic starts only at the first
+other pivot.  Nothing else is eliminated here: a section window's
+classes are Groebner normal forms, and the subspace intersections the
+package needs are degree slices of submodule intersections, which
+``gradmod`` takes once as modules.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def _sparse(row):
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: x if type(x) in (int, Fraction) else Fraction(x) for c, x in items if x}
 
 
 def _axpy(r, f, p, skip):
@@ -36,8 +30,9 @@ def _axpy(r, f, p, skip):
 
 def _insert(piv, row):
     """Cancel the row's leading entry against the pivot rows {column: row
-    with 1 there} until it vanishes (False) or opens a new pivot (True)."""
-    r = _sparse(row)
+    with 1 there} until it vanishes (False) or opens a new pivot (True).
+    The row is copied, as it is reduced in place."""
+    r = dict(row)
     while r:
         c = min(r)
         if c not in piv:

@@ -6,12 +6,13 @@ A chart's twists (its minimal Laurent generators of one degree) are
 exact: their cone parts lie in a box proven from a Hermite basis
 (``cox._coset_minima``).  Global sections take degrees from finite
 lists and denominators from one level: a proven bound for a free
-module, else a heuristic.  Both section modes share one window builder, whose
-coordinates are Laurent monomials.  A free module's sections are the
-coordinates common to its live maximal windows, which the lattice-point
-count of P_D checks; only a module with relations builds the overlaps'
-windows, for the equalizer, whose columns are the maximal windows'
-standard coordinates and whose overlap classes are normal forms.
+module, else a heuristic.  Both section modes read one chart per cone
+and call (``_Chart``), whose windows' coordinates are Laurent monomials.
+A free module's sections are the coordinates common to its live maximal
+windows, which the lattice-point count of P_D checks; only a module with
+relations builds the overlaps' charts, for the equalizer, whose columns
+are the maximal windows' standard coordinates and whose rows are keyed
+by the overlap coordinates that their normal forms reach.
 For a free module at a class in Pic (B = Cl), via_twist reads
 via_shift's windows: O(α) is then a line bundle and
 M~ ⊗ O(α) ≅ M(α)~.  The unit η of the
@@ -208,68 +209,78 @@ def is_zero_sheaf(s: SheafCoverPresentation) -> bool:
     return True
 
 
-class _Window:
-    """One chart at one denominator level: the span of the Laurent
-    monomials x^(v + e − level·ẑ)·e_i, for the chart's twists v and the
-    monomials x^e·e_i of the window's degree t.  A coordinate is the pair
-    (i, u), u = v + e − level·ẑ, so two twists whose products agree share
-    it.  The subspace is Σ_v x^(v − level·ẑ)·K_t, K the localization
+class _Chart:
+    """One cone's section windows, at every denominator level k: the span
+    of the Laurent monomials x^(v + e − k·m·ẑ)·e_i, for the chart's twists
+    v and the monomials x^e·e_i of the window's degree t.  A coordinate is
+    the pair (i, u), u = v + e − k·m·ẑ, so two twists whose products agree
+    share it.  The subspace is Σ_v x^(v − k·m·ẑ)·K_t, K the localization
     kernel, which contains the relations.  Let c clear the twists'
     negative entries and J = Σ_v x^(v + c·ẑ)·K.  Every twist has one
     degree, so the subspace is x^(−lift)·J_D for one degree D, with
-    lift = (c + level)·ẑ: the coordinate (i, u) is the monomial
-    x^(u + lift)·e_i of degree D.  J lies in the monomial submodule the
-    x^(v + c·ẑ)·e_i generate, whose monomials of degree D are the
-    window's.  ``rows`` is the set of coordinates whose monomial the
-    leading term of an element of J's POT Groebner basis divides.
+    lift = (c + k·m)·ẑ: the coordinate (i, u) is the monomial
+    x^(u + lift)·e_i of degree D.  J does not depend on the level, which
+    moves only the lift and D, so its POT Groebner basis is built once.
+    J lies in the monomial submodule the x^(v + c·ẑ)·e_i generate, whose
+    monomials of degree D are the window's.  A coordinate is standard when
+    no leading term of the basis divides its monomial.
 
-    The other coordinates, the standard ones, are a basis of the window's
-    quotient.  They are independent modulo J_D: by Macaulay's basis
-    theorem (Cox–Little–O'Shea, Using Algebraic Geometry, Ch. 5 §2) the
-    standard monomials of degree D are a basis of F_D / J_D.  They span
-    it, as ``image`` shows: a standard coordinate is its own class, and
-    any other's is the normal form of its monomial under the basis,
-    shifted back by the lift, whose terms are standard.  The remainder
-    stays in the window: the monomial lies in the monomial submodule
-    above, and so does J, so every term of the remainder is a window
-    monomial of degree D.  It is the class's unique standard
-    representative (Macaulay).  A free module's window has an empty
-    basis, so every coordinate is standard."""
+    The standard coordinates are a basis of the window's quotient.  They
+    are independent modulo J_D: by Macaulay's basis theorem (Cox–Little–
+    O'Shea, Using Algebraic Geometry, Ch. 5 §2) the standard monomials of
+    degree D are a basis of F_D / J_D.  They span it, as ``image`` shows:
+    a standard coordinate is its own class, and any other's is the normal
+    form of its monomial under the basis, shifted back by the lift, whose
+    terms are standard.  The remainder stays in the window: the monomial
+    lies in the monomial submodule above, and so does J, so every term of
+    the remainder is a window monomial of degree D.  It is the class's
+    unique standard representative (Macaulay).  A free module's chart has
+    an empty basis, so every coordinate is standard."""
 
-    def __init__(self, s, key, degree, twists, level):
-        f = s.origin
-        g = f.cox.grading
-        z = f.cox.zhat[key]
-        self.level = level
-        target = g.class_group.add(degree, g.a_map(tuple(level * x for x in z)))
-        base = _monomials_of_degree(f, target)
-        self.index = {}
-        for v in twists:
-            shift = [a - level * b for a, b in zip(v, z)]
-            for i, e in base:
-                self.index.setdefault((i, tuple(map(add, e, shift))), len(self.index))
-        c = max([0] + [-a for v in twists for a in v])
+    def __init__(self, s, key, degree, twists):
+        cox = s.cox
+        z, c = cox.zhat[key], max([0] + [-a for v in twists for a in v])
+        self.f, self.key, self.degree, self.twists = s.origin, key, degree, twists
+        self.z, self.m, self.c = z, cox.m_exponents[key], c
+        self.corners = [tuple(a + c * b for a, b in zip(v, z)) for v in twists]
         self.basis = module_groebner_basis([
-            m_term_mul(k, tuple(a + c * b for a, b in zip(v, z)), 1)
-            for v in twists for k in s.kernels[key]
+            m_term_mul(k, w, 1) for w in self.corners for k in s.kernels[key]
         ])
-        leads = [m_leading_term(b, POT)[0] for b in self.basis]
-        self.lift = [(c + level) * b for b in z]
-        self.rows = set()
-        for i, u in self.index if leads else ():
-            m = tuple(map(add, u, self.lift))
-            if any(q == i and _divides(d, m) for q, d in leads):
-                self.rows.add((i, u))
+        self.leads = [m_leading_term(b, POT)[0] for b in self.basis]
 
-    def image(self, coord):
-        """The coordinate's class, as {index: coefficient} over the
-        standard coordinates."""
-        if coord not in self.rows:
-            return {self.index[coord]: 1}
+    def _reducible(self, i, monomial):
+        return any(q == i and _divides(d, monomial) for q, d in self.leads)
+
+    def standard(self, level):
+        """The window's standard coordinates at the level, each once."""
+        g, z, k = self.f.cox.grading, self.z, level * self.m
+        target = g.class_group.add(self.degree, g.a_map(tuple(k * b for b in z)))
+        base = _monomials_of_degree(self.f, target)
+        coords = {}
+        for v in self.twists:
+            shift = [a - k * b for a, b in zip(v, z)]
+            for i, e in base:
+                coords[i, tuple(map(add, e, shift))] = None
+        if self.leads:
+            lift = [(self.c + k) * b for b in z]
+            return [(i, u) for i, u in coords if not self._reducible(i, tuple(map(add, u, lift)))]
+        return coords
+
+    def image(self, coord, level):
+        """The coordinate's class at the level, as {standard coordinate:
+        coefficient}.  A coordinate whose monomial no x^(v + c·ẑ) divides
+        lies outside the window: the level slack (``_cover_twist``) was
+        too small, and it is refused."""
         i, u = coord
+        lift = [(self.c + level * self.m) * b for b in self.z]
+        monomial = tuple(map(add, u, lift))
+        if not any(_divides(w, monomial) for w in self.corners):
+            raise Unstabilized("coordinate outside its overlap window")
+        if not self._reducible(i, monomial):
+            return {coord: 1}
         x = [{} for _ in self.basis[0]]
-        x[i] = {tuple(map(add, u, self.lift)): 1}
-        return {self.index[j, tuple(map(sub, e, self.lift))]: y
+        x[i] = {monomial: 1}
+        return {(j, tuple(map(sub, e, lift))): y
                 for j, p in enumerate(m_normal_form(x, self.basis, POT)) for e, y in p.items()}
 
 
@@ -292,16 +303,16 @@ def _twists(cox, alpha, mode, key):
 
 
 def _level_invariants(s, alpha, mode):
-    """What every level of either path reads, computed once: the degree
-    read (via_shift: alpha with the trivial twist; via_twist: 0 tensored
-    with the Laurent generators of alpha), the live maximal cones, every
-    maximal cone's twists and the level bound L.  A cone is live when no
-    power of its cone monomial kills every generator e_i: a dead chart's
-    window is all subspace, and so is each of its overlaps' windows, as
-    its cone monomial divides theirs.  Neither adds to the sections, so
-    neither is built, but L is taken over every cone.  A twist box past
-    FIBER_POINT_CAP is refused from its point count before any cone's
-    box is listed."""
+    """What every level of either path reads, computed once: the live
+    maximal cones' charts, by cone key, and the level bound L.  A chart
+    reads the degree (via_shift: alpha with the trivial twist; via_twist:
+    0 tensored with the Laurent generators of alpha) and its cone's
+    twists.  A cone is live when no power of its cone monomial kills
+    every generator e_i: a dead chart's window is all subspace, and so is
+    each of its overlaps' windows, as its cone monomial divides theirs.
+    Neither adds to the sections, so neither is built, but L is taken
+    over every cone's twists.  A twist box past FIBER_POINT_CAP is
+    refused from its point count before any cone's box is listed."""
     cox = s.cox
     degree = alpha if mode == "via_shift" else cox.grading.class_group.zero()
     keys = cox.maximal_keys
@@ -311,82 +322,70 @@ def _level_invariants(s, alpha, mode):
             size = _part_lattice(lattice, tuple(_sigma_positions(cox, key)))[3]
             if size is not None:
                 _refuse_past_cap(size)
-    live = [k for k in keys if not all(module_contains(s.kernels[k], e) for e in s.origin.units)]
     twists = {key: _twists(cox, alpha, mode, key) for key in keys}
     # The level bound L, proven in global_sections_degree.
     bound = max([1] + [
         -(-v[p] // (cox.m_exponents[k] * z))
         for k in keys for v in twists[k] for p, z in enumerate(cox.zhat[k]) if z > 0
     ])
-    return degree, live, twists, bound
+    charts = {
+        key: _Chart(s, key, degree, twists[key]) for key in keys
+        if not all(module_contains(s.kernels[key], e) for e in s.origin.units)
+    }
+    return charts, bound
 
 
-def _overlap_plan(s, alpha, mode, invariants):
+def _overlap_plan(s, alpha, mode, charts):
     """What ``_equalizer`` reads of the overlaps at every level: per pair
-    of live cones the overlap key, the two cone keys, the overlap's twists
-    and the level slack that puts both sides' products in its window."""
+    of live cones the overlap's chart, built once per overlap, the two
+    cone keys, and the level slack that puts both sides' products in the
+    overlap's windows."""
     cox = s.cox
-    _, live, twists, _ = invariants
-    pairs = _overlaps(live)
-    tau_twists = {tau: _twists(cox, alpha, mode, tau) for *_, tau in pairs}
+    pairs = _overlaps(list(charts))
+    faces = {tau: _Chart(s, tau, charts[a].degree, _twists(cox, alpha, mode, tau))
+             for a, _, tau in pairs}
     plan = []
     for *sides, tau in pairs:
         pos = _sigma_positions(cox, tau)
-        slack = max((_cover_twist(v, tau_twists[tau], pos) for k in sides for v in twists[k]),
-                    default=0)
-        plan.append((tau, sides, tau_twists[tau], slack))
+        covers = [_cover_twist(v, faces[tau].twists, pos) for k in sides for v in charts[k].twists]
+        plan.append((faces[tau], sides, max(covers, default=0)))
     return plan
 
 
-def _chart_windows(s, invariants, level_k):
-    """The live maximal cones' windows at one level, by cone key."""
-    cox = s.cox
-    degree, keys, twists, _ = invariants
-    return {
-        key: _Window(s, key, degree, twists[key], level_k * cox.m_exponents[key])
-        for key in keys
-    }
+def _common_coordinates(charts, level):
+    """The number of coordinates all live maximal windows share at the
+    level: a free module's sections (``global_sections_degree``, step 1)."""
+    coords = [chart.standard(level) for chart in charts.values()]
+    return len(set(coords[0]).intersection(*coords[1:])) if coords else 0
 
 
-def _common_coordinates(windows):
-    """The number of coordinates every window holds: a free module's
-    sections in them (step 1 of ``global_sections_degree``)."""
-    indexes = [w.index for w in windows.values()]
-    return len(set(indexes[0]).intersection(*indexes[1:])) if indexes else 0
-
-
-def _equalizer(s, invariants, plan, windows):
-    """The dimension of the equalizer of the chart windows' quotients
-    (only a module with relations gets here).  A maximal window's quotient
-    has the basis S_σ of its standard coordinates (``_Window``), which
-    number the columns.  The equalizer is the kernel of δ on ⊕ span(S_σ),
-    which sends a coordinate to its class in each overlap window's
-    quotient, negated on a pair's second side, so its dimension is
-    Σ|S_σ| − rank δ.  A coordinate's image is the same Laurent monomial in
-    the overlap window, whose class there is its normal form under the
-    window's Groebner basis (``_Window.image``): the remainder stays in
-    the window and is the class's unique representative in the overlap's
-    standard coordinates, by Macaulay's basis theorem.  Each distinct
-    overlap window is built once.  δ has one sparse row per overlap
-    coordinate."""
-    cox = s.cox
+def _equalizer(charts, plan, level):
+    """The dimension of the equalizer of the chart windows' quotients at
+    the level (only a module with relations gets here).  A maximal
+    window's quotient has the basis S_σ of its standard coordinates
+    (``_Chart``), which number the columns.  The equalizer is the kernel
+    of δ on ⊕ span(S_σ), which sends a coordinate to its class in each
+    overlap window's quotient, negated on a pair's second side, so its
+    dimension is Σ|S_σ| − rank δ.  A coordinate's image is the same
+    Laurent monomial in the overlap window, whose class there is its
+    normal form under the overlap chart's Groebner basis
+    (``_Chart.image``): the remainder stays in the window and is the
+    class's unique representative in the overlap's standard coordinates,
+    by Macaulay's basis theorem.  δ has one sparse row per overlap
+    coordinate that some class reaches, keyed by that coordinate, so no
+    overlap window lists its coordinates."""
     n = count()
-    cols = {key: {c: next(n) for c in w.index if c not in w.rows} for key, w in windows.items()}
+    cols = {key: {c: next(n) for c in chart.standard(level)} for key, chart in charts.items()}
     rows = []
-    overlaps = {}
-    for tau_key, sides, tw_tau, slack in plan:
-        needed = max(windows[k].level for k in sides) + slack
-        m = cox.m_exponents[tau_key]
-        ktau = m * -(-needed // m)
-        if (tau_key, ktau) not in overlaps:
-            overlaps[tau_key, ktau] = _Window(s, tau_key, invariants[0], tw_tau, ktau)
-        wt = overlaps[tau_key, ktau]
+    for chart, sides, slack in plan:
+        needed = max(level * charts[k].m for k in sides) + slack
+        at = -(-needed // chart.m)
         eq = {}
         for key, sign in zip(sides, (1, -1)):
             for coord, col in cols[key].items():
-                for u, x in wt.image(coord).items():
+                for u, x in chart.image(coord, at).items():
                     eq.setdefault(u, {})[col] = sign * x
-        rows.extend(eq[t] for t in sorted(eq))
+        rows.extend(eq.values())
     return sum(map(len, cols.values())) - ratlin.rank(rows)
 
 
@@ -450,11 +449,11 @@ def global_sections_degree(
     if mode not in ("via_shift", "via_twist"):
         raise ValueError(f"unknown mode {mode!r}")
     if s.origin.relations:
-        invariants = _level_invariants(s, alpha, mode)
-        plan = _overlap_plan(s, alpha, mode, invariants)
+        charts, bound = _level_invariants(s, alpha, mode)
+        plan = _overlap_plan(s, alpha, mode, charts)
         prev = None
-        for level in range(invariants[3], invariants[3] + DEFAULT_MAX_LEVEL):
-            dim = _equalizer(s, invariants, plan, _chart_windows(s, invariants, level))
+        for level in range(bound, bound + DEFAULT_MAX_LEVEL):
+            dim = _equalizer(charts, plan, level)
             if dim == prev:
                 return GlobalSectionsWindow(alpha, mode, dim, level, "heuristic")
             prev = dim
@@ -464,9 +463,8 @@ def global_sections_degree(
     read = mode
     if mode == "via_twist" and s.cox.subgroup.index_in_A == 1 and is_cartier(s.cox.grading, alpha):
         read = "via_shift"
-    invariants = _level_invariants(s, alpha, read)
-    level = invariants[3]
-    dim = _common_coordinates(_chart_windows(s, invariants, level))
+    charts, level = _level_invariants(s, alpha, read)
+    dim = _common_coordinates(charts, level)
     return GlobalSectionsWindow(alpha, mode, dim, level, "bound")
 
 

@@ -1,5 +1,6 @@
 """Chart covers, global sections, and the module/submodule correspondences."""
 
+import collections
 import functools
 import itertools
 import math
@@ -108,8 +109,8 @@ def _twisted(s, alpha):
     The public via_twist reads via_shift's windows instead for a free
     module at a Cartier class (B = Cl), so a test of the twisted windows
     there calls them directly."""
-    inv = sheaf._level_invariants(s, alpha, "via_twist")
-    return sheaf._common_coordinates(sheaf._chart_windows(s, inv, inv[3]))
+    charts, bound = sheaf._level_invariants(s, alpha, "via_twist")
+    return sheaf._common_coordinates(charts, bound)
 
 
 def test_shift_and_twist_modes_agree(p2_ring):
@@ -863,8 +864,8 @@ def test_twist_overlaps_need_no_more_level_than_the_degree(name):
     s = sheafify(free_module(c))
     for d in range(4):
         alpha = _ray_multiple(c.grading, d)
-        inv = sheaf._level_invariants(s, alpha, "via_twist")
-        plan = sheaf._overlap_plan(s, alpha, "via_twist", inv)
+        charts, _ = sheaf._level_invariants(s, alpha, "via_twist")
+        plan = sheaf._overlap_plan(s, alpha, "via_twist", charts)
         assert max(slack for *_, slack in plan) <= d, d
 
 
@@ -918,10 +919,10 @@ def test_free_sections_at_the_level_bound(name, a, bound):
         assert (win.dimension, win.level, win.certificate) == (want, 1, "bound"), mode
     # The twisted windows hold every section at the bound, and one level
     # lower some section is still missing.
-    inv = sheaf._level_invariants(s, alpha, "via_twist")
-    assert inv[3] == bound
-    assert sheaf._common_coordinates(sheaf._chart_windows(s, inv, bound)) == want
-    assert sheaf._common_coordinates(sheaf._chart_windows(s, inv, bound - 1)) < want
+    charts, level = sheaf._level_invariants(s, alpha, "via_twist")
+    assert level == bound
+    assert sheaf._common_coordinates(charts, bound) == want
+    assert sheaf._common_coordinates(charts, bound - 1) < want
 
 
 @pytest.mark.parametrize(
@@ -977,12 +978,11 @@ def test_twisted_windows_at_cartier_classes_equal_shift_and_lattice_points(name)
     assert any(wants)
 
 
-def _count_and_equalizer(s, alpha, mode, inv, level):
+def _count_and_equalizer(s, alpha, mode, charts, level):
     """A free module's section count at one level (the coordinates its
     windows share) and the rows-and-rank equalizer of the same windows."""
-    windows = sheaf._chart_windows(s, inv, level)
-    plan = sheaf._overlap_plan(s, alpha, mode, inv)
-    return sheaf._common_coordinates(windows), sheaf._equalizer(s, inv, plan, windows)
+    plan = sheaf._overlap_plan(s, alpha, mode, charts)
+    return sheaf._common_coordinates(charts, level), sheaf._equalizer(charts, plan, level)
 
 
 @pytest.mark.parametrize("name", ["p2", "p1xp1", "p112", "p3", "f2", "dp6", "p1cubed"])
@@ -1011,11 +1011,10 @@ def test_free_sections_are_the_common_coordinates(name):
         alpha = g.a_map(tuple(a))
         want = sum(oracles.polytope_lattice_count(rays, [x - y for x, y in zip(a, d)], 8) for d in shifts)
         for mode in ("via_shift", "via_twist"):
-            inv = sheaf._level_invariants(s, alpha, mode)
-            level = inv[3]
-            assert _count_and_equalizer(s, alpha, mode, inv, level) == (want, want), (a, shifts, mode)
+            charts, level = sheaf._level_invariants(s, alpha, mode)
+            assert _count_and_equalizer(s, alpha, mode, charts, level) == (want, want), (a, shifts, mode)
             if level > 1:
-                count, eq = _count_and_equalizer(s, alpha, mode, inv, level - 1)
+                count, eq = _count_and_equalizer(s, alpha, mode, charts, level - 1)
                 assert count == eq, (a, shifts, mode)
                 below.append(count < want)
     assert any(below)
@@ -1023,8 +1022,8 @@ def test_free_sections_are_the_common_coordinates(name):
     # With no generator no window is live, and there is no section.
     s = sheafify(free_module(c, []))
     zero = g.class_group.zero()
-    inv = sheaf._level_invariants(s, zero, "via_shift")
-    assert _count_and_equalizer(s, zero, "via_shift", inv, 1) == (0, 0)
+    charts, _ = sheaf._level_invariants(s, zero, "via_shift")
+    assert _count_and_equalizer(s, zero, "via_shift", charts, 1) == (0, 0)
 
 
 # Degrees whose Laurent generators lie outside the box |u_j| <= 8 that a
@@ -1065,13 +1064,12 @@ def test_twist_sections_take_no_box_walk(rays, max_cones, a, want):
 def test_free_module_is_evaluated_at_one_level(monkeypatch):
     c = _cox("p2")
     calls = []
-    real = sheaf._chart_windows
-
-    def counted(*args):
-        calls.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(sheaf, "_chart_windows", counted)
+    # Both readers of the charts take the level last.
+    for name in ("_common_coordinates", "_equalizer"):
+        def counted(*args, real=getattr(sheaf, name)):
+            calls.append(args[-1])
+            return real(*args)
+        monkeypatch.setattr(sheaf, name, counted)
     s = sheafify(free_module(c))
     for mode in ("via_shift", "via_twist"):
         for d in (-1, 0, 3):
@@ -1122,11 +1120,51 @@ def test_overlap_plan_is_built_once_per_call(p2_cox, monkeypatch):
     # S/<Z1> on p2 at 3 under via_twist: the heuristic evaluates two or
     # more levels, all over one overlap plan, whose slack is computed.
     s = sheafify(quotient_by_monomial_ideal(p2_cox, [(1, 0, 0)]))
-    calls = _count_calls(monkeypatch, "_overlap_plan", "_chart_windows", "_cover_twist")
+    calls = _count_calls(monkeypatch, "_overlap_plan", "_equalizer", "_cover_twist")
     win = global_sections_degree(s, _ray_multiple(p2_cox.grading, 3), mode="via_twist")
     assert win.certificate == "heuristic" and win.dimension == 4
-    assert calls["_overlap_plan"] == 1 and calls["_chart_windows"] >= 2
+    assert calls["_overlap_plan"] == 1 and calls["_equalizer"] >= 2
     assert calls["_cover_twist"] > 0
+
+
+def test_each_chart_is_built_once_per_call(p2_cox, monkeypatch):
+    # S/<Z1> on p2 at 3 under via_twist: the heuristic reads two or more
+    # levels.  Each live maximal cone and each overlap builds its chart,
+    # and so its Groebner basis, once, whatever the number of levels.  Only
+    # the maximal windows list their coordinates, once per level: no
+    # overlap window lists its own.
+    s = sheafify(quotient_by_monomial_ideal(p2_cox, [(1, 0, 0)]))
+    alpha = _ray_multiple(p2_cox.grading, 3)
+    charts, bound = sheaf._level_invariants(s, alpha, "via_twist")
+    overlaps = {tau for *_, tau in sheaf._overlaps(list(charts))}
+    calls = _count_calls(monkeypatch, "module_groebner_basis", "_equalizer")
+    listed = []
+    real = sheaf._monomials_of_degree
+    monkeypatch.setattr(sheaf, "_monomials_of_degree", lambda f, t: listed.append(t) or real(f, t))
+    win = global_sections_degree(s, alpha, mode="via_twist")
+    assert win.certificate == "heuristic" and win.dimension == 4
+    levels = range(bound, win.level + 1)
+    assert calls["_equalizer"] == len(levels) >= 2
+    assert calls["module_groebner_basis"] == len(charts) + len(overlaps) == 3
+    g = p2_cox.grading
+    targets = [g.a_map(tuple(k * ch.m * x for x in ch.z)) for k in levels for ch in charts.values()]
+    assert collections.Counter(listed) == collections.Counter(targets)
+
+
+def test_too_small_a_level_slack_is_refused(monkeypatch):
+    # A generated module on F2 whose overlaps need a positive level slack:
+    # with the slack forced to 0, a maximal window's coordinate falls
+    # outside its overlap window, and the chart refuses it rather than
+    # read a wrong class.
+    c = _cox("f2")
+    ((f, gens),) = _generated_modules(c, random.Random(1), 1)
+    s = sheafify(GradedModulePresentation(c, f.generator_degrees, tuple(gens)))
+    alpha = c.grading.class_group.from_coords([0, 1])
+    charts, _ = sheaf._level_invariants(s, alpha, "via_twist")
+    assert max(slack for *_, slack in sheaf._overlap_plan(s, alpha, "via_twist", charts)) > 0
+    monkeypatch.setattr(sheaf, "_cover_twist", lambda *args: 0)
+    with pytest.raises(sheaf.Unstabilized, match="outside its overlap window"):
+        global_sections_degree(s, alpha, mode="via_twist")
 
 
 def test_killed_chart_builds_no_window(monkeypatch):
@@ -1138,16 +1176,16 @@ def test_killed_chart_builds_no_window(monkeypatch):
     (dead,) = [key for (_, key), k in gradmod.kill_table(s.origin).items() if k is not None]
     built = []
 
-    class Counted(sheaf._Window):
+    class Counted(sheaf._Chart):
         def __init__(self, s, key, *rest):
             built.append(key)
             super().__init__(s, key, *rest)
 
-    monkeypatch.setattr(sheaf, "_Window", Counted)
+    monkeypatch.setattr(sheaf, "_Chart", Counted)
     win = global_sections_degree(s, _ray_multiple(c.grading, 6), mode="via_twist")
     assert (win.dimension, win.level, win.certificate) == (4, 7, "heuristic")
     assert built and not any(set(key) <= set(dead) for key in built)
-    assert len(set(built)) == 3  # the two live charts and their overlap
+    assert len(built) == len(set(built)) == 3  # the two live charts and their overlap
 
 
 @pytest.mark.parametrize("ideal", [None, [(1, 0, 0), (0, 1, 1)]], ids=["free", "Z1,Z2Z3"])
@@ -1160,25 +1198,42 @@ def test_covers_of_one_module_stay_equal_after_sections(p2_cox, ideal):
 
 
 def _check_windows(monkeypatch, checked):
-    """Make every window built check itself against the block reference,
-    which quotients each twist's block by all fiber multiples of the
-    kernel, and append whether it had several twists and a kernel."""
+    """Make every chart built, overlaps included, check its window at each
+    level it is read at against the block reference, which quotients each
+    twist's block by all fiber multiples of the kernel, and append whether
+    it had several twists and a kernel."""
 
-    class Checked(sheaf._Window):
-        def __init__(self, s, key, degree, twists, level):
-            super().__init__(s, key, degree, twists, level)
+    class Checked(sheaf._Chart):
+        def __init__(self, s, key, degree, twists):
+            super().__init__(s, key, degree, twists)
+            self.args = s, key
+            self.seen = set()
+
+        def check(self, level):
+            if level in self.seen:
+                return
+            self.seen.add(level)
+            s, key = self.args
             f = s.origin
             g = f.cox.grading
-            target = g.class_group.add(degree, g.a_map(tuple(level * x for x in f.cox.zhat[key])))
+            target = g.class_group.add(self.degree, g.a_map(tuple(level * self.m * x for x in self.z)))
             base = gradmod._monomials_of_degree(f, target)
             index = {m: k for k, m in enumerate(base)}
             kernel = gradmod.graded_elements(f, s.kernels[key])
             rows = oracles.component_span_rows(f, kernel, target, index)
-            want = oracles.window_quotient_dimension(base, rows, twists)
-            assert len(self.index) - len(self.rows) == want, (key, degree, level)
-            checked.append(len(twists) > 1 and bool(rows))
+            want = oracles.window_quotient_dimension(base, rows, self.twists)
+            assert len(super().standard(level)) == want, (key, self.degree, level)
+            checked.append(len(self.twists) > 1 and bool(rows))
 
-    monkeypatch.setattr(sheaf, "_Window", Checked)
+        def standard(self, level):
+            self.check(level)
+            return super().standard(level)
+
+        def image(self, coord, level):
+            self.check(level)
+            return super().image(coord, level)
+
+    monkeypatch.setattr(sheaf, "_Chart", Checked)
 
 
 @pytest.mark.parametrize("ideal", [[(1, 0, 0)], [(1, 1, 0), (0, 0, 1)]], ids=["Z1", "Z1Z2,Z3"])
@@ -1253,17 +1308,17 @@ def test_overlap_images_are_normal_forms(monkeypatch):
     # standard representative, which the normal form must be.
     read = []
 
-    class Recorded(sheaf._Window):
+    class Recorded(sheaf._Chart):
         def __init__(self, *args):
             super().__init__(*args)
             self.args = args
 
-        def image(self, coord):
-            got = super().image(coord)
-            read.append((self, coord, got))
+        def image(self, coord, level):
+            got = super().image(coord, level)
+            read.append((self, level, coord, got))
             return got
 
-    monkeypatch.setattr(sheaf, "_Window", Recorded)
+    monkeypatch.setattr(sheaf, "_Chart", Recorded)
     _sections_of_ideals(_ROW_CASES)
     for name in ("p2", "p112", "dp6"):
         c = _cox(name)
@@ -1278,17 +1333,24 @@ def test_overlap_images_are_normal_forms(monkeypatch):
                     global_sections_degree(s, alpha, mode=mode)
     spans = {}
     moved = 0
-    for w, coord, got in read:
-        assert w.args[1] not in w.args[0].maximal
-        if w not in spans:
-            assert oracles.window_coordinates(w.args[0].origin, *w.args[1:]) == w.index
-            spans[w] = {w.index[c] for c in w.index if c not in w.rows}, oracles.window_subspace(*w.args, w.index)
-        standard, span = spans[w]
+    for w, level, coord, got in read:
+        s, key, degree, twists = w.args
+        assert key not in s.maximal
+        if (w, level) not in spans:
+            # The reference numbers the window's coordinates; the chart's
+            # standard ones are among them, as many as the quotient's
+            # dimension.
+            index = oracles.window_coordinates(s.origin, key, degree, twists, level * w.m)
+            span = oracles.window_subspace(s, key, degree, twists, level * w.m, index)
+            standard = {index[c] for c in w.standard(level)}
+            assert len(standard) == len(index) - len(span)
+            spans[w, level] = index, standard, span
+        index, standard, span = spans[w, level]
+        got = {index[u]: x for u, x in got.items()}
         assert set(got) <= standard, coord
-        diff = dict(got)
-        diff[w.index[coord]] = diff.get(w.index[coord], 0) - 1
-        assert _in_span(diff, span), coord
-        moved += coord in w.rows
+        got[index[coord]] = got.get(index[coord], 0) - 1
+        assert _in_span(got, span), coord
+        moved += index[coord] not in standard
     assert moved and len(spans) > 1
 
 
