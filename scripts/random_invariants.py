@@ -30,7 +30,9 @@ and the public via_twist (which reads via_shift's windows there);
 elsewhere the public via_twist, its twisted windows, with each d_i
 Cartier so that S(−d_i)~ ⊗ O(α) ≅ O(α − d_i).  In both modes the count
 of coordinates common to the chart windows, which a free module's
-sections read, must equal the rows-and-rank equalizer of those windows.  With
+sections read off the first window, must equal the intersection of every
+window listed in full (``oracles.common_coordinates_by_intersection``)
+and the rows-and-rank equalizer of those windows.  With
 ``--relations N`` it checks N generated binomial ideals or rank-2
 modules, taken as relations, on P2, P1xP1, P(1,1,2), F2, dP6 and P3, at
 up to four classes with entries −1 … 2, in both modes: at the level
@@ -335,8 +337,9 @@ def check_sections(rng, rings):
     class α with entries −1 … 2 on one complete fan: the Cartier verdicts
     of ``grading.is_cartier`` and of the per-cone systems must agree, each
     mode's windows at its level bound must hold as many common coordinates
-    as the rows-and-rank equalizer counts, and every route must give the
-    lattice count (see the module docstring)."""
+    as the intersection of the windows listed in full and as the
+    rows-and-rank equalizer counts, and every route must give the lattice
+    count (see the module docstring)."""
     f = rings[rng.choice(COMPLETE_FANS)]
     g = f.cox.grading
     rays = g.delta_basis
@@ -353,6 +356,8 @@ def check_sections(rng, rings):
     for mode in ("via_shift", "via_twist"):
         charts, level = _level_invariants(s, alpha, mode)
         counts[mode] = _common_coordinates(charts, level)
+        if counts[mode] != oracles.common_coordinates_by_intersection(charts, level):
+            return False
         if counts[mode] != _equalizer(charts, _overlap_plan(s, alpha, mode, charts), level):
             return False
     got = [global_sections_degree(s, alpha, mode).dimension for mode in ("via_shift", "via_twist")]

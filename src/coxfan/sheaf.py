@@ -9,7 +9,8 @@ lists and denominators from one level: a proven bound for a free
 module, else a heuristic.  Both section modes read one chart per cone
 and call (``_Chart``), whose windows' coordinates are Laurent monomials.
 A free module's sections are the coordinates common to its live maximal
-windows, which the lattice-point count of P_D checks; only a module with
+windows, which the lattice-point count of P_D checks: the first window
+is listed, and the others test its coordinates; only a module with
 relations builds the overlaps' charts, for the equalizer, whose columns
 are the maximal windows' standard coordinates and whose rows are keyed
 by the overlap coordinates that their normal forms reach.
@@ -41,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, count
-from operator import add, sub
+from operator import add, ge, sub
 
 from . import ratlin
 from ._record import DomainError, Record
@@ -242,9 +243,9 @@ class _Chart:
         z, c = cox.zhat[key], max([0] + [-a for v in twists for a in v])
         self.f, self.key, self.degree, self.twists = s.origin, key, degree, twists
         self.z, self.m, self.c = z, cox.m_exponents[key], c
-        self.corners = [tuple(a + c * b for a, b in zip(v, z)) for v in twists]
+        corners = [tuple(a + c * b for a, b in zip(v, z)) for v in twists]
         self.basis = module_groebner_basis([
-            m_term_mul(k, w, 1) for w in self.corners for k in s.kernels[key]
+            m_term_mul(k, w, 1) for w in corners for k in s.kernels[key]
         ])
         self.leads = [m_leading_term(b, POT)[0] for b in self.basis]
 
@@ -266,16 +267,25 @@ class _Chart:
             return [(i, u) for i, u in coords if not self._reducible(i, tuple(map(add, u, lift)))]
         return coords
 
+    def holds(self, u, level):
+        """Whether the window at the level holds a coordinate (i, u) whose
+        u has the windows' Laurent degree α − d_i: whether some twist v has
+        e = u − v + level·m·ẑ ≥ 0, entry by entry.  Every twist has one
+        degree, so such an e has the degree of the window's monomials
+        x^e·e_i, and (i, u) is the coordinate of x^e·e_i."""
+        k = level * self.m
+        w = [a + k * z for a, z in zip(u, self.z)]
+        return any(all(map(ge, w, v)) for v in self.twists)
+
     def image(self, coord, level):
         """The coordinate's class at the level, as {standard coordinate:
-        coefficient}.  A coordinate whose monomial no x^(v + c·ẑ) divides
-        lies outside the window: the level slack (``_cover_twist``) was
-        too small, and it is refused."""
+        coefficient}.  A coordinate the window does not hold (``holds``)
+        is refused: the level slack (``_cover_twist``) was too small."""
         i, u = coord
+        if not self.holds(u, level):
+            raise Unstabilized("coordinate outside its overlap window")
         lift = [(self.c + level * self.m) * b for b in self.z]
         monomial = tuple(map(add, u, lift))
-        if not any(_divides(w, monomial) for w in self.corners):
-            raise Unstabilized("coordinate outside its overlap window")
         if not self._reducible(i, monomial):
             return {coord: 1}
         x = [{} for _ in self.basis[0]]
@@ -328,9 +338,10 @@ def _level_invariants(s, alpha, mode):
         -(-v[p] // (cox.m_exponents[k] * z))
         for k in keys for v in twists[k] for p, z in enumerate(cox.zhat[k]) if z > 0
     ])
+    units = s.origin.units
     charts = {
         key: _Chart(s, key, degree, twists[key]) for key in keys
-        if not all(module_contains(s.kernels[key], e) for e in s.origin.units)
+        if not all(module_contains(s.kernels[key], e) for e in units)
     }
     return charts, bound
 
@@ -354,9 +365,18 @@ def _overlap_plan(s, alpha, mode, charts):
 
 def _common_coordinates(charts, level):
     """The number of coordinates all live maximal windows share at the
-    level: a free module's sections (``global_sections_degree``, step 1)."""
-    coords = [chart.standard(level) for chart in charts.values()]
-    return len(set(coords[0]).intersection(*coords[1:])) if coords else 0
+    level: a free module's sections (``global_sections_degree``, step 1).
+    Only the first chart's window is listed, and each of its coordinates
+    (i, u) is kept when every other chart holds it (``_Chart.holds``).
+    This is exact: every coordinate of one call, in either mode, has the
+    Laurent degree α − d_i (the twist's degree plus the window monomials',
+    less the power of ẑ the level clears), so a nonnegative
+    e = u − v + k·m·ẑ has the window monomials' degree, and (i, u) lies in
+    another window exactly when one of its twists v gives such an e."""
+    if not charts:
+        return 0
+    first, *rest = charts.values()
+    return sum(all(chart.holds(u, level) for chart in rest) for _, u in first.standard(level))
 
 
 def _equalizer(charts, plan, level):
@@ -409,7 +429,10 @@ def global_sections_degree(
        window is their span, and each overlap window likewise.  Agreement
        on every overlap is then equality of Laurent polynomials, so dim(k)
        is the number of monomials common to all live windows
-       (``_common_coordinates``).  In ``_equalizer``'s terms: each row is
+       (``_common_coordinates``).  Every monomial x^u·e_i of one call has
+       degree α − d_i in both modes, so another window holds it exactly
+       when one of its twists v has u − v + k·m_σ·ẑ_σ ≥ 0: the first
+       window alone is listed.  In ``_equalizer``'s terms: each row is
        e_c − e_c′, where the monomial lies in both windows of a pair, or
        ±e_c, where it lies in one only, so the equalizer splits by
        monomial, and a monomial adds one dimension exactly when it lies in

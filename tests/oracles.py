@@ -667,6 +667,18 @@ def window_coordinates(f, key, degree, twists, level):
     return index
 
 
+def common_coordinates_by_intersection(charts, level):
+    """The number of coordinates that all the charts' windows share at the
+    level, every window listed in full (``window_coordinates``, at the
+    chart's level·m) and the sets intersected: a free module's sections,
+    all of whose coordinates are standard.  Of a chart it reads only its
+    module, cone, degree, twists and m."""
+    windows = [
+        set(window_coordinates(c.f, c.key, c.degree, c.twists, level * c.m)) for c in charts.values()
+    ]
+    return len(set.intersection(*windows)) if windows else 0
+
+
 def window_subspace(s, key, degree, twists, level, index):
     """The subspace Σ_v x^(v − level·ẑ)·K_t of a section window over its
     coordinates ``index``, K the localization kernel of the cone ``key`` in

@@ -1026,6 +1026,50 @@ def test_free_sections_are_the_common_coordinates(name):
     assert _count_and_equalizer(s, zero, "via_shift", charts, 1) == (0, 0)
 
 
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "p112", "p3", "f2", "dp6", "p1cubed"])
+def test_common_coordinates_match_the_intersection(name):
+    # Seeded free modules ⊕ S(−d_i) of rank 1–3 at classes α with entries
+    # −1 … 2, in both modes' windows at the level bound L and at L − 1: the
+    # first window's coordinates that every other window holds are the
+    # intersection of all the windows listed in full.  On P(1,1,2) the
+    # twisted windows at a class that is not Cartier have several twists.
+    c = _cox(name)
+    g = c.grading
+    rays = g.delta_basis
+    rng = random.Random(f"intersection {name}")
+    several = []
+    for _ in range(8):
+        a = [rng.randint(-1, 2) for _ in rays]
+        shifts = [[rng.randint(0, 1) for _ in rays] for _ in range(rng.randint(1, 3))]
+        s = sheafify(free_module(c, [g.a_map(tuple(d)) for d in shifts]))
+        alpha = g.a_map(tuple(a))
+        for mode in ("via_shift", "via_twist"):
+            charts, bound = sheaf._level_invariants(s, alpha, mode)
+            several.append(any(len(chart.twists) > 1 for chart in charts.values()))
+            for level in (bound, bound - 1):
+                want = oracles.common_coordinates_by_intersection(charts, level)
+                assert sheaf._common_coordinates(charts, level) == want, (a, shifts, mode, level)
+    assert name != "p112" or any(several)
+
+
+@pytest.mark.parametrize("name", ["p2", "p112", "f2", "dp6"])
+def test_free_sections_list_one_window(name, monkeypatch):
+    # A free module's count lists the first live window and tests its
+    # coordinates against the others: one standard listing per call, in
+    # both modes, at Cartier classes and (on P(1,1,2)) at others.
+    c = _cox(name)
+    g = c.grading
+    listed = []
+    real = sheaf._Chart.standard
+    monkeypatch.setattr(sheaf._Chart, "standard", lambda self, level: listed.append(level) or real(self, level))
+    s = sheafify(free_module(c, [g.class_group.zero(), _ray_multiple(g, 1)]))
+    for mode in ("via_shift", "via_twist"):
+        for d in range(-1, 4):
+            listed.clear()
+            win = global_sections_degree(s, _ray_multiple(g, d), mode=mode)
+            assert win.certificate == "bound" and len(listed) == 1, (mode, d)
+
+
 # Degrees whose Laurent generators lie outside the box |u_j| <= 8 that a
 # box search walked; it refused them with Unstabilized.
 @pytest.mark.parametrize("name,a", [("p3", (8, 0, 0, 0)), ("p112", (9, 0, 0))])
